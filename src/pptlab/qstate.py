@@ -59,7 +59,8 @@ class HermitianOperator:
 
     The constructor symmetrizes the input as (X + X^dag)/2 and records the
     asymmetry of what was passed in; inputs whose asymmetry exceeds `tol`
-    (relative to the largest entry) are rejected.
+    (relative to the largest entry), and inputs with NaN or infinite
+    entries, are rejected.
     """
 
     dims: BipartiteDims
@@ -71,6 +72,8 @@ class HermitianOperator:
         d = dims.total
         if entries.shape != (d, d):
             raise ValueError(f"expected a {d}x{d} matrix for dims {dims}, got {entries.shape}")
+        if not np.all(np.isfinite(entries)):
+            raise ValueError("matrix has non-finite entries (NaN or Inf)")
         scale = max(1.0, np.abs(entries).max()) if entries.size else 1.0
         asym = float(np.abs(entries - entries.conj().T).max())
         if asym > tol * scale:
@@ -143,6 +146,8 @@ class BlockFactor:
             raise ValueError(f"blocks have {n} columns, expected {dims.n}")
         if r < 1:
             raise ValueError("blocks must have at least one row")
+        if not all(np.all(np.isfinite(b)) for b in blocks):
+            raise ValueError("blocks have non-finite entries (NaN or Inf)")
         self.dims = dims
         self.r_rows = r
         self.blocks = blocks

@@ -10,7 +10,20 @@ and symmetrically G(b) a = 0 with G(b) = [(conj(W_r) b)^T]_r.  The residual
 of a unit pair, |F(a) b|, equals the norm of the projection of a (x) b onto
 the orthocomplement.
 
-Enumeration runs two independent routes and merges their verified output:
+Enumeration first decides what it can from dimensions and product lines:
+
+- with R' = dim K^perp below m + n - 2, the dimension of the Segre variety,
+  the product set is positive-dimensional (projective dimension theorem)
+  and is reported as such without a search;
+- the product-line search looks for whole planes |a> (x) W or V (x) |b>.
+
+A square system (R' = m + n - 2, every kernel of a state at the borderline
+rank) without product lines goes to the homotopy route: delta(m, n) paths
+tracked from a linear-product start system, whose delta distinct,
+nonsingular, transversal endpoints prove the root set complete by count.
+Anything else, and every square system the homotopy does not certify, goes
+to the search route, which merges the verified output of two independent
+routes:
 
 (a) deterministic multistart alternating minimization over unit pairs
     (least right singular vectors of F and G in turn), followed by a batched
@@ -21,11 +34,12 @@ Enumeration runs two independent routes and merges their verified output:
     common projective roots are extracted with a hidden-variable Sylvester
     matrix and a companion (QZ) eigenvalue linearization.
 
-Every candidate from either route is polished and re-verified against the
-residual tolerance before it counts.  Classification into Empty / Finite /
-LikelyInfinite / Inconclusive is evidence-based and deliberately refuses to
-overclaim: Finite needs isolated, transversal points and a start count that
-was doubled until the found set stopped changing twice in a row.
+Every candidate from any route is polished and re-verified against the
+residual tolerance before it counts; the evidence names the route taken.
+Classification into Empty / Finite / LikelyInfinite / Inconclusive is
+evidence-based and deliberately refuses to overclaim: Finite needs isolated,
+transversal points and either a complete homotopy count or a start count
+that was doubled until the found set stopped changing twice in a row.
 """
 
 from __future__ import annotations
@@ -57,6 +71,9 @@ DEDUP_TOL = 1e-6
 POLISH_TARGET = 1e-13
 _JITTER_SEED = 20240901
 _MINOR_SEED = 71
+_HOMOTOPY_SEED = 1987
+_HOMOTOPY_MAX_STEPS = 2000
+_HOMOTOPY_MIN_STEP = 1e-12
 
 
 class Classification(enum.Enum):
@@ -88,7 +105,8 @@ class EnumerationOptions:
     4 * delta.  `cross_check` enables the determinantal route (b) where it
     applies; `detect_subspaces` runs the product-line search first so that
     kernels with whole product planes are classified without burning the
-    full multistart budget.
+    full multistart budget.  A square system certified by the homotopy
+    route uses only the tolerances and `polish_iters`.
     """
 
     start_count: Optional[int] = None
@@ -170,19 +188,6 @@ def complement_stack(k: SubspaceBasis, dims: BipartiteDims) -> np.ndarray:
         return eye.reshape(dims.total, dims.m, dims.n)
     comp = scipy.linalg.null_space(k.vectors.conj())
     return comp.T.reshape(-1, dims.m, dims.n)
-
-
-def membership_matrices(k: SubspaceBasis, dims: BipartiteDims):
-    """(F, G) builders for the subspace: F(a) b = 0 iff a (x) b in K."""
-    wc = complement_stack(k, dims).conj()
-
-    def f_of_a(a):
-        return np.einsum('i,rij->rj', np.asarray(a, complex), wc)
-
-    def g_of_b(b):
-        return np.einsum('rij,j->ri', wc, np.asarray(b, complex))
-
-    return f_of_a, g_of_b
 
 
 def _pair_residual(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -424,6 +429,134 @@ def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims,
 
 
 # ---------------------------------------------------------------------------
+# homotopy route (square membership systems)
+
+
+def _homotopy_roots(wc: np.ndarray, opts: EnumerationOptions):
+    """Roots of a square membership system by linear-product homotopy.
+
+    With R' = m + n - 2 equations g_r(a, b) = a^T W_r b on P^{m-1} x P^{n-1},
+    the start system F0_r = (x_r^T a)(y_r^T b) has one nonsingular root per
+    split (P, Q) of the equations into m - 1 and n - 1 (a orthogonal to x_P,
+    b to y_Q): delta(m, n) roots, the 2-homogeneous Bezout number of the
+    target.  H = gamma (1 - s) F0 + s F1 is tracked from s = 0 to 1 in one
+    affine patch per factor, with an RK4 predictor, a three-step Newton
+    corrector and a per-path step that grows on success and halves on
+    rejection (Morgan & Sommese, Appl. Math. Comput. 24, 1987).  All random
+    data come from a fixed seed, so the result is deterministic.
+
+    Endpoints are polished and kept when they pass the residual tolerance and
+    their gauge-fixed Jacobian is nonsingular.  Returns (points, residuals,
+    paths) with paths = {"tracked", "finished", "accepted"}; the points are
+    deduplicated, and delta of them prove the root set complete, since a
+    square system with a positive-dimensional component has fewer than
+    delta isolated roots.
+    """
+    rp, m, n = wc.shape
+    rng = np.random.default_rng(_HOMOTOPY_SEED)
+
+    def cnormal(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    x = cnormal(rp, m)
+    y = cnormal(rp, n)
+    x /= np.linalg.norm(x, axis=1, keepdims=True)
+    y /= np.linalg.norm(y, axis=1, keepdims=True)
+    patch_a, patch_b = cnormal(m), cnormal(n)
+    gamma = np.exp(2j * np.pi * rng.random())
+
+    splits = [(list(p), [r for r in range(rp) if r not in p])
+              for p in itertools.combinations(range(rp), m - 1)]
+    a0 = np.array([np.linalg.svd(x[p])[2][-1].conj() for p, _ in splits]).reshape(-1, m)
+    b0 = np.array([np.linalg.svd(y[q])[2][-1].conj() for _, q in splits]).reshape(-1, n)
+    z = np.concatenate([a0 / (a0 @ patch_a)[:, None], b0 / (b0 @ patch_b)[:, None]], axis=1)
+    paths = z.shape[0]
+    patch_rows = np.zeros((2, m + n), dtype=complex)
+    patch_rows[0, :m] = patch_a
+    patch_rows[1, m:] = patch_b
+
+    def system(z, s):
+        """(H, dH/dz, dH/ds) at each row of z; s is per row."""
+        a, b = z[:, :m], z[:, m:]
+        xa, yb = a @ x.T, b @ y.T
+        f1 = np.einsum('si,rij,sj->sr', a, wc, b)
+        w0 = (gamma * (1 - s))[:, None]
+        w1 = s[:, None]
+        ja = w1[:, :, None] * np.einsum('rij,sj->sri', wc, b) + w0[:, :, None] * yb[:, :, None] * x
+        jb = w1[:, :, None] * np.einsum('si,rij->srj', a, wc) + w0[:, :, None] * xa[:, :, None] * y
+        jac = np.concatenate([np.concatenate([ja, jb], axis=2),
+                              np.broadcast_to(patch_rows, (z.shape[0], 2, m + n))], axis=1)
+        h = np.concatenate([w0 * xa * yb + w1 * f1,
+                            np.stack([a @ patch_a - 1, b @ patch_b - 1], axis=1)], axis=1)
+        hs = np.concatenate([f1 - gamma * xa * yb, np.zeros((z.shape[0], 2))], axis=1)
+        return h, jac, hs
+
+    def tangent(z, s):
+        _, jac, hs = system(z, s)
+        return -np.linalg.solve(jac, hs[:, :, None])[:, :, 0]
+
+    s = np.zeros(paths)
+    step = np.full(paths, 0.02)
+    active = np.ones(paths, dtype=bool)
+    finished = np.zeros(paths, dtype=bool)
+    for _ in range(_HOMOTOPY_MAX_STEPS):
+        idx = np.nonzero(active)[0]
+        if idx.size == 0:
+            break
+        zi, si, hi = z[idx], s[idx], step[idx]
+        with np.errstate(all="ignore"):
+            try:
+                k1 = tangent(zi, si)
+                k2 = tangent(zi + hi[:, None] / 2 * k1, si + hi / 2)
+                k3 = tangent(zi + hi[:, None] / 2 * k2, si + hi / 2)
+                k4 = tangent(zi + hi[:, None] * k3, si + hi)
+                zn = zi + hi[:, None] / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+                sn = np.where(si + hi > 1.0 - 1e-14, 1.0, si + hi)
+                sizes = []
+                for _ in range(3):
+                    h, jac, _ = system(zn, sn)
+                    dz = np.linalg.solve(jac, h[:, :, None])[:, :, 0]
+                    zn = zn - dz
+                    sizes.append(np.linalg.norm(dz, axis=1) / (1 + np.linalg.norm(zn, axis=1)))
+            except np.linalg.LinAlgError:
+                # a singular Jacobian in the batch: retry every path at half step
+                step[idx] = hi / 2
+                active[idx] = step[idx] >= _HOMOTOPY_MIN_STEP
+                continue
+        # a large first correction means the predictor left the path's basin
+        ok = (sizes[-1] < 1e-10) & (sizes[0] < 1e-2) & np.all(np.isfinite(zn), axis=1)
+        good, bad = idx[ok], idx[~ok]
+        z[good], s[good] = zn[ok], sn[ok]
+        done = good[s[good] >= 1.0]
+        finished[done] = True
+        active[done] = False
+        grow = good[s[good] < 1.0]
+        step[grow] = np.minimum(np.minimum(step[grow] * 1.6, 0.1), 1.0 - s[grow])
+        step[bad] /= 2
+        active[bad] = step[bad] >= _HOMOTOPY_MIN_STEP
+        # a path diverging in the patch ends at infinity, not at a root
+        too_far = np.linalg.norm(z[grow], axis=1) > 1e8
+        active[grow[too_far]] = False
+
+    pool = _PointPool(opts.dedup_tol)
+    accepted = 0
+    done = np.nonzero(finished)[0]
+    if done.size:
+        a, b = z[done, :m], z[done, m:]
+        a = a / np.linalg.norm(a, axis=1, keepdims=True)
+        b = b / np.linalg.norm(b, axis=1, keepdims=True)
+        a, b, res = _polish_batch(wc, a, b, opts.polish_iters)
+        for i in np.nonzero(res <= opts.residual_tol)[0]:
+            pv = ProductVector(a[i], b[i])
+            smin, smax = _jacobian_extremes(wc, pv)
+            if smin > RANK_TOL * smax:
+                accepted += 1
+                pool.add(pv, float(res[i]))
+    counts = {"tracked": paths, "finished": int(finished.sum()), "accepted": accepted}
+    return pool.points, pool.residuals, counts
+
+
+# ---------------------------------------------------------------------------
 # product-line detection
 
 
@@ -509,7 +642,8 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
     n0 = opts.start_count if opts.start_count is not None else 40 * dlt
     if n0 < 4 * dlt:
         raise ValueError(f"start_count must be at least {4 * dlt} (4*delta), got {n0}")
-    evidence: dict = {"delta": dlt, "starts_used": 0, "rounds": 0,
+    evidence: dict = {"delta": dlt, "route": None, "paths": None,
+                      "starts_used": 0, "rounds": 0,
                       "best_residual": float("inf"), "line_subspaces": [],
                       "raw_accepted": 0, "stable": False, "minor_system": None,
                       "near_duplicate_chain": 0,
@@ -526,7 +660,27 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
     if wc.shape[0] == 0:
         evidence["trivial_full_space"] = True
         return EnumerationResult([], [], Classification.LIKELY_INFINITE, evidence)
+    if wc.shape[0] < m + n - 2:
+        # fewer equations than the dimension of the Segre variety: every
+        # component of the product set is positive-dimensional
+        evidence["route"] = "dimension-count"
+        evidence["dimension_forces_positive_dimension"] = True
+        return EnumerationResult([], [], Classification.LIKELY_INFINITE, evidence)
 
+    # A square system has at most delta isolated roots: finding delta of
+    # them proves the set finite and complete.  Otherwise search below.
+    if wc.shape[0] == m + n - 2 and not has_lines:
+        points, residuals, evidence["paths"] = _homotopy_roots(wc, opts)
+        if len(points) == dlt:
+            points, residuals, trans = _point_evidence(k, wc, dims, points, residuals,
+                                                       opts, evidence)
+            if all(trans):
+                evidence["route"] = "homotopy"
+                evidence["raw_accepted"] = evidence["paths"]["accepted"]
+                evidence["best_residual"] = min(residuals)
+                return EnumerationResult(points, residuals, Classification.FINITE, evidence)
+
+    evidence["route"] = "multistart"
     pool = _PointPool(opts.dedup_tol)
     raw_pts: list = []
     jitter_rng = np.random.default_rng(_JITTER_SEED)
@@ -593,21 +747,8 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
         if len(pool.points) > dlt:
             break   # finite sets cannot exceed delta; this one is infinite
 
-    points, residuals = pool.points, pool.residuals
-    order = np.argsort(residuals) if residuals else []
-    points = [points[i] for i in order]
-    residuals = [residuals[i] for i in order]
-
-    # isolation and transversality of each point
-    trans, jmins, jconds = [], [], []
-    for pv in points:
-        trans.append(transversal(k, pv, dims, residual_tol=max(opts.residual_tol, 1e-9)))
-        smin, smax = _jacobian_extremes(wc, pv)
-        jmins.append(smin)
-        jconds.append(smax / smin if smin > 0 else float("inf"))
-    evidence["transversal"] = trans
-    evidence["jacobian_sigma_min"] = jmins
-    evidence["jacobian_cond"] = jconds
+    points, residuals, trans = _point_evidence(k, wc, dims, pool.points, pool.residuals,
+                                               opts, evidence)
     evidence["near_duplicate_chain"] = _chain_evidence(raw_pts, opts.dedup_tol, dlt)
 
     if has_lines or len(points) > dlt or evidence["near_duplicate_chain"]:
@@ -619,6 +760,25 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
     else:
         cls = Classification.INCONCLUSIVE
     return EnumerationResult(points, residuals, cls, evidence)
+
+
+def _point_evidence(k, wc, dims, points, residuals, opts, evidence):
+    """Sort the points by residual and record the isolation and
+    transversality of each in the evidence; returns (points, residuals,
+    transversal flags)."""
+    order = np.argsort(residuals) if residuals else []
+    points = [points[i] for i in order]
+    residuals = [residuals[i] for i in order]
+    trans, jmins, jconds = [], [], []
+    for pv in points:
+        trans.append(transversal(k, pv, dims, residual_tol=max(opts.residual_tol, 1e-9)))
+        smin, smax = _jacobian_extremes(wc, pv)
+        jmins.append(smin)
+        jconds.append(smax / smin if smin > 0 else float("inf"))
+    evidence["transversal"] = trans
+    evidence["jacobian_sigma_min"] = jmins
+    evidence["jacobian_cond"] = jconds
+    return points, residuals, trans
 
 
 def _merge_minor_roots(pool, raw_pts, k, dims, wc, opts, evidence):

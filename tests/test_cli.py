@@ -136,6 +136,16 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    def test_non_finite_state_exit_2(self, tmp_path, capsys):
+        rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps({"m": 2, "n": 2, "matrix": rows})
+                        .replace("[1.0, 0.0]", "[1e400, 0.0]", 1))
+        code, stdout, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert "error: matrix has non-finite entries (NaN or Inf)" in err
+
 
 class TestSweep:
     def test_bad_3x4_draws(self, tmp_path, capsys):

@@ -65,6 +65,13 @@ class TestContainers:
         assert op.asymmetry == pytest.approx(1e-13)
         assert np.array_equal(op.entries, op.entries.conj().T)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_hermitian_rejects_non_finite(self, bad):
+        x = np.eye(4, dtype=complex)
+        x[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianOperator(BipartiteDims(2, 2), x)
+
     def test_state_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not PSD"):
             BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.diag([1.0, -1.0, 0, 0])))
@@ -315,4 +322,18 @@ class TestFileFormat:
             load_state(p)
         p.write_text(json.dumps({"m": 2, "n": 2, "matrix": [[1, 2], [3, 4]]}))
         with pytest.raises(ValueError):
+            load_state(p)
+
+    @pytest.mark.parametrize("token", ["1e400", "NaN"])
+    def test_non_finite_entries_rejected(self, tmp_path, token):
+        # JSON reads 1e400 as inf; dense and factored files are both refused
+        rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        text = json.dumps({"m": 2, "n": 2, "matrix": rows})
+        p = tmp_path / "state.json"
+        p.write_text(text.replace("[1.0, 0.0]", f"[{token}, 0.0]", 1))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_state(p)
+        blocks = [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [float(token), 0.0]]]]
+        p.write_text(json.dumps({"m": 2, "n": 2, "blocks": blocks}))
+        with pytest.raises(ValueError, match="non-finite"):
             load_state(p)

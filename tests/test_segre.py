@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -17,6 +19,7 @@ from pptlab.segre import (
     EnumerationOptions,
     Goodness,
     GoodnessReason,
+    _homotopy_roots,
     classify_goodness,
     classify_separable_good,
     complement_stack,
@@ -88,6 +91,8 @@ class TestEnumerate:
         res = enumerate_product_vectors(kernel_basis(state), state.dims, FAST)
         assert res.classification == Classification.FINITE
         assert res.count == 6
+        assert res.evidence["route"] == "homotopy"
+        assert res.evidence["paths"] == {"tracked": 6, "finished": 6, "accepted": 6}
 
     def test_kon_mnogo_points_match_listed_matrices(self):
         state, points = zoo.kon_mnogo()
@@ -150,8 +155,10 @@ class TestEnumerate:
 
 
 class TestOracles:
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_pencil_oracle_matches_enumerator(self, n, rng):
+        # a random n-dimensional subspace of C^2 (x) C^n has a square
+        # membership system, so the enumerator takes the homotopy route
         dims = BipartiteDims(2, n)
         for _ in range(4):
             vecs = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
@@ -159,6 +166,7 @@ class TestOracles:
             roots = pencil_roots_2xn(kern, dims)
             res = enumerate_product_vectors(kern, dims, FAST)
             assert res.classification == Classification.FINITE
+            assert res.evidence["route"] == "homotopy"
             assert match_sets(roots, res.points, tol=1e-8)
 
     def test_minor_system_complete_for_good_3x5(self):
@@ -180,6 +188,56 @@ class TestOracles:
         state = zoo.bad_mxn(4, 4)
         with pytest.raises(ValueError):
             minor_system_roots(kernel_basis(state), state.dims)
+
+
+class TestHomotopy:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_default_good_3xn_is_good(self, n):
+        # the published parameters; n = 7 and 8 hold distinct roots closer
+        # than 1e-3 in overlap, which the multistart route took for a continuum
+        state = zoo.good_3xn(n)
+        dlt = zoo.delta(3, n)
+        verdict = classify_goodness(state)
+        assert verdict.verdict == Goodness.GOOD
+        assert verdict.reason == GoodnessReason.COUNT_EQUALS_DELTA
+        assert verdict.count == dlt
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
+        assert res.evidence["route"] == "homotopy"
+        assert res.evidence["paths"] == {"tracked": dlt, "finished": dlt, "accepted": dlt}
+        assert res.evidence["starts_used"] == 0
+        assert all(res.evidence["transversal"])
+
+    def test_reports_are_deterministic(self):
+        state = zoo.kon_mnogo()[0]
+        first = enumerate_product_vectors(kernel_basis(state), state.dims).to_json()
+        second = enumerate_product_vectors(kernel_basis(state), state.dims).to_json()
+        assert json.dumps(first) == json.dumps(second)
+
+    def test_bad_3x5_kernel_not_certified(self):
+        state = zoo.bad_3xn(5)
+        kern = kernel_basis(state)
+        wc = complement_stack(kern, state.dims).conj()
+        assert wc.shape[0] == 3 + 5 - 2
+        points, _, paths = _homotopy_roots(wc, EnumerationOptions())
+        assert paths["tracked"] == zoo.delta(3, 5)
+        assert paths["accepted"] < paths["tracked"]
+        assert len(points) < zoo.delta(3, 5)
+        res = enumerate_product_vectors(kern, state.dims)
+        assert res.classification == Classification.LIKELY_INFINITE
+        assert res.evidence["route"] == "multistart"
+
+    def test_dimension_count_forces_continuum(self):
+        # dim K^perp = 5 < m + n - 2 = 6: the kernel meets the Segre
+        # variety in a positive-dimensional set, decided without a search
+        state = zoo.upb_complement_state(zoo.gentiles2_upb(3, 5))
+        kern = kernel_basis(state)
+        assert complement_stack(kern, state.dims).shape[0] == 5
+        res = enumerate_product_vectors(kern, state.dims)
+        assert res.classification == Classification.LIKELY_INFINITE
+        assert res.evidence["dimension_forces_positive_dimension"] is True
+        assert res.evidence["route"] == "dimension-count"
+        assert res.evidence["starts_used"] == 0
+        assert isinstance(res.evidence["line_subspaces"], list)
 
 
 class TestCes:

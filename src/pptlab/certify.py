@@ -33,6 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .qstate import (
+    RANK_TOL,
     BipartiteState,
     HermitianOperator,
     ProductVector,
@@ -48,13 +49,15 @@ from .qstate import (
 from . import segre
 from .segre import (
     EnumerationOptions,
+    EnumerationResult,
     Goodness,
     GoodnessVerdict,
-    _subspace_search,
     complement_stack,
     enumerate_product_vectors,
     classify_goodness,
+    halton_pairs,
     partial_conjugate,
+    subspace_search,
 )
 from .zoo import delta
 
@@ -106,12 +109,20 @@ class SeparableDecomposition:
 
 @dataclass(frozen=True)
 class EdgeReport:
-    """Outcome of the edge check; a numerical certificate, not a proof."""
+    """Outcome of the edge check.
+
+    `route` says what decided it: "homotopy" when the product vectors of the
+    range are complete by count (a proof), "multistart" when a search
+    decided (a numerical certificate).  `paths` are the homotopy path counts
+    of the range enumeration, None when the tracker did not run.
+    """
 
     is_edge: bool
     violating_pair: Optional[tuple]
     starts_used: int
     best_residual: float
+    route: str = "multistart"
+    paths: Optional[dict] = None
 
     def __iter__(self):
         return iter((self.is_edge, self.violating_pair))
@@ -296,40 +307,51 @@ def necessary_bound(rank: int, rank_gamma: int, m: int, n: int) -> bool:
 
 
 def edge_check(state: BipartiteState, opts: Optional[EnumerationOptions] = None,
-               pair_tol: float = 1e-9, fallback_starts: int = 256) -> EdgeReport:
+               pair_tol: float = 1e-9, fallback_starts: int = 256,
+               enumeration: Optional[EnumerationResult] = None,
+               tol_rel: float = RANK_TOL) -> EdgeReport:
     """Look for a product vector in R(rho) whose partial conjugate lies in
     R(rho^Gamma); the state is an edge state iff none exists.
 
-    Route one enumerates product vectors in the range and tests each
-    partner; route two minimizes the joint projection residual directly.
-    The verdict is a numerical certificate whose quality is reported through
-    the start count and the best residual reached.
+    Route one enumerates product vectors in the range (or takes
+    `enumeration`, a result for `range_basis(state, tol_rel)`) and tests
+    each partner.  When that enumeration is complete by a homotopy count,
+    the verdict follows from it.  Otherwise route two minimizes the joint
+    projection residual directly, and the verdict is a numerical certificate
+    whose quality is reported through the start count and the best residual
+    reached.
     """
     ppt, min_eig = is_ppt(state)
     if not ppt:
         warnings.warn(f"edge check applied to an NPT state (min eig {min_eig:.3e})")
     dims = state.dims
     m, n = dims.m, dims.n
-    rng_rho = range_basis(state)
+    rng_rho = range_basis(state, tol_rel=tol_rel)
     g = gamma_matrix(state)
     wg, vg = np.linalg.eigh(g)
     topg = max(abs(wg[0]), abs(wg[-1]), 1e-300)
     rng_gamma = SubspaceBasis(dims.total, vg[:, np.abs(wg) > 1e-9 * topg].T, 1e-9)
 
-    opts = opts or EnumerationOptions(start_count=max(400, 4 * delta(m, n)))
-    enum_res = enumerate_product_vectors(rng_rho, dims, opts)
+    enum_res = enumeration
+    if enum_res is None:
+        opts = opts or EnumerationOptions(start_count=max(400, 4 * delta(m, n)))
+        enum_res = enumerate_product_vectors(rng_rho, dims, opts)
     starts = enum_res.evidence.get("starts_used", 0)
     best = enum_res.evidence.get("best_residual", float("inf"))
+    route, paths = enum_res.evidence.get("route"), enum_res.evidence.get("paths")
     for pv in enum_res.points:
         partner = partial_conjugate(pv)
         resid = rng_gamma.project_residual(partner.vec())
         if resid < pair_tol:
-            return EdgeReport(False, (pv, partner), starts, 0.0)
+            return EdgeReport(False, (pv, partner), starts, 0.0, route, paths)
+    if route == "homotopy":
+        # every product vector of the range was tested: no pair exists
+        return EdgeReport(True, None, starts, best, route, paths)
 
     # joint minimization over (a, b) of the two projection residuals at once
     kern_rho = complement_stack(rng_rho, dims).conj()            # basis of ker rho
     kern_gamma = complement_stack(rng_gamma, dims).conj()
-    a, b = segre._halton_pairs(fallback_starts, m, n)
+    a, b = halton_pairs(fallback_starts, m, n)
     for _ in range(60):
         f1 = np.einsum('si,rij->srj', a, kern_rho)
         f2 = np.einsum('si,rij->srj', a.conj(), kern_gamma)
@@ -353,8 +375,9 @@ def edge_check(state: BipartiteState, opts: Optional[EnumerationOptions] = None,
     idx = int(np.argmin(joint))
     if joint[idx] < pair_tol:
         pv = ProductVector(a[idx], b[idx])
-        return EdgeReport(False, (pv, partial_conjugate(pv)), starts, float(joint[idx]))
-    return EdgeReport(True, None, starts, best)
+        return EdgeReport(False, (pv, partial_conjugate(pv)), starts, float(joint[idx]),
+                          "multistart", paths)
+    return EdgeReport(True, None, starts, best, "multistart", paths)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +469,7 @@ def find_rank1_compression(state: BipartiteState, starts: int = 96, iters: int =
         return None
     kern = kernel_basis(state)
     stack = complement_stack(kern, dims).conj()       # range of rho as matrices
-    hits = _subspace_search(stack, m, n, n - 1, starts, iters, residual_tol)
+    hits = subspace_search(stack, m, n, n - 1, starts, iters, residual_tol)
     rho_t = state.matrix.reshape(m, n, m, n)
     for vec, sub, _resid in hits:
         compressed = np.einsum('i,injm,j->nm', vec.conj(), rho_t, vec)

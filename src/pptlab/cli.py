@@ -33,6 +33,14 @@ from . import certify, qstate, segre, zoo
 
 SCHEMA = "pptlab-report/1"
 
+# What each route of the range and edge verdicts can claim.
+_ROUTE_NOTES = {
+    "homotopy": "complete by count: the homotopy found every product vector of the range",
+    "multistart": "numerical certificate: multistart search cannot prove emptiness",
+    "dimension-count": "theorem: a subspace of dimension above (m-1)(n-1) "
+                       "contains product vectors",
+}
+
 
 # ---------------------------------------------------------------------------
 # analysis pipeline
@@ -78,7 +86,9 @@ class AnalysisReport:
                 "verdict": self.range_ces,
                 "best_residual": self.range_evidence.get("best_residual"),
                 "starts_used": self.range_evidence.get("starts_used"),
-                "note": "numerical certificate: multistart search cannot prove emptiness",
+                "route": self.range_evidence.get("route"),
+                "paths": self.range_evidence.get("paths"),
+                "note": _ROUTE_NOTES[self.range_evidence.get("route")],
             },
             "goodness": {
                 "verdict": self.goodness.verdict.value,
@@ -95,7 +105,9 @@ class AnalysisReport:
                 "pair_found": self.edge.violating_pair is not None,
                 "starts_used": self.edge.starts_used,
                 "best_residual": self.edge.best_residual,
-                "note": "numerical certificate: multistart search cannot prove emptiness",
+                "route": self.edge.route,
+                "paths": self.edge.paths,
+                "note": _ROUTE_NOTES[self.edge.route],
             },
             "anomalies": self.anomalies,
         }
@@ -125,11 +137,15 @@ class AnalysisReport:
             f"- strongly extreme (theorem route): {j['strongly_extreme']}",
         ]
         if j["range_ces"] is not None:
-            best = j["range_ces"]["best_residual"]
-            detail = f" (best residual {best:.3e})" if best is not None else ""
-            lines.append(f"- range is completely entangled: {j['range_ces']['verdict']}{detail}")
+            ces = j["range_ces"]
+            best = ces["best_residual"]
+            detail = f", best residual {best:.3e}" if best is not None else ""
+            lines.append(f"- range is completely entangled: {ces['verdict']} "
+                         f"(route {ces['route']}{detail}; {ces['note']})")
         if j["edge"] is not None:
-            lines.append(f"- edge state: {j['edge']['is_edge']}")
+            edge = j["edge"]
+            lines.append(f"- edge state: {edge['is_edge']} "
+                         f"(route {edge['route']}; {edge['note']})")
         if self.anomalies:
             lines.append(f"- anomalies: {', '.join(self.anomalies)}")
         return "\n".join(lines) + "\n"
@@ -182,7 +198,9 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         range_ces, range_res = segre.ces_certificate(
             qstate.range_basis(state, tol_rel=tol_rank), dims, ces_opts)
         range_ev = {"best_residual": range_res.evidence.get("best_residual"),
-                    "starts_used": range_res.evidence.get("starts_used", 0)}
+                    "starts_used": range_res.evidence.get("starts_used", 0),
+                    "route": range_res.evidence["route"],
+                    "paths": range_res.evidence["paths"]}
         timings["range_ces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -199,8 +217,11 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
     edge = None
     if not fast:
         t0 = time.perf_counter()
-        edge_opts = segre.EnumerationOptions(start_count=starts or max(400, 4 * dlt))
-        edge = certify.edge_check(state, opts=edge_opts)
+        # the range searched for the CES verdict is the one the edge check
+        # needs; a dimension short cut enumerated nothing, so search it there
+        searched = not range_res.evidence.get("dimension_forces_product_vectors")
+        edge = certify.edge_check(state, opts=ces_opts, tol_rel=tol_rank,
+                                  enumeration=range_res if searched else None)
         timings["edge"] = time.perf_counter() - t0
 
     strong = certify.strongly_extreme_by_theorem(state, goodness=goodness, cert=cert)

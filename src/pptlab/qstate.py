@@ -393,10 +393,25 @@ def _encode_complex_matrix(matrix: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
 
 
-def _decode_complex_matrix(rows) -> np.ndarray:
+def _decode_complex_matrix(rows, what: str = "matrix") -> np.ndarray:
+    """Complex matrix from rows of [re, im] pairs; `what` names it in errors.
+
+    Ragged input is refused with the first row (or entry) whose length
+    differs from what the first row set.
+    """
+    if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
+        raise ValueError(f"{what} must be a non-empty list of rows")
+    width = len(rows[0])
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{what} is ragged: row {i} has {len(row)} entries, "
+                             f"expected {width} as in row 0")
+        for j, z in enumerate(row):
+            if not (isinstance(z, list) and len(z) == 2
+                    and all(isinstance(x, (int, float)) for x in z)):
+                raise ValueError(f"{what} entries must be [re, im] pairs of numbers; "
+                                 f"entry ({i}, {j}) is {json.dumps(z)}")
     arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 3 or arr.shape[2] != 2:
-        raise ValueError("matrix entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -423,7 +438,8 @@ def load_state(path) -> BipartiteState:
         if "matrix" in payload:
             return BipartiteState(HermitianOperator(dims, _decode_complex_matrix(payload["matrix"])))
         if "blocks" in payload:
-            blocks = [_decode_complex_matrix(b) for b in payload["blocks"]]
+            blocks = [_decode_complex_matrix(b, f"block {i}")
+                      for i, b in enumerate(payload["blocks"])]
             return from_blocks(BlockFactor(dims, blocks))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc

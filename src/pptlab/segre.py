@@ -17,13 +17,20 @@ Enumeration first decides what it can from dimensions and product lines:
   and is reported as such without a search;
 - the product-line search looks for whole planes |a> (x) W or V (x) |b>.
 
-A square system (R' = m + n - 2, every kernel of a state at the borderline
-rank) without product lines goes to the homotopy route: delta(m, n) paths
-tracked from a linear-product start system, whose delta distinct,
-nonsingular, transversal endpoints prove the root set complete by count.
-Anything else, and every square system the homotopy does not certify, goes
-to the search route, which merges the verified output of two independent
-routes:
+Every system without product lines goes to the homotopy route: delta(m, n)
+paths tracked from a linear-product start system.  A square system
+(R' = m + n - 2, every kernel of a state at the borderline rank) is tracked
+as it is, and delta distinct, nonsingular, transversal endpoints prove the
+root set finite and complete by count.  A larger system (R' > m + n - 2, such
+as the range of a state at the borderline rank) is first squared down to
+m + n - 2 fixed random combinations of its equations.  Delta distinct,
+nonsingular roots of the mixed system hold every root of the full one; when
+the full residual at each of them, measured before any polish on the full
+system, exceeds sqrt(residual_tol), the subspace holds no product vector and
+is EMPTY, complete by count.  That verdict keeps one multistart round below
+as a cross-check; a point found there overrules the count.  Anything else
+goes to the search route, which merges the verified output of two
+independent routes:
 
 (a) deterministic multistart alternating minimization over unit pairs
     (least right singular vectors of F and G in turn), followed by a batched
@@ -39,7 +46,8 @@ residual tolerance before it counts; the evidence names the route taken.
 Classification into Empty / Finite / LikelyInfinite / Inconclusive is
 evidence-based and deliberately refuses to overclaim: Finite needs isolated,
 transversal points and either a complete homotopy count or a start count
-that was doubled until the found set stopped changing twice in a row.
+that was doubled until the found set stopped changing twice in a row.  A
+non-square set that is not empty keeps the search route's classification.
 """
 
 from __future__ import annotations
@@ -72,6 +80,7 @@ POLISH_TARGET = 1e-13
 _JITTER_SEED = 20240901
 _MINOR_SEED = 71
 _HOMOTOPY_SEED = 1987
+_SQUARE_DOWN_SEED = 2005
 _HOMOTOPY_MAX_STEPS = 2000
 _HOMOTOPY_MIN_STEP = 1e-12
 
@@ -190,10 +199,6 @@ def complement_stack(k: SubspaceBasis, dims: BipartiteDims) -> np.ndarray:
     return comp.T.reshape(-1, dims.m, dims.n)
 
 
-def _pair_residual(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.linalg.norm(np.einsum('i,rij,j->r', a, wc, b)))
-
-
 def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     """Block updates: b <- least right singular vector of F(a), then a of G(b)."""
     for _ in range(iters):
@@ -238,7 +243,7 @@ def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     return a, b, np.linalg.norm(g, axis=1)
 
 
-def _halton_pairs(count: int, m: int, n: int, skip: int = 0):
+def halton_pairs(count: int, m: int, n: int, skip: int = 0):
     """Deterministic low-discrepancy start pairs on the two unit spheres.
 
     The sequence's zeroth point (the origin) is always dropped; `skip`
@@ -429,7 +434,31 @@ def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims,
 
 
 # ---------------------------------------------------------------------------
-# homotopy route (square membership systems)
+# homotopy route (square and squared-down membership systems)
+
+
+def _square_down(wc: np.ndarray, rows: int) -> np.ndarray:
+    """`rows` fixed random combinations of the R' membership equations.
+
+    Every root of the full system g is a root of the mixed one, L g.  The
+    mixed system is square, so delta distinct nonsingular roots are all of
+    its roots; a random L makes that the usual outcome (Sommese & Wampler
+    2005, ch. 13).  L has orthonormal rows, so |L g| <= |g|.  A system that
+    is already square is returned unchanged.
+    """
+    rp, m, n = wc.shape
+    if rp == rows:
+        return wc
+    rng = np.random.default_rng(_SQUARE_DOWN_SEED)
+    mix = np.linalg.qr(rng.standard_normal((rp, rows)) + 1j * rng.standard_normal((rp, rows)))[0]
+    return np.einsum('rk,rij->kij', mix.conj(), wc)
+
+
+def _membership_residuals(wc: np.ndarray, points: list) -> np.ndarray:
+    """|<W_r, a (x) b>| over all R' equations at each unit pair."""
+    a = np.array([pv.a for pv in points])
+    b = np.array([pv.b for pv in points])
+    return np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
 
 
 def _homotopy_roots(wc: np.ndarray, opts: EnumerationOptions):
@@ -586,21 +615,21 @@ def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims, w_dim: int = 2,
                                     SubspaceBasis(m, eye_m[:w_dim], 0.0), 0.0))
         return out
 
-    for vec, sub, res in _subspace_search(wc, m, n, w_dim, starts, iters, residual_tol):
+    for vec, sub, res in subspace_search(wc, m, n, w_dim, starts, iters, residual_tol):
         out.append(LineSubspace("A", vec, SubspaceBasis(n, sub, residual_tol), res))
     wc_swapped = wc.transpose(0, 2, 1)
-    for vec, sub, res in _subspace_search(wc_swapped, n, m, w_dim, starts, iters, residual_tol):
+    for vec, sub, res in subspace_search(wc_swapped, n, m, w_dim, starts, iters, residual_tol):
         out.append(LineSubspace("B", vec, SubspaceBasis(m, sub, residual_tol), res))
     return out
 
 
-def _subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters, residual_tol,
-                     max_hits: int = 8):
+def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters, residual_tol,
+                    max_hits: int = 8):
     """Multistart minimization of the w_dim smallest singular values of the
     membership matrix over the vector factor; returns (vec, subspace, residual)."""
     if w_dim > dim_sub or w_dim < 1:
         return []
-    a, _ = _halton_pairs(starts, dim_vec, dim_sub)
+    a, _ = halton_pairs(starts, dim_vec, dim_sub)
     for _ in range(iters):
         f = np.einsum('si,rij->srj', a, stack)
         vh = np.linalg.svd(f)[2]
@@ -668,10 +697,17 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
         return EnumerationResult([], [], Classification.LIKELY_INFINITE, evidence)
 
     # A square system has at most delta isolated roots: finding delta of
-    # them proves the set finite and complete.  Otherwise search below.
-    if wc.shape[0] == m + n - 2 and not has_lines:
-        points, residuals, evidence["paths"] = _homotopy_roots(wc, opts)
-        if len(points) == dlt:
+    # them proves the set finite and complete.  A larger system is squared
+    # down first; delta roots of the mixed system then hold every root of
+    # the full one, and if all of them are off the subspace the set is
+    # empty.  The residual is measured before any polish on the full system,
+    # which would pull an off-subspace endpoint onto a nearby true root.
+    # Otherwise search below.
+    proven_empty = False
+    if not has_lines:
+        wsq = _square_down(wc, m + n - 2)
+        points, residuals, evidence["paths"] = _homotopy_roots(wsq, opts)
+        if len(points) == dlt and wsq is wc:
             points, residuals, trans = _point_evidence(k, wc, dims, points, residuals,
                                                        opts, evidence)
             if all(trans):
@@ -679,8 +715,11 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
                 evidence["raw_accepted"] = evidence["paths"]["accepted"]
                 evidence["best_residual"] = min(residuals)
                 return EnumerationResult(points, residuals, Classification.FINITE, evidence)
+        elif len(points) == dlt:
+            full = _membership_residuals(wc, points)
+            evidence["best_residual"] = float(full.min())
+            proven_empty = bool(full.min() > math.sqrt(opts.residual_tol))
 
-    evidence["route"] = "multistart"
     pool = _PointPool(opts.dedup_tol)
     raw_pts: list = []
     jitter_rng = np.random.default_rng(_JITTER_SEED)
@@ -731,7 +770,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
         before = pool.snapshot()
         for lo in range(0, count, opts.batch_cap):
             chunk = min(opts.batch_cap, count - lo)
-            a, b = _halton_pairs(chunk, m, n, skip=skip)
+            a, b = halton_pairs(chunk, m, n, skip=skip)
             skip += chunk
             polish_and_collect(a, b)
         evidence["starts_used"] += count
@@ -739,6 +778,11 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
         if round_idx == 0 and opts.cross_check and min(m, n) <= 3 and wc.shape[0] >= max(m, n):
             _merge_minor_roots(pool, raw_pts, k, dims, wc, opts, evidence)
         jitter_round()
+        # a homotopy count of zero is cross-checked by one round; a point
+        # found there contradicts it and the full ladder runs
+        proven_empty = proven_empty and not pool.points
+        if proven_empty:
+            break
         if round_idx > 0:
             stable_streak = stable_streak + 1 if pool.matches(before) else 0
             if stable_streak >= 2:
@@ -747,6 +791,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
         if len(pool.points) > dlt:
             break   # finite sets cannot exceed delta; this one is infinite
 
+    evidence["route"] = "homotopy" if proven_empty else "multistart"
     points, residuals, trans = _point_evidence(k, wc, dims, pool.points, pool.residuals,
                                                opts, evidence)
     evidence["near_duplicate_chain"] = _chain_evidence(raw_pts, opts.dedup_tol, dlt)
@@ -880,6 +925,7 @@ def ces_certificate(subspace: SubspaceBasis, dims: BipartiteDims,
     if subspace.dim > (dims.m - 1) * (dims.n - 1):
         res = EnumerationResult([], [], Classification.LIKELY_INFINITE,
                                 {"dimension_forces_product_vectors": True,
+                                 "route": "dimension-count", "paths": None,
                                  "line_subspaces": []})
         return False, res
     result = enumerate_product_vectors(subspace, dims, opts)

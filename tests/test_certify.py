@@ -21,9 +21,10 @@ from pptlab.qstate import (
     HermitianOperator,
     ProductVector,
     gamma_matrix,
+    range_basis,
     rank_profile,
 )
-from pptlab.segre import EnumerationOptions
+from pptlab.segre import EnumerationOptions, enumerate_product_vectors
 from conftest import random_full_rank_ppt, random_product_vector
 from test_qstate import werner_2x2
 
@@ -160,6 +161,34 @@ class TestEdgeCheck:
         state = zoo.upb_complement_state(zoo.gentiles2_upb(3, 4))
         report = edge_check(state, opts=FAST)
         assert report.is_edge
+
+    def test_good_3x4_edge_by_count_skips_fallback(self):
+        report = edge_check(zoo.good_3x4(), opts=FAST)
+        assert report.route == "homotopy"
+        assert report.paths == {"tracked": 10, "finished": 10, "accepted": 10}
+        # one cross-check round of the range search, no joint minimization
+        assert report.starts_used == 400
+
+    def test_separable_pair_found_by_multistart(self, rng):
+        dims = BipartiteDims(2, 3)
+        rho = sum(np.outer(v, v.conj()) for v in
+                  (random_product_vector(dims, rng).vec() for _ in range(2)))
+        report = edge_check(BipartiteState(HermitianOperator(dims, rho)), opts=FAST)
+        assert not report.is_edge
+        assert report.route == "multistart"
+
+    @pytest.mark.parametrize("state_fn", [diag_two_products, zoo.good_3x4,
+                                          lambda: zoo.bad_mxn(4, 5)],
+                             ids=["diag_two_products", "good_3x4", "bad_4x5"])
+    def test_same_verdict_with_passed_enumeration(self, state_fn):
+        state = state_fn()
+        dims = state.dims
+        opts = EnumerationOptions(start_count=max(400, 4 * zoo.delta(dims.m, dims.n)))
+        enum = enumerate_product_vectors(range_basis(state), dims, opts)
+        own = edge_check(state, opts=opts)
+        passed = edge_check(state, enumeration=enum)
+        assert (passed.is_edge, passed.route, passed.starts_used, passed.best_residual) == \
+            (own.is_edge, own.route, own.starts_used, own.best_residual)
 
     def test_report_unpacks_like_a_pair(self):
         report = EdgeReport(True, None, 10, 0.5)

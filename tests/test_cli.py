@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from pptlab import zoo
-from pptlab.cli import main
+from pptlab import certify, segre, zoo
+from pptlab.cli import analyze_state, main
 from pptlab.qstate import BipartiteDims, BipartiteState, HermitianOperator, load_state, save_state
+from conftest import random_product_vector
 
 
 def run_cli(capsys, *argv):
@@ -122,7 +123,6 @@ class TestAnalyze:
 
     def test_reports_are_strict_json(self, tmp_path, capsys):
         # no NaN/Infinity tokens even for degenerate inputs such as full rank
-        from pptlab.cli import analyze_state
         state = BipartiteState(HermitianOperator(
             BipartiteDims(2, 2), np.eye(4) + np.diag([1.0, 0, 0, 1.0])))
         rep = analyze_state(state, {"case": "full-rank"})
@@ -136,6 +136,16 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    def test_ragged_state_exit_2(self, tmp_path, capsys):
+        rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        rows[2].pop()
+        path = tmp_path / "ragged.json"
+        path.write_text(json.dumps({"m": 2, "n": 2, "matrix": rows}))
+        code, stdout, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert "error: matrix is ragged: row 2 has 3 entries, expected 4" in err
+
     def test_non_finite_state_exit_2(self, tmp_path, capsys):
         rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
         path = tmp_path / "inf.json"
@@ -145,6 +155,76 @@ class TestAnalyze:
         assert code == 2
         assert stdout == ""
         assert "error: matrix has non-finite entries (NaN or Inf)" in err
+
+
+def count_enumerations(monkeypatch):
+    """Count every product-vector enumeration, wherever it is called from."""
+    calls = []
+    original = segre.enumerate_product_vectors
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].dim)
+        return original(*args, **kwargs)
+
+    for mod in (segre, certify):
+        monkeypatch.setattr(mod, "enumerate_product_vectors", counted)
+    return calls
+
+
+class TestRoutes:
+    def test_good_3x4_range_proven_empty(self):
+        rep = analyze_state(zoo.good_3x4(), {"case": "good_3x4"})
+        j = rep.to_json()
+        for block in (j["range_ces"], j["edge"]):
+            assert block["route"] == "homotopy"
+            assert block["paths"] == {"tracked": 10, "finished": 10, "accepted": 10}
+            assert block["note"].startswith("complete by count")
+        assert j["range_ces"]["verdict"] is True and j["edge"]["is_edge"] is True
+        assert j["range_ces"]["starts_used"] == 400
+        md = rep.to_markdown()
+        assert "- range is completely entangled: True (route homotopy" in md
+        assert "- edge state: True (route homotopy" in md
+
+    def test_separable_range_searched_by_multistart(self, rng):
+        # the range of two product terms holds them, so the count proves
+        # nothing and the search decides
+        dims = BipartiteDims(2, 3)
+        rho = sum(np.outer(v, v.conj()) for v in
+                  (random_product_vector(dims, rng).vec() for _ in range(2)))
+        rep = analyze_state(BipartiteState(HermitianOperator(dims, rho)), {"case": "sep"})
+        j = rep.to_json()
+        assert j["range_ces"]["verdict"] is False
+        assert j["range_ces"]["route"] == "multistart"
+        assert j["range_ces"]["note"].startswith("numerical certificate")
+        assert j["edge"]["is_edge"] is False
+        assert j["edge"]["route"] == "multistart"
+        assert "(route multistart" in rep.to_markdown()
+
+    @pytest.mark.parametrize("state_fn,range_route", [
+        (zoo.good_3x4, "homotopy"),
+        # full rank: the CES verdict comes from the dimension count, so the
+        # edge check enumerates the range itself
+        (lambda: BipartiteState(HermitianOperator(
+            BipartiteDims(2, 2), np.eye(4) + np.diag([1.0, 0, 0, 1.0]))), "dimension-count"),
+    ], ids=["good_3x4", "full_rank"])
+    def test_two_enumerations_per_state(self, state_fn, range_route, monkeypatch):
+        calls = count_enumerations(monkeypatch)
+        rep = analyze_state(state_fn(), {"case": "count"})
+        assert len(calls) == 2, calls
+        assert rep.to_json()["range_ces"]["route"] == range_route
+
+    def test_tol_rank_reaches_the_edge_check(self, monkeypatch):
+        seen = []
+        original = certify.edge_check
+
+        def spy(state, **kwargs):
+            seen.append(kwargs)
+            return original(state, **kwargs)
+
+        monkeypatch.setattr(certify, "edge_check", spy)
+        analyze_state(zoo.good_3x4(), {"case": "tol"}, tol_rank=1e-7)
+        assert seen[0]["tol_rel"] == 1e-7
+        assert seen[0]["enumeration"].evidence["route"] == "homotopy"
 
 
 class TestSweep:

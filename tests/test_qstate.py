@@ -324,6 +324,28 @@ class TestFileFormat:
         with pytest.raises(ValueError):
             load_state(p)
 
+    def test_ragged_rows_named(self, tmp_path):
+        rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        rows[3].append([0.0, 0.0])
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps({"m": 2, "n": 2, "matrix": rows}))
+        with pytest.raises(ValueError, match=r"matrix is ragged: row 3 has 5 entries, "
+                                             r"expected 4"):
+            load_state(p)
+        blocks = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+                  [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]]
+        p.write_text(json.dumps({"m": 2, "n": 2, "blocks": blocks}))
+        with pytest.raises(ValueError, match=r"block 0 is ragged: row 1 has 1 entries, "
+                                             r"expected 2"):
+            load_state(p)
+
+    def test_entry_not_a_pair_named(self, tmp_path):
+        rows = [[[1.0, 0.0], [0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps({"m": 1, "n": 2, "matrix": rows}))
+        with pytest.raises(ValueError, match=r"entry \(0, 1\) is \[0.0\]"):
+            load_state(p)
+
     @pytest.mark.parametrize("token", ["1e400", "NaN"])
     def test_non_finite_entries_rejected(self, tmp_path, token):
         # JSON reads 1e400 as inf; dense and factored files are both refused

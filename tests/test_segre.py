@@ -20,6 +20,9 @@ from pptlab.segre import (
     Goodness,
     GoodnessReason,
     _homotopy_roots,
+    _membership_residuals,
+    _square_down,
+    ces_certificate,
     classify_goodness,
     classify_separable_good,
     complement_stack,
@@ -33,6 +36,7 @@ from pptlab.segre import (
     separable_kernel_components,
     transversal,
 )
+from conftest import random_product_vector
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
@@ -238,6 +242,90 @@ class TestHomotopy:
         assert res.evidence["route"] == "dimension-count"
         assert res.evidence["starts_used"] == 0
         assert isinstance(res.evidence["line_subspaces"], list)
+
+
+def span_of_products(m, n, k, rng):
+    """The span of k generic product vectors, with those vectors."""
+    pvs = [random_product_vector(BipartiteDims(m, n), rng) for _ in range(k)]
+    return subspace_from_vectors([pv.vec() for pv in pvs], m * n), pvs
+
+
+class TestSquareDown:
+    @pytest.mark.parametrize("state_fn", [
+        zoo.good_3x4,
+        lambda: zoo.kon_mnogo()[0],
+        lambda: zoo.upb_complement_state(zoo.gentiles2_upb(3, 4)),
+        zoo.bad_3x4,
+        lambda: zoo.bad_mxn(4, 5),
+    ], ids=["good_3x4", "kon_mnogo", "gentiles2_3x4", "bad_3x4", "bad_4x5"])
+    def test_zoo_ranges_empty_by_count(self, state_fn):
+        state = state_fn()
+        dims = state.dims
+        dlt = zoo.delta(dims.m, dims.n)
+        n0 = max(400, 4 * dlt)
+        ces, res = ces_certificate(range_basis(state), dims, EnumerationOptions(start_count=n0))
+        assert ces
+        assert res.classification == Classification.EMPTY
+        assert res.evidence["route"] == "homotopy"
+        assert res.evidence["paths"] == {"tracked": dlt, "finished": dlt, "accepted": dlt}
+        # one cross-check round, no doubling ladder
+        assert res.evidence["starts_used"] == n0
+        assert res.evidence["rounds"] == 1
+        assert res.evidence["best_residual"] > 1e-4
+
+    @pytest.mark.parametrize("m,n,k", [(3, 4, 4), (3, 5, 5), (4, 4, 5), (2, 5, 3)])
+    def test_product_spans_are_never_empty(self, m, n, k, rng):
+        # the roots of the squared-down system that lie on the subspace are
+        # exactly the k product vectors; a Gauss-Newton polish on the full
+        # system would also pull off-subspace endpoints onto them
+        dims = BipartiteDims(m, n)
+        sub, pvs = span_of_products(m, n, k, rng)
+        wc = complement_stack(sub, dims).conj()
+        assert wc.shape[0] > m + n - 2
+        points, _, paths = _homotopy_roots(_square_down(wc, m + n - 2), EnumerationOptions())
+        assert paths["tracked"] == zoo.delta(m, n)
+        full = _membership_residuals(wc, points)
+        on_subspace = [pv for pv, r in zip(points, full) if r <= np.sqrt(1e-10)]
+        assert match_sets(on_subspace, pvs)
+        res = enumerate_product_vectors(
+            sub, dims, EnumerationOptions(start_count=4 * zoo.delta(m, n), max_doublings=1))
+        # the classification the multistart route gave before the square-down
+        assert res.classification == Classification.INCONCLUSIVE
+        assert res.evidence["route"] == "multistart"
+        assert match_sets(res.points, pvs)
+
+    def test_square_systems_are_not_mixed(self):
+        state = zoo.good_3x4()
+        wc = complement_stack(kernel_basis(state), state.dims).conj()
+        assert _square_down(wc, 5) is wc
+
+    def test_mixing_never_raises_the_residual(self, rng):
+        sub, _ = span_of_products(3, 4, 3, rng)
+        wc = complement_stack(sub, BipartiteDims(3, 4)).conj()
+        wsq = _square_down(wc, 5)
+        assert wsq.shape == (5, 3, 4)
+        pvs = [random_product_vector(BipartiteDims(3, 4), rng) for _ in range(8)]
+        assert np.all(_membership_residuals(wsq, pvs) <= _membership_residuals(wc, pvs) + 1e-14)
+
+    def test_cross_check_overrules_a_wrong_count(self, rng, monkeypatch):
+        # pretend every endpoint is off the subspace: the multistart round
+        # finds the product vectors, so the count is not trusted
+        import pptlab.segre as segre_mod
+        dims = BipartiteDims(3, 4)
+        sub, pvs = span_of_products(3, 4, 4, rng)
+        claims = []
+
+        def off_subspace(wc, points):
+            claims.append(len(points))
+            return np.ones(len(points))
+
+        monkeypatch.setattr(segre_mod, "_membership_residuals", off_subspace)
+        res = enumerate_product_vectors(sub, dims, EnumerationOptions(max_doublings=1))
+        assert claims == [zoo.delta(3, 4)]
+        assert res.classification != Classification.EMPTY
+        assert res.evidence["route"] == "multistart"
+        assert res.evidence["rounds"] == 2
+        assert match_sets(res.points, pvs)
 
 
 class TestCes:

@@ -124,9 +124,6 @@ class EdgeReport:
     route: str = "multistart"
     paths: Optional[dict] = None
 
-    def __iter__(self):
-        return iter((self.is_edge, self.violating_pair))
-
 
 def _hermitian_basis(r: int) -> list:
     """Orthonormal (Hilbert-Schmidt) basis of r x r Hermitian matrices."""

@@ -245,9 +245,23 @@ def _parse_floats(text: str, expect: Optional[int] = None) -> list:
     return vals
 
 
+# (m, n) of the families with a fixed shape; None where --m or --n sets it
+_FIXED_SHAPE = {"kon-mnogo": (3, 4), "good-3x4": (3, 4), "bad-3x4": (3, 4),
+                "good-3xN": (3, None), "bad-3xN": (3, None)}
+# the one family each parameter option applies to
+_PARAM_FAMILY = {"b": "good-3xN", "c": "bad-MxN", "params": "bad-3x4"}
+
+
 def _construct(args) -> int:
     family = args.family
     m, n = args.m, args.n
+    fixed_m, fixed_n = _FIXED_SHAPE.get(family, (None, None))
+    if (fixed_m is not None and m != fixed_m) or (fixed_n is not None and n != fixed_n):
+        raise ValueError(f"{family} states are {fixed_m}x{fixed_n or 'N'}, "
+                         f"got --m {m} --n {n}")
+    for opt, owner in _PARAM_FAMILY.items():
+        if getattr(args, opt) is not None and family != owner:
+            raise ValueError(f"--{opt} applies to {owner} only, not to {family}")
     if family == "gentiles2":
         upb = zoo.gentiles2_upb(m, n)
         payload = {"m": m, "n": n, "family": upb.family_name,

@@ -10,44 +10,46 @@ and symmetrically G(b) a = 0 with G(b) = [(conj(W_r) b)^T]_r.  The residual
 of a unit pair, |F(a) b|, equals the norm of the projection of a (x) b onto
 the orthocomplement.
 
-Enumeration first decides what it can from dimensions and product lines:
+Enumeration first decides what it can from dimensions: with R' = dim K^perp
+below m + n - 2, the dimension of the Segre variety, the product set is
+positive-dimensional (projective dimension theorem) and is reported as such
+without a search.
 
-- with R' = dim K^perp below m + n - 2, the dimension of the Segre variety,
-  the product set is positive-dimensional (projective dimension theorem)
-  and is reported as such without a search;
-- the product-line search looks for whole planes |a> (x) W or V (x) |b>.
+Every other system goes to the homotopy route: delta(m, n) paths tracked
+from a linear-product start system.  A square system (R' = m + n - 2, every
+kernel of a state at the borderline rank) is tracked as it is, and delta
+distinct, nonsingular, transversal endpoints prove the root set finite and
+complete by count.  A larger system (R' > m + n - 2, such as the range of a
+state at the borderline rank) is first squared down to m + n - 2 fixed
+random combinations of its equations.  Delta distinct, nonsingular roots of
+the mixed system hold every root of the full one; when the full residual at
+each of them, measured before any polish on the full system, exceeds
+sqrt(residual_tol), the subspace holds no product vector and is EMPTY,
+complete by count.  That verdict keeps one multistart round below as a
+cross-check; a point found there overrules the count.
 
-Every system without product lines goes to the homotopy route: delta(m, n)
-paths tracked from a linear-product start system.  A square system
-(R' = m + n - 2, every kernel of a state at the borderline rank) is tracked
-as it is, and delta distinct, nonsingular, transversal endpoints prove the
-root set finite and complete by count.  A larger system (R' > m + n - 2, such
-as the range of a state at the borderline rank) is first squared down to
-m + n - 2 fixed random combinations of its equations.  Delta distinct,
-nonsingular roots of the mixed system hold every root of the full one; when
-the full residual at each of them, measured before any polish on the full
-system, exceeds sqrt(residual_tol), the subspace holds no product vector and
-is EMPTY, complete by count.  That verdict keeps one multistart round below
-as a cross-check; a point found there overrules the count.  Anything else
-goes to the search route, which merges the verified output of two
-independent routes:
+A set the count did not settle (a square system with a positive-dimensional
+component has fewer than delta isolated roots) goes to the search route:
+deterministic multistart alternating minimization over unit pairs (least
+right singular vectors of F and G in turn), followed by a batched
+Gauss-Newton polish of the holomorphic system, with a doubling ladder of
+start counts.  The product-line search for whole planes |a> (x) W or
+V (x) |b> runs only where no count settled the set: before the search
+route, after a cross-check round that overrules an empty count, and beside
+the dimension-count verdicts.  A plane found there makes the set infinite,
+and the search route then only samples a few points for the report.
 
-(a) deterministic multistart alternating minimization over unit pairs
-    (least right singular vectors of F and G in turn), followed by a batched
-    Gauss-Newton polish of the holomorphic system, with local re-seeding
-    around found points to split tight root clusters;
-(b) for min(m, n) <= 3, the determinantal system: rank deficiency of F(a)
-    is expressed through two random row compressions det(U F(a)) = 0, whose
-    common projective roots are extracted with a hidden-variable Sylvester
-    matrix and a companion (QZ) eigenvalue linearization.
+Every candidate is polished and verified against the residual tolerance
+before it counts; the evidence names the route taken.  Classification into
+Empty / Finite / LikelyInfinite / Inconclusive is evidence-based and
+deliberately refuses to overclaim: Finite needs isolated, transversal points
+and either a complete homotopy count or a start count that was doubled until
+the found set stopped changing twice in a row.  A non-square set that is not
+empty keeps the search route's classification.
 
-Every candidate from any route is polished and re-verified against the
-residual tolerance before it counts; the evidence names the route taken.
-Classification into Empty / Finite / LikelyInfinite / Inconclusive is
-evidence-based and deliberately refuses to overclaim: Finite needs isolated,
-transversal points and either a complete homotopy count or a start count
-that was doubled until the found set stopped changing twice in a row.  A
-non-square set that is not empty keeps the search route's classification.
+`minor_system_roots` (the determinantal system) and `pencil_roots_2xn` are
+independent root finders kept as test oracles; enumeration does not call
+them.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ from .zoo import delta
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-6
 POLISH_TARGET = 1e-13
-_JITTER_SEED = 20240901
+_ALTERNATE_ITERS = 60
+_POLISH_ITERS = 16
+_BATCH_CAP = 8192
 _MINOR_SEED = 71
 _HOMOTOPY_SEED = 1987
 _SQUARE_DOWN_SEED = 2005
@@ -108,25 +112,19 @@ class GoodnessReason(enum.Enum):
 
 @dataclass(frozen=True)
 class EnumerationOptions:
-    """Knobs for :func:`enumerate_product_vectors`; defaults follow the docs.
+    """Knobs for :func:`enumerate_product_vectors`.
 
-    `start_count` defaults to 40 * delta(m, n) and may not be set below
-    4 * delta.  `cross_check` enables the determinantal route (b) where it
-    applies; `detect_subspaces` runs the product-line search first so that
-    kernels with whole product planes are classified without burning the
-    full multistart budget.  A square system certified by the homotopy
-    route uses only the tolerances and `polish_iters`.
+    `start_count` is the first multistart round, 40 * delta(m, n) by
+    default and never below 4 * delta; `max_doublings` bounds the doubling
+    ladder that follows it.  Points count when their residual is at most
+    `residual_tol`, and two points are one when their overlap exceeds
+    1 - `dedup_tol`.  A set the homotopy settles uses only the tolerances.
     """
 
     start_count: Optional[int] = None
     residual_tol: float = RESIDUAL_TOL
     dedup_tol: float = DEDUP_TOL
-    alternate_iters: int = 60
-    polish_iters: int = 16
     max_doublings: int = 4
-    cross_check: bool = True
-    detect_subspaces: bool = True
-    batch_cap: int = 8192
 
 
 @dataclass(frozen=True)
@@ -290,7 +288,7 @@ class _PointPool:
 
 
 # ---------------------------------------------------------------------------
-# determinantal route
+# determinantal and pencil oracles
 
 
 def _polyeig(smats: Sequence[np.ndarray]) -> np.ndarray:
@@ -405,9 +403,9 @@ def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims,
     """Product vectors in a subspace of C^2 (x) C^n whose membership matrix
     is square: the single determinant condition det F((1, t)) = 0.
 
-    Serves as an independent oracle for the multistart enumerator: the
-    polynomial is interpolated exactly on roots of unity and solved with the
-    companion matrix, plus the chart point a = (0, 1).  Each root is
+    Serves as an independent oracle for the enumerator: the polynomial is
+    interpolated exactly on roots of unity and solved with the companion
+    matrix, plus the chart point a = (0, 1).  Each root is
     verified against the residual tolerance before being returned.
     """
     if dims.m != 2:
@@ -574,7 +572,7 @@ def _homotopy_roots(wc: np.ndarray, opts: EnumerationOptions):
         a, b = z[done, :m], z[done, m:]
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
         b = b / np.linalg.norm(b, axis=1, keepdims=True)
-        a, b, res = _polish_batch(wc, a, b, opts.polish_iters)
+        a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
         for i in np.nonzero(res <= opts.residual_tol)[0]:
             pv = ProductVector(a[i], b[i])
             smin, smax = _jacobian_extremes(wc, pv)
@@ -671,6 +669,8 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
     n0 = opts.start_count if opts.start_count is not None else 40 * dlt
     if n0 < 4 * dlt:
         raise ValueError(f"start_count must be at least {4 * dlt} (4*delta), got {n0}")
+    # `minor_system` and `near_duplicate_chain` stay in pptlab-report/1 for
+    # its readers; no route fills them any more
     evidence: dict = {"delta": dlt, "route": None, "paths": None,
                       "starts_used": 0, "rounds": 0,
                       "best_residual": float("inf"), "line_subspaces": [],
@@ -681,19 +681,20 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
         return EnumerationResult([], [], Classification.EMPTY, evidence)
     wc = complement_stack(k, dims).conj()
 
-    if opts.detect_subspaces:
+    def has_lines() -> bool:
         evidence["line_subspaces"] = find_line_subspaces(
             k, dims, w_dim=2, residual_tol=opts.residual_tol)
-    has_lines = bool(evidence["line_subspaces"])
+        return bool(evidence["line_subspaces"])
 
-    if wc.shape[0] == 0:
-        evidence["trivial_full_space"] = True
-        return EnumerationResult([], [], Classification.LIKELY_INFINITE, evidence)
     if wc.shape[0] < m + n - 2:
         # fewer equations than the dimension of the Segre variety: every
         # component of the product set is positive-dimensional
-        evidence["route"] = "dimension-count"
-        evidence["dimension_forces_positive_dimension"] = True
+        has_lines()
+        if wc.shape[0] == 0:
+            evidence["trivial_full_space"] = True
+        else:
+            evidence["route"] = "dimension-count"
+            evidence["dimension_forces_positive_dimension"] = True
         return EnumerationResult([], [], Classification.LIKELY_INFINITE, evidence)
 
     # A square system has at most delta isolated roots: finding delta of
@@ -704,84 +705,54 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
     # which would pull an off-subspace endpoint onto a nearby true root.
     # Otherwise search below.
     proven_empty = False
-    if not has_lines:
-        wsq = _square_down(wc, m + n - 2)
-        points, residuals, evidence["paths"] = _homotopy_roots(wsq, opts)
-        if len(points) == dlt and wsq is wc:
-            points, residuals, trans = _point_evidence(k, wc, dims, points, residuals,
-                                                       opts, evidence)
-            if all(trans):
-                evidence["route"] = "homotopy"
-                evidence["raw_accepted"] = evidence["paths"]["accepted"]
-                evidence["best_residual"] = min(residuals)
-                return EnumerationResult(points, residuals, Classification.FINITE, evidence)
-        elif len(points) == dlt:
-            full = _membership_residuals(wc, points)
-            evidence["best_residual"] = float(full.min())
-            proven_empty = bool(full.min() > math.sqrt(opts.residual_tol))
+    wsq = _square_down(wc, m + n - 2)
+    points, residuals, evidence["paths"] = _homotopy_roots(wsq, opts)
+    if len(points) == dlt and wsq is wc:
+        points, residuals, trans = _point_evidence(k, wc, dims, points, residuals,
+                                                   opts, evidence)
+        if all(trans):
+            evidence["route"] = "homotopy"
+            evidence["raw_accepted"] = evidence["paths"]["accepted"]
+            evidence["best_residual"] = min(residuals)
+            return EnumerationResult(points, residuals, Classification.FINITE, evidence)
+    elif len(points) == dlt:
+        full = _membership_residuals(wc, points)
+        evidence["best_residual"] = float(full.min())
+        proven_empty = bool(full.min() > math.sqrt(opts.residual_tol))
 
-    pool = _PointPool(opts.dedup_tol)
-    raw_pts: list = []
-    jitter_rng = np.random.default_rng(_JITTER_SEED)
-
-    def polish_and_collect(a, b, skip_alternate=False):
-        if a.shape[0] == 0:
-            return
-        if not skip_alternate:
-            a, b, _ = _alternate_batch(wc, a, b, opts.alternate_iters)
-        a, b, res = _polish_batch(wc, a, b, opts.polish_iters)
-        evidence["best_residual"] = min(evidence["best_residual"], float(res.min()))
-        ok = res <= opts.residual_tol
-        evidence["raw_accepted"] += int(ok.sum())
-        for idx in np.nonzero(ok)[0]:
-            pv = ProductVector(a[idx], b[idx])
-            raw_pts.append(pv)
-            pool.add(pv, float(res[idx]))
-
-    def jitter_round():
-        if not pool.points:
-            return
-        seeds_a, seeds_b = [], []
-        for pv in pool.points:
-            for scale in (3e-2, 3e-3):
-                for _ in range(4):
-                    seeds_a.append(pv.a + scale * (jitter_rng.standard_normal(m)
-                                                   + 1j * jitter_rng.standard_normal(m)))
-                    seeds_b.append(pv.b + scale * (jitter_rng.standard_normal(n)
-                                                   + 1j * jitter_rng.standard_normal(n)))
-        a = np.array(seeds_a)
-        b = np.array(seeds_b)
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
-        b /= np.linalg.norm(b, axis=1, keepdims=True)
-        for lo in range(0, a.shape[0], opts.batch_cap):
-            polish_and_collect(a[lo:lo + opts.batch_cap], b[lo:lo + opts.batch_cap],
-                               skip_alternate=True)
-
-    # With a product line in the kernel the set is infinite; sample a few
-    # points for the report but skip the stabilization ladder.
-    if has_lines:
+    # With a product plane the set is infinite; sample a few points for the
+    # report but skip the stabilization ladder.
+    lines = not proven_empty and has_lines()
+    if lines:
         budget = [min(n0, max(4 * dlt, 256))]
     else:
         budget = [n0] + [n0 * (1 << i) for i in range(opts.max_doublings)]
 
+    pool = _PointPool(opts.dedup_tol)
     skip = 0
     stable_streak = 0
     for round_idx, count in enumerate(budget):
         before = pool.snapshot()
-        for lo in range(0, count, opts.batch_cap):
-            chunk = min(opts.batch_cap, count - lo)
+        for lo in range(0, count, _BATCH_CAP):
+            chunk = min(_BATCH_CAP, count - lo)
             a, b = halton_pairs(chunk, m, n, skip=skip)
             skip += chunk
-            polish_and_collect(a, b)
+            a, b, _ = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
+            a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
+            evidence["best_residual"] = min(evidence["best_residual"], float(res.min()))
+            ok = res <= opts.residual_tol
+            evidence["raw_accepted"] += int(ok.sum())
+            for idx in np.nonzero(ok)[0]:
+                pool.add(ProductVector(a[idx], b[idx]), float(res[idx]))
         evidence["starts_used"] += count
         evidence["rounds"] = round_idx + 1
-        if round_idx == 0 and opts.cross_check and min(m, n) <= 3 and wc.shape[0] >= max(m, n):
-            _merge_minor_roots(pool, raw_pts, k, dims, wc, opts, evidence)
-        jitter_round()
         # a homotopy count of zero is cross-checked by one round; a point
-        # found there contradicts it and the full ladder runs
-        proven_empty = proven_empty and not pool.points
-        if proven_empty:
+        # found there contradicts it: the set is searched for planes, and
+        # without one the full ladder runs
+        if proven_empty and pool.points:
+            proven_empty = False
+            lines = has_lines()
+        if proven_empty or lines:
             break
         if round_idx > 0:
             stable_streak = stable_streak + 1 if pool.matches(before) else 0
@@ -794,9 +765,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
     evidence["route"] = "homotopy" if proven_empty else "multistart"
     points, residuals, trans = _point_evidence(k, wc, dims, pool.points, pool.residuals,
                                                opts, evidence)
-    evidence["near_duplicate_chain"] = _chain_evidence(raw_pts, opts.dedup_tol, dlt)
-
-    if has_lines or len(points) > dlt or evidence["near_duplicate_chain"]:
+    if lines or len(points) > dlt:
         cls = Classification.LIKELY_INFINITE
     elif not points:
         cls = Classification.EMPTY
@@ -826,41 +795,6 @@ def _point_evidence(k, wc, dims, points, residuals, opts, evidence):
     return points, residuals, trans
 
 
-def _merge_minor_roots(pool, raw_pts, k, dims, wc, opts, evidence):
-    """Verify and merge candidates from the determinantal route."""
-    swapped = dims.m > dims.n
-    kk, dd = (_swap_subspace(k, dims), BipartiteDims(dims.n, dims.m)) if swapped else (k, dims)
-    try:
-        cands = minor_system_roots(kk, dd)
-    except ValueError:
-        evidence["minor_system"] = {"skipped": True}
-        return
-    wcd = complement_stack(kk, dd).conj()
-    verified = 0
-    extra = 0
-    for a in cands:
-        f = np.einsum('i,rij->rj', a, wcd)
-        sv, vh = np.linalg.svd(f)[1:]
-        if sv[-1] > 1e-2:
-            continue
-        b = vh[-1].conj()
-        aa, bb, res = _polish_batch(wcd, a[None, :], b[None, :], 25)
-        if res[0] <= opts.residual_tol:
-            verified += 1
-            pv = ProductVector(bb[0], aa[0]) if swapped else ProductVector(aa[0], bb[0])
-            raw_pts.append(pv)
-            if pool.add(pv, float(res[0])):
-                extra += 1
-    evidence["minor_system"] = {"candidates": len(cands), "verified": verified,
-                                "new_points": extra}
-
-
-def _swap_subspace(k: SubspaceBasis, dims: BipartiteDims) -> SubspaceBasis:
-    """The same subspace viewed in C^n (x) C^m (parties exchanged)."""
-    vecs = k.vectors.reshape(-1, dims.m, dims.n).transpose(0, 2, 1).reshape(-1, dims.total)
-    return SubspaceBasis(dims.total, vecs, k.tol_used)
-
-
 def _jacobian_extremes(wc: np.ndarray, pv: ProductVector) -> tuple:
     """(sigma_min, sigma_max) of the gauge-fixed Jacobian at a root; a zero
     sigma_min marks a non-isolated root."""
@@ -874,35 +808,6 @@ def _jacobian_extremes(wc: np.ndarray, pv: ProductVector) -> tuple:
     sv = np.linalg.svd(jac, compute_uv=False)
     smin = float(sv[-1]) if jac.shape[0] >= jac.shape[1] else 0.0
     return smin, float(sv[0])
-
-
-def _chain_evidence(raw_pts: list, dedup_tol: float, dlt: int) -> int:
-    """Size of the largest near-duplicate chain that is not a single point.
-
-    Accepted points sampled from a positive-dimensional component cluster at
-    coarse overlap (> 1 - 1e-3) without collapsing at the dedup tolerance;
-    a chain longer than 3*delta is strong continuum evidence.  Returns the
-    chain size if that threshold is passed, else 0.
-    """
-    if len(raw_pts) < 3 * dlt:
-        return 0
-    reps: list = []       # (representative, coarse_count, distinct_members)
-    for pv in raw_pts:
-        placed = False
-        for rep in reps:
-            if pv.overlap(rep[0]) > 1 - 1e-3:
-                rep[1] += 1
-                if all(pv.overlap(q) <= 1 - dedup_tol for q in rep[2]):
-                    rep[2].append(pv)
-                placed = True
-                break
-        if not placed:
-            reps.append([pv, 1, [pv]])
-    worst = 0
-    for rep in reps:
-        if len(rep[2]) >= 2 and rep[1] > 3 * dlt:
-            worst = max(worst, rep[1])
-    return worst
 
 
 # ---------------------------------------------------------------------------

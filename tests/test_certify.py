@@ -3,7 +3,6 @@ import pytest
 
 from pptlab import zoo
 from pptlab.certify import (
-    EdgeReport,
     Extremality,
     StrongExtremality,
     edge_check,
@@ -189,11 +188,6 @@ class TestEdgeCheck:
         passed = edge_check(state, enumeration=enum)
         assert (passed.is_edge, passed.route, passed.starts_used, passed.best_residual) == \
             (own.is_edge, own.route, own.starts_used, own.best_residual)
-
-    def test_report_unpacks_like_a_pair(self):
-        report = EdgeReport(True, None, 10, 0.5)
-        is_edge, pair = report
-        assert is_edge and pair is None
 
 
 class TestRankNDecomposition:

@@ -63,6 +63,28 @@ class TestConstruct:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("family,argv,named", [
+        ("good-3xN", ["--m", "4", "--n", "5"], "3xN"),
+        ("bad-3x4", ["--m", "4", "--n", "6"], "3x4"),
+        ("kon-mnogo", ["--n", "7"], "3x4"),
+        ("good-3xN", ["--c", "1,2"], "--c"),
+    ])
+    def test_shape_or_parameter_of_another_family_exit_2(self, tmp_path, capsys,
+                                                          family, argv, named):
+        out = tmp_path / "s.json"
+        code, _, err = run_cli(capsys, "construct", family, *argv, "--out", str(out))
+        assert code == 2
+        assert named in err and family in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family", ["kon-mnogo", "good-3x4", "bad-3x4", "good-3xN"])
+    def test_default_shape_builds_3x4(self, tmp_path, capsys, family):
+        out = tmp_path / "s.json"
+        code, _, _ = run_cli(capsys, "construct", family, "--out", str(out))
+        assert code == 0
+        dims = load_state(out).dims
+        assert (dims.m, dims.n) == (3, 4)
+
 
 class TestAnalyze:
     def test_good_3x4_report(self, tmp_path, capsys):

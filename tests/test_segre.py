@@ -21,6 +21,7 @@ from pptlab.segre import (
     GoodnessReason,
     _homotopy_roots,
     _membership_residuals,
+    _polish_batch,
     _square_down,
     ces_certificate,
     classify_goodness,
@@ -187,6 +188,28 @@ class TestOracles:
                 if not any(pv.overlap(q) > 1 - 1e-6 for q in pool):
                     pool.append(pv)
         assert len(pool) >= 15
+        res = enumerate_product_vectors(kern, state.dims)
+        assert res.evidence["route"] == "homotopy"
+        assert match_sets(pool, res.points)
+
+    @pytest.mark.parametrize("state_fn", [
+        zoo.good_3x4,
+        lambda: zoo.kon_mnogo()[0],
+        zoo.bad_3x4,
+    ], ids=["good_3x4", "kon_mnogo", "bad_3x4"])
+    def test_minor_system_agrees_ranges_are_empty(self, state_fn):
+        # no determinantal candidate polishes onto a range the count proves empty
+        state = state_fn()
+        rng_sub = range_basis(state)
+        wc = complement_stack(rng_sub, state.dims).conj()
+        a = np.array(minor_system_roots(rng_sub, state.dims))
+        assert a.shape[0] > 0
+        b = np.linalg.svd(np.einsum('si,rij->srj', a, wc))[2][:, -1, :].conj()
+        _, _, res = _polish_batch(wc, a, b, 25)
+        assert res.min() > 1e-10
+        enum = enumerate_product_vectors(rng_sub, state.dims, EnumerationOptions(start_count=400))
+        assert enum.classification == Classification.EMPTY
+        assert enum.evidence["route"] == "homotopy"
 
     def test_minor_system_rejects_large_m(self):
         state = zoo.bad_mxn(4, 4)

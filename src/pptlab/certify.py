@@ -183,18 +183,18 @@ def extremality_nullity(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
         h = p @ e @ p.conj().T
         c = gperp.conj().T @ _gamma(h, m, n)
         cols[:, idx] = np.concatenate([c.real.ravel(), c.imag.ravel()])
+    # each column is a unit Hilbert-Schmidt matrix pushed through the
+    # orthonormal P and G-perp, so the map has scale one and the cutoff is
+    # absolute: a relative cut would count rounding noise as rank whenever
+    # every column vanishes, as for a pure product state
     sv = np.linalg.svd(cols, compute_uv=False)
-    top = sv[0] if sv.size else 0.0
-    if top == 0.0:
-        nullity, gap = r * r, np.inf
-    else:
-        rank = int(np.sum(sv > cutoff * top))
-        nullity = r * r - rank          # columns not killed by the constraints
-        if nullity == 0:
-            return ExtremalityCert(0, Extremality.BORDERLINE, 0.0, sv, None)
-        kept, disc = sv[:rank], sv[rank:]
-        gap = (float(kept[-1] / disc[0]) if (kept.size and disc.size and disc[0] > 0)
-               else np.inf)
+    rank = int(np.sum(sv > cutoff))
+    nullity = r * r - rank              # columns not killed by the constraints
+    if nullity == 0:                    # impossible: rho itself is feasible
+        return ExtremalityCert(0, Extremality.BORDERLINE, 0.0, sv, None)
+    kept, disc = sv[:rank], sv[rank:]
+    gap = (float(kept[-1] / disc[0]) if (kept.size and disc.size and disc[0] > 0)
+           else np.inf)
     if gap < GAP_AMBIGUOUS:
         verdict = Extremality.BORDERLINE
     elif nullity == 1:

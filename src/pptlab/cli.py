@@ -212,6 +212,8 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         gamma_state = qstate.BipartiteState(
             qstate.HermitianOperator(dims, qstate.gamma_matrix(state)))
         cert_gamma = certify.extremality_nullity(gamma_state)
+    if any(c is not None and c.nullity == 0 for c in (cert, cert_gamma)):
+        anomalies.append("extremality-nullity-zero")   # rho is always feasible
     timings["extremality"] = time.perf_counter() - t0
 
     edge = None
@@ -235,128 +237,68 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
 
 
 # ---------------------------------------------------------------------------
-# construct
+# construct and sweep
 
 
-def _parse_floats(text: str, expect: Optional[int] = None) -> list:
-    vals = [float(x) for x in text.split(",") if x.strip() != ""]
-    if expect is not None and len(vals) != expect:
-        raise ValueError(f"expected {expect} comma-separated values, got {len(vals)}")
-    return vals
+# the options through which each subcommand hands values to a family
+_FAMILY_OPTIONS = {
+    "construct": sorted({f.param for f in zoo.FAMILIES.values() if f.param}),
+    "sweep": sorted({opt for f in zoo.FAMILIES.values() if f.grid for opt in f.grid_defaults}),
+}
 
 
-# (m, n) of the families with a fixed shape; None where --m or --n sets it
-_FIXED_SHAPE = {"kon-mnogo": (3, 4), "good-3x4": (3, 4), "bad-3x4": (3, 4),
-                "good-3xN": (3, None), "bad-3xN": (3, None)}
-# the one family each parameter option applies to
-_PARAM_FAMILY = {"b": "good-3xN", "c": "bad-MxN", "params": "bad-3x4"}
+def _family_options(args) -> dict:
+    """The family options of `args` that its family reads, None or the grid
+    default where not given; refuses a shape or an option the family lacks."""
+    fam = zoo.FAMILIES[args.family]
+    if args.cmd == "construct":
+        zoo.check_shape(args.family, args.m, args.n)
+        reads = {fam.param: None} if fam.param else {}
+    else:
+        reads = fam.grid_defaults
+    for opt in _FAMILY_OPTIONS[args.cmd]:
+        if opt not in reads and getattr(args, opt) is not None:
+            raise ValueError(f"--{opt.replace('_', '-')} does not apply to {args.family}")
+    return {opt: default if getattr(args, opt) is None else getattr(args, opt)
+            for opt, default in reads.items()}
 
 
 def _construct(args) -> int:
-    family = args.family
+    fam = zoo.FAMILIES[args.family]
+    text = _family_options(args).get(fam.param)
     m, n = args.m, args.n
-    fixed_m, fixed_n = _FIXED_SHAPE.get(family, (None, None))
-    if (fixed_m is not None and m != fixed_m) or (fixed_n is not None and n != fixed_n):
-        raise ValueError(f"{family} states are {fixed_m}x{fixed_n or 'N'}, "
-                         f"got --m {m} --n {n}")
-    for opt, owner in _PARAM_FAMILY.items():
-        if getattr(args, opt) is not None and family != owner:
-            raise ValueError(f"--{opt} applies to {owner} only, not to {family}")
-    if family == "gentiles2":
-        upb = zoo.gentiles2_upb(m, n)
-        payload = {"m": m, "n": n, "family": upb.family_name,
+    built = fam.build(m, n, [float(x) for x in text.split(",") if x.strip()] if text else None)
+    if isinstance(built, zoo.UpbFamily):
+        payload = {"m": m, "n": n, "family": built.family_name,
                    "vectors": [{"a": segre._c2pairs(pv.a), "b": segre._c2pairs(pv.b)}
-                               for pv in upb.vectors]}
+                               for pv in built.vectors]}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
-        print(f"wrote product basis: dims ({m}, {n}), {len(upb)} vectors -> {args.out}")
+        print(f"wrote product basis: dims ({m}, {n}), {len(built)} vectors -> {args.out}")
         return 0
-    if family == "upb-complement":
-        state = zoo.upb_complement_state(zoo.gentiles2_upb(m, n))
-    elif family == "kon-mnogo":
-        state, _ = zoo.kon_mnogo()
-    elif family == "good-3x4":
-        state = zoo.good_3x4()
-    elif family == "good-3xN":
-        b = _parse_floats(args.b) if args.b else None
-        state = zoo.good_3xn(n, b)
-    elif family == "bad-3x4":
-        params = _parse_floats(args.params, 7) if args.params else [1, 1, 1, 1, 1, 0, 0]
-        state = zoo.bad_3x4(*params)
-    elif family == "bad-3xN":
-        state = zoo.bad_3xn(n)
-    elif family == "bad-MxN":
-        c = _parse_floats(args.c) if args.c else None
-        state = zoo.bad_mxn(m, n, c)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    qstate.save_state(state, args.out)
-    rank = qstate.rank_profile(state).rank
-    print(f"wrote state: dims ({state.dims.m}, {state.dims.n}), rank {rank}, "
-          f"trace {state.trace:g} -> {args.out}")
+    qstate.save_state(built, args.out)
+    rank = qstate.rank_profile(built).rank
+    print(f"wrote state: dims ({built.dims.m}, {built.dims.n}), rank {rank}, "
+          f"trace {built.trace:g} -> {args.out}")
     return 0
 
 
-# ---------------------------------------------------------------------------
-# sweep
-
-
-def _sweep_points(args) -> list:
-    """Deterministic parameter points for a family sweep."""
-    rng = np.random.default_rng(args.seed)
-    pts = []
-    if args.family == "bad-MxN":
-        for m in range(4, args.max_sum - 3):
-            for n in range(m, args.max_sum - m + 1):
-                pts.append({"family": "bad-MxN", "m": m, "n": n,
-                            "c": [float(i) for i in range(3, m)]})
-    elif args.family == "bad-3xN":
-        lo, hi = args.n_range
-        for n in range(lo, hi + 1):
-            pts.append({"family": "bad-3xN", "m": 3, "n": n})
-    elif args.family == "good-3xN":
-        lo, hi = args.n_range
-        for n in range(lo, hi + 1):
-            for _ in range(args.draws):
-                while True:
-                    b = np.round(rng.uniform(1.1, 4.0, size=n - 3), 6)
-                    sq = b ** 2
-                    if np.all(np.abs(sq - 1.0) > 1e-3) and (
-                            len(b) < 2 or np.min(np.abs(np.subtract.outer(sq, sq))
-                                                 [np.triu_indices(len(b), 1)]) > 1e-3):
-                        break
-                pts.append({"family": "good-3xN", "m": 3, "n": n, "b": b.tolist()})
-    elif args.family == "bad-3x4":
-        for _ in range(args.draws):
-            core = rng.uniform(0.3, 2.0, size=5) * rng.choice([-1.0, 1.0], size=5)
-            fg = rng.uniform(-1.0, 1.0, size=2)
-            pts.append({"family": "bad-3x4", "m": 3, "n": 4,
-                        "params": np.round(np.concatenate([core, fg]), 6).tolist()})
-    else:
-        raise ValueError(f"family {args.family!r} does not support sweeps")
-    return pts
-
-
-def _build_from_point(point: dict) -> qstate.BipartiteState:
-    fam = point["family"]
-    if fam == "bad-MxN":
-        return zoo.bad_mxn(point["m"], point["n"], point["c"])
-    if fam == "bad-3xN":
-        return zoo.bad_3xn(point["n"])
-    if fam == "good-3xN":
-        return zoo.good_3xn(point["n"], point["b"])
-    if fam == "bad-3x4":
-        return zoo.bad_3x4(*point["params"])
-    raise ValueError(f"unknown family {fam!r}")
-
-
 def _sweep(args) -> int:
-    points = _sweep_points(args)
+    fam = zoo.FAMILIES[args.family]
+    opts = _family_options(args)
+    points = []
+    for m, n, params in fam.grid(np.random.default_rng(args.seed), **opts):
+        points.append({"family": args.family, "m": m, "n": n})
+        if fam.param:
+            points[-1][fam.param] = params
+    if not points:
+        shown = ", ".join(f"--{opt.replace('_', '-')} {val}" for opt, val in opts.items())
+        raise ValueError(f"the {args.family} sweep grid is empty at {shown}")
 
     def run(idx_point):
         idx, point = idx_point
         try:
-            state = _build_from_point(point)
+            state = fam.build(point["m"], point["n"], point.get(fam.param))
             rep = analyze_state(state, dict(point, seed=args.seed),
                                 tol_rank=args.tol_rank, tol_psd=args.tol_psd,
                                 starts=args.starts, fast=args.fast)
@@ -467,20 +409,30 @@ def _add_common(p):
                    help="skip the range and edge searches")
 
 
+def _n_range(text: str) -> tuple:
+    """The argparse type of --n-range: `lo:hi` with lo <= hi."""
+    try:
+        lo, hi = map(int, text.split(":"))
+        if lo <= hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected lo:hi with integers lo <= hi, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pptlab",
                                  description="certification toolkit for bipartite PPT states")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     pc = sub.add_parser("construct", help="build a named state and write it to JSON")
-    pc.add_argument("family", choices=["gentiles2", "kon-mnogo", "good-3x4", "good-3xN",
-                                       "bad-3x4", "bad-3xN", "bad-MxN", "upb-complement"])
+    pc.add_argument("family", choices=list(zoo.FAMILIES))
     pc.add_argument("--m", type=int, default=3)
     pc.add_argument("--n", type=int, default=4)
-    pc.add_argument("--b", type=str, default=None, help="comma list for good-3xN")
-    pc.add_argument("--c", type=str, default=None, help="comma list for bad-MxN")
-    pc.add_argument("--params", type=str, default=None,
-                    help="comma list a,b,c,d,e,f,g for bad-3x4")
+    for name, fam in zoo.FAMILIES.items():
+        if fam.param:
+            pc.add_argument(f"--{fam.param}", type=str, default=None,
+                            help=f"comma list of parameters for {name}")
     pc.add_argument("--out", type=str, required=True)
     pc.set_defaults(func=_construct)
 
@@ -494,11 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     pa.set_defaults(func=_analyze)
 
     ps = sub.add_parser("sweep", help="analyze a family over a grid or random draws")
-    ps.add_argument("family", choices=["good-3xN", "bad-3x4", "bad-3xN", "bad-MxN"])
-    ps.add_argument("--max-sum", type=int, default=14, help="bad-MxN: largest m+n")
-    ps.add_argument("--n-range", type=lambda s: tuple(int(x) for x in s.split(":")),
-                    default=(4, 8), help="good/bad-3xN: lo:hi range for n")
-    ps.add_argument("--draws", type=int, default=5, help="random draws per grid point")
+    ps.add_argument("family", choices=[k for k, f in zoo.FAMILIES.items() if f.grid])
+    ps.add_argument("--max-sum", type=int, help="largest m+n of the grid")
+    ps.add_argument("--n-range", type=_n_range, help="lo:hi range of n")
+    ps.add_argument("--draws", type=int, help="random parameter draws (per n on an n grid)")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--parallel", type=int, default=1)
     ps.add_argument("--out", type=str, default=None)

@@ -14,14 +14,17 @@ The constructors fall in three groups:
 - block-factored state families: a rigid good 3x4 state, a good 3xN family,
   a seven-parameter bad 3x4 family and its bad MxN extension, and a
   projector whose kernel holds exactly ten product vectors.
+
+:data:`FAMILIES` is the one registry of the named families: for each, its
+constructor, shape rule, parameter option and sweep grid.  The command line
+takes its family choices, refusals, defaults and grids from it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -235,36 +238,6 @@ def kon_mnogo() -> tuple:
 # block-factored families
 
 
-class Variant(str, enum.Enum):
-    """Named state families constructible through :func:`make_family`."""
-
-    GOOD_3XN = "good-3xN"
-    BAD_3X4 = "bad-3x4"
-    BAD_3XN = "bad-3xN"
-    BAD_MXN = "bad-MxN"
-
-
-@dataclass(frozen=True)
-class FamilyParams:
-    """Continuous parameters for :func:`make_family`.
-
-    - ``b``: the n-3 reals of the good 3xN family; each b_i^2 must differ
-      from 1 and the squares must be pairwise distinct,
-    - ``abcdefg``: the seven reals of the bad 3x4 family; a..e nonzero,
-      f and g unrestricted,
-    - ``c``: the m-3 reals of the bad MxN family; nonzero and distinct.
-
-    Leaving a field as None selects the documented defaults (b_i = i + 1,
-    a..e = 1 with f = g = 0, c_i = i), which reproduce the published
-    instance of each family.
-    """
-
-    variant: Variant
-    b: Optional[tuple] = None
-    abcdefg: Optional[tuple] = None
-    c: Optional[tuple] = None
-
-
 def good_3x4() -> BipartiteState:
     """A rigid good 3x4 PPT state of rank five with integer block factor.
 
@@ -469,24 +442,83 @@ def bad_mxn(m: int, n: int, c: Optional[Sequence[float]] = None) -> BipartiteSta
     return from_blocks(BlockFactor(BipartiteDims(m, n), blocks))
 
 
-def make_family(params: FamilyParams, m: int, n: int) -> BipartiteState:
-    """Build a named family member; see :class:`FamilyParams` for defaults."""
-    variant = params.variant
-    if variant == Variant.GOOD_3XN:
-        if m != 3:
-            raise ValueError("good 3xN family requires m = 3")
-        return good_3xn(n, params.b)
-    if variant == Variant.BAD_3X4:
-        if (m, n) != (3, 4):
-            raise ValueError("bad 3x4 family requires m = 3, n = 4")
-        abcdefg = params.abcdefg if params.abcdefg is not None else (1, 1, 1, 1, 1, 0, 0)
-        if len(abcdefg) != 7:
-            raise ValueError(f"bad 3x4 family needs 7 parameters, got {len(abcdefg)}")
-        return bad_3x4(*abcdefg)
-    if variant == Variant.BAD_3XN:
-        if m != 3:
-            raise ValueError("bad 3xN family requires m = 3")
-        return bad_3xn(n)
-    if variant == Variant.BAD_MXN:
-        return bad_mxn(m, n, params.c)
-    raise ValueError(f"unknown family variant {variant!r}")
+# ---------------------------------------------------------------------------
+# the family registry
+
+
+def _bad_3x4_member(m: int, n: int, params: Optional[Sequence[float]]) -> BipartiteState:
+    if params is None:
+        return bad_3x4()
+    if len(params) != 7:
+        raise ValueError(f"bad 3x4 family needs 7 parameters, got {len(params)}")
+    return bad_3x4(*params)
+
+
+def _good_3xn_grid(rng, n_range, draws):
+    """`draws` random parameter points per n, squares kept apart from 1 and each other."""
+    for n in range(n_range[0], n_range[1] + 1):
+        for _ in range(draws):
+            while True:
+                b = np.round(rng.uniform(1.1, 4.0, size=n - 3), 6)
+                sq = b ** 2
+                if np.all(np.abs(sq - 1.0) > 1e-3) and (
+                        len(b) < 2 or np.min(np.abs(np.subtract.outer(sq, sq))
+                                             [np.triu_indices(len(b), 1)]) > 1e-3):
+                    break
+            yield 3, n, b.tolist()
+
+
+def _bad_3x4_grid(rng, draws):
+    """`draws` random points: a..e of either sign away from zero, f and g in [-1, 1]."""
+    for _ in range(draws):
+        core = rng.uniform(0.3, 2.0, size=5) * rng.choice([-1.0, 1.0], size=5)
+        fg = rng.uniform(-1.0, 1.0, size=2)
+        yield 3, 4, np.round(np.concatenate([core, fg]), 6).tolist()
+
+
+@dataclass(frozen=True)
+class Family:
+    """How the command line builds and sweeps one named family.
+
+    - ``build(m, n, params)``: the member at shape (m, n); ``params`` are the
+      values of the parameter option, None for the family's defaults,
+    - ``shape``: the fixed (m, n), None where the caller chooses,
+    - ``param``: the one parameter option the family reads, if any,
+    - ``grid(rng, **options)``: the sweep points as (m, n, params), for the
+      families that have a sweep grid; ``grid_defaults`` names the options
+      the grid reads, with their defaults.
+    """
+
+    build: Callable
+    shape: tuple = (None, None)
+    param: Optional[str] = None
+    grid: Optional[Callable] = None
+    grid_defaults: Optional[dict] = None
+
+
+FAMILIES = {
+    "gentiles2": Family(lambda m, n, p: gentiles2_upb(m, n)),
+    "kon-mnogo": Family(lambda m, n, p: kon_mnogo()[0], shape=(3, 4)),
+    "good-3x4": Family(lambda m, n, p: good_3x4(), shape=(3, 4)),
+    "good-3xN": Family(lambda m, n, b: good_3xn(n, b), shape=(3, None), param="b",
+                       grid=_good_3xn_grid, grid_defaults={"n_range": (4, 8), "draws": 5}),
+    "bad-3x4": Family(_bad_3x4_member, shape=(3, 4), param="params",
+                      grid=_bad_3x4_grid, grid_defaults={"draws": 5}),
+    "bad-3xN": Family(lambda m, n, p: bad_3xn(n), shape=(3, None),
+                      grid=lambda rng, n_range: ((3, n, None) for n in
+                                                 range(n_range[0], n_range[1] + 1)),
+                      grid_defaults={"n_range": (4, 8)}),
+    "bad-MxN": Family(lambda m, n, c: bad_mxn(m, n, c), param="c",
+                      grid=lambda rng, max_sum: ((m, n, [float(i) for i in range(3, m)])
+                                                 for m in range(4, max_sum - 3)
+                                                 for n in range(m, max_sum - m + 1)),
+                      grid_defaults={"max_sum": 14}),
+    "upb-complement": Family(lambda m, n, p: upb_complement_state(gentiles2_upb(m, n))),
+}
+
+
+def check_shape(name: str, m: int, n: int) -> None:
+    """Refuse a shape (m, n) that family `name` does not have."""
+    fixed_m, fixed_n = FAMILIES[name].shape
+    if fixed_m not in (None, m) or fixed_n not in (None, n):
+        raise ValueError(f"{name} states are {fixed_m}x{fixed_n or 'N'}, got {m}x{n}")

@@ -43,6 +43,17 @@ class TestExtremalityNullity:
         assert cert.nullity == 1
         assert cert.verdict == Extremality.EXTREME
 
+    @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (3, 4), (4, 5)])
+    def test_random_pure_product_is_extreme(self, rng, m, n):
+        # every constraint column is rounding noise here; a cutoff relative
+        # to the largest singular value counted that noise as rank
+        v = random_product_vector(BipartiteDims(m, n), rng).vec()
+        v /= np.linalg.norm(v)
+        state = BipartiteState(HermitianOperator(BipartiteDims(m, n), np.outer(v, v.conj())))
+        cert = extremality_nullity(state)
+        assert (cert.nullity, cert.verdict) == (1, Extremality.EXTREME)
+        assert nullity_unrestricted(state) == 1
+
     def test_bad_3xn_base_is_extreme(self):
         cert = extremality_nullity(zoo.bad_3xn(4))
         assert cert.nullity == 1

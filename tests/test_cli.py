@@ -1,10 +1,12 @@
 import json
+import pathlib
+import shlex
 
 import numpy as np
 import pytest
 
-from pptlab import certify, segre, zoo
-from pptlab.cli import analyze_state, main
+from pptlab import certify, cli, segre, zoo
+from pptlab.cli import analyze_state, build_parser, main
 from pptlab.qstate import BipartiteDims, BipartiteState, HermitianOperator, load_state, save_state
 from conftest import random_product_vector
 
@@ -128,6 +130,16 @@ class TestAnalyze:
         assert rep["rank_profile"]["rank"] == 1
         assert rep["ppt"]["verdict"] is True
         assert rep["extremality"]["verdict"] == "extreme"
+
+    def test_nullity_zero_is_an_anomaly(self, tmp_path, capsys, monkeypatch):
+        # rho is feasible for its own nullity problem, so zero cannot be right
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        monkeypatch.setattr(certify, "extremality_nullity", lambda state: certify.ExtremalityCert(
+            0, certify.Extremality.BORDERLINE, 0.0, np.ones(1)))
+        code, stdout, _ = run_cli(capsys, "analyze", str(path), "--fast")
+        assert code == 3
+        assert json.loads(stdout)["anomalies"] == ["extremality-nullity-zero"]
 
     def test_markdown_output(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -280,6 +292,57 @@ class TestSweep:
         lines = [json.loads(l) for l in out.read_text().strip().splitlines()]
         assert [rep["input"]["n"] for rep in lines] == [4, 5]
         assert all(rep["extremality"]["nullity"] == 1 for rep in lines)
+
+
+    @pytest.mark.parametrize("family,argv,named", [
+        ("bad-3xN", ["--n-range", "4:4", "--draws", "3", "--max-sum", "99"], "--draws"),
+        ("bad-3x4", ["--n-range", "4:5"], "--n-range"),
+        ("bad-MxN", ["--draws", "2"], "--draws"),
+        ("good-3xN", ["--max-sum", "9"], "--max-sum"),
+    ])
+    def test_option_of_another_family_exit_2(self, tmp_path, capsys, family, argv, named):
+        out = tmp_path / "s.jsonl"
+        code, _, err = run_cli(capsys, "sweep", family, *argv, "--fast", "--out", str(out))
+        assert code == 2
+        assert named in err and family in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["4", "6:4"])
+    def test_malformed_n_range_exit_2(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "bad-3xN", "--n-range", text, "--fast"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --n-range: expected lo:hi with integers lo <= hi" in err
+
+    def test_empty_grid_exit_2(self, capsys):
+        code, stdout, err = run_cli(capsys, "sweep", "bad-MxN", "--max-sum", "7", "--fast")
+        assert code == 2
+        assert stdout == ""
+        assert "error: the bad-MxN sweep grid is empty at --max-sum 7" in err
+
+
+class TestRegistryDrift:
+    def test_parser_choices_are_the_registry(self):
+        subs = build_parser()._subparsers._group_actions[0].choices
+        family = {cmd: next(a for a in subs[cmd]._actions if a.dest == "family")
+                  for cmd in ("construct", "sweep")}
+        assert family["construct"].choices == list(zoo.FAMILIES)
+        assert family["sweep"].choices == [k for k, f in zoo.FAMILIES.items() if f.grid]
+        for cmd in ("construct", "sweep"):
+            dests = {a.dest for a in subs[cmd]._actions}
+            assert set(cli._FAMILY_OPTIONS[cmd]) <= dests
+
+    def test_readme_command_lines_parse(self):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0] for line in block.splitlines()
+                 if line.startswith("pptlab ")]
+        assert len(lines) >= 10
+        for line in lines:
+            args = build_parser().parse_args(shlex.split(line)[1:])
+            if args.cmd in ("construct", "sweep"):
+                cli._family_options(args)   # a refused shape or option raises
 
 
 class TestVerifyIdentities:

@@ -197,29 +197,27 @@ class TestBadFamilies:
             zoo.bad_mxn(2, 4)
 
 
-class TestMakeFamily:
+class TestRegistry:
     def test_good_3xn_instance(self):
-        params = zoo.FamilyParams(zoo.Variant.GOOD_3XN)
-        state = zoo.make_family(params, 3, 4)
+        state = zoo.FAMILIES["good-3xN"].build(3, 4, None)
         assert rank_profile(state).birank == (5, 5)
         assert np.abs(state.matrix - gamma_matrix(state)).max() < 1e-13
 
     def test_bad_3x4_default_equals_besk_niz_base(self):
-        params = zoo.FamilyParams(zoo.Variant.BAD_3X4)
-        state = zoo.make_family(params, 3, 4)
+        state = zoo.FAMILIES["bad-3x4"].build(3, 4, None)
         assert np.array_equal(state.matrix, zoo.bad_3xn(4).matrix)
 
     def test_bad_mxn_with_explicit_parameter(self):
-        params = zoo.FamilyParams(zoo.Variant.BAD_MXN, c=(1.0,))
-        state = zoo.make_family(params, 4, 4)
+        state = zoo.FAMILIES["bad-MxN"].build(4, 4, (1.0,))
         assert rank_profile(state).rank == 6
         rho_a, _ = reduced_operators(state.op)
         assert rho_a[0, 0].real == pytest.approx(3.0)
 
     def test_dimension_checks(self):
-        with pytest.raises(ValueError):
-            zoo.make_family(zoo.FamilyParams(zoo.Variant.GOOD_3XN), 4, 5)
-        with pytest.raises(ValueError):
-            zoo.make_family(zoo.FamilyParams(zoo.Variant.BAD_3X4), 3, 5)
+        with pytest.raises(ValueError, match="good-3xN states are 3xN"):
+            zoo.check_shape("good-3xN", 4, 5)
+        with pytest.raises(ValueError, match="bad-3x4 states are 3x4"):
+            zoo.check_shape("bad-3x4", 3, 5)
+        zoo.check_shape("bad-MxN", 5, 7)
         with pytest.raises(ValueError, match="7 parameters"):
-            zoo.make_family(zoo.FamilyParams(zoo.Variant.BAD_3X4, abcdefg=(1, 2)), 3, 4)
+            zoo.FAMILIES["bad-3x4"].build(3, 4, (1, 2))

@@ -155,7 +155,7 @@ def _gamma_kernel(state: BipartiteState, tol_rel: float) -> np.ndarray:
 
 
 def extremality_nullity(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
-                        rank_tol: float = 1e-9) -> ExtremalityCert:
+                        rank_tol: float = RANK_TOL) -> ExtremalityCert:
     """Dimension of {Hermitian H : R(H) in R(rho), R(H^G) in R(rho^G)}.
 
     Verdicts: EXTREME for nullity one with a certified singular gap,
@@ -327,7 +327,7 @@ def edge_check(state: BipartiteState, opts: Optional[EnumerationOptions] = None,
     g = gamma_matrix(state)
     wg, vg = np.linalg.eigh(g)
     topg = max(abs(wg[0]), abs(wg[-1]), 1e-300)
-    rng_gamma = SubspaceBasis(dims.total, vg[:, np.abs(wg) > 1e-9 * topg].T, 1e-9)
+    rng_gamma = SubspaceBasis(dims.total, vg[:, np.abs(wg) > tol_rel * topg].T, tol_rel)
 
     enum_res = enumeration
     if enum_res is None:

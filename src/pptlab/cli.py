@@ -204,14 +204,14 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         timings["range_ces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cert = certify.extremality_nullity(state)
+    cert = certify.extremality_nullity(state, rank_tol=tol_rank)
     # the partial transpose verdict is reported alongside; no relation between
     # the two is assumed beyond what the good-case theorem gives
     cert_gamma = None
     if ppt:
         gamma_state = qstate.BipartiteState(
             qstate.HermitianOperator(dims, qstate.gamma_matrix(state)))
-        cert_gamma = certify.extremality_nullity(gamma_state)
+        cert_gamma = certify.extremality_nullity(gamma_state, rank_tol=tol_rank)
     if any(c is not None and c.nullity == 0 for c in (cert, cert_gamma)):
         anomalies.append("extremality-nullity-zero")   # rho is always feasible
     timings["extremality"] = time.perf_counter() - t0

@@ -21,31 +21,31 @@ kernel of a state at the borderline rank) is tracked as it is, and delta
 distinct, nonsingular, transversal endpoints prove the root set finite and
 complete by count.  A larger system (R' > m + n - 2, such as the range of a
 state at the borderline rank) is first squared down to m + n - 2 fixed
-random combinations of its equations.  Delta distinct, nonsingular roots of
-the mixed system hold every root of the full one; when the full residual at
-each of them, measured before any polish on the full system, exceeds
-sqrt(residual_tol), the subspace holds no product vector and is EMPTY,
-complete by count.  That verdict keeps one multistart round below as a
-cross-check; a point found there overrules the count.
+random combinations L g of its equations g.  Every root of g is a root of
+L g, so delta distinct, nonsingular roots of the mixed system hold all of
+them.  A root whose full residual, measured before any polish on the full
+system, exceeds sqrt(RESIDUAL_TOL) is off the subspace; every other root
+must polish onto it.  The kept roots are isolated: the mixed Jacobian L J is
+nonsingular there, which forces J to full column rank m + n - 2.  They are
+not transversal, since K and the tangent space share a (x) b and cannot span
+the whole space when R' > m + n - 2.  The set is FINITE, or EMPTY, complete
+by count, and one multistart round cross-checks it; a point found there
+outside the counted set overrules the count.
 
-A set the count did not settle (a square system with a positive-dimensional
-component has fewer than delta isolated roots) goes to the search route:
-deterministic multistart alternating minimization over unit pairs (least
-right singular vectors of F and G in turn), followed by a batched
-Gauss-Newton polish of the holomorphic system, with a doubling ladder of
-start counts.  The product-line search for whole planes |a> (x) W or
-V (x) |b> runs only where no count settled the set: before the search
-route, after a cross-check round that overrules an empty count, and beside
-the dimension-count verdicts.  A plane found there makes the set infinite,
-and the search route then only samples a few points for the report.
+A set no count settled (a square system with a positive-dimensional
+component has fewer than delta isolated roots) is searched for product
+planes |a> (x) W or V (x) |b>, and then by one round of deterministic
+multistart alternating minimization over unit pairs (least right singular
+vectors of F and G in turn), followed by a batched Gauss-Newton polish of
+the holomorphic system.  A plane makes the set infinite, and the round then
+only samples a few points for the report.  The plane search also runs beside
+the dimension-count verdicts.
 
 Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
 Empty / Finite / LikelyInfinite / Inconclusive is evidence-based and
-deliberately refuses to overclaim: Finite needs isolated, transversal points
-and either a complete homotopy count or a start count that was doubled until
-the found set stopped changing twice in a row.  A non-square set that is not
-empty keeps the search route's classification.
+deliberately refuses to overclaim: Finite needs a complete homotopy count,
+and a search alone never reports it.
 
 `minor_system_roots` (the determinantal system) and `pencil_roots_2xn` are
 independent root finders kept as test oracles; enumeration does not call
@@ -114,17 +114,16 @@ class GoodnessReason(enum.Enum):
 class EnumerationOptions:
     """Knobs for :func:`enumerate_product_vectors`.
 
-    `start_count` is the first multistart round, 40 * delta(m, n) by
-    default and never below 4 * delta; `max_doublings` bounds the doubling
-    ladder that follows it.  Points count when their residual is at most
-    `residual_tol`, and two points are one when their overlap exceeds
-    1 - `dedup_tol`.  A set the homotopy settles uses only the tolerances.
+    `start_count` is the size of the one multistart round, 40 * delta(m, n)
+    by default and never below 4 * delta.  That round cross-checks a count
+    of a non-square set, or searches a set no count settled, capped at 256
+    starts when a product plane makes the set infinite.  A square set the
+    homotopy settles uses no starts.  Points count when their residual is
+    at most RESIDUAL_TOL, and two points are one when their overlap exceeds
+    1 - DEDUP_TOL.
     """
 
     start_count: Optional[int] = None
-    residual_tol: float = RESIDUAL_TOL
-    dedup_tol: float = DEDUP_TOL
-    max_doublings: int = 4
 
 
 @dataclass(frozen=True)
@@ -261,14 +260,14 @@ def halton_pairs(count: int, m: int, n: int, skip: int = 0):
 class _PointPool:
     """Accumulates verified points with scale-invariant deduplication."""
 
-    def __init__(self, dedup_tol: float):
-        self.tol = dedup_tol
+    def __init__(self):
         self.points: list = []
         self.residuals: list = []
 
     def add(self, pv: ProductVector, residual: float) -> bool:
+        """Adds a point unless it is one already held; True when it is new."""
         for i, q in enumerate(self.points):
-            if pv.overlap(q) > 1.0 - self.tol:
+            if pv.overlap(q) > 1.0 - DEDUP_TOL:
                 if residual < self.residuals[i]:
                     self.points[i] = pv
                     self.residuals[i] = residual
@@ -276,15 +275,6 @@ class _PointPool:
         self.points.append(pv)
         self.residuals.append(residual)
         return True
-
-    def matches(self, other_points: list) -> bool:
-        if len(other_points) != len(self.points):
-            return False
-        return all(any(p.overlap(q) > 1.0 - self.tol for q in other_points)
-                   for p in self.points)
-
-    def snapshot(self) -> list:
-        return list(self.points)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +410,7 @@ def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims,
     vals = np.array([np.linalg.det(a0 + s * a1) for s in ws])
     cands = [np.array([1.0, s]) for s in _poly_roots_companion(_det_samples_to_coeffs(vals))]
     cands.append(np.array([0.0, 1.0]))
-    pool = _PointPool(DEDUP_TOL)
+    pool = _PointPool()
     for a in cands:
         a = a / np.linalg.norm(a)
         f = np.einsum('i,rij->rj', a, wc)
@@ -459,7 +449,7 @@ def _membership_residuals(wc: np.ndarray, points: list) -> np.ndarray:
     return np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
 
 
-def _homotopy_roots(wc: np.ndarray, opts: EnumerationOptions):
+def _homotopy_roots(wc: np.ndarray):
     """Roots of a square membership system by linear-product homotopy.
 
     With R' = m + n - 2 equations g_r(a, b) = a^T W_r b on P^{m-1} x P^{n-1},
@@ -565,7 +555,7 @@ def _homotopy_roots(wc: np.ndarray, opts: EnumerationOptions):
         too_far = np.linalg.norm(z[grow], axis=1) > 1e8
         active[grow[too_far]] = False
 
-    pool = _PointPool(opts.dedup_tol)
+    pool = _PointPool()
     accepted = 0
     done = np.nonzero(finished)[0]
     if done.size:
@@ -573,7 +563,7 @@ def _homotopy_roots(wc: np.ndarray, opts: EnumerationOptions):
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
         b = b / np.linalg.norm(b, axis=1, keepdims=True)
         a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
-        for i in np.nonzero(res <= opts.residual_tol)[0]:
+        for i in np.nonzero(res <= RESIDUAL_TOL)[0]:
             pv = ProductVector(a[i], b[i])
             smin, smax = _jacobian_extremes(wc, pv)
             if smin > RANK_TOL * smax:
@@ -661,7 +651,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
     """Find the product vectors inside K; see the module docstring.
 
     The returned points are pairwise distinct under the overlap metric and
-    each satisfies |proj_{K^perp}(a (x) b)| <= opts.residual_tol.
+    each satisfies |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
     """
     opts = opts or EnumerationOptions()
     m, n = dims.m, dims.n
@@ -674,16 +664,14 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
     evidence: dict = {"delta": dlt, "route": None, "paths": None,
                       "starts_used": 0, "rounds": 0,
                       "best_residual": float("inf"), "line_subspaces": [],
-                      "raw_accepted": 0, "stable": False, "minor_system": None,
-                      "near_duplicate_chain": 0,
+                      "minor_system": None, "near_duplicate_chain": 0,
                       "transversal": [], "jacobian_sigma_min": []}
     if k.dim == 0:
         return EnumerationResult([], [], Classification.EMPTY, evidence)
     wc = complement_stack(k, dims).conj()
 
     def has_lines() -> bool:
-        evidence["line_subspaces"] = find_line_subspaces(
-            k, dims, w_dim=2, residual_tol=opts.residual_tol)
+        evidence["line_subspaces"] = find_line_subspaces(k, dims, w_dim=2)
         return bool(evidence["line_subspaces"])
 
     if wc.shape[0] < m + n - 2:
@@ -699,84 +687,80 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
 
     # A square system has at most delta isolated roots: finding delta of
     # them proves the set finite and complete.  A larger system is squared
-    # down first; delta roots of the mixed system then hold every root of
-    # the full one, and if all of them are off the subspace the set is
-    # empty.  The residual is measured before any polish on the full system,
-    # which would pull an off-subspace endpoint onto a nearby true root.
-    # Otherwise search below.
-    proven_empty = False
+    # down first, and delta roots of the mixed system hold every root of the
+    # full one (see _roots_on_subspace).  Otherwise search below.
+    counted = None
     wsq = _square_down(wc, m + n - 2)
-    points, residuals, evidence["paths"] = _homotopy_roots(wsq, opts)
+    points, residuals, evidence["paths"] = _homotopy_roots(wsq)
     if len(points) == dlt and wsq is wc:
-        points, residuals, trans = _point_evidence(k, wc, dims, points, residuals,
-                                                   opts, evidence)
+        points, residuals, trans = _point_evidence(k, wc, dims, points, residuals, evidence)
         if all(trans):
             evidence["route"] = "homotopy"
-            evidence["raw_accepted"] = evidence["paths"]["accepted"]
             evidence["best_residual"] = min(residuals)
             return EnumerationResult(points, residuals, Classification.FINITE, evidence)
     elif len(points) == dlt:
-        full = _membership_residuals(wc, points)
-        evidence["best_residual"] = float(full.min())
-        proven_empty = bool(full.min() > math.sqrt(opts.residual_tol))
+        counted, evidence["best_residual"] = _roots_on_subspace(wc, points)
 
-    # With a product plane the set is infinite; sample a few points for the
-    # report but skip the stabilization ladder.
-    lines = not proven_empty and has_lines()
-    if lines:
-        budget = [min(n0, max(4 * dlt, 256))]
-    else:
-        budget = [n0] + [n0 * (1 << i) for i in range(opts.max_doublings)]
+    # One multistart round: it cross-checks a count, or searches a set that
+    # no count settled.  With a product plane the set is infinite, and the
+    # round only samples a few points for the report.
+    lines = counted is None and has_lines()
+    count = min(n0, max(4 * dlt, 256)) if lines else n0
+    pool = counted if counted is not None else _PointPool()
+    overruled = False
+    for lo in range(0, count, _BATCH_CAP):
+        chunk = min(_BATCH_CAP, count - lo)
+        a, b = halton_pairs(chunk, m, n, skip=lo)
+        a, b, _ = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
+        a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
+        evidence["best_residual"] = min(evidence["best_residual"], float(res.min()))
+        for idx in np.nonzero(res <= RESIDUAL_TOL)[0]:
+            overruled |= pool.add(ProductVector(a[idx], b[idx]), float(res[idx]))
+    evidence["starts_used"] = count
+    evidence["rounds"] = 1
+    if counted is not None and overruled:
+        # a point outside the counted set contradicts the count, and the
+        # search decides
+        counted = None
+        lines = has_lines()
 
-    pool = _PointPool(opts.dedup_tol)
-    skip = 0
-    stable_streak = 0
-    for round_idx, count in enumerate(budget):
-        before = pool.snapshot()
-        for lo in range(0, count, _BATCH_CAP):
-            chunk = min(_BATCH_CAP, count - lo)
-            a, b = halton_pairs(chunk, m, n, skip=skip)
-            skip += chunk
-            a, b, _ = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
-            a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
-            evidence["best_residual"] = min(evidence["best_residual"], float(res.min()))
-            ok = res <= opts.residual_tol
-            evidence["raw_accepted"] += int(ok.sum())
-            for idx in np.nonzero(ok)[0]:
-                pool.add(ProductVector(a[idx], b[idx]), float(res[idx]))
-        evidence["starts_used"] += count
-        evidence["rounds"] = round_idx + 1
-        # a homotopy count of zero is cross-checked by one round; a point
-        # found there contradicts it: the set is searched for planes, and
-        # without one the full ladder runs
-        if proven_empty and pool.points:
-            proven_empty = False
-            lines = has_lines()
-        if proven_empty or lines:
-            break
-        if round_idx > 0:
-            stable_streak = stable_streak + 1 if pool.matches(before) else 0
-            if stable_streak >= 2:
-                evidence["stable"] = True
-                break
-        if len(pool.points) > dlt:
-            break   # finite sets cannot exceed delta; this one is infinite
-
-    evidence["route"] = "homotopy" if proven_empty else "multistart"
-    points, residuals, trans = _point_evidence(k, wc, dims, pool.points, pool.residuals,
-                                               opts, evidence)
-    if lines or len(points) > dlt:
+    evidence["route"] = "multistart" if counted is None else "homotopy"
+    points, residuals, _ = _point_evidence(k, wc, dims, pool.points, pool.residuals, evidence)
+    if counted is not None:
+        cls = Classification.FINITE if points else Classification.EMPTY
+    elif lines or len(points) > dlt:
         cls = Classification.LIKELY_INFINITE
     elif not points:
         cls = Classification.EMPTY
-    elif evidence["stable"] and all(trans):
-        cls = Classification.FINITE
     else:
+        # a search alone cannot prove that a set is finite
         cls = Classification.INCONCLUSIVE
     return EnumerationResult(points, residuals, cls, evidence)
 
 
-def _point_evidence(k, wc, dims, points, residuals, opts, evidence):
+def _roots_on_subspace(wc: np.ndarray, points: list):
+    """The product vectors of K among delta roots of its squared-down system;
+    see the module docstring for why they are all of them.
+
+    A root whose full residual is above sqrt(RESIDUAL_TOL) before any polish
+    is off K: a polish on the full system would pull it onto a nearby true
+    root.  Every other root must polish onto K.  Returns (pool of the kept
+    roots, best residual); the pool is None when a root fails its polish or
+    two merge.
+    """
+    full = _membership_residuals(wc, points)
+    near = [pv for pv, r in zip(points, full) if r <= math.sqrt(RESIDUAL_TOL)]
+    pool = _PointPool()
+    if near:
+        a, b, res = _polish_batch(wc, np.array([pv.a for pv in near]),
+                                  np.array([pv.b for pv in near]), _POLISH_ITERS)
+        for i in range(len(near)):
+            if res[i] > RESIDUAL_TOL or not pool.add(ProductVector(a[i], b[i]), float(res[i])):
+                return None, float(full.min())
+    return pool, min([float(full.min())] + pool.residuals)
+
+
+def _point_evidence(k, wc, dims, points, residuals, evidence):
     """Sort the points by residual and record the isolation and
     transversality of each in the evidence; returns (points, residuals,
     transversal flags)."""
@@ -785,7 +769,7 @@ def _point_evidence(k, wc, dims, points, residuals, opts, evidence):
     residuals = [residuals[i] for i in order]
     trans, jmins, jconds = [], [], []
     for pv in points:
-        trans.append(transversal(k, pv, dims, residual_tol=max(opts.residual_tol, 1e-9)))
+        trans.append(transversal(k, pv, dims))
         smin, smax = _jacobian_extremes(wc, pv)
         jmins.append(smin)
         jconds.append(smax / smin if smin > 0 else float("inf"))

@@ -281,7 +281,7 @@ def test_criterion_10_property_suites():
             kern = subspace_from_vectors(vecs, 2 * n)
             roots = pencil_roots_2xn(kern, dims)
             res = enumerate_product_vectors(kern, dims,
-                                            EnumerationOptions(max_doublings=2))
+                                            EnumerationOptions())
             assert res.classification == Classification.FINITE
             assert match_sets(roots, res.points, tol=1e-8), f"kernel {k}"
 

@@ -28,7 +28,7 @@ from conftest import random_full_rank_ppt, random_product_vector
 from test_qstate import werner_2x2
 
 
-FAST = EnumerationOptions(max_doublings=2)
+FAST = EnumerationOptions()
 
 
 def diag_two_products() -> BipartiteState:
@@ -179,13 +179,15 @@ class TestEdgeCheck:
         # one cross-check round of the range search, no joint minimization
         assert report.starts_used == 400
 
-    def test_separable_pair_found_by_multistart(self, rng):
+    def test_separable_pair_found_by_count(self, rng):
+        # the homotopy count finds both product terms of the range, and the
+        # partner of each lies in the range of the partial transpose
         dims = BipartiteDims(2, 3)
         rho = sum(np.outer(v, v.conj()) for v in
                   (random_product_vector(dims, rng).vec() for _ in range(2)))
         report = edge_check(BipartiteState(HermitianOperator(dims, rho)), opts=FAST)
         assert not report.is_edge
-        assert report.route == "multistart"
+        assert report.route == "homotopy"
 
     @pytest.mark.parametrize("state_fn", [diag_two_products, zoo.good_3x4,
                                           lambda: zoo.bad_mxn(4, 5)],

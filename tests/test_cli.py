@@ -135,7 +135,7 @@ class TestAnalyze:
         # rho is feasible for its own nullity problem, so zero cannot be right
         path = tmp_path / "s.json"
         save_state(zoo.good_3x4(), path)
-        monkeypatch.setattr(certify, "extremality_nullity", lambda state: certify.ExtremalityCert(
+        monkeypatch.setattr(certify, "extremality_nullity", lambda state, **_: certify.ExtremalityCert(
             0, certify.Extremality.BORDERLINE, 0.0, np.ones(1)))
         code, stdout, _ = run_cli(capsys, "analyze", str(path), "--fast")
         assert code == 3
@@ -219,19 +219,39 @@ class TestRoutes:
         assert "- range is completely entangled: True (route homotopy" in md
         assert "- edge state: True (route homotopy" in md
 
-    def test_separable_range_searched_by_multistart(self, rng):
-        # the range of two product terms holds them, so the count proves
-        # nothing and the search decides
+    def test_separable_range_settled_by_count(self, rng):
+        # the range of two product terms holds them; the count finds both,
+        # so the range is not CES and the edge check finds a pair
         dims = BipartiteDims(2, 3)
         rho = sum(np.outer(v, v.conj()) for v in
                   (random_product_vector(dims, rng).vec() for _ in range(2)))
         rep = analyze_state(BipartiteState(HermitianOperator(dims, rho)), {"case": "sep"})
         j = rep.to_json()
         assert j["range_ces"]["verdict"] is False
+        assert j["range_ces"]["route"] == "homotopy"
+        assert j["range_ces"]["note"].startswith("complete by count")
+        assert j["edge"]["is_edge"] is False
+        assert j["edge"]["route"] == "homotopy"
+        assert "(route homotopy" in rep.to_markdown()
+
+    def test_search_route_reported(self, monkeypatch):
+        # a homotopy that loses a path settles nothing: the range is searched
+        # by one multistart round, and the edge check runs its fallback
+        original = segre._homotopy_roots
+
+        def lossy(wc):
+            points, residuals, paths = original(wc)
+            return points[:-1], residuals[:-1], paths
+
+        monkeypatch.setattr(segre, "_homotopy_roots", lossy)
+        rep = analyze_state(zoo.good_3x4(), {"case": "lossy"})
+        j = rep.to_json()
+        n0 = 400
         assert j["range_ces"]["route"] == "multistart"
         assert j["range_ces"]["note"].startswith("numerical certificate")
-        assert j["edge"]["is_edge"] is False
+        assert j["range_ces"]["starts_used"] == n0
         assert j["edge"]["route"] == "multistart"
+        assert j["edge"]["starts_used"] == n0 + 256
         assert "(route multistart" in rep.to_markdown()
 
     @pytest.mark.parametrize("state_fn,range_route", [
@@ -259,6 +279,26 @@ class TestRoutes:
         analyze_state(zoo.good_3x4(), {"case": "tol"}, tol_rank=1e-7)
         assert seen[0]["tol_rel"] == 1e-7
         assert seen[0]["enumeration"].evidence["route"] == "homotopy"
+
+    def test_tol_rank_reaches_every_rank_cut(self, monkeypatch):
+        # the extremality nullity of rho and of rho^Gamma, and the range of
+        # rho^Gamma in the edge check, all cut at --tol-rank
+        nullity_tols, basis_tols = [], []
+        original_nullity, original_basis = certify.extremality_nullity, certify.SubspaceBasis
+
+        def nullity_spy(state, **kwargs):
+            nullity_tols.append(kwargs.get("rank_tol"))
+            return original_nullity(state, **kwargs)
+
+        def basis_spy(ambient_dim, vectors, tol_used):
+            basis_tols.append(tol_used)
+            return original_basis(ambient_dim, vectors, tol_used)
+
+        monkeypatch.setattr(certify, "extremality_nullity", nullity_spy)
+        monkeypatch.setattr(certify, "SubspaceBasis", basis_spy)
+        analyze_state(zoo.good_3x4(), {"case": "tol"}, tol_rank=1e-7)
+        assert nullity_tols == [1e-7, 1e-7]
+        assert basis_tols == [1e-7]
 
 
 class TestSweep:

@@ -41,7 +41,7 @@ from conftest import random_product_vector
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
-FAST = EnumerationOptions(max_doublings=2)
+FAST = EnumerationOptions()
 
 
 def subspace_from_vectors(vectors, ambient):
@@ -245,7 +245,7 @@ class TestHomotopy:
         kern = kernel_basis(state)
         wc = complement_stack(kern, state.dims).conj()
         assert wc.shape[0] == 3 + 5 - 2
-        points, _, paths = _homotopy_roots(wc, EnumerationOptions())
+        points, _, paths = _homotopy_roots(wc)
         assert paths["tracked"] == zoo.delta(3, 5)
         assert paths["accepted"] < paths["tracked"]
         assert len(points) < zoo.delta(3, 5)
@@ -305,17 +305,19 @@ class TestSquareDown:
         sub, pvs = span_of_products(m, n, k, rng)
         wc = complement_stack(sub, dims).conj()
         assert wc.shape[0] > m + n - 2
-        points, _, paths = _homotopy_roots(_square_down(wc, m + n - 2), EnumerationOptions())
+        points, _, paths = _homotopy_roots(_square_down(wc, m + n - 2))
         assert paths["tracked"] == zoo.delta(m, n)
         full = _membership_residuals(wc, points)
         on_subspace = [pv for pv, r in zip(points, full) if r <= np.sqrt(1e-10)]
         assert match_sets(on_subspace, pvs)
-        res = enumerate_product_vectors(
-            sub, dims, EnumerationOptions(start_count=4 * zoo.delta(m, n), max_doublings=1))
-        # the classification the multistart route gave before the square-down
-        assert res.classification == Classification.INCONCLUSIVE
-        assert res.evidence["route"] == "multistart"
+        n0 = 4 * zoo.delta(m, n)
+        res = enumerate_product_vectors(sub, dims, EnumerationOptions(start_count=n0))
+        # the count settles the set, and one cross-check round agrees
+        assert res.classification == Classification.FINITE
+        assert res.evidence["route"] == "homotopy"
         assert match_sets(res.points, pvs)
+        assert res.evidence["starts_used"] == n0
+        assert res.evidence["rounds"] == 1
 
     def test_square_systems_are_not_mixed(self):
         state = zoo.good_3x4()
@@ -343,11 +345,11 @@ class TestSquareDown:
             return np.ones(len(points))
 
         monkeypatch.setattr(segre_mod, "_membership_residuals", off_subspace)
-        res = enumerate_product_vectors(sub, dims, EnumerationOptions(max_doublings=1))
+        res = enumerate_product_vectors(sub, dims, EnumerationOptions())
         assert claims == [zoo.delta(3, 4)]
         assert res.classification != Classification.EMPTY
         assert res.evidence["route"] == "multistart"
-        assert res.evidence["rounds"] == 2
+        assert res.evidence["rounds"] == 1
         assert match_sets(res.points, pvs)
 
 
@@ -417,6 +419,24 @@ class TestGoodness:
         verdict = classify_goodness(state, FAST)
         assert verdict.verdict == Goodness.INDETERMINATE
         assert verdict.reason == GoodnessReason.RANK_BELOW_BORDERLINE
+
+    def test_one_kernel_product_vector_above_borderline_is_bad(self, rng):
+        # rank 5 > m + n - 2 = 4, and the kernel span(|00>, three random
+        # vectors) meets the Segre variety only in |00>: the count of the
+        # squared-down kernel system finds it
+        dims = BipartiteDims(3, 3)
+        e00 = np.eye(9)[0]
+        kern = subspace_from_vectors(
+            [e00] + list(rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))), 9)
+        proj = np.eye(9) - kern.vectors.T @ kern.vectors.conj()
+        state = BipartiteState(HermitianOperator(dims, proj))
+        verdict = classify_goodness(state, FAST)
+        assert verdict.verdict == Goodness.BAD
+        assert verdict.reason == GoodnessReason.COUNT_BELOW_DELTA_WITH_NONEMPTY_X
+        assert verdict.count == 1
+        res = enumerate_product_vectors(kernel_basis(state), dims)
+        assert res.evidence["route"] == "homotopy"
+        assert res.points[0].overlap(ProductVector(e00[:3], e00[:3])) > 1 - 1e-8
 
 
 class TestGeneralPosition:

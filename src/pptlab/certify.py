@@ -33,6 +33,7 @@ import numpy as np
 import scipy.linalg
 
 from .qstate import (
+    PSD_TOL,
     RANK_TOL,
     BipartiteState,
     HermitianOperator,
@@ -48,7 +49,6 @@ from .qstate import (
 )
 from . import segre
 from .segre import (
-    EnumerationOptions,
     EnumerationResult,
     Goodness,
     GoodnessVerdict,
@@ -59,9 +59,9 @@ from .segre import (
     partial_conjugate,
     subspace_search,
 )
-from .zoo import delta
 
 NULLITY_CUTOFF = 1e-8
+EDGE_FALLBACK_STARTS = 256
 GAP_CERTIFIED = 1e4
 GAP_AMBIGUOUS = 1e2
 
@@ -303,8 +303,7 @@ def necessary_bound(rank: int, rank_gamma: int, m: int, n: int) -> bool:
 # edge states
 
 
-def edge_check(state: BipartiteState, opts: Optional[EnumerationOptions] = None,
-               pair_tol: float = 1e-9, fallback_starts: int = 256,
+def edge_check(state: BipartiteState, pair_tol: float = 1e-9,
                enumeration: Optional[EnumerationResult] = None,
                tol_rel: float = RANK_TOL) -> EdgeReport:
     """Look for a product vector in R(rho) whose partial conjugate lies in
@@ -314,9 +313,9 @@ def edge_check(state: BipartiteState, opts: Optional[EnumerationOptions] = None,
     `enumeration`, a result for `range_basis(state, tol_rel)`) and tests
     each partner.  When that enumeration is complete by a homotopy count,
     the verdict follows from it.  Otherwise route two minimizes the joint
-    projection residual directly, and the verdict is a numerical certificate
-    whose quality is reported through the start count and the best residual
-    reached.
+    projection residual directly from EDGE_FALLBACK_STARTS starts, and the
+    verdict is a numerical certificate whose quality is reported through
+    the start count and the best residual reached.
     """
     ppt, min_eig = is_ppt(state)
     if not ppt:
@@ -331,8 +330,7 @@ def edge_check(state: BipartiteState, opts: Optional[EnumerationOptions] = None,
 
     enum_res = enumeration
     if enum_res is None:
-        opts = opts or EnumerationOptions(start_count=max(400, 4 * delta(m, n)))
-        enum_res = enumerate_product_vectors(rng_rho, dims, opts)
+        enum_res = enumerate_product_vectors(rng_rho, dims)
     starts = enum_res.evidence.get("starts_used", 0)
     best = enum_res.evidence.get("best_residual", float("inf"))
     route, paths = enum_res.evidence.get("route"), enum_res.evidence.get("paths")
@@ -348,7 +346,7 @@ def edge_check(state: BipartiteState, opts: Optional[EnumerationOptions] = None,
     # joint minimization over (a, b) of the two projection residuals at once
     kern_rho = complement_stack(rng_rho, dims).conj()            # basis of ker rho
     kern_gamma = complement_stack(rng_gamma, dims).conj()
-    a, b = halton_pairs(fallback_starts, m, n)
+    a, b = halton_pairs(EDGE_FALLBACK_STARTS, m, n)
     for _ in range(60):
         f1 = np.einsum('si,rij->srj', a, kern_rho)
         f2 = np.einsum('si,rij->srj', a.conj(), kern_gamma)
@@ -367,7 +365,7 @@ def edge_check(state: BipartiteState, opts: Optional[EnumerationOptions] = None,
     r1 = np.einsum('si,rij,sj->sr', a, kern_rho, b)
     r2 = np.einsum('si,rij,sj->sr', a.conj(), kern_gamma, b)
     joint = np.sqrt(np.linalg.norm(r1, axis=1) ** 2 + np.linalg.norm(r2, axis=1) ** 2)
-    starts += fallback_starts
+    starts += EDGE_FALLBACK_STARTS
     best = min(best, float(joint.min()))
     idx = int(np.argmin(joint))
     if joint[idx] < pair_tol:
@@ -479,22 +477,24 @@ def find_rank1_compression(state: BipartiteState, starts: int = 96, iters: int =
 def strongly_extreme_by_theorem(state: BipartiteState,
                                 goodness: Optional[GoodnessVerdict] = None,
                                 cert: Optional[ExtremalityCert] = None,
-                                opts: Optional[EnumerationOptions] = None) -> StrongExtremality:
+                                rank_tol: float = RANK_TOL,
+                                psd_tol: float = PSD_TOL) -> StrongExtremality:
     """Theorem-backed derivation: a good PPT state of rank m + n - 2 that is
     extreme shares its range with no other PPT state.  Anything that fails
     one of the three hypotheses returns NOT_APPLICABLE; this is not an
-    independent search."""
+    independent search.  Ranks cut at `rank_tol` and the PPT test at
+    `psd_tol`."""
     dims = state.dims
-    if rank_profile(state).rank != dims.m + dims.n - 2:
+    if rank_profile(state, tol_rel=rank_tol).rank != dims.m + dims.n - 2:
         return StrongExtremality.NOT_APPLICABLE
-    if not is_ppt(state)[0]:
+    if not is_ppt(state, tol=psd_tol)[0]:
         return StrongExtremality.NOT_APPLICABLE
     if goodness is None:
-        goodness = classify_goodness(state, opts)
+        goodness = classify_goodness(state, rank_tol=rank_tol, psd_tol=psd_tol)
     if goodness.verdict != Goodness.GOOD:
         return StrongExtremality.NOT_APPLICABLE
     if cert is None:
-        cert = extremality_nullity(state)
+        cert = extremality_nullity(state, rank_tol=rank_tol)
     if cert.verdict != Extremality.EXTREME:
         return StrongExtremality.NOT_APPLICABLE
     return StrongExtremality.YES

@@ -154,13 +154,11 @@ class AnalysisReport:
 def analyze_state(state: qstate.BipartiteState, descriptor: dict,
                   tol_rank: float = qstate.RANK_TOL,
                   tol_psd: float = qstate.PSD_TOL,
-                  starts: Optional[int] = None,
                   fast: bool = False) -> AnalysisReport:
     """Run the full pipeline; `fast` skips the range and edge searches."""
     dims = state.dims
     dlt = zoo.delta(dims.m, dims.n)
-    tols = {"rank": tol_rank, "psd": tol_psd,
-            "residual": segre.RESIDUAL_TOL, "starts": starts}
+    tols = {"rank": tol_rank, "psd": tol_psd, "residual": segre.RESIDUAL_TOL}
     timings: dict = {}
     anomalies: list = []
 
@@ -170,9 +168,8 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
     timings["ranks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    opts = segre.EnumerationOptions(start_count=starts)
     kernel = qstate.kernel_basis(state, tol_rel=tol_rank)
-    enum_res = segre.enumerate_product_vectors(kernel, dims, opts)
+    enum_res = segre.enumerate_product_vectors(kernel, dims)
     gen_pos = None
     if enum_res.classification == segre.Classification.FINITE:
         try:
@@ -182,7 +179,8 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
     timings["kernel_enumeration"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    goodness = segre.classify_goodness(state, enumeration=enum_res)
+    goodness = segre.classify_goodness(state, enumeration=enum_res,
+                                       rank_tol=tol_rank, psd_tol=tol_psd)
     if goodness.anomaly:
         anomalies.append("kernel-count-below-delta-for-ppt-state")
     borderline = dims.m + dims.n - 2
@@ -194,9 +192,8 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
     range_ces = range_ev = None
     if not fast:
         t0 = time.perf_counter()
-        ces_opts = segre.EnumerationOptions(start_count=starts or max(400, 4 * dlt))
         range_ces, range_res = segre.ces_certificate(
-            qstate.range_basis(state, tol_rel=tol_rank), dims, ces_opts)
+            qstate.range_basis(state, tol_rel=tol_rank), dims)
         range_ev = {"best_residual": range_res.evidence.get("best_residual"),
                     "starts_used": range_res.evidence.get("starts_used", 0),
                     "route": range_res.evidence["route"],
@@ -222,11 +219,12 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         # the range searched for the CES verdict is the one the edge check
         # needs; a dimension short cut enumerated nothing, so search it there
         searched = not range_res.evidence.get("dimension_forces_product_vectors")
-        edge = certify.edge_check(state, opts=ces_opts, tol_rel=tol_rank,
+        edge = certify.edge_check(state, tol_rel=tol_rank,
                                   enumeration=range_res if searched else None)
         timings["edge"] = time.perf_counter() - t0
 
-    strong = certify.strongly_extreme_by_theorem(state, goodness=goodness, cert=cert)
+    strong = certify.strongly_extreme_by_theorem(state, goodness=goodness, cert=cert,
+                                                 rank_tol=tol_rank, psd_tol=tol_psd)
     return AnalysisReport(descriptor=descriptor, tolerances=tols, rank_profile=profile,
                           ppt=ppt, ppt_min_eig=min_eig, kernel=enum_res,
                           kernel_general_position=gen_pos,
@@ -301,7 +299,7 @@ def _sweep(args) -> int:
             state = fam.build(point["m"], point["n"], point.get(fam.param))
             rep = analyze_state(state, dict(point, seed=args.seed),
                                 tol_rank=args.tol_rank, tol_psd=args.tol_psd,
-                                starts=args.starts, fast=args.fast)
+                                fast=args.fast)
             return idx, rep.to_json(include_timings=args.timings), rep
         except Exception as exc:   # recorded per-line, the sweep continues
             return idx, {"schema": SCHEMA, "input": point, "error": str(exc)}, None
@@ -318,7 +316,7 @@ def _sweep(args) -> int:
                    "bad": 0, "ppt": 0}
     try:
         for _, payload, rep in results:
-            out.write(json.dumps(payload, sort_keys=True) + "\n")
+            out.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
             if rep is None:
                 tally["errors"] += 1
                 continue
@@ -381,13 +379,12 @@ def _analyze(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rep = analyze_state(state, {"path": args.path},
-                        tol_rank=args.tol_rank, tol_psd=args.tol_psd,
-                        starts=args.starts, fast=args.fast)
+                        tol_rank=args.tol_rank, tol_psd=args.tol_psd, fast=args.fast)
     if args.md:
         text = rep.to_markdown()
     else:
         text = json.dumps(rep.to_json(include_timings=args.timings),
-                          sort_keys=True, indent=2) + "\n"
+                          sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -401,8 +398,6 @@ def _add_common(p):
                    help="relative singular value cutoff for ranks")
     p.add_argument("--tol-psd", type=float, default=qstate.PSD_TOL,
                    help="relative tolerance for positivity checks")
-    p.add_argument("--starts", type=int, default=None,
-                   help="multistart count for product vector searches")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte determinism)")
     p.add_argument("--fast", action="store_true",

@@ -408,7 +408,7 @@ def _decode_complex_matrix(rows, what: str = "matrix") -> np.ndarray:
                              f"expected {width} as in row 0")
         for j, z in enumerate(row):
             if not (isinstance(z, list) and len(z) == 2
-                    and all(isinstance(x, (int, float)) for x in z)):
+                    and all(type(x) in (int, float) for x in z)):   # not bool
                 raise ValueError(f"{what} entries must be [re, im] pairs of numbers; "
                                  f"entry ({i}, {j}) is {json.dumps(z)}")
     arr = np.asarray(rows, dtype=float)
@@ -434,7 +434,11 @@ def load_state(path) -> BipartiteState:
     with open(path) as fh:
         payload = json.load(fh)
     try:
-        dims = BipartiteDims(int(payload["m"]), int(payload["n"]))
+        for key in ("m", "n"):
+            if type(payload[key]) is not int:      # refuses 3.9, true and "3"
+                raise ValueError(f"state file {path}: field {key!r} must be an integer, "
+                                 f"got {json.dumps(payload[key])}")
+        dims = BipartiteDims(payload["m"], payload["n"])
         if "matrix" in payload:
             return BipartiteState(HermitianOperator(dims, _decode_complex_matrix(payload["matrix"])))
         if "blocks" in payload:

@@ -34,12 +34,15 @@ outside the counted set overrules the count.
 
 A set no count settled (a square system with a positive-dimensional
 component has fewer than delta isolated roots) is searched for product
-planes |a> (x) W or V (x) |b>, and then by one round of deterministic
-multistart alternating minimization over unit pairs (least right singular
-vectors of F and G in turn), followed by a batched Gauss-Newton polish of
-the holomorphic system.  A plane makes the set infinite, and the round then
-only samples a few points for the report.  The plane search also runs beside
-the dimension-count verdicts.
+planes |a> (x) W or V (x) |b>.  A plane makes the set infinite, and it is
+reported at once with the homotopy roots that lie on K; nothing samples the
+plane.  The plane search also runs beside the dimension-count verdicts.
+Only a set that neither a count nor a plane settled gets a search: one round
+of deterministic multistart alternating minimization over unit pairs (least
+right singular vectors of F and G in turn), followed by a batched
+Gauss-Newton polish of the holomorphic system, on top of the homotopy roots
+on K.  Every multistart round, that search or the cross-check of a count,
+has max(400, 4 delta) starts.
 
 Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
@@ -65,6 +68,7 @@ import scipy.linalg
 from scipy.stats import norm, qmc
 
 from .qstate import (
+    PSD_TOL,
     RANK_TOL,
     BipartiteDims,
     BipartiteState,
@@ -82,6 +86,7 @@ POLISH_TARGET = 1e-13
 _ALTERNATE_ITERS = 60
 _POLISH_ITERS = 16
 _BATCH_CAP = 8192
+_MIN_STARTS = 400
 _MINOR_SEED = 71
 _HOMOTOPY_SEED = 1987
 _SQUARE_DOWN_SEED = 2005
@@ -108,22 +113,6 @@ class GoodnessReason(enum.Enum):
     COUNT_BELOW_DELTA_WITH_NONEMPTY_X = "count-below-delta-with-nonempty-x"
     INFINITE_COMPONENT = "infinite-component"
     RANK_BELOW_BORDERLINE = "rank-below-borderline"
-
-
-@dataclass(frozen=True)
-class EnumerationOptions:
-    """Knobs for :func:`enumerate_product_vectors`.
-
-    `start_count` is the size of the one multistart round, 40 * delta(m, n)
-    by default and never below 4 * delta.  That round cross-checks a count
-    of a non-square set, or searches a set no count settled, capped at 256
-    starts when a product plane makes the set infinite.  A square set the
-    homotopy settles uses no starts.  Points count when their residual is
-    at most RESIDUAL_TOL, and two points are one when their overlap exceeds
-    1 - DEDUP_TOL.
-    """
-
-    start_count: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -444,6 +433,8 @@ def _square_down(wc: np.ndarray, rows: int) -> np.ndarray:
 
 def _membership_residuals(wc: np.ndarray, points: list) -> np.ndarray:
     """|<W_r, a (x) b>| over all R' equations at each unit pair."""
+    if not points:
+        return np.zeros(0)
     a = np.array([pv.a for pv in points])
     b = np.array([pv.b for pv in points])
     return np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
@@ -646,19 +637,18 @@ def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters, residual_tol,
 # enumeration
 
 
-def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
-                              opts: Optional[EnumerationOptions] = None) -> EnumerationResult:
+def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> EnumerationResult:
     """Find the product vectors inside K; see the module docstring.
 
-    The returned points are pairwise distinct under the overlap metric and
-    each satisfies |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
+    A count settles a set as FINITE or EMPTY; a product plane settles it as
+    LIKELY_INFINITE, reported with the homotopy roots on K and no starts;
+    any other set gets one search round of max(400, 4 delta) starts, and a
+    count gets one cross-check round of the same size.  The returned points
+    are pairwise distinct under the overlap metric and each satisfies
+    |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
     """
-    opts = opts or EnumerationOptions()
     m, n = dims.m, dims.n
     dlt = delta(m, n)
-    n0 = opts.start_count if opts.start_count is not None else 40 * dlt
-    if n0 < 4 * dlt:
-        raise ValueError(f"start_count must be at least {4 * dlt} (4*delta), got {n0}")
     # `minor_system` and `near_duplicate_chain` stay in pptlab-report/1 for
     # its readers; no route fills them any more
     evidence: dict = {"delta": dlt, "route": None, "paths": None,
@@ -688,7 +678,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
     # A square system has at most delta isolated roots: finding delta of
     # them proves the set finite and complete.  A larger system is squared
     # down first, and delta roots of the mixed system hold every root of the
-    # full one (see _roots_on_subspace).  Otherwise search below.
+    # full one (see _roots_on_subspace).
     counted = None
     wsq = _square_down(wc, m + n - 2)
     points, residuals, evidence["paths"] = _homotopy_roots(wsq)
@@ -701,23 +691,32 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims,
     elif len(points) == dlt:
         counted, evidence["best_residual"] = _roots_on_subspace(wc, points)
 
-    # One multistart round: it cross-checks a count, or searches a set that
-    # no count settled.  With a product plane the set is infinite, and the
-    # round only samples a few points for the report.
-    lines = counted is None and has_lines()
-    count = min(n0, max(4 * dlt, 256)) if lines else n0
-    pool = counted if counted is not None else _PointPool()
+    if counted is None:
+        # no count: the homotopy's roots on K stand, and a product plane
+        # makes the set infinite without a search
+        pool = _PointPool()
+        for pv, res in zip(points, _membership_residuals(wc, points)):
+            if res <= RESIDUAL_TOL:
+                pool.add(pv, float(res))
+        lines = has_lines()
+        evidence["best_residual"] = min([evidence["best_residual"]] + pool.residuals
+                                        + [ls.residual for ls in evidence["line_subspaces"]])
+    else:
+        pool, lines = counted, False
+
+    # One multistart round unless a plane settled the set: it cross-checks
+    # a count, or searches a set that neither a count nor a plane settled.
+    starts = 0 if lines else max(_MIN_STARTS, 4 * dlt)
     overruled = False
-    for lo in range(0, count, _BATCH_CAP):
-        chunk = min(_BATCH_CAP, count - lo)
+    for lo in range(0, starts, _BATCH_CAP):
+        chunk = min(_BATCH_CAP, starts - lo)
         a, b = halton_pairs(chunk, m, n, skip=lo)
         a, b, _ = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
         a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
         evidence["best_residual"] = min(evidence["best_residual"], float(res.min()))
         for idx in np.nonzero(res <= RESIDUAL_TOL)[0]:
             overruled |= pool.add(ProductVector(a[idx], b[idx]), float(res[idx]))
-    evidence["starts_used"] = count
-    evidence["rounds"] = 1
+    evidence["starts_used"], evidence["rounds"] = starts, int(starts > 0)
     if counted is not None and overruled:
         # a point outside the counted set contradicts the count, and the
         # search decides
@@ -798,18 +797,16 @@ def _jacobian_extremes(wc: np.ndarray, pv: ProductVector) -> tuple:
 # verdicts
 
 
-def is_ces(subspace: SubspaceBasis, dims: BipartiteDims,
-           opts: Optional[EnumerationOptions] = None) -> bool:
+def is_ces(subspace: SubspaceBasis, dims: BipartiteDims) -> bool:
     """Whether the subspace contains no product vectors (numerical certificate).
 
     Subspaces of dimension above (m-1)(n-1) always contain one, so those
     return False without a search.
     """
-    return ces_certificate(subspace, dims, opts)[0]
+    return ces_certificate(subspace, dims)[0]
 
 
-def ces_certificate(subspace: SubspaceBasis, dims: BipartiteDims,
-                    opts: Optional[EnumerationOptions] = None):
+def ces_certificate(subspace: SubspaceBasis, dims: BipartiteDims):
     """(verdict, enumeration) pair backing :func:`is_ces`."""
     if subspace.dim > (dims.m - 1) * (dims.n - 1):
         res = EnumerationResult([], [], Classification.LIKELY_INFINITE,
@@ -817,7 +814,7 @@ def ces_certificate(subspace: SubspaceBasis, dims: BipartiteDims,
                                  "route": "dimension-count", "paths": None,
                                  "line_subspaces": []})
         return False, res
-    result = enumerate_product_vectors(subspace, dims, opts)
+    result = enumerate_product_vectors(subspace, dims)
     return result.classification == Classification.EMPTY, result
 
 
@@ -875,9 +872,10 @@ def general_position(pvs: Sequence[ProductVector], dims: BipartiteDims,
             and side_ok([pv.b for pv in pvs], dims.n))
 
 
-def classify_goodness(state: BipartiteState,
-                      opts: Optional[EnumerationOptions] = None,
-                      enumeration: Optional[EnumerationResult] = None) -> GoodnessVerdict:
+def classify_goodness(state: BipartiteState, *,
+                      enumeration: Optional[EnumerationResult] = None,
+                      rank_tol: float = RANK_TOL,
+                      psd_tol: float = PSD_TOL) -> GoodnessVerdict:
     """Good/bad verdict for a state from the product vectors in its kernel.
 
     Decision table, with r = rank and the borderline at m + n - 2:
@@ -887,16 +885,18 @@ def classify_goodness(state: BipartiteState,
     A finite count strictly below delta at the borderline contradicts what
     finite intersections can do for PPT states, so it is flagged as a
     numerical anomaly (likely missed roots) for PPT inputs rather than
-    silently classified.
+    silently classified.  `enumeration` is a result for
+    `kernel_basis(state, rank_tol)`; ranks cut at `rank_tol` and the PPT
+    test at `psd_tol`.
     """
     dims = state.dims
     borderline = dims.m + dims.n - 2
-    rank = rank_profile(state).rank
+    rank = rank_profile(state, tol_rel=rank_tol).rank
     if rank < borderline:
         return GoodnessVerdict(Goodness.INDETERMINATE, GoodnessReason.RANK_BELOW_BORDERLINE)
     enn = enumeration
     if enn is None:
-        enn = enumerate_product_vectors(kernel_basis(state), dims, opts)
+        enn = enumerate_product_vectors(kernel_basis(state, tol_rel=rank_tol), dims)
     dlt = delta(dims.m, dims.n)
     if rank > borderline:
         if enn.classification == Classification.EMPTY:
@@ -914,7 +914,7 @@ def classify_goodness(state: BipartiteState,
     if enn.classification == Classification.FINITE and enn.count == dlt:
         return GoodnessVerdict(Goodness.GOOD, GoodnessReason.COUNT_EQUALS_DELTA, count=dlt)
     if enn.classification in (Classification.FINITE, Classification.EMPTY):
-        ppt = is_ppt(state)[0]
+        ppt = is_ppt(state, tol=psd_tol)[0]
         verdict = Goodness.BAD if ppt else Goodness.INDETERMINATE
         return GoodnessVerdict(verdict, GoodnessReason.COUNT_BELOW_DELTA_WITH_NONEMPTY_X,
                                count=enn.count, anomaly=ppt)

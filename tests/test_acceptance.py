@@ -25,7 +25,6 @@ from pptlab.qstate import (
 )
 from pptlab.segre import (
     Classification,
-    EnumerationOptions,
     Goodness,
     ces_certificate,
     classify_goodness,
@@ -89,8 +88,7 @@ def test_criterion_03_good_3x4():
         assert np.abs(state.matrix - gamma_matrix(state)).max() <= 1e-14
         prof = rank_profile(state)
         assert prof.birank == (5, 5)
-        ces_opts = EnumerationOptions(start_count=400)
-        ces, ces_res = ces_certificate(range_basis(state), state.dims, ces_opts)
+        ces, ces_res = ces_certificate(range_basis(state), state.dims)
         assert ces
         assert ces_res.evidence["starts_used"] >= 400
         assert ces_res.evidence["best_residual"] > 1e-4
@@ -145,8 +143,7 @@ def test_criterion_05_bad_3x4_family():
             scale = np.abs(state.matrix).max()
             assert np.abs(state.matrix - gamma_matrix(state)).max() <= 1e-13 * scale
             assert rank_profile(state).birank == (5, 5)
-            ces, _ = ces_certificate(range_basis(state), state.dims,
-                                     EnumerationOptions(start_count=400))
+            ces, _ = ces_certificate(range_basis(state), state.dims)
             assert ces
             res = enumerate_product_vectors(kernel_basis(state), state.dims)
             assert res.classification == Classification.LIKELY_INFINITE
@@ -234,8 +231,7 @@ def test_criterion_08_gentiles2():
             assert prof.rank == m * n - (m * n - 2 * m + 1) == 2 * m - 1
             assert prof.rank_a == m
             assert n <= m or prof.rank_b == m + 1
-            ces, _ = ces_certificate(range_basis(state), state.dims,
-                                     EnumerationOptions(start_count=max(400, 4 * zoo.delta(m, n))))
+            ces, _ = ces_certificate(range_basis(state), state.dims)
             assert ces, (m, n)
 
     _check(8, "tiles basis complements", 60.0, body)
@@ -280,8 +276,7 @@ def test_criterion_10_property_suites():
             vecs = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
             kern = subspace_from_vectors(vecs, 2 * n)
             roots = pencil_roots_2xn(kern, dims)
-            res = enumerate_product_vectors(kern, dims,
-                                            EnumerationOptions())
+            res = enumerate_product_vectors(kern, dims)
             assert res.classification == Classification.FINITE
             assert match_sets(roots, res.points, tol=1e-8), f"kernel {k}"
 

@@ -23,12 +23,9 @@ from pptlab.qstate import (
     range_basis,
     rank_profile,
 )
-from pptlab.segre import EnumerationOptions, enumerate_product_vectors
+from pptlab.segre import enumerate_product_vectors
 from conftest import random_full_rank_ppt, random_product_vector
 from test_qstate import werner_2x2
-
-
-FAST = EnumerationOptions()
 
 
 def diag_two_products() -> BipartiteState:
@@ -156,24 +153,24 @@ class TestNecessaryBound:
 
 class TestEdgeCheck:
     def test_separable_diagonal_not_edge(self):
-        report = edge_check(diag_two_products(), opts=FAST)
+        report = edge_check(diag_two_products())
         assert not report.is_edge
         pv, partner = report.violating_pair
         basis = [ProductVector([1.0, 0], [1.0, 0]), ProductVector([0, 1.0], [0, 1.0])]
         assert any(pv.overlap(q) > 1 - 1e-6 for q in basis)
 
     def test_good_3x4_is_edge(self):
-        report = edge_check(zoo.good_3x4(), opts=FAST)
+        report = edge_check(zoo.good_3x4())
         assert report.is_edge
         assert report.best_residual > 1e-4
 
     def test_gentiles2_complement_is_edge(self):
         state = zoo.upb_complement_state(zoo.gentiles2_upb(3, 4))
-        report = edge_check(state, opts=FAST)
+        report = edge_check(state)
         assert report.is_edge
 
     def test_good_3x4_edge_by_count_skips_fallback(self):
-        report = edge_check(zoo.good_3x4(), opts=FAST)
+        report = edge_check(zoo.good_3x4())
         assert report.route == "homotopy"
         assert report.paths == {"tracked": 10, "finished": 10, "accepted": 10}
         # one cross-check round of the range search, no joint minimization
@@ -185,7 +182,7 @@ class TestEdgeCheck:
         dims = BipartiteDims(2, 3)
         rho = sum(np.outer(v, v.conj()) for v in
                   (random_product_vector(dims, rng).vec() for _ in range(2)))
-        report = edge_check(BipartiteState(HermitianOperator(dims, rho)), opts=FAST)
+        report = edge_check(BipartiteState(HermitianOperator(dims, rho)))
         assert not report.is_edge
         assert report.route == "homotopy"
 
@@ -195,9 +192,8 @@ class TestEdgeCheck:
     def test_same_verdict_with_passed_enumeration(self, state_fn):
         state = state_fn()
         dims = state.dims
-        opts = EnumerationOptions(start_count=max(400, 4 * zoo.delta(dims.m, dims.n)))
-        enum = enumerate_product_vectors(range_basis(state), dims, opts)
-        own = edge_check(state, opts=opts)
+        enum = enumerate_product_vectors(range_basis(state), dims)
+        own = edge_check(state)
         passed = edge_check(state, enumeration=enum)
         assert (passed.is_edge, passed.route, passed.starts_used, passed.best_residual) == \
             (own.is_edge, own.route, own.starts_used, own.best_residual)
@@ -288,12 +284,12 @@ class TestRankOneCompression:
 
 class TestStronglyExtreme:
     def test_good_3x4_yes(self):
-        assert strongly_extreme_by_theorem(zoo.good_3x4(), opts=FAST) == StrongExtremality.YES
+        assert strongly_extreme_by_theorem(zoo.good_3x4()) == StrongExtremality.YES
 
     def test_bad_mxn_not_applicable(self):
-        assert (strongly_extreme_by_theorem(zoo.bad_mxn(4, 4), opts=FAST)
+        assert (strongly_extreme_by_theorem(zoo.bad_mxn(4, 4))
                 == StrongExtremality.NOT_APPLICABLE)
 
     def test_separable_diag_not_applicable(self):
-        assert (strongly_extreme_by_theorem(diag_two_products(), opts=FAST)
+        assert (strongly_extreme_by_theorem(diag_two_products())
                 == StrongExtremality.NOT_APPLICABLE)

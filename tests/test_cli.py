@@ -7,7 +7,8 @@ import pytest
 
 from pptlab import certify, cli, segre, zoo
 from pptlab.cli import analyze_state, build_parser, main
-from pptlab.qstate import BipartiteDims, BipartiteState, HermitianOperator, load_state, save_state
+from pptlab.qstate import (BipartiteDims, BipartiteState, HermitianOperator, kernel_basis,
+                           load_state, save_state)
 from conftest import random_product_vector
 
 
@@ -163,6 +164,43 @@ class TestAnalyze:
         json.dumps(rep.to_json(), sort_keys=True, allow_nan=False)
         assert rep.to_markdown().startswith("# State report")
 
+    def test_plane_range_report_is_strict_json(self, tmp_path, capsys, rng):
+        # rho = |00><00| + |01><01| + |ab><ab|: the product plane
+        # |0> (x) span(|0>, |1>) in the range settles it without a search
+        dims = BipartiteDims(3, 3)
+        e = np.eye(3)
+        terms = (np.kron(e[0], e[0]), np.kron(e[0], e[1]), random_product_vector(dims, rng).vec())
+        path = tmp_path / "s.json"
+        save_state(BipartiteState(HermitianOperator(dims, sum(np.outer(v, v.conj())
+                                                               for v in terms))), path)
+        code, stdout, _ = run_cli(capsys, "analyze", str(path))
+        assert code == 0
+
+        def refuse(token):
+            raise ValueError(f"not strict JSON: {token}")
+
+        rep = json.loads(stdout, parse_constant=refuse)
+        ces = rep["range_ces"]
+        assert (ces["verdict"], ces["route"]) == (False, "multistart")
+        assert isinstance(ces["best_residual"], float) and np.isfinite(ces["best_residual"])
+        assert rep["edge"]["is_edge"] is False
+
+    @pytest.mark.parametrize("edit,message", [
+        ({"m": 2.5}, "field 'm' must be an integer, got 2.5"),
+        ({"n": True}, "field 'n' must be an integer, got true"),
+        ({"entry": [True, False]}, "entry (0, 0) is [true, false]"),
+    ], ids=["float-m", "boolean-n", "boolean-entry"])
+    def test_non_integer_or_boolean_field_exit_2(self, tmp_path, capsys, edit, message):
+        rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        if "entry" in edit:
+            rows[0][0] = edit.pop("entry")
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict({"m": 2, "n": 2, "matrix": rows}, **edit)))
+        code, stdout, err = run_cli(capsys, "analyze", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert message in err
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nonsense.json"
         path.write_text("{\"m\": 2}")
@@ -301,6 +339,23 @@ class TestRoutes:
         assert basis_tols == [1e-7]
 
 
+    def test_tol_rank_reaches_goodness_and_strong_extremality(self):
+        # good_3x4 plus 1e-8 of its top eigenvalue along a kernel product
+        # vector: rank 5 at --tol-rank 1e-7, so it is good at the borderline
+        # and the theorem applies
+        state = zoo.good_3x4()
+        p = segre.enumerate_product_vectors(kernel_basis(state), state.dims).points[0].vec()
+        top = np.linalg.eigvalsh(state.matrix)[-1]
+        lifted = BipartiteState(HermitianOperator(
+            state.dims, state.matrix + 1e-8 * top * np.outer(p, p.conj())))
+        j = analyze_state(lifted, {"case": "lifted"}, tol_rank=1e-7).to_json()
+        assert j["rank_profile"]["birank"] == [5, 5]
+        assert (j["kernel"]["classification"], j["kernel"]["count"]) == ("finite", 10)
+        assert j["extremality"]["verdict"] == "extreme"
+        assert (j["goodness"]["verdict"], j["goodness"]["reason"]) == ("good", "count-equals-delta")
+        assert j["strongly_extreme"] == "yes"
+
+
 class TestSweep:
     def test_bad_3x4_draws(self, tmp_path, capsys):
         out = tmp_path / "sweep.jsonl"
@@ -383,6 +438,20 @@ class TestRegistryDrift:
             args = build_parser().parse_args(shlex.split(line)[1:])
             if args.cmd in ("construct", "sweep"):
                 cli._family_options(args)   # a refused shape or option raises
+
+
+    def test_readme_quick_start_runs(self, capsys):
+        # each print prints what its comment says; "~" marks a rounded value
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+        block = block.split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        said = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+        assert len(printed) == len(said) == 5
+        for out, comment in zip(printed, said):
+            assert "~" in comment or out == comment
 
 
 class TestVerifyIdentities:

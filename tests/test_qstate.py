@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -344,6 +345,30 @@ class TestFileFormat:
         p = tmp_path / "state.json"
         p.write_text(json.dumps({"m": 1, "n": 2, "matrix": rows}))
         with pytest.raises(ValueError, match=r"entry \(0, 1\) is \[0.0\]"):
+            load_state(p)
+
+    @pytest.mark.parametrize("key,value", [("m", 3.9), ("m", True), ("n", False), ("n", "2")])
+    def test_dimensions_must_be_integers(self, tmp_path, key, value):
+        # int() would read 3.9 as 3 and true as 1
+        rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+        payload = {"m": 2, "n": 2, "matrix": rows}
+        payload[key] = value
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=re.escape(
+                f"field '{key}' must be an integer, got {json.dumps(value)}")):
+            load_state(p)
+
+    def test_boolean_entries_refused(self, tmp_path):
+        # JSON true is not the number 1, in dense and factored files alike
+        rows = [[[True, False], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        p = tmp_path / "state.json"
+        p.write_text(json.dumps({"m": 1, "n": 2, "matrix": rows}))
+        with pytest.raises(ValueError, match=r"matrix entries .* entry \(0, 0\) is \[true, false\]"):
+            load_state(p)
+        blocks = [[[[1.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [0.0, True]]]]
+        p.write_text(json.dumps({"m": 2, "n": 2, "blocks": blocks}))
+        with pytest.raises(ValueError, match=r"block 1 entries .* entry \(0, 1\) is \[0.0, true\]"):
             load_state(p)
 
     @pytest.mark.parametrize("token", ["1e400", "NaN"])

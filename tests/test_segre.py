@@ -16,7 +16,6 @@ from pptlab.qstate import (
 )
 from pptlab.segre import (
     Classification,
-    EnumerationOptions,
     Goodness,
     GoodnessReason,
     _homotopy_roots,
@@ -39,9 +38,6 @@ from pptlab.segre import (
 )
 from conftest import random_product_vector
 from test_qstate import bad_separable_3x3, werner_2x2
-
-
-FAST = EnumerationOptions()
 
 
 def subspace_from_vectors(vectors, ambient):
@@ -93,7 +89,7 @@ class TestProductVector:
 class TestEnumerate:
     def test_tiles_3x3_complement_has_six_points(self):
         state = zoo.upb_complement_state(zoo.tiles_upb_3x3())
-        res = enumerate_product_vectors(kernel_basis(state), state.dims, FAST)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert res.classification == Classification.FINITE
         assert res.count == 6
         assert res.evidence["route"] == "homotopy"
@@ -101,14 +97,14 @@ class TestEnumerate:
 
     def test_kon_mnogo_points_match_listed_matrices(self):
         state, points = zoo.kon_mnogo()
-        res = enumerate_product_vectors(kernel_basis(state), state.dims, FAST)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert res.classification == Classification.FINITE
         assert res.count == 10
         assert match_sets(res.points, points)
 
     def test_bad_3x4_detects_product_plane(self, rng):
         state = zoo.bad_3x4(1.3, 0.7, -1.1, 0.9, 1.7, 0.4, -0.2)
-        res = enumerate_product_vectors(kernel_basis(state), state.dims, FAST)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert res.classification == Classification.LIKELY_INFINITE
         sides = [ls for ls in res.evidence["line_subspaces"] if ls.side == "A"]
         assert sides
@@ -123,23 +119,17 @@ class TestEnumerate:
 
     def test_empty_kernel(self):
         state = BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.eye(4)))
-        res = enumerate_product_vectors(kernel_basis(state), state.dims, FAST)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert res.classification == Classification.EMPTY
 
     def test_full_space_is_infinite(self):
         full = subspace_from_vectors(np.eye(4), 4)
-        res = enumerate_product_vectors(full, BipartiteDims(2, 2), FAST)
+        res = enumerate_product_vectors(full, BipartiteDims(2, 2))
         assert res.classification == Classification.LIKELY_INFINITE
-
-    def test_start_count_floor(self):
-        state = zoo.good_3x4()
-        with pytest.raises(ValueError, match="start_count"):
-            enumerate_product_vectors(kernel_basis(state), state.dims,
-                                      EnumerationOptions(start_count=10))
 
     def test_points_verify_against_independent_kernel(self):
         state = zoo.good_3x4()
-        res = enumerate_product_vectors(kernel_basis(state), state.dims, FAST)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
         # reconstruct the kernel from scratch and re-check every point
         w, v = np.linalg.eigh(state.matrix)
         kern = SubspaceBasis(12, v[:, w <= 1e-9 * w[-1]].T, 1e-9)
@@ -151,9 +141,32 @@ class TestEnumerate:
             for q in res.points[i + 1:]:
                 assert p.overlap(q) <= 1 - 1e-6
 
+    def test_search_keeps_the_homotopy_roots(self, monkeypatch):
+        # a lost path leaves nine roots and no count; a search round whose
+        # polish accepts nothing must not throw the nine verified roots away
+        import pptlab.segre as segre_mod
+        original_roots, original_polish = segre_mod._homotopy_roots, segre_mod._polish_batch
+
+        def lossy(wc):
+            points, residuals, paths = original_roots(wc)
+            return points[:-1], residuals[:-1], paths
+
+        def round_accepts_nothing(wc, a, b, iters):
+            a, b, res = original_polish(wc, a, b, iters)
+            return (a, b, np.ones_like(res)) if a.shape[0] == 400 else (a, b, res)
+
+        monkeypatch.setattr(segre_mod, "_homotopy_roots", lossy)
+        monkeypatch.setattr(segre_mod, "_polish_batch", round_accepts_nothing)
+        state = zoo.good_3x4()
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
+        assert res.classification == Classification.INCONCLUSIVE
+        assert res.count == 9
+        assert res.evidence["route"] == "multistart"
+        assert (res.evidence["starts_used"], res.evidence["rounds"]) == (400, 1)
+
     def test_json_serializes(self):
         state = zoo.good_3x4()
-        res = enumerate_product_vectors(kernel_basis(state), state.dims, FAST)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
         import json
         payload = json.dumps(res.to_json())
         assert "classification" in payload
@@ -169,7 +182,7 @@ class TestOracles:
             vecs = rng.standard_normal((n, 2 * n)) + 1j * rng.standard_normal((n, 2 * n))
             kern = subspace_from_vectors(vecs, 2 * n)
             roots = pencil_roots_2xn(kern, dims)
-            res = enumerate_product_vectors(kern, dims, FAST)
+            res = enumerate_product_vectors(kern, dims)
             assert res.classification == Classification.FINITE
             assert res.evidence["route"] == "homotopy"
             assert match_sets(roots, res.points, tol=1e-8)
@@ -207,7 +220,7 @@ class TestOracles:
         b = np.linalg.svd(np.einsum('si,rij->srj', a, wc))[2][:, -1, :].conj()
         _, _, res = _polish_batch(wc, a, b, 25)
         assert res.min() > 1e-10
-        enum = enumerate_product_vectors(rng_sub, state.dims, EnumerationOptions(start_count=400))
+        enum = enumerate_product_vectors(rng_sub, state.dims)
         assert enum.classification == Classification.EMPTY
         assert enum.evidence["route"] == "homotopy"
 
@@ -286,7 +299,7 @@ class TestSquareDown:
         dims = state.dims
         dlt = zoo.delta(dims.m, dims.n)
         n0 = max(400, 4 * dlt)
-        ces, res = ces_certificate(range_basis(state), dims, EnumerationOptions(start_count=n0))
+        ces, res = ces_certificate(range_basis(state), dims)
         assert ces
         assert res.classification == Classification.EMPTY
         assert res.evidence["route"] == "homotopy"
@@ -310,8 +323,8 @@ class TestSquareDown:
         full = _membership_residuals(wc, points)
         on_subspace = [pv for pv, r in zip(points, full) if r <= np.sqrt(1e-10)]
         assert match_sets(on_subspace, pvs)
-        n0 = 4 * zoo.delta(m, n)
-        res = enumerate_product_vectors(sub, dims, EnumerationOptions(start_count=n0))
+        n0 = max(400, 4 * zoo.delta(m, n))
+        res = enumerate_product_vectors(sub, dims)
         # the count settles the set, and one cross-check round agrees
         assert res.classification == Classification.FINITE
         assert res.evidence["route"] == "homotopy"
@@ -345,7 +358,7 @@ class TestSquareDown:
             return np.ones(len(points))
 
         monkeypatch.setattr(segre_mod, "_membership_residuals", off_subspace)
-        res = enumerate_product_vectors(sub, dims, EnumerationOptions())
+        res = enumerate_product_vectors(sub, dims)
         assert claims == [zoo.delta(3, 4)]
         assert res.classification != Classification.EMPTY
         assert res.evidence["route"] == "multistart"
@@ -356,7 +369,7 @@ class TestSquareDown:
 class TestCes:
     def test_good_3x4_range_is_ces(self):
         state = zoo.good_3x4()
-        assert is_ces(range_basis(state), state.dims, FAST)
+        assert is_ces(range_basis(state), state.dims)
 
     def test_dimension_forces_product_vector(self, rng):
         dims = BipartiteDims(3, 3)
@@ -366,7 +379,7 @@ class TestCes:
     def test_span_of_product_vector_is_not_ces(self):
         v = np.zeros(4)
         v[0] = 1.0
-        assert not is_ces(subspace_from_vectors([v], 4), BipartiteDims(2, 2), FAST)
+        assert not is_ces(subspace_from_vectors([v], 4), BipartiteDims(2, 2))
 
 
 class TestTransversal:
@@ -385,7 +398,7 @@ class TestTransversal:
     def test_good_3x4_all_points_transversal(self):
         state = zoo.good_3x4()
         kern = kernel_basis(state)
-        res = enumerate_product_vectors(kern, state.dims, FAST)
+        res = enumerate_product_vectors(kern, state.dims)
         assert res.count == 10
         assert all(transversal(kern, pv, state.dims) for pv in res.points)
 
@@ -397,18 +410,18 @@ class TestTransversal:
 
 class TestGoodness:
     def test_good_3x4(self):
-        verdict = classify_goodness(zoo.good_3x4(), FAST)
+        verdict = classify_goodness(zoo.good_3x4())
         assert verdict.verdict == Goodness.GOOD
         assert verdict.reason == GoodnessReason.COUNT_EQUALS_DELTA
         assert verdict.count == 10
 
     def test_bad_separable_3x3(self):
-        verdict = classify_goodness(bad_separable_3x3(), FAST)
+        verdict = classify_goodness(bad_separable_3x3())
         assert verdict.verdict == Goodness.BAD
         assert verdict.reason == GoodnessReason.INFINITE_COMPONENT
 
     def test_werner_good_by_empty_intersection(self):
-        verdict = classify_goodness(werner_2x2(), FAST)
+        verdict = classify_goodness(werner_2x2())
         assert verdict.verdict == Goodness.GOOD
         assert verdict.reason == GoodnessReason.EMPTY_INTERSECTION
 
@@ -416,7 +429,7 @@ class TestGoodness:
         rho = np.zeros((9, 9))
         rho[0, 0] = 1.0
         state = BipartiteState(HermitianOperator(BipartiteDims(3, 3), rho))
-        verdict = classify_goodness(state, FAST)
+        verdict = classify_goodness(state)
         assert verdict.verdict == Goodness.INDETERMINATE
         assert verdict.reason == GoodnessReason.RANK_BELOW_BORDERLINE
 
@@ -430,7 +443,7 @@ class TestGoodness:
             [e00] + list(rng.standard_normal((3, 9)) + 1j * rng.standard_normal((3, 9))), 9)
         proj = np.eye(9) - kern.vectors.T @ kern.vectors.conj()
         state = BipartiteState(HermitianOperator(dims, proj))
-        verdict = classify_goodness(state, FAST)
+        verdict = classify_goodness(state)
         assert verdict.verdict == Goodness.BAD
         assert verdict.reason == GoodnessReason.COUNT_BELOW_DELTA_WITH_NONEMPTY_X
         assert verdict.count == 1
@@ -446,7 +459,7 @@ class TestGeneralPosition:
 
     def test_good_3x4_points_general(self):
         state = zoo.good_3x4()
-        res = enumerate_product_vectors(kernel_basis(state), state.dims, FAST)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert general_position(res.points, state.dims)
 
     def test_two_orthogonal_products(self):
@@ -490,6 +503,34 @@ class TestLineSubspaces:
         state = zoo.good_3x4()
         with pytest.raises(ValueError, match="w_dim"):
             find_line_subspaces(kernel_basis(state), state.dims, w_dim=1)
+
+
+class TestPlaneRoute:
+    @pytest.mark.parametrize("state_fn", [
+        zoo.bad_3x4,
+        lambda: zoo.bad_3xn(5),
+        lambda: zoo.bad_mxn(4, 5),
+        lambda: zoo.bad_mxn(5, 5),
+    ], ids=["bad_3x4", "bad_3x5", "bad_4x5", "bad_5x5"])
+    def test_plane_settles_kernel_without_starts(self, state_fn):
+        # a product plane proves the continuum: the set is reported with the
+        # homotopy roots on K, and no multistart round samples the plane
+        state = state_fn()
+        kern = kernel_basis(state)
+        res = enumerate_product_vectors(kern, state.dims)
+        ev = res.evidence
+        assert res.classification == Classification.LIKELY_INFINITE
+        assert ev["route"] == "multistart"
+        assert (ev["starts_used"], ev["rounds"]) == (0, 0)
+        planes = ev["line_subspaces"]
+        assert any(ls.side == "A" for ls in planes)
+        assert np.isfinite(ev["best_residual"])
+        assert ev["best_residual"] == min([ls.residual for ls in planes] + res.residuals)
+        roots, _, _ = _homotopy_roots(complement_stack(kern, state.dims).conj())
+        assert match_sets(res.points, roots)
+        verdict = classify_goodness(state, enumeration=res)
+        assert (verdict.verdict, verdict.reason) == (Goodness.BAD,
+                                                     GoodnessReason.INFINITE_COMPONENT)
 
 
 class TestSeparable:
@@ -553,7 +594,7 @@ class TestSeparable:
 class TestDeltaCountSpans:
     def test_full_count_factors_span_both_sides(self):
         state = zoo.good_3x4()
-        res = enumerate_product_vectors(kernel_basis(state), state.dims, FAST)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert res.count == zoo.delta(3, 4)
         amat = np.array([pv.a for pv in res.points])
         bmat = np.array([pv.b for pv in res.points])
@@ -581,7 +622,7 @@ class TestPartialConjugateBijection:
     @pytest.mark.parametrize("state_fn", [zoo.good_3x4, lambda: zoo.good_3xn(5)])
     def test_counts_match_on_gamma_invariant_states(self, state_fn):
         state = state_fn()
-        res = enumerate_product_vectors(kernel_basis(state), state.dims, FAST)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
         partners = [partial_conjugate(pv) for pv in res.points]
         # gamma-invariant state: the kernel of the partial transpose is the
         # same subspace, so the conjugated family must match the original

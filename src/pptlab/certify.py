@@ -155,14 +155,16 @@ def _gamma_kernel(state: BipartiteState, tol_rel: float) -> np.ndarray:
 
 
 def extremality_nullity(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
-                        rank_tol: float = RANK_TOL) -> ExtremalityCert:
+                        rank_tol: float = RANK_TOL, *,
+                        psd_tol: float = PSD_TOL) -> ExtremalityCert:
     """Dimension of {Hermitian H : R(H) in R(rho), R(H^G) in R(rho^G)}.
 
     Verdicts: EXTREME for nullity one with a certified singular gap,
     NOT_EXTREME for larger nullity, BORDERLINE whenever the gap between
     kept and discarded singular values is too small to trust the integer.
+    A state that is NPT at `psd_tol` draws a warning.
     """
-    ppt, min_eig = is_ppt(state)
+    ppt, min_eig = is_ppt(state, tol=psd_tol)
     if not ppt:
         warnings.warn(f"extremality criterion applied to an NPT state "
                       f"(min eigenvalue of the partial transpose {min_eig:.3e})")
@@ -305,7 +307,8 @@ def necessary_bound(rank: int, rank_gamma: int, m: int, n: int) -> bool:
 
 def edge_check(state: BipartiteState, pair_tol: float = 1e-9,
                enumeration: Optional[EnumerationResult] = None,
-               tol_rel: float = RANK_TOL) -> EdgeReport:
+               tol_rel: float = RANK_TOL, *,
+               psd_tol: float = PSD_TOL) -> EdgeReport:
     """Look for a product vector in R(rho) whose partial conjugate lies in
     R(rho^Gamma); the state is an edge state iff none exists.
 
@@ -315,9 +318,10 @@ def edge_check(state: BipartiteState, pair_tol: float = 1e-9,
     the verdict follows from it.  Otherwise route two minimizes the joint
     projection residual directly from EDGE_FALLBACK_STARTS starts, and the
     verdict is a numerical certificate whose quality is reported through
-    the start count and the best residual reached.
+    the start count and the best residual reached.  A state that is NPT at
+    `psd_tol` draws a warning.
     """
-    ppt, min_eig = is_ppt(state)
+    ppt, min_eig = is_ppt(state, tol=psd_tol)
     if not ppt:
         warnings.warn(f"edge check applied to an NPT state (min eig {min_eig:.3e})")
     dims = state.dims
@@ -494,7 +498,7 @@ def strongly_extreme_by_theorem(state: BipartiteState,
     if goodness.verdict != Goodness.GOOD:
         return StrongExtremality.NOT_APPLICABLE
     if cert is None:
-        cert = extremality_nullity(state, rank_tol=rank_tol)
+        cert = extremality_nullity(state, rank_tol=rank_tol, psd_tol=psd_tol)
     if cert.verdict != Extremality.EXTREME:
         return StrongExtremality.NOT_APPLICABLE
     return StrongExtremality.YES

@@ -201,14 +201,15 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         timings["range_ces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cert = certify.extremality_nullity(state, rank_tol=tol_rank)
+    cert = certify.extremality_nullity(state, rank_tol=tol_rank, psd_tol=tol_psd)
     # the partial transpose verdict is reported alongside; no relation between
     # the two is assumed beyond what the good-case theorem gives
     cert_gamma = None
     if ppt:
         gamma_state = qstate.BipartiteState(
-            qstate.HermitianOperator(dims, qstate.gamma_matrix(state)))
-        cert_gamma = certify.extremality_nullity(gamma_state, rank_tol=tol_rank)
+            qstate.HermitianOperator(dims, qstate.gamma_matrix(state)), psd_tol=tol_psd)
+        cert_gamma = certify.extremality_nullity(gamma_state, rank_tol=tol_rank,
+                                                 psd_tol=tol_psd)
     if any(c is not None and c.nullity == 0 for c in (cert, cert_gamma)):
         anomalies.append("extremality-nullity-zero")   # rho is always feasible
     timings["extremality"] = time.perf_counter() - t0
@@ -219,7 +220,7 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         # the range searched for the CES verdict is the one the edge check
         # needs; a dimension short cut enumerated nothing, so search it there
         searched = not range_res.evidence.get("dimension_forces_product_vectors")
-        edge = certify.edge_check(state, tol_rel=tol_rank,
+        edge = certify.edge_check(state, tol_rel=tol_rank, psd_tol=tol_psd,
                                   enumeration=range_res if searched else None)
         timings["edge"] = time.perf_counter() - t0
 

@@ -39,7 +39,8 @@ reported at once with the homotopy roots that lie on K; nothing samples the
 plane.  The plane search also runs beside the dimension-count verdicts.
 Only a set that neither a count nor a plane settled gets a search: one round
 of deterministic multistart alternating minimization over unit pairs (least
-right singular vectors of F and G in turn), followed by a batched
+eigenvectors of the Gram matrices F^H F and G^H G in turn, which are the
+least right singular vectors of F and G up to phase), followed by a batched
 Gauss-Newton polish of the holomorphic system, on top of the homotopy roots
 on K.  Every multistart round, that search or the cross-check of a count,
 has max(400, 4 delta) starts.
@@ -186,12 +187,21 @@ def complement_stack(k: SubspaceBasis, dims: BipartiteDims) -> np.ndarray:
 
 
 def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
-    """Block updates: b <- least right singular vector of F(a), then a of G(b)."""
+    """Block updates: b <- least eigenvector of F(a)^H F(a), then a of G(b)^H G(b).
+
+    These are the least right singular vectors of F(a) and G(b), up to
+    phase.  Both Gram matrices are one product with the fixed tensor
+    Q[(i,k),(j,l)] = sum_r conj(W_r[i,j]) W_r[k,l]: F^H F is
+    (conj(a) (x) a) Q and G^H G is Q (conj(b) (x) b).  The returned
+    residual is |F(a) b| itself, never an eigenvalue.
+    """
+    s, m, n = a.shape[0], wc.shape[1], wc.shape[2]
+    q = np.einsum('rij,rkl->ikjl', wc.conj(), wc).reshape(m * m, n * n)
     for _ in range(iters):
-        f = np.einsum('si,rij->srj', a, wc)
-        b = np.linalg.svd(f)[2][:, -1, :].conj()
-        g = np.einsum('rij,sj->sri', wc, b)
-        a = np.linalg.svd(g)[2][:, -1, :].conj()
+        ff = ((a.conj()[:, :, None] * a[:, None, :]).reshape(s, m * m) @ q).reshape(s, n, n)
+        b = np.linalg.eigh(ff)[1][:, :, 0]
+        gg = ((b.conj()[:, :, None] * b[:, None, :]).reshape(s, n * n) @ q.T).reshape(s, m, m)
+        a = np.linalg.eigh(gg)[1][:, :, 0]
     f = np.einsum('si,rij->srj', a, wc)
     res = np.linalg.norm(np.einsum('srj,sj->sr', f, b), axis=1)
     return a, b, res

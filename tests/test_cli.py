@@ -132,6 +132,24 @@ class TestAnalyze:
         assert rep["ppt"]["verdict"] is True
         assert rep["extremality"]["verdict"] == "extreme"
 
+    def test_tol_psd_reaches_every_ppt_test(self, tmp_path, capsys, recwarn):
+        # good_3x4 plus 1e-7 of its top eigenvalue along the maximally
+        # entangled vector of the 3x3 corner: NPT at the default tolerance,
+        # PPT at --tol-psd 1e-6
+        state = zoo.good_3x4()
+        psi = np.zeros(12)
+        psi[[0, 5, 10]] = 1 / np.sqrt(3)
+        top = np.linalg.eigvalsh(state.matrix)[-1]
+        path = tmp_path / "s.json"
+        save_state(BipartiteState(HermitianOperator(
+            state.dims, state.matrix + 1e-7 * top * np.outer(psi, psi))), path)
+        out = tmp_path / "report.json"
+        code, _, err = run_cli(capsys, "analyze", str(path), "--tol-psd", "1e-6",
+                               "--out", str(out))
+        assert code == 0, err
+        assert json.loads(out.read_text())["ppt"]["verdict"] is True
+        assert not [w for w in recwarn if "NPT" in str(w.message)]
+
     def test_nullity_zero_is_an_anomaly(self, tmp_path, capsys, monkeypatch):
         # rho is feasible for its own nullity problem, so zero cannot be right
         path = tmp_path / "s.json"

@@ -18,6 +18,7 @@ from pptlab.segre import (
     Classification,
     Goodness,
     GoodnessReason,
+    _alternate_batch,
     _homotopy_roots,
     _membership_residuals,
     _polish_batch,
@@ -29,6 +30,7 @@ from pptlab.segre import (
     enumerate_product_vectors,
     find_line_subspaces,
     general_position,
+    halton_pairs,
     is_ces,
     minor_system_roots,
     partial_conjugate,
@@ -364,6 +366,53 @@ class TestSquareDown:
         assert res.evidence["route"] == "multistart"
         assert res.evidence["rounds"] == 1
         assert match_sets(res.points, pvs)
+
+
+def alternate_by_svd(wc, a, b, iters):
+    """Reference alternation: least right singular vectors of F(a) and G(b)."""
+    for _ in range(iters):
+        f = np.einsum('si,rij->srj', a, wc)
+        b = np.linalg.svd(f)[2][:, -1, :].conj()
+        g = np.einsum('rij,sj->sri', wc, b)
+        a = np.linalg.svd(g)[2][:, -1, :].conj()
+    f = np.einsum('si,rij->srj', a, wc)
+    return a, b, np.linalg.norm(np.einsum('srj,sj->sr', f, b), axis=1)
+
+
+def good_3x4_range_stack():
+    state = zoo.good_3x4()
+    return complement_stack(range_basis(state), state.dims).conj()
+
+
+class TestAlternate:
+    @pytest.mark.parametrize("case", ["good_3x4_range", "product_span_3x4"])
+    def test_matches_the_svd_iteration(self, case, rng):
+        if case == "good_3x4_range":
+            wc = good_3x4_range_stack()
+        else:
+            sub, _ = span_of_products(3, 4, 4, rng)
+            wc = complement_stack(sub, BipartiteDims(3, 4)).conj()
+        a0, b0 = halton_pairs(400, 3, 4)
+        a_ref, b_ref, res_ref = alternate_by_svd(wc, a0, b0, 60)
+        a, b, res = _alternate_batch(wc, a0, b0, 60)
+        assert np.max(np.abs(res - res_ref)) <= 1e-12
+        # the same vectors up to phase
+        assert np.min(np.abs(np.einsum('si,si->s', a_ref.conj(), a))) >= 1 - 1e-12
+        assert np.min(np.abs(np.einsum('si,si->s', b_ref.conj(), b))) >= 1 - 1e-12
+        # the residual is |F(a) b| at the returned pair, not an eigenvalue
+        direct = np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
+        assert np.allclose(res, direct, rtol=1e-12, atol=1e-15)
+
+    def test_calls_no_svd(self, monkeypatch):
+        wc = good_3x4_range_stack()
+        a0, b0 = halton_pairs(400, 3, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the alternation called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        _, _, res = _alternate_batch(wc, a0, b0, 60)
+        assert res.shape == (400,)
 
 
 class TestCes:

@@ -463,6 +463,12 @@ def _homotopy_roots(wc: np.ndarray):
     rejection (Morgan & Sommese, Appl. Math. Comput. 24, 1987).  All random
     data come from a fixed seed, so the result is deterministic.
 
+    The stack is reshaped once per call into wa (m x R'n) and wb (n x R'm),
+    so F(a) = a wa and G(b) = b wb are one GEMM each over all paths, and
+    dH/dz is written into a single array with the patch rows.  A predictor
+    tangent solves dH/dz against dH/ds and a Newton step against H; neither
+    builds the other's right-hand side.
+
     Endpoints are polished and kept when they pass the residual tolerance and
     their gauge-fixed Jacobian is nonsingular.  Returns (points, residuals,
     paths) with paths = {"tracked", "finished", "accepted"}; the points are
@@ -493,25 +499,38 @@ def _homotopy_roots(wc: np.ndarray):
     patch_rows[0, :m] = patch_a
     patch_rows[1, m:] = patch_b
 
-    def system(z, s):
-        """(H, dH/dz, dH/ds) at each row of z; s is per row."""
+    wa = wc.transpose(1, 0, 2).reshape(m, rp * n)
+    wb = wc.transpose(2, 0, 1).reshape(n, rp * m)
+
+    def jacobian(z, s):
+        """(dH/dz, F1, F0) at each row of z; s is per row."""
         a, b = z[:, :m], z[:, m:]
+        fa = (a @ wa).reshape(-1, rp, n)
+        gb = (b @ wb).reshape(-1, rp, m)
         xa, yb = a @ x.T, b @ y.T
-        f1 = np.einsum('si,rij,sj->sr', a, wc, b)
-        w0 = (gamma * (1 - s))[:, None]
-        w1 = s[:, None]
-        ja = w1[:, :, None] * np.einsum('rij,sj->sri', wc, b) + w0[:, :, None] * yb[:, :, None] * x
-        jb = w1[:, :, None] * np.einsum('si,rij->srj', a, wc) + w0[:, :, None] * xa[:, :, None] * y
-        jac = np.concatenate([np.concatenate([ja, jb], axis=2),
-                              np.broadcast_to(patch_rows, (z.shape[0], 2, m + n))], axis=1)
-        h = np.concatenate([w0 * xa * yb + w1 * f1,
-                            np.stack([a @ patch_a - 1, b @ patch_b - 1], axis=1)], axis=1)
-        hs = np.concatenate([f1 - gamma * xa * yb, np.zeros((z.shape[0], 2))], axis=1)
-        return h, jac, hs
+        w0 = (gamma * (1 - s))[:, None, None]
+        w1 = s[:, None, None]
+        jac = np.empty((z.shape[0], rp + 2, m + n), dtype=complex)
+        jac[:, :rp, :m] = w1 * gb + (w0 * yb[:, :, None]) * x
+        jac[:, :rp, m:] = w1 * fa + (w0 * xa[:, :, None]) * y
+        jac[:, rp:] = patch_rows
+        return jac, (fa @ b[:, :, None])[:, :, 0], xa * yb
 
     def tangent(z, s):
-        _, jac, hs = system(z, s)
-        return -np.linalg.solve(jac, hs[:, :, None])[:, :, 0]
+        """dz/ds = -(dH/dz)^-1 dH/ds."""
+        jac, f1, f0 = jacobian(z, s)
+        hs = np.zeros((z.shape[0], rp + 2, 1), dtype=complex)
+        hs[:, :rp, 0] = f1 - gamma * f0
+        return -np.linalg.solve(jac, hs)[:, :, 0]
+
+    def newton(z, s):
+        """The Newton correction (dH/dz)^-1 H."""
+        jac, f1, f0 = jacobian(z, s)
+        h = np.empty((z.shape[0], rp + 2, 1), dtype=complex)
+        h[:, :rp, 0] = (gamma * (1 - s))[:, None] * f0 + s[:, None] * f1
+        h[:, rp, 0] = z[:, :m] @ patch_a - 1
+        h[:, rp + 1, 0] = z[:, m:] @ patch_b - 1
+        return np.linalg.solve(jac, h)[:, :, 0]
 
     s = np.zeros(paths)
     step = np.full(paths, 0.02)
@@ -531,11 +550,11 @@ def _homotopy_roots(wc: np.ndarray):
                 zn = zi + hi[:, None] / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
                 sn = np.where(si + hi > 1.0 - 1e-14, 1.0, si + hi)
                 sizes = []
-                for _ in range(3):
-                    h, jac, _ = system(zn, sn)
-                    dz = np.linalg.solve(jac, h[:, :, None])[:, :, 0]
+                for it in range(3):
+                    dz = newton(zn, sn)
                     zn = zn - dz
-                    sizes.append(np.linalg.norm(dz, axis=1) / (1 + np.linalg.norm(zn, axis=1)))
+                    if it != 1:     # only the first and last sizes are read
+                        sizes.append(np.linalg.norm(dz, axis=1) / (1 + np.linalg.norm(zn, axis=1)))
             except np.linalg.LinAlgError:
                 # a singular Jacobian in the batch: retry every path at half step
                 step[idx] = hi / 2
@@ -693,8 +712,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     wsq = _square_down(wc, m + n - 2)
     points, residuals, evidence["paths"] = _homotopy_roots(wsq)
     if len(points) == dlt and wsq is wc:
-        points, residuals, trans = _point_evidence(k, wc, dims, points, residuals, evidence)
-        if all(trans):
+        if all(_point_evidence(k, wc, dims, points, evidence)):
             evidence["route"] = "homotopy"
             evidence["best_residual"] = min(residuals)
             return EnumerationResult(points, residuals, Classification.FINITE, evidence)
@@ -721,9 +739,11 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     for lo in range(0, starts, _BATCH_CAP):
         chunk = min(_BATCH_CAP, starts - lo)
         a, b = halton_pairs(chunk, m, n, skip=lo)
-        a, b, _ = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
+        a, b, alt = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
         a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
-        evidence["best_residual"] = min(evidence["best_residual"], float(res.min()))
+        # the polish can raise a residual the alternation reached
+        evidence["best_residual"] = min(evidence["best_residual"], float(alt.min()),
+                                        float(res.min()))
         for idx in np.nonzero(res <= RESIDUAL_TOL)[0]:
             overruled |= pool.add(ProductVector(a[idx], b[idx]), float(res[idx]))
     evidence["starts_used"], evidence["rounds"] = starts, int(starts > 0)
@@ -734,7 +754,8 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
         lines = has_lines()
 
     evidence["route"] = "multistart" if counted is None else "homotopy"
-    points, residuals, _ = _point_evidence(k, wc, dims, pool.points, pool.residuals, evidence)
+    points, residuals = pool.points, pool.residuals
+    _point_evidence(k, wc, dims, points, evidence)
     if counted is not None:
         cls = Classification.FINITE if points else Classification.EMPTY
     elif lines or len(points) > dlt:
@@ -769,13 +790,10 @@ def _roots_on_subspace(wc: np.ndarray, points: list):
     return pool, min([float(full.min())] + pool.residuals)
 
 
-def _point_evidence(k, wc, dims, points, residuals, evidence):
-    """Sort the points by residual and record the isolation and
-    transversality of each in the evidence; returns (points, residuals,
-    transversal flags)."""
-    order = np.argsort(residuals) if residuals else []
-    points = [points[i] for i in order]
-    residuals = [residuals[i] for i in order]
+def _point_evidence(k, wc, dims, points, evidence):
+    """Record the isolation and transversality of each point in the
+    evidence, in the points' own order (homotopy paths first, then
+    multistart starts); returns the transversal flags."""
     trans, jmins, jconds = [], [], []
     for pv in points:
         trans.append(transversal(k, pv, dims))
@@ -785,7 +803,7 @@ def _point_evidence(k, wc, dims, points, residuals, evidence):
     evidence["transversal"] = trans
     evidence["jacobian_sigma_min"] = jmins
     evidence["jacobian_cond"] = jconds
-    return points, residuals, trans
+    return trans
 
 
 def _jacobian_extremes(wc: np.ndarray, pv: ProductVector) -> tuple:
@@ -835,17 +853,17 @@ def transversal(k: SubspaceBasis, pv: ProductVector, dims: BipartiteDims,
     resid = k.project_residual(pv.vec())
     if resid > residual_tol * 10:
         raise ValueError(f"product vector is not in the subspace: residual {resid:.3e}")
-    m, n = dims.m, dims.n
-    cols = [k.vectors.T]
-    tang = np.zeros((dims.total, m + n), dtype=complex)
-    for j in range(n):
-        tang[:, j] = np.kron(pv.a, np.eye(n)[j])
-    for i in range(m):
-        tang[:, n + i] = np.kron(np.eye(m)[i], pv.b)
-    stacked = np.hstack([k.vectors.T, tang])
+    stacked = np.hstack([k.vectors.T, _tangent_block(pv)])
     sv = np.linalg.svd(stacked, compute_uv=False)
     rank = int(np.sum(sv > rank_tol * sv[0]))
     return rank == dims.total
+
+
+def _tangent_block(pv: ProductVector) -> np.ndarray:
+    """The columns a (x) e_j, then e_i (x) b, that span the tangent space of
+    the product manifold at a (x) b."""
+    m, n = pv.a.size, pv.b.size
+    return np.hstack([np.kron(pv.a[:, None], np.eye(n)), np.kron(np.eye(m), pv.b[:, None])])
 
 
 def partial_conjugate(pv: ProductVector) -> ProductVector:

@@ -23,6 +23,7 @@ from pptlab.segre import (
     _membership_residuals,
     _polish_batch,
     _square_down,
+    _tangent_block,
     ces_certificate,
     classify_goodness,
     classify_separable_good,
@@ -255,6 +256,16 @@ class TestHomotopy:
         second = enumerate_product_vectors(kernel_basis(state), state.dims).to_json()
         assert json.dumps(first) == json.dumps(second)
 
+    def test_points_follow_the_paths(self):
+        # the report keeps the homotopy's path order, not an order of
+        # residuals that are all rounding noise
+        state = zoo.good_3x4()
+        kern = kernel_basis(state)
+        roots, _, _ = _homotopy_roots(complement_stack(kern, state.dims).conj())
+        res = enumerate_product_vectors(kern, state.dims)
+        assert res.classification == Classification.FINITE
+        assert np.array_equal([pv.vec() for pv in res.points], [pv.vec() for pv in roots])
+
     def test_bad_3x5_kernel_not_certified(self):
         state = zoo.bad_3xn(5)
         kern = kernel_basis(state)
@@ -333,6 +344,24 @@ class TestSquareDown:
         assert match_sets(res.points, pvs)
         assert res.evidence["starts_used"] == n0
         assert res.evidence["rounds"] == 1
+
+    def test_best_residual_counts_the_alternation(self, monkeypatch):
+        # the polish can raise a start's residual; the round's best residual
+        # is the smallest one it reached
+        import pptlab.segre as segre_mod
+        original = segre_mod._alternate_batch
+        reached = []
+
+        def recording(*args):
+            a, b, res = original(*args)
+            reached.append(float(res.min()))
+            return a, b, res
+
+        monkeypatch.setattr(segre_mod, "_alternate_batch", recording)
+        state = zoo.good_3x4()
+        _, res = ces_certificate(range_basis(state), state.dims)
+        assert len(reached) == 1
+        assert res.evidence["best_residual"] <= reached[0]
 
     def test_square_systems_are_not_mixed(self):
         state = zoo.good_3x4()
@@ -451,6 +480,15 @@ class TestTransversal:
         assert res.count == 10
         assert all(transversal(kern, pv, state.dims) for pv in res.points)
 
+    def test_tangent_block_matches_the_column_loop(self, rng):
+        pv = random_product_vector(BipartiteDims(3, 4), rng)
+        loop = np.zeros((12, 7), dtype=complex)
+        for j in range(4):
+            loop[:, j] = np.kron(pv.a, np.eye(4)[j])
+        for i in range(3):
+            loop[:, 4 + i] = np.kron(np.eye(3)[i], pv.b)
+        assert np.array_equal(_tangent_block(pv), loop)
+
     def test_requires_membership(self):
         state = BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.diag([1.0, 0, 0, 1.0])))
         with pytest.raises(ValueError, match="not in the subspace"):
@@ -555,13 +593,13 @@ class TestLineSubspaces:
 
 
 class TestPlaneRoute:
-    @pytest.mark.parametrize("state_fn", [
-        zoo.bad_3x4,
-        lambda: zoo.bad_3xn(5),
-        lambda: zoo.bad_mxn(4, 5),
-        lambda: zoo.bad_mxn(5, 5),
+    @pytest.mark.parametrize("state_fn,paths", [
+        (zoo.bad_3x4, (10, 7, 7)),
+        (lambda: zoo.bad_3xn(5), (15, 12, 12)),
+        (lambda: zoo.bad_mxn(4, 5), (35, 19, 19)),
+        (lambda: zoo.bad_mxn(5, 5), (70, 26, 26)),
     ], ids=["bad_3x4", "bad_3x5", "bad_4x5", "bad_5x5"])
-    def test_plane_settles_kernel_without_starts(self, state_fn):
+    def test_plane_settles_kernel_without_starts(self, state_fn, paths):
         # a product plane proves the continuum: the set is reported with the
         # homotopy roots on K, and no multistart round samples the plane
         state = state_fn()
@@ -570,6 +608,8 @@ class TestPlaneRoute:
         ev = res.evidence
         assert res.classification == Classification.LIKELY_INFINITE
         assert ev["route"] == "multistart"
+        # paths into the plane do not finish; the tracker is most fragile here
+        assert ev["paths"] == dict(zip(("tracked", "finished", "accepted"), paths))
         assert (ev["starts_used"], ev["rounds"]) == (0, 0)
         planes = ev["line_subspaces"]
         assert any(ls.side == "A" for ls in planes)

@@ -49,6 +49,7 @@ from .qstate import (
 )
 from . import segre
 from .segre import (
+    Classification,
     EnumerationResult,
     Goodness,
     GoodnessVerdict,
@@ -314,8 +315,8 @@ def edge_check(state: BipartiteState, pair_tol: float = 1e-9,
 
     Route one enumerates product vectors in the range (or takes
     `enumeration`, a result for `range_basis(state, tol_rel)`) and tests
-    each partner.  When that enumeration is complete by a homotopy count,
-    the verdict follows from it.  Otherwise route two minimizes the joint
+    each partner.  When that enumeration is finite or empty and complete by
+    a homotopy count, the verdict follows from it.  Otherwise route two minimizes the joint
     projection residual directly from EDGE_FALLBACK_STARTS starts, and the
     verdict is a numerical certificate whose quality is reported through
     the start count and the best residual reached.  A state that is NPT at
@@ -343,7 +344,8 @@ def edge_check(state: BipartiteState, pair_tol: float = 1e-9,
         resid = rng_gamma.project_residual(partner.vec())
         if resid < pair_tol:
             return EdgeReport(False, (pv, partner), starts, 0.0, route, paths)
-    if route == "homotopy":
+    if route == "homotopy" and enum_res.classification in (Classification.FINITE,
+                                                           Classification.EMPTY):
         # every product vector of the range was tested: no pair exists
         return EdgeReport(True, None, starts, best, route, paths)
 

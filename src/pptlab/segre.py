@@ -16,10 +16,18 @@ positive-dimensional (projective dimension theorem) and is reported as such
 without a search.
 
 Every other system goes to the homotopy route: delta(m, n) paths tracked
-from a linear-product start system.  A square system (R' = m + n - 2, every
-kernel of a state at the borderline rank) is tracked as it is, and delta
-distinct, nonsingular, transversal endpoints prove the root set finite and
-complete by count.  A larger system (R' > m + n - 2, such as the range of a
+from a linear-product start system.  Each path ends in one of four classes:
+accepted (a nonsingular root), on-plane (on a verified product plane
+|a> (x) W or V (x) |b>), diverged, or unaccounted.  By the gamma trick every
+isolated root is the endpoint of some path (Morgan & Sommese 1987; Sommese
+& Wampler 2005, ch. 7-8).  A square system (R' = m + n - 2, every kernel of
+a state at the borderline rank) is tracked as it is, and delta distinct,
+nonsingular, transversal endpoints prove the root set finite and complete
+by count.  When instead every path is accepted or on-plane and at least one
+plane was found, the plane makes the set infinite and the accepted roots
+are all of its isolated points, since a point on a plane is not isolated:
+the set is LIKELY_INFINITE, settled by the homotopy with no plane search
+and no starts.  A larger system (R' > m + n - 2, such as the range of a
 state at the borderline rank) is first squared down to m + n - 2 fixed
 random combinations L g of its equations g.  Every root of g is a root of
 L g, so delta distinct, nonsingular roots of the mixed system hold all of
@@ -32,11 +40,12 @@ the whole space when R' > m + n - 2.  The set is FINITE, or EMPTY, complete
 by count, and one multistart round cross-checks it; a point found there
 outside the counted set overrules the count.
 
-A set no count settled (a square system with a positive-dimensional
-component has fewer than delta isolated roots) is searched for product
-planes |a> (x) W or V (x) |b>.  A plane makes the set infinite, and it is
-reported at once with the homotopy roots that lie on K; nothing samples the
-plane.  The plane search also runs beside the dimension-count verdicts.
+A set neither a count nor its own endpoints settled (a square system with
+a positive-dimensional component has fewer than delta isolated roots, and a
+component that is not a plane leaves paths unaccounted) is searched for
+product planes.  A plane makes the set infinite, and it is reported at once
+with the homotopy roots that lie on K; nothing samples the plane.  The
+plane search also runs beside the dimension-count verdicts.
 Only a set that neither a count nor a plane settled gets a search: one round
 of deterministic multistart alternating minimization over unit pairs (least
 eigenvectors of the Gram matrices F^H F and G^H G in turn, which are the
@@ -93,6 +102,8 @@ _HOMOTOPY_SEED = 1987
 _SQUARE_DOWN_SEED = 2005
 _HOMOTOPY_MAX_STEPS = 2000
 _HOMOTOPY_MIN_STEP = 1e-12
+_HOMOTOPY_ENDGAME = 1.0 - 1e-6
+_PLANE_ITERS = 10
 
 
 class Classification(enum.Enum):
@@ -450,6 +461,135 @@ def _membership_residuals(wc: np.ndarray, points: list) -> np.ndarray:
     return np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
 
 
+def _solve_rows(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve over a batch, where a matrix whose LU meets an exact
+    zero pivot leaves NaN in its own row instead of failing the batch."""
+    try:
+        return np.linalg.solve(jac, rhs)
+    except np.linalg.LinAlgError:
+        # det runs the same LU, and is exactly zero where solve failed
+        out = np.full(rhs.shape, np.nan, dtype=complex)
+        regular = np.linalg.det(jac) != 0
+        out[regular] = np.linalg.solve(jac[regular], rhs[regular])
+        return out
+
+
+class _PathTracker:
+    """The delta(m, n) paths of one square membership system, tracked as a
+    batch; see `_homotopy_roots`.
+
+    Each path has patch coordinates `z` (a, then b), a homotopy time `s`, a
+    `step`, and the flags `active`, `finished` (reached s = 1) and
+    `diverged` (left for infinity in the patch).
+    """
+
+    def __init__(self, wc: np.ndarray):
+        rp, m, n = wc.shape
+        rng = np.random.default_rng(_HOMOTOPY_SEED)
+
+        def cnormal(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        x = cnormal(rp, m)
+        y = cnormal(rp, n)
+        self.x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        self.y = y / np.linalg.norm(y, axis=1, keepdims=True)
+        self.patch_a, self.patch_b = cnormal(m), cnormal(n)
+        self.gamma = np.exp(2j * np.pi * rng.random())
+
+        splits = [(list(p), [r for r in range(rp) if r not in p])
+                  for p in itertools.combinations(range(rp), m - 1)]
+        a0 = np.array([np.linalg.svd(self.x[p])[2][-1].conj() for p, _ in splits]).reshape(-1, m)
+        b0 = np.array([np.linalg.svd(self.y[q])[2][-1].conj() for _, q in splits]).reshape(-1, n)
+        self.z = np.concatenate([a0 / (a0 @ self.patch_a)[:, None],
+                                 b0 / (b0 @ self.patch_b)[:, None]], axis=1)
+        self.patch_rows = np.zeros((2, m + n), dtype=complex)
+        self.patch_rows[0, :m] = self.patch_a
+        self.patch_rows[1, m:] = self.patch_b
+        self.rp, self.m, self.n = rp, m, n
+        self.wa = wc.transpose(1, 0, 2).reshape(m, rp * n)
+        self.wb = wc.transpose(2, 0, 1).reshape(n, rp * m)
+
+        paths = self.z.shape[0]
+        self.s = np.zeros(paths)
+        self.step = np.full(paths, 0.02)
+        self.active = np.ones(paths, dtype=bool)
+        self.finished = np.zeros(paths, dtype=bool)
+        self.diverged = np.zeros(paths, dtype=bool)
+
+    def jacobian(self, z, s):
+        """(dH/dz, F1, F0) at each row of z; s is per row."""
+        rp, m, n = self.rp, self.m, self.n
+        a, b = z[:, :m], z[:, m:]
+        fa = (a @ self.wa).reshape(-1, rp, n)
+        gb = (b @ self.wb).reshape(-1, rp, m)
+        xa, yb = a @ self.x.T, b @ self.y.T
+        w0 = (self.gamma * (1 - s))[:, None, None]
+        w1 = s[:, None, None]
+        jac = np.empty((z.shape[0], rp + 2, m + n), dtype=complex)
+        jac[:, :rp, :m] = w1 * gb + (w0 * yb[:, :, None]) * self.x
+        jac[:, :rp, m:] = w1 * fa + (w0 * xa[:, :, None]) * self.y
+        jac[:, rp:] = self.patch_rows
+        return jac, (fa @ b[:, :, None])[:, :, 0], xa * yb
+
+    def tangent(self, z, s):
+        """dz/ds = -(dH/dz)^-1 dH/ds."""
+        jac, f1, f0 = self.jacobian(z, s)
+        hs = np.zeros((z.shape[0], self.rp + 2, 1), dtype=complex)
+        hs[:, :self.rp, 0] = f1 - self.gamma * f0
+        return -_solve_rows(jac, hs)[:, :, 0]
+
+    def newton(self, z, s):
+        """The Newton correction (dH/dz)^-1 H."""
+        rp, m = self.rp, self.m
+        jac, f1, f0 = self.jacobian(z, s)
+        h = np.empty((z.shape[0], rp + 2, 1), dtype=complex)
+        h[:, :rp, 0] = (self.gamma * (1 - s))[:, None] * f0 + s[:, None] * f1
+        h[:, rp, 0] = z[:, :m] @ self.patch_a - 1
+        h[:, rp + 1, 0] = z[:, m:] @ self.patch_b - 1
+        return _solve_rows(jac, h)[:, :, 0]
+
+    def advance(self):
+        """One predictor-corrector step on every active path.
+
+        A rejected step halves that path's step alone.  A path whose step is
+        rejected in the endgame zone s >= _HOMOTOPY_ENDGAME stops where it
+        stands: a path to a nonsingular root is not rejected that close to
+        s = 1, so its endpoint is left to the endpoint classification.
+        """
+        idx = np.nonzero(self.active)[0]
+        zi, si, hi = self.z[idx], self.s[idx], self.step[idx]
+        with np.errstate(all="ignore"):
+            k1 = self.tangent(zi, si)
+            k2 = self.tangent(zi + hi[:, None] / 2 * k1, si + hi / 2)
+            k3 = self.tangent(zi + hi[:, None] / 2 * k2, si + hi / 2)
+            k4 = self.tangent(zi + hi[:, None] * k3, si + hi)
+            zn = zi + hi[:, None] / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            sn = np.where(si + hi > 1.0 - 1e-14, 1.0, si + hi)
+            sizes = []
+            for it in range(3):
+                dz = self.newton(zn, sn)
+                zn = zn - dz
+                if it != 1:     # only the first and last sizes are read
+                    sizes.append(np.linalg.norm(dz, axis=1) / (1 + np.linalg.norm(zn, axis=1)))
+            # a large first correction means the predictor left the path's
+            # basin; a singular Jacobian leaves NaN in its own row
+            ok = (sizes[-1] < 1e-10) & (sizes[0] < 1e-2) & np.all(np.isfinite(zn), axis=1)
+        good, bad = idx[ok], idx[~ok]
+        self.z[good], self.s[good] = zn[ok], sn[ok]
+        done = good[self.s[good] >= 1.0]
+        self.finished[done] = True
+        self.active[done] = False
+        grow = good[self.s[good] < 1.0]
+        self.step[grow] = np.minimum(np.minimum(self.step[grow] * 1.6, 0.1), 1.0 - self.s[grow])
+        self.step[bad] /= 2
+        self.active[bad] = (self.step[bad] >= _HOMOTOPY_MIN_STEP) & (self.s[bad] < _HOMOTOPY_ENDGAME)
+        # a path diverging in the patch ends at infinity, not at a root
+        too_far = grow[np.linalg.norm(self.z[grow], axis=1) > 1e8]
+        self.diverged[too_far] = True
+        self.active[too_far] = False
+
+
 def _homotopy_roots(wc: np.ndarray):
     """Roots of a square membership system by linear-product homotopy.
 
@@ -467,116 +607,43 @@ def _homotopy_roots(wc: np.ndarray):
     so F(a) = a wa and G(b) = b wb are one GEMM each over all paths, and
     dH/dz is written into a single array with the patch rows.  A predictor
     tangent solves dH/dz against dH/ds and a Newton step against H; neither
-    builds the other's right-hand side.
+    builds the other's right-hand side.  An exactly singular dH/dz fails its
+    own path's step, not the batch's.
 
-    Endpoints are polished and kept when they pass the residual tolerance and
-    their gauge-fixed Jacobian is nonsingular.  Returns (points, residuals,
-    paths) with paths = {"tracked", "finished", "accepted"}; the points are
-    deduplicated, and delta of them prove the root set complete, since a
+    Each path ends in one of four classes:
+
+    - accepted: it reached s = 1, and its endpoint polishes to the residual
+      tolerance with a nonsingular gauge-fixed Jacobian;
+    - on-plane: its endpoint has full residual <= sqrt(RESIDUAL_TOL), and a
+      short `subspace_search` alternation from the endpoint's a (side A) or
+      b (side B) brings the two smallest singular values of F(a) or G(b) to
+      norm <= RESIDUAL_TOL, a verified product plane through the endpoint;
+    - diverged: it left for infinity in the patch;
+    - unaccounted: anything else, such as a path stopped on a singular point
+      of a component that is not a plane.
+
+    By the gamma trick every isolated root is the endpoint of some path, and
+    a point on a plane is not isolated.  So when every path is accepted or
+    on-plane, the accepted roots are all the isolated roots; with none on a
+    plane, delta of them prove the root set finite and complete, since a
     square system with a positive-dimensional component has fewer than
     delta isolated roots.
+
+    Returns (points, residuals, paths, planes): the deduplicated accepted
+    roots in path order, paths = {"tracked", "finished", "accepted",
+    "on_plane"}, and the distinct verified planes as `LineSubspace`s in
+    path order.
     """
-    rp, m, n = wc.shape
-    rng = np.random.default_rng(_HOMOTOPY_SEED)
-
-    def cnormal(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-    x = cnormal(rp, m)
-    y = cnormal(rp, n)
-    x /= np.linalg.norm(x, axis=1, keepdims=True)
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
-    patch_a, patch_b = cnormal(m), cnormal(n)
-    gamma = np.exp(2j * np.pi * rng.random())
-
-    splits = [(list(p), [r for r in range(rp) if r not in p])
-              for p in itertools.combinations(range(rp), m - 1)]
-    a0 = np.array([np.linalg.svd(x[p])[2][-1].conj() for p, _ in splits]).reshape(-1, m)
-    b0 = np.array([np.linalg.svd(y[q])[2][-1].conj() for _, q in splits]).reshape(-1, n)
-    z = np.concatenate([a0 / (a0 @ patch_a)[:, None], b0 / (b0 @ patch_b)[:, None]], axis=1)
-    paths = z.shape[0]
-    patch_rows = np.zeros((2, m + n), dtype=complex)
-    patch_rows[0, :m] = patch_a
-    patch_rows[1, m:] = patch_b
-
-    wa = wc.transpose(1, 0, 2).reshape(m, rp * n)
-    wb = wc.transpose(2, 0, 1).reshape(n, rp * m)
-
-    def jacobian(z, s):
-        """(dH/dz, F1, F0) at each row of z; s is per row."""
-        a, b = z[:, :m], z[:, m:]
-        fa = (a @ wa).reshape(-1, rp, n)
-        gb = (b @ wb).reshape(-1, rp, m)
-        xa, yb = a @ x.T, b @ y.T
-        w0 = (gamma * (1 - s))[:, None, None]
-        w1 = s[:, None, None]
-        jac = np.empty((z.shape[0], rp + 2, m + n), dtype=complex)
-        jac[:, :rp, :m] = w1 * gb + (w0 * yb[:, :, None]) * x
-        jac[:, :rp, m:] = w1 * fa + (w0 * xa[:, :, None]) * y
-        jac[:, rp:] = patch_rows
-        return jac, (fa @ b[:, :, None])[:, :, 0], xa * yb
-
-    def tangent(z, s):
-        """dz/ds = -(dH/dz)^-1 dH/ds."""
-        jac, f1, f0 = jacobian(z, s)
-        hs = np.zeros((z.shape[0], rp + 2, 1), dtype=complex)
-        hs[:, :rp, 0] = f1 - gamma * f0
-        return -np.linalg.solve(jac, hs)[:, :, 0]
-
-    def newton(z, s):
-        """The Newton correction (dH/dz)^-1 H."""
-        jac, f1, f0 = jacobian(z, s)
-        h = np.empty((z.shape[0], rp + 2, 1), dtype=complex)
-        h[:, :rp, 0] = (gamma * (1 - s))[:, None] * f0 + s[:, None] * f1
-        h[:, rp, 0] = z[:, :m] @ patch_a - 1
-        h[:, rp + 1, 0] = z[:, m:] @ patch_b - 1
-        return np.linalg.solve(jac, h)[:, :, 0]
-
-    s = np.zeros(paths)
-    step = np.full(paths, 0.02)
-    active = np.ones(paths, dtype=bool)
-    finished = np.zeros(paths, dtype=bool)
+    m = wc.shape[1]
+    tracker = _PathTracker(wc)
     for _ in range(_HOMOTOPY_MAX_STEPS):
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
+        if not tracker.active.any():
             break
-        zi, si, hi = z[idx], s[idx], step[idx]
-        with np.errstate(all="ignore"):
-            try:
-                k1 = tangent(zi, si)
-                k2 = tangent(zi + hi[:, None] / 2 * k1, si + hi / 2)
-                k3 = tangent(zi + hi[:, None] / 2 * k2, si + hi / 2)
-                k4 = tangent(zi + hi[:, None] * k3, si + hi)
-                zn = zi + hi[:, None] / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                sn = np.where(si + hi > 1.0 - 1e-14, 1.0, si + hi)
-                sizes = []
-                for it in range(3):
-                    dz = newton(zn, sn)
-                    zn = zn - dz
-                    if it != 1:     # only the first and last sizes are read
-                        sizes.append(np.linalg.norm(dz, axis=1) / (1 + np.linalg.norm(zn, axis=1)))
-            except np.linalg.LinAlgError:
-                # a singular Jacobian in the batch: retry every path at half step
-                step[idx] = hi / 2
-                active[idx] = step[idx] >= _HOMOTOPY_MIN_STEP
-                continue
-        # a large first correction means the predictor left the path's basin
-        ok = (sizes[-1] < 1e-10) & (sizes[0] < 1e-2) & np.all(np.isfinite(zn), axis=1)
-        good, bad = idx[ok], idx[~ok]
-        z[good], s[good] = zn[ok], sn[ok]
-        done = good[s[good] >= 1.0]
-        finished[done] = True
-        active[done] = False
-        grow = good[s[good] < 1.0]
-        step[grow] = np.minimum(np.minimum(step[grow] * 1.6, 0.1), 1.0 - s[grow])
-        step[bad] /= 2
-        active[bad] = step[bad] >= _HOMOTOPY_MIN_STEP
-        # a path diverging in the patch ends at infinity, not at a root
-        too_far = np.linalg.norm(z[grow], axis=1) > 1e8
-        active[grow[too_far]] = False
+        tracker.advance()
 
+    z, finished = tracker.z, tracker.finished
     pool = _PointPool()
-    accepted = 0
+    accepted = np.zeros(z.shape[0], dtype=bool)
     done = np.nonzero(finished)[0]
     if done.size:
         a, b = z[done, :m], z[done, m:]
@@ -587,10 +654,46 @@ def _homotopy_roots(wc: np.ndarray):
             pv = ProductVector(a[i], b[i])
             smin, smax = _jacobian_extremes(wc, pv)
             if smin > RANK_TOL * smax:
-                accepted += 1
+                accepted[done[i]] = True
                 pool.add(pv, float(res[i]))
-    counts = {"tracked": paths, "finished": int(finished.sum()), "accepted": accepted}
-    return pool.points, pool.residuals, counts
+    rest = np.nonzero(~accepted & ~tracker.diverged)[0]
+    planes, on_plane = _endpoint_planes(wc, z[rest, :m], z[rest, m:])
+    counts = {"tracked": z.shape[0], "finished": int(finished.sum()),
+              "accepted": int(accepted.sum()), "on_plane": on_plane}
+    return pool.points, pool.residuals, counts, planes
+
+
+def _endpoint_planes(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The verified product planes through path endpoints (patch coordinates
+    a, b); returns (distinct planes in endpoint order, endpoints on one).
+
+    An endpoint qualifies when its full residual is <= sqrt(RESIDUAL_TOL)
+    and `_plane_alternation` from its a (side A, then b for side B) reaches
+    a plane residual <= RESIDUAL_TOL.
+    """
+    if a.shape[0] == 0:
+        return [], 0
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    full = np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
+    todo = np.nonzero(full <= math.sqrt(RESIDUAL_TOL))[0]
+    found = {}
+    for side, stack, vecs in (("A", wc, a), ("B", wc.transpose(0, 2, 1), b)):
+        if todo.size == 0 or stack.shape[2] < 2:
+            continue
+        vec, h = _plane_alternation(stack, vecs[todo], 2, _PLANE_ITERS)
+        hit = h <= RESIDUAL_TOL
+        for j in np.nonzero(hit)[0]:
+            found[todo[j]] = (side, stack, vec[j], float(h[j]))
+        todo = todo[~hit]
+    planes = []
+    for i in sorted(found):
+        side, stack, vec, h = found[i]
+        if not any(ls.side == side and abs(np.vdot(vec, ls.vector)) > 1 - DEDUP_TOL
+                   for ls in planes):
+            planes.append(LineSubspace(side, vec, SubspaceBasis(
+                stack.shape[2], _plane_through(stack, vec, 2), RESIDUAL_TOL), h))
+    return planes, len(found)
 
 
 # ---------------------------------------------------------------------------
@@ -638,15 +741,7 @@ def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters, residual_tol,
     if w_dim > dim_sub or w_dim < 1:
         return []
     a, _ = halton_pairs(starts, dim_vec, dim_sub)
-    for _ in range(iters):
-        f = np.einsum('si,rij->srj', a, stack)
-        vh = np.linalg.svd(f)[2]
-        sub = vh[:, -w_dim:, :].conj()                        # (s, w_dim, dim_sub)
-        g = np.einsum('rij,swj->swri', stack, sub).reshape(a.shape[0], -1, dim_vec)
-        a = np.linalg.svd(g)[2][:, -1, :].conj()
-    f = np.einsum('si,rij->srj', a, stack)
-    sv = np.linalg.svd(f, compute_uv=False)
-    h = np.linalg.norm(sv[:, -w_dim:], axis=1)
+    a, h = _plane_alternation(stack, a, w_dim, iters)
     hits = []
     for idx in np.argsort(h):
         if h[idx] > residual_tol:
@@ -654,12 +749,31 @@ def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters, residual_tol,
         vec = a[idx]
         if any(abs(np.vdot(vec, prev[0])) > 1 - DEDUP_TOL for prev in hits):
             continue
-        vh = np.linalg.svd(np.einsum('i,rij->rj', vec, stack))[2]
-        sub = vh[-w_dim:, :].conj()
-        hits.append((vec, sub, float(h[idx])))
+        hits.append((vec, _plane_through(stack, vec, w_dim), float(h[idx])))
         if len(hits) >= max_hits:
             break
     return hits
+
+
+def _plane_alternation(stack, a, w_dim, iters):
+    """Alternate from the vector factors a (one per row): the w_dim least
+    right singular vectors of the membership matrix F(a), then the a that
+    best annihilates them.  Returns (a, h), h the norm of the w_dim smallest
+    singular values of F(a)."""
+    for _ in range(iters):
+        f = np.einsum('si,rij->srj', a, stack)
+        vh = np.linalg.svd(f)[2]
+        sub = vh[:, -w_dim:, :].conj()                        # (s, w_dim, dim_sub)
+        g = np.einsum('rij,swj->swri', stack, sub).reshape(a.shape[0], -1, a.shape[1])
+        a = np.linalg.svd(g)[2][:, -1, :].conj()
+    f = np.einsum('si,rij->srj', a, stack)
+    sv = np.linalg.svd(f, compute_uv=False)
+    return a, np.linalg.norm(sv[:, -w_dim:], axis=1)
+
+
+def _plane_through(stack, vec, w_dim):
+    """The w_dim least right singular vectors of F(vec), as rows."""
+    return np.linalg.svd(np.einsum('i,rij->rj', vec, stack))[2][-w_dim:, :].conj()
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +784,9 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     """Find the product vectors inside K; see the module docstring.
 
     A count settles a set as FINITE or EMPTY; a product plane settles it as
-    LIKELY_INFINITE, reported with the homotopy roots on K and no starts;
+    LIKELY_INFINITE, reported with the homotopy roots on K and no starts,
+    found without a plane search when every path of a square system ends
+    on an accepted root or on a verified plane;
     any other set gets one search round of max(400, 4 delta) starts, and a
     count gets one cross-check round of the same size.  The returned points
     are pairwise distinct under the overlap metric and each satisfies
@@ -710,12 +826,22 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     # full one (see _roots_on_subspace).
     counted = None
     wsq = _square_down(wc, m + n - 2)
-    points, residuals, evidence["paths"] = _homotopy_roots(wsq)
+    points, residuals, paths, planes = _homotopy_roots(wsq)
+    evidence["paths"] = paths
     if len(points) == dlt and wsq is wc:
         if all(_point_evidence(k, wc, dims, points, evidence)):
             evidence["route"] = "homotopy"
             evidence["best_residual"] = min(residuals)
             return EnumerationResult(points, residuals, Classification.FINITE, evidence)
+    elif wsq is wc and planes and paths["accepted"] + paths["on_plane"] == paths["tracked"]:
+        # every path is accounted for: the accepted roots are all the
+        # isolated ones, and a verified plane makes the set infinite
+        evidence["route"] = "homotopy"
+        evidence["line_subspaces"] = planes
+        residuals = [float(r) for r in _membership_residuals(wc, points)]
+        evidence["best_residual"] = min(residuals + [ls.residual for ls in planes])
+        _point_evidence(k, wc, dims, points, evidence)
+        return EnumerationResult(points, residuals, Classification.LIKELY_INFINITE, evidence)
     elif len(points) == dlt:
         counted, evidence["best_residual"] = _roots_on_subspace(wc, points)
 

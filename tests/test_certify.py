@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pptlab import zoo
+from pptlab import certify, zoo
 from pptlab.certify import (
     Extremality,
     StrongExtremality,
@@ -23,7 +23,7 @@ from pptlab.qstate import (
     range_basis,
     rank_profile,
 )
-from pptlab.segre import enumerate_product_vectors
+from pptlab.segre import Classification, EnumerationResult, enumerate_product_vectors
 from conftest import random_full_rank_ppt, random_product_vector
 from test_qstate import werner_2x2
 
@@ -172,9 +172,21 @@ class TestEdgeCheck:
     def test_good_3x4_edge_by_count_skips_fallback(self):
         report = edge_check(zoo.good_3x4())
         assert report.route == "homotopy"
-        assert report.paths == {"tracked": 10, "finished": 10, "accepted": 10}
+        assert report.paths == {"tracked": 10, "finished": 10, "accepted": 10, "on_plane": 0}
         # one cross-check round of the range search, no joint minimization
         assert report.starts_used == 400
+
+    def test_homotopy_route_with_a_continuum_runs_the_fallback(self):
+        # a homotopy route that settled a set as infinite has not listed
+        # every product vector of the range, so the joint search still runs
+        paths = {"tracked": 10, "finished": 7, "accepted": 7, "on_plane": 3}
+        enum = EnumerationResult([], [], Classification.LIKELY_INFINITE,
+                                 {"route": "homotopy", "paths": paths, "starts_used": 0,
+                                  "best_residual": 1.0})
+        report = edge_check(zoo.good_3x4(), enumeration=enum)
+        assert report.starts_used == certify.EDGE_FALLBACK_STARTS
+        assert report.route == "multistart"
+        assert report.paths == paths
 
     def test_separable_pair_found_by_count(self, rng):
         # the homotopy count finds both product terms of the range, and the

@@ -267,7 +267,7 @@ class TestRoutes:
         j = rep.to_json()
         for block in (j["range_ces"], j["edge"]):
             assert block["route"] == "homotopy"
-            assert block["paths"] == {"tracked": 10, "finished": 10, "accepted": 10}
+            assert block["paths"] == {"tracked": 10, "finished": 10, "accepted": 10, "on_plane": 0}
             assert block["note"].startswith("complete by count")
         assert j["range_ces"]["verdict"] is True and j["edge"]["is_edge"] is True
         assert j["range_ces"]["starts_used"] == 400
@@ -296,8 +296,8 @@ class TestRoutes:
         original = segre._homotopy_roots
 
         def lossy(wc):
-            points, residuals, paths = original(wc)
-            return points[:-1], residuals[:-1], paths
+            points, residuals, paths, planes = original(wc)
+            return points[:-1], residuals[:-1], paths, planes
 
         monkeypatch.setattr(segre, "_homotopy_roots", lossy)
         rep = analyze_state(zoo.good_3x4(), {"case": "lossy"})

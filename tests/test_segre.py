@@ -19,6 +19,7 @@ from pptlab.segre import (
     Goodness,
     GoodnessReason,
     _alternate_batch,
+    _PathTracker,
     _homotopy_roots,
     _membership_residuals,
     _polish_batch,
@@ -96,7 +97,7 @@ class TestEnumerate:
         assert res.classification == Classification.FINITE
         assert res.count == 6
         assert res.evidence["route"] == "homotopy"
-        assert res.evidence["paths"] == {"tracked": 6, "finished": 6, "accepted": 6}
+        assert res.evidence["paths"] == {"tracked": 6, "finished": 6, "accepted": 6, "on_plane": 0}
 
     def test_kon_mnogo_points_match_listed_matrices(self):
         state, points = zoo.kon_mnogo()
@@ -151,8 +152,8 @@ class TestEnumerate:
         original_roots, original_polish = segre_mod._homotopy_roots, segre_mod._polish_batch
 
         def lossy(wc):
-            points, residuals, paths = original_roots(wc)
-            return points[:-1], residuals[:-1], paths
+            points, residuals, paths, planes = original_roots(wc)
+            return points[:-1], residuals[:-1], paths, planes
 
         def round_accepts_nothing(wc, a, b, iters):
             a, b, res = original_polish(wc, a, b, iters)
@@ -246,7 +247,8 @@ class TestHomotopy:
         assert verdict.count == dlt
         res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert res.evidence["route"] == "homotopy"
-        assert res.evidence["paths"] == {"tracked": dlt, "finished": dlt, "accepted": dlt}
+        assert res.evidence["paths"] == {"tracked": dlt, "finished": dlt, "accepted": dlt,
+                                         "on_plane": 0}
         assert res.evidence["starts_used"] == 0
         assert all(res.evidence["transversal"])
 
@@ -261,7 +263,7 @@ class TestHomotopy:
         # residuals that are all rounding noise
         state = zoo.good_3x4()
         kern = kernel_basis(state)
-        roots, _, _ = _homotopy_roots(complement_stack(kern, state.dims).conj())
+        roots, _, _, _ = _homotopy_roots(complement_stack(kern, state.dims).conj())
         res = enumerate_product_vectors(kern, state.dims)
         assert res.classification == Classification.FINITE
         assert np.array_equal([pv.vec() for pv in res.points], [pv.vec() for pv in roots])
@@ -271,13 +273,15 @@ class TestHomotopy:
         kern = kernel_basis(state)
         wc = complement_stack(kern, state.dims).conj()
         assert wc.shape[0] == 3 + 5 - 2
-        points, _, paths = _homotopy_roots(wc)
+        points, _, paths, _ = _homotopy_roots(wc)
         assert paths["tracked"] == zoo.delta(3, 5)
         assert paths["accepted"] < paths["tracked"]
         assert len(points) < zoo.delta(3, 5)
         res = enumerate_product_vectors(kern, state.dims)
         assert res.classification == Classification.LIKELY_INFINITE
-        assert res.evidence["route"] == "multistart"
+        # the paths that do not finish end on the product plane, which
+        # settles the kernel
+        assert res.evidence["route"] == "homotopy"
 
     def test_dimension_count_forces_continuum(self):
         # dim K^perp = 5 < m + n - 2 = 6: the kernel meets the Segre
@@ -316,7 +320,8 @@ class TestSquareDown:
         assert ces
         assert res.classification == Classification.EMPTY
         assert res.evidence["route"] == "homotopy"
-        assert res.evidence["paths"] == {"tracked": dlt, "finished": dlt, "accepted": dlt}
+        assert res.evidence["paths"] == {"tracked": dlt, "finished": dlt, "accepted": dlt,
+                                         "on_plane": 0}
         # one cross-check round, no doubling ladder
         assert res.evidence["starts_used"] == n0
         assert res.evidence["rounds"] == 1
@@ -331,7 +336,7 @@ class TestSquareDown:
         sub, pvs = span_of_products(m, n, k, rng)
         wc = complement_stack(sub, dims).conj()
         assert wc.shape[0] > m + n - 2
-        points, _, paths = _homotopy_roots(_square_down(wc, m + n - 2))
+        points, _, paths, _ = _homotopy_roots(_square_down(wc, m + n - 2))
         assert paths["tracked"] == zoo.delta(m, n)
         full = _membership_residuals(wc, points)
         on_subspace = [pv for pv, r in zip(points, full) if r <= np.sqrt(1e-10)]
@@ -594,32 +599,75 @@ class TestLineSubspaces:
 
 class TestPlaneRoute:
     @pytest.mark.parametrize("state_fn,paths", [
-        (zoo.bad_3x4, (10, 7, 7)),
-        (lambda: zoo.bad_3xn(5), (15, 12, 12)),
-        (lambda: zoo.bad_mxn(4, 5), (35, 19, 19)),
-        (lambda: zoo.bad_mxn(5, 5), (70, 26, 26)),
+        (zoo.bad_3x4, (10, 7, 7, 3)),
+        (lambda: zoo.bad_3xn(5), (15, 12, 12, 3)),
+        (lambda: zoo.bad_mxn(4, 5), (35, 19, 19, 16)),
+        (lambda: zoo.bad_mxn(5, 5), (70, 26, 26, 44)),
     ], ids=["bad_3x4", "bad_3x5", "bad_4x5", "bad_5x5"])
-    def test_plane_settles_kernel_without_starts(self, state_fn, paths):
-        # a product plane proves the continuum: the set is reported with the
-        # homotopy roots on K, and no multistart round samples the plane
+    def test_plane_settles_kernel_without_starts(self, state_fn, paths, monkeypatch):
+        # every path ends on an accepted root or on a verified product plane:
+        # the accepted roots are all the isolated ones, the plane proves the
+        # continuum, and neither a plane search nor a multistart round runs
+        import pptlab.segre as segre_mod
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("find_line_subspaces called")
+
+        monkeypatch.setattr(segre_mod, "find_line_subspaces", no_search)
         state = state_fn()
         kern = kernel_basis(state)
         res = enumerate_product_vectors(kern, state.dims)
         ev = res.evidence
         assert res.classification == Classification.LIKELY_INFINITE
-        assert ev["route"] == "multistart"
-        # paths into the plane do not finish; the tracker is most fragile here
-        assert ev["paths"] == dict(zip(("tracked", "finished", "accepted"), paths))
+        assert ev["route"] == "homotopy"
+        assert ev["paths"] == dict(zip(("tracked", "finished", "accepted", "on_plane"), paths))
         assert (ev["starts_used"], ev["rounds"]) == (0, 0)
         planes = ev["line_subspaces"]
         assert any(ls.side == "A" for ls in planes)
+        for ls in planes:
+            for w_vec in ls.subspace.vectors:
+                vec = np.kron(ls.vector, w_vec) if ls.side == "A" else np.kron(w_vec, ls.vector)
+                assert kern.project_residual(vec) < 1e-8
         assert np.isfinite(ev["best_residual"])
         assert ev["best_residual"] == min([ls.residual for ls in planes] + res.residuals)
-        roots, _, _ = _homotopy_roots(complement_stack(kern, state.dims).conj())
+        roots, _, _, _ = _homotopy_roots(complement_stack(kern, state.dims).conj())
         assert match_sets(res.points, roots)
         verdict = classify_goodness(state, enumeration=res)
         assert (verdict.verdict, verdict.reason) == (Goodness.BAD,
                                                      GoodnessReason.INFINITE_COMPONENT)
+
+    def test_conic_is_not_a_plane(self):
+        # Sym^2(span{e0, e1}) holds the conic {a (x) a : a in span{e0, e1}},
+        # a continuum without a product plane: paths that end on it are
+        # unaccounted, so the set keeps the search route
+        rng = np.random.default_rng(5)
+        e = np.eye(3)
+        sym = [np.kron(e[0], e[0]), np.kron(e[1], e[1]),
+               np.kron(e[0], e[1]) + np.kron(e[1], e[0])]
+        extra = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
+        dims = BipartiteDims(3, 3)
+        sub = subspace_from_vectors(sym + list(extra), 9)
+        assert complement_stack(sub, dims).shape[0] == 3 + 3 - 2
+        res = enumerate_product_vectors(sub, dims)
+        paths = res.evidence["paths"]
+        assert paths["on_plane"] == 0
+        assert paths["accepted"] < paths["tracked"]
+        assert res.evidence["route"] == "multistart"
+        assert res.evidence["starts_used"] == 400
+
+    def test_singular_row_halves_only_its_own_step(self):
+        # a zero row has an exactly singular Jacobian: its step fails and
+        # halves, and every other path takes its step and grows it
+        state = zoo.good_3x4()
+        tracker = _PathTracker(complement_stack(kernel_basis(state), state.dims).conj())
+        tracker.z[1] = 0.0
+        before = tracker.step.copy()
+        tracker.advance()
+        others = np.arange(before.size) != 1
+        assert tracker.step[1] == before[1] / 2
+        assert (tracker.s[1], tracker.active[1]) == (0.0, True)
+        assert np.all(tracker.s[others] == before[others])
+        assert np.all(tracker.step[others] > before[others])
 
 
 class TestSeparable:

@@ -45,6 +45,7 @@ from .qstate import (
     kernel_basis,
     range_basis,
     rank_profile,
+    _eig_split,
     _gamma,
 )
 from . import segre
@@ -62,6 +63,7 @@ from .segre import (
 )
 
 NULLITY_CUTOFF = 1e-8
+EDGE_PAIR_TOL = 1e-9
 EDGE_FALLBACK_STARTS = 256
 GAP_CERTIFIED = 1e4
 GAP_AMBIGUOUS = 1e2
@@ -147,23 +149,15 @@ def _hermitian_basis(r: int) -> list:
     return out
 
 
-def _gamma_kernel(state: BipartiteState, tol_rel: float) -> np.ndarray:
-    """Columns spanning the orthocomplement of the range of rho^Gamma."""
-    g = gamma_matrix(state)
-    w, v = np.linalg.eigh(g)
-    top = max(abs(w[0]), abs(w[-1]), 1e-300)
-    return v[:, np.abs(w) <= tol_rel * top]
-
-
-def extremality_nullity(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
-                        rank_tol: float = RANK_TOL, *,
+def extremality_nullity(state: BipartiteState, *, rank_tol: float = RANK_TOL,
                         psd_tol: float = PSD_TOL) -> ExtremalityCert:
     """Dimension of {Hermitian H : R(H) in R(rho), R(H^G) in R(rho^G)}.
 
     Verdicts: EXTREME for nullity one with a certified singular gap,
     NOT_EXTREME for larger nullity, BORDERLINE whenever the gap between
     kept and discarded singular values is too small to trust the integer.
-    A state that is NPT at `psd_tol` draws a warning.
+    Singular values of the constraint map are cut at NULLITY_CUTOFF.  A
+    state that is NPT at `psd_tol` draws a warning.
     """
     ppt, min_eig = is_ppt(state, tol=psd_tol)
     if not ppt:
@@ -172,7 +166,7 @@ def extremality_nullity(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
     m, n = state.dims.m, state.dims.n
     p = range_basis(state, tol_rel=rank_tol).vectors.T          # mn x r
     r = p.shape[1]
-    gperp = _gamma_kernel(state, rank_tol)                      # mn x (mn - s)
+    gperp = _eig_split(gamma_matrix(state), rank_tol)[0].T      # mn x (mn - s)
     basis = _hermitian_basis(r)
     if gperp.shape[1] == 0:
         # no constraint: every direction inside the range is feasible
@@ -191,7 +185,7 @@ def extremality_nullity(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
     # absolute: a relative cut would count rounding noise as rank whenever
     # every column vanishes, as for a pure product state
     sv = np.linalg.svd(cols, compute_uv=False)
-    rank = int(np.sum(sv > cutoff))
+    rank = int(np.sum(sv > NULLITY_CUTOFF))
     nullity = r * r - rank              # columns not killed by the constraints
     if nullity == 0:                    # impossible: rho itself is feasible
         return ExtremalityCert(0, Extremality.BORDERLINE, 0.0, sv, None)
@@ -237,7 +231,7 @@ def nullity_unrestricted(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
     d = m * n
     w, v = np.linalg.eigh(state.matrix)
     rperp = v[:, w <= rank_tol * w[-1]]
-    gperp = _gamma_kernel(state, rank_tol)
+    gperp = _eig_split(gamma_matrix(state), rank_tol)[0].T
     basis = _hermitian_basis(d)
     rows = []
     for e in basis:
@@ -252,14 +246,13 @@ def nullity_unrestricted(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
     return d * d - int(np.sum(sv > cutoff * sv[0]))
 
 
-def witness_decomposition(state: BipartiteState, cert: ExtremalityCert,
-                          min_eps: float = 1e-10) -> tuple:
+def witness_decomposition(state: BipartiteState, cert: ExtremalityCert) -> tuple:
     """Split a non-extreme state as rho = (rho1 + rho2)/2 along the witness.
 
     The step size is found by bisection so that both rho +- eps*H and their
     partial transposes stay PSD with a factor-two margin.  Raises when no
-    step above `min_eps` exists, which signals a numerically unusable
-    witness rather than extremality.
+    step above 1e-10 relative to the largest eigenvalue exists, which
+    signals a numerically unusable witness rather than extremality.
     """
     if cert.nullity <= 1 or cert.witness is None:
         raise ValueError("witness decomposition needs a certificate with nullity > 1")
@@ -287,8 +280,8 @@ def witness_decomposition(state: BipartiteState, cert: ExtremalityCert,
         else:
             hi = mid
     eps = lo / 2.0
-    if eps < min_eps * scale:
-        raise ArithmeticError(f"no usable splitting step above {min_eps:.1e} relative")
+    if eps < 1e-10 * scale:
+        raise ArithmeticError("no usable splitting step above 1.0e-10 relative")
     rho1 = BipartiteState(HermitianOperator(state.dims, rho - eps * h), psd_tol=1e-9)
     rho2 = BipartiteState(HermitianOperator(state.dims, rho + eps * h), psd_tol=1e-9)
     return rho1, rho2
@@ -306,10 +299,9 @@ def necessary_bound(rank: int, rank_gamma: int, m: int, n: int) -> bool:
 # edge states
 
 
-def edge_check(state: BipartiteState, pair_tol: float = 1e-9,
+def edge_check(state: BipartiteState, *,
                enumeration: Optional[EnumerationResult] = None,
-               tol_rel: float = RANK_TOL, *,
-               psd_tol: float = PSD_TOL) -> EdgeReport:
+               tol_rel: float = RANK_TOL, psd_tol: float = PSD_TOL) -> EdgeReport:
     """Look for a product vector in R(rho) whose partial conjugate lies in
     R(rho^Gamma); the state is an edge state iff none exists.
 
@@ -319,8 +311,9 @@ def edge_check(state: BipartiteState, pair_tol: float = 1e-9,
     a homotopy count, the verdict follows from it.  Otherwise route two minimizes the joint
     projection residual directly from EDGE_FALLBACK_STARTS starts, and the
     verdict is a numerical certificate whose quality is reported through
-    the start count and the best residual reached.  A state that is NPT at
-    `psd_tol` draws a warning.
+    the start count and the best residual reached.  A pair counts when its
+    residual is below EDGE_PAIR_TOL.  A state that is NPT at `psd_tol`
+    draws a warning.
     """
     ppt, min_eig = is_ppt(state, tol=psd_tol)
     if not ppt:
@@ -328,10 +321,7 @@ def edge_check(state: BipartiteState, pair_tol: float = 1e-9,
     dims = state.dims
     m, n = dims.m, dims.n
     rng_rho = range_basis(state, tol_rel=tol_rel)
-    g = gamma_matrix(state)
-    wg, vg = np.linalg.eigh(g)
-    topg = max(abs(wg[0]), abs(wg[-1]), 1e-300)
-    rng_gamma = SubspaceBasis(dims.total, vg[:, np.abs(wg) > tol_rel * topg].T, tol_rel)
+    rng_gamma = SubspaceBasis(dims.total, _eig_split(gamma_matrix(state), tol_rel)[1], tol_rel)
 
     enum_res = enumeration
     if enum_res is None:
@@ -342,7 +332,7 @@ def edge_check(state: BipartiteState, pair_tol: float = 1e-9,
     for pv in enum_res.points:
         partner = partial_conjugate(pv)
         resid = rng_gamma.project_residual(partner.vec())
-        if resid < pair_tol:
+        if resid < EDGE_PAIR_TOL:
             return EdgeReport(False, (pv, partner), starts, 0.0, route, paths)
     if route == "homotopy" and enum_res.classification in (Classification.FINITE,
                                                            Classification.EMPTY):
@@ -357,37 +347,36 @@ def edge_check(state: BipartiteState, pair_tol: float = 1e-9,
         f1 = np.einsum('si,rij->srj', a, kern_rho)
         f2 = np.einsum('si,rij->srj', a.conj(), kern_gamma)
         b = np.linalg.svd(np.concatenate([f1, f2], axis=1))[2][:, -1, :].conj()
-        g1 = np.einsum('rij,sj->sri', kern_rho, b)
-        g2 = np.einsum('rij,sj->sri', kern_gamma, b)
-        big = np.concatenate([
-            np.concatenate([g1.real, -g1.imag], axis=2),
-            np.concatenate([g1.imag, g1.real], axis=2),
-            np.concatenate([g2.real, g2.imag], axis=2),
-            np.concatenate([g2.imag, -g2.real], axis=2),
-        ], axis=1)                                               # (s, 4R', 2m) real
-        xy = np.linalg.svd(big)[2][:, -1, :]
-        a = xy[:, :m] + 1j * xy[:, m:]
-        a /= np.linalg.norm(a, axis=1, keepdims=True)
+        a = _edge_a_step(kern_rho, kern_gamma, b)
     r1 = np.einsum('si,rij,sj->sr', a, kern_rho, b)
     r2 = np.einsum('si,rij,sj->sr', a.conj(), kern_gamma, b)
     joint = np.sqrt(np.linalg.norm(r1, axis=1) ** 2 + np.linalg.norm(r2, axis=1) ** 2)
     starts += EDGE_FALLBACK_STARTS
     best = min(best, float(joint.min()))
     idx = int(np.argmin(joint))
-    if joint[idx] < pair_tol:
+    if joint[idx] < EDGE_PAIR_TOL:
         pv = ProductVector(a[idx], b[idx])
         return EdgeReport(False, (pv, partial_conjugate(pv)), starts, float(joint[idx]),
                           "multistart", paths)
     return EdgeReport(True, None, starts, best, "multistart", paths)
 
 
+def _edge_a_step(kern_rho: np.ndarray, kern_gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The unit a minimizing |G1(b) a|^2 + |G2(b) conj(a)|^2 for each row of b.
+
+    The sum equals |[G1(b); conj(G2(b))] a|^2, so a is the least right
+    singular vector of that stacked complex matrix.
+    """
+    g1 = np.einsum('rij,sj->sri', kern_rho, b)
+    g2 = np.einsum('rij,sj->sri', kern_gamma, b)
+    return np.linalg.svd(np.concatenate([g1, g2.conj()], axis=1))[2][:, -1, :].conj()
+
+
 # ---------------------------------------------------------------------------
 # product decompositions of low-rank PPT states
 
 
-def rank_n_separable_decomposition(state: BipartiteState, seed: int = 11,
-                                   max_attempts: int = 6,
-                                   offdiag_tol: float = 1e-7) -> SeparableDecomposition:
+def rank_n_separable_decomposition(state: BipartiteState) -> SeparableDecomposition:
     """Write a PPT state whose rank equals its B-local rank (= n) as a sum
     of n pure product terms.
 
@@ -396,7 +385,8 @@ def rank_n_separable_decomposition(state: BipartiteState, seed: int = 11,
     family which one random real combination diagonalizes simultaneously.
     The eigenvalues give the A-factors, the rotated first block the
     B-factors.  A failed simultaneous diagonalization is reported as an
-    error since it contradicts the PPT structure.
+    error since it contradicts the PPT structure.  Six random combinations,
+    from a fixed seed, are tried before giving up.
     """
     ppt, min_eig = is_ppt(state)
     if not ppt:
@@ -407,9 +397,9 @@ def rank_n_separable_decomposition(state: BipartiteState, seed: int = 11,
         raise ValueError(f"decomposition needs rank = B-local rank = {n} >= A-local rank, "
                          f"got rank {prof.rank}, local ranks ({prof.rank_a}, {prof.rank_b})")
     blocks = factor_blocks(state, n).blocks
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     last_err = None
-    for _ in range(max_attempts):
+    for _ in range(6):
         mix = np.linalg.qr(rng.standard_normal((m, m))
                            + 1j * rng.standard_normal((m, m)))[0]
         mixed = [sum(mix[k, i].conj() * blocks[i] for i in range(m)) for k in range(m)]
@@ -434,7 +424,7 @@ def rank_n_separable_decomposition(state: BipartiteState, seed: int = 11,
         for lam in lams:
             d = np.abs(lam - np.diag(np.diag(lam))).max()
             off = max(off, d / max(np.abs(lam).max(), 1e-300))
-        if off > offdiag_tol:
+        if off > 1e-7:
             last_err = f"off-diagonal mass {off:.2e}"
             continue
         rows = z.conj().T @ c0
@@ -456,8 +446,7 @@ def rank_n_separable_decomposition(state: BipartiteState, seed: int = 11,
                           "this is inconsistent with a PPT state of this rank profile")
 
 
-def find_rank1_compression(state: BipartiteState, starts: int = 96, iters: int = 50,
-                           residual_tol: float = segre.RESIDUAL_TOL) -> Optional[tuple]:
+def find_rank1_compression(state: BipartiteState) -> Optional[tuple]:
     """Search for a unit |a> with <a|rho|a> of rank one.
 
     Equivalent to a hyperplane H in the B space with |a> (x) H inside the
@@ -470,13 +459,13 @@ def find_rank1_compression(state: BipartiteState, starts: int = 96, iters: int =
         return None
     kern = kernel_basis(state)
     stack = complement_stack(kern, dims).conj()       # range of rho as matrices
-    hits = subspace_search(stack, m, n, n - 1, starts, iters, residual_tol)
+    hits = subspace_search(stack, m, n, n - 1, 96, 50)
     rho_t = state.matrix.reshape(m, n, m, n)
     for vec, sub, _resid in hits:
         compressed = np.einsum('i,injm,j->nm', vec.conj(), rho_t, vec)
         sv = np.linalg.svd(compressed, compute_uv=False)
         if sv[0] > 0 and (sv.size < 2 or sv[1] <= 1e-8 * sv[0]):
-            return vec, SubspaceBasis(n, sub, residual_tol)
+            return vec, SubspaceBasis(n, sub, segre.RESIDUAL_TOL)
     return None
 
 

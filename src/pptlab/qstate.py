@@ -58,16 +58,16 @@ class HermitianOperator:
     """A Hermitian operator tagged with its bipartite dimensions.
 
     The constructor symmetrizes the input as (X + X^dag)/2 and records the
-    asymmetry of what was passed in; inputs whose asymmetry exceeds `tol`
-    (relative to the largest entry), and inputs with NaN or infinite
-    entries, are rejected.
+    asymmetry of what was passed in; inputs whose asymmetry exceeds
+    HERMITICITY_TOL (relative to the largest entry, at least one), and
+    inputs with NaN or infinite entries, are rejected.
     """
 
     dims: BipartiteDims
     entries: np.ndarray
     asymmetry: float = 0.0
 
-    def __init__(self, dims: BipartiteDims, entries, tol: float = HERMITICITY_TOL):
+    def __init__(self, dims: BipartiteDims, entries):
         entries = np.asarray(entries, dtype=complex)
         d = dims.total
         if entries.shape != (d, d):
@@ -76,8 +76,9 @@ class HermitianOperator:
             raise ValueError("matrix has non-finite entries (NaN or Inf)")
         scale = max(1.0, np.abs(entries).max()) if entries.size else 1.0
         asym = float(np.abs(entries - entries.conj().T).max())
-        if asym > tol * scale:
-            raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds {tol:.1e}")
+        if asym > HERMITICITY_TOL * scale:
+            raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} "
+                             f"exceeds {HERMITICITY_TOL:.1e}")
         if asym > 0.0:
             entries = (entries + entries.conj().T) / 2.0
         self.dims = dims
@@ -110,12 +111,6 @@ class BipartiteState:
             raise ValueError(f"state must have positive trace, got {tr:.3e}")
         self.op = op
         self.trace = tr
-
-    @classmethod
-    def from_matrix(cls, m: int, n: int, matrix, psd_tol: float = PSD_TOL,
-                    hermiticity_tol: float = HERMITICITY_TOL) -> "BipartiteState":
-        return cls(HermitianOperator(BipartiteDims(m, n), matrix, tol=hermiticity_tol),
-                   psd_tol=psd_tol)
 
     @property
     def dims(self) -> BipartiteDims:
@@ -266,13 +261,14 @@ def from_blocks(factor: BlockFactor) -> BipartiteState:
     return BipartiteState(HermitianOperator(factor.dims, rho))
 
 
-def factor_blocks(state: BipartiteState, r_rows: int, tol_rel: float = RANK_TOL) -> BlockFactor:
+def factor_blocks(state: BipartiteState, r_rows: int) -> BlockFactor:
     """Factor rho = C^dag C with R = r_rows rows; inverse of :func:`from_blocks`.
 
-    Raises ValueError when r_rows is below the numerical rank of the state.
+    Raises ValueError when r_rows is below the numerical rank of the state,
+    cut at RANK_TOL relative to the largest eigenvalue.
     """
     w, v = np.linalg.eigh(state.matrix)
-    keep = w > tol_rel * w[-1]
+    keep = w > RANK_TOL * w[-1]
     rank = int(np.sum(keep))
     if r_rows < rank:
         raise ValueError(f"r_rows={r_rows} is below the numerical rank {rank}")
@@ -442,9 +438,14 @@ def load_state(path) -> BipartiteState:
         if "matrix" in payload:
             return BipartiteState(HermitianOperator(dims, _decode_complex_matrix(payload["matrix"])))
         if "blocks" in payload:
-            blocks = [_decode_complex_matrix(b, f"block {i}")
-                      for i, b in enumerate(payload["blocks"])]
-            return from_blocks(BlockFactor(dims, blocks))
+            factor = BlockFactor(dims, [_decode_complex_matrix(b, f"block {i}")
+                                        for i, b in enumerate(payload["blocks"])])
+            # "r" is optional, but when present it must be the blocks' row count
+            r = payload.get("r", factor.r_rows)
+            if type(r) is not int or r != factor.r_rows:
+                raise ValueError(f"state file {path}: field 'r' must be the integer "
+                                 f"{factor.r_rows}, the blocks' row count, got {json.dumps(r)}")
+            return from_blocks(factor)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     raise ValueError(f"state file {path} has neither 'matrix' nor 'blocks'")

@@ -104,6 +104,8 @@ _HOMOTOPY_MAX_STEPS = 2000
 _HOMOTOPY_MIN_STEP = 1e-12
 _HOMOTOPY_ENDGAME = 1.0 - 1e-6
 _PLANE_ITERS = 10
+_LINE_STARTS = 64
+_LINE_ITERS = 40
 
 
 class Classification(enum.Enum):
@@ -615,9 +617,9 @@ def _homotopy_roots(wc: np.ndarray):
     - accepted: it reached s = 1, and its endpoint polishes to the residual
       tolerance with a nonsingular gauge-fixed Jacobian;
     - on-plane: its endpoint has full residual <= sqrt(RESIDUAL_TOL), and a
-      short `subspace_search` alternation from the endpoint's a (side A) or
-      b (side B) brings the two smallest singular values of F(a) or G(b) to
-      norm <= RESIDUAL_TOL, a verified product plane through the endpoint;
+      short `_plane_alternation` from the endpoint's a (side A) or b (side
+      B) brings the two smallest singular values of F(a) or G(b) to norm
+      <= RESIDUAL_TOL, a verified product plane through the endpoint;
     - diverged: it left for infinity in the patch;
     - unaccounted: anything else, such as a path stopped on a singular point
       of a component that is not a plane.
@@ -700,57 +702,52 @@ def _endpoint_planes(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
 # product-line detection
 
 
-def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims, w_dim: int = 2,
-                        starts: int = 64, iters: int = 40,
-                        residual_tol: float = RESIDUAL_TOL) -> list:
-    """Search for product subspaces |a> (x) W and V (x) |b> inside K.
+def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims) -> list:
+    """Search for product planes |a> (x) W and V (x) |b> inside K.
 
-    Minimizes the sum of squares of the w_dim smallest singular values of
+    Minimizes the sum of squares of the two smallest singular values of
     the membership matrix by alternating between the vector factor and the
-    candidate subspace.  Returns every distinct hit whose total residual is
-    below the tolerance.
+    candidate plane, from _LINE_STARTS starts of _LINE_ITERS steps per
+    side.  Returns every distinct hit whose total residual is below
+    RESIDUAL_TOL.
     """
-    if w_dim < 2:
-        raise ValueError("w_dim must be at least 2")
     m, n = dims.m, dims.n
     wc = complement_stack(k, dims).conj()
     out = []
     if wc.shape[0] == 0:
-        eye_n = np.eye(n, dtype=complex)
-        eye_m = np.eye(m, dtype=complex)
-        if w_dim <= n:
+        if n >= 2:
             out.append(LineSubspace("A", np.eye(m, dtype=complex)[0],
-                                    SubspaceBasis(n, eye_n[:w_dim], 0.0), 0.0))
-        if w_dim <= m:
+                                    SubspaceBasis(n, np.eye(n, dtype=complex)[:2], 0.0), 0.0))
+        if m >= 2:
             out.append(LineSubspace("B", np.eye(n, dtype=complex)[0],
-                                    SubspaceBasis(m, eye_m[:w_dim], 0.0), 0.0))
+                                    SubspaceBasis(m, np.eye(m, dtype=complex)[:2], 0.0), 0.0))
         return out
 
-    for vec, sub, res in subspace_search(wc, m, n, w_dim, starts, iters, residual_tol):
-        out.append(LineSubspace("A", vec, SubspaceBasis(n, sub, residual_tol), res))
+    for vec, sub, res in subspace_search(wc, m, n, 2, _LINE_STARTS, _LINE_ITERS):
+        out.append(LineSubspace("A", vec, SubspaceBasis(n, sub, RESIDUAL_TOL), res))
     wc_swapped = wc.transpose(0, 2, 1)
-    for vec, sub, res in subspace_search(wc_swapped, n, m, w_dim, starts, iters, residual_tol):
-        out.append(LineSubspace("B", vec, SubspaceBasis(m, sub, residual_tol), res))
+    for vec, sub, res in subspace_search(wc_swapped, n, m, 2, _LINE_STARTS, _LINE_ITERS):
+        out.append(LineSubspace("B", vec, SubspaceBasis(m, sub, RESIDUAL_TOL), res))
     return out
 
 
-def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters, residual_tol,
-                    max_hits: int = 8):
+def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters):
     """Multistart minimization of the w_dim smallest singular values of the
-    membership matrix over the vector factor; returns (vec, subspace, residual)."""
+    membership matrix over the vector factor; returns up to eight distinct
+    (vec, subspace, residual) hits with residual <= RESIDUAL_TOL."""
     if w_dim > dim_sub or w_dim < 1:
         return []
     a, _ = halton_pairs(starts, dim_vec, dim_sub)
     a, h = _plane_alternation(stack, a, w_dim, iters)
     hits = []
     for idx in np.argsort(h):
-        if h[idx] > residual_tol:
+        if h[idx] > RESIDUAL_TOL:
             break
         vec = a[idx]
         if any(abs(np.vdot(vec, prev[0])) > 1 - DEDUP_TOL for prev in hits):
             continue
         hits.append((vec, _plane_through(stack, vec, w_dim), float(h[idx])))
-        if len(hits) >= max_hits:
+        if len(hits) >= 8:
             break
     return hits
 
@@ -806,7 +803,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     wc = complement_stack(k, dims).conj()
 
     def has_lines() -> bool:
-        evidence["line_subspaces"] = find_line_subspaces(k, dims, w_dim=2)
+        evidence["line_subspaces"] = find_line_subspaces(k, dims)
         return bool(evidence["line_subspaces"])
 
     if wc.shape[0] < m + n - 2:
@@ -972,16 +969,17 @@ def ces_certificate(subspace: SubspaceBasis, dims: BipartiteDims):
     return result.classification == Classification.EMPTY, result
 
 
-def transversal(k: SubspaceBasis, pv: ProductVector, dims: BipartiteDims,
-                residual_tol: float = 1e-9, rank_tol: float = RANK_TOL) -> bool:
+def transversal(k: SubspaceBasis, pv: ProductVector, dims: BipartiteDims) -> bool:
     """Whether K and the tangent space of the product manifold at a (x) b
-    together span the whole space: rank [K | a(x)e_j | e_i(x)b] = m*n."""
+    together span the whole space: rank [K | a(x)e_j | e_i(x)b] = m*n, cut
+    at RANK_TOL relative to the largest singular value.  A point farther
+    than 1e-8 from K is refused."""
     resid = k.project_residual(pv.vec())
-    if resid > residual_tol * 10:
+    if resid > 1e-8:
         raise ValueError(f"product vector is not in the subspace: residual {resid:.3e}")
     stacked = np.hstack([k.vectors.T, _tangent_block(pv)])
     sv = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(sv > rank_tol * sv[0]))
+    rank = int(np.sum(sv > RANK_TOL * sv[0]))
     return rank == dims.total
 
 
@@ -997,16 +995,15 @@ def partial_conjugate(pv: ProductVector) -> ProductVector:
     return ProductVector(pv.a.conj(), pv.b)
 
 
-def general_position(pvs: Sequence[ProductVector], dims: BipartiteDims,
-                     tol: float = 1e-8, max_subsets: int = 500_000) -> bool:
+def general_position(pvs: Sequence[ProductVector], dims: BipartiteDims) -> bool:
     """Every <= m of the A-factors and every <= n of the B-factors must be
-    linearly independent.
+    linearly independent, at a relative singular cut of 1e-8.
 
     Checking the maximal subset size suffices (subsets of independent
     families are independent); all subsets are tested through one batched
     SVD per side.  The subset count grows combinatorially, so families whose
-    check would exceed `max_subsets` are rejected with a ValueError rather
-    than silently truncated.
+    check would exceed 500,000 subsets on a side are rejected with a
+    ValueError rather than silently truncated.
     """
     def side_ok(vecs, bound):
         count = len(vecs)
@@ -1014,13 +1011,13 @@ def general_position(pvs: Sequence[ProductVector], dims: BipartiteDims,
         if size == 0:
             return True
         n_sub = math.comb(count, size)
-        if n_sub > max_subsets:
+        if n_sub > 500_000:
             raise ValueError(f"general position check needs {n_sub} subsets, "
-                             f"above the budget of {max_subsets}")
+                             "above the budget of 500000")
         idx = np.array(list(itertools.combinations(range(count), size)))
         stacks = np.asarray(vecs)[idx]                       # (n_sub, size, dim)
         sv = np.linalg.svd(stacks, compute_uv=False)
-        return bool(np.all(sv[:, -1] > tol * sv[:, 0]))
+        return bool(np.all(sv[:, -1] > 1e-8 * sv[:, 0]))
 
     return (side_ok([pv.a for pv in pvs], dims.m)
             and side_ok([pv.b for pv in pvs], dims.n))
@@ -1079,8 +1076,7 @@ def classify_goodness(state: BipartiteState, *,
 # separable states
 
 
-def separable_kernel_components(pvs: Sequence[ProductVector], dims: BipartiteDims,
-                                tol: float = RANK_TOL) -> list:
+def separable_kernel_components(pvs: Sequence[ProductVector], dims: BipartiteDims) -> list:
     """Inclusion-maximal product subspaces V_P (x) W_Q inside the kernel of
     sum_i |a_i b_i><a_i b_i|, one per partition (P, Q) of the index set.
 
@@ -1125,10 +1121,10 @@ def _orthocomplement(rows: np.ndarray, ambient: int) -> SubspaceBasis:
     return SubspaceBasis(ambient, comp.T, RANK_TOL)
 
 
-def _subspace_leq(a: SubspaceBasis, b: SubspaceBasis, tol: float = 1e-9) -> bool:
+def _subspace_leq(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     if a.dim > b.dim:
         return False
-    return all(b.project_residual(v) <= tol for v in a.vectors)
+    return all(b.project_residual(v) <= 1e-9 for v in a.vectors)
 
 
 def classify_separable_good(pvs: Sequence[ProductVector], dims: BipartiteDims) -> GoodnessVerdict:
@@ -1167,9 +1163,9 @@ def classify_separable_good(pvs: Sequence[ProductVector], dims: BipartiteDims) -
     return GoodnessVerdict(Goodness.GOOD, GoodnessReason.EMPTY_INTERSECTION, count=0)
 
 
-def _spans(rows: np.ndarray, ambient: int, tol: float = RANK_TOL) -> bool:
+def _spans(rows: np.ndarray, ambient: int) -> bool:
     rows = np.asarray(rows).reshape(-1, ambient)
     if rows.shape[0] < ambient:
         return False
     sv = np.linalg.svd(rows, compute_uv=False)
-    return bool(sv[-1] > tol * sv[0]) if sv.size else False
+    return bool(sv[-1] > RANK_TOL * sv[0]) if sv.size else False

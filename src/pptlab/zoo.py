@@ -72,20 +72,21 @@ def degree_identity_holds(m: int, n: int, r: int) -> bool:
 
 @dataclass(eq=False)
 class UpbFamily:
-    """An orthonormal family of product vectors with an unextendible span."""
+    """An orthonormal family of product vectors with an unextendible span;
+    the constructor refuses a Gram deviation above UPB_ORTHO_TOL."""
 
     dims: BipartiteDims
     vectors: tuple
     family_name: str
 
     def __init__(self, dims: BipartiteDims, vectors: Sequence[ProductVector],
-                 family_name: str, ortho_tol: float = UPB_ORTHO_TOL):
+                 family_name: str):
         vectors = tuple(vectors)
         if vectors:
             v = np.array([pv.vec() for pv in vectors])
             gram = v.conj() @ v.T
             err = np.abs(gram - np.eye(len(vectors))).max()
-            if err > ortho_tol:
+            if err > UPB_ORTHO_TOL:
                 raise ValueError(f"product vectors are not orthonormal: deviation {err:.3e}")
         self.dims = dims
         self.vectors = vectors

@@ -23,7 +23,8 @@ from pptlab.qstate import (
     range_basis,
     rank_profile,
 )
-from pptlab.segre import Classification, EnumerationResult, enumerate_product_vectors
+from pptlab.segre import (Classification, EnumerationResult, complement_stack,
+                          enumerate_product_vectors, halton_pairs)
 from conftest import random_full_rank_ppt, random_product_vector
 from test_qstate import werner_2x2
 
@@ -209,6 +210,41 @@ class TestEdgeCheck:
         passed = edge_check(state, enumeration=enum)
         assert (passed.is_edge, passed.route, passed.starts_used, passed.best_residual) == \
             (own.is_edge, own.route, own.starts_used, own.best_residual)
+
+
+def real_embedded_a_step(kern_rho, kern_gamma, b):
+    """The edge fallback's a-step on the real 4R' x 2m embedding of
+    |G1(b) a|^2 + |G2(b) conj(a)|^2, with a = x + iy."""
+    m = kern_rho.shape[1]
+    g1 = np.einsum('rij,sj->sri', kern_rho, b)
+    g2 = np.einsum('rij,sj->sri', kern_gamma, b)
+    big = np.concatenate([
+        np.concatenate([g1.real, -g1.imag], axis=2),
+        np.concatenate([g1.imag, g1.real], axis=2),
+        np.concatenate([g2.real, g2.imag], axis=2),
+        np.concatenate([g2.imag, -g2.real], axis=2),
+    ], axis=1)
+    xy = np.linalg.svd(big)[2][:, -1, :]
+    a = xy[:, :m] + 1j * xy[:, m:]
+    return a / np.linalg.norm(a, axis=1, keepdims=True)
+
+
+class TestEdgeAStep:
+    @pytest.mark.parametrize("state_fn", [zoo.good_3x4,
+                                          lambda: zoo.bad_3x4(1.3, 0.7, -1.1, 0.9, 1.7, 0.4, -0.2)],
+                             ids=["good_3x4", "bad_3x4"])
+    def test_complex_step_matches_real_embedding(self, state_fn):
+        state = state_fn()
+        dims = state.dims
+        gamma_state = BipartiteState(HermitianOperator(dims, gamma_matrix(state)))
+        kern_rho = complement_stack(range_basis(state), dims).conj()
+        kern_gamma = complement_stack(range_basis(gamma_state), dims).conj()
+        _, b = halton_pairs(64, dims.m, dims.n)
+        a = certify._edge_a_step(kern_rho, kern_gamma, b)
+        oracle = real_embedded_a_step(kern_rho, kern_gamma, b)
+        assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
+        # the same unit vector up to a phase
+        assert np.abs(np.sum(a.conj() * oracle, axis=1)).min() > 1 - 1e-10
 
 
 class TestRankNDecomposition:

@@ -167,6 +167,22 @@ class TestAnalyze:
         assert code == 0
         assert stdout.startswith("# State report")
 
+    @pytest.mark.parametrize("fast,keys", [
+        (False, {"ranks", "kernel_enumeration", "goodness", "range_ces", "extremality", "edge"}),
+        (True, {"ranks", "kernel_enumeration", "goodness", "extremality"}),
+    ], ids=["full", "fast"])
+    def test_timings_on_request(self, tmp_path, capsys, fast, keys):
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        flags = ["--fast"] if fast else []
+        code, stdout, _ = run_cli(capsys, "analyze", str(path), "--timings", *flags)
+        assert code == 0
+        timings = json.loads(stdout)["timings"]
+        assert set(timings) == keys
+        assert all(type(t) is float and np.isfinite(t) and t >= 0 for t in timings.values())
+        code, stdout, _ = run_cli(capsys, "analyze", str(path), *flags)
+        assert "timings" not in json.loads(stdout)
+
     def test_byte_determinism(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         save_state(zoo.good_3x4(), path)
@@ -207,13 +223,19 @@ class TestAnalyze:
         ({"m": 2.5}, "field 'm' must be an integer, got 2.5"),
         ({"n": True}, "field 'n' must be an integer, got true"),
         ({"entry": [True, False]}, "entry (0, 0) is [true, false]"),
-    ], ids=["float-m", "boolean-n", "boolean-entry"])
+        ({"r": 7}, "field 'r' must be the integer 1, the blocks' row count, got 7"),
+    ], ids=["float-m", "boolean-n", "boolean-entry", "factor-r-not-row-count"])
     def test_non_integer_or_boolean_field_exit_2(self, tmp_path, capsys, edit, message):
         rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
         if "entry" in edit:
             rows[0][0] = edit.pop("entry")
+        payload = {"m": 2, "n": 2, "matrix": rows}
+        if "r" in edit:
+            # the factored form of |00><00|: two 1 x 2 blocks
+            payload = {"m": 2, "n": 2, "blocks": [[[[1.0, 0.0], [0.0, 0.0]]],
+                                                  [[[0.0, 0.0], [0.0, 0.0]]]]}
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(dict({"m": 2, "n": 2, "matrix": rows}, **edit)))
+        path.write_text(json.dumps(dict(payload, **edit)))
         code, stdout, err = run_cli(capsys, "analyze", str(path))
         assert code == 2
         assert stdout == ""

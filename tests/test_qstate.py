@@ -347,16 +347,24 @@ class TestFileFormat:
         with pytest.raises(ValueError, match=r"entry \(0, 1\) is \[0.0\]"):
             load_state(p)
 
-    @pytest.mark.parametrize("key,value", [("m", 3.9), ("m", True), ("n", False), ("n", "2")])
+    @pytest.mark.parametrize("key,value", [("m", 3.9), ("m", True), ("n", False), ("n", "2"),
+                                           ("r", 7), ("r", True), ("r", "5"), ("r", 2.5),
+                                           ("r", None)])
     def test_dimensions_must_be_integers(self, tmp_path, key, value):
-        # int() would read 3.9 as 3 and true as 1
-        rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
-        payload = {"m": 2, "n": 2, "matrix": rows}
-        payload[key] = value
+        # int() would read 3.9 as 3 and true as 1; a factored file's "r" must
+        # also equal the row count of its blocks, 5 here
         p = tmp_path / "state.json"
+        if key == "r":
+            save_factor(factor_blocks(zoo.good_3x4(), 5), p)
+            payload = json.loads(p.read_text())
+            expected = "field 'r' must be the integer 5, the blocks' row count, got "
+        else:
+            rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+            payload = {"m": 2, "n": 2, "matrix": rows}
+            expected = f"field '{key}' must be an integer, got "
+        payload[key] = value
         p.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match=re.escape(
-                f"field '{key}' must be an integer, got {json.dumps(value)}")):
+        with pytest.raises(ValueError, match=re.escape(expected + json.dumps(value))):
             load_state(p)
 
     def test_boolean_entries_refused(self, tmp_path):

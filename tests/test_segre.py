@@ -563,7 +563,7 @@ class TestLineSubspaces:
     def test_bad_mxn_kernel_plane_found(self):
         state = zoo.bad_mxn(4, 5)
         kern = kernel_basis(state)
-        hits = find_line_subspaces(kern, state.dims, w_dim=2)
+        hits = find_line_subspaces(kern, state.dims)
         a_hits = [ls for ls in hits if ls.side == "A"]
         assert a_hits
         # every reported |a> (x) W must genuinely sit inside the kernel
@@ -584,17 +584,12 @@ class TestLineSubspaces:
 
     def test_good_3x4_kernel_has_no_plane(self):
         state = zoo.good_3x4()
-        assert find_line_subspaces(kernel_basis(state), state.dims, w_dim=2) == []
+        assert find_line_subspaces(kernel_basis(state), state.dims) == []
 
     def test_full_space_trivially_contains_planes(self):
         full = subspace_from_vectors(np.eye(6), 6)
-        hits = find_line_subspaces(full, BipartiteDims(2, 3), w_dim=2)
+        hits = find_line_subspaces(full, BipartiteDims(2, 3))
         assert hits
-
-    def test_w_dim_validation(self):
-        state = zoo.good_3x4()
-        with pytest.raises(ValueError, match="w_dim"):
-            find_line_subspaces(kernel_basis(state), state.dims, w_dim=1)
 
 
 class TestPlaneRoute:
@@ -750,9 +745,13 @@ class TestGeneralPositionLargeN:
         assert general_position(res.points, state.dims)
 
     def test_subset_budget_guard(self):
-        pvs = [ProductVector(np.ones(3) + k, np.arange(8) + k + 1.0) for k in range(40)]
-        with pytest.raises(ValueError, match="budget"):
-            general_position(pvs, BipartiteDims(3, 8), max_subsets=1000)
+        # 24 terms on C^3 (x) C^8: the A side, Vandermonde rows, is in general
+        # position in C(24, 3) subsets, and the B side needs C(24, 8) = 735,471
+        # subsets, above the budget of 500,000
+        pvs = [ProductVector(np.array([1.0, k, k * k]), np.arange(8) + k)
+               for k in range(1, 25)]
+        with pytest.raises(ValueError, match="735471 subsets, above the budget of 500000"):
+            general_position(pvs, BipartiteDims(3, 8))
 
 
 class TestPartialConjugateBijection:

@@ -10,11 +10,11 @@ Four subcommands:
   one JSONL report line per point,
 - ``verify-identities``  exact combinatorial self-checks.
 
-Exit codes: 0 success, 2 malformed input or invalid parameters, 3 when the
-analysis flagged a numerical anomaly.  Reports follow the versioned schema
-"pptlab-report/1" and are byte-deterministic for a fixed input and seed;
-wall-clock timings are only included on request (--timings) since they
-would break that reproducibility.
+Exit codes: 0 success, 2 malformed input, invalid parameters or an
+unwritable --out, 3 when the analysis flagged a numerical anomaly.  Reports
+follow the versioned schema "pptlab-report/1" and are byte-deterministic
+for a fixed input and seed; wall-clock timings are only included on request
+(--timings) since they would break that reproducibility.
 """
 
 from __future__ import annotations
@@ -305,17 +305,17 @@ def _sweep(args) -> int:
         except Exception as exc:   # recorded per-line, the sweep continues
             return idx, {"schema": SCHEMA, "input": point, "error": str(exc)}, None
 
-    if args.parallel > 1:
-        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(run, enumerate(points)))
-    else:
-        results = [run(ip) for ip in enumerate(points)]
-    results.sort(key=lambda t: t[0])
-
+    # an unwritable --out fails before the grid is analyzed
     out = open(args.out, "w") if args.out else sys.stdout
     tally: dict = {"points": len(points), "errors": 0, "extreme": 0, "good": 0,
                    "bad": 0, "ppt": 0}
     try:
+        if args.parallel > 1:
+            with ThreadPoolExecutor(max_workers=args.parallel) as pool:
+                results = list(pool.map(run, enumerate(points)))
+        else:
+            results = [run(ip) for ip in enumerate(points)]
+        results.sort(key=lambda t: t[0])
         for _, payload, rep in results:
             out.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
             if rep is None:
@@ -416,6 +416,17 @@ def _n_range(text: str) -> tuple:
     raise argparse.ArgumentTypeError(f"expected lo:hi with integers lo <= hi, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    """The argparse type of --parallel: an integer >= 1."""
+    try:
+        value = int(text)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pptlab",
                                  description="certification toolkit for bipartite PPT states")
@@ -447,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--n-range", type=_n_range, help="lo:hi range of n")
     ps.add_argument("--draws", type=int, help="random parameter draws (per n on an n grid)")
     ps.add_argument("--seed", type=int, default=0)
-    ps.add_argument("--parallel", type=int, default=1)
+    ps.add_argument("--parallel", type=_positive_int, default=1)
     ps.add_argument("--out", type=str, default=None)
     _add_common(ps)
     ps.set_defaults(func=_sweep)
@@ -462,7 +473,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:   # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

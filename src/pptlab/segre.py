@@ -224,26 +224,42 @@ def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     """Gauss-Newton on the holomorphic system g_r(a, b) = <W_r, a(x)b>.
 
     One coordinate of each factor (the largest in modulus) is frozen as the
-    gauge; the step solves the least squares system through a batched
-    pseudoinverse.  Quadratic convergence near simple roots.
+    gauge, which leaves the reduced Jacobian J_r of the m + n - 2 other
+    coordinates.  Every caller has R' >= m + n - 2 (the dimension-count
+    verdict returns before any polish), so J_r is tall or square.  The step
+    is the least squares solution of J_r x = -g from one batched QR of
+    [J_r | g], whose last column holds Q^H g; where J_r has full column rank
+    it is the pseudoinverse step.  A row whose R has
+    min |R_kk| <= 1e-9 max |R_kk|, or whose step is not finite, takes the
+    SVD pseudoinverse step instead, computed for those rows only.
+    Quadratic convergence near simple roots.
     """
-    s, m, n = a.shape[0], a.shape[1], b.shape[1]
-    rows = np.arange(s)
+    rp, m, n = wc.shape
+    s, k = a.shape[0], m + n - 2
+    to_f = wc.transpose(1, 0, 2).reshape(m, rp * n)     # a @ to_f is F(a)
+    to_g = wc.reshape(rp * m, n).T                     # b @ to_g is G(b)
+    free_a, free_b = np.arange(m - 1), np.arange(n - 1)
     for _ in range(iters):
-        g = np.einsum('si,rij,sj->sr', a, wc, b)
-        res = np.linalg.norm(g, axis=1)
-        if res.max() < POLISH_TARGET:
+        fa = (a @ to_f).reshape(s, rp, n)
+        g = fa @ b[:, :, None]                         # (s, R', 1)
+        if np.linalg.norm(g[:, :, 0], axis=1).max() < POLISH_TARGET:
             break
-        fa = np.einsum('si,rij->srj', a, wc)
-        gb = np.einsum('rij,sj->sri', wc, b)
-        jac = np.concatenate([gb, fa], axis=2)            # (s, R', m+n)
-        mask = np.ones((s, 1, m + n))
-        mask[rows, 0, np.argmax(np.abs(a), axis=1)] = 0.0
-        mask[rows, 0, m + np.argmax(np.abs(b), axis=1)] = 0.0
-        jac = jac * mask
-        u, sv, vh = np.linalg.svd(jac, full_matrices=False)
-        inv = np.where(sv > 1e-12 * sv[:, :1], 1.0 / np.where(sv == 0, 1.0, sv), 0.0)
-        step = -np.einsum('skx,sk,srk,sr->sx', vh.conj(), inv, u.conj(), g)
+        gb = (b @ to_g).reshape(s, rp, m)
+        # the non-gauge columns of [G(b) | F(a)], then g
+        cols = np.concatenate([free_a + (free_a >= np.argmax(np.abs(a), axis=1)[:, None]),
+                               m + free_b + (free_b >= np.argmax(np.abs(b), axis=1)[:, None]),
+                               np.full((s, 1), m + n)], axis=1)
+        aug = np.take_along_axis(np.concatenate([gb, fa, g], axis=2), cols[:, None, :], axis=2)
+        r = np.linalg.qr(aug, mode='r')
+        diag = np.abs(np.diagonal(r[:, :k, :k], axis1=1, axis2=2))
+        x = _solve_rows(r[:, :k, :k], r[:, :k, k:])[:, :, 0]
+        weak = (diag.min(axis=1) <= 1e-9 * diag.max(axis=1)) | ~np.isfinite(x).all(axis=1)
+        if weak.any():
+            u, sv, vh = np.linalg.svd(aug[weak, :, :k], full_matrices=False)
+            inv = np.where(sv > 1e-12 * sv[:, :1], 1.0 / np.where(sv == 0, 1.0, sv), 0.0)
+            x[weak] = np.einsum('skx,sk,srk,sr->sx', vh.conj(), inv, u.conj(), g[weak, :, 0])
+        step = np.zeros((s, m + n), dtype=complex)
+        np.put_along_axis(step, cols[:, :k], -x, axis=1)
         a = a + step[:, :m]
         b = b + step[:, m:]
         a = a / np.linalg.norm(a, axis=1, keepdims=True)

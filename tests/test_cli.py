@@ -80,6 +80,16 @@ class TestConstruct:
         assert named in err and family in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("family", ["good-3x4", "gentiles2"])
+    def test_unwritable_out_exit_2(self, tmp_path, capsys, family):
+        # a state file and a product basis file are written by different code
+        out = tmp_path / "missing" / "s.json"
+        code, stdout, err = run_cli(capsys, "construct", family, "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("family", ["kon-mnogo", "good-3x4", "bad-3x4", "good-3xN"])
     def test_default_shape_builds_3x4(self, tmp_path, capsys, family):
         out = tmp_path / "s.json"
@@ -240,6 +250,15 @@ class TestAnalyze:
         assert code == 2
         assert stdout == ""
         assert message in err
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        out = tmp_path / "missing" / "report.json"
+        code, stdout, err = run_cli(capsys, "analyze", str(path), "--fast", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and str(out) in err
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nonsense.json"
@@ -449,6 +468,28 @@ class TestSweep:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --n-range: expected lo:hi with integers lo <= hi" in err
+
+    def test_unwritable_out_exits_before_the_grid(self, tmp_path, capsys, monkeypatch):
+        analyzed = []
+        monkeypatch.setattr(cli, "analyze_state", lambda *args, **kw: analyzed.append(args))
+        out = tmp_path / "missing" / "sweep.jsonl"
+        code, stdout, err = run_cli(capsys, "sweep", "bad-3xN", "--n-range", "4:5",
+                                    "--fast", "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ") and str(out) in err
+        assert analyzed == []
+
+    @pytest.mark.parametrize("text", ["0", "-3"])
+    def test_parallel_below_one_exit_2(self, tmp_path, capsys, text):
+        out = tmp_path / "s.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "bad-3xN", "--n-range", "4:4", "--parallel", text,
+                  "--fast", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --parallel: expected an integer >= 1, got '{text}'" in err
+        assert not out.exists()
 
     def test_empty_grid_exit_2(self, capsys):
         code, stdout, err = run_cli(capsys, "sweep", "bad-MxN", "--max-sum", "7", "--fast")

@@ -15,6 +15,7 @@ from pptlab.qstate import (
     range_basis,
 )
 from pptlab.segre import (
+    POLISH_TARGET,
     Classification,
     Goodness,
     GoodnessReason,
@@ -447,6 +448,116 @@ class TestAlternate:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         _, _, res = _alternate_batch(wc, a0, b0, 60)
         assert res.shape == (400,)
+
+
+def polish_by_pinv(wc, a, b, iters):
+    """Reference polish: Gauss-Newton steps through the SVD pseudoinverse of
+    the full Jacobian with its two gauge columns zeroed."""
+    s, m, n = a.shape[0], a.shape[1], b.shape[1]
+    rows = np.arange(s)
+    for _ in range(iters):
+        g = np.einsum('si,rij,sj->sr', a, wc, b)
+        res = np.linalg.norm(g, axis=1)
+        if res.max() < POLISH_TARGET:
+            break
+        fa = np.einsum('si,rij->srj', a, wc)
+        gb = np.einsum('rij,sj->sri', wc, b)
+        jac = np.concatenate([gb, fa], axis=2)            # (s, R', m+n)
+        mask = np.ones((s, 1, m + n))
+        mask[rows, 0, np.argmax(np.abs(a), axis=1)] = 0.0
+        mask[rows, 0, m + np.argmax(np.abs(b), axis=1)] = 0.0
+        jac = jac * mask
+        u, sv, vh = np.linalg.svd(jac, full_matrices=False)
+        inv = np.where(sv > 1e-12 * sv[:, :1], 1.0 / np.where(sv == 0, 1.0, sv), 0.0)
+        step = -np.einsum('skx,sk,srk,sr->sx', vh.conj(), inv, u.conj(), g)
+        a = a + step[:, :m]
+        b = b + step[:, m:]
+        a = a / np.linalg.norm(a, axis=1, keepdims=True)
+        b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    g = np.einsum('si,rij,sj->sr', a, wc, b)
+    return a, b, np.linalg.norm(g, axis=1)
+
+
+def assert_same_polish(got, ref):
+    """The same pairs up to phase and the same residuals, row by row."""
+    (a, b, res), (a_ref, b_ref, res_ref) = got, ref
+    assert np.min(np.abs(np.einsum('si,si->s', a_ref.conj(), a))) >= 1 - 1e-12
+    assert np.min(np.abs(np.einsum('si,si->s', b_ref.conj(), b))) >= 1 - 1e-12
+    assert np.allclose(res, res_ref, rtol=1e-12, atol=1e-15)
+
+
+class SvdRecorder:
+    """Stands in for np.linalg.svd and records the shape of every call made
+    while `active`."""
+
+    def __init__(self, monkeypatch):
+        self.svd, self.shapes, self.active = np.linalg.svd, [], True
+        monkeypatch.setattr(np.linalg, "svd", self)
+
+    def __call__(self, x, *args, **kwargs):
+        if self.active:
+            self.shapes.append(np.shape(x))
+        return self.svd(x, *args, **kwargs)
+
+
+RANGE_STATES = {
+    "good_3x4": zoo.good_3x4,
+    "bad_3x4": zoo.bad_3x4,
+    "gentiles2_3x4": lambda: zoo.upb_complement_state(zoo.gentiles2_upb(3, 4)),
+    "bad_4x5": lambda: zoo.bad_mxn(4, 5),
+}
+
+
+class TestPolish:
+    @pytest.mark.parametrize("iters", [1, 16])
+    @pytest.mark.parametrize("name", list(RANGE_STATES))
+    def test_matches_the_pinv_polish(self, name, iters):
+        # the cross-check round's own input: alternated Halton starts
+        state = RANGE_STATES[name]()
+        m, n = state.dims.m, state.dims.n
+        wc = complement_stack(range_basis(state), state.dims).conj()
+        a, b, _ = _alternate_batch(wc, *halton_pairs(400, m, n), 60)
+        assert_same_polish(_polish_batch(wc, a, b, iters), polish_by_pinv(wc, a, b, iters))
+
+    def test_rank_deficient_row_takes_the_pinv_step(self, monkeypatch):
+        # the bad_3x4 kernel holds the plane e0 (x) span{e2, e3}, so F(e0)
+        # has two zero columns and J_r is rank-deficient at a = e0 for any
+        # b: that row alone takes the pseudoinverse step
+        state = zoo.bad_3x4()
+        wc = complement_stack(kernel_basis(state), state.dims).conj()
+        a, b = halton_pairs(400, 3, 4)
+        a[7] = np.eye(3)[0]
+        assert np.max(np.abs(wc[:, 0, 2:])) < 1e-14
+        svd = SvdRecorder(monkeypatch)
+        got = _polish_batch(wc, a, b, 1)
+        svd.active = False
+        assert svd.shapes == [(1, 5, 5)]
+        ref = polish_by_pinv(wc, a, b, 1)
+        assert_same_polish(got, ref)
+        # g is linear in b at fixed a: the step lands on the plane
+        assert np.linalg.norm(np.einsum('i,rij,j->r', a[7], wc, b[7])) > 1e-3
+        assert got[2][7] < 1e-14
+
+    def test_range_cross_check_polish_calls_no_svd(self, monkeypatch):
+        import pptlab.segre as segre_mod
+
+        svd = SvdRecorder(monkeypatch)
+        svd.active, batches = False, []
+
+        def recording(wc, a, b, iters):
+            batches.append(a.shape[0])
+            svd.active = True
+            try:
+                return _polish_batch(wc, a, b, iters)
+            finally:
+                svd.active = False
+
+        monkeypatch.setattr(segre_mod, "_polish_batch", recording)
+        state = zoo.good_3x4()
+        res = enumerate_product_vectors(range_basis(state), state.dims)
+        assert res.classification == Classification.EMPTY
+        assert 400 in batches
+        assert svd.shapes == []
 
 
 class TestCes:

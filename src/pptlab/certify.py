@@ -11,9 +11,13 @@ vector space V of such H always contains rho itself, so
 explicit real matrix: H is parametrized as P X P^dag over an orthonormal
 range basis P (X Hermitian, r^2 real coordinates) and the constraint is
 that the partial transpose of H has no component outside the range of
-rho^Gamma.  A full SVD of the constraint matrix makes the answer an
-auditable integer: the reported gap ratio separates the kept from the
-discarded singular values.
+rho^Gamma.  Rotated by the unitary [K | R] (kernel and range of rho^Gamma),
+that component is a Hermitian d x d block and a d x s block, written in
+d^2 + 2ds real coordinates; this isometric image keeps the map's singular
+values and null space.  One QR of that matrix and an SVD of its r^2 x r^2
+factor make the answer an auditable integer: the reported gap ratio
+separates the kept from the discarded singular values, and the witness of
+a non-extreme state comes from the same SVD.
 
 The remaining certificates are self-contained: the quadratic necessary
 bound on biranks, an edge-state check (no product vector in the range whose
@@ -128,24 +132,59 @@ class EdgeReport:
     paths: Optional[dict] = None
 
 
-def _hermitian_basis(r: int) -> list:
-    """Orthonormal (Hilbert-Schmidt) basis of r x r Hermitian matrices."""
-    out = []
+def _hermitian_coords(x: np.ndarray) -> np.ndarray:
+    """Coordinates of a Hermitian r x r matrix in the orthonormal basis of
+    diagonal units, then per pair i < j the symmetric (|i><j| + |j><i|)/sqrt2
+    and antisymmetric i(|i><j| - |j><i|)/sqrt2 units, interleaved."""
+    r = x.shape[0]
+    up = np.sqrt(2.0) * x[np.triu_indices(r, 1)]
+    return np.concatenate([np.diagonal(x).real, np.stack([up.real, up.imag], 1).ravel()])
+
+
+def _hermitian_from_coords(c: np.ndarray, r: int) -> np.ndarray:
+    """The inverse of `_hermitian_coords`."""
+    x = np.zeros((r, r), dtype=complex)
+    x[np.triu_indices(r, 1)] = (c[r::2] + 1j * c[r + 1::2]) / np.sqrt(2.0)
+    return x + x.conj().T + np.diag(c[:r])
+
+
+def _constraint_rows(p: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
+    """The constraint map as an (r^2, d, 2mn - d) real array, one slab per
+    Hermitian basis unit E in the order of `_hermitian_coords`.
+
+    `p` (r, m, n) holds the range rows of rho, `v` (mn, m, n) the rows of
+    ker rho^Gamma (the first d, K) and then of its range (R).  Slab E is
+    C = K^H Gamma(P E P^H) [K | R] in real coordinates: Re B + Im B for the
+    Hermitian d x d block B (an orthogonal change of its diagonal and sqrt2
+    Re, sqrt2 Im of the upper triangle), then Re and Im of the d x s block.
+    So the slab has the norm of K^H Gamma(P E P^H), and the map keeps its
+    singular values and null space in d^2 + 2ds coordinates.  For the units
+    T_ij = |p_i><p_j|, C = X_i Y_j with X_i[k, (a, a')] = sum_b
+    conj(K_k[a, b]) P_i[a', b] and Y_j[(a, a'), l] = sum_b conj(P_j[a, b])
+    V_l[a', b]: pass i builds the T_ij and T_ji with j >= i by two GEMMs.
+    """
+    r, m, n = p.shape
+    mn = m * n
+    x = (v[:d].conj().reshape(d * m, n) @ p.reshape(r * m, n).T).reshape(d, m, r, m)
+    x = x.transpose(2, 0, 1, 3).reshape(r, d, m * m)
+    y = (v.reshape(mn * m, n) @ p.conj().reshape(r * m, n).T).reshape(mn, m, r, m)
+    y = y.transpose(3, 1, 2, 0).reshape(m * m, r * mn)
+    out = np.empty((r * r, d, 2 * mn - d))
+
+    def put(at, c):
+        out[at, :, :mn] = c.real
+        out[at, :, :d] += c.imag[..., :d]
+        out[at, :, mn:] = c.imag[..., d:]
+
+    pos = r
     for i in range(r):
-        e = np.zeros((r, r), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
-    s = 1.0 / np.sqrt(2.0)
-    for i in range(r):
-        for j in range(i + 1, r):
-            e = np.zeros((r, r), dtype=complex)
-            e[i, j] = s
-            e[j, i] = s
-            out.append(e)
-            e = np.zeros((r, r), dtype=complex)
-            e[i, j] = 1j * s
-            e[j, i] = -1j * s
-            out.append(e)
+        k = r - 1 - i
+        row = (x[i] @ y[:, i * mn:]).reshape(d, k + 1, mn).transpose(1, 0, 2)
+        col = (x[i + 1:].reshape(k * d, m * m) @ y[:, i * mn:(i + 1) * mn]).reshape(k, d, mn)
+        put(i, row[0])
+        put(slice(pos, pos + 2 * k, 2), (row[1:] + col) / np.sqrt(2.0))
+        put(slice(pos + 1, pos + 2 * k, 2), 1j * (row[1:] - col) / np.sqrt(2.0))
+        pos += 2 * k
     return out
 
 
@@ -164,29 +203,22 @@ def extremality_nullity(state: BipartiteState, *, rank_tol: float = RANK_TOL,
         warnings.warn(f"extremality criterion applied to an NPT state "
                       f"(min eigenvalue of the partial transpose {min_eig:.3e})")
     m, n = state.dims.m, state.dims.n
-    p = range_basis(state, tol_rel=rank_tol).vectors.T          # mn x r
-    r = p.shape[1]
-    gperp = _eig_split(gamma_matrix(state), rank_tol)[0].T      # mn x (mn - s)
-    basis = _hermitian_basis(r)
-    if gperp.shape[1] == 0:
-        # no constraint: every direction inside the range is feasible
-        nullity = r * r
-        verdict = Extremality.NOT_EXTREME if nullity > 1 else Extremality.EXTREME
-        witness = (_witness_from_nullspace(state, p, basis, np.eye(r * r))
-                   if nullity > 1 else None)
-        return ExtremalityCert(nullity, verdict, np.inf, np.zeros(0), witness)
-    cols = np.empty((2 * gperp.shape[1] * m * n, r * r))
-    for idx, e in enumerate(basis):
-        h = p @ e @ p.conj().T
-        c = gperp.conj().T @ _gamma(h, m, n)
-        cols[:, idx] = np.concatenate([c.real.ravel(), c.imag.ravel()])
-    # each column is a unit Hilbert-Schmidt matrix pushed through the
-    # orthonormal P and G-perp, so the map has scale one and the cutoff is
-    # absolute: a relative cut would count rounding noise as rank whenever
-    # every column vanishes, as for a pure product state
-    sv = np.linalg.svd(cols, compute_uv=False)
+    p = range_basis(state, tol_rel=rank_tol).vectors            # r x mn
+    r = p.shape[0]
+    kern, rng_gamma = _eig_split(gamma_matrix(state), rank_tol)
+    rows = _constraint_rows(p.reshape(r, m, n),
+                            np.concatenate([kern, rng_gamma]).reshape(m * n, m, n),
+                            kern.shape[0])
+    # each slab is a unit Hilbert-Schmidt matrix pushed through the
+    # orthonormal P and the unitary [K | R], so the map has scale one and the
+    # cutoff is absolute: a relative cut would count rounding noise as rank
+    # whenever every slab vanishes, as for a pure product state.  The QR runs
+    # in place; its R has the singular values and right singular vectors of the map.
+    fac = scipy.linalg.qr(rows.reshape(r * r, -1).T, mode="raw", overwrite_a=True,
+                          check_finite=False)[1]
+    _, sv, vh = np.linalg.svd(fac)
     rank = int(np.sum(sv > NULLITY_CUTOFF))
-    nullity = r * r - rank              # columns not killed by the constraints
+    nullity = r * r - rank              # directions not killed by the constraints
     if nullity == 0:                    # impossible: rho itself is feasible
         return ExtremalityCert(0, Extremality.BORDERLINE, 0.0, sv, None)
     kept, disc = sv[:rank], sv[rank:]
@@ -198,90 +230,56 @@ def extremality_nullity(state: BipartiteState, *, rank_tol: float = RANK_TOL,
         verdict = Extremality.EXTREME if gap > GAP_CERTIFIED else Extremality.BORDERLINE
     else:
         verdict = Extremality.NOT_EXTREME
-    witness = None
-    if nullity > 1:
-        _, _, vh = np.linalg.svd(cols)
-        witness = _witness_from_nullspace(state, p, basis, vh[r * r - nullity:].real)
+    witness = _witness_from_nullspace(state, p.T, vh[rank:]) if nullity > 1 else None
     return ExtremalityCert(nullity, verdict, gap, sv, witness)
 
 
-def _witness_from_nullspace(state: BipartiteState, p: np.ndarray, basis: list,
+def _witness_from_nullspace(state: BipartiteState, p: np.ndarray,
                             null_rows: np.ndarray) -> Optional[np.ndarray]:
     """A unit-Frobenius feasible Hermitian direction orthogonal to rho."""
-    r = p.shape[1]
-    x_rho = p.conj().T @ state.matrix @ p
-    rho_coords = np.array([np.trace(e.conj().T @ x_rho).real for e in basis])
-    coeff = null_rows @ rho_coords
+    coeff = null_rows @ _hermitian_coords(p.conj().T @ state.matrix @ p)
     perp = scipy.linalg.null_space(coeff[None, :])
     if perp.shape[1] == 0:
         return None
-    combo = perp[:, 0] @ null_rows
-    x = sum(c * e for c, e in zip(combo, basis))
+    x = _hermitian_from_coords(perp[:, 0] @ null_rows, p.shape[1])
     h = p @ x @ p.conj().T
     h = (h + h.conj().T) / 2.0
     nrm = np.linalg.norm(h)
     return h / nrm if nrm > 0 else None
 
 
-def nullity_unrestricted(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
-                         rank_tol: float = 1e-9) -> int:
-    """Same nullity through an independent parametrization (all Hermitian
-    matrices, both range constraints explicit); used as a consistency oracle."""
-    m, n = state.dims.m, state.dims.n
-    d = m * n
-    w, v = np.linalg.eigh(state.matrix)
-    rperp = v[:, w <= rank_tol * w[-1]]
-    gperp = _eig_split(gamma_matrix(state), rank_tol)[0].T
-    basis = _hermitian_basis(d)
-    rows = []
-    for e in basis:
-        c1 = rperp.conj().T @ e
-        c2 = gperp.conj().T @ _gamma(e, m, n)
-        rows.append(np.concatenate([c1.real.ravel(), c1.imag.ravel(),
-                                    c2.real.ravel(), c2.imag.ravel()]))
-    a = np.array(rows).T
-    if a.size == 0 or np.abs(a).max() == 0.0:
-        return d * d
-    sv = np.linalg.svd(a, compute_uv=False)
-    return d * d - int(np.sum(sv > cutoff * sv[0]))
-
-
 def witness_decomposition(state: BipartiteState, cert: ExtremalityCert) -> tuple:
     """Split a non-extreme state as rho = (rho1 + rho2)/2 along the witness.
 
-    The step size is found by bisection so that both rho +- eps*H and their
-    partial transposes stay PSD with a factor-two margin.  Raises when no
-    step above 1e-10 relative to the largest eigenvalue exists, which
-    signals a numerically unusable witness rather than extremality.
+    The step is closed-form.  On the range of rho (basis Q), rho + tH stays
+    PSD exactly while 1 + t mu >= 0 for every generalized eigenvalue mu of
+    (Q^H H Q, Q^H rho Q), and likewise for the partial transposes on the
+    range of rho^Gamma; so both signs of the step are feasible up to
+    t_max = 1 / max|mu|, and eps = t_max / 2 keeps a factor-two margin.  The
+    four matrices rho +- eps*H and their partial transposes are checked once
+    for PSD.  Raises when that check fails or when eps is below 1e-10
+    relative to the largest eigenvalue, which signals a numerically unusable
+    witness rather than extremality.
     """
     if cert.nullity <= 1 or cert.witness is None:
         raise ValueError("witness decomposition needs a certificate with nullity > 1")
-    h = cert.witness
-    m, n = state.dims.m, state.dims.n
-    rho = state.matrix
-    grho = _gamma(rho, m, n)
-    gh = _gamma(h, m, n)
+    h, rho = cert.witness, state.matrix
+    grho, gh = gamma_matrix(state), _gamma(h, state.dims.m, state.dims.n)
     scale = np.linalg.eigvalsh(rho)[-1]
-
-    def feasible(eps: float) -> bool:
-        for mat in (rho + eps * h, rho - eps * h, grho + eps * gh, grho - eps * gh):
-            if np.linalg.eigvalsh(mat)[0] < -1e-12 * scale:
-                return False
-        return True
-
-    hi = float(scale)
-    while feasible(hi):
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(60):
-        mid = (lo + hi) / 2.0
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    eps = lo / 2.0
+    mu = 0.0
+    for a, b in ((h, rho), (gh, grho)):
+        q = _eig_split(b, RANK_TOL)[1]
+        try:
+            w = scipy.linalg.eigh(q.conj() @ a @ q.T, q.conj() @ b @ q.T, eigvals_only=True)
+        except np.linalg.LinAlgError:   # not positive definite on its range: NPT
+            raise ArithmeticError("the state is not PSD on its range; no splitting step") from None
+        mu = max(mu, float(np.abs(w).max()))
+    eps = 0.5 / mu
     if eps < 1e-10 * scale:
         raise ArithmeticError("no usable splitting step above 1.0e-10 relative")
+    for mat in (rho + eps * h, rho - eps * h, grho + eps * gh, grho - eps * gh):
+        if np.linalg.eigvalsh(mat)[0] < -1e-12 * scale:
+            raise ArithmeticError(f"the closed-form step {eps:.3e} leaves the PPT set")
     rho1 = BipartiteState(HermitianOperator(state.dims, rho - eps * h), psd_tol=1e-9)
     rho2 = BipartiteState(HermitianOperator(state.dims, rho + eps * h), psd_tol=1e-9)
     return rho1, rho2

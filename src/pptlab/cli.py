@@ -20,6 +20,7 @@ for a fixed input and seed; wall-clock timings are only included on request
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -379,18 +380,19 @@ def _analyze(args) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rep = analyze_state(state, {"path": args.path},
-                        tol_rank=args.tol_rank, tol_psd=args.tol_psd, fast=args.fast)
-    if args.md:
-        text = rep.to_markdown()
-    else:
-        text = json.dumps(rep.to_json(include_timings=args.timings),
-                          sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # an unwritable --out fails before the analysis; it may name the input file,
+    # so it is opened after the load and emptied only once the report is ready
+    with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as out:
+        rep = analyze_state(state, {"path": args.path},
+                            tol_rank=args.tol_rank, tol_psd=args.tol_psd, fast=args.fast)
+        if args.md:
+            text = rep.to_markdown()
+        else:
+            text = json.dumps(rep.to_json(include_timings=args.timings),
+                              sort_keys=True, indent=2, allow_nan=False) + "\n"
+        if args.out:
+            out.truncate(0)
+        out.write(text)
     return 3 if rep.anomalies else 0
 
 

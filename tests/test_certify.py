@@ -9,7 +9,6 @@ from pptlab.certify import (
     extremality_nullity,
     find_rank1_compression,
     necessary_bound,
-    nullity_unrestricted,
     rank_n_separable_decomposition,
     strongly_extreme_by_theorem,
     witness_decomposition,
@@ -20,12 +19,14 @@ from pptlab.qstate import (
     HermitianOperator,
     ProductVector,
     gamma_matrix,
+    is_ppt,
     range_basis,
     rank_profile,
 )
 from pptlab.segre import (Classification, EnumerationResult, complement_stack,
                           enumerate_product_vectors, halton_pairs)
 from conftest import random_full_rank_ppt, random_product_vector
+from oracles import bisection_step, nullity_by_columns, nullity_unrestricted
 from test_qstate import werner_2x2
 
 
@@ -108,6 +109,96 @@ class TestExtremalityNullity:
         assert extremality_nullity(state).nullity == extremality_nullity(g).nullity
 
 
+def _grid_states() -> dict:
+    """The states of the extremality-grid benchmark: the bad M x N grid,
+    good_3xn(4..8) and seeded separable states with fewer terms than full
+    rank (the benchmark draws these from its own seed)."""
+    states = {f"bad_{m}x{n}": zoo.bad_mxn(m, n)
+              for m in range(4, 11) for n in range(m, 15 - m)}
+    states.update({f"good_3x{n}": zoo.good_3xn(n) for n in range(4, 9)})
+    rng = np.random.default_rng(7)
+    for m, n, terms in [(2, 2, 3), (2, 3, 4), (2, 3, 5), (2, 4, 5), (2, 4, 6), (2, 5, 6),
+                        (3, 3, 5), (3, 3, 6), (3, 3, 7), (3, 3, 8), (3, 4, 6), (3, 4, 7)]:
+        states[f"sep_{m}x{n}_k{terms}"] = separable_state(m, n, terms, rng)
+    return states
+
+
+def separable_state(m: int, n: int, terms: int, rng) -> BipartiteState:
+    rho = np.zeros((m * n, m * n), dtype=complex)
+    for _ in range(terms):
+        v = random_product_vector(BipartiteDims(m, n), rng).vec()
+        rho += np.outer(v, v.conj())
+    return BipartiteState(HermitianOperator(BipartiteDims(m, n), rho))
+
+
+GRID = _grid_states()
+
+
+class TestAgainstOracles:
+    """The compressed constraint and the closed-form step against the r^2
+    column build and the 60-step bisection, on every grid state and its
+    partial transpose."""
+
+    @pytest.mark.parametrize("label", sorted(GRID))
+    def test_grid_state_and_partial_transpose(self, label):
+        state = GRID[label]
+        gamma = BipartiteState(HermitianOperator(state.dims, gamma_matrix(state)))
+        for st in (state, gamma):
+            cert = extremality_nullity(st)
+            nullity, verdict, sv = nullity_by_columns(st)
+            assert (cert.nullity, cert.verdict) == (nullity, verdict)
+            assert cert.verdict == (Extremality.NOT_EXTREME if label.startswith("sep")
+                                    else Extremality.EXTREME)
+            k = min(sv.size, cert.singular_spectrum.size)
+            assert np.abs(cert.singular_spectrum[:k] - sv[:k]).max() <= 1e-12
+            if cert.nullity == 1:
+                continue
+            rho1, rho2 = witness_decomposition(st, cert)
+            eps = np.linalg.norm(st.matrix - rho1.matrix)      # the witness has unit norm
+            assert abs(eps - bisection_step(st, cert.witness)) <= 1e-6 * eps
+            err = np.linalg.norm(rho1.matrix + rho2.matrix - 2 * st.matrix)
+            assert err <= 1e-10 * np.linalg.norm(st.matrix)
+            assert is_ppt(rho1)[0] and is_ppt(rho2)[0]
+
+
+class TestComplexInvariance:
+    """Nullity and verdict are SLOCC invariants; every grid state is real,
+    so these complex, seeded conjugations are what would expose a missing
+    conjugate."""
+
+    STATES = {
+        "good_3x4": zoo.good_3x4,
+        "bad_4x5": lambda: zoo.bad_mxn(4, 5),
+        "good_3x6": lambda: zoo.good_3xn(6),
+        "sep_3x4_k7": lambda: separable_state(3, 4, 7, np.random.default_rng(5)),
+    }
+
+    @staticmethod
+    def _conjugated(state, a, b):
+        u = np.kron(a, b)
+        return BipartiteState(HermitianOperator(state.dims, u @ state.matrix @ u.conj().T))
+
+    @pytest.mark.parametrize("label", sorted(STATES))
+    def test_local_unitary_slocc_and_scale(self, label):
+        state = self.STATES[label]()
+        m, n = state.dims.m, state.dims.n
+        base = extremality_nullity(state)
+        rng = np.random.default_rng(17)
+
+        def cplx(k):
+            return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+
+        variants = [
+            self._conjugated(state, np.linalg.qr(cplx(m))[0], np.linalg.qr(cplx(n))[0]),
+            self._conjugated(state, np.eye(m) + 0.3 * cplx(m), np.eye(n) + 0.3 * cplx(n)),
+            BipartiteState(HermitianOperator(state.dims, 1e6 * state.matrix)),
+            BipartiteState(HermitianOperator(state.dims, 1e-6 * state.matrix)),
+        ]
+        for variant in variants:
+            cert = extremality_nullity(variant)
+            assert (cert.nullity, cert.verdict) == (base.nullity, base.verdict)
+
+
 class TestWitnessDecomposition:
     @pytest.mark.parametrize("state_fn", [
         diag_two_products,
@@ -125,6 +216,17 @@ class TestWitnessDecomposition:
         inner = abs(np.vdot(rho1.matrix.ravel(), rho2.matrix.ravel()))
         norms = np.linalg.norm(rho1.matrix) * np.linalg.norm(rho2.matrix)
         assert inner < (1 - 1e-6) * norms
+
+    def test_npt_state_has_no_step(self):
+        bell = np.zeros(4)
+        bell[[0, 3]] = 1.0 / np.sqrt(2.0)
+        state = BipartiteState(HermitianOperator(
+            BipartiteDims(2, 2), np.outer(bell, bell) + 0.1 * np.eye(4)), psd_tol=1e-9)
+        with pytest.warns(UserWarning, match="NPT"):
+            cert = extremality_nullity(state)
+        assert cert.nullity > 1
+        with pytest.raises(ArithmeticError):
+            witness_decomposition(state, cert)
 
     def test_extreme_state_rejects(self):
         state = zoo.good_3x4()

@@ -260,6 +260,37 @@ class TestAnalyze:
         assert stdout == ""
         assert err.startswith("error: ") and str(out) in err
 
+    def test_unwritable_out_fails_before_the_analysis(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        calls = []
+        monkeypatch.setattr(cli, "analyze_state", lambda *a, **k: calls.append(a))
+        out = tmp_path / "missing" / "report.json"
+        code, stdout, err = run_cli(capsys, "analyze", str(path), "--out", str(out))
+        assert code == 2
+        assert stdout == "" and str(out) in err
+        assert calls == []
+
+    def test_failed_analysis_leaves_out_as_it_was(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        before = path.read_bytes()
+
+        def fail(*args, **kwargs):
+            raise ValueError("analysis failed")
+
+        monkeypatch.setattr(cli, "analyze_state", fail)
+        code, _, err = run_cli(capsys, "analyze", str(path), "--out", str(path))
+        assert code == 2 and "analysis failed" in err
+        assert path.read_bytes() == before
+
+    def test_out_may_name_the_input_file(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        code, _, _ = run_cli(capsys, "analyze", str(path), "--fast", "--out", str(path))
+        assert code == 0
+        assert json.loads(path.read_text())["rank_profile"]["rank"] == 5
+
     def test_malformed_file_exit_2(self, tmp_path, capsys):
         path = tmp_path / "nonsense.json"
         path.write_text("{\"m\": 2}")

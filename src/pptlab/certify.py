@@ -51,6 +51,8 @@ from .qstate import (
     rank_profile,
     _eig_split,
     _gamma,
+    _psd_verdict,
+    _split_eigh,
 )
 from . import segre
 from .segre import (
@@ -198,14 +200,16 @@ def extremality_nullity(state: BipartiteState, *, rank_tol: float = RANK_TOL,
     Singular values of the constraint map are cut at NULLITY_CUTOFF.  A
     state that is NPT at `psd_tol` draws a warning.
     """
-    ppt, min_eig = is_ppt(state, tol=psd_tol)
+    # one eigendecomposition of rho^Gamma gives the PPT verdict and its split
+    w, v = np.linalg.eigh(gamma_matrix(state))
+    ppt, min_eig = _psd_verdict(w, psd_tol)
     if not ppt:
         warnings.warn(f"extremality criterion applied to an NPT state "
                       f"(min eigenvalue of the partial transpose {min_eig:.3e})")
     m, n = state.dims.m, state.dims.n
     p = range_basis(state, tol_rel=rank_tol).vectors            # r x mn
     r = p.shape[0]
-    kern, rng_gamma = _eig_split(gamma_matrix(state), rank_tol)
+    kern, rng_gamma = _split_eigh(w, v, rank_tol)
     rows = _constraint_rows(p.reshape(r, m, n),
                             np.concatenate([kern, rng_gamma]).reshape(m * n, m, n),
                             kern.shape[0])

@@ -345,14 +345,21 @@ def rank_profile(state: BipartiteState, tol_rel: float = RANK_TOL) -> RankProfil
 
 def is_ppt(state: BipartiteState, tol: float = PSD_TOL) -> tuple:
     """Whether rho^Gamma is PSD at a relative tolerance; returns (verdict, min_eig)."""
-    g = _gamma(state.matrix, state.dims.m, state.dims.n)
-    eigs = np.linalg.eigvalsh(g)
+    return _psd_verdict(np.linalg.eigvalsh(gamma_matrix(state)), tol)
+
+
+def _psd_verdict(eigs: np.ndarray, tol: float) -> tuple:
+    """(whether ascending eigenvalues `eigs` are PSD at relative `tol`, least one)."""
     top = max(eigs[-1], 0.0)
     return bool(eigs[0] >= -tol * max(top, 1e-300)), float(eigs[0])
 
 
 def _eig_split(matrix: np.ndarray, tol_rel: float) -> tuple:
-    w, v = np.linalg.eigh(matrix)
+    return _split_eigh(*np.linalg.eigh(matrix), tol_rel)
+
+
+def _split_eigh(w: np.ndarray, v: np.ndarray, tol_rel: float) -> tuple:
+    """(kernel, range) rows from an eigendecomposition w, v of a Hermitian matrix."""
     top = max(abs(w[0]), abs(w[-1]))
     small = np.abs(w) <= tol_rel * max(top, 1e-300)
     return v[:, small].T, v[:, ~small].T

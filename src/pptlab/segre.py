@@ -40,6 +40,17 @@ the whole space when R' > m + n - 2.  The set is FINITE, or EMPTY, complete
 by count, and one multistart round cross-checks it; a point found there
 outside the counted set overrules the count.
 
+"Complete by count" rests on refined Bezout (Fulton, Intersection Theory,
+Ex. 8.4.6).  The zero set of a square system is the Segre variety
+P^{m-1} x P^{n-1} in P^{mn-1}, of degree delta(m, n), cut by m + n - 2
+hyperplanes, and the degrees of its irreducible components sum to at most
+delta times the hyperplanes' degrees, 1.  An isolated zero is a component
+of degree one and a positive-dimensional component has degree at least
+one, so delta pairwise-distinct isolated zeros (nonsingularity makes each
+one isolated) are every zero, with no component of positive dimension
+beside them.  For a squared-down system this holds for the mixed zero set,
+which contains the full one.
+
 A set neither a count nor its own endpoints settled (a square system with
 a positive-dimensional component has fewer than delta isolated roots, and a
 component that is not a plane leaves paths unaccounted) is searched for
@@ -94,6 +105,7 @@ RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-6
 POLISH_TARGET = 1e-13
 _ALTERNATE_ITERS = 60
+_SETTLED_STEP = 1e-14
 _POLISH_ITERS = 16
 _BATCH_CAP = 8192
 _MIN_STARTS = 400
@@ -207,17 +219,37 @@ def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     Q[(i,k),(j,l)] = sum_r conj(W_r[i,j]) W_r[k,l]: F^H F is
     (conj(a) (x) a) Q and G^H G is Q (conj(b) (x) b).  The returned
     residual is |F(a) b| itself, never an eigenvalue.
+
+    A start retires once both of its factors move by less than
+    _SETTLED_STEP in one iteration, measured after aligning phase
+    (|a' - a e^{i phi}| with phi = arg <a, a'>): it sits at its fixed point
+    to rounding, and its pair is final.  The products and the eigensolves
+    run on the live starts only, for at most `iters` iterations.
     """
-    s, m, n = a.shape[0], wc.shape[1], wc.shape[2]
+    m, n = wc.shape[1], wc.shape[2]
     q = np.einsum('rij,rkl->ikjl', wc.conj(), wc).reshape(m * m, n * n)
+    a, b = a.copy(), b.copy()
+    live = np.arange(a.shape[0])
     for _ in range(iters):
-        ff = ((a.conj()[:, :, None] * a[:, None, :]).reshape(s, m * m) @ q).reshape(s, n, n)
-        b = np.linalg.eigh(ff)[1][:, :, 0]
-        gg = ((b.conj()[:, :, None] * b[:, None, :]).reshape(s, n * n) @ q.T).reshape(s, m, m)
-        a = np.linalg.eigh(gg)[1][:, :, 0]
+        if live.size == 0:
+            break
+        al, s = a[live], live.size
+        ff = ((al.conj()[:, :, None] * al[:, None, :]).reshape(s, m * m) @ q).reshape(s, n, n)
+        bn = np.linalg.eigh(ff)[1][:, :, 0]
+        gg = ((bn.conj()[:, :, None] * bn[:, None, :]).reshape(s, n * n) @ q.T).reshape(s, m, m)
+        an = np.linalg.eigh(gg)[1][:, :, 0]
+        moved = np.maximum(_phase_aligned_change(al, an), _phase_aligned_change(b[live], bn))
+        a[live], b[live] = an, bn
+        live = live[moved >= _SETTLED_STEP]
     f = np.einsum('si,rij->srj', a, wc)
     res = np.linalg.norm(np.einsum('srj,sj->sr', f, b), axis=1)
     return a, b, res
+
+
+def _phase_aligned_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """|new - old e^{i phi}| per row, phi = arg <old, new>."""
+    phase = np.exp(1j * np.angle(np.einsum('si,si->s', old.conj(), new)))
+    return np.linalg.norm(new - old * phase[:, None], axis=1)
 
 
 def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
@@ -497,8 +529,9 @@ class _PathTracker:
     batch; see `_homotopy_roots`.
 
     Each path has patch coordinates `z` (a, then b), a homotopy time `s`, a
-    `step`, and the flags `active`, `finished` (reached s = 1) and
-    `diverged` (left for infinity in the patch).
+    `step`, the tangent `tan` at z (NaN until the first step), and the
+    flags `active`, `finished` (reached s = 1) and `diverged` (left for
+    infinity in the patch).
     """
 
     def __init__(self, wc: np.ndarray):
@@ -531,6 +564,7 @@ class _PathTracker:
         paths = self.z.shape[0]
         self.s = np.zeros(paths)
         self.step = np.full(paths, 0.02)
+        self.tan = np.full((paths, m + n), np.nan, dtype=complex)
         self.active = np.ones(paths, dtype=bool)
         self.finished = np.zeros(paths, dtype=bool)
         self.diverged = np.zeros(paths, dtype=bool)
@@ -558,27 +592,39 @@ class _PathTracker:
         return -_solve_rows(jac, hs)[:, :, 0]
 
     def newton(self, z, s):
-        """The Newton correction (dH/dz)^-1 H."""
+        """The Newton correction (dH/dz)^-1 H and the tangent at z, both from
+        one LU of dH/dz."""
         rp, m = self.rp, self.m
         jac, f1, f0 = self.jacobian(z, s)
-        h = np.empty((z.shape[0], rp + 2, 1), dtype=complex)
-        h[:, :rp, 0] = (self.gamma * (1 - s))[:, None] * f0 + s[:, None] * f1
-        h[:, rp, 0] = z[:, :m] @ self.patch_a - 1
-        h[:, rp + 1, 0] = z[:, m:] @ self.patch_b - 1
-        return _solve_rows(jac, h)[:, :, 0]
+        rhs = np.zeros((z.shape[0], rp + 2, 2), dtype=complex)
+        rhs[:, :rp, 0] = (self.gamma * (1 - s))[:, None] * f0 + s[:, None] * f1
+        rhs[:, rp, 0] = z[:, :m] @ self.patch_a - 1
+        rhs[:, rp + 1, 0] = z[:, m:] @ self.patch_b - 1
+        rhs[:, :rp, 1] = f1 - self.gamma * f0
+        x = _solve_rows(jac, rhs)
+        return x[:, :, 0], -x[:, :, 1]
 
     def advance(self):
         """One predictor-corrector step on every active path.
 
-        A rejected step halves that path's step alone.  A path whose step is
-        rejected in the endgame zone s >= _HOMOTOPY_ENDGAME stops where it
-        stands: a path to a nonsingular root is not rejected that close to
-        s = 1, so its endpoint is left to the endpoint classification.
+        The RK4 predictor starts from the path's stored tangent `tan`; a path
+        without one (NaN, as every path has before its first step) gets it
+        from `tangent` first.  An accepted step stores the tangent from its
+        last Newton solve, taken where that last correction (below 1e-10
+        relative) starts, and grows the step by clip(0.9 (1e-4 / e0)^(1/5),
+        1.05, 2), e0 the relative size of the first Newton correction:
+        RK4's local error is O(h^5).  A rejected step keeps the point and
+        its tangent, and halves that path's step alone.  A path whose step
+        is rejected in the endgame zone s >= _HOMOTOPY_ENDGAME stops where
+        it stands: a path to a nonsingular root is not rejected that close
+        to s = 1, so its endpoint is left to the endpoint classification.
         """
         idx = np.nonzero(self.active)[0]
-        zi, si, hi = self.z[idx], self.s[idx], self.step[idx]
         with np.errstate(all="ignore"):
-            k1 = self.tangent(zi, si)
+            fresh = idx[~np.isfinite(self.tan[idx]).all(axis=1)]
+            if fresh.size:
+                self.tan[fresh] = self.tangent(self.z[fresh], self.s[fresh])
+            zi, si, hi, k1 = self.z[idx], self.s[idx], self.step[idx], self.tan[idx]
             k2 = self.tangent(zi + hi[:, None] / 2 * k1, si + hi / 2)
             k3 = self.tangent(zi + hi[:, None] / 2 * k2, si + hi / 2)
             k4 = self.tangent(zi + hi[:, None] * k3, si + hi)
@@ -586,20 +632,23 @@ class _PathTracker:
             sn = np.where(si + hi > 1.0 - 1e-14, 1.0, si + hi)
             sizes = []
             for it in range(3):
-                dz = self.newton(zn, sn)
+                dz, tan = self.newton(zn, sn)
                 zn = zn - dz
                 if it != 1:     # only the first and last sizes are read
                     sizes.append(np.linalg.norm(dz, axis=1) / (1 + np.linalg.norm(zn, axis=1)))
             # a large first correction means the predictor left the path's
             # basin; a singular Jacobian leaves NaN in its own row
             ok = (sizes[-1] < 1e-10) & (sizes[0] < 1e-2) & np.all(np.isfinite(zn), axis=1)
+            factor = np.clip(0.9 * (1e-4 / sizes[0][ok]) ** 0.2, 1.05, 2.0)
         good, bad = idx[ok], idx[~ok]
-        self.z[good], self.s[good] = zn[ok], sn[ok]
+        self.z[good], self.s[good], self.tan[good] = zn[ok], sn[ok], tan[ok]
         done = good[self.s[good] >= 1.0]
         self.finished[done] = True
         self.active[done] = False
-        grow = good[self.s[good] < 1.0]
-        self.step[grow] = np.minimum(np.minimum(self.step[grow] * 1.6, 0.1), 1.0 - self.s[grow])
+        going = self.s[good] < 1.0
+        grow = good[going]
+        self.step[grow] = np.minimum(np.minimum(self.step[grow] * factor[going], 0.1),
+                                     1.0 - self.s[grow])
         self.step[bad] /= 2
         self.active[bad] = (self.step[bad] >= _HOMOTOPY_MIN_STEP) & (self.s[bad] < _HOMOTOPY_ENDGAME)
         # a path diverging in the patch ends at infinity, not at a root
@@ -617,16 +666,21 @@ def _homotopy_roots(wc: np.ndarray):
     b to y_Q): delta(m, n) roots, the 2-homogeneous Bezout number of the
     target.  H = gamma (1 - s) F0 + s F1 is tracked from s = 0 to 1 in one
     affine patch per factor, with an RK4 predictor, a three-step Newton
-    corrector and a per-path step that grows on success and halves on
-    rejection (Morgan & Sommese, Appl. Math. Comput. 24, 1987).  All random
-    data come from a fixed seed, so the result is deterministic.
+    corrector and a per-path step (Morgan & Sommese, Appl. Math. Comput. 24,
+    1987).  A rejected step halves the step; an accepted one grows it by the
+    factor that brings the predictor's measured error, the first Newton
+    correction, to 1e-4 under RK4's O(h^5) local error, within [1.05, 2]
+    (Sommese & Wampler 2005, ch. 2).  All random data come from a fixed
+    seed, so the result is deterministic.
 
     The stack is reshaped once per call into wa (m x R'n) and wb (n x R'm),
     so F(a) = a wa and G(b) = b wb are one GEMM each over all paths, and
-    dH/dz is written into a single array with the patch rows.  A predictor
-    tangent solves dH/dz against dH/ds and a Newton step against H; neither
-    builds the other's right-hand side.  An exactly singular dH/dz fails its
-    own path's step, not the batch's.
+    dH/dz is written into a single array with the patch rows.  A Newton
+    solve takes dH/ds as a second right-hand side, so the last one of an
+    accepted step also yields the tangent the next predictor starts from; a
+    rejected step reuses the tangent it started from, and a step costs six
+    solves.  An exactly singular dH/dz fails its own path's step, not the
+    batch's.
 
     Each path ends in one of four classes:
 

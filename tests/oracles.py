@@ -1,7 +1,8 @@
-"""Independent reference computations that the tests compare `certify` against.
+"""Independent reference computations that the tests compare `certify` and
+`segre` against.
 
 None of these is on a route the package takes.  Each one computes the same
-quantity as a `certify` function by the direct, slow construction:
+quantity as a package function by the direct, slow construction:
 
 - `nullity_unrestricted` parametrizes every Hermitian matrix on the full
   space and states both range constraints explicitly;
@@ -10,7 +11,9 @@ quantity as a `certify` function by the direct, slow construction:
   order of `_hermitian_basis`, and `nullity_by_columns` cuts its singular
   values the way `certify.extremality_nullity` does;
 - `bisection_step` finds the witness splitting step by 60 bisection steps
-  on the four PSD conditions.
+  on the four PSD conditions;
+- `ReferenceTracker` tracks homotopy paths with a fresh tangent at the top
+  of every attempted step and a fixed x1.6 growth of an accepted step.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pptlab.qstate import (
     gamma_matrix,
     range_basis,
 )
+from pptlab.segre import _HOMOTOPY_ENDGAME, _HOMOTOPY_MIN_STEP, _PathTracker
 
 
 def _hermitian_basis(r: int) -> list:
@@ -135,3 +139,38 @@ def bisection_step(state: BipartiteState, h: np.ndarray) -> float:
         else:
             hi = mid
     return lo / 2.0
+
+
+class ReferenceTracker(_PathTracker):
+    """`segre._PathTracker` with the plain step: RK4 from the tangent
+    recomputed at the path's point, and a step that grows by 1.6 on success
+    and halves on rejection."""
+
+    def advance(self):
+        idx = np.nonzero(self.active)[0]
+        zi, si, hi = self.z[idx], self.s[idx], self.step[idx]
+        with np.errstate(all="ignore"):
+            k1 = self.tangent(zi, si)
+            k2 = self.tangent(zi + hi[:, None] / 2 * k1, si + hi / 2)
+            k3 = self.tangent(zi + hi[:, None] / 2 * k2, si + hi / 2)
+            k4 = self.tangent(zi + hi[:, None] * k3, si + hi)
+            zn = zi + hi[:, None] / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            sn = np.where(si + hi > 1.0 - 1e-14, 1.0, si + hi)
+            sizes = []
+            for _ in range(3):
+                dz = self.newton(zn, sn)[0]
+                zn = zn - dz
+                sizes.append(np.linalg.norm(dz, axis=1) / (1 + np.linalg.norm(zn, axis=1)))
+            ok = (sizes[-1] < 1e-10) & (sizes[0] < 1e-2) & np.all(np.isfinite(zn), axis=1)
+        good, bad = idx[ok], idx[~ok]
+        self.z[good], self.s[good] = zn[ok], sn[ok]
+        done = good[self.s[good] >= 1.0]
+        self.finished[done] = True
+        self.active[done] = False
+        grow = good[self.s[good] < 1.0]
+        self.step[grow] = np.minimum(np.minimum(self.step[grow] * 1.6, 0.1), 1.0 - self.s[grow])
+        self.step[bad] /= 2
+        self.active[bad] = (self.step[bad] >= _HOMOTOPY_MIN_STEP) & (self.s[bad] < _HOMOTOPY_ENDGAME)
+        too_far = grow[np.linalg.norm(self.z[grow], axis=1) > 1e8]
+        self.diverged[too_far] = True
+        self.active[too_far] = False

@@ -94,6 +94,17 @@ class TestExtremalityNullity:
         with pytest.warns(UserWarning, match="NPT"):
             extremality_nullity(state)
 
+    def test_one_eigendecomposition_of_the_partial_transpose(self, monkeypatch):
+        # the PPT verdict comes from the eigh that splits rho^Gamma
+        state = zoo.good_3x4()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("extremality_nullity called np.linalg.eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        cert = extremality_nullity(state)
+        assert (cert.verdict, cert.nullity) == (Extremality.EXTREME, 1)
+
     def test_invariant_under_local_permutations(self, rng):
         state = zoo.good_3x4()
         base = extremality_nullity(state).nullity

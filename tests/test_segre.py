@@ -42,6 +42,7 @@ from pptlab.segre import (
     transversal,
 )
 from conftest import random_product_vector
+from oracles import ReferenceTracker
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
@@ -419,15 +420,32 @@ def good_3x4_range_stack():
     return complement_stack(range_basis(state), state.dims).conj()
 
 
+class EighRecorder:
+    """Stands in for np.linalg.eigh and records the batch size of every call."""
+
+    def __init__(self, monkeypatch):
+        self.eigh, self.rows = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", self)
+
+    def __call__(self, x, *args, **kwargs):
+        self.rows.append(np.shape(x)[0])
+        return self.eigh(x, *args, **kwargs)
+
+
 class TestAlternate:
-    @pytest.mark.parametrize("case", ["good_3x4_range", "product_span_3x4"])
+    @pytest.mark.parametrize("case", ["good_3x4_range", "product_span_3x4",
+                                      "bad_4x5_range", "kon_mnogo_range"])
     def test_matches_the_svd_iteration(self, case, rng):
+        # bad_4x5's range retires its starts the slowest, kon_mnogo's the fastest
         if case == "good_3x4_range":
             wc = good_3x4_range_stack()
-        else:
+        elif case == "product_span_3x4":
             sub, _ = span_of_products(3, 4, 4, rng)
             wc = complement_stack(sub, BipartiteDims(3, 4)).conj()
-        a0, b0 = halton_pairs(400, 3, 4)
+        else:
+            state = zoo.bad_mxn(4, 5) if case == "bad_4x5_range" else zoo.kon_mnogo()[0]
+            wc = complement_stack(range_basis(state), state.dims).conj()
+        a0, b0 = halton_pairs(400, wc.shape[1], wc.shape[2])
         a_ref, b_ref, res_ref = alternate_by_svd(wc, a0, b0, 60)
         a, b, res = _alternate_batch(wc, a0, b0, 60)
         assert np.max(np.abs(res - res_ref)) <= 1e-12
@@ -448,6 +466,22 @@ class TestAlternate:
         monkeypatch.setattr(np.linalg, "svd", refuse)
         _, _, res = _alternate_batch(wc, a0, b0, 60)
         assert res.shape == (400,)
+
+    def test_settled_starts_retire(self, monkeypatch):
+        # on good_3x4's range most starts reach their fixed point well
+        # before the last iteration and leave the eigensolves
+        wc = good_3x4_range_stack()
+        a0, b0 = halton_pairs(400, 3, 4)
+        eigh = EighRecorder(monkeypatch)
+        a, b, _ = _alternate_batch(wc, a0, b0, 60)
+        assert sum(eigh.rows) <= 0.6 * 2 * 400 * 60
+        # the inputs are left as they were
+        a1, b1 = halton_pairs(400, 3, 4)
+        assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
+        # restarted at its own output, every start retires after one iteration
+        eigh.rows.clear()
+        _alternate_batch(wc, a, b, 60)
+        assert eigh.rows == [400, 400]
 
 
 def polish_by_pinv(wc, a, b, iters):
@@ -774,6 +808,44 @@ class TestPlaneRoute:
         assert (tracker.s[1], tracker.active[1]) == (0.0, True)
         assert np.all(tracker.s[others] == before[others])
         assert np.all(tracker.step[others] > before[others])
+
+
+def tracker_systems():
+    """The square systems of the kernel-census kernels and the squared-down
+    systems of two zoo ranges, by label."""
+    kernels = {f"good_3x{n}": zoo.good_3xn(n) for n in range(4, 9)}
+    kernels.update(bad_3x5=zoo.bad_3xn(5), bad_4x5=zoo.bad_mxn(4, 5), bad_5x5=zoo.bad_mxn(5, 5))
+    out = {f"{label}_kernel": complement_stack(kernel_basis(st), st.dims).conj()
+           for label, st in kernels.items()}
+    for label, st in (("good_3x4", zoo.good_3x4()), ("bad_4x5", zoo.bad_mxn(4, 5))):
+        wc = complement_stack(range_basis(st), st.dims).conj()
+        out[f"{label}_range"] = _square_down(wc, st.dims.m + st.dims.n - 2)
+    return out
+
+
+TRACKER_SYSTEMS = tracker_systems()
+
+
+class TestTrackerOracle:
+    # the stored tangent and the error-sized step move no path's endpoint
+    # class and no accepted root against the plain tracker
+    @pytest.mark.parametrize("label", sorted(TRACKER_SYSTEMS))
+    def test_same_roots_as_the_reference_tracker(self, label, monkeypatch):
+        import pptlab.segre as segre_mod
+
+        wc = TRACKER_SYSTEMS[label]
+        points, _, paths, planes = _homotopy_roots(wc)
+        monkeypatch.setattr(segre_mod, "_PathTracker", ReferenceTracker)
+        ref_points, _, ref_paths, _ = _homotopy_roots(wc)
+        assert paths == ref_paths
+        assert len(points) == len(ref_points)
+        for p, q in zip(points, ref_points):
+            assert p.overlap(q) >= 1 - 1e-12
+        # which endpoints span a plane may move, but every plane is in K
+        for ls in planes:
+            for w_vec in ls.subspace.vectors:
+                a, b = (ls.vector, w_vec) if ls.side == "A" else (w_vec, ls.vector)
+                assert np.linalg.norm(np.einsum('i,rij,j->r', a, wc, b)) < 1e-8
 
 
 class TestSeparable:

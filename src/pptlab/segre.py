@@ -86,7 +86,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import norm, qmc
+from scipy.special import ndtri
 
 from .qstate import (
     PSD_TOL,
@@ -303,13 +303,26 @@ def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
 def halton_pairs(count: int, m: int, n: int, skip: int = 0):
     """Deterministic low-discrepancy start pairs on the two unit spheres.
 
-    The sequence's zeroth point (the origin) is always dropped; `skip`
-    counts previously consumed pairs so that successive rounds are fresh.
+    Pair i, for i = skip+1 ... skip+count, comes from point i of the
+    unscrambled Halton sequence in 2(m+n) dimensions (Halton, Numer. Math.
+    2, 84-90, 1960): coordinate j is the radical inverse of i in the j-th
+    prime, mapped through the standard normal quantile.  The zeroth point
+    (the origin) is never used; `skip` counts previously consumed pairs so
+    that successive rounds are fresh.  The digits are summed from the least
+    significant one, `raw += digit * b2r; b2r /= base`, in the order of
+    scipy's unscrambled `qmc.Halton`, so the points equal its bit for bit.
     """
-    sampler = qmc.Halton(d=2 * (m + n), scramble=False)
-    sampler.fast_forward(skip + 1)
-    raw = sampler.random(count)
-    z = norm.ppf(np.clip(raw, 1e-12, 1 - 1e-12))
+    d = 2 * (m + n)
+    bases = np.fromiter((p for p in itertools.count(2)
+                         if all(p % f for f in range(2, math.isqrt(p) + 1))), np.int64, d)
+    q = np.repeat(np.arange(skip + 1, skip + count + 1)[:, None], d, axis=1)
+    raw = np.zeros((count, d))
+    b2r = 1.0 / bases
+    while q.any():
+        q, digit = np.divmod(q, bases)
+        raw += digit * b2r
+        b2r /= bases
+    z = ndtri(np.clip(raw, 1e-12, 1 - 1e-12))
     a = z[:, :m] + 1j * z[:, m:2 * m]
     b = z[:, 2 * m:2 * m + n] + 1j * z[:, 2 * m + n:]
     a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -548,10 +561,11 @@ class _PathTracker:
         self.patch_a, self.patch_b = cnormal(m), cnormal(n)
         self.gamma = np.exp(2j * np.pi * rng.random())
 
-        splits = [(list(p), [r for r in range(rp) if r not in p])
-                  for p in itertools.combinations(range(rp), m - 1)]
-        a0 = np.array([np.linalg.svd(self.x[p])[2][-1].conj() for p, _ in splits]).reshape(-1, m)
-        b0 = np.array([np.linalg.svd(self.y[q])[2][-1].conj() for _, q in splits]).reshape(-1, n)
+        # start root j: a annihilates the rows on_a[j] of x, b the other rows of y
+        on_a = np.array(list(itertools.combinations(range(rp), m - 1)))
+        on_b = np.array([[r for r in range(rp) if r not in p] for p in on_a])
+        a0 = np.linalg.svd(self.x[on_a])[2][:, -1].conj()
+        b0 = np.linalg.svd(self.y[on_b])[2][:, -1].conj()
         self.z = np.concatenate([a0 / (a0 @ self.patch_a)[:, None],
                                  b0 / (b0 @ self.patch_b)[:, None]], axis=1)
         self.patch_rows = np.zeros((2, m + n), dtype=complex)

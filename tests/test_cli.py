@@ -1,6 +1,9 @@
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from pptlab.cli import analyze_state, build_parser, main
 from pptlab.qstate import (BipartiteDims, BipartiteState, HermitianOperator, kernel_basis,
                            load_state, save_state)
 from conftest import random_product_vector
+from oracles import scipy_halton_pairs
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +335,33 @@ def count_enumerations(monkeypatch):
     for mod in (segre, certify):
         monkeypatch.setattr(mod, "enumerate_product_vectors", counted)
     return calls
+
+
+class TestStartSource:
+    @pytest.mark.parametrize("state_fn", [zoo.good_3x4, lambda: zoo.bad_mxn(4, 5)],
+                             ids=["good_3x4", "bad_4x5"])
+    def test_report_equals_the_scipy_starts(self, state_fn, monkeypatch):
+        ours = json.dumps(analyze_state(state_fn(), {"case": "starts"}).to_json())
+        calls = []
+
+        def oracle(*args, **kwargs):
+            calls.append(args)
+            return scipy_halton_pairs(*args, **kwargs)
+
+        for mod in (segre, certify):
+            monkeypatch.setattr(mod, "halton_pairs", oracle)
+        assert json.dumps(analyze_state(state_fn(), {"case": "starts"}).to_json()) == ours
+        assert calls    # the range cross-check draws its starts
+
+    def test_runtime_leaves_scipy_stats_unimported(self):
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        code = ("import sys, pptlab.cli\n"
+                "before = 'scipy.stats' in sys.modules\n"
+                "pptlab.cli.analyze_state(pptlab.zoo.good_3x4(), {})\n"
+                "print(before, 'scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["False", "False"]
 
 
 class TestRoutes:

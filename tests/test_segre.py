@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -42,7 +43,7 @@ from pptlab.segre import (
     transversal,
 )
 from conftest import random_product_vector
-from oracles import ReferenceTracker
+from oracles import ReferenceTracker, scipy_halton_pairs
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
@@ -270,6 +271,21 @@ class TestHomotopy:
         assert res.classification == Classification.FINITE
         assert np.array_equal([pv.vec() for pv in res.points], [pv.vec() for pv in roots])
 
+    @pytest.mark.parametrize("m, n", [(3, 4), (4, 5), (5, 5)])
+    def test_start_roots(self, m, n, rng):
+        # one root of the linear-product start system per split of its
+        # rows, the same numbers as one SVD per split
+        tracker = _PathTracker(rng.standard_normal((m + n - 2, m, n)) + 0j)
+        a, b = tracker.z[:, :m], tracker.z[:, m:]
+        assert a.shape[0] == zoo.delta(m, n)
+        assert np.max(np.abs((a @ tracker.x.T) * (b @ tracker.y.T))) < 1e-12
+        splits = list(itertools.combinations(range(m + n - 2), m - 1))
+        ref_a = np.array([np.linalg.svd(tracker.x[list(p)])[2][-1].conj() for p in splits])
+        ref_b = np.array([np.linalg.svd(tracker.y[[r for r in range(m + n - 2) if r not in p]])
+                          [2][-1].conj() for p in splits])
+        assert np.array_equal(a, ref_a / (ref_a @ tracker.patch_a)[:, None])
+        assert np.array_equal(b, ref_b / (ref_b @ tracker.patch_b)[:, None])
+
     def test_bad_3x5_kernel_not_certified(self):
         state = zoo.bad_3xn(5)
         kern = kernel_basis(state)
@@ -430,6 +446,17 @@ class EighRecorder:
     def __call__(self, x, *args, **kwargs):
         self.rows.append(np.shape(x)[0])
         return self.eigh(x, *args, **kwargs)
+
+
+class TestHaltonPairs:
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 4), (4, 5), (5, 5), (7, 7), (8, 8)])
+    @pytest.mark.parametrize("skip", [0, 8192])
+    def test_equals_scipy_halton(self, m, n, skip):
+        for count in (0, 1, 64, 400, 8192):
+            a, b = halton_pairs(count, m, n, skip=skip)
+            ref_a, ref_b = scipy_halton_pairs(count, m, n, skip=skip)
+            assert a.shape == (count, m) and b.shape == (count, n)
+            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
 
 
 class TestAlternate:

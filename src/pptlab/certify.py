@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .qstate import (
     PSD_TOL,
@@ -47,6 +46,7 @@ from .qstate import (
     gamma_matrix,
     is_ppt,
     kernel_basis,
+    null_space,
     range_basis,
     rank_profile,
     _eig_split,
@@ -173,20 +173,22 @@ def _constraint_rows(p: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
     y = y.transpose(3, 1, 2, 0).reshape(m * m, r * mn)
     out = np.empty((r * r, d, 2 * mn - d))
 
-    def put(at, c):
-        out[at, :, :mn] = c.real
-        out[at, :, :d] += c.imag[..., :d]
-        out[at, :, mn:] = c.imag[..., d:]
+    def put(at, re, im):
+        out[at, :, :mn] = re
+        out[at, :, :d] += im[..., :d]
+        out[at, :, mn:] = im[..., d:]
 
     pos = r
     for i in range(r):
         k = r - 1 - i
         row = (x[i] @ y[:, i * mn:]).reshape(d, k + 1, mn).transpose(1, 0, 2)
         col = (x[i + 1:].reshape(k * d, m * m) @ y[:, i * mn:(i + 1) * mn]).reshape(k, d, mn)
-        put(i, row[0])
-        put(slice(pos, pos + 2 * k, 2), (row[1:] + col) / np.sqrt(2.0))
-        put(slice(pos + 1, pos + 2 * k, 2), 1j * (row[1:] - col) / np.sqrt(2.0))
+        put(i, row[0].real, row[0].imag)
+        # T_ij + T_ji and i (T_ij - T_ji), part by part; both get 1/sqrt2 below
+        put(slice(pos, pos + 2 * k, 2), row[1:].real + col.real, row[1:].imag + col.imag)
+        put(slice(pos + 1, pos + 2 * k, 2), col.imag - row[1:].imag, row[1:].real - col.real)
         pos += 2 * k
+    out[r:] /= np.sqrt(2.0)
     return out
 
 
@@ -216,11 +218,17 @@ def extremality_nullity(state: BipartiteState, *, rank_tol: float = RANK_TOL,
     # each slab is a unit Hilbert-Schmidt matrix pushed through the
     # orthonormal P and the unitary [K | R], so the map has scale one and the
     # cutoff is absolute: a relative cut would count rounding noise as rank
-    # whenever every slab vanishes, as for a pure product state.  The QR runs
-    # in place; its R has the singular values and right singular vectors of the map.
-    fac = scipy.linalg.qr(rows.reshape(r * r, -1).T, mode="raw", overwrite_a=True,
-                          check_finite=False)[1]
-    _, sv, vh = np.linalg.svd(fac)
+    # whenever every slab vanishes, as for a pure product state.  The R of
+    # the QR has the singular values and right singular vectors of the map.
+    fac = np.linalg.qr(rows.reshape(r * r, -1).T, mode="r")
+    # the right singular vectors serve only a witness (nullity > 1).  A
+    # triangular R has at least as many nonzero singular values as nonzero
+    # diagonal entries, so unless two of those are below the cutoff the
+    # nullity is one and the SVD skips the vectors
+    if np.sum(np.abs(np.diagonal(fac)) <= NULLITY_CUTOFF) > 1:
+        _, sv, vh = np.linalg.svd(fac)
+    else:
+        sv, vh = np.linalg.svd(fac, compute_uv=False), None
     rank = int(np.sum(sv > NULLITY_CUTOFF))
     nullity = r * r - rank              # directions not killed by the constraints
     if nullity == 0:                    # impossible: rho itself is feasible
@@ -234,6 +242,8 @@ def extremality_nullity(state: BipartiteState, *, rank_tol: float = RANK_TOL,
         verdict = Extremality.EXTREME if gap > GAP_CERTIFIED else Extremality.BORDERLINE
     else:
         verdict = Extremality.NOT_EXTREME
+    if nullity > 1 and vh is None:      # the diagonal bound holds in exact arithmetic only
+        vh = np.linalg.svd(fac)[2]
     witness = _witness_from_nullspace(state, p.T, vh[rank:]) if nullity > 1 else None
     return ExtremalityCert(nullity, verdict, gap, sv, witness)
 
@@ -242,7 +252,7 @@ def _witness_from_nullspace(state: BipartiteState, p: np.ndarray,
                             null_rows: np.ndarray) -> Optional[np.ndarray]:
     """A unit-Frobenius feasible Hermitian direction orthogonal to rho."""
     coeff = null_rows @ _hermitian_coords(p.conj().T @ state.matrix @ p)
-    perp = scipy.linalg.null_space(coeff[None, :])
+    perp = null_space(coeff[None, :])
     if perp.shape[1] == 0:
         return None
     x = _hermitian_from_coords(perp[:, 0] @ null_rows, p.shape[1])
@@ -252,18 +262,28 @@ def _witness_from_nullspace(state: BipartiteState, p: np.ndarray,
     return h / nrm if nrm > 0 else None
 
 
+def _pencil_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian pencil (a, b) with b positive definite:
+    those of L^-1 a L^-H, b = L L^H.  Raises LinAlgError when the Cholesky
+    factorization of b fails."""
+    low = np.linalg.cholesky(b)
+    half = np.linalg.solve(low, a)                                  # L^-1 a
+    return np.linalg.eigvalsh(np.linalg.solve(low, half.conj().T))  # L^-1 a L^-H
+
+
 def witness_decomposition(state: BipartiteState, cert: ExtremalityCert) -> tuple:
     """Split a non-extreme state as rho = (rho1 + rho2)/2 along the witness.
 
     The step is closed-form.  On the range of rho (basis Q), rho + tH stays
     PSD exactly while 1 + t mu >= 0 for every generalized eigenvalue mu of
-    (Q^H H Q, Q^H rho Q), and likewise for the partial transposes on the
-    range of rho^Gamma; so both signs of the step are feasible up to
-    t_max = 1 / max|mu|, and eps = t_max / 2 keeps a factor-two margin.  The
-    four matrices rho +- eps*H and their partial transposes are checked once
-    for PSD.  Raises when that check fails or when eps is below 1e-10
-    relative to the largest eigenvalue, which signals a numerically unusable
-    witness rather than extremality.
+    (Q^H H Q, Q^H rho Q), that is every eigenvalue of L^-1 Q^H H Q L^-H with
+    the Cholesky factor Q^H rho Q = L L^H; likewise for the partial
+    transposes on the range of rho^Gamma.  So both signs of the step are
+    feasible up to t_max = 1 / max|mu|, and eps = t_max / 2 keeps a
+    factor-two margin.  The four matrices rho +- eps*H and their partial
+    transposes are checked once for PSD.  Raises when that check fails or
+    when eps is below 1e-10 relative to the largest eigenvalue, which
+    signals a numerically unusable witness rather than extremality.
     """
     if cert.nullity <= 1 or cert.witness is None:
         raise ValueError("witness decomposition needs a certificate with nullity > 1")
@@ -274,7 +294,7 @@ def witness_decomposition(state: BipartiteState, cert: ExtremalityCert) -> tuple
     for a, b in ((h, rho), (gh, grho)):
         q = _eig_split(b, RANK_TOL)[1]
         try:
-            w = scipy.linalg.eigh(q.conj() @ a @ q.T, q.conj() @ b @ q.T, eigvals_only=True)
+            w = _pencil_eigvalsh(q.conj() @ a @ q.T, q.conj() @ b @ q.T)
         except np.linalg.LinAlgError:   # not positive definite on its range: NPT
             raise ArithmeticError("the state is not PSD on its range; no splitting step") from None
         mu = max(mu, float(np.abs(w).max()))
@@ -378,6 +398,14 @@ def _edge_a_step(kern_rho: np.ndarray, kern_gamma: np.ndarray, b: np.ndarray) ->
 # product decompositions of low-rank PPT states
 
 
+def _schur_basis(t: np.ndarray) -> tuple:
+    """(eigenvalues, unitary Z) with Z^H t Z upper triangular and its
+    diagonal in the order of the eigenvalues: Z is the Q of the QR of the
+    eigenvectors, so its first k columns span the first k eigenvectors."""
+    eigs, vecs = np.linalg.eig(t)
+    return eigs, np.linalg.qr(vecs)[0]
+
+
 def rank_n_separable_decomposition(state: BipartiteState) -> SeparableDecomposition:
     """Write a PPT state whose rank equals its B-local rank (= n) as a sum
     of n pure product terms.
@@ -413,8 +441,7 @@ def rank_n_separable_decomposition(state: BipartiteState) -> SeparableDecomposit
         c0inv = np.linalg.inv(c0)
         quots = [mixed[i] @ c0inv for i in range(1, m)]
         t = sum(rng.standard_normal() * q for q in quots) if quots else np.zeros((n, n))
-        tri, z = scipy.linalg.schur(np.asarray(t, dtype=complex), output="complex")
-        eigs = np.diag(tri)
+        eigs, z = _schur_basis(np.asarray(t, dtype=complex))
         if len(eigs) > 1:
             gaps = np.abs(eigs[:, None] - eigs[None, :])[np.triu_indices(n, 1)]
             if quots and gaps.min() < 1e-8 * max(np.abs(eigs).max(), 1.0):

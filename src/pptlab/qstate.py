@@ -365,6 +365,19 @@ def _split_eigh(w: np.ndarray, v: np.ndarray, tol_rel: float) -> tuple:
     return v[:, small].T, v[:, ~small].T
 
 
+def null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the null space of `a`, as columns: the right
+    singular vectors past every singular value above eps * max(a.shape) *
+    s_max, the cut of `scipy.linalg.null_space`.  It also has scipy's
+    memory layout, taken from a Fortran-ordered vh as LAPACK returns it:
+    `segre.complement_stack` returns a strided view of its transpose, and
+    the product-vector searches that read that view round differently on
+    any other layout."""
+    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
+    return np.asfortranarray(vh)[int(np.sum(s > tol)):].T.conj()
+
+
 def kernel_basis(state: BipartiteState, tol_rel: float = RANK_TOL) -> SubspaceBasis:
     """Orthonormal basis of ker rho (eigenvectors at negligible eigenvalue)."""
     kern, _ = _eig_split(state.matrix, tol_rel)

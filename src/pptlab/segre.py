@@ -73,7 +73,8 @@ and a search alone never reports it.
 
 `minor_system_roots` (the determinantal system) and `pencil_roots_2xn` are
 independent root finders kept as test oracles; enumeration does not call
-them.
+them, and only the first loads scipy (`scipy.linalg.eigvals` for its QZ
+pencils), when it is called.
 """
 
 from __future__ import annotations
@@ -85,8 +86,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import ndtri
 
 from .qstate import (
     PSD_TOL,
@@ -96,6 +95,7 @@ from .qstate import (
     ProductVector,
     SubspaceBasis,
     kernel_basis,
+    null_space,
     rank_profile,
     is_ppt,
 )
@@ -207,7 +207,7 @@ def complement_stack(k: SubspaceBasis, dims: BipartiteDims) -> np.ndarray:
     if k.dim == 0:
         eye = np.eye(dims.total, dtype=complex)
         return eye.reshape(dims.total, dims.m, dims.n)
-    comp = scipy.linalg.null_space(k.vectors.conj())
+    comp = null_space(k.vectors.conj())
     return comp.T.reshape(-1, dims.m, dims.n)
 
 
@@ -300,6 +300,66 @@ def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     return a, b, np.linalg.norm(g, axis=1)
 
 
+# Cephes ndtri: sqrt(2 pi) and the coefficients of its three rational
+# approximations, highest power first (Moshier, Methods and Programs for
+# Mathematical Functions, 1989); the Q arrays omit their leading 1.
+_S2PI = 2.50662827463100050242E0
+_EXP_M2 = 0.13533528323661269189     # exp(-2)
+_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+             1.39312609387279679503E1, -1.23916583867381258016E0)
+_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+             1.59056225126211695515E1, -1.18331621121330003142E0)
+_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
+_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
+_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
+_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+             2.89247864745380683936E-6, 6.79019408009981274425E-9)
+_libm_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _polevl(x: np.ndarray, coef, leading_one: bool = False) -> np.ndarray:
+    """Horner's rule in Cephes' order (`p1evl` when `leading_one`)."""
+    ans = x + coef[0] if leading_one else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """The standard normal quantile of each entry of `y0`, in (0, 1).
+
+    A port of Cephes `ndtri`, the routine behind `scipy.special.ndtri`, with
+    its branches, constants and evaluation order, so the two agree bit for
+    bit.  The tails take their logarithms from libm through `math.log`:
+    numpy's vectorized `log` may differ from libm in the last bits, and
+    that moves a tail quantile by a few ulp.
+    """
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    out = np.empty_like(y)
+    mid = y > _EXP_M2
+    h = y[mid] - 0.5
+    h2 = h * h
+    out[mid] = (h + h * (h2 * _polevl(h2, _NDTRI_P0) / _polevl(h2, _NDTRI_Q0, True))) * _S2PI
+    tail = ~mid
+    x = np.sqrt(-2.0 * _libm_log(y[tail]).astype(float))
+    z = 1.0 / x
+    near = x < 8.0
+    x1 = np.where(near, z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, True),
+                  z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2, True))
+    x = x - _libm_log(x).astype(float) / x - x1
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def halton_pairs(count: int, m: int, n: int, skip: int = 0):
     """Deterministic low-discrepancy start pairs on the two unit spheres.
 
@@ -310,7 +370,10 @@ def halton_pairs(count: int, m: int, n: int, skip: int = 0):
     (the origin) is never used; `skip` counts previously consumed pairs so
     that successive rounds are fresh.  The digits are summed from the least
     significant one, `raw += digit * b2r; b2r /= base`, in the order of
-    scipy's unscrambled `qmc.Halton`, so the points equal its bit for bit.
+    scipy's unscrambled `qmc.Halton`, and the quantile is `_ndtri`, a port
+    of the Cephes routine behind `scipy.stats.norm.ppf` whose tails take
+    libm's `log` as the C code does; so the pairs equal those of
+    `qmc.Halton` and `norm.ppf` bit for bit, without importing scipy.
     """
     d = 2 * (m + n)
     bases = np.fromiter((p for p in itertools.count(2)
@@ -322,7 +385,7 @@ def halton_pairs(count: int, m: int, n: int, skip: int = 0):
         q, digit = np.divmod(q, bases)
         raw += digit * b2r
         b2r /= bases
-    z = ndtri(np.clip(raw, 1e-12, 1 - 1e-12))
+    z = _ndtri(np.clip(raw, 1e-12, 1 - 1e-12))
     a = z[:, :m] + 1j * z[:, m:2 * m]
     b = z[:, 2 * m:2 * m + n] + 1j * z[:, 2 * m + n:]
     a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -374,6 +437,7 @@ def _polyeig(smats: Sequence[np.ndarray]) -> np.ndarray:
     for j in range(deg):
         big_a[(deg - 1) * d:, j * d:(j + 1) * d] = -smats[j]
     big_b[(deg - 1) * d:, (deg - 1) * d:] = smats[deg]
+    import scipy.linalg     # test oracle only: the runtime never loads scipy
     w = scipy.linalg.eigvals(big_a, big_b)
     return w[np.isfinite(w)]
 
@@ -405,6 +469,7 @@ def minor_system_roots(k: SubspaceBasis, dims: BipartiteDims) -> list:
     QZ eigenvalue methods (hidden-variable Sylvester resultant when m = 3).
     Candidates are unverified; callers must polish and check residuals.
     """
+    import scipy.linalg     # test oracle only: the runtime never loads scipy
     m, n = dims.m, dims.n
     if m not in (2, 3):
         raise ValueError(f"determinantal route supports m = 2 or 3, got m={m}")
@@ -1201,7 +1266,7 @@ def _orthocomplement(rows: np.ndarray, ambient: int) -> SubspaceBasis:
     rows = np.asarray(rows, dtype=complex).reshape(-1, ambient)
     if rows.shape[0] == 0:
         return SubspaceBasis(ambient, np.eye(ambient, dtype=complex), RANK_TOL)
-    comp = scipy.linalg.null_space(rows.conj())
+    comp = null_space(rows.conj())
     return SubspaceBasis(ambient, comp.T, RANK_TOL)
 
 

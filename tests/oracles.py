@@ -15,12 +15,16 @@ quantity as a package function by the direct, slow construction:
 - `ReferenceTracker` tracks homotopy paths with a fresh tangent at the top
   of every attempted step and a fixed x1.6 growth of an accepted step;
 - `scipy_halton_pairs` draws the start pairs of `segre.halton_pairs` from
-  `scipy.stats.qmc.Halton` and `scipy.stats.norm.ppf`.
+  `scipy.stats.qmc.Halton` and `scipy.stats.norm.ppf`;
+- `scipy_pencil_eigvalsh` and `scipy_schur_basis` are the scipy routes
+  (generalized `eigh`, complex `schur`) that `certify._pencil_eigvalsh` and
+  `certify._schur_basis` replace with numpy.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 from scipy.stats import norm, qmc
 
 from pptlab.certify import GAP_AMBIGUOUS, GAP_CERTIFIED, NULLITY_CUTOFF, Extremality
@@ -190,3 +194,14 @@ def scipy_halton_pairs(count: int, m: int, n: int, skip: int = 0):
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b /= np.linalg.norm(b, axis=1, keepdims=True)
     return a, b
+
+
+def scipy_pencil_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`certify._pencil_eigvalsh` by scipy's generalized `eigh`."""
+    return scipy.linalg.eigh(a, b, eigvals_only=True)
+
+
+def scipy_schur_basis(t: np.ndarray) -> tuple:
+    """`certify._schur_basis` by scipy's complex Schur decomposition."""
+    tri, z = scipy.linalg.schur(t, output="complex")
+    return np.diag(tri), z

@@ -26,7 +26,8 @@ from pptlab.qstate import (
 from pptlab.segre import (Classification, EnumerationResult, complement_stack,
                           enumerate_product_vectors, halton_pairs)
 from conftest import random_full_rank_ppt, random_product_vector
-from oracles import bisection_step, nullity_by_columns, nullity_unrestricted
+from oracles import (bisection_step, nullity_by_columns, nullity_unrestricted,
+                     scipy_pencil_eigvalsh, scipy_schur_basis)
 from test_qstate import werner_2x2
 
 
@@ -228,6 +229,20 @@ class TestWitnessDecomposition:
         norms = np.linalg.norm(rho1.matrix) * np.linalg.norm(rho2.matrix)
         assert inner < (1 - 1e-6) * norms
 
+    @pytest.mark.parametrize("label", sorted(k for k in GRID if k.startswith("sep")))
+    def test_step_equals_the_scipy_pencil_route(self, label, monkeypatch):
+        """The Cholesky-reduced pencil gives the step of scipy's generalized
+        `eigh` on every separable grid state and its partial transpose."""
+        state = GRID[label]
+        gamma = BipartiteState(HermitianOperator(state.dims, gamma_matrix(state)))
+        for st in (state, gamma):
+            cert = extremality_nullity(st)
+            eps = np.linalg.norm(st.matrix - witness_decomposition(st, cert)[0].matrix)
+            with monkeypatch.context() as mp:
+                mp.setattr(certify, "_pencil_eigvalsh", scipy_pencil_eigvalsh)
+                ref = np.linalg.norm(st.matrix - witness_decomposition(st, cert)[0].matrix)
+            assert abs(eps - ref) <= 1e-12 * ref
+
     def test_npt_state_has_no_step(self):
         bell = np.zeros(4)
         bell[[0, 3]] = 1.0 / np.sqrt(2.0)
@@ -385,6 +400,29 @@ class TestRankNDecomposition:
         assert dec.reconstruction_residual < 1e-9
         for _, found in dec.terms:
             assert any(found.overlap(pv) > 1 - 1e-6 for pv in pvs)
+
+    @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (3, 4)])
+    def test_terms_equal_the_schur_route(self, m, n, monkeypatch):
+        rng = np.random.default_rng(10 * m + n)
+        bmat = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+        rho = np.zeros((m * n, m * n), dtype=complex)
+        for k in range(n):
+            v = np.kron(rng.standard_normal(m) + 1j * rng.standard_normal(m), bmat[:, k])
+            rho += rng.uniform(0.5, 2.0) * np.outer(v, v.conj())
+        state = BipartiteState(HermitianOperator(BipartiteDims(m, n), rho))
+        ours = rank_n_separable_decomposition(state).terms
+        monkeypatch.setattr(certify, "_schur_basis", scipy_schur_basis)
+        ref = rank_n_separable_decomposition(state).terms
+
+        def term(w, pv):
+            return w * np.outer(pv.vec(), pv.vec().conj())
+
+        assert len(ours) == len(ref) == n
+        left = [term(w, pv) for w, pv in ref]
+        for w, pv in ours:     # a one-to-one match of the weighted projectors
+            dist = [np.abs(term(w, pv) - x).max() for x in left]
+            assert min(dist) <= 1e-10
+            left.pop(int(np.argmin(dist)))
 
     def test_rank_precondition(self):
         with pytest.raises(ValueError, match="rank"):

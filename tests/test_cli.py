@@ -353,15 +353,30 @@ class TestStartSource:
         assert json.dumps(analyze_state(state_fn(), {"case": "starts"}).to_json()) == ours
         assert calls    # the range cross-check draws its starts
 
-    def test_runtime_leaves_scipy_stats_unimported(self):
+    def test_runtime_leaves_scipy_unimported(self):
+        """No module of the scipy package is loaded by the import, a full
+        analysis, the extremality nullity and witness splitting of a
+        separable state, or a rank-n separable decomposition."""
         src = pathlib.Path(__file__).resolve().parents[1] / "src"
-        code = ("import sys, pptlab.cli\n"
-                "before = 'scipy.stats' in sys.modules\n"
-                "pptlab.cli.analyze_state(pptlab.zoo.good_3x4(), {})\n"
-                "print(before, 'scipy.stats' in sys.modules)")
+        code = ("import sys, numpy as np, pptlab.cli\n"
+                "from pptlab import certify, zoo\n"
+                "from pptlab.qstate import BipartiteDims, BipartiteState, HermitianOperator\n"
+                "def loaded():\n"
+                "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "def state(diag):\n"
+                "    return BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.diag(diag)))\n"
+                "seen = [loaded()]\n"
+                "pptlab.cli.analyze_state(zoo.good_3x4(), {})\n"
+                "seen.append(loaded())\n"
+                "sep = state([1.0, 1.0, 1.0, 1.0])\n"
+                "certify.witness_decomposition(sep, certify.extremality_nullity(sep))\n"
+                "seen.append(loaded())\n"
+                "certify.rank_n_separable_decomposition(state([1.0, 0.0, 0.0, 1.0]))\n"
+                "seen.append(loaded())\n"
+                "print(seen)")
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == ["False", "False"]
+        assert out.stdout.strip() == str([[]] * 4)
 
 
 class TestRoutes:

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from pptlab import zoo
 from pptlab.qstate import (
@@ -17,6 +18,7 @@ from pptlab.qstate import (
     kernel_basis,
     load_state,
     normalized,
+    null_space,
     partial_transpose,
     range_basis,
     rank_profile,
@@ -292,6 +294,45 @@ class TestKernelRange:
                 a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 block = np.einsum('i,injm,j->nm', a.conj(), t, a)
                 assert np.linalg.norm(block) > 1e-8
+
+
+def zoo_states() -> dict:
+    states = {"good_3x4": zoo.good_3x4(), "kon_mnogo": zoo.kon_mnogo()[0],
+              "bad_3x4": zoo.bad_3x4(), "tiles_3x3": zoo.upb_complement_state(zoo.tiles_upb_3x3())}
+    for m, n in [(3, 4), (3, 5), (4, 4), (4, 5), (5, 5)]:
+        states[f"gentiles2_{m}x{n}"] = zoo.upb_complement_state(zoo.gentiles2_upb(m, n))
+    for n in range(4, 9):
+        states[f"good_3x{n}"] = zoo.good_3xn(n)
+        states[f"bad_3x{n}"] = zoo.bad_3xn(n)
+    for m in range(4, 11):
+        for n in range(m, 15 - m):
+            states[f"bad_{m}x{n}"] = zoo.bad_mxn(m, n)
+    return states
+
+
+ZOO = zoo_states()
+
+
+class TestNullSpace:
+    """The numpy null space equals scipy.linalg.null_space bit for bit and
+    in memory layout, which the searches that read it are sensitive to."""
+
+    @pytest.mark.parametrize("label", sorted(ZOO))
+    def test_zoo_kernel_and_range(self, label):
+        for basis in (kernel_basis(ZOO[label]), range_basis(ZOO[label])):
+            x = basis.vectors.conj()
+            got, ref = null_space(x), scipy.linalg.null_space(x)
+            assert np.array_equal(got, ref) and got.strides == ref.strides
+
+    def test_random_matrices(self, rng):
+        for i in range(60):
+            r, c = rng.integers(1, 25, size=2)
+            x = rng.standard_normal((r, c)) + (1j * rng.standard_normal((r, c)) if i % 2 else 0)
+            if i % 3 == 0 and r > 2:
+                x[-1] = x[0] - 2 * x[1]         # rank deficient
+            got, ref = null_space(x), scipy.linalg.null_space(x)
+            assert np.array_equal(got, ref) and got.strides == ref.strides
+            assert np.abs(x @ got).max(initial=0.0) <= 1e-12 * np.abs(x).max() * max(r, c)
 
 
 class TestNormalization:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
 from pptlab import zoo
 from pptlab.qstate import (
@@ -21,6 +22,7 @@ from pptlab.segre import (
     Goodness,
     GoodnessReason,
     _alternate_batch,
+    _ndtri,
     _PathTracker,
     _homotopy_roots,
     _membership_residuals,
@@ -449,6 +451,13 @@ class EighRecorder:
 
 
 class TestHaltonPairs:
+    def test_ndtri_equals_scipy(self):
+        """Both tails (down to 1e-300, through the x >= 8 branch), the middle
+        branch, 0.5 and the clip bounds 1e-12 and 1 - 1e-12."""
+        y = np.concatenate([np.linspace(1e-12, 1 - 1e-12, 400001), [0.5, 1e-12, 1 - 1e-12],
+                            np.logspace(-300, -1, 3001), 1 - np.logspace(-16, -1, 3001)])
+        assert np.array_equal(_ndtri(y), scipy.special.ndtri(y))
+
     @pytest.mark.parametrize("m, n", [(2, 2), (3, 4), (4, 5), (5, 5), (7, 7), (8, 8)])
     @pytest.mark.parametrize("skip", [0, 8192])
     def test_equals_scipy_halton(self, m, n, skip):

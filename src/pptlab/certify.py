@@ -63,8 +63,8 @@ from .segre import (
     complement_stack,
     enumerate_product_vectors,
     classify_goodness,
-    halton_pairs,
     partial_conjugate,
+    start_pairs,
     subspace_search,
 )
 
@@ -364,7 +364,7 @@ def edge_check(state: BipartiteState, *,
     # joint minimization over (a, b) of the two projection residuals at once
     kern_rho = complement_stack(rng_rho, dims).conj()            # basis of ker rho
     kern_gamma = complement_stack(rng_gamma, dims).conj()
-    a, b = halton_pairs(EDGE_FALLBACK_STARTS, m, n)
+    a, b = start_pairs(EDGE_FALLBACK_STARTS, m, n)
     for _ in range(60):
         f1 = np.einsum('si,rij->srj', a, kern_rho)
         f2 = np.einsum('si,rij->srj', a.conj(), kern_gamma)

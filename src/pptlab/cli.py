@@ -419,7 +419,7 @@ def _n_range(text: str) -> tuple:
 
 
 def _positive_int(text: str) -> int:
-    """The argparse type of --parallel: an integer >= 1."""
+    """The argparse type of --parallel and --max-mn: an integer >= 1."""
     try:
         value = int(text)
         if value >= 1:
@@ -466,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_sweep)
 
     pv = sub.add_parser("verify-identities", help="exact combinatorial self-checks")
-    pv.add_argument("--max-mn", type=int, default=8)
+    pv.add_argument("--max-mn", type=_positive_int, default=8)
     pv.set_defaults(func=_verify_identities)
     return ap
 

@@ -58,12 +58,13 @@ product planes.  A plane makes the set infinite, and it is reported at once
 with the homotopy roots that lie on K; nothing samples the plane.  The
 plane search also runs beside the dimension-count verdicts.
 Only a set that neither a count nor a plane settled gets a search: one round
-of deterministic multistart alternating minimization over unit pairs (least
-eigenvectors of the Gram matrices F^H F and G^H G in turn, which are the
-least right singular vectors of F and G up to phase), followed by a batched
+of multistart alternating minimization over unit pairs (least eigenvectors
+of the Gram matrices F^H F and G^H G in turn, which are the least right
+singular vectors of F and G up to phase), followed by a batched
 Gauss-Newton polish of the holomorphic system, on top of the homotopy roots
 on K.  Every multistart round, that search or the cross-check of a count,
-has max(400, 4 delta) starts.
+has max(400, 4 delta) starts; those and the plane search's are seeded
+Gaussian pairs from `start_pairs`, so every search is deterministic.
 
 Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
@@ -110,6 +111,7 @@ _POLISH_ITERS = 16
 _BATCH_CAP = 8192
 _MIN_STARTS = 400
 _MINOR_SEED = 71
+_START_SEED = 1364
 _HOMOTOPY_SEED = 1987
 _SQUARE_DOWN_SEED = 2005
 _HOMOTOPY_MAX_STEPS = 2000
@@ -218,7 +220,8 @@ def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     phase.  Both Gram matrices are one product with the fixed tensor
     Q[(i,k),(j,l)] = sum_r conj(W_r[i,j]) W_r[k,l]: F^H F is
     (conj(a) (x) a) Q and G^H G is Q (conj(b) (x) b).  The returned
-    residual is |F(a) b| itself, never an eigenvalue.
+    residual is |F(a) b| itself, never an eigenvalue.  The rows of a and b
+    are the starts, a slice of at most _BATCH_CAP rows of one round's draw.
 
     A start retires once both of its factors move by less than
     _SETTLED_STEP in one iteration, measured after aligning phase
@@ -300,92 +303,16 @@ def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     return a, b, np.linalg.norm(g, axis=1)
 
 
-# Cephes ndtri: sqrt(2 pi) and the coefficients of its three rational
-# approximations, highest power first (Moshier, Methods and Programs for
-# Mathematical Functions, 1989); the Q arrays omit their leading 1.
-_S2PI = 2.50662827463100050242E0
-_EXP_M2 = 0.13533528323661269189     # exp(-2)
-_NDTRI_P0 = (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
-             1.39312609387279679503E1, -1.23916583867381258016E0)
-_NDTRI_Q0 = (1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
-             -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
-             1.59056225126211695515E1, -1.18331621121330003142E0)
-_NDTRI_P1 = (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
-             4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
-             -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4)
-_NDTRI_Q1 = (1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
-             1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
-             -3.80806407691578277194E-2, -9.33259480895457427372E-4)
-_NDTRI_P2 = (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
-             1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
-             3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9)
-_NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
-             2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
-             2.89247864745380683936E-6, 6.79019408009981274425E-9)
-_libm_log = np.frompyfunc(math.log, 1, 1)
+def start_pairs(count: int, m: int, n: int):
+    """`count` seeded start pairs (a, b) on the unit spheres of C^m and C^n.
 
-
-def _polevl(x: np.ndarray, coef, leading_one: bool = False) -> np.ndarray:
-    """Horner's rule in Cephes' order (`p1evl` when `leading_one`)."""
-    ans = x + coef[0] if leading_one else np.full_like(x, coef[0])
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _ndtri(y0: np.ndarray) -> np.ndarray:
-    """The standard normal quantile of each entry of `y0`, in (0, 1).
-
-    A port of Cephes `ndtri`, the routine behind `scipy.special.ndtri`, with
-    its branches, constants and evaluation order, so the two agree bit for
-    bit.  The tails take their logarithms from libm through `math.log`:
-    numpy's vectorized `log` may differ from libm in the last bits, and
-    that moves a tail quantile by a few ulp.
+    Row i takes the i-th 2(m + n) standard normals of the Generator seeded
+    with _START_SEED as the real and imaginary parts of a and b; a complex
+    Gaussian vector scaled to unit norm is uniform on its sphere.  Every
+    draw starts the stream afresh, so the first k pairs of any draw are the
+    k pairs of a k-draw.
     """
-    upper = y0 > 1.0 - _EXP_M2
-    y = np.where(upper, 1.0 - y0, y0)
-    out = np.empty_like(y)
-    mid = y > _EXP_M2
-    h = y[mid] - 0.5
-    h2 = h * h
-    out[mid] = (h + h * (h2 * _polevl(h2, _NDTRI_P0) / _polevl(h2, _NDTRI_Q0, True))) * _S2PI
-    tail = ~mid
-    x = np.sqrt(-2.0 * _libm_log(y[tail]).astype(float))
-    z = 1.0 / x
-    near = x < 8.0
-    x1 = np.where(near, z * _polevl(z, _NDTRI_P1) / _polevl(z, _NDTRI_Q1, True),
-                  z * _polevl(z, _NDTRI_P2) / _polevl(z, _NDTRI_Q2, True))
-    x = x - _libm_log(x).astype(float) / x - x1
-    out[tail] = np.where(upper[tail], x, -x)
-    return out
-
-
-def halton_pairs(count: int, m: int, n: int, skip: int = 0):
-    """Deterministic low-discrepancy start pairs on the two unit spheres.
-
-    Pair i, for i = skip+1 ... skip+count, comes from point i of the
-    unscrambled Halton sequence in 2(m+n) dimensions (Halton, Numer. Math.
-    2, 84-90, 1960): coordinate j is the radical inverse of i in the j-th
-    prime, mapped through the standard normal quantile.  The zeroth point
-    (the origin) is never used; `skip` counts previously consumed pairs so
-    that successive rounds are fresh.  The digits are summed from the least
-    significant one, `raw += digit * b2r; b2r /= base`, in the order of
-    scipy's unscrambled `qmc.Halton`, and the quantile is `_ndtri`, a port
-    of the Cephes routine behind `scipy.stats.norm.ppf` whose tails take
-    libm's `log` as the C code does; so the pairs equal those of
-    `qmc.Halton` and `norm.ppf` bit for bit, without importing scipy.
-    """
-    d = 2 * (m + n)
-    bases = np.fromiter((p for p in itertools.count(2)
-                         if all(p % f for f in range(2, math.isqrt(p) + 1))), np.int64, d)
-    q = np.repeat(np.arange(skip + 1, skip + count + 1)[:, None], d, axis=1)
-    raw = np.zeros((count, d))
-    b2r = 1.0 / bases
-    while q.any():
-        q, digit = np.divmod(q, bases)
-        raw += digit * b2r
-        b2r /= bases
-    z = _ndtri(np.clip(raw, 1e-12, 1 - 1e-12))
+    z = np.random.default_rng(_START_SEED).standard_normal((count, 2 * (m + n)))
     a = z[:, :m] + 1j * z[:, m:2 * m]
     b = z[:, 2 * m:2 * m + n] + 1j * z[:, 2 * m + n:]
     a /= np.linalg.norm(a, axis=1, keepdims=True)
@@ -882,11 +809,12 @@ def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims) -> list:
 
 def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters):
     """Multistart minimization of the w_dim smallest singular values of the
-    membership matrix over the vector factor; returns up to eight distinct
+    membership matrix over the vector factor, from the first factors of
+    `starts` seeded pairs of `start_pairs`; returns up to eight distinct
     (vec, subspace, residual) hits with residual <= RESIDUAL_TOL."""
     if w_dim > dim_sub or w_dim < 1:
         return []
-    a, _ = halton_pairs(starts, dim_vec, dim_sub)
+    a, _ = start_pairs(starts, dim_vec, dim_sub)
     a, h = _plane_alternation(stack, a, w_dim, iters)
     hits = []
     for idx in np.argsort(h):
@@ -1008,9 +936,9 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     # a count, or searches a set that neither a count nor a plane settled.
     starts = 0 if lines else max(_MIN_STARTS, 4 * dlt)
     overruled = False
+    a_all, b_all = start_pairs(starts, m, n)
     for lo in range(0, starts, _BATCH_CAP):
-        chunk = min(_BATCH_CAP, starts - lo)
-        a, b = halton_pairs(chunk, m, n, skip=lo)
+        a, b = a_all[lo:lo + _BATCH_CAP], b_all[lo:lo + _BATCH_CAP]
         a, b, alt = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
         a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
         # the polish can raise a residual the alternation reached

@@ -14,8 +14,6 @@ quantity as a package function by the direct, slow construction:
   on the four PSD conditions;
 - `ReferenceTracker` tracks homotopy paths with a fresh tangent at the top
   of every attempted step and a fixed x1.6 growth of an accepted step;
-- `scipy_halton_pairs` draws the start pairs of `segre.halton_pairs` from
-  `scipy.stats.qmc.Halton` and `scipy.stats.norm.ppf`;
 - `scipy_pencil_eigvalsh` and `scipy_schur_basis` are the scipy routes
   (generalized `eigh`, complex `schur`) that `certify._pencil_eigvalsh` and
   `certify._schur_basis` replace with numpy.
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.stats import norm, qmc
 
 from pptlab.certify import GAP_AMBIGUOUS, GAP_CERTIFIED, NULLITY_CUTOFF, Extremality
 from pptlab.qstate import (
@@ -181,19 +178,6 @@ class ReferenceTracker(_PathTracker):
         too_far = grow[np.linalg.norm(self.z[grow], axis=1) > 1e8]
         self.diverged[too_far] = True
         self.active[too_far] = False
-
-
-def scipy_halton_pairs(count: int, m: int, n: int, skip: int = 0):
-    """`segre.halton_pairs` by scipy's unscrambled Halton sampler."""
-    sampler = qmc.Halton(d=2 * (m + n), scramble=False)
-    sampler.fast_forward(skip + 1)
-    raw = sampler.random(count)
-    z = norm.ppf(np.clip(raw, 1e-12, 1 - 1e-12))
-    a = z[:, :m] + 1j * z[:, m:2 * m]
-    b = z[:, 2 * m:2 * m + n] + 1j * z[:, 2 * m + n:]
-    a /= np.linalg.norm(a, axis=1, keepdims=True)
-    b /= np.linalg.norm(b, axis=1, keepdims=True)
-    return a, b
 
 
 def scipy_pencil_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:

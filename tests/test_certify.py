@@ -24,7 +24,7 @@ from pptlab.qstate import (
     rank_profile,
 )
 from pptlab.segre import (Classification, EnumerationResult, complement_stack,
-                          enumerate_product_vectors, halton_pairs)
+                          enumerate_product_vectors, start_pairs)
 from conftest import random_full_rank_ppt, random_product_vector
 from oracles import (bisection_step, nullity_by_columns, nullity_unrestricted,
                      scipy_pencil_eigvalsh, scipy_schur_basis)
@@ -280,6 +280,14 @@ class TestNecessaryBound:
             assert cert.verdict == Extremality.NOT_EXTREME
 
 
+def continuum_by_homotopy() -> EnumerationResult:
+    """A range enumeration the homotopy settled as infinite, with no points."""
+    paths = {"tracked": 10, "finished": 7, "accepted": 7, "on_plane": 3}
+    return EnumerationResult([], [], Classification.LIKELY_INFINITE,
+                             {"route": "homotopy", "paths": paths, "starts_used": 0,
+                              "best_residual": 1.0})
+
+
 class TestEdgeCheck:
     def test_separable_diagonal_not_edge(self):
         report = edge_check(diag_two_products())
@@ -308,14 +316,11 @@ class TestEdgeCheck:
     def test_homotopy_route_with_a_continuum_runs_the_fallback(self):
         # a homotopy route that settled a set as infinite has not listed
         # every product vector of the range, so the joint search still runs
-        paths = {"tracked": 10, "finished": 7, "accepted": 7, "on_plane": 3}
-        enum = EnumerationResult([], [], Classification.LIKELY_INFINITE,
-                                 {"route": "homotopy", "paths": paths, "starts_used": 0,
-                                  "best_residual": 1.0})
+        enum = continuum_by_homotopy()
         report = edge_check(zoo.good_3x4(), enumeration=enum)
         assert report.starts_used == certify.EDGE_FALLBACK_STARTS
         assert report.route == "multistart"
-        assert report.paths == paths
+        assert report.paths == enum.evidence["paths"]
 
     def test_separable_pair_found_by_count(self, rng):
         # the homotopy count finds both product terms of the range, and the
@@ -367,7 +372,7 @@ class TestEdgeAStep:
         gamma_state = BipartiteState(HermitianOperator(dims, gamma_matrix(state)))
         kern_rho = complement_stack(range_basis(state), dims).conj()
         kern_gamma = complement_stack(range_basis(gamma_state), dims).conj()
-        _, b = halton_pairs(64, dims.m, dims.n)
+        _, b = start_pairs(64, dims.m, dims.n)
         a = certify._edge_a_step(kern_rho, kern_gamma, b)
         oracle = real_embedded_a_step(kern_rho, kern_gamma, b)
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)

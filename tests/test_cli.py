@@ -13,7 +13,8 @@ from pptlab.cli import analyze_state, build_parser, main
 from pptlab.qstate import (BipartiteDims, BipartiteState, HermitianOperator, kernel_basis,
                            load_state, save_state)
 from conftest import random_product_vector
-from oracles import scipy_halton_pairs
+from test_certify import continuum_by_homotopy
+from test_segre import conic_subspace
 
 
 def run_cli(capsys, *argv):
@@ -337,21 +338,76 @@ def count_enumerations(monkeypatch):
     return calls
 
 
+START_SEEDS = (1, 2, 3)
+
+
+def verdict_fields(report: dict) -> dict:
+    """The verdicts, counts, routes, path tallies and start counts of a report."""
+    kern, ces, edge = report["kernel"], report["range_ces"], report["edge"]
+    ev = kern["evidence"]
+    return {
+        "kernel": (kern["classification"], kern["count"], ev["route"], ev["paths"],
+                   ev["starts_used"]),
+        "goodness": tuple(report["goodness"][k] for k in ("verdict", "count", "reason")),
+        "range_ces": (ces["verdict"], ces["route"], ces["paths"], ces["starts_used"]),
+        "edge": (edge["is_edge"], edge["route"], edge["paths"], edge["starts_used"]),
+        "extremality": (report["extremality"]["verdict"], report["extremality"]["nullity"]),
+        "strongly_extreme": report["strongly_extreme"],
+    }
+
+
 class TestStartSource:
+    """No verdict depends on the seed of the multistart starts."""
+
+    def test_the_seed_moves_the_starts(self, monkeypatch):
+        a0, b0 = segre.start_pairs(8, 3, 4)
+        monkeypatch.setattr(segre, "_START_SEED", START_SEEDS[0])
+        a1, b1 = segre.start_pairs(8, 3, 4)
+        assert not np.allclose(a0, a1) and not np.allclose(b0, b1)
+
     @pytest.mark.parametrize("state_fn", [zoo.good_3x4, lambda: zoo.bad_mxn(4, 5)],
                              ids=["good_3x4", "bad_4x5"])
-    def test_report_equals_the_scipy_starts(self, state_fn, monkeypatch):
-        ours = json.dumps(analyze_state(state_fn(), {"case": "starts"}).to_json())
-        calls = []
+    def test_report_verdicts_ignore_the_seed(self, state_fn, monkeypatch):
+        ref = verdict_fields(analyze_state(state_fn(), {}).to_json())
+        assert ref["range_ces"][3] == 400    # the cross-check round drew its starts
+        for seed in START_SEEDS:
+            monkeypatch.setattr(segre, "_START_SEED", seed)
+            assert verdict_fields(analyze_state(state_fn(), {}).to_json()) == ref
 
-        def oracle(*args, **kwargs):
-            calls.append(args)
-            return scipy_halton_pairs(*args, **kwargs)
+    def test_search_route_ignores_the_seed(self, monkeypatch):
+        sub, dims = conic_subspace()
 
-        for mod in (segre, certify):
-            monkeypatch.setattr(mod, "halton_pairs", oracle)
-        assert json.dumps(analyze_state(state_fn(), {"case": "starts"}).to_json()) == ours
-        assert calls    # the range cross-check draws its starts
+        def fields():
+            res = segre.enumerate_product_vectors(sub, dims)
+            return res.classification, res.evidence["route"], res.evidence["starts_used"]
+
+        ref = fields()
+        assert ref[1:] == ("multistart", 400)
+        for seed in START_SEEDS:
+            monkeypatch.setattr(segre, "_START_SEED", seed)
+            assert fields() == ref
+
+    def test_plane_search_ignores_the_seed(self, monkeypatch):
+        state = zoo.bad_mxn(4, 5)
+        kern = kernel_basis(state)
+        for seed in (segre._START_SEED,) + START_SEEDS:
+            monkeypatch.setattr(segre, "_START_SEED", seed)
+            a_hits = [ls for ls in segre.find_line_subspaces(kern, state.dims) if ls.side == "A"]
+            assert a_hits
+            for hit in a_hits:
+                for w_vec in hit.subspace.vectors:
+                    assert kern.project_residual(np.kron(hit.vector, w_vec)) < 1e-8
+
+    def test_edge_fallback_ignores_the_seed(self, monkeypatch):
+        def fields():
+            report = certify.edge_check(zoo.good_3x4(), enumeration=continuum_by_homotopy())
+            return report.is_edge, report.route, report.starts_used
+
+        ref = fields()
+        assert ref == (True, "multistart", certify.EDGE_FALLBACK_STARTS)
+        for seed in START_SEEDS:
+            monkeypatch.setattr(segre, "_START_SEED", seed)
+            assert fields() == ref
 
     def test_runtime_leaves_scipy_unimported(self):
         """No module of the scipy package is loaded by the import, a full
@@ -625,6 +681,16 @@ class TestVerifyIdentities:
         code, stdout, _ = run_cli(capsys, "verify-identities", "--max-mn", "1")
         assert code == 0
         assert json.loads(stdout)["pass"] is True
+
+    @pytest.mark.parametrize("text", ["0", "-3"])
+    def test_bound_below_one_exit_2(self, capsys, text):
+        # an empty range would check nothing and still report a pass
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-identities", "--max-mn", text])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --max-mn: expected an integer >= 1, got '{text}'" in captured.err
 
     def test_bound_cap(self, capsys):
         code, _, err = run_cli(capsys, "verify-identities", "--max-mn", "13")

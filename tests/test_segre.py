@@ -3,10 +3,8 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.special
 
-from pptlab import zoo
+from pptlab import segre, zoo
 from pptlab.qstate import (
     BipartiteDims,
     BipartiteState,
@@ -22,7 +20,6 @@ from pptlab.segre import (
     Goodness,
     GoodnessReason,
     _alternate_batch,
-    _ndtri,
     _PathTracker,
     _homotopy_roots,
     _membership_residuals,
@@ -36,16 +33,16 @@ from pptlab.segre import (
     enumerate_product_vectors,
     find_line_subspaces,
     general_position,
-    halton_pairs,
     is_ces,
     minor_system_roots,
     partial_conjugate,
     pencil_roots_2xn,
     separable_kernel_components,
+    start_pairs,
     transversal,
 )
 from conftest import random_product_vector
-from oracles import ReferenceTracker, scipy_halton_pairs
+from oracles import ReferenceTracker
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
@@ -53,6 +50,18 @@ def subspace_from_vectors(vectors, ambient):
     arr = np.asarray(vectors, dtype=complex).reshape(-1, ambient)
     q = np.linalg.qr(arr.T)[0][:, :arr.shape[0]]
     return SubspaceBasis(ambient, q.T, 1e-12)
+
+
+def conic_subspace():
+    """Sym^2(span{e0, e1}) plus two random vectors in C^3 (x) C^3: it holds
+    the conic {a (x) a : a in span{e0, e1}}, a continuum without a product
+    plane."""
+    rng = np.random.default_rng(5)
+    e = np.eye(3)
+    sym = [np.kron(e[0], e[0]), np.kron(e[1], e[1]),
+           np.kron(e[0], e[1]) + np.kron(e[1], e[0])]
+    extra = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
+    return subspace_from_vectors(sym + list(extra), 9), BipartiteDims(3, 3)
 
 
 def match_sets(points_a, points_b, tol=1e-6):
@@ -450,22 +459,50 @@ class EighRecorder:
         return self.eigh(x, *args, **kwargs)
 
 
-class TestHaltonPairs:
-    def test_ndtri_equals_scipy(self):
-        """Both tails (down to 1e-300, through the x >= 8 branch), the middle
-        branch, 0.5 and the clip bounds 1e-12 and 1 - 1e-12."""
-        y = np.concatenate([np.linspace(1e-12, 1 - 1e-12, 400001), [0.5, 1e-12, 1 - 1e-12],
-                            np.logspace(-300, -1, 3001), 1 - np.logspace(-16, -1, 3001)])
-        assert np.array_equal(_ndtri(y), scipy.special.ndtri(y))
+class TestStartPairs:
+    def test_deterministic(self):
+        a0, b0 = start_pairs(400, 4, 5)
+        a1, b1 = start_pairs(400, 4, 5)
+        assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
 
-    @pytest.mark.parametrize("m, n", [(2, 2), (3, 4), (4, 5), (5, 5), (7, 7), (8, 8)])
-    @pytest.mark.parametrize("skip", [0, 8192])
-    def test_equals_scipy_halton(self, m, n, skip):
-        for count in (0, 1, 64, 400, 8192):
-            a, b = halton_pairs(count, m, n, skip=skip)
-            ref_a, ref_b = scipy_halton_pairs(count, m, n, skip=skip)
-            assert a.shape == (count, m) and b.shape == (count, n)
-            assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+    @pytest.mark.parametrize("m, n", [(2, 2), (3, 4), (4, 5), (8, 8)])
+    @pytest.mark.parametrize("count", [0, 1, 400])
+    def test_unit_rows(self, count, m, n):
+        a, b = start_pairs(count, m, n)
+        assert a.shape == (count, m) and b.shape == (count, n)
+        assert np.allclose(np.linalg.norm(a, axis=1), 1.0, rtol=0, atol=1e-15)
+        assert np.allclose(np.linalg.norm(b, axis=1), 1.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("k", [1, 64, 128, 399])
+    def test_prefix_stable(self, k):
+        a, b = start_pairs(400, 3, 4)
+        ak, bk = start_pairs(k, 3, 4)
+        assert np.array_equal(a[:k], ak) and np.array_equal(b[:k], bk)
+
+    def test_chunked_round_equals_one_batch(self, monkeypatch):
+        # the round draws its 400 starts once and slices them into
+        # _BATCH_CAP chunks: at a cap of 128 they run as 128+128+128+16
+        state = zoo.good_3x4()
+        rng_basis = range_basis(state)
+        whole = enumerate_product_vectors(rng_basis, state.dims)
+        chunks = []
+
+        def recording(wc, a, b, iters):
+            chunks.append((a, b))
+            return _alternate_batch(wc, a, b, iters)
+
+        monkeypatch.setattr(segre, "_BATCH_CAP", 128)
+        monkeypatch.setattr(segre, "_alternate_batch", recording)
+        chunked = enumerate_product_vectors(rng_basis, state.dims)
+        assert [a.shape[0] for a, _ in chunks] == [128, 128, 128, 16]
+        a0, b0 = start_pairs(400, 3, 4)
+        assert np.array_equal(np.concatenate([a for a, _ in chunks]), a0)
+        assert np.array_equal(np.concatenate([b for _, b in chunks]), b0)
+        assert chunked.evidence["starts_used"] == whole.evidence["starts_used"] == 400
+        assert chunked.evidence["best_residual"] == whole.evidence["best_residual"]
+        assert len(chunked.points) == len(whole.points)
+        for p, q in zip(chunked.points, whole.points):
+            assert np.array_equal(p.a, q.a) and np.array_equal(p.b, q.b)
 
 
 class TestAlternate:
@@ -481,7 +518,7 @@ class TestAlternate:
         else:
             state = zoo.bad_mxn(4, 5) if case == "bad_4x5_range" else zoo.kon_mnogo()[0]
             wc = complement_stack(range_basis(state), state.dims).conj()
-        a0, b0 = halton_pairs(400, wc.shape[1], wc.shape[2])
+        a0, b0 = start_pairs(400, wc.shape[1], wc.shape[2])
         a_ref, b_ref, res_ref = alternate_by_svd(wc, a0, b0, 60)
         a, b, res = _alternate_batch(wc, a0, b0, 60)
         assert np.max(np.abs(res - res_ref)) <= 1e-12
@@ -494,7 +531,7 @@ class TestAlternate:
 
     def test_calls_no_svd(self, monkeypatch):
         wc = good_3x4_range_stack()
-        a0, b0 = halton_pairs(400, 3, 4)
+        a0, b0 = start_pairs(400, 3, 4)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the alternation called np.linalg.svd")
@@ -507,12 +544,12 @@ class TestAlternate:
         # on good_3x4's range most starts reach their fixed point well
         # before the last iteration and leave the eigensolves
         wc = good_3x4_range_stack()
-        a0, b0 = halton_pairs(400, 3, 4)
+        a0, b0 = start_pairs(400, 3, 4)
         eigh = EighRecorder(monkeypatch)
         a, b, _ = _alternate_batch(wc, a0, b0, 60)
         assert sum(eigh.rows) <= 0.6 * 2 * 400 * 60
         # the inputs are left as they were
-        a1, b1 = halton_pairs(400, 3, 4)
+        a1, b1 = start_pairs(400, 3, 4)
         assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
         # restarted at its own output, every start retires after one iteration
         eigh.rows.clear()
@@ -582,11 +619,11 @@ class TestPolish:
     @pytest.mark.parametrize("iters", [1, 16])
     @pytest.mark.parametrize("name", list(RANGE_STATES))
     def test_matches_the_pinv_polish(self, name, iters):
-        # the cross-check round's own input: alternated Halton starts
+        # the cross-check round's own input: alternated seeded starts
         state = RANGE_STATES[name]()
         m, n = state.dims.m, state.dims.n
         wc = complement_stack(range_basis(state), state.dims).conj()
-        a, b, _ = _alternate_batch(wc, *halton_pairs(400, m, n), 60)
+        a, b, _ = _alternate_batch(wc, *start_pairs(400, m, n), 60)
         assert_same_polish(_polish_batch(wc, a, b, iters), polish_by_pinv(wc, a, b, iters))
 
     def test_rank_deficient_row_takes_the_pinv_step(self, monkeypatch):
@@ -595,7 +632,7 @@ class TestPolish:
         # b: that row alone takes the pseudoinverse step
         state = zoo.bad_3x4()
         wc = complement_stack(kernel_basis(state), state.dims).conj()
-        a, b = halton_pairs(400, 3, 4)
+        a, b = start_pairs(400, 3, 4)
         a[7] = np.eye(3)[0]
         assert np.max(np.abs(wc[:, 0, 2:])) < 1e-14
         svd = SvdRecorder(monkeypatch)
@@ -813,16 +850,9 @@ class TestPlaneRoute:
                                                      GoodnessReason.INFINITE_COMPONENT)
 
     def test_conic_is_not_a_plane(self):
-        # Sym^2(span{e0, e1}) holds the conic {a (x) a : a in span{e0, e1}},
-        # a continuum without a product plane: paths that end on it are
-        # unaccounted, so the set keeps the search route
-        rng = np.random.default_rng(5)
-        e = np.eye(3)
-        sym = [np.kron(e[0], e[0]), np.kron(e[1], e[1]),
-               np.kron(e[0], e[1]) + np.kron(e[1], e[0])]
-        extra = rng.standard_normal((2, 9)) + 1j * rng.standard_normal((2, 9))
-        dims = BipartiteDims(3, 3)
-        sub = subspace_from_vectors(sym + list(extra), 9)
+        # paths that end on the conic are unaccounted, so the set keeps the
+        # search route
+        sub, dims = conic_subspace()
         assert complement_stack(sub, dims).shape[0] == 3 + 3 - 2
         res = enumerate_product_vectors(sub, dims)
         paths = res.evidence["paths"]

@@ -330,12 +330,13 @@ def edge_check(state: BipartiteState, *,
     Route one enumerates product vectors in the range (or takes
     `enumeration`, a result for `range_basis(state, tol_rel)`) and tests
     each partner.  When that enumeration is finite or empty and complete by
-    a homotopy count, the verdict follows from it.  Otherwise route two minimizes the joint
-    projection residual directly from EDGE_FALLBACK_STARTS starts, and the
-    verdict is a numerical certificate whose quality is reported through
-    the start count and the best residual reached.  A pair counts when its
-    residual is below EDGE_PAIR_TOL.  A state that is NPT at `psd_tol`
-    draws a warning.
+    a homotopy count, the verdict follows from it.  Otherwise route two
+    minimizes the joint projection residual from EDGE_FALLBACK_STARTS starts
+    by the searches' alternation, `segre._alternate` on `_edge_gram`, in
+    rounds of 60 iterations until a pair is found, 420 at most.  That verdict
+    is a numerical certificate, reported with the start count and the best
+    residual reached.  A pair counts when its residual is below
+    EDGE_PAIR_TOL.  A state that is NPT at `psd_tol` draws a warning.
     """
     ppt, min_eig = is_ppt(state, tol=psd_tol)
     if not ppt:
@@ -364,34 +365,32 @@ def edge_check(state: BipartiteState, *,
     # joint minimization over (a, b) of the two projection residuals at once
     kern_rho = complement_stack(rng_rho, dims).conj()            # basis of ker rho
     kern_gamma = complement_stack(rng_gamma, dims).conj()
+    q = _edge_gram(kern_rho, kern_gamma)
     a, b = start_pairs(EDGE_FALLBACK_STARTS, m, n)
-    for _ in range(60):
-        f1 = np.einsum('si,rij->srj', a, kern_rho)
-        f2 = np.einsum('si,rij->srj', a.conj(), kern_gamma)
-        b = np.linalg.svd(np.concatenate([f1, f2], axis=1))[2][:, -1, :].conj()
-        a = _edge_a_step(kern_rho, kern_gamma, b)
-    r1 = np.einsum('si,rij,sj->sr', a, kern_rho, b)
-    r2 = np.einsum('si,rij,sj->sr', a.conj(), kern_gamma, b)
-    joint = np.sqrt(np.linalg.norm(r1, axis=1) ** 2 + np.linalg.norm(r2, axis=1) ** 2)
+    b = b[:, :, None]
+    for _ in range(420 // 60):      # rounds of 60 iterations until a pair is found
+        a, b = segre._alternate(q, a, b, 60)
+        r1 = np.einsum('si,rij,sj->sr', a, kern_rho, b[:, :, 0])
+        r2 = np.einsum('si,rij,sj->sr', a.conj(), kern_gamma, b[:, :, 0])
+        joint = np.sqrt(np.linalg.norm(r1, axis=1) ** 2 + np.linalg.norm(r2, axis=1) ** 2)
+        if joint.min() < EDGE_PAIR_TOL:
+            break
     starts += EDGE_FALLBACK_STARTS
-    best = min(best, float(joint.min()))
     idx = int(np.argmin(joint))
     if joint[idx] < EDGE_PAIR_TOL:
-        pv = ProductVector(a[idx], b[idx])
+        pv = ProductVector(a[idx], b[idx, :, 0])
         return EdgeReport(False, (pv, partial_conjugate(pv)), starts, float(joint[idx]),
                           "multistart", paths)
-    return EdgeReport(True, None, starts, best, "multistart", paths)
+    return EdgeReport(True, None, starts, min(best, float(joint[idx])), "multistart", paths)
 
 
-def _edge_a_step(kern_rho: np.ndarray, kern_gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The unit a minimizing |G1(b) a|^2 + |G2(b) conj(a)|^2 for each row of b.
-
-    The sum equals |[G1(b); conj(G2(b))] a|^2, so a is the least right
-    singular vector of that stacked complex matrix.
-    """
-    g1 = np.einsum('rij,sj->sri', kern_rho, b)
-    g2 = np.einsum('rij,sj->sri', kern_gamma, b)
-    return np.linalg.svd(np.concatenate([g1, g2.conj()], axis=1))[2][:, -1, :].conj()
+def _edge_gram(kern_rho: np.ndarray, kern_gamma: np.ndarray) -> np.ndarray:
+    """Q1 + S Q2, from the `segre._gram` of each stack, S swapping Q2's a indices:
+    |F1(a) b|^2 + |F2(conj a) b|^2 has b-Gram (conj(a) (x) a)(Q1 + S Q2) and
+    a-Gram G1^H G1 + conj(G2^H G2) = (conj(b) (x) b)(Q1 + S Q2)^T."""
+    m = kern_rho.shape[1]
+    swapped = segre._gram(kern_gamma).reshape(m, m, -1).transpose(1, 0, 2).reshape(m * m, -1)
+    return segre._gram(kern_rho) + swapped
 
 
 # ---------------------------------------------------------------------------

@@ -397,9 +397,9 @@ def _analyze(args) -> int:
 
 
 def _add_common(p):
-    p.add_argument("--tol-rank", type=float, default=qstate.RANK_TOL,
+    p.add_argument("--tol-rank", type=_tolerance, default=qstate.RANK_TOL,
                    help="relative singular value cutoff for ranks")
-    p.add_argument("--tol-psd", type=float, default=qstate.PSD_TOL,
+    p.add_argument("--tol-psd", type=_tolerance, default=qstate.PSD_TOL,
                    help="relative tolerance for positivity checks")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock timings (breaks byte determinism)")
@@ -407,26 +407,25 @@ def _add_common(p):
                    help="skip the range and edge searches")
 
 
-def _n_range(text: str) -> tuple:
-    """The argparse type of --n-range: `lo:hi` with lo <= hi."""
-    try:
-        lo, hi = map(int, text.split(":"))
-        if lo <= hi:
-            return lo, hi
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected lo:hi with integers lo <= hi, got {text!r}")
+def _checked(parse, ok, expected: str):
+    """An argparse type that parses its text and keeps a value passing `ok`;
+    anything else exits 2 with a message naming the option."""
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    """The argparse type of --parallel and --max-mn: an integer >= 1."""
-    try:
-        value = int(text)
-        if value >= 1:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+_n_range = _checked(lambda t: tuple(map(int, t.split(":"))),
+                    lambda v: len(v) == 2 and v[0] <= v[1], "lo:hi with integers lo <= hi")
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+# a zero, negative, nan or inf cut corrupts every rank or PPT verdict
+_tolerance = _checked(float, lambda v: 0.0 < v < 1.0, "a tolerance 0 < t < 1")
 
 
 def build_parser() -> argparse.ArgumentParser:

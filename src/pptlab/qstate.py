@@ -368,11 +368,9 @@ def _split_eigh(w: np.ndarray, v: np.ndarray, tol_rel: float) -> tuple:
 def null_space(a: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the null space of `a`, as columns: the right
     singular vectors past every singular value above eps * max(a.shape) *
-    s_max, the cut of `scipy.linalg.null_space`.  It also has scipy's
-    memory layout, taken from a Fortran-ordered vh as LAPACK returns it:
-    `segre.complement_stack` returns a strided view of its transpose, and
-    the product-vector searches that read that view round differently on
-    any other layout."""
+    s_max, the cut of `scipy.linalg.null_space`, in scipy's memory layout
+    (from a Fortran-ordered vh, as LAPACK returns it).  No report depends on
+    that layout: `segre.complement_stack` copies into one C-ordered stack."""
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
     return np.asfortranarray(vh)[int(np.sum(s > tol)):].T.conj()

@@ -58,13 +58,14 @@ product planes.  A plane makes the set infinite, and it is reported at once
 with the homotopy roots that lie on K; nothing samples the plane.  The
 plane search also runs beside the dimension-count verdicts.
 Only a set that neither a count nor a plane settled gets a search: one round
-of multistart alternating minimization over unit pairs (least eigenvectors
-of the Gram matrices F^H F and G^H G in turn, which are the least right
-singular vectors of F and G up to phase), followed by a batched
-Gauss-Newton polish of the holomorphic system, on top of the homotopy roots
-on K.  Every multistart round, that search or the cross-check of a count,
-has max(400, 4 delta) starts; those and the plane search's are seeded
-Gaussian pairs from `start_pairs`, so every search is deterministic.
+of multistart alternating minimization over unit pairs, followed by a
+batched Gauss-Newton polish of the holomorphic system, on top of the
+homotopy roots on K.  Every multistart round, that search or the
+cross-check of a count, has max(400, 4 delta) starts.  One alternation,
+`_alternate` on Gram matrices, serves the round (w = 1), the plane search
+(a w-frame, w = 2 or n - 1) and the edge fallback of `certify.edge_check`
+(two stacks in one Gram tensor); its starts are seeded Gaussian pairs from
+`start_pairs`, so every search is deterministic.
 
 Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
@@ -145,12 +146,16 @@ class GoodnessReason(enum.Enum):
 
 @dataclass(frozen=True)
 class LineSubspace:
-    """A product subspace inside K: |a> (x) W (side 'A') or V (x) |b> ('B')."""
+    """A product subspace inside K: |a> (x) W (side 'A') or V (x) |b> ('B').
+    The vector takes the phase of `ProductVector`, not the eigensolver's."""
 
     side: str
     vector: np.ndarray
     subspace: SubspaceBasis
     residual: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "vector", ProductVector._canonical(self.vector))
 
 
 @dataclass(eq=False)
@@ -203,56 +208,80 @@ def _c2pairs(v: np.ndarray) -> list:
 
 
 def complement_stack(k: SubspaceBasis, dims: BipartiteDims) -> np.ndarray:
-    """Orthonormal basis of the orthocomplement of K, as an (R', m, n) stack."""
+    """Orthonormal basis of the orthocomplement of K, as an (R', m, n) stack,
+    C-ordered whatever layout `null_space` gives: the searches round by it."""
     if k.ambient_dim != dims.total:
         raise ValueError(f"subspace lives in dim {k.ambient_dim}, expected {dims.total}")
     if k.dim == 0:
         eye = np.eye(dims.total, dtype=complex)
         return eye.reshape(dims.total, dims.m, dims.n)
     comp = null_space(k.vectors.conj())
-    return comp.T.reshape(-1, dims.m, dims.n)
+    return np.ascontiguousarray(comp.T).reshape(-1, dims.m, dims.n)
 
 
-def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
-    """Block updates: b <- least eigenvector of F(a)^H F(a), then a of G(b)^H G(b).
+def _gram(stack: np.ndarray) -> np.ndarray:
+    """Q[(i,k),(j,l)] = sum_r conj(W_r[i,j]) W_r[k,l], an (m^2, n^2) matrix:
+    F(a)^H F(a) is (conj(a) (x) a) Q and G(b)^H G(b) is (conj(b) (x) b) Q^T."""
+    m, n = stack.shape[1], stack.shape[2]
+    return np.einsum('rij,rkl->ikjl', stack.conj(), stack).reshape(m * m, n * n)
 
-    These are the least right singular vectors of F(a) and G(b), up to
-    phase.  Both Gram matrices are one product with the fixed tensor
-    Q[(i,k),(j,l)] = sum_r conj(W_r[i,j]) W_r[k,l]: F^H F is
-    (conj(a) (x) a) Q and G^H G is Q (conj(b) (x) b).  The returned
-    residual is |F(a) b| itself, never an eigenvalue.  The rows of a and b
-    are the starts, a slice of at most _BATCH_CAP rows of one round's draw.
 
-    A start retires once both of its factors move by less than
-    _SETTLED_STEP in one iteration, measured after aligning phase
-    (|a' - a e^{i phi}| with phi = arg <a, a'>): it sits at its fixed point
-    to rounding, and its pair is final.  The products and the eigensolves
-    run on the live starts only, for at most `iters` iterations.
-    """
-    m, n = wc.shape[1], wc.shape[2]
-    q = np.einsum('rij,rkl->ikjl', wc.conj(), wc).reshape(m * m, n * n)
-    a, b = a.copy(), b.copy()
+def _least_eigvecs(q: np.ndarray, x: np.ndarray, w: int) -> np.ndarray:
+    """The w least eigenvectors, as columns, of the Gram matrix
+    (sum_c conj(x_c) (x) x_c) q for each start; x is (starts, k, c)."""
+    s, k, side = x.shape[0], x.shape[1], math.isqrt(q.shape[1])
+    proj = (x.conj()[:, :, None, :] * x[:, None, :, :]).sum(axis=3)
+    return np.linalg.eigh((proj.reshape(s, k * k) @ q).reshape(s, side, side))[1][:, :, :w]
+
+
+def _alternate(q: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
+    """The one alternating minimization of the package, of |F(a) B|_F over a
+    unit a and an orthonormal n x w frame B, block by block (De Lathauwer,
+    De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000).  B takes
+    the w least eigenvectors of (conj(a) (x) a) Q, then a the least one of
+    (sum_w conj(b_w) (x) b_w) Q^T: the least right singular vectors of F(a)
+    and of the stacked G(b_w), up to phase and basis.  The rows of a
+    (starts, m) and b (starts, n, w) are the starts; b is only what the
+    first settle test compares with.  A start retires once both factors move
+    by less than _SETTLED_STEP in one iteration, as |new - old old^H new|_F,
+    blind to the eigensolver's phase and basis; the eigensolves run on live
+    starts only.  Callers take residuals from their stacks: a quadratic form
+    in Q loses any residual below ~1e-8."""
+    w = b.shape[2]
+    a, b = a[:, :, None].copy(), b.copy()
     live = np.arange(a.shape[0])
     for _ in range(iters):
         if live.size == 0:
             break
-        al, s = a[live], live.size
-        ff = ((al.conj()[:, :, None] * al[:, None, :]).reshape(s, m * m) @ q).reshape(s, n, n)
-        bn = np.linalg.eigh(ff)[1][:, :, 0]
-        gg = ((bn.conj()[:, :, None] * bn[:, None, :]).reshape(s, n * n) @ q.T).reshape(s, m, m)
-        an = np.linalg.eigh(gg)[1][:, :, 0]
-        moved = np.maximum(_phase_aligned_change(al, an), _phase_aligned_change(b[live], bn))
+        al = a[live]
+        bn = _least_eigvecs(q, al, w)
+        an = _least_eigvecs(q.T, bn, 1)
+        moved = np.maximum(_moved(al, an), _moved(b[live], bn))
         a[live], b[live] = an, bn
         live = live[moved >= _SETTLED_STEP]
+    return a[:, :, 0], b
+
+
+def _moved(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """|new - old old^H new|_F per start, the sines of the angles between spans."""
+    return np.linalg.norm(new - old @ (old.conj().transpose(0, 2, 1) @ new), axis=(1, 2))
+
+
+def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
+    """The multistart round's `_alternate` (w = 1) from pairs (a, b), a slice
+    of at most _BATCH_CAP starts; returns them with |F(a) b| itself."""
+    a, b = _alternate(_gram(wc), a, b[:, :, None], iters)
     f = np.einsum('si,rij->srj', a, wc)
-    res = np.linalg.norm(np.einsum('srj,sj->sr', f, b), axis=1)
-    return a, b, res
+    return a, b[:, :, 0], np.linalg.norm(np.einsum('srj,sj->sr', f, b[:, :, 0]), axis=1)
 
 
-def _phase_aligned_change(old: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """|new - old e^{i phi}| per row, phi = arg <old, new>."""
-    phase = np.exp(1j * np.angle(np.einsum('si,si->s', old.conj(), new)))
-    return np.linalg.norm(new - old * phase[:, None], axis=1)
+def _plane_search(stack: np.ndarray, a: np.ndarray, w_dim: int, iters: int):
+    """`_alternate` from the rows of a with a w_dim frame B; returns a, the
+    frames as (starts, w_dim, dim_sub) orthonormal rows and h = |F(a) B|_F."""
+    b = np.zeros((a.shape[0], stack.shape[2], w_dim), dtype=complex)
+    a, b = _alternate(_gram(stack), a, b, iters)
+    h = np.linalg.norm(np.einsum('si,rij,sjw->srw', a, stack, b), axis=(1, 2))
+    return a, b.transpose(0, 2, 1), h
 
 
 def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
@@ -693,8 +722,8 @@ def _homotopy_roots(wc: np.ndarray):
     - accepted: it reached s = 1, and its endpoint polishes to the residual
       tolerance with a nonsingular gauge-fixed Jacobian;
     - on-plane: its endpoint has full residual <= sqrt(RESIDUAL_TOL), and a
-      short `_plane_alternation` from the endpoint's a (side A) or b (side
-      B) brings the two smallest singular values of F(a) or G(b) to norm
+      short `_plane_search` from the endpoint's a (side A) or b (side B)
+      finds a two-dimensional frame B with |F(a) B|_F or |G(b) B|_F
       <= RESIDUAL_TOL, a verified product plane through the endpoint;
     - diverged: it left for infinity in the patch;
     - unaccounted: anything else, such as a path stopped on a singular point
@@ -746,9 +775,8 @@ def _endpoint_planes(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
     a, b); returns (distinct planes in endpoint order, endpoints on one).
 
     An endpoint qualifies when its full residual is <= sqrt(RESIDUAL_TOL)
-    and `_plane_alternation` from its a (side A, then b for side B) reaches
-    a plane residual <= RESIDUAL_TOL.
-    """
+    and `_plane_search` from its a (side A, then b for side B) reaches a
+    frame B, the plane, with |F(a) B|_F <= RESIDUAL_TOL."""
     if a.shape[0] == 0:
         return [], 0
     a = a / np.linalg.norm(a, axis=1, keepdims=True)
@@ -759,18 +787,18 @@ def _endpoint_planes(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
     for side, stack, vecs in (("A", wc, a), ("B", wc.transpose(0, 2, 1), b)):
         if todo.size == 0 or stack.shape[2] < 2:
             continue
-        vec, h = _plane_alternation(stack, vecs[todo], 2, _PLANE_ITERS)
+        vec, sub, h = _plane_search(stack, vecs[todo], 2, _PLANE_ITERS)
         hit = h <= RESIDUAL_TOL
         for j in np.nonzero(hit)[0]:
-            found[todo[j]] = (side, stack, vec[j], float(h[j]))
+            found[todo[j]] = LineSubspace(side, vec[j], SubspaceBasis(
+                stack.shape[2], sub[j], RESIDUAL_TOL), float(h[j]))
         todo = todo[~hit]
     planes = []
     for i in sorted(found):
-        side, stack, vec, h = found[i]
-        if not any(ls.side == side and abs(np.vdot(vec, ls.vector)) > 1 - DEDUP_TOL
-                   for ls in planes):
-            planes.append(LineSubspace(side, vec, SubspaceBasis(
-                stack.shape[2], _plane_through(stack, vec, 2), RESIDUAL_TOL), h))
+        ls = found[i]
+        if not any(p.side == ls.side and abs(np.vdot(ls.vector, p.vector)) > 1 - DEDUP_TOL
+                   for p in planes):
+            planes.append(ls)
     return planes, len(found)
 
 
@@ -781,11 +809,9 @@ def _endpoint_planes(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
 def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims) -> list:
     """Search for product planes |a> (x) W and V (x) |b> inside K.
 
-    Minimizes the sum of squares of the two smallest singular values of
-    the membership matrix by alternating between the vector factor and the
-    candidate plane, from _LINE_STARTS starts of _LINE_ITERS steps per
-    side.  Returns every distinct hit whose total residual is below
-    RESIDUAL_TOL.
+    `subspace_search` with w = 2 per side, from _LINE_STARTS starts of
+    _LINE_ITERS steps.  Returns every distinct hit whose residual
+    |F(a) W|_F is below RESIDUAL_TOL.
     """
     m, n = dims.m, dims.n
     wc = complement_stack(k, dims).conj()
@@ -808,14 +834,13 @@ def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims) -> list:
 
 
 def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters):
-    """Multistart minimization of the w_dim smallest singular values of the
-    membership matrix over the vector factor, from the first factors of
-    `starts` seeded pairs of `start_pairs`; returns up to eight distinct
-    (vec, subspace, residual) hits with residual <= RESIDUAL_TOL."""
+    """`_plane_search` for a unit a and a w_dim frame B from the first factors
+    of `starts` seeded pairs of `start_pairs`; returns up to eight distinct
+    (vec, subspace rows, residual |F(a) B|_F <= RESIDUAL_TOL) hits."""
     if w_dim > dim_sub or w_dim < 1:
         return []
     a, _ = start_pairs(starts, dim_vec, dim_sub)
-    a, h = _plane_alternation(stack, a, w_dim, iters)
+    a, sub, h = _plane_search(stack, a, w_dim, iters)
     hits = []
     for idx in np.argsort(h):
         if h[idx] > RESIDUAL_TOL:
@@ -823,31 +848,10 @@ def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters):
         vec = a[idx]
         if any(abs(np.vdot(vec, prev[0])) > 1 - DEDUP_TOL for prev in hits):
             continue
-        hits.append((vec, _plane_through(stack, vec, w_dim), float(h[idx])))
+        hits.append((vec, sub[idx], float(h[idx])))
         if len(hits) >= 8:
             break
     return hits
-
-
-def _plane_alternation(stack, a, w_dim, iters):
-    """Alternate from the vector factors a (one per row): the w_dim least
-    right singular vectors of the membership matrix F(a), then the a that
-    best annihilates them.  Returns (a, h), h the norm of the w_dim smallest
-    singular values of F(a)."""
-    for _ in range(iters):
-        f = np.einsum('si,rij->srj', a, stack)
-        vh = np.linalg.svd(f)[2]
-        sub = vh[:, -w_dim:, :].conj()                        # (s, w_dim, dim_sub)
-        g = np.einsum('rij,swj->swri', stack, sub).reshape(a.shape[0], -1, a.shape[1])
-        a = np.linalg.svd(g)[2][:, -1, :].conj()
-    f = np.einsum('si,rij->srj', a, stack)
-    sv = np.linalg.svd(f, compute_uv=False)
-    return a, np.linalg.norm(sv[:, -w_dim:], axis=1)
-
-
-def _plane_through(stack, vec, w_dim):
-    """The w_dim least right singular vectors of F(vec), as rows."""
-    return np.linalg.svd(np.einsum('i,rij->rj', vec, stack))[2][-w_dim:, :].conj()
 
 
 # ---------------------------------------------------------------------------

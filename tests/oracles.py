@@ -16,7 +16,11 @@ quantity as a package function by the direct, slow construction:
   of every attempted step and a fixed x1.6 growth of an accepted step;
 - `scipy_pencil_eigvalsh` and `scipy_schur_basis` are the scipy routes
   (generalized `eigh`, complex `schur`) that `certify._pencil_eigvalsh` and
-  `certify._schur_basis` replace with numpy.
+  `certify._schur_basis` replace with numpy;
+- `_plane_alternation` with `_plane_through` (the plane search) and
+  `_edge_a_step` (the edge fallback's a-step) take the least right singular
+  vectors by SVD, where `segre._alternate` takes the least eigenvectors of
+  Gram matrices.
 """
 
 from __future__ import annotations
@@ -189,3 +193,35 @@ def scipy_schur_basis(t: np.ndarray) -> tuple:
     """`certify._schur_basis` by scipy's complex Schur decomposition."""
     tri, z = scipy.linalg.schur(t, output="complex")
     return np.diag(tri), z
+
+
+def _plane_alternation(stack, a, w_dim, iters):
+    """Alternate from the vector factors a (one per row): the w_dim least
+    right singular vectors of the membership matrix F(a), then the a that
+    best annihilates them.  Returns (a, h), h the norm of the w_dim smallest
+    singular values of F(a)."""
+    for _ in range(iters):
+        f = np.einsum('si,rij->srj', a, stack)
+        vh = np.linalg.svd(f)[2]
+        sub = vh[:, -w_dim:, :].conj()                        # (s, w_dim, dim_sub)
+        g = np.einsum('rij,swj->swri', stack, sub).reshape(a.shape[0], -1, a.shape[1])
+        a = np.linalg.svd(g)[2][:, -1, :].conj()
+    f = np.einsum('si,rij->srj', a, stack)
+    sv = np.linalg.svd(f, compute_uv=False)
+    return a, np.linalg.norm(sv[:, -w_dim:], axis=1)
+
+
+def _plane_through(stack, vec, w_dim):
+    """The w_dim least right singular vectors of F(vec), as rows."""
+    return np.linalg.svd(np.einsum('i,rij->rj', vec, stack))[2][-w_dim:, :].conj()
+
+
+def _edge_a_step(kern_rho: np.ndarray, kern_gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The unit a minimizing |G1(b) a|^2 + |G2(b) conj(a)|^2 for each row of b.
+
+    The sum equals |[G1(b); conj(G2(b))] a|^2, so a is the least right
+    singular vector of that stacked complex matrix.
+    """
+    g1 = np.einsum('rij,sj->sri', kern_rho, b)
+    g2 = np.einsum('rij,sj->sri', kern_gamma, b)
+    return np.linalg.svd(np.concatenate([g1, g2.conj()], axis=1))[2][:, -1, :].conj()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pptlab import certify, zoo
+from pptlab import certify, segre, zoo
 from pptlab.certify import (
     Extremality,
     StrongExtremality,
@@ -26,7 +26,7 @@ from pptlab.qstate import (
 from pptlab.segre import (Classification, EnumerationResult, complement_stack,
                           enumerate_product_vectors, start_pairs)
 from conftest import random_full_rank_ppt, random_product_vector
-from oracles import (bisection_step, nullity_by_columns, nullity_unrestricted,
+from oracles import (_edge_a_step, bisection_step, nullity_by_columns, nullity_unrestricted,
                      scipy_pencil_eigvalsh, scipy_schur_basis)
 from test_qstate import werner_2x2
 
@@ -373,11 +373,79 @@ class TestEdgeAStep:
         kern_rho = complement_stack(range_basis(state), dims).conj()
         kern_gamma = complement_stack(range_basis(gamma_state), dims).conj()
         _, b = start_pairs(64, dims.m, dims.n)
-        a = certify._edge_a_step(kern_rho, kern_gamma, b)
+        q = certify._edge_gram(kern_rho, kern_gamma)
+        a = segre._least_eigvecs(q.T, b[:, :, None], 1)[:, :, 0]
         oracle = real_embedded_a_step(kern_rho, kern_gamma, b)
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
         # the same unit vector up to a phase
         assert np.abs(np.sum(a.conj() * oracle, axis=1)).min() > 1 - 1e-10
+
+
+def edge_stacks(state):
+    """The stacks of ker rho and ker rho^Gamma that the edge fallback reads."""
+    gamma_state = BipartiteState(HermitianOperator(state.dims, gamma_matrix(state)))
+    return tuple(complement_stack(range_basis(st), state.dims).conj()
+                 for st in (state, gamma_state))
+
+
+def seeded_separable(m, n, terms, seed, slocc_seed=None):
+    """The sum of `terms` unnormalized complex Gaussian product projectors
+    drawn from default_rng(seed), conjugated by A (x) B with complex
+    Gaussian A, B drawn from default_rng(slocc_seed) when one is given."""
+    rng = np.random.default_rng(seed)
+    rho = np.zeros((m * n, m * n), dtype=complex)
+    for _ in range(terms):
+        a = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        v = np.kron(a, b)
+        rho += np.outer(v, v.conj())
+    if slocc_seed is not None:
+        g = np.random.default_rng(slocc_seed)
+        a, b = (g.standard_normal((k, k)) + 1j * g.standard_normal((k, k)) for k in (m, n))
+        u = np.kron(a, b)
+        rho = u @ rho @ u.conj().T
+    return BipartiteState(HermitianOperator(BipartiteDims(m, n), rho))
+
+
+class TestEdgeFallback:
+    def test_steps_match_the_svd_steps(self):
+        # both half-steps on the folded Gram tensor are the least right
+        # singular vectors of the stacked membership matrices, up to phase
+        state = zoo.bad_3x4(1.3, 0.7, -1.1, 0.9, 1.7, 0.4, -0.2)
+        kern_rho, kern_gamma = edge_stacks(state)
+        q = certify._edge_gram(kern_rho, kern_gamma)
+        a, b = start_pairs(64, 3, 4)
+        f = np.concatenate([np.einsum('si,rij->srj', a, kern_rho),
+                            np.einsum('si,rij->srj', a.conj(), kern_gamma)], axis=1)
+        b_ref = np.linalg.svd(f)[2][:, -1, :].conj()
+        b_new = segre._least_eigvecs(q, a[:, :, None], 1)[:, :, 0]
+        a_new = segre._least_eigvecs(q.T, b[:, :, None], 1)[:, :, 0]
+        for new, ref in ((b_new, b_ref), (a_new, _edge_a_step(kern_rho, kern_gamma, b))):
+            assert np.abs(np.sum(new.conj() * ref, axis=1)).min() > 1 - 1e-10
+
+    def test_fallback_calls_no_svd(self, monkeypatch):
+        kern_rho, kern_gamma = edge_stacks(zoo.good_3x4())
+        q = certify._edge_gram(kern_rho, kern_gamma)
+        a, b = start_pairs(certify.EDGE_FALLBACK_STARTS, 3, 4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the edge fallback called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        a, b = segre._alternate(q, a, b[:, :, None], 60)
+        assert b.shape == (certify.EDGE_FALLBACK_STARTS, 4, 1)
+
+    @pytest.mark.parametrize("m, n, terms, seed, slocc", [
+        (3, 3, 6, 3, None), (3, 3, 6, 2, 4), (3, 4, 8, 1, 4), (4, 4, 11, 2, 5),
+    ])
+    def test_separable_state_is_not_edge(self, m, n, terms, seed, slocc):
+        # its own product terms are a violating pair; the fallback's starts
+        # converge linearly, and a fixed 60 iterations stopped above
+        # EDGE_PAIR_TOL (at 1.5e-8 to 1.6e-7 on these four)
+        report = edge_check(seeded_separable(m, n, terms, seed, slocc))
+        assert not report.is_edge
+        assert report.route == "multistart"
+        assert report.best_residual < certify.EDGE_PAIR_TOL
 
 
 class TestRankNDecomposition:

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import pathlib
@@ -433,6 +434,118 @@ class TestStartSource:
         out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == str([[]] * 4)
+
+
+def swap_parties(state):
+    """The state with its two parties exchanged, on C^n (x) C^m."""
+    m, n = state.dims.m, state.dims.n
+    rho = state.matrix.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
+    return BipartiteState(HermitianOperator(BipartiteDims(n, m), rho))
+
+
+def conjugated(state, a, b):
+    """(A (x) B) rho (A (x) B)^H."""
+    u = np.kron(a, b)
+    return BipartiteState(HermitianOperator(state.dims, u @ state.matrix @ u.conj().T))
+
+
+def invariant_fields(report: dict) -> dict:
+    """The verdicts, counts and routes that no change of scale, of local
+    basis or of party order may move."""
+    kern, ces, edge = report["kernel"], report["range_ces"], report["edge"]
+    return {
+        "ranks": (report["rank_profile"]["rank"], report["rank_profile"]["rank_gamma"]),
+        "ppt": report["ppt"]["verdict"],
+        "kernel": (kern["classification"], kern["count"], kern["evidence"]["route"]),
+        "goodness": (report["goodness"]["verdict"], report["goodness"]["reason"]),
+        "extremality": (report["extremality"]["verdict"], report["extremality"]["nullity"]),
+        "range_ces": (ces["verdict"], ces["route"]),
+        "edge": (edge["is_edge"], edge["route"]),
+        "anomalies": report["anomalies"],
+    }
+
+
+INVARIANCE_BASES = {"good_3x4": zoo.good_3x4, "bad_3x4": zoo.bad_3x4,
+                    "bad_4x5": lambda: zoo.bad_mxn(4, 5)}
+
+
+@functools.lru_cache(maxsize=None)
+def base_fields(label: str) -> dict:
+    return invariant_fields(analyze_state(INVARIANCE_BASES[label](), {}).to_json())
+
+
+def changed(state, change: str):
+    """The state scaled, with its parties swapped, or under a local unitary
+    or SLOCC change drawn from default_rng(20)."""
+    m, n = state.dims.m, state.dims.n
+    rng = np.random.default_rng(20)
+
+    def cplx(k):
+        return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+
+    if change.startswith("x"):
+        return BipartiteState(HermitianOperator(state.dims, float(change[1:]) * state.matrix))
+    if change == "swap":
+        return swap_parties(state)
+    if change == "local_unitary":
+        return conjugated(state, np.linalg.qr(cplx(m))[0], np.linalg.qr(cplx(n))[0])
+    return conjugated(state, cplx(m), cplx(n))
+
+
+class TestReportInvariance:
+    """Every verdict of the full report is invariant under scale, local
+    unitary and SLOCC changes and the party swap (LMO 2007 for extremality);
+    the zoo states are real, so the seeded complex changes are what would
+    expose a missing conjugate."""
+
+    @pytest.mark.parametrize("label, change", [
+        (label, change) for label in ("good_3x4", "bad_3x4")
+        for change in ("x1e12", "x1e-12", "swap", "local_unitary")
+    ] + [("good_3x4", "slocc"), ("bad_4x5", "swap"), pytest.param(
+        "bad_3x4", "slocc", marks=pytest.mark.xfail(strict=True, reason=(
+            "known defect: after this SLOCC change the kernel's three plane endpoints "
+            "sit ~4e-7 off K, and _PLANE_ITERS = 10 plane iterations reach only 2e-10 "
+            "to 2e-9, above RESIDUAL_TOL, so the kernel leaves the homotopy route")))])
+    def test_verdicts_counts_and_routes(self, label, change):
+        state = changed(INVARIANCE_BASES[label](), change)
+        assert invariant_fields(analyze_state(state, {}).to_json()) == base_fields(label)
+
+    def test_report_ignores_the_null_space_layout(self, monkeypatch):
+        # the searches read the complement stack in the layout
+        # complement_stack gives it, whatever layout the null space has
+        ref = json.dumps(analyze_state(zoo.good_3x4(), {}).to_json())
+        original = segre.null_space
+        for layout in (np.asfortranarray, np.ascontiguousarray):
+            monkeypatch.setattr(segre, "null_space", lambda x, f=layout: f(original(x)))
+            assert json.dumps(analyze_state(zoo.good_3x4(), {}).to_json()) == ref
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("option", ["--tol-rank", "--tol-psd"])
+    @pytest.mark.parametrize("text", ["-1", "0", "nan", "inf", "1"])
+    @pytest.mark.parametrize("cmd", ["analyze", "sweep"])
+    def test_out_of_range_exit_2(self, tmp_path, capsys, cmd, option, text):
+        # zero or negative cuts report the rank-5 extreme state as rank 12
+        # or NPT, and nan or inf failed deep inside with another message
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        target = [str(path)] if cmd == "analyze" else ["bad-3x4", "--draws", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, *target, "--fast", f"{option}={text}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected a tolerance 0 < t < 1, got '{text}'" in err
+
+    @pytest.mark.parametrize("cmd", ["analyze", "sweep"])
+    def test_small_tolerances_run(self, tmp_path, capsys, cmd):
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        target = [str(path)] if cmd == "analyze" else ["bad-3x4", "--draws", "1"]
+        code, stdout, _ = run_cli(capsys, cmd, *target, "--fast", "--tol-rank", "1e-9",
+                                  "--tol-psd", "1e-9")
+        assert code == 0
+        report = json.loads(stdout if cmd == "analyze" else stdout.splitlines()[0])
+        assert report["tolerances"]["rank"] == 1e-9
 
 
 class TestRoutes:

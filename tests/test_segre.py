@@ -42,7 +42,7 @@ from pptlab.segre import (
     transversal,
 )
 from conftest import random_product_vector
-from oracles import ReferenceTracker
+from oracles import ReferenceTracker, _plane_alternation
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
@@ -874,6 +874,73 @@ class TestPlaneRoute:
         assert (tracker.s[1], tracker.active[1]) == (0.0, True)
         assert np.all(tracker.s[others] == before[others])
         assert np.all(tracker.step[others] > before[others])
+
+
+PLANE_KERNELS = {
+    "bad_3x4": zoo.bad_3x4,
+    "bad_3x5": lambda: zoo.bad_3xn(5),
+    "bad_4x5": lambda: zoo.bad_mxn(4, 5),
+    "bad_5x5": lambda: zoo.bad_mxn(5, 5),
+}
+
+
+class TestPlaneSearch:
+    @pytest.mark.parametrize("label", sorted(PLANE_KERNELS))
+    def test_same_endpoints_as_the_svd_loop(self, label, monkeypatch):
+        # from the endpoints the homotopy hands to _endpoint_planes, side A
+        # and then side B on the rest, the eigh alternation reaches a plane
+        # from the same endpoints as the SVD loop it replaced; where the plane
+        # through an endpoint is unique (bad_3x4, bad_3x5) it is the same
+        state = PLANE_KERNELS[label]()
+        kern = kernel_basis(state)
+        wc = complement_stack(kern, state.dims).conj()
+        calls = []
+        original = segre._endpoint_planes
+        monkeypatch.setattr(segre, "_endpoint_planes",
+                            lambda *args: calls.append(args) or original(*args))
+        _homotopy_roots(wc)
+        _, a, b = calls[0]
+        a = a / np.linalg.norm(a, axis=1, keepdims=True)
+        b = b / np.linalg.norm(b, axis=1, keepdims=True)
+        todo = np.nonzero(np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1) <= 1e-5)[0]
+        assert todo.size
+        for side, stack, vecs in (("A", wc, a), ("B", wc.transpose(0, 2, 1), b)):
+            if todo.size == 0:
+                break
+            vec, planes, h = segre._plane_search(stack, vecs[todo], 2, segre._PLANE_ITERS)
+            ref, h_ref = _plane_alternation(stack, vecs[todo], 2, segre._PLANE_ITERS)
+            hit = h <= segre.RESIDUAL_TOL
+            assert np.array_equal(hit, h_ref <= segre.RESIDUAL_TOL)
+            todo = todo[~hit]
+            if label in ("bad_3x4", "bad_3x5"):
+                assert np.all(np.abs(np.einsum('si,si->s', vec[hit].conj(), ref[hit])) >= 1 - 1e-10)
+            for v, plane in zip(vec[hit], planes[hit]):
+                for w_vec in plane:
+                    prod = np.kron(v, w_vec) if side == "A" else np.kron(w_vec, v)
+                    assert kern.project_residual(prod) <= segre.RESIDUAL_TOL
+
+    @pytest.mark.parametrize("label", sorted(PLANE_KERNELS))
+    def test_plane_vectors_take_the_product_vector_phase(self, label):
+        # the first entry above 1e-8 is real and positive to rounding, as in
+        # ProductVector, whatever phase the eigensolver gave the vector
+        state = PLANE_KERNELS[label]()
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
+        assert res.evidence["line_subspaces"]
+        for ls in res.evidence["line_subspaces"]:
+            lead = ls.vector[np.argmax(np.abs(ls.vector) > 1e-8)]
+            assert abs(lead.imag) <= 1e-15 and lead.real > 0
+
+    def test_calls_no_svd(self, monkeypatch):
+        state = zoo.bad_mxn(4, 5)
+        wc = complement_stack(kernel_basis(state), state.dims).conj()
+        a, _ = start_pairs(segre._LINE_STARTS, 4, 5)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the plane search called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        _, planes, h = segre._plane_search(wc, a, 2, segre._LINE_ITERS)
+        assert planes.shape == (segre._LINE_STARTS, 2, 5) and np.any(h <= segre.RESIDUAL_TOL)
 
 
 def tracker_systems():

@@ -14,10 +14,17 @@ that the partial transpose of H has no component outside the range of
 rho^Gamma.  Rotated by the unitary [K | R] (kernel and range of rho^Gamma),
 that component is a Hermitian d x d block and a d x s block, written in
 d^2 + 2ds real coordinates; this isometric image keeps the map's singular
-values and null space.  One QR of that matrix and an SVD of its r^2 x r^2
-factor make the answer an auditable integer: the reported gap ratio
-separates the kept from the discarded singular values, and the witness of
-a non-extreme state comes from the same SVD.
+values and null space.  The states the paper constructs are real
+matrices.  For those, P, K and R are real, and because Gamma commutes with
+transposition and with complex conjugation the map splits in two real
+blocks: the r(r+1)/2 symmetric units of X reach only the real coordinates,
+the r(r-1)/2 antisymmetric ones only the imaginary coordinates.  Each block
+is factored by its own QR and an SVD of its triangular factor, about a
+quarter of the flops of the one-block QR that a complex state takes.  The
+answer is an auditable integer: the reported gap ratio and margin set the
+smallest kept singular value against the largest discarded one and against
+the cutoff, and the witness of a non-extreme state comes from the null
+vectors of the same SVDs.
 
 The remaining certificates are self-contained: the quadratic necessary
 bound on biranks, an edge-state check (no product vector in the range whose
@@ -29,6 +36,7 @@ vectors that compress the state to rank one.
 from __future__ import annotations
 
 import enum
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -89,22 +97,27 @@ class StrongExtremality(enum.Enum):
 @dataclass(eq=False)
 class ExtremalityCert:
     """Nullity certificate; `witness` is a unit-Frobenius Hermitian direction
-    orthogonal to rho whenever the nullity exceeds one."""
+    orthogonal to rho whenever the nullity exceeds one.  `margin` is the
+    smallest kept singular value over NULLITY_CUTOFF: the map has scale one,
+    so unlike `gap_ratio`, whose denominator is rounding noise on an extreme
+    state, it does not move with the rounding."""
 
     nullity: int
     verdict: Extremality
     gap_ratio: float
     singular_spectrum: np.ndarray
     witness: Optional[np.ndarray] = None
+    margin: float = np.nan
 
     def to_json(self) -> dict:
-        gap = float(self.gap_ratio)
+        gap, margin = float(self.gap_ratio), float(self.margin)
         return {
             "nullity": self.nullity,
             "verdict": self.verdict.value,
             "gap_ratio": gap if np.isfinite(gap) else None,
             "singular_spectrum": [float(s) for s in self.singular_spectrum],
             "has_witness": self.witness is not None,
+            "margin": margin if np.isfinite(margin) else None,
         }
 
 
@@ -150,18 +163,17 @@ def _hermitian_from_coords(c: np.ndarray, r: int) -> np.ndarray:
     return x + x.conj().T + np.diag(c[:r])
 
 
-def _constraint_rows(p: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
-    """The constraint map as an (r^2, d, 2mn - d) real array, one slab per
-    Hermitian basis unit E in the order of `_hermitian_coords`.
+def _constraint_slabs(p: np.ndarray, v: np.ndarray, d: int):
+    """Yields (rows, z, antisymmetric) per batch of Hermitian units E: their
+    rows in the map, symmetric units first, and their slabs
+    Z_E = K^H Gamma(P E P^H) [K | R] as a (units, d, mn) array.
 
     `p` (r, m, n) holds the range rows of rho, `v` (mn, m, n) the rows of
-    ker rho^Gamma (the first d, K) and then of its range (R).  Slab E is
-    C = K^H Gamma(P E P^H) [K | R] in real coordinates: Re B + Im B for the
-    Hermitian d x d block B (an orthogonal change of its diagonal and sqrt2
-    Re, sqrt2 Im of the upper triangle), then Re and Im of the d x s block.
-    So the slab has the norm of K^H Gamma(P E P^H), and the map keeps its
-    singular values and null space in d^2 + 2ds coordinates.  For the units
-    T_ij = |p_i><p_j|, C = X_i Y_j with X_i[k, (a, a')] = sum_b
+    ker rho^Gamma (the first d, K) and then of its range (R).  The symmetric
+    units are the E_ii and then, per pair i < j, (|i><j| + |j><i|)/sqrt2;
+    the antisymmetric units are the i(|i><j| - |j><i|)/sqrt2, whose slabs
+    come divided by i, so that real p and v give real z throughout.  For the
+    units T_ij = |p_i><p_j|, Z = X_i Y_j with X_i[k, (a, a')] = sum_b
     conj(K_k[a, b]) P_i[a', b] and Y_j[(a, a'), l] = sum_b conj(P_j[a, b])
     V_l[a', b]: pass i builds the T_ij and T_ji with j >= i by two GEMMs.
     """
@@ -171,24 +183,41 @@ def _constraint_rows(p: np.ndarray, v: np.ndarray, d: int) -> np.ndarray:
     x = x.transpose(2, 0, 1, 3).reshape(r, d, m * m)
     y = (v.reshape(mn * m, n) @ p.conj().reshape(r * m, n).T).reshape(mn, m, r, m)
     y = y.transpose(3, 1, 2, 0).reshape(m * m, r * mn)
-    out = np.empty((r * r, d, 2 * mn - d))
-
-    def put(at, re, im):
-        out[at, :, :mn] = re
-        out[at, :, :d] += im[..., :d]
-        out[at, :, mn:] = im[..., d:]
-
-    pos = r
+    half = 1.0 / np.sqrt(2.0)
+    sym, anti = r, r * (r + 1) // 2        # the next pair row of each kind
     for i in range(r):
         k = r - 1 - i
         row = (x[i] @ y[:, i * mn:]).reshape(d, k + 1, mn).transpose(1, 0, 2)
         col = (x[i + 1:].reshape(k * d, m * m) @ y[:, i * mn:(i + 1) * mn]).reshape(k, d, mn)
-        put(i, row[0].real, row[0].imag)
-        # T_ij + T_ji and i (T_ij - T_ji), part by part; both get 1/sqrt2 below
-        put(slice(pos, pos + 2 * k, 2), row[1:].real + col.real, row[1:].imag + col.imag)
-        put(slice(pos + 1, pos + 2 * k, 2), col.imag - row[1:].imag, row[1:].real - col.real)
-        pos += 2 * k
-    out[r:] /= np.sqrt(2.0)
+        yield slice(i, i + 1), row[:1], False
+        yield slice(sym, sym + k), (row[1:] + col) * half, False
+        yield slice(anti, anti + k), (row[1:] - col) * half, True
+        sym, anti = sym + k, anti + k
+
+
+@functools.lru_cache(maxsize=64)
+def _coord_picks(d: int, mn: int, symmetric: bool) -> tuple:
+    """Flat indices into a (d, mn) slab of the coordinates `_coords` takes,
+    read-only as every caller shares them, and the slice that sqrt2 scales."""
+    up, lo = np.triu_indices(d, 1)
+    lead = d if symmetric else 0
+    picks = np.concatenate([np.arange(lead) * (mn + 1), up * mn + lo,
+                            (np.arange(d)[:, None] * mn + np.arange(d, mn)).ravel()])
+    picks.flags.writeable = False
+    return picks, slice(lead, lead + up.size)
+
+
+def _coords(z: np.ndarray, symmetric: bool) -> np.ndarray:
+    """Coordinates of real slabs z (units, d, mn) whose d x d blocks are
+    symmetric (`symmetric`) or antisymmetric: the diagonal (symmetric only)
+    and sqrt2 times the upper triangle, then the d x s block; an isometry on
+    such slabs.  A slab's d x d block is Hermitian, so its real part takes
+    the symmetric coordinates and its imaginary part the antisymmetric ones,
+    d^2 + 2ds in all."""
+    units, d, mn = z.shape
+    picks, scaled = _coord_picks(d, mn, symmetric)
+    out = z.reshape(units, d * mn)[:, picks]
+    out[:, scaled] *= np.sqrt(2.0)
     return out
 
 
@@ -196,43 +225,66 @@ def extremality_nullity(state: BipartiteState, *, rank_tol: float = RANK_TOL,
                         psd_tol: float = PSD_TOL) -> ExtremalityCert:
     """Dimension of {Hermitian H : R(H) in R(rho), R(H^G) in R(rho^G)}.
 
+    When every imaginary part of rho is exactly zero, P, K and R are real
+    and, as Gamma commutes with transposition and complex conjugation, the
+    r(r+1)/2 symmetric units reach only real slabs and the r(r-1)/2
+    antisymmetric ones only imaginary slabs: the map is two real blocks,
+    each factored by its own QR and SVD.  Any other state's map is one block
+    of all r^2 units.  The spectrum is the sorted union of the blocks'.
+
     Verdicts: EXTREME for nullity one with a certified singular gap,
     NOT_EXTREME for larger nullity, BORDERLINE whenever the gap between
     kept and discarded singular values is too small to trust the integer.
     Singular values of the constraint map are cut at NULLITY_CUTOFF.  A
     state that is NPT at `psd_tol` draws a warning.
     """
+    m, n = state.dims.m, state.dims.n
+    real = not np.any(state.matrix.imag)
+    rho = state.matrix.real if real else state.matrix
     # one eigendecomposition of rho^Gamma gives the PPT verdict and its split
-    w, v = np.linalg.eigh(gamma_matrix(state))
+    w, v = np.linalg.eigh(_gamma(rho, m, n))
     ppt, min_eig = _psd_verdict(w, psd_tol)
     if not ppt:
         warnings.warn(f"extremality criterion applied to an NPT state "
                       f"(min eigenvalue of the partial transpose {min_eig:.3e})")
-    m, n = state.dims.m, state.dims.n
-    p = range_basis(state, tol_rel=rank_tol).vectors            # r x mn
+    p = _eig_split(rho, rank_tol)[1]                            # r x mn
     r = p.shape[0]
     kern, rng_gamma = _split_eigh(w, v, rank_tol)
-    rows = _constraint_rows(p.reshape(r, m, n),
-                            np.concatenate([kern, rng_gamma]).reshape(m * n, m, n),
-                            kern.shape[0])
+    d = kern.shape[0]
+    n_sym, c_sym = r * (r + 1) // 2, d * (d + 1) // 2 + d * (m * n - d)
+    # the map: a row per unit, the coordinates of Re Z and then of Im Z
+    cmap = np.zeros((r * r, 2 * c_sym - d))
+    for at, z, anti in _constraint_slabs(p.reshape(r, m, n),
+                                         np.concatenate([kern, rng_gamma]).reshape(m * n, m, n), d):
+        # an antisymmetric unit's z is Z / i, so Re Z = -Im z and Im Z = Re z;
+        # on a real state Z is imaginary for those units and real for the others
+        if anti:
+            cmap[at, c_sym:] = _coords(z.real, False)
+            if not real:
+                cmap[at, :c_sym] = _coords(-z.imag, True)
+        else:
+            cmap[at, :c_sym] = _coords(z.real, True)
+            if not real:
+                cmap[at, c_sym:] = _coords(z.imag, False)
+    blocks = [cmap[:n_sym, :c_sym], cmap[n_sym:, c_sym:]] if real else [cmap]
     # each slab is a unit Hilbert-Schmidt matrix pushed through the
     # orthonormal P and the unitary [K | R], so the map has scale one and the
     # cutoff is absolute: a relative cut would count rounding noise as rank
     # whenever every slab vanishes, as for a pure product state.  The R of
-    # the QR has the singular values and right singular vectors of the map.
-    fac = np.linalg.qr(rows.reshape(r * r, -1).T, mode="r")
+    # each QR has the singular values and right singular vectors of its block.
+    facs = [np.linalg.qr(b.T, mode="r") for b in blocks]
     # the right singular vectors serve only a witness (nullity > 1).  A
     # triangular R has at least as many nonzero singular values as nonzero
-    # diagonal entries, so unless two of those are below the cutoff the
-    # nullity is one and the SVD skips the vectors
-    if np.sum(np.abs(np.diagonal(fac)) <= NULLITY_CUTOFF) > 1:
-        _, sv, vh = np.linalg.svd(fac)
-    else:
-        sv, vh = np.linalg.svd(fac, compute_uv=False), None
+    # diagonal entries, so unless that bound leaves two null directions the
+    # nullity is one and the SVDs skip the vectors
+    bound = sum(f.shape[1] - np.sum(np.abs(np.diagonal(f)) > NULLITY_CUTOFF) for f in facs)
+    svds = [np.linalg.svd(f, compute_uv=bound > 1) for f in facs]
+    sv = np.sort(np.concatenate([s[1] if bound > 1 else s for s in svds]))[::-1]
     rank = int(np.sum(sv > NULLITY_CUTOFF))
     nullity = r * r - rank              # directions not killed by the constraints
+    margin = float(sv[rank - 1] / NULLITY_CUTOFF) if rank else np.inf
     if nullity == 0:                    # impossible: rho itself is feasible
-        return ExtremalityCert(0, Extremality.BORDERLINE, 0.0, sv, None)
+        return ExtremalityCert(0, Extremality.BORDERLINE, 0.0, sv, None, margin)
     kept, disc = sv[:rank], sv[rank:]
     gap = (float(kept[-1] / disc[0]) if (kept.size and disc.size and disc[0] > 0)
            else np.inf)
@@ -242,10 +294,21 @@ def extremality_nullity(state: BipartiteState, *, rank_tol: float = RANK_TOL,
         verdict = Extremality.EXTREME if gap > GAP_CERTIFIED else Extremality.BORDERLINE
     else:
         verdict = Extremality.NOT_EXTREME
-    if nullity > 1 and vh is None:      # the diagonal bound holds in exact arithmetic only
-        vh = np.linalg.svd(fac)[2]
-    witness = _witness_from_nullspace(state, p.T, vh[rank:]) if nullity > 1 else None
-    return ExtremalityCert(nullity, verdict, gap, sv, witness)
+    witness = None
+    if nullity > 1:
+        if bound <= 1:                  # the diagonal bound holds in exact arithmetic only
+            svds = [np.linalg.svd(f) for f in facs]
+        # each block's null rows, put back in the layout of `_hermitian_coords`:
+        # the symmetric units are the diagonal ones and the even pair positions
+        units = np.concatenate([np.arange(r), np.arange(r, r * r, 2), np.arange(r + 1, r * r, 2)])
+        null_rows, first = [], 0
+        for _, s, vh in svds:
+            rows = np.zeros((vh.shape[0], r * r))
+            rows[:, units[first:first + vh.shape[0]]] = vh
+            null_rows.append(rows[int(np.sum(s > NULLITY_CUTOFF)):])
+            first += vh.shape[0]
+        witness = _witness_from_nullspace(state, p.T, np.concatenate(null_rows))
+    return ExtremalityCert(nullity, verdict, gap, sv, witness, margin)
 
 
 def _witness_from_nullspace(state: BipartiteState, p: np.ndarray,

@@ -119,6 +119,7 @@ _HOMOTOPY_MAX_STEPS = 2000
 _HOMOTOPY_MIN_STEP = 1e-12
 _HOMOTOPY_ENDGAME = 1.0 - 1e-6
 _PLANE_ITERS = 10
+_PLANE_ROUNDS = 6
 _LINE_STARTS = 64
 _LINE_ITERS = 40
 
@@ -721,10 +722,11 @@ def _homotopy_roots(wc: np.ndarray):
 
     - accepted: it reached s = 1, and its endpoint polishes to the residual
       tolerance with a nonsingular gauge-fixed Jacobian;
-    - on-plane: its endpoint has full residual <= sqrt(RESIDUAL_TOL), and a
-      short `_plane_search` from the endpoint's a (side A) or b (side B)
-      finds a two-dimensional frame B with |F(a) B|_F or |G(b) B|_F
-      <= RESIDUAL_TOL, a verified product plane through the endpoint;
+    - on-plane: its endpoint has full residual <= sqrt(RESIDUAL_TOL), and
+      the rounds of `_plane_search` in `_endpoint_planes` from the
+      endpoint's a (side A) or b (side B) find a two-dimensional frame B
+      with |F(a) B|_F or |G(b) B|_F <= RESIDUAL_TOL, a verified product
+      plane through the endpoint;
     - diverged: it left for infinity in the patch;
     - unaccounted: anything else, such as a path stopped on a singular point
       of a component that is not a plane.
@@ -776,7 +778,9 @@ def _endpoint_planes(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
 
     An endpoint qualifies when its full residual is <= sqrt(RESIDUAL_TOL)
     and `_plane_search` from its a (side A, then b for side B) reaches a
-    frame B, the plane, with |F(a) B|_F <= RESIDUAL_TOL."""
+    frame B, the plane, with |F(a) B|_F <= RESIDUAL_TOL.  The search runs in
+    rounds of _PLANE_ITERS iterations, _PLANE_ROUNDS at most; a verified
+    endpoint leaves after its round, and the others go on from their a."""
     if a.shape[0] == 0:
         return [], 0
     a = a / np.linalg.norm(a, axis=1, keepdims=True)
@@ -785,14 +789,18 @@ def _endpoint_planes(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
     todo = np.nonzero(full <= math.sqrt(RESIDUAL_TOL))[0]
     found = {}
     for side, stack, vecs in (("A", wc, a), ("B", wc.transpose(0, 2, 1), b)):
-        if todo.size == 0 or stack.shape[2] < 2:
+        if stack.shape[2] < 2:
             continue
-        vec, sub, h = _plane_search(stack, vecs[todo], 2, _PLANE_ITERS)
-        hit = h <= RESIDUAL_TOL
-        for j in np.nonzero(hit)[0]:
-            found[todo[j]] = LineSubspace(side, vec[j], SubspaceBasis(
-                stack.shape[2], sub[j], RESIDUAL_TOL), float(h[j]))
-        todo = todo[~hit]
+        vec = vecs[todo]
+        for _ in range(_PLANE_ROUNDS):
+            if todo.size == 0:
+                break
+            vec, sub, h = _plane_search(stack, vec, 2, _PLANE_ITERS)
+            hit = h <= RESIDUAL_TOL
+            for j in np.nonzero(hit)[0]:
+                found[todo[j]] = LineSubspace(side, vec[j], SubspaceBasis(
+                    stack.shape[2], sub[j], RESIDUAL_TOL), float(h[j]))
+            todo, vec = todo[~hit], vec[~hit]
     planes = []
     for i in sorted(found):
         ls = found[i]

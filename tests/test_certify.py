@@ -35,13 +35,40 @@ def diag_two_products() -> BipartiteState:
     return BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.diag([1.0, 0, 0, 1.0])))
 
 
+def real_separable_state(m: int, n: int, terms: int, rng) -> BipartiteState:
+    """A sum of real pure product terms: a real state with nullity > 1."""
+    rho = np.zeros((m * n, m * n))
+    for _ in range(terms):
+        v = np.kron(rng.standard_normal(m), rng.standard_normal(n))
+        rho += np.outer(v, v)
+    return BipartiteState(HermitianOperator(BipartiteDims(m, n), rho))
+
+
+def factored_columns(monkeypatch, state) -> tuple:
+    """The certificate of `state` and the column count of each QR it ran."""
+    cols, qr = [], np.linalg.qr
+
+    def record(a, mode="reduced"):
+        cols.append(a.shape[1])
+        return qr(a, mode=mode)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(np.linalg, "qr", record)
+        cert = extremality_nullity(state)
+    return cert, cols
+
+
 class TestExtremalityNullity:
-    def test_pure_product_is_extreme(self):
+    def test_pure_product_is_extreme(self, monkeypatch):
         rho = np.zeros((4, 4))
         rho[0, 0] = 1.0
-        cert = extremality_nullity(BipartiteState(HermitianOperator(BipartiteDims(2, 2), rho)))
+        state = BipartiteState(HermitianOperator(BipartiteDims(2, 2), rho))
+        cert, cols = factored_columns(monkeypatch, state)
         assert cert.nullity == 1
         assert cert.verdict == Extremality.EXTREME
+        # a real state of rank one has no antisymmetric unit
+        assert cols == [1, 0]
+        assert np.abs(cert.singular_spectrum - nullity_by_columns(state)[2]).max() <= 1e-12
 
     @pytest.mark.parametrize("m,n", [(2, 2), (3, 3), (3, 4), (4, 5)])
     def test_random_pure_product_is_extreme(self, rng, m, n):
@@ -209,6 +236,56 @@ class TestComplexInvariance:
         for variant in variants:
             cert = extremality_nullity(variant)
             assert (cert.nullity, cert.verdict) == (base.nullity, base.verdict)
+
+
+class TestRealSplit:
+    """A state whose imaginary parts are all exactly zero factors its map as
+    two real blocks, the r(r+1)/2 symmetric and the r(r-1)/2 antisymmetric
+    Hermitian units; any other state factors one block of all r^2 units."""
+
+    @pytest.mark.parametrize("label", sorted(k for k in GRID if not k.startswith("sep")))
+    def test_grid_state_matches_its_phased_copy(self, label, monkeypatch):
+        # a diagonal-phase local unitary keeps the map's spectrum and makes
+        # the state complex, so it takes the one-block route
+        state = GRID[label]
+        m, n, r = state.dims.m, state.dims.n, rank_profile(state).rank
+        rng = np.random.default_rng(31)
+        u = np.kron(np.diag(np.exp(2j * np.pi * rng.random(m))),
+                    np.diag(np.exp(2j * np.pi * rng.random(n))))
+        phased = BipartiteState(HermitianOperator(state.dims, u @ state.matrix @ u.conj().T))
+        assert np.any(phased.matrix.imag)
+        cert, cols = factored_columns(monkeypatch, state)
+        ref, ref_cols = factored_columns(monkeypatch, phased)
+        assert cols == [r * (r + 1) // 2, r * (r - 1) // 2] and ref_cols == [r * r]
+        assert (cert.nullity, cert.verdict) == (ref.nullity, ref.verdict)
+        assert (cert.nullity, cert.verdict) == (1, Extremality.EXTREME)
+        assert np.abs(cert.singular_spectrum - ref.singular_spectrum).max() <= 1e-12
+        # the smallest kept singular value sits at least four decades above
+        # the cutoff (good_3x8 is the closest, at 4.6e4), and both routes
+        # place it alike to 1e-12 of the map's unit scale
+        assert cert.margin > 1e4
+        assert abs(cert.margin - ref.margin) * certify.NULLITY_CUTOFF <= 1e-12
+        assert cert.to_json()["margin"] == cert.margin
+
+    @pytest.mark.parametrize("state_fn", [
+        lambda: real_separable_state(3, 3, 5, np.random.default_rng(41)),
+        lambda: real_separable_state(2, 4, 4, np.random.default_rng(43)),
+        # full-rank rho^Gamma (d = 0): every unit of both blocks is null
+        lambda: BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.eye(4))),
+    ])
+    def test_real_witness_splits_the_state(self, state_fn, monkeypatch):
+        state = state_fn()
+        r = rank_profile(state).rank
+        cert, cols = factored_columns(monkeypatch, state)
+        assert cols == [r * (r + 1) // 2, r * (r - 1) // 2]
+        nullity, verdict, _ = nullity_by_columns(state)
+        assert (cert.nullity, cert.verdict) == (nullity, verdict)
+        assert cert.nullity > 1 and cert.verdict == Extremality.NOT_EXTREME
+        rho1, rho2 = witness_decomposition(state, cert)
+        eps = np.linalg.norm(state.matrix - rho1.matrix)       # the witness has unit norm
+        assert abs(eps - bisection_step(state, cert.witness)) <= 1e-6 * eps
+        err = np.linalg.norm(rho1.matrix + rho2.matrix - 2 * state.matrix)
+        assert err <= 1e-10 * np.linalg.norm(state.matrix)
 
 
 class TestWitnessDecomposition:

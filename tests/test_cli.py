@@ -501,11 +501,8 @@ class TestReportInvariance:
     @pytest.mark.parametrize("label, change", [
         (label, change) for label in ("good_3x4", "bad_3x4")
         for change in ("x1e12", "x1e-12", "swap", "local_unitary")
-    ] + [("good_3x4", "slocc"), ("bad_4x5", "swap"), pytest.param(
-        "bad_3x4", "slocc", marks=pytest.mark.xfail(strict=True, reason=(
-            "known defect: after this SLOCC change the kernel's three plane endpoints "
-            "sit ~4e-7 off K, and _PLANE_ITERS = 10 plane iterations reach only 2e-10 "
-            "to 2e-9, above RESIDUAL_TOL, so the kernel leaves the homotopy route")))])
+    ] + [("good_3x4", "slocc"), ("bad_4x5", "swap"), ("bad_3x4", "slocc"),
+         ("bad_4x5", "slocc")])
     def test_verdicts_counts_and_routes(self, label, change):
         state = changed(INVARIANCE_BASES[label](), change)
         assert invariant_fields(analyze_state(state, {}).to_json()) == base_fields(label)

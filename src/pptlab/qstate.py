@@ -85,11 +85,6 @@ class HermitianOperator:
         self.entries = _lock(entries)
         self.asymmetry = asym
 
-    def block(self, i: int, j: int) -> np.ndarray:
-        """The n x n block <i|_A . |j>_A."""
-        n = self.dims.n
-        return self.entries[i * n:(i + 1) * n, j * n:(j + 1) * n]
-
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 

@@ -12,8 +12,8 @@ the orthocomplement.
 
 Enumeration first decides what it can from dimensions: with R' = dim K^perp
 below m + n - 2, the dimension of the Segre variety, the product set is
-positive-dimensional (projective dimension theorem) and is reported as such
-without a search.
+positive-dimensional (projective dimension theorem; R' = 0 included) and is
+reported as such, with route `dimension-count` and no search.
 
 Every other system goes to the homotopy route: delta(m, n) paths tracked
 from a linear-product start system.  Each path ends in one of four classes:
@@ -23,22 +23,22 @@ isolated root is the endpoint of some path (Morgan & Sommese 1987; Sommese
 & Wampler 2005, ch. 7-8).  A square system (R' = m + n - 2, every kernel of
 a state at the borderline rank) is tracked as it is, and delta distinct,
 nonsingular, transversal endpoints prove the root set finite and complete
-by count.  When instead every path is accepted or on-plane and at least one
-plane was found, the plane makes the set infinite and the accepted roots
-are all of its isolated points, since a point on a plane is not isolated:
-the set is LIKELY_INFINITE, settled by the homotopy with no plane search
-and no starts.  A larger system (R' > m + n - 2, such as the range of a
-state at the borderline rank) is first squared down to m + n - 2 fixed
-random combinations L g of its equations g.  Every root of g is a root of
-L g, so delta distinct, nonsingular roots of the mixed system hold all of
-them.  A root whose full residual, measured before any polish on the full
-system, exceeds sqrt(RESIDUAL_TOL) is off the subspace; every other root
-must polish onto it.  The kept roots are isolated: the mixed Jacobian L J is
-nonsingular there, which forces J to full column rank m + n - 2.  They are
-not transversal, since K and the tangent space share a (x) b and cannot span
-the whole space when R' > m + n - 2.  The set is FINITE, or EMPTY, complete
-by count, and one multistart round cross-checks it; a point found there
-outside the counted set overrules the count.
+by count.  When instead an endpoint lies on a verified plane, the plane
+makes the set LIKELY_INFINITE, settled by the homotopy with no plane search
+and no starts.  If every path is accepted or on-plane, the accepted roots
+are all its isolated points, since a point on a plane is not isolated;
+otherwise `paths` shows the gap.  A larger system (R' > m + n - 2, such as
+the range of a state at the borderline rank) is first squared down to
+m + n - 2 fixed random combinations L g of its equations g.  Every root of
+g is a root of L g, so delta distinct, nonsingular roots of the mixed
+system hold all of them.  A root whose full residual, measured before any
+polish on the full system, exceeds sqrt(RESIDUAL_TOL) is off the subspace;
+every other root must polish onto it.  The kept roots are isolated: the
+mixed Jacobian L J is nonsingular there, which forces J to full column rank
+m + n - 2.  They are not transversal, since K and the tangent space share
+a (x) b and cannot span the whole space when R' > m + n - 2.  The set is
+FINITE, or EMPTY, complete by count, and one multistart round cross-checks
+it; a point found there outside the counted set overrules the count.
 
 "Complete by count" rests on refined Bezout (Fulton, Intersection Theory,
 Ex. 8.4.6).  The zero set of a square system is the Segre variety
@@ -51,12 +51,11 @@ one isolated) are every zero, with no component of positive dimension
 beside them.  For a squared-down system this holds for the mixed zero set,
 which contains the full one.
 
-A set neither a count nor its own endpoints settled (a square system with
-a positive-dimensional component has fewer than delta isolated roots, and a
-component that is not a plane leaves paths unaccounted) is searched for
-product planes.  A plane makes the set infinite, and it is reported at once
-with the homotopy roots that lie on K; nothing samples the plane.  The
-plane search also runs beside the dimension-count verdicts.
+A set that neither a count nor an endpoint plane settled (say, a component
+that is not a plane, which leaves paths unaccounted), or whose count its
+cross-check overruled, is searched for product planes by
+`find_line_subspaces`.  A plane makes the set infinite, and it is reported
+at once with the homotopy roots that lie on K; nothing samples the plane.
 Only a set that neither a count nor a plane settled gets a search: one round
 of multistart alternating minimization over unit pairs, followed by a
 batched Gauss-Newton polish of the holomorphic system, on top of the
@@ -285,6 +284,16 @@ def _plane_search(stack: np.ndarray, a: np.ndarray, w_dim: int, iters: int):
     return a, b.transpose(0, 2, 1), h
 
 
+def _free_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row, the m + n - 2 non-gauge columns of [G(b) | F(a)]: the
+    largest-modulus coordinate of each factor is frozen as the gauge."""
+    m, n = a.shape[1], b.shape[1]
+    free_a, free_b = np.arange(m - 1), np.arange(n - 1)
+    return np.concatenate([free_a + (free_a >= np.argmax(np.abs(a), axis=1)[:, None]),
+                           m + free_b + (free_b >= np.argmax(np.abs(b), axis=1)[:, None])],
+                          axis=1)
+
+
 def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     """Gauss-Newton on the holomorphic system g_r(a, b) = <W_r, a(x)b>.
 
@@ -303,7 +312,6 @@ def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     s, k = a.shape[0], m + n - 2
     to_f = wc.transpose(1, 0, 2).reshape(m, rp * n)     # a @ to_f is F(a)
     to_g = wc.reshape(rp * m, n).T                     # b @ to_g is G(b)
-    free_a, free_b = np.arange(m - 1), np.arange(n - 1)
     for _ in range(iters):
         fa = (a @ to_f).reshape(s, rp, n)
         g = fa @ b[:, :, None]                         # (s, R', 1)
@@ -311,9 +319,7 @@ def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
             break
         gb = (b @ to_g).reshape(s, rp, m)
         # the non-gauge columns of [G(b) | F(a)], then g
-        cols = np.concatenate([free_a + (free_a >= np.argmax(np.abs(a), axis=1)[:, None]),
-                               m + free_b + (free_b >= np.argmax(np.abs(b), axis=1)[:, None]),
-                               np.full((s, 1), m + n)], axis=1)
+        cols = np.concatenate([_free_columns(a, b), np.full((s, 1), m + n)], axis=1)
         aug = np.take_along_axis(np.concatenate([gb, fa, g], axis=2), cols[:, None, :], axis=2)
         r = np.linalg.qr(aug, mode='r')
         diag = np.abs(np.diagonal(r[:, :k, :k], axis1=1, axis2=2))
@@ -483,8 +489,7 @@ def minor_system_roots(k: SubspaceBasis, dims: BipartiteDims) -> list:
     return out
 
 
-def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims,
-                     residual_tol: float = RESIDUAL_TOL) -> list:
+def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims) -> list:
     """Product vectors in a subspace of C^2 (x) C^n whose membership matrix
     is square: the single determinant condition det F((1, t)) = 0.
 
@@ -511,7 +516,7 @@ def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims,
         f = np.einsum('i,rij->rj', a, wc)
         b = np.linalg.svd(f)[2][-1].conj()
         aa, bb, res = _polish_batch(wc, a[None, :], b[None, :], 20)
-        if res[0] <= residual_tol:
+        if res[0] <= RESIDUAL_TOL:
             pool.add(ProductVector(aa[0], bb[0]), float(res[0]))
     return pool.points
 
@@ -759,12 +764,10 @@ def _homotopy_roots(wc: np.ndarray):
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
         b = b / np.linalg.norm(b, axis=1, keepdims=True)
         a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
-        for i in np.nonzero(res <= RESIDUAL_TOL)[0]:
-            pv = ProductVector(a[i], b[i])
-            smin, smax = _jacobian_extremes(wc, pv)
-            if smin > RANK_TOL * smax:
-                accepted[done[i]] = True
-                pool.add(pv, float(res[i]))
+        smin, smax = _jacobian_extremes(wc, a, b)
+        for i in np.nonzero((res <= RESIDUAL_TOL) & (smin > RANK_TOL * smax))[0]:
+            accepted[done[i]] = True
+            pool.add(ProductVector(a[i], b[i]), float(res[i]))
     rest = np.nonzero(~accepted & ~tracker.diverged)[0]
     planes, on_plane = _endpoint_planes(wc, z[rest, :m], z[rest, m:])
     counts = {"tracked": z.shape[0], "finished": int(finished.sum()),
@@ -869,14 +872,14 @@ def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters):
 def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> EnumerationResult:
     """Find the product vectors inside K; see the module docstring.
 
-    A count settles a set as FINITE or EMPTY; a product plane settles it as
-    LIKELY_INFINITE, reported with the homotopy roots on K and no starts,
-    found without a plane search when every path of a square system ends
-    on an accepted root or on a verified plane;
-    any other set gets one search round of max(400, 4 delta) starts, and a
-    count gets one cross-check round of the same size.  The returned points
-    are pairwise distinct under the overlap metric and each satisfies
-    |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
+    A dimension count settles a set as LIKELY_INFINITE, a count as FINITE
+    or EMPTY; a product plane settles it as LIKELY_INFINITE, with the
+    homotopy roots on K and no starts.  `find_line_subspaces` looks for a
+    plane only when no count and no endpoint of a square system settled the
+    set, or a count was overruled.  Any other set gets one search round of
+    max(400, 4 delta) starts, and a count one cross-check round of the same
+    size.  The returned points are pairwise distinct under the overlap
+    metric and each satisfies |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
     """
     m, n = dims.m, dims.n
     dlt = delta(m, n)
@@ -898,12 +901,8 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     if wc.shape[0] < m + n - 2:
         # fewer equations than the dimension of the Segre variety: every
         # component of the product set is positive-dimensional
-        has_lines()
-        if wc.shape[0] == 0:
-            evidence["trivial_full_space"] = True
-        else:
-            evidence["route"] = "dimension-count"
-            evidence["dimension_forces_positive_dimension"] = True
+        evidence["route"] = "dimension-count"
+        evidence["dimension_forces_positive_dimension"] = True
         return EnumerationResult([], [], Classification.LIKELY_INFINITE, evidence)
 
     # A square system has at most delta isolated roots: finding delta of
@@ -919,9 +918,9 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
             evidence["route"] = "homotopy"
             evidence["best_residual"] = min(residuals)
             return EnumerationResult(points, residuals, Classification.FINITE, evidence)
-    elif wsq is wc and planes and paths["accepted"] + paths["on_plane"] == paths["tracked"]:
-        # every path is accounted for: the accepted roots are all the
-        # isolated ones, and a verified plane makes the set infinite
+    elif wsq is wc and planes:
+        # a verified plane makes the set infinite; when every path is
+        # accepted or on-plane the accepted roots are all the isolated ones
         evidence["route"] = "homotopy"
         evidence["line_subspaces"] = planes
         residuals = [float(r) for r in _membership_residuals(wc, points)]
@@ -1006,31 +1005,30 @@ def _point_evidence(k, wc, dims, points, evidence):
     """Record the isolation and transversality of each point in the
     evidence, in the points' own order (homotopy paths first, then
     multistart starts); returns the transversal flags."""
-    trans, jmins, jconds = [], [], []
-    for pv in points:
-        trans.append(transversal(k, pv, dims))
-        smin, smax = _jacobian_extremes(wc, pv)
-        jmins.append(smin)
-        jconds.append(smax / smin if smin > 0 else float("inf"))
+    trans = [transversal(k, pv, dims) for pv in points]
+    smin, smax = _jacobian_extremes(wc, np.array([pv.a for pv in points]).reshape(-1, dims.m),
+                                    np.array([pv.b for pv in points]).reshape(-1, dims.n))
     evidence["transversal"] = trans
-    evidence["jacobian_sigma_min"] = jmins
-    evidence["jacobian_cond"] = jconds
+    evidence["jacobian_sigma_min"] = [float(lo) for lo in smin]
+    evidence["jacobian_cond"] = [float(hi / lo) if lo > 0 else float("inf")
+                                 for lo, hi in zip(smin, smax)]
     return trans
 
 
-def _jacobian_extremes(wc: np.ndarray, pv: ProductVector) -> tuple:
-    """(sigma_min, sigma_max) of the gauge-fixed Jacobian at a root; a zero
-    sigma_min marks a non-isolated root."""
-    m = pv.a.size
-    fa = np.einsum('i,rij->rj', pv.a, wc)
-    gb = np.einsum('rij,j->ri', wc, pv.b)
-    jac = np.concatenate([gb, fa], axis=1)
-    jac = np.delete(jac, [int(np.argmax(np.abs(pv.a))), m + int(np.argmax(np.abs(pv.b)))], axis=1)
-    if jac.shape[1] == 0:
-        return float("inf"), float("inf")
+def _jacobian_extremes(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """Per row of a and b, (sigma_min, sigma_max) of the gauge-fixed
+    Jacobian at a (x) b, from one batched SVD; a zero sigma_min marks a
+    non-isolated root."""
+    s, k = a.shape[0], a.shape[1] + b.shape[1] - 2
+    if s == 0 or k == 0:
+        return np.full(s, np.inf), np.full(s, np.inf)
+    fa = np.einsum('si,rij->srj', a, wc)
+    gb = np.einsum('rij,sj->sri', wc, b)
+    jac = np.take_along_axis(np.concatenate([gb, fa], axis=2), _free_columns(a, b)[:, None, :],
+                             axis=2)
     sv = np.linalg.svd(jac, compute_uv=False)
-    smin = float(sv[-1]) if jac.shape[0] >= jac.shape[1] else 0.0
-    return smin, float(sv[0])
+    smin = sv[:, -1] if wc.shape[0] >= k else np.zeros(s)
+    return smin, sv[:, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from pptlab.qstate import (BipartiteDims, BipartiteState, HermitianOperator, ker
                            load_state, save_state)
 from conftest import random_product_vector
 from test_certify import continuum_by_homotopy
-from test_segre import conic_subspace
+from test_segre import conic_subspace, refuse_plane_search
 
 
 def run_cli(capsys, *argv):
@@ -607,6 +607,32 @@ class TestRoutes:
         assert len(calls) == 2, calls
         assert rep.to_json()["range_ces"]["route"] == range_route
 
+    def test_separable_range_count_runs_no_plane_search(self, monkeypatch):
+        # eight seeded product terms in 3 x 4: the edge check enumerates the
+        # range, whose dim K^perp = 4 < m + n - 2 settles it by dimension
+        # count, with no plane search
+        refuse_plane_search(monkeypatch)
+        seen = []
+        original = certify.enumerate_product_vectors
+
+        def spy(k, dims):
+            seen.append(original(k, dims))
+            return seen[-1]
+
+        monkeypatch.setattr(certify, "enumerate_product_vectors", spy)
+        rng = np.random.default_rng(1)
+        rho = np.zeros((12, 12), dtype=complex)
+        for _ in range(8):
+            v = np.kron(rng.standard_normal(3) + 1j * rng.standard_normal(3),
+                        rng.standard_normal(4) + 1j * rng.standard_normal(4))
+            rho += np.outer(v, v.conj())
+        j = analyze_state(BipartiteState(HermitianOperator(BipartiteDims(3, 4), rho)),
+                          {}).to_json()
+        assert j["range_ces"]["route"] == "dimension-count"
+        assert [(r.classification, r.evidence["route"], r.evidence["line_subspaces"])
+                for r in seen] == [(segre.Classification.LIKELY_INFINITE, "dimension-count", [])]
+        assert (j["edge"]["is_edge"], j["edge"]["pair_found"]) == (False, True)
+
     def test_tol_rank_reaches_the_edge_check(self, monkeypatch):
         seen = []
         original = certify.edge_check
@@ -680,6 +706,28 @@ class TestSweep:
         run_cli(capsys, "sweep", "bad-3x4", "--draws", "2", "--seed", "3",
                 "--fast", "--parallel", "2", "--out", str(out2))
         assert out1.read_text() == out2.read_text()
+
+    def test_good_3xn_draws(self, tmp_path, capsys):
+        # zoo._good_3xn_grid: n - 3 parameters in [1.1, 4.0] per draw, their
+        # squares kept 1e-3 away from 1 and from each other
+        written = []
+        for name in ("a.jsonl", "b.jsonl"):
+            out = tmp_path / name
+            code, _, _ = run_cli(capsys, "sweep", "good-3xN", "--n-range", "4:5", "--draws", "2",
+                                 "--seed", "3", "--fast", "--out", str(out))
+            assert code == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+        reps = [json.loads(line) for line in written[0].decode().splitlines()]
+        assert [rep["input"]["n"] for rep in reps] == [4, 4, 5, 5]
+        for rep in reps:
+            b = np.array(rep["input"]["b"])
+            assert b.shape == (rep["input"]["n"] - 3,)
+            assert np.all((b >= 1.1) & (b <= 4.0))
+            sq = b ** 2
+            assert np.all(np.abs(sq - 1.0) >= 1e-3)
+            assert np.all(np.abs(np.subtract.outer(sq, sq))[np.triu_indices(b.size, 1)] >= 1e-3)
+            assert rep["goodness"]["verdict"] == "good"
 
     def test_grid_sweep_bad_3xn(self, tmp_path, capsys):
         out = tmp_path / "grid.jsonl"

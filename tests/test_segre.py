@@ -64,6 +64,13 @@ def conic_subspace():
     return subspace_from_vectors(sym + list(extra), 9), BipartiteDims(3, 3)
 
 
+def refuse_plane_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("find_line_subspaces called")
+
+    monkeypatch.setattr(segre, "find_line_subspaces", no_search)
+
+
 def match_sets(points_a, points_b, tol=1e-6):
     """One-to-one matching of two product vector lists under overlap."""
     if len(points_a) != len(points_b):
@@ -140,10 +147,15 @@ class TestEnumerate:
         res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert res.classification == Classification.EMPTY
 
-    def test_full_space_is_infinite(self):
+    def test_full_space_is_infinite(self, monkeypatch):
+        # R' = 0 is a dimension count like any other, with no plane search
+        refuse_plane_search(monkeypatch)
         full = subspace_from_vectors(np.eye(4), 4)
         res = enumerate_product_vectors(full, BipartiteDims(2, 2))
         assert res.classification == Classification.LIKELY_INFINITE
+        ev = res.evidence
+        assert (ev["route"], ev["dimension_forces_positive_dimension"]) == ("dimension-count", True)
+        assert ev["line_subspaces"] == [] and "trivial_full_space" not in ev
 
     def test_points_verify_against_independent_kernel(self):
         state = zoo.good_3x4()
@@ -312,9 +324,10 @@ class TestHomotopy:
         # settles the kernel
         assert res.evidence["route"] == "homotopy"
 
-    def test_dimension_count_forces_continuum(self):
+    def test_dimension_count_forces_continuum(self, monkeypatch):
         # dim K^perp = 5 < m + n - 2 = 6: the kernel meets the Segre
         # variety in a positive-dimensional set, decided without a search
+        refuse_plane_search(monkeypatch)
         state = zoo.upb_complement_state(zoo.gentiles2_upb(3, 5))
         kern = kernel_basis(state)
         assert complement_stack(kern, state.dims).shape[0] == 5
@@ -322,8 +335,8 @@ class TestHomotopy:
         assert res.classification == Classification.LIKELY_INFINITE
         assert res.evidence["dimension_forces_positive_dimension"] is True
         assert res.evidence["route"] == "dimension-count"
-        assert res.evidence["starts_used"] == 0
-        assert isinstance(res.evidence["line_subspaces"], list)
+        assert (res.evidence["paths"], res.evidence["starts_used"]) == (None, 0)
+        assert res.evidence["line_subspaces"] == []
 
 
 def span_of_products(m, n, k, rng):
@@ -761,6 +774,40 @@ class TestGoodness:
         assert res.evidence["route"] == "homotopy"
         assert res.points[0].overlap(ProductVector(e00[:3], e00[:3])) > 1 - 1e-8
 
+    @pytest.mark.parametrize("cls,expected", [
+        (Classification.LIKELY_INFINITE, (Goodness.BAD, GoodnessReason.INFINITE_COMPONENT, None)),
+        (Classification.INCONCLUSIVE, (Goodness.INDETERMINATE, None, 1)),
+    ], ids=["likely_infinite", "inconclusive"])
+    def test_above_borderline_rows(self, cls, expected):
+        # werner_2x2 has rank 3 > m + n - 2 = 2
+        pv = ProductVector([1.0, 0.0], [0.0, 1.0])
+        verdict = classify_goodness(werner_2x2(),
+                                    enumeration=segre.EnumerationResult([pv], [0.0], cls, {}))
+        assert (verdict.verdict, verdict.reason, verdict.count) == expected
+        assert verdict.anomaly is False
+
+    @pytest.mark.parametrize("cls,count", [(Classification.FINITE, 9),
+                                           (Classification.EMPTY, 0)], ids=["finite", "empty"])
+    def test_borderline_count_below_delta_is_a_ppt_anomaly(self, cls, count):
+        # good_3x4 is PPT at rank 5 = m + n - 2, where a finite count below
+        # delta = 10 is impossible: the verdict is bad and flagged
+        points = [ProductVector(np.eye(3)[i % 3], np.eye(4)[i % 4]) for i in range(count)]
+        enn = segre.EnumerationResult(points, [0.0] * count, cls, {})
+        verdict = classify_goodness(zoo.good_3x4(), enumeration=enn)
+        assert (verdict.verdict, verdict.reason, verdict.count, verdict.anomaly) == (
+            Goodness.BAD, GoodnessReason.COUNT_BELOW_DELTA_WITH_NONEMPTY_X, count, True)
+
+    def test_borderline_count_below_delta_npt_is_indeterminate(self):
+        # a Bell state mixed with |01>: rank 2 = m + n - 2 and NPT
+        bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2)
+        rho = np.outer(bell, bell) + 0.1 * np.diag([0.0, 1.0, 0.0, 0.0])
+        state = BipartiteState(HermitianOperator(BipartiteDims(2, 2), rho))
+        enn = segre.EnumerationResult([ProductVector([1.0, 0.0], [0.0, 1.0])], [0.0],
+                                      Classification.FINITE, {})
+        verdict = classify_goodness(state, enumeration=enn)
+        assert (verdict.verdict, verdict.reason, verdict.count, verdict.anomaly) == (
+            Goodness.INDETERMINATE, GoodnessReason.COUNT_BELOW_DELTA_WITH_NONEMPTY_X, 1, False)
+
 
 class TestGeneralPosition:
     def test_kon_mnogo_points_not_general(self):
@@ -821,12 +868,7 @@ class TestPlaneRoute:
         # every path ends on an accepted root or on a verified product plane:
         # the accepted roots are all the isolated ones, the plane proves the
         # continuum, and neither a plane search nor a multistart round runs
-        import pptlab.segre as segre_mod
-
-        def no_search(*args, **kwargs):
-            raise AssertionError("find_line_subspaces called")
-
-        monkeypatch.setattr(segre_mod, "find_line_subspaces", no_search)
+        refuse_plane_search(monkeypatch)
         state = state_fn()
         kern = kernel_basis(state)
         res = enumerate_product_vectors(kern, state.dims)
@@ -882,6 +924,68 @@ PLANE_KERNELS = {
     "bad_4x5": lambda: zoo.bad_mxn(4, 5),
     "bad_5x5": lambda: zoo.bad_mxn(5, 5),
 }
+
+
+def slocc_changed(state, kappa, seed):
+    """(A (x) B) rho (A (x) B)^H, made Hermitian and divided by its largest
+    entry; A = U diag(geomspace(1, kappa)) V with U and V the Q factors of
+    complex Gaussian matrices, drawn as U_A, V_A, U_B, V_B from
+    default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+
+    def unitary(k):
+        return np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+
+    ua, va, ub, vb = (unitary(k) for k in (state.dims.m, state.dims.m,
+                                           state.dims.n, state.dims.n))
+    u = np.kron(ua @ np.diag(np.geomspace(1, kappa, state.dims.m)) @ va,
+                ub @ np.diag(np.geomspace(1, kappa, state.dims.n)) @ vb)
+    rho = u @ state.matrix @ u.conj().T
+    rho = (rho + rho.conj().T) / 2
+    return BipartiteState(HermitianOperator(state.dims, rho / np.abs(rho).max()))
+
+
+class TestSettledSetsRunNoPlaneSearch:
+    """A set settled by a verified endpoint plane gets no second, fresh
+    plane search, even with a path unaccounted for."""
+
+    @pytest.mark.parametrize("label", ["bad_3x4", "bad_4x5"])
+    def test_endpoint_plane_with_an_unaccounted_path(self, label, monkeypatch):
+        # one on-plane endpoint reported fewer leaves a path unaccounted;
+        # the verified planes still prove the set infinite
+        state = PLANE_KERNELS[label]()
+        kern = kernel_basis(state)
+        ref = enumerate_product_vectors(kern, state.dims)
+        original = segre._endpoint_planes
+
+        def one_fewer(wc, a, b):
+            planes, on_plane = original(wc, a, b)
+            return planes, on_plane - 1
+
+        monkeypatch.setattr(segre, "_endpoint_planes", one_fewer)
+        refuse_plane_search(monkeypatch)
+        res = enumerate_product_vectors(kern, state.dims)
+        ev = res.evidence
+        assert ev["paths"]["accepted"] + ev["paths"]["on_plane"] < ev["paths"]["tracked"]
+        assert res.classification == Classification.LIKELY_INFINITE
+        assert (ev["route"], ev["starts_used"], ev["rounds"]) == ("homotopy", 0, 0)
+        assert [(pv.a.tolist(), pv.b.tolist()) for pv in res.points] == \
+            [(pv.a.tolist(), pv.b.tolist()) for pv in ref.points]
+        assert res.residuals == ref.residuals
+        assert [(ls.side, ls.vector.tolist()) for ls in ev["line_subspaces"]] == \
+            [(ls.side, ls.vector.tolist()) for ls in ref.evidence["line_subspaces"]]
+
+    @pytest.mark.parametrize("label,kappa,seed", [
+        (label, kappa, seed) for label, kappa in (("bad_3x4", 30), ("bad_4x5", 30),
+                                                  ("bad_4x5", 100))
+        for seed in (100, 101, 102)])
+    def test_slocc_keeps_the_kernel_fields(self, label, kappa, seed):
+        def fields(state):
+            res = enumerate_product_vectors(kernel_basis(state), state.dims)
+            return res.classification, res.count, res.evidence["route"]
+
+        state = PLANE_KERNELS[label]()
+        assert fields(slocc_changed(state, kappa, seed)) == fields(state)
 
 
 class TestPlaneSearch:
@@ -1016,6 +1120,17 @@ class TestSeparable:
         pvs.append(ProductVector([0, 1.0, 1.0], [0, 1.0, 1.0]))
         verdict = classify_separable_good(pvs, BipartiteDims(3, 3))
         assert verdict.verdict == Goodness.BAD
+
+    def test_classify_bad_by_partition(self):
+        # three terms in 2 x 2, above m + n - 2 = 2; the two sharing |0> on
+        # A leave |1> (x) b_3^perp in the kernel, so the partition of those
+        # two against the third spans neither side
+        b3 = np.array([1.0, 1.0]) / np.sqrt(2)
+        pvs = [ProductVector([1.0, 0], [1.0, 0]), ProductVector([1.0, 0], [0, 1.0]),
+               ProductVector([0, 1.0], b3)]
+        verdict = classify_separable_good(pvs, BipartiteDims(2, 2))
+        assert (verdict.verdict, verdict.reason) == (
+            Goodness.BAD, GoodnessReason.COUNT_BELOW_DELTA_WITH_NONEMPTY_X)
 
     def test_classify_good_two_term(self):
         pvs = [ProductVector([1.0, 0], [1.0, 0]), ProductVector([0, 1.0], [0, 1.0])]

@@ -34,9 +34,11 @@ from . import certify, qstate, segre, zoo
 
 SCHEMA = "pptlab-report/1"
 
-# What each route of the range and edge verdicts can claim.
+# What each route of the range and edge verdicts can claim; a range that
+# the homotopy settled as infinite, by a plane, takes "homotopy-plane".
 _ROUTE_NOTES = {
     "homotopy": "complete by count: the homotopy found every product vector of the range",
+    "homotopy-plane": "proof: a product plane verified at homotopy endpoints lies in the range",
     "multistart": "numerical certificate: multistart search cannot prove emptiness",
     "dimension-count": "theorem: a subspace of dimension above (m-1)(n-1) "
                        "contains product vectors",
@@ -89,7 +91,7 @@ class AnalysisReport:
                 "starts_used": self.range_evidence.get("starts_used"),
                 "route": self.range_evidence.get("route"),
                 "paths": self.range_evidence.get("paths"),
-                "note": _ROUTE_NOTES[self.range_evidence.get("route")],
+                "note": self.range_evidence["note"],
             },
             "goodness": {
                 "verdict": self.goodness.verdict.value,
@@ -108,7 +110,10 @@ class AnalysisReport:
                 "best_residual": self.edge.best_residual,
                 "route": self.edge.route,
                 "paths": self.edge.paths,
-                "note": _ROUTE_NOTES[self.edge.route],
+                # a route shared with the range enumeration makes its claim
+                "note": (self.range_evidence["note"]
+                         if self.edge.route == self.range_evidence["route"]
+                         else _ROUTE_NOTES[self.edge.route]),
             },
             "anomalies": self.anomalies,
         }
@@ -195,10 +200,11 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         t0 = time.perf_counter()
         range_ces, range_res = segre.ces_certificate(
             qstate.range_basis(state, tol_rel=tol_rank), dims)
-        range_ev = {"best_residual": range_res.evidence.get("best_residual"),
-                    "starts_used": range_res.evidence.get("starts_used", 0),
-                    "route": range_res.evidence["route"],
-                    "paths": range_res.evidence["paths"]}
+        ev = range_res.to_json()["evidence"]    # an infinite best residual is None
+        range_ev = {key: ev[key] for key in ("best_residual", "starts_used", "route", "paths")}
+        plane = range_res.classification == segre.Classification.LIKELY_INFINITE
+        range_ev["note"] = _ROUTE_NOTES["homotopy-plane" if plane and ev["route"] == "homotopy"
+                                        else ev["route"]]
         timings["range_ces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -218,11 +224,10 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
     edge = None
     if not fast:
         t0 = time.perf_counter()
-        # the range searched for the CES verdict is the one the edge check
-        # needs; a dimension short cut enumerated nothing, so search it there
-        searched = not range_res.evidence.get("dimension_forces_product_vectors")
+        # the range enumerated for the CES verdict is the one the edge check
+        # needs
         edge = certify.edge_check(state, tol_rel=tol_rank, psd_tol=tol_psd,
-                                  enumeration=range_res if searched else None)
+                                  enumeration=range_res)
         timings["edge"] = time.perf_counter() - t0
 
     strong = certify.strongly_extreme_by_theorem(state, goodness=goodness, cert=cert,

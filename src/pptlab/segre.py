@@ -15,30 +15,38 @@ below m + n - 2, the dimension of the Segre variety, the product set is
 positive-dimensional (projective dimension theorem; R' = 0 included) and is
 reported as such, with route `dimension-count` and no search.
 
-Every other system goes to the homotopy route: delta(m, n) paths tracked
-from a linear-product start system.  Each path ends in one of four classes:
-accepted (a nonsingular root), on-plane (on a verified product plane
-|a> (x) W or V (x) |b>), diverged, or unaccounted.  By the gamma trick every
-isolated root is the endpoint of some path (Morgan & Sommese 1987; Sommese
-& Wampler 2005, ch. 7-8).  A square system (R' = m + n - 2, every kernel of
-a state at the borderline rank) is tracked as it is, and delta distinct,
-nonsingular, transversal endpoints prove the root set finite and complete
-by count.  When instead an endpoint lies on a verified plane, the plane
-makes the set LIKELY_INFINITE, settled by the homotopy with no plane search
-and no starts.  If every path is accepted or on-plane, the accepted roots
-are all its isolated points, since a point on a plane is not isolated;
-otherwise `paths` shows the gap.  A larger system (R' > m + n - 2, such as
-the range of a state at the borderline rank) is first squared down to
-m + n - 2 fixed random combinations L g of its equations g.  Every root of
-g is a root of L g, so delta distinct, nonsingular roots of the mixed
-system hold all of them.  A root whose full residual, measured before any
-polish on the full system, exceeds sqrt(RESIDUAL_TOL) is off the subspace;
-every other root must polish onto it.  The kept roots are isolated: the
-mixed Jacobian L J is nonsingular there, which forces J to full column rank
-m + n - 2.  They are not transversal, since K and the tangent space share
-a (x) b and cannot span the whole space when R' > m + n - 2.  The set is
-FINITE, or EMPTY, complete by count, and one multistart round cross-checks
-it; a point found there outside the counted set overrules the count.
+Every other set is settled on K itself where it can be, by the homotopy:
+delta(m, n) paths tracked from a linear-product start system.  A square
+system (R' = m + n - 2, every kernel of a state at the borderline rank) is
+tracked as it is.  A larger one (R' > m + n - 2, such as the range of a
+state at the borderline rank) is squared down to m + n - 2 fixed random
+combinations L g of its equations g; every root of g is a root of L g.
+Each path ends in one of four classes: accepted (a nonsingular root of the
+tracked system), on-plane (on a product plane |a> (x) W or V (x) |b>
+verified on K's own equations), diverged, or unaccounted.  By the gamma
+trick every isolated root is the endpoint of some path (Morgan & Sommese
+1987; Sommese & Wampler 2005, ch. 7-8).  The set is then settled by one of
+three facts:
+
+- a square count: delta distinct, nonsingular endpoints prove the root set
+  FINITE and complete; a nonsingular Jacobian of a square system is what
+  makes a point transversal;
+- a plane: an endpoint on a verified plane of K makes the set
+  LIKELY_INFINITE, with no plane search and no starts, for square and
+  squared-down systems alike.  If every path is accepted or on-plane, the
+  accepted roots are all the isolated points, since a point on a plane is
+  not isolated; otherwise `paths` shows the gap;
+- a squared-down count: delta distinct, nonsingular roots of the mixed
+  system hold every root of g.  A root whose full residual, measured before
+  any polish on the full system, exceeds sqrt(RESIDUAL_TOL) is off K; every
+  other root is polished on the full system and kept when it reaches K at a
+  point not kept already, else it is off K too.  The kept roots are
+  isolated: the mixed Jacobian L J is nonsingular there, which forces J to
+  full column rank m + n - 2.  They are not transversal, since K and the
+  tangent space share a (x) b and cannot span the whole space when
+  R' > m + n - 2.  The set is FINITE, or EMPTY, complete by count, and one
+  multistart round cross-checks it; a point found there outside the counted
+  set overrules the count.
 
 "Complete by count" rests on refined Bezout (Fulton, Intersection Theory,
 Ex. 8.4.6).  The zero set of a square system is the Segre variety
@@ -51,20 +59,18 @@ one isolated) are every zero, with no component of positive dimension
 beside them.  For a squared-down system this holds for the mixed zero set,
 which contains the full one.
 
-A set that neither a count nor an endpoint plane settled (say, a component
-that is not a plane, which leaves paths unaccounted), or whose count its
-cross-check overruled, is searched for product planes by
-`find_line_subspaces`.  A plane makes the set infinite, and it is reported
-at once with the homotopy roots that lie on K; nothing samples the plane.
-Only a set that neither a count nor a plane settled gets a search: one round
-of multistart alternating minimization over unit pairs, followed by a
-batched Gauss-Newton polish of the holomorphic system, on top of the
-homotopy roots on K.  Every multistart round, that search or the
-cross-check of a count, has max(400, 4 delta) starts.  One alternation,
-`_alternate` on Gram matrices, serves the round (w = 1), the plane search
-(a w-frame, w = 2 or n - 1) and the edge fallback of `certify.edge_check`
-(two stacks in one Gram tensor); its starts are seeded Gaussian pairs from
-`start_pairs`, so every search is deterministic.
+Only a set that none of these settled (say, a component that is not a
+plane, which leaves paths unaccounted), or a count that its cross-check
+overruled, is decided by a search: one round of multistart alternating
+minimization over unit pairs, followed by a batched Gauss-Newton polish of
+the holomorphic system, on top of the homotopy roots on K.  Every
+multistart round, that search or the cross-check of a count, has
+max(400, 4 delta) starts.  One alternation, `_alternate` on Gram matrices,
+serves the round (w = 1), the plane search of `_plane_search` (a w-frame,
+w = 2 or n - 1) and the edge fallback of `certify.edge_check` (two stacks in
+one Gram tensor); its starts are seeded Gaussian pairs from `start_pairs`,
+so every search is deterministic.  `find_line_subspaces`, a seeded plane
+search from fresh starts, is a public helper that no route calls.
 
 Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
@@ -699,13 +705,15 @@ class _PathTracker:
 
 
 def _homotopy_roots(wc: np.ndarray):
-    """Roots of a square membership system by linear-product homotopy.
+    """Roots of the membership system of K, the stack wc, by linear-product
+    homotopy.
 
-    With R' = m + n - 2 equations g_r(a, b) = a^T W_r b on P^{m-1} x P^{n-1},
-    the start system F0_r = (x_r^T a)(y_r^T b) has one nonsingular root per
-    split (P, Q) of the equations into m - 1 and n - 1 (a orthogonal to x_P,
-    b to y_Q): delta(m, n) roots, the 2-homogeneous Bezout number of the
-    target.  H = gamma (1 - s) F0 + s F1 is tracked from s = 0 to 1 in one
+    The tracked system has R' = m + n - 2 equations g_r(a, b) = a^T W_r b
+    on P^{m-1} x P^{n-1}: wc itself when it is square, else its
+    `_square_down` to m + n - 2 mixed equations.  The start system
+    F0_r = (x_r^T a)(y_r^T b) has one nonsingular root per split (P, Q) of
+    the equations into m - 1 and n - 1 (a orthogonal to x_P, b to y_Q):
+    delta(m, n) roots, the 2-homogeneous Bezout number of the target.  H = gamma (1 - s) F0 + s F1 is tracked from s = 0 to 1 in one
     affine patch per factor, with an RK4 predictor, a three-step Newton
     corrector and a per-path step (Morgan & Sommese, Appl. Math. Comput. 24,
     1987).  A rejected step halves the step; an accepted one grows it by the
@@ -726,8 +734,9 @@ def _homotopy_roots(wc: np.ndarray):
     Each path ends in one of four classes:
 
     - accepted: it reached s = 1, and its endpoint polishes to the residual
-      tolerance with a nonsingular gauge-fixed Jacobian;
-    - on-plane: its endpoint has full residual <= sqrt(RESIDUAL_TOL), and
+      tolerance of the tracked system with a nonsingular gauge-fixed
+      Jacobian of that system;
+    - on-plane: its endpoint has residual <= sqrt(RESIDUAL_TOL) on wc, and
       the rounds of `_plane_search` in `_endpoint_planes` from the
       endpoint's a (side A) or b (side B) find a two-dimensional frame B
       with |F(a) B|_F or |G(b) B|_F <= RESIDUAL_TOL, a verified product
@@ -739,17 +748,19 @@ def _homotopy_roots(wc: np.ndarray):
     By the gamma trick every isolated root is the endpoint of some path, and
     a point on a plane is not isolated.  So when every path is accepted or
     on-plane, the accepted roots are all the isolated roots; with none on a
-    plane, delta of them prove the root set finite and complete, since a
-    square system with a positive-dimensional component has fewer than
-    delta isolated roots.
+    plane, delta of them prove the root set of the tracked system finite and
+    complete, since a square system with a positive-dimensional component
+    has fewer than delta isolated roots.  The planes are verified on wc, so
+    they are planes of K whichever system was tracked.
 
     Returns (points, residuals, paths, planes): the deduplicated accepted
-    roots in path order, paths = {"tracked", "finished", "accepted",
-    "on_plane"}, and the distinct verified planes as `LineSubspace`s in
-    path order.
+    roots of the tracked system in path order, with their residuals on it,
+    paths = {"tracked", "finished", "accepted", "on_plane"}, and the distinct
+    verified planes of K as `LineSubspace`s in path order.
     """
-    m = wc.shape[1]
-    tracker = _PathTracker(wc)
+    m, n = wc.shape[1], wc.shape[2]
+    wsq = _square_down(wc, m + n - 2)
+    tracker = _PathTracker(wsq)
     for _ in range(_HOMOTOPY_MAX_STEPS):
         if not tracker.active.any():
             break
@@ -763,8 +774,8 @@ def _homotopy_roots(wc: np.ndarray):
         a, b = z[done, :m], z[done, m:]
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
         b = b / np.linalg.norm(b, axis=1, keepdims=True)
-        a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
-        smin, smax = _jacobian_extremes(wc, a, b)
+        a, b, res = _polish_batch(wsq, a, b, _POLISH_ITERS)
+        smin, smax = _jacobian_extremes(wsq, a, b)
         for i in np.nonzero((res <= RESIDUAL_TOL) & (smin > RANK_TOL * smax))[0]:
             accepted[done[i]] = True
             pool.add(ProductVector(a[i], b[i]), float(res[i]))
@@ -822,7 +833,8 @@ def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims) -> list:
 
     `subspace_search` with w = 2 per side, from _LINE_STARTS starts of
     _LINE_ITERS steps.  Returns every distinct hit whose residual
-    |F(a) W|_F is below RESIDUAL_TOL.
+    |F(a) W|_F is below RESIDUAL_TOL.  A public helper: enumeration takes
+    its planes from verified homotopy endpoints and never calls it.
     """
     m, n = dims.m, dims.n
     wc = complement_stack(k, dims).conj()
@@ -872,14 +884,17 @@ def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters):
 def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> EnumerationResult:
     """Find the product vectors inside K; see the module docstring.
 
-    A dimension count settles a set as LIKELY_INFINITE, a count as FINITE
-    or EMPTY; a product plane settles it as LIKELY_INFINITE, with the
-    homotopy roots on K and no starts.  `find_line_subspaces` looks for a
-    plane only when no count and no endpoint of a square system settled the
-    set, or a count was overruled.  Any other set gets one search round of
-    max(400, 4 delta) starts, and a count one cross-check round of the same
-    size.  The returned points are pairwise distinct under the overlap
-    metric and each satisfies |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
+    A dimension count settles a set as LIKELY_INFINITE.  Otherwise the
+    homotopy runs: delta roots of a square system settle the set as FINITE;
+    a plane of K verified at its endpoints settles it as LIKELY_INFINITE,
+    with the homotopy roots on K and no starts; delta roots of a
+    squared-down system count it as FINITE or EMPTY, and one multistart
+    round cross-checks the count.  Any other set, or a count overruled by a
+    point outside it, is decided by that round: more than delta points make
+    it LIKELY_INFINITE, fewer INCONCLUSIVE and none EMPTY.  The round has
+    max(400, 4 delta) starts.  The returned points are pairwise distinct
+    under the overlap metric and each satisfies
+    |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
     """
     m, n = dims.m, dims.n
     dlt = delta(m, n)
@@ -894,10 +909,6 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
         return EnumerationResult([], [], Classification.EMPTY, evidence)
     wc = complement_stack(k, dims).conj()
 
-    def has_lines() -> bool:
-        evidence["line_subspaces"] = find_line_subspaces(k, dims)
-        return bool(evidence["line_subspaces"])
-
     if wc.shape[0] < m + n - 2:
         # fewer equations than the dimension of the Segre variety: every
         # component of the product set is positive-dimensional
@@ -905,47 +916,40 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
         evidence["dimension_forces_positive_dimension"] = True
         return EnumerationResult([], [], Classification.LIKELY_INFINITE, evidence)
 
-    # A square system has at most delta isolated roots: finding delta of
-    # them proves the set finite and complete.  A larger system is squared
-    # down first, and delta roots of the mixed system hold every root of the
-    # full one (see _roots_on_subspace).
-    counted = None
-    wsq = _square_down(wc, m + n - 2)
-    points, residuals, paths, planes = _homotopy_roots(wsq)
+    points, residuals, paths, planes = _homotopy_roots(wc)
     evidence["paths"] = paths
-    if len(points) == dlt and wsq is wc:
-        if all(_point_evidence(k, wc, dims, points, evidence)):
-            evidence["route"] = "homotopy"
-            evidence["best_residual"] = min(residuals)
-            return EnumerationResult(points, residuals, Classification.FINITE, evidence)
-    elif wsq is wc and planes:
-        # a verified plane makes the set infinite; when every path is
-        # accepted or on-plane the accepted roots are all the isolated ones
+    counted = len(points) == dlt
+    if counted and wc.shape[0] == m + n - 2:
+        # a square system has at most delta isolated roots: finding delta
+        # of them proves the set finite and complete
         evidence["route"] = "homotopy"
-        evidence["line_subspaces"] = planes
-        residuals = [float(r) for r in _membership_residuals(wc, points)]
-        evidence["best_residual"] = min(residuals + [ls.residual for ls in planes])
-        _point_evidence(k, wc, dims, points, evidence)
-        return EnumerationResult(points, residuals, Classification.LIKELY_INFINITE, evidence)
-    elif len(points) == dlt:
-        counted, evidence["best_residual"] = _roots_on_subspace(wc, points)
-
-    if counted is None:
-        # no count: the homotopy's roots on K stand, and a product plane
-        # makes the set infinite without a search
+        evidence["best_residual"] = min(residuals)
+        _point_evidence(wc, dims, points, evidence)
+        return EnumerationResult(points, residuals, Classification.FINITE, evidence)
+    if counted:
+        # delta roots of the squared-down system hold every root of K
+        pool, evidence["best_residual"] = _roots_on_subspace(wc, points)
+    else:
+        # no count: the homotopy's roots on K stand
         pool = _PointPool()
         for pv, res in zip(points, _membership_residuals(wc, points)):
             if res <= RESIDUAL_TOL:
                 pool.add(pv, float(res))
-        lines = has_lines()
-        evidence["best_residual"] = min([evidence["best_residual"]] + pool.residuals
-                                        + [ls.residual for ls in evidence["line_subspaces"]])
-    else:
-        pool, lines = counted, False
+        evidence["best_residual"] = min([evidence["best_residual"]] + pool.residuals)
+    if planes:
+        # a verified plane of K makes the set infinite; when every path is
+        # accepted or on-plane the accepted roots are all the isolated ones
+        evidence["route"] = "homotopy"
+        evidence["line_subspaces"] = planes
+        evidence["best_residual"] = min([evidence["best_residual"]]
+                                        + [ls.residual for ls in planes])
+        _point_evidence(wc, dims, pool.points, evidence)
+        return EnumerationResult(pool.points, pool.residuals, Classification.LIKELY_INFINITE,
+                                 evidence)
 
-    # One multistart round unless a plane settled the set: it cross-checks
-    # a count, or searches a set that neither a count nor a plane settled.
-    starts = 0 if lines else max(_MIN_STARTS, 4 * dlt)
+    # One multistart round: it cross-checks a count, or searches a set that
+    # neither a count nor a plane settled.
+    starts = max(_MIN_STARTS, 4 * dlt)
     overruled = False
     a_all, b_all = start_pairs(starts, m, n)
     for lo in range(0, starts, _BATCH_CAP):
@@ -957,19 +961,16 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
                                         float(res.min()))
         for idx in np.nonzero(res <= RESIDUAL_TOL)[0]:
             overruled |= pool.add(ProductVector(a[idx], b[idx]), float(res[idx]))
-    evidence["starts_used"], evidence["rounds"] = starts, int(starts > 0)
-    if counted is not None and overruled:
-        # a point outside the counted set contradicts the count, and the
-        # search decides
-        counted = None
-        lines = has_lines()
-
-    evidence["route"] = "multistart" if counted is None else "homotopy"
+    evidence["starts_used"], evidence["rounds"] = starts, 1
+    # a point outside the counted set contradicts the count, and the round
+    # decides
+    counted = counted and not overruled
+    evidence["route"] = "homotopy" if counted else "multistart"
     points, residuals = pool.points, pool.residuals
-    _point_evidence(k, wc, dims, points, evidence)
-    if counted is not None:
+    _point_evidence(wc, dims, points, evidence)
+    if counted:
         cls = Classification.FINITE if points else Classification.EMPTY
-    elif lines or len(points) > dlt:
+    elif len(points) > dlt:
         cls = Classification.LIKELY_INFINITE
     elif not points:
         cls = Classification.EMPTY
@@ -985,9 +986,11 @@ def _roots_on_subspace(wc: np.ndarray, points: list):
 
     A root whose full residual is above sqrt(RESIDUAL_TOL) before any polish
     is off K: a polish on the full system would pull it onto a nearby true
-    root.  Every other root must polish onto K.  Returns (pool of the kept
-    roots, best residual); the pool is None when a root fails its polish or
-    two merge.
+    root.  Every other root is polished on the full system and kept when it
+    reaches RESIDUAL_TOL at a point not kept already.  A root that fails
+    its polish, or lands on a kept one, is off K as well: every product
+    vector of K is one of the delta distinct roots, and polishes onto
+    itself.  Returns (pool of the kept roots, best residual).
     """
     full = _membership_residuals(wc, points)
     near = [pv for pv, r in zip(points, full) if r <= math.sqrt(RESIDUAL_TOL)]
@@ -995,30 +998,29 @@ def _roots_on_subspace(wc: np.ndarray, points: list):
     if near:
         a, b, res = _polish_batch(wc, np.array([pv.a for pv in near]),
                                   np.array([pv.b for pv in near]), _POLISH_ITERS)
-        for i in range(len(near)):
-            if res[i] > RESIDUAL_TOL or not pool.add(ProductVector(a[i], b[i]), float(res[i])):
-                return None, float(full.min())
+        for i in np.nonzero(res <= RESIDUAL_TOL)[0]:
+            pool.add(ProductVector(a[i], b[i]), float(res[i]))
     return pool, min([float(full.min())] + pool.residuals)
 
 
-def _point_evidence(k, wc, dims, points, evidence):
+def _point_evidence(wc, dims, points, evidence):
     """Record the isolation and transversality of each point in the
     evidence, in the points' own order (homotopy paths first, then
-    multistart starts); returns the transversal flags."""
-    trans = [transversal(k, pv, dims) for pv in points]
+    multistart starts), by the rank test of `transversal` on one batched
+    SVD."""
     smin, smax = _jacobian_extremes(wc, np.array([pv.a for pv in points]).reshape(-1, dims.m),
                                     np.array([pv.b for pv in points]).reshape(-1, dims.n))
-    evidence["transversal"] = trans
+    square = wc.shape[0] == dims.m + dims.n - 2
+    evidence["transversal"] = [bool(square and lo > RANK_TOL * hi) for lo, hi in zip(smin, smax)]
     evidence["jacobian_sigma_min"] = [float(lo) for lo in smin]
     evidence["jacobian_cond"] = [float(hi / lo) if lo > 0 else float("inf")
                                  for lo, hi in zip(smin, smax)]
-    return trans
 
 
 def _jacobian_extremes(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """Per row of a and b, (sigma_min, sigma_max) of the gauge-fixed
-    Jacobian at a (x) b, from one batched SVD; a zero sigma_min marks a
-    non-isolated root."""
+    """Per row of a and b, the least and the largest singular value of the
+    gauge-fixed Jacobian at a (x) b, from one batched SVD; with R' >= m + n - 2
+    a zero least one marks a non-isolated root."""
     s, k = a.shape[0], a.shape[1] + b.shape[1] - 2
     if s == 0 or k == 0:
         return np.full(s, np.inf), np.full(s, np.inf)
@@ -1027,54 +1029,39 @@ def _jacobian_extremes(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
     jac = np.take_along_axis(np.concatenate([gb, fa], axis=2), _free_columns(a, b)[:, None, :],
                              axis=2)
     sv = np.linalg.svd(jac, compute_uv=False)
-    smin = sv[:, -1] if wc.shape[0] >= k else np.zeros(s)
-    return smin, sv[:, 0]
+    return sv[:, -1], sv[:, 0]
 
 
 # ---------------------------------------------------------------------------
 # verdicts
 
 
-def is_ces(subspace: SubspaceBasis, dims: BipartiteDims) -> bool:
-    """Whether the subspace contains no product vectors (numerical certificate).
-
-    Subspaces of dimension above (m-1)(n-1) always contain one, so those
-    return False without a search.
-    """
-    return ces_certificate(subspace, dims)[0]
-
-
 def ces_certificate(subspace: SubspaceBasis, dims: BipartiteDims):
-    """(verdict, enumeration) pair backing :func:`is_ces`."""
-    if subspace.dim > (dims.m - 1) * (dims.n - 1):
-        res = EnumerationResult([], [], Classification.LIKELY_INFINITE,
-                                {"dimension_forces_product_vectors": True,
-                                 "route": "dimension-count", "paths": None,
-                                 "line_subspaces": []})
-        return False, res
+    """(verdict, enumeration): whether the subspace contains no product
+    vectors, a numerical certificate, and the enumeration it rests on.  A
+    subspace of dimension above (m-1)(n-1) always contains one, so its
+    verdict is False whatever the enumeration found."""
     result = enumerate_product_vectors(subspace, dims)
-    return result.classification == Classification.EMPTY, result
+    ces = (subspace.dim <= (dims.m - 1) * (dims.n - 1)
+           and result.classification == Classification.EMPTY)
+    return ces, result
 
 
 def transversal(k: SubspaceBasis, pv: ProductVector, dims: BipartiteDims) -> bool:
     """Whether K and the tangent space of the product manifold at a (x) b
-    together span the whole space: rank [K | a(x)e_j | e_i(x)b] = m*n, cut
-    at RANK_TOL relative to the largest singular value.  A point farther
-    than 1e-8 from K is refused."""
+    together span the whole space.  The tangent directions a (x) e_j and
+    e_i (x) b reach K^perp through the gauge-fixed Jacobian, so they span it
+    when that R' x (m + n - 2) matrix has rank R' = dim K^perp, cut at
+    RANK_TOL relative to its largest singular value; R' = 0 is transversal.
+    A point farther than 1e-8 from K is refused."""
     resid = k.project_residual(pv.vec())
     if resid > 1e-8:
         raise ValueError(f"product vector is not in the subspace: residual {resid:.3e}")
-    stacked = np.hstack([k.vectors.T, _tangent_block(pv)])
-    sv = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.sum(sv > RANK_TOL * sv[0]))
-    return rank == dims.total
-
-
-def _tangent_block(pv: ProductVector) -> np.ndarray:
-    """The columns a (x) e_j, then e_i (x) b, that span the tangent space of
-    the product manifold at a (x) b."""
-    m, n = pv.a.size, pv.b.size
-    return np.hstack([np.kron(pv.a[:, None], np.eye(n)), np.kron(np.eye(m), pv.b[:, None])])
+    wc = complement_stack(k, dims).conj()
+    if wc.shape[0] == 0:
+        return True
+    smin, smax = _jacobian_extremes(wc, pv.a[None, :], pv.b[None, :])
+    return wc.shape[0] <= dims.m + dims.n - 2 and bool(smin[0] > RANK_TOL * smax[0])
 
 
 def partial_conjugate(pv: ProductVector) -> ProductVector:

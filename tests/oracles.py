@@ -17,6 +17,9 @@ quantity as a package function by the direct, slow construction:
 - `scipy_pencil_eigvalsh` and `scipy_schur_basis` are the scipy routes
   (generalized `eigh`, complex `schur`) that `certify._pencil_eigvalsh` and
   `certify._schur_basis` replace with numpy;
+- `transversal_by_tangent_span` takes the rank of K with the tangent
+  space's columns a (x) e_j and e_i (x) b side by side, where
+  `segre.transversal` takes the rank of the gauge-fixed Jacobian;
 - `_plane_alternation` with `_plane_through` (the plane search) and
   `_edge_a_step` (the edge fallback's a-step) take the least right singular
   vectors by SVD, where `segre._alternate` takes the least eigenvectors of
@@ -31,7 +34,10 @@ import scipy.linalg
 from pptlab.certify import GAP_AMBIGUOUS, GAP_CERTIFIED, NULLITY_CUTOFF, Extremality
 from pptlab.qstate import (
     RANK_TOL,
+    BipartiteDims,
     BipartiteState,
+    ProductVector,
+    SubspaceBasis,
     _eig_split,
     _gamma,
     gamma_matrix,
@@ -225,3 +231,13 @@ def _edge_a_step(kern_rho: np.ndarray, kern_gamma: np.ndarray, b: np.ndarray) ->
     g1 = np.einsum('rij,sj->sri', kern_rho, b)
     g2 = np.einsum('rij,sj->sri', kern_gamma, b)
     return np.linalg.svd(np.concatenate([g1, g2.conj()], axis=1))[2][:, -1, :].conj()
+
+
+def transversal_by_tangent_span(k: SubspaceBasis, pv: ProductVector,
+                                dims: BipartiteDims) -> bool:
+    """Whether rank [K | a (x) e_j | e_i (x) b] = m n, cut at RANK_TOL
+    relative to the largest singular value."""
+    m, n = dims.m, dims.n
+    tangent = np.hstack([np.kron(pv.a[:, None], np.eye(n)), np.kron(np.eye(m), pv.b[:, None])])
+    sv = np.linalg.svd(np.hstack([k.vectors.T, tangent]), compute_uv=False)
+    return int(np.sum(sv > RANK_TOL * sv[0])) == dims.total

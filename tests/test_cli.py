@@ -15,7 +15,16 @@ from pptlab.qstate import (BipartiteDims, BipartiteState, HermitianOperator, ker
                            load_state, save_state)
 from conftest import random_product_vector
 from test_certify import continuum_by_homotopy
-from test_segre import conic_subspace, refuse_plane_search
+from test_segre import conic_subspace, refuse_plane_search, slocc_changed
+
+
+def plane_range_state(rng):
+    """rho = |00><00| + |01><01| + |ab><ab| on C^3 (x) C^3, a|b> drawn from
+    rng: its range holds the product plane |0> (x) span(|0>, |1>)."""
+    dims = BipartiteDims(3, 3)
+    e = np.eye(3)
+    terms = (np.kron(e[0], e[0]), np.kron(e[0], e[1]), random_product_vector(dims, rng).vec())
+    return BipartiteState(HermitianOperator(dims, sum(np.outer(v, v.conj()) for v in terms)))
 
 
 def run_cli(capsys, *argv):
@@ -217,12 +226,8 @@ class TestAnalyze:
     def test_plane_range_report_is_strict_json(self, tmp_path, capsys, rng):
         # rho = |00><00| + |01><01| + |ab><ab|: the product plane
         # |0> (x) span(|0>, |1>) in the range settles it without a search
-        dims = BipartiteDims(3, 3)
-        e = np.eye(3)
-        terms = (np.kron(e[0], e[0]), np.kron(e[0], e[1]), random_product_vector(dims, rng).vec())
         path = tmp_path / "s.json"
-        save_state(BipartiteState(HermitianOperator(dims, sum(np.outer(v, v.conj())
-                                                               for v in terms))), path)
+        save_state(plane_range_state(rng), path)
         code, stdout, _ = run_cli(capsys, "analyze", str(path))
         assert code == 0
 
@@ -231,7 +236,7 @@ class TestAnalyze:
 
         rep = json.loads(stdout, parse_constant=refuse)
         ces = rep["range_ces"]
-        assert (ces["verdict"], ces["route"]) == (False, "multistart")
+        assert (ces["verdict"], ces["route"]) == (False, "homotopy")
         assert isinstance(ces["best_residual"], float) and np.isfinite(ces["best_residual"])
         assert rep["edge"]["is_edge"] is False
 
@@ -337,6 +342,19 @@ def count_enumerations(monkeypatch):
     for mod in (segre, certify):
         monkeypatch.setattr(mod, "enumerate_product_vectors", counted)
     return calls
+
+
+def record_ces_certificates(monkeypatch):
+    """The (verdict, enumeration) of every range CES certificate made."""
+    seen = []
+    original = segre.ces_certificate
+
+    def recorded(k, dims):
+        seen.append(original(k, dims))
+        return seen[-1]
+
+    monkeypatch.setattr(segre, "ces_certificate", recorded)
+    return seen
 
 
 START_SEEDS = (1, 2, 3)
@@ -596,8 +614,8 @@ class TestRoutes:
 
     @pytest.mark.parametrize("state_fn,range_route", [
         (zoo.good_3x4, "homotopy"),
-        # full rank: the CES verdict comes from the dimension count, so the
-        # edge check enumerates the range itself
+        # full rank: the range enumeration settles it by dimension count,
+        # and the edge check reuses it
         (lambda: BipartiteState(HermitianOperator(
             BipartiteDims(2, 2), np.eye(4) + np.diag([1.0, 0, 0, 1.0]))), "dimension-count"),
     ], ids=["good_3x4", "full_rank"])
@@ -608,18 +626,11 @@ class TestRoutes:
         assert rep.to_json()["range_ces"]["route"] == range_route
 
     def test_separable_range_count_runs_no_plane_search(self, monkeypatch):
-        # eight seeded product terms in 3 x 4: the edge check enumerates the
-        # range, whose dim K^perp = 4 < m + n - 2 settles it by dimension
-        # count, with no plane search
+        # eight seeded product terms in 3 x 4: the range enumeration, whose
+        # dim K^perp = 4 < m + n - 2 settles it by dimension count, runs no
+        # plane search, and the edge check reuses it
         refuse_plane_search(monkeypatch)
-        seen = []
-        original = certify.enumerate_product_vectors
-
-        def spy(k, dims):
-            seen.append(original(k, dims))
-            return seen[-1]
-
-        monkeypatch.setattr(certify, "enumerate_product_vectors", spy)
+        seen = record_ces_certificates(monkeypatch)
         rng = np.random.default_rng(1)
         rho = np.zeros((12, 12), dtype=complex)
         for _ in range(8):
@@ -630,8 +641,42 @@ class TestRoutes:
                           {}).to_json()
         assert j["range_ces"]["route"] == "dimension-count"
         assert [(r.classification, r.evidence["route"], r.evidence["line_subspaces"])
-                for r in seen] == [(segre.Classification.LIKELY_INFINITE, "dimension-count", [])]
+                for _, r in seen] == [(segre.Classification.LIKELY_INFINITE,
+                                       "dimension-count", [])]
         assert (j["edge"]["is_edge"], j["edge"]["pair_found"]) == (False, True)
+
+    def test_plane_range_settled_by_its_endpoints(self, rng, monkeypatch):
+        # the homotopy of the squared-down range system ends paths on the
+        # plane |0> (x) span(|0>, |1>), verified on the range itself: that
+        # settles the range with no plane search and no starts, and the
+        # edge check finds its pair among the homotopy roots
+        refuse_plane_search(monkeypatch)
+        seen = record_ces_certificates(monkeypatch)
+        j = analyze_state(plane_range_state(rng), {}).to_json()
+        ces, edge = j["range_ces"], j["edge"]
+        assert (ces["verdict"], ces["route"], ces["starts_used"]) == (False, "homotopy", 0)
+        assert ces["note"].startswith("proof")
+        [(_, res)] = seen
+        assert res.classification == segre.Classification.LIKELY_INFINITE
+        assert res.evidence["paths"]["on_plane"] >= 1
+        planes = res.evidence["line_subspaces"]
+        assert [(ls.side, ls.subspace.dim) for ls in planes] == [("A", 2)]
+        assert abs(planes[0].vector[0]) > 1 - 1e-8
+        assert (edge["is_edge"], edge["pair_found"], edge["route"]) == (False, True, "homotopy")
+        assert edge["note"] == ces["note"]
+
+    @pytest.mark.parametrize("seed", [101, 102])
+    def test_good_3x4_range_count_survives_strong_slocc(self, seed, monkeypatch):
+        # kappa = 1000 per factor leaves near roots of the squared-down range
+        # system that polish off the range; they are dropped, and the count
+        # still proves the range empty
+        seen = record_ces_certificates(monkeypatch)
+        j = analyze_state(slocc_changed(zoo.good_3x4(), 1000, seed), {}).to_json()
+        assert [res.classification for _, res in seen] == [segre.Classification.EMPTY]
+        ces, edge = j["range_ces"], j["edge"]
+        assert (ces["verdict"], ces["route"], ces["starts_used"]) == (True, "homotopy", 400)
+        assert ces["note"].startswith("complete by count")
+        assert (edge["is_edge"], edge["route"]) == (True, "homotopy")
 
     def test_tol_rank_reaches_the_edge_check(self, monkeypatch):
         seen = []

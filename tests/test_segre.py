@@ -24,8 +24,8 @@ from pptlab.segre import (
     _homotopy_roots,
     _membership_residuals,
     _polish_batch,
+    _roots_on_subspace,
     _square_down,
-    _tangent_block,
     ces_certificate,
     classify_goodness,
     classify_separable_good,
@@ -33,7 +33,6 @@ from pptlab.segre import (
     enumerate_product_vectors,
     find_line_subspaces,
     general_position,
-    is_ces,
     minor_system_roots,
     partial_conjugate,
     pencil_roots_2xn,
@@ -42,7 +41,7 @@ from pptlab.segre import (
     transversal,
 )
 from conftest import random_product_vector
-from oracles import ReferenceTracker, _plane_alternation
+from oracles import ReferenceTracker, _plane_alternation, transversal_by_tangent_span
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
@@ -378,7 +377,7 @@ class TestSquareDown:
         sub, pvs = span_of_products(m, n, k, rng)
         wc = complement_stack(sub, dims).conj()
         assert wc.shape[0] > m + n - 2
-        points, _, paths, _ = _homotopy_roots(_square_down(wc, m + n - 2))
+        points, _, paths, _ = _homotopy_roots(wc)
         assert paths["tracked"] == zoo.delta(m, n)
         full = _membership_residuals(wc, points)
         on_subspace = [pv for pv, r in zip(points, full) if r <= np.sqrt(1e-10)]
@@ -391,6 +390,25 @@ class TestSquareDown:
         assert match_sets(res.points, pvs)
         assert res.evidence["starts_used"] == n0
         assert res.evidence["rounds"] == 1
+
+    def test_a_near_root_off_the_subspace_leaves_the_count(self, rng):
+        # a root whose full residual passes the sqrt(RESIDUAL_TOL) pre-filter
+        # but which polishes onto a kept root is off K and is dropped; the
+        # count of the true product vectors stands
+        dims = BipartiteDims(3, 4)
+        sub, pvs = span_of_products(3, 4, 4, rng)
+        wc = complement_stack(sub, dims).conj()
+        points, _, paths, _ = _homotopy_roots(wc)
+        assert len(points) == paths["accepted"] == zoo.delta(3, 4)
+        pv = next(p for p, r in zip(points, _membership_residuals(wc, points)) if r < 1e-12)
+        d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        d -= np.vdot(pv.a, d) * pv.a
+        d *= 1e-6 / _membership_residuals(wc, [ProductVector(pv.a + 1e-6 * d, pv.b)])[0]
+        moved = ProductVector(pv.a + 4e-6 * d, pv.b)
+        assert 3e-6 < _membership_residuals(wc, [moved])[0] < 5e-6
+        pool, best = _roots_on_subspace(wc, points + [moved])
+        assert match_sets(pool.points, pvs)
+        assert best <= 1e-10
 
     def test_best_residual_counts_the_alternation(self, monkeypatch):
         # the polish can raise a start's residual; the round's best residual
@@ -683,17 +701,17 @@ class TestPolish:
 class TestCes:
     def test_good_3x4_range_is_ces(self):
         state = zoo.good_3x4()
-        assert is_ces(range_basis(state), state.dims)
+        assert ces_certificate(range_basis(state), state.dims)[0]
 
     def test_dimension_forces_product_vector(self, rng):
         dims = BipartiteDims(3, 3)
         vecs = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
-        assert not is_ces(subspace_from_vectors(vecs, 9), dims)
+        assert not ces_certificate(subspace_from_vectors(vecs, 9), dims)[0]
 
     def test_span_of_product_vector_is_not_ces(self):
         v = np.zeros(4)
         v[0] = 1.0
-        assert not is_ces(subspace_from_vectors([v], 4), BipartiteDims(2, 2))
+        assert not ces_certificate(subspace_from_vectors([v], 4), BipartiteDims(2, 2))[0]
 
 
 class TestTransversal:
@@ -716,14 +734,45 @@ class TestTransversal:
         assert res.count == 10
         assert all(transversal(kern, pv, state.dims) for pv in res.points)
 
-    def test_tangent_block_matches_the_column_loop(self, rng):
-        pv = random_product_vector(BipartiteDims(3, 4), rng)
-        loop = np.zeros((12, 7), dtype=complex)
-        for j in range(4):
-            loop[:, j] = np.kron(pv.a, np.eye(4)[j])
-        for i in range(3):
-            loop[:, 4 + i] = np.kron(np.eye(3)[i], pv.b)
-        assert np.array_equal(_tangent_block(pv), loop)
+    @pytest.mark.parametrize("state_fn", [
+        zoo.good_3x4,
+        lambda: zoo.kon_mnogo()[0],
+        lambda: zoo.upb_complement_state(zoo.tiles_upb_3x3()),
+        lambda: zoo.upb_complement_state(zoo.gentiles2_upb(3, 4)),
+        lambda: zoo.good_3xn(5),
+        zoo.bad_3x4,
+        lambda: zoo.bad_mxn(4, 5),
+    ], ids=["good_3x4", "kon_mnogo", "tiles_3x3", "gentiles2_3x4", "good_3x5", "bad_3x4",
+            "bad_4x5"])
+    def test_jacobian_rank_agrees_with_the_tangent_span(self, state_fn):
+        # every kernel point, counted or accepted on the way to a plane: the
+        # Jacobian rank test and the rank of [K | tangent] give one answer,
+        # and the enumeration records the same flags
+        state = state_fn()
+        kern = kernel_basis(state)
+        res = enumerate_product_vectors(kern, state.dims)
+        assert res.points
+        flags = [transversal(kern, pv, state.dims) for pv in res.points]
+        assert flags == [transversal_by_tangent_span(kern, pv, state.dims)
+                         for pv in res.points]
+        assert flags == res.evidence["transversal"]
+
+    @pytest.mark.parametrize("diag,a,b", [
+        ([1.0, 0, 0, 1.0], [1.0, 0.0], [0.0, 1.0]),
+        ([1.0, 1.0, 0, 0], [0.0, 1.0], [1.0, 0.0]),
+        ([1.0, 0, 0, 0], [0.0, 1.0], [0.0, 1.0]),
+        ([1.0, 0, 0, 0], [0.6, 0.8], [0.0, 1.0]),
+    ], ids=["two_terms", "one_by_two", "one_term", "one_term_tilted"])
+    def test_two_qubit_cases_agree_with_the_tangent_span(self, diag, a, b):
+        state = BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.diag(diag)))
+        kern, pv = kernel_basis(state), ProductVector(a, b)
+        assert transversal(kern, pv, state.dims) == \
+            transversal_by_tangent_span(kern, pv, state.dims)
+
+    def test_whole_space_is_transversal(self):
+        full, dims = subspace_from_vectors(np.eye(4), 4), BipartiteDims(2, 2)
+        pv = ProductVector([0.6, 0.8], [0.8, -0.6])
+        assert transversal(full, pv, dims) and transversal_by_tangent_span(full, pv, dims)
 
     def test_requires_membership(self):
         state = BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.diag([1.0, 0, 0, 1.0])))
@@ -902,6 +951,34 @@ class TestPlaneRoute:
         assert paths["accepted"] < paths["tracked"]
         assert res.evidence["route"] == "multistart"
         assert res.evidence["starts_used"] == 400
+
+    @pytest.mark.parametrize("case", ["conic", "lossy_good_3x4"])
+    def test_an_unsettled_set_gets_one_round(self, case, monkeypatch):
+        # neither a count nor an endpoint plane settles the set: one
+        # multistart round decides it, with no plane search
+        if case == "conic":
+            sub, dims = conic_subspace()
+        else:
+            original = segre._homotopy_roots
+
+            def lossy(wc):
+                points, residuals, paths, planes = original(wc)
+                return points[:-1], residuals[:-1], paths, planes
+
+            monkeypatch.setattr(segre, "_homotopy_roots", lossy)
+            state = zoo.good_3x4()
+            sub, dims = kernel_basis(state), state.dims
+        refuse_plane_search(monkeypatch)
+        res = enumerate_product_vectors(sub, dims)
+        ev = res.evidence
+        assert (ev["route"], ev["starts_used"], ev["rounds"]) == ("multistart", 400, 1)
+        assert ev["line_subspaces"] == []
+        if case == "conic":
+            assert res.classification == Classification.LIKELY_INFINITE
+        else:
+            # the round finds all ten points, but a search alone never
+            # proves a set finite
+            assert (res.classification, res.count) == (Classification.INCONCLUSIVE, 10)
 
     def test_singular_row_halves_only_its_own_step(self):
         # a zero row has an exactly singular Jacobian: its step fails and

@@ -396,7 +396,8 @@ def edge_check(state: BipartiteState, *,
     a homotopy count, the verdict follows from it.  Otherwise route two
     minimizes the joint projection residual from EDGE_FALLBACK_STARTS starts
     by the searches' alternation, `segre._alternate` on `_edge_gram`, in
-    rounds of 60 iterations until a pair is found, 420 at most.  That verdict
+    rounds of 60 iterations, each from the pairs the last one left, until a
+    pair is found, 420 at most.  That verdict
     is a numerical certificate, reported with the start count and the best
     residual reached.  A pair counts when its residual is below
     EDGE_PAIR_TOL.  A state that is NPT at `psd_tol` draws a warning.

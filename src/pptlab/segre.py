@@ -68,9 +68,11 @@ multistart round, that search or the cross-check of a count, has
 max(400, 4 delta) starts.  One alternation, `_alternate` on Gram matrices,
 serves the round (w = 1), the plane search of `_plane_search` (a w-frame,
 w = 2 or n - 1) and the edge fallback of `certify.edge_check` (two stacks in
-one Gram tensor); its starts are seeded Gaussian pairs from `start_pairs`,
-so every search is deterministic.  `find_line_subspaces`, a seeded plane
-search from fresh starts, is a public helper that no route calls.
+one Gram tensor); each half-step is one inverse-iteration step from the
+factor's current value.  Its start pairs (`start_pairs`) and a plane
+search's starting frames are seeded, so every search is deterministic.
+`find_line_subspaces`, a seeded plane search from fresh starts, is a
+public helper that no route calls.
 
 Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
@@ -153,7 +155,7 @@ class GoodnessReason(enum.Enum):
 @dataclass(frozen=True)
 class LineSubspace:
     """A product subspace inside K: |a> (x) W (side 'A') or V (x) |b> ('B').
-    The vector takes the phase of `ProductVector`, not the eigensolver's."""
+    The vector takes the phase of `ProductVector`, not the alternation's."""
 
     side: str
     vector: np.ndarray
@@ -232,36 +234,45 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     return np.einsum('rij,rkl->ikjl', stack.conj(), stack).reshape(m * m, n * n)
 
 
-def _least_eigvecs(q: np.ndarray, x: np.ndarray, w: int) -> np.ndarray:
-    """The w least eigenvectors, as columns, of the Gram matrix
-    (sum_c conj(x_c) (x) x_c) q for each start; x is (starts, k, c)."""
+def _least_eigvecs(q: np.ndarray, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """One block inverse-iteration step (Ipsen, SIAM Review 39(2), 1997)
+    from `frame` (starts, side, w) toward the w least eigenvectors of
+    M = (sum_c conj(x_c) (x) x_c) q per start, x being (starts, k, c): Y from
+    (M + 1e-12 tr M) Y = frame (tr M read as 1 where 0), orthonormalised by
+    QR or, for w = 1, by its norm.  The shift moves no eigenvector and keeps
+    the LU off a zero pivot where M is singular (the computed least
+    eigenvalue can be -2.4 eps tr M there), far below M's eigenvalue gaps."""
     s, k, side = x.shape[0], x.shape[1], math.isqrt(q.shape[1])
     proj = (x.conj()[:, :, None, :] * x[:, None, :, :]).sum(axis=3)
-    return np.linalg.eigh((proj.reshape(s, k * k) @ q).reshape(s, side, side))[1][:, :, :w]
+    gram = proj.reshape(s, k * k) @ q
+    tr = np.einsum('sii->s', gram.reshape(s, side, side)).real
+    gram[:, ::side + 1] += 1e-12 * np.where(tr > 0, tr, 1.0)[:, None]
+    y = np.linalg.solve(gram.reshape(s, side, side), frame)
+    return y / np.linalg.norm(y, axis=1, keepdims=True) if y.shape[2] == 1 else np.linalg.qr(y)[0]
 
 
 def _alternate(q: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     """The one alternating minimization of the package, of |F(a) B|_F over a
     unit a and an orthonormal n x w frame B, block by block (De Lathauwer,
     De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000).  B takes
-    the w least eigenvectors of (conj(a) (x) a) Q, then a the least one of
-    (sum_w conj(b_w) (x) b_w) Q^T: the least right singular vectors of F(a)
-    and of the stacked G(b_w), up to phase and basis.  The rows of a
-    (starts, m) and b (starts, n, w) are the starts; b is only what the
-    first settle test compares with.  A start retires once both factors move
+    one `_least_eigvecs` step from itself toward the w least eigenvectors of
+    (conj(a) (x) a) Q = F(a)^H F(a), then a one step toward the least one
+    of (sum_w conj(b_w) (x) b_w) Q^T.  A frame is fixed exactly when it spans an
+    invariant subspace, and with w = 1 no step raises |F(a) b|, as
+    v^H M^k v is log-convex in k.  The rows of a (starts, m) and b
+    (starts, n, w) are the starts.  A start retires once both factors move
     by less than _SETTLED_STEP in one iteration, as |new - old old^H new|_F,
-    blind to the eigensolver's phase and basis; the eigensolves run on live
-    starts only.  Callers take residuals from their stacks: a quadratic form
-    in Q loses any residual below ~1e-8."""
-    w = b.shape[2]
+    blind to phase and basis; the solves run on live starts only.  Callers
+    take residuals from their stacks: a quadratic form in Q loses any
+    residual below ~1e-8."""
     a, b = a[:, :, None].copy(), b.copy()
     live = np.arange(a.shape[0])
     for _ in range(iters):
         if live.size == 0:
             break
         al = a[live]
-        bn = _least_eigvecs(q, al, w)
-        an = _least_eigvecs(q.T, bn, 1)
+        bn = _least_eigvecs(q, al, b[live])
+        an = _least_eigvecs(q.T, bn, al)
         moved = np.maximum(_moved(al, an), _moved(b[live], bn))
         a[live], b[live] = an, bn
         live = live[moved >= _SETTLED_STEP]
@@ -282,9 +293,11 @@ def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
 
 
 def _plane_search(stack: np.ndarray, a: np.ndarray, w_dim: int, iters: int):
-    """`_alternate` from the rows of a with a w_dim frame B; returns a, the
-    frames as (starts, w_dim, dim_sub) orthonormal rows and h = |F(a) B|_F."""
-    b = np.zeros((a.shape[0], stack.shape[2], w_dim), dtype=complex)
+    """`_alternate` from the rows of a and w_dim frames B drawn from
+    _START_SEED; returns a, the frames as (starts, w_dim, dim_sub)
+    orthonormal rows and h = |F(a) B|_F."""
+    z = np.random.default_rng(_START_SEED).standard_normal((a.shape[0], stack.shape[2], 2 * w_dim))
+    b = np.linalg.qr(z[:, :, :w_dim] + 1j * z[:, :, w_dim:])[0]
     a, b = _alternate(_gram(stack), a, b, iters)
     h = np.linalg.norm(np.einsum('si,rij,sjw->srw', a, stack, b), axis=(1, 2))
     return a, b.transpose(0, 2, 1), h
@@ -697,7 +710,8 @@ class _PathTracker:
         self.step[grow] = np.minimum(np.minimum(self.step[grow] * factor[going], 0.1),
                                      1.0 - self.s[grow])
         self.step[bad] /= 2
-        self.active[bad] = (self.step[bad] >= _HOMOTOPY_MIN_STEP) & (self.s[bad] < _HOMOTOPY_ENDGAME)
+        self.active[bad] = ((self.step[bad] >= _HOMOTOPY_MIN_STEP)
+                            & (self.s[bad] < _HOMOTOPY_ENDGAME))
         # a path diverging in the patch ends at infinity, not at a root
         too_far = grow[np.linalg.norm(self.z[grow], axis=1) > 1e8]
         self.diverged[too_far] = True
@@ -713,14 +727,15 @@ def _homotopy_roots(wc: np.ndarray):
     `_square_down` to m + n - 2 mixed equations.  The start system
     F0_r = (x_r^T a)(y_r^T b) has one nonsingular root per split (P, Q) of
     the equations into m - 1 and n - 1 (a orthogonal to x_P, b to y_Q):
-    delta(m, n) roots, the 2-homogeneous Bezout number of the target.  H = gamma (1 - s) F0 + s F1 is tracked from s = 0 to 1 in one
-    affine patch per factor, with an RK4 predictor, a three-step Newton
-    corrector and a per-path step (Morgan & Sommese, Appl. Math. Comput. 24,
-    1987).  A rejected step halves the step; an accepted one grows it by the
-    factor that brings the predictor's measured error, the first Newton
-    correction, to 1e-4 under RK4's O(h^5) local error, within [1.05, 2]
-    (Sommese & Wampler 2005, ch. 2).  All random data come from a fixed
-    seed, so the result is deterministic.
+    delta(m, n) roots, the 2-homogeneous Bezout number of the target.
+    H = gamma (1 - s) F0 + s F1 is tracked from s = 0 to 1 in one affine
+    patch per factor, with an RK4 predictor, a three-step Newton corrector
+    and a per-path step (Morgan & Sommese, Appl. Math. Comput. 24, 1987).
+    A rejected step halves the step; an accepted one grows it by the factor
+    that brings the predictor's measured error, the first Newton correction,
+    to 1e-4 under RK4's O(h^5) local error, within [1.05, 2] (Sommese &
+    Wampler 2005, ch. 2).  All random data come from a fixed seed, so the
+    result is deterministic.
 
     The stack is reshaped once per call into wa (m x R'n) and wb (n x R'm),
     so F(a) = a wa and G(b) = b wb are one GEMM each over all paths, and

@@ -20,10 +20,13 @@ quantity as a package function by the direct, slow construction:
 - `transversal_by_tangent_span` takes the rank of K with the tangent
   space's columns a (x) e_j and e_i (x) b side by side, where
   `segre.transversal` takes the rank of the gauge-fixed Jacobian;
-- `_plane_alternation` with `_plane_through` (the plane search) and
-  `_edge_a_step` (the edge fallback's a-step) take the least right singular
-  vectors by SVD, where `segre._alternate` takes the least eigenvectors of
-  Gram matrices.
+- `_plane_alternation` (the plane search) takes the least right singular
+  vectors by SVD, where `segre._alternate` takes one inverse-iteration step
+  toward them on Gram matrices;
+- `inverse_iteration_step` takes that step with F^H F formed from the
+  membership matrices F themselves, not from the Gram tensor, and
+  `alternate_by_inverse_iteration` alternates it over pairs without the
+  retire rule.
 """
 
 from __future__ import annotations
@@ -217,20 +220,25 @@ def _plane_alternation(stack, a, w_dim, iters):
     return a, np.linalg.norm(sv[:, -w_dim:], axis=1)
 
 
-def _plane_through(stack, vec, w_dim):
-    """The w_dim least right singular vectors of F(vec), as rows."""
-    return np.linalg.svd(np.einsum('i,rij->rj', vec, stack))[2][-w_dim:, :].conj()
+def inverse_iteration_step(f: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """One step of block inverse iteration from `frame` (starts, side, w)
+    toward the w least right singular vectors of each membership matrix f
+    (starts, rows, side): solves (F^H F + 1e-12 |F|_F^2) Y = frame, with 1
+    for |F|_F^2 where F = 0, and orthonormalises Y by QR."""
+    gram = f.conj().transpose(0, 2, 1) @ f
+    sq = np.linalg.norm(f, axis=(1, 2)) ** 2
+    shift = 1e-12 * np.where(sq > 0, sq, 1.0)
+    return np.linalg.qr(np.linalg.solve(gram + shift[:, None, None] * np.eye(f.shape[2]), frame))[0]
 
 
-def _edge_a_step(kern_rho: np.ndarray, kern_gamma: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The unit a minimizing |G1(b) a|^2 + |G2(b) conj(a)|^2 for each row of b.
-
-    The sum equals |[G1(b); conj(G2(b))] a|^2, so a is the least right
-    singular vector of that stacked complex matrix.
-    """
-    g1 = np.einsum('rij,sj->sri', kern_rho, b)
-    g2 = np.einsum('rij,sj->sri', kern_gamma, b)
-    return np.linalg.svd(np.concatenate([g1, g2.conj()], axis=1))[2][:, -1, :].conj()
+def alternate_by_inverse_iteration(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
+    """`iters` pair iterations on every start, none retired: b steps on F(a),
+    then a on G(b), each by `inverse_iteration_step` from itself.  Returns
+    (a, b, |F(a) b|)."""
+    for _ in range(iters):
+        b = inverse_iteration_step(np.einsum('si,rij->srj', a, wc), b[:, :, None])[:, :, 0]
+        a = inverse_iteration_step(np.einsum('rij,sj->sri', wc, b), a[:, :, None])[:, :, 0]
+    return a, b, np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
 
 
 def transversal_by_tangent_span(k: SubspaceBasis, pv: ProductVector,

@@ -26,8 +26,8 @@ from pptlab.qstate import (
 from pptlab.segre import (Classification, EnumerationResult, complement_stack,
                           enumerate_product_vectors, start_pairs)
 from conftest import random_full_rank_ppt, random_product_vector
-from oracles import (_edge_a_step, bisection_step, nullity_by_columns, nullity_unrestricted,
-                     scipy_pencil_eigvalsh, scipy_schur_basis)
+from oracles import (bisection_step, inverse_iteration_step, nullity_by_columns,
+                     nullity_unrestricted, scipy_pencil_eigvalsh, scipy_schur_basis)
 from test_qstate import werner_2x2
 
 
@@ -422,9 +422,11 @@ class TestEdgeCheck:
             (own.is_edge, own.route, own.starts_used, own.best_residual)
 
 
-def real_embedded_a_step(kern_rho, kern_gamma, b):
-    """The edge fallback's a-step on the real 4R' x 2m embedding of
-    |G1(b) a|^2 + |G2(b) conj(a)|^2, with a = x + iy."""
+def real_embedded_a_step(kern_rho, kern_gamma, b, a):
+    """The edge fallback's a-step from a on the real 2m x 2m embedding S of
+    |G1(b) a|^2 + |G2(b) conj(a)|^2, with a = x + iy: one solve of
+    (S + 1e-12 tr(S) / 2) [x; y] = [Re a; Im a], tr(S) / 2 being the trace
+    of the complex Gram that S embeds."""
     m = kern_rho.shape[1]
     g1 = np.einsum('rij,sj->sri', kern_rho, b)
     g2 = np.einsum('rij,sj->sri', kern_gamma, b)
@@ -434,7 +436,10 @@ def real_embedded_a_step(kern_rho, kern_gamma, b):
         np.concatenate([g2.real, g2.imag], axis=2),
         np.concatenate([g2.imag, -g2.real], axis=2),
     ], axis=1)
-    xy = np.linalg.svd(big)[2][:, -1, :]
+    sym = big.transpose(0, 2, 1) @ big
+    shift = 1e-12 * np.trace(sym, axis1=1, axis2=2) / 2
+    xy = np.linalg.solve(sym + shift[:, None, None] * np.eye(2 * m),
+                         np.concatenate([a.real, a.imag], axis=1)[:, :, None])[:, :, 0]
     a = xy[:, :m] + 1j * xy[:, m:]
     return a / np.linalg.norm(a, axis=1, keepdims=True)
 
@@ -449,10 +454,10 @@ class TestEdgeAStep:
         gamma_state = BipartiteState(HermitianOperator(dims, gamma_matrix(state)))
         kern_rho = complement_stack(range_basis(state), dims).conj()
         kern_gamma = complement_stack(range_basis(gamma_state), dims).conj()
-        _, b = start_pairs(64, dims.m, dims.n)
+        a0, b = start_pairs(64, dims.m, dims.n)
         q = certify._edge_gram(kern_rho, kern_gamma)
-        a = segre._least_eigvecs(q.T, b[:, :, None], 1)[:, :, 0]
-        oracle = real_embedded_a_step(kern_rho, kern_gamma, b)
+        a = segre._least_eigvecs(q.T, b[:, :, None], a0[:, :, None])[:, :, 0]
+        oracle = real_embedded_a_step(kern_rho, kern_gamma, b, a0)
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
         # the same unit vector up to a phase
         assert np.abs(np.sum(a.conj() * oracle, axis=1)).min() > 1 - 1e-10
@@ -486,18 +491,21 @@ def seeded_separable(m, n, terms, seed, slocc_seed=None):
 
 class TestEdgeFallback:
     def test_steps_match_the_svd_steps(self):
-        # both half-steps on the folded Gram tensor are the least right
-        # singular vectors of the stacked membership matrices, up to phase
+        # both half-steps on the folded Gram tensor are the inverse-iteration
+        # steps on the stacked membership matrices, up to phase
         state = zoo.bad_3x4(1.3, 0.7, -1.1, 0.9, 1.7, 0.4, -0.2)
         kern_rho, kern_gamma = edge_stacks(state)
         q = certify._edge_gram(kern_rho, kern_gamma)
         a, b = start_pairs(64, 3, 4)
         f = np.concatenate([np.einsum('si,rij->srj', a, kern_rho),
                             np.einsum('si,rij->srj', a.conj(), kern_gamma)], axis=1)
-        b_ref = np.linalg.svd(f)[2][:, -1, :].conj()
-        b_new = segre._least_eigvecs(q, a[:, :, None], 1)[:, :, 0]
-        a_new = segre._least_eigvecs(q.T, b[:, :, None], 1)[:, :, 0]
-        for new, ref in ((b_new, b_ref), (a_new, _edge_a_step(kern_rho, kern_gamma, b))):
+        # |G1(b) a|^2 + |G2(b) conj(a)|^2 = |[G1(b); conj(G2(b))] a|^2
+        g = np.concatenate([np.einsum('rij,sj->sri', kern_rho, b),
+                            np.einsum('rij,sj->sri', kern_gamma, b).conj()], axis=1)
+        b_new = segre._least_eigvecs(q, a[:, :, None], b[:, :, None])[:, :, 0]
+        a_new = segre._least_eigvecs(q.T, b[:, :, None], a[:, :, None])[:, :, 0]
+        for new, ref in ((b_new, inverse_iteration_step(f, b[:, :, None])[:, :, 0]),
+                         (a_new, inverse_iteration_step(g, a[:, :, None])[:, :, 0])):
             assert np.abs(np.sum(new.conj() * ref, axis=1)).min() > 1 - 1e-10
 
     def test_fallback_calls_no_svd(self, monkeypatch):

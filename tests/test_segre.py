@@ -41,7 +41,8 @@ from pptlab.segre import (
     transversal,
 )
 from conftest import random_product_vector
-from oracles import ReferenceTracker, _plane_alternation, transversal_by_tangent_span
+from oracles import (ReferenceTracker, _plane_alternation, alternate_by_inverse_iteration,
+                     transversal_by_tangent_span)
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
@@ -463,7 +464,8 @@ class TestSquareDown:
 
 
 def alternate_by_svd(wc, a, b, iters):
-    """Reference alternation: least right singular vectors of F(a) and G(b)."""
+    """The alternation that takes the least right singular vectors of F(a)
+    and G(b) exactly, by SVD."""
     for _ in range(iters):
         f = np.einsum('si,rij->srj', a, wc)
         b = np.linalg.svd(f)[2][:, -1, :].conj()
@@ -478,16 +480,16 @@ def good_3x4_range_stack():
     return complement_stack(range_basis(state), state.dims).conj()
 
 
-class EighRecorder:
-    """Stands in for np.linalg.eigh and records the batch size of every call."""
+class SolveRecorder:
+    """Stands in for np.linalg.solve and records the batch size of every call."""
 
     def __init__(self, monkeypatch):
-        self.eigh, self.rows = np.linalg.eigh, []
-        monkeypatch.setattr(np.linalg, "eigh", self)
+        self.solve, self.rows = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve", self)
 
     def __call__(self, x, *args, **kwargs):
         self.rows.append(np.shape(x)[0])
-        return self.eigh(x, *args, **kwargs)
+        return self.solve(x, *args, **kwargs)
 
 
 class TestStartPairs:
@@ -550,7 +552,9 @@ class TestAlternate:
             state = zoo.bad_mxn(4, 5) if case == "bad_4x5_range" else zoo.kon_mnogo()[0]
             wc = complement_stack(range_basis(state), state.dims).conj()
         a0, b0 = start_pairs(400, wc.shape[1], wc.shape[2])
-        a_ref, b_ref, res_ref = alternate_by_svd(wc, a0, b0, 60)
+        # the same inverse-iteration steps, on F^H F formed from the stack
+        # itself and with no start retired
+        a_ref, b_ref, res_ref = alternate_by_inverse_iteration(wc, a0, b0, 60)
         a, b, res = _alternate_batch(wc, a0, b0, 60)
         assert np.max(np.abs(res - res_ref)) <= 1e-12
         # the same vectors up to phase
@@ -561,31 +565,104 @@ class TestAlternate:
         assert np.allclose(res, direct, rtol=1e-12, atol=1e-15)
 
     def test_calls_no_svd(self, monkeypatch):
+        # nor np.linalg.eigh: each half-step is one solve
         wc = good_3x4_range_stack()
         a0, b0 = start_pairs(400, 3, 4)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the alternation called np.linalg.svd")
+            raise AssertionError("the alternation called np.linalg.svd or eigh")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
         _, _, res = _alternate_batch(wc, a0, b0, 60)
         assert res.shape == (400,)
 
     def test_settled_starts_retire(self, monkeypatch):
         # on good_3x4's range most starts reach their fixed point well
-        # before the last iteration and leave the eigensolves
+        # before the last iteration and leave the solves
         wc = good_3x4_range_stack()
         a0, b0 = start_pairs(400, 3, 4)
-        eigh = EighRecorder(monkeypatch)
+        solve = SolveRecorder(monkeypatch)
         a, b, _ = _alternate_batch(wc, a0, b0, 60)
-        assert sum(eigh.rows) <= 0.6 * 2 * 400 * 60
+        assert sum(solve.rows) <= 0.6 * 2 * 400 * 60
         # the inputs are left as they were
         a1, b1 = start_pairs(400, 3, 4)
         assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
         # restarted at its own output, every start retires after one iteration
-        eigh.rows.clear()
+        solve.rows.clear()
         _alternate_batch(wc, a, b, 60)
-        assert eigh.rows == [400, 400]
+        assert solve.rows == [400, 400]
+
+    def test_the_svd_iterations_least_pairs_retire(self, monkeypatch):
+        # a pair of least singular vectors spans invariant subspaces of both
+        # Grams, so one inverse-iteration step leaves it where it is
+        wc = good_3x4_range_stack()
+        a, b, _ = alternate_by_svd(wc, *start_pairs(400, 3, 4), 60)
+        solve = SolveRecorder(monkeypatch)
+        _alternate_batch(wc, a, b, 60)
+        assert solve.rows == [400, 400]
+
+    @pytest.mark.parametrize("name", ["good_3x4", "kon_mnogo", "gentiles2_3x4", "bad_3x4",
+                                      "bad_4x5"])
+    def test_a_half_step_never_raises_the_residual(self, name):
+        # v^H M^k v is log-convex in k, so the Rayleigh quotient at
+        # (M + shift)^-1 v is at most the one at v: with w = 1 each half-step
+        # lowers |F(a) b| or keeps it
+        state = RANGE_BEST_RESIDUALS[name][0]()
+        wc = complement_stack(range_basis(state), state.dims).conj()
+        q = segre._gram(wc)
+        a, b = start_pairs(400, state.dims.m, state.dims.n)
+
+        def residual(a, b):
+            return np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
+
+        res = residual(a, b)
+        for _ in range(10):
+            b = segre._least_eigvecs(q, a[:, :, None], b[:, :, None])[:, :, 0]
+            after_b = residual(a, b)
+            a = segre._least_eigvecs(q.T, b[:, :, None], a[:, :, None])[:, :, 0]
+            after_a = residual(a, b)
+            assert np.all(after_b <= res * (1 + 1e-12) + 1e-15)
+            assert np.all(after_a <= after_b * (1 + 1e-12) + 1e-15)
+            res = after_a
+
+
+class TestDegenerateGram:
+    # the orthocomplement of K spanned by integer matrices, none touching
+    # the entry (0, 0): e0 (x) e0 lies in K, F(e0) has a zero column and
+    # F(e0)^H F(e0) the exact eigenvalue 0, with a zero first row and column
+    # that would stop an unshifted LU at its first pivot
+    STACK = np.array([[[0, 1, 1], [1, 0, 0], [0, 0, 1]],
+                      [[0, 1, -1], [0, 1, 0], [1, 0, 0]],
+                      [[0, 2, 1], [0, 0, 1], [0, 1, 0]],
+                      [[0, 0, 0], [1, 1, 0], [0, 0, 2]]], dtype=complex)
+
+    def test_a_start_on_a_product_vector_retires(self, monkeypatch):
+        q = segre._gram(self.STACK)
+        e0 = np.eye(3, dtype=complex)[0]
+        assert np.array_equal((np.kron(e0, e0) @ q).reshape(3, 3)[0], np.zeros(3))
+        solve = SolveRecorder(monkeypatch)
+        a, b = segre._alternate(q, e0[None, :], e0[None, :, None], 60)
+        assert solve.rows == [1, 1]
+        assert np.allclose(np.abs(a[0]), np.abs(e0), rtol=0, atol=1e-15)
+        assert np.allclose(np.abs(b[0, :, 0]), np.abs(e0), rtol=0, atol=1e-15)
+        # in a batch with generic starts: every start stays finite
+        a, b = start_pairs(8, 3, 3)
+        a[5], b[5] = e0, e0
+        a, b = segre._alternate(q, a, b[:, :, None], 60)
+        assert np.isfinite(a).all() and np.isfinite(b).all()
+        assert abs(a[5, 0]) > 1 - 1e-15 and abs(b[5, 0, 0]) > 1 - 1e-15
+
+    def test_an_empty_stack_keeps_its_frame(self, monkeypatch):
+        # the edge fallback of a state whose range and partial transpose's
+        # range are the whole space: both Grams are zero
+        q = segre._gram(np.zeros((0, 3, 4), dtype=complex))
+        a0, b0 = start_pairs(64, 3, 4)
+        solve = SolveRecorder(monkeypatch)
+        a, b = segre._alternate(q, a0, b0[:, :, None], 60)
+        assert solve.rows == [64, 64]
+        assert np.abs(np.einsum('si,si->s', a0.conj(), a)).min() > 1 - 1e-15
+        assert np.abs(np.einsum('si,si->s', b0.conj(), b[:, :, 0])).min() > 1 - 1e-15
 
 
 def polish_by_pinv(wc, a, b, iters):
@@ -696,6 +773,32 @@ class TestPolish:
         assert res.classification == Classification.EMPTY
         assert 400 in batches
         assert svd.shapes == []
+
+
+# The cross-check round's best residual on zoo ranges that hold no product
+# vector, recorded when each half-step of the alternation was an exact least
+# eigenvector by eigh: both alternations reach the same least local minimum
+# of |F(a) b|, which is below every homotopy root's full residual there.
+RANGE_BEST_RESIDUALS = {
+    "good_3x4": (zoo.good_3x4, 0.06505756829558874),
+    "kon_mnogo": (lambda: zoo.kon_mnogo()[0], 0.17413982852767376),
+    "gentiles2_3x4": (RANGE_STATES["gentiles2_3x4"], 0.17413982852767365),
+    "bad_3x4": (zoo.bad_3x4, 0.09941792288776688),
+    "bad_4x5": (RANGE_STATES["bad_4x5"], 0.050629908597181465),
+}
+
+
+class TestRangeCrossCheck:
+    @pytest.mark.parametrize("name", list(RANGE_BEST_RESIDUALS))
+    def test_best_residual_is_the_recorded_minimum(self, name):
+        state_fn, recorded = RANGE_BEST_RESIDUALS[name]
+        state = state_fn()
+        res = enumerate_product_vectors(range_basis(state), state.dims)
+        ev, dlt = res.evidence, zoo.delta(state.dims.m, state.dims.n)
+        assert res.classification == Classification.EMPTY
+        assert (ev["route"], ev["starts_used"]) == ("homotopy", 400)
+        assert ev["paths"] == {"tracked": dlt, "finished": dlt, "accepted": dlt, "on_plane": 0}
+        assert ev["best_residual"] == pytest.approx(recorded, rel=1e-9, abs=0)
 
 
 class TestCes:
@@ -1069,7 +1172,7 @@ class TestPlaneSearch:
     @pytest.mark.parametrize("label", sorted(PLANE_KERNELS))
     def test_same_endpoints_as_the_svd_loop(self, label, monkeypatch):
         # from the endpoints the homotopy hands to _endpoint_planes, side A
-        # and then side B on the rest, the eigh alternation reaches a plane
+        # and then side B on the rest, the Gram alternation reaches a plane
         # from the same endpoints as the SVD loop it replaced; where the plane
         # through an endpoint is unique (bad_3x4, bad_3x5) it is the same
         state = PLANE_KERNELS[label]()
@@ -1103,13 +1206,27 @@ class TestPlaneSearch:
     @pytest.mark.parametrize("label", sorted(PLANE_KERNELS))
     def test_plane_vectors_take_the_product_vector_phase(self, label):
         # the first entry above 1e-8 is real and positive to rounding, as in
-        # ProductVector, whatever phase the eigensolver gave the vector
+        # ProductVector, whatever phase the alternation left the vector with
         state = PLANE_KERNELS[label]()
         res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert res.evidence["line_subspaces"]
         for ls in res.evidence["line_subspaces"]:
             lead = ls.vector[np.argmax(np.abs(ls.vector) > 1e-8)]
             assert abs(lead.imag) <= 1e-15 and lead.real > 0
+
+    def test_starting_frames_are_seeded(self):
+        # row i's frame is drawn from the i-th block of the seeded stream,
+        # so a search repeats exactly, and the first rows of a search are
+        # those of a search over just those rows
+        state = zoo.bad_mxn(4, 5)
+        wc = complement_stack(kernel_basis(state), state.dims).conj()
+        a, _ = start_pairs(segre._LINE_STARTS, 4, 5)
+        first = segre._plane_search(wc, a, 2, segre._PLANE_ITERS)
+        again = segre._plane_search(wc, a, 2, segre._PLANE_ITERS)
+        head = segre._plane_search(wc, a[:16], 2, segre._PLANE_ITERS)
+        for x, y, h in zip(first, again, head):
+            assert np.array_equal(x, y)
+            assert np.allclose(x[:16], h, rtol=0, atol=1e-12)
 
     def test_calls_no_svd(self, monkeypatch):
         state = zoo.bad_mxn(4, 5)

@@ -73,7 +73,6 @@ from .segre import (
     classify_goodness,
     partial_conjugate,
     start_pairs,
-    subspace_search,
 )
 
 NULLITY_CUTOFF = 1e-8
@@ -542,8 +541,10 @@ def find_rank1_compression(state: BipartiteState) -> Optional[tuple]:
     """Search for a unit |a> with <a|rho|a> of rank one.
 
     Equivalent to a hyperplane H in the B space with |a> (x) H inside the
-    kernel; returns (a, hyperplane basis) or None.  Only the A side is
-    examined; swap parties to ask the mirrored question.
+    kernel, found by `segre._plane_rounds` with (n - 1)-frames from 96
+    seeded starts; returns (a, hyperplane basis) of the first verified hit,
+    in start order, whose compression has rank one, or None.  Only the A
+    side is examined; swap parties to ask the mirrored question.
     """
     dims = state.dims
     m, n = dims.m, dims.n
@@ -551,13 +552,13 @@ def find_rank1_compression(state: BipartiteState) -> Optional[tuple]:
         return None
     kern = kernel_basis(state)
     stack = complement_stack(kern, dims).conj()       # range of rho as matrices
-    hits = subspace_search(stack, m, n, n - 1, 96, 50)
+    hits = segre._plane_rounds("A", stack, start_pairs(96, m, n)[0], n - 1)
     rho_t = state.matrix.reshape(m, n, m, n)
-    for vec, sub, _resid in hits:
-        compressed = np.einsum('i,injm,j->nm', vec.conj(), rho_t, vec)
+    for hit in hits.values():
+        compressed = np.einsum('i,injm,j->nm', hit.vector.conj(), rho_t, hit.vector)
         sv = np.linalg.svd(compressed, compute_uv=False)
         if sv[0] > 0 and (sv.size < 2 or sv[1] <= 1e-8 * sv[0]):
-            return vec, SubspaceBasis(n, sub, segre.RESIDUAL_TOL)
+            return hit.vector, hit.subspace
     return None
 
 

@@ -25,8 +25,14 @@ Each path ends in one of four classes: accepted (a nonsingular root of the
 tracked system), on-plane (on a product plane |a> (x) W or V (x) |b>
 verified on K's own equations), diverged, or unaccounted.  By the gamma
 trick every isolated root is the endpoint of some path (Morgan & Sommese
-1987; Sommese & Wampler 2005, ch. 7-8).  The set is then settled by one of
-three facts:
+1987; Sommese & Wampler 2005, ch. 7-8).
+
+One rule turns the accepted roots into K's points.  Those of a square
+system are K's points as they stand.  Of a squared-down system, a root
+whose full residual, measured before any polish on the full system,
+exceeds sqrt(RESIDUAL_TOL) is off K; every other root is polished on the
+full system and kept when it reaches K at a point not kept already, else
+it is off K too.  The set is then settled by one of three facts:
 
 - a square count: delta distinct, nonsingular endpoints prove the root set
   FINITE and complete; a nonsingular Jacobian of a square system is what
@@ -37,16 +43,13 @@ three facts:
   accepted roots are all the isolated points, since a point on a plane is
   not isolated; otherwise `paths` shows the gap;
 - a squared-down count: delta distinct, nonsingular roots of the mixed
-  system hold every root of g.  A root whose full residual, measured before
-  any polish on the full system, exceeds sqrt(RESIDUAL_TOL) is off K; every
-  other root is polished on the full system and kept when it reaches K at a
-  point not kept already, else it is off K too.  The kept roots are
-  isolated: the mixed Jacobian L J is nonsingular there, which forces J to
-  full column rank m + n - 2.  They are not transversal, since K and the
-  tangent space share a (x) b and cannot span the whole space when
-  R' > m + n - 2.  The set is FINITE, or EMPTY, complete by count, and one
-  multistart round cross-checks it; a point found there outside the counted
-  set overrules the count.
+  system hold every root of g, so the kept roots are all of K's points.
+  They are isolated: the mixed Jacobian L J is nonsingular there, which
+  forces J to full column rank m + n - 2.  They are not transversal, since
+  K and the tangent space share a (x) b and cannot span the whole space
+  when R' > m + n - 2.  The set is FINITE, or EMPTY, complete by count, and
+  one multistart round cross-checks it; a point found there outside the
+  counted set overrules the count.
 
 "Complete by count" rests on refined Bezout (Fulton, Intersection Theory,
 Ex. 8.4.6).  The zero set of a square system is the Segre variety
@@ -63,16 +66,19 @@ Only a set that none of these settled (say, a component that is not a
 plane, which leaves paths unaccounted), or a count that its cross-check
 overruled, is decided by a search: one round of multistart alternating
 minimization over unit pairs, followed by a batched Gauss-Newton polish of
-the holomorphic system, on top of the homotopy roots on K.  Every
+the holomorphic system, on top of the homotopy's points on K.  Every
 multistart round, that search or the cross-check of a count, has
-max(400, 4 delta) starts.  One alternation, `_alternate` on Gram matrices,
-serves the round (w = 1), the plane search of `_plane_search` (a w-frame,
-w = 2 or n - 1) and the edge fallback of `certify.edge_check` (two stacks in
-one Gram tensor); each half-step is one inverse-iteration step from the
-factor's current value.  Its start pairs (`start_pairs`) and a plane
-search's starting frames are seeded, so every search is deterministic.
-`find_line_subspaces`, a seeded plane search from fresh starts, is a
-public helper that no route calls.
+max(400, 4 delta) starts.  One classification then reads the plane, the
+count and the points, in one place.  One alternation, `_alternate` on Gram
+matrices, serves the round (w = 1), the plane search (a w-frame, w = 2 or
+n - 1) and the edge fallback of `certify.edge_check` (two stacks in one
+Gram tensor); each half-step is one inverse-iteration step from the
+factor's current value.  `_plane_rounds` is the one driver of every plane
+search: the endpoint plane check, `find_line_subspaces` (from _LINE_STARTS
+seeded pairs, a public helper that no route calls) and
+`certify.find_rank1_compression` (w = n - 1).  Its start pairs
+(`start_pairs`) and a plane search's starting frames are seeded, so every
+search is deterministic.
 
 Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
@@ -80,10 +86,10 @@ Empty / Finite / LikelyInfinite / Inconclusive is evidence-based and
 deliberately refuses to overclaim: Finite needs a complete homotopy count,
 and a search alone never reports it.
 
-`minor_system_roots` (the determinantal system) and `pencil_roots_2xn` are
-independent root finders kept as test oracles; enumeration does not call
-them, and only the first loads scipy (`scipy.linalg.eigvals` for its QZ
-pencils), when it is called.
+`minor_system_roots`, the determinantal system, is an independent root
+finder kept as a test oracle beside those of the tests' own oracle module;
+enumeration does not call it, and it loads scipy (`scipy.linalg.eigvals`
+for its QZ pencils) only when it is called.
 """
 
 from __future__ import annotations
@@ -128,7 +134,6 @@ _HOMOTOPY_ENDGAME = 1.0 - 1e-6
 _PLANE_ITERS = 10
 _PLANE_ROUNDS = 6
 _LINE_STARTS = 64
-_LINE_ITERS = 40
 
 
 class Classification(enum.Enum):
@@ -396,7 +401,7 @@ class _PointPool:
 
 
 # ---------------------------------------------------------------------------
-# determinantal and pencil oracles
+# determinantal oracle
 
 
 def _polyeig(smats: Sequence[np.ndarray]) -> np.ndarray:
@@ -508,38 +513,6 @@ def minor_system_roots(k: SubspaceBasis, dims: BipartiteDims) -> list:
     return out
 
 
-def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims) -> list:
-    """Product vectors in a subspace of C^2 (x) C^n whose membership matrix
-    is square: the single determinant condition det F((1, t)) = 0.
-
-    Serves as an independent oracle for the enumerator: the polynomial is
-    interpolated exactly on roots of unity and solved with the companion
-    matrix, plus the chart point a = (0, 1).  Each root is
-    verified against the residual tolerance before being returned.
-    """
-    if dims.m != 2:
-        raise ValueError("pencil oracle requires m = 2")
-    wc = complement_stack(k, dims).conj()
-    if wc.shape[0] != dims.n:
-        raise ValueError(f"membership matrix is {wc.shape[0]}x{dims.n}, must be square")
-    a0 = np.einsum('i,rij->rj', np.array([1.0, 0.0]), wc)
-    a1 = np.einsum('i,rij->rj', np.array([0.0, 1.0]), wc)
-    k1 = dims.n + 1
-    ws = np.exp(2j * np.pi * np.arange(k1) / k1)
-    vals = np.array([np.linalg.det(a0 + s * a1) for s in ws])
-    cands = [np.array([1.0, s]) for s in _poly_roots_companion(_det_samples_to_coeffs(vals))]
-    cands.append(np.array([0.0, 1.0]))
-    pool = _PointPool()
-    for a in cands:
-        a = a / np.linalg.norm(a)
-        f = np.einsum('i,rij->rj', a, wc)
-        b = np.linalg.svd(f)[2][-1].conj()
-        aa, bb, res = _polish_batch(wc, a[None, :], b[None, :], 20)
-        if res[0] <= RESIDUAL_TOL:
-            pool.add(ProductVector(aa[0], bb[0]), float(res[0]))
-    return pool.points
-
-
 # ---------------------------------------------------------------------------
 # homotopy route (square and squared-down membership systems)
 
@@ -608,8 +581,11 @@ class _PathTracker:
         self.gamma = np.exp(2j * np.pi * rng.random())
 
         # start root j: a annihilates the rows on_a[j] of x, b the other rows of y
-        on_a = np.array(list(itertools.combinations(range(rp), m - 1)))
-        on_b = np.array([[r for r in range(rp) if r not in p] for p in on_a])
+        # integer arrays of explicit shape, which hold even where m or n is 1
+        splits = list(itertools.combinations(range(rp), m - 1))
+        on_a = np.array(splits, dtype=int).reshape(len(splits), m - 1)
+        on_b = np.array([[r for r in range(rp) if r not in p] for p in splits],
+                        dtype=int).reshape(len(splits), n - 1)
         a0 = np.linalg.svd(self.x[on_a])[2][:, -1].conj()
         b0 = np.linalg.svd(self.y[on_b])[2][:, -1].conj()
         self.z = np.concatenate([a0 / (a0 @ self.patch_a)[:, None],
@@ -633,8 +609,8 @@ class _PathTracker:
         """(dH/dz, F1, F0) at each row of z; s is per row."""
         rp, m, n = self.rp, self.m, self.n
         a, b = z[:, :m], z[:, m:]
-        fa = (a @ self.wa).reshape(-1, rp, n)
-        gb = (b @ self.wb).reshape(-1, rp, m)
+        fa = (a @ self.wa).reshape(z.shape[0], rp, n)
+        gb = (b @ self.wb).reshape(z.shape[0], rp, m)
         xa, yb = a @ self.x.T, b @ self.y.T
         w0 = (self.gamma * (1 - s))[:, None, None]
         w1 = s[:, None, None]
@@ -752,8 +728,8 @@ def _homotopy_roots(wc: np.ndarray):
       tolerance of the tracked system with a nonsingular gauge-fixed
       Jacobian of that system;
     - on-plane: its endpoint has residual <= sqrt(RESIDUAL_TOL) on wc, and
-      the rounds of `_plane_search` in `_endpoint_planes` from the
-      endpoint's a (side A) or b (side B) find a two-dimensional frame B
+      `_plane_rounds`, run by `_endpoint_planes` from the endpoint's a
+      (side A) or b (side B), find a two-dimensional frame B
       with |F(a) B|_F or |G(b) B|_F <= RESIDUAL_TOL, a verified product
       plane through the endpoint;
     - diverged: it left for infinity in the patch;
@@ -806,90 +782,69 @@ def _endpoint_planes(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
     a, b); returns (distinct planes in endpoint order, endpoints on one).
 
     An endpoint qualifies when its full residual is <= sqrt(RESIDUAL_TOL)
-    and `_plane_search` from its a (side A, then b for side B) reaches a
-    frame B, the plane, with |F(a) B|_F <= RESIDUAL_TOL.  The search runs in
-    rounds of _PLANE_ITERS iterations, _PLANE_ROUNDS at most; a verified
-    endpoint leaves after its round, and the others go on from their a."""
-    if a.shape[0] == 0:
-        return [], 0
+    and `_plane_rounds` from its a (side A, then from its b for side B)
+    verify a plane through it."""
     a = a / np.linalg.norm(a, axis=1, keepdims=True)
     b = b / np.linalg.norm(b, axis=1, keepdims=True)
     full = np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
     todo = np.nonzero(full <= math.sqrt(RESIDUAL_TOL))[0]
     found = {}
     for side, stack, vecs in (("A", wc, a), ("B", wc.transpose(0, 2, 1), b)):
-        if stack.shape[2] < 2:
-            continue
-        vec = vecs[todo]
-        for _ in range(_PLANE_ROUNDS):
-            if todo.size == 0:
-                break
-            vec, sub, h = _plane_search(stack, vec, 2, _PLANE_ITERS)
-            hit = h <= RESIDUAL_TOL
-            for j in np.nonzero(hit)[0]:
-                found[todo[j]] = LineSubspace(side, vec[j], SubspaceBasis(
-                    stack.shape[2], sub[j], RESIDUAL_TOL), float(h[j]))
-            todo, vec = todo[~hit], vec[~hit]
-    planes = []
-    for i in sorted(found):
-        ls = found[i]
-        if not any(p.side == ls.side and abs(np.vdot(ls.vector, p.vector)) > 1 - DEDUP_TOL
-                   for p in planes):
-            planes.append(ls)
-    return planes, len(found)
+        hits = _plane_rounds(side, stack, vecs[todo], 2)
+        found.update((todo[j], ls) for j, ls in hits.items())
+        todo = np.delete(todo, list(hits))
+    return _distinct_planes(found[i] for i in sorted(found)), len(found)
 
 
 # ---------------------------------------------------------------------------
 # product-line detection
 
 
-def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims) -> list:
-    """Search for product planes |a> (x) W and V (x) |b> inside K.
+def _plane_rounds(side: str, stack: np.ndarray, a: np.ndarray, w_dim: int) -> dict:
+    """The one plane-search driver: rounds of `_plane_search` with w_dim
+    frames from the rows of a, _PLANE_ITERS iterations each and
+    _PLANE_ROUNDS at most.  A row leaves after the round that verifies its
+    frame B, |F(a) B|_F <= RESIDUAL_TOL, and the others go on from their a.
+    Returns {row: the verified `LineSubspace` on `side`}, in row order."""
+    found = {}
+    todo = np.arange(a.shape[0]) if w_dim <= stack.shape[2] else np.arange(0)
+    for _ in range(_PLANE_ROUNDS):
+        if todo.size == 0:
+            break
+        a, sub, h = _plane_search(stack, a, w_dim, _PLANE_ITERS)
+        hit = h <= RESIDUAL_TOL
+        for j in np.nonzero(hit)[0]:
+            found[todo[j]] = LineSubspace(side, a[j], SubspaceBasis(
+                stack.shape[2], sub[j], RESIDUAL_TOL), float(h[j]))
+        todo, a = todo[~hit], a[~hit]
+    return dict(sorted(found.items()))
 
-    `subspace_search` with w = 2 per side, from _LINE_STARTS starts of
-    _LINE_ITERS steps.  Returns every distinct hit whose residual
-    |F(a) W|_F is below RESIDUAL_TOL.  A public helper: enumeration takes
-    its planes from verified homotopy endpoints and never calls it.
-    """
-    m, n = dims.m, dims.n
-    wc = complement_stack(k, dims).conj()
+
+def _distinct_planes(planes) -> list:
+    """The planes whose vector no earlier plane of the same side shares."""
     out = []
-    if wc.shape[0] == 0:
-        if n >= 2:
-            out.append(LineSubspace("A", np.eye(m, dtype=complex)[0],
-                                    SubspaceBasis(n, np.eye(n, dtype=complex)[:2], 0.0), 0.0))
-        if m >= 2:
-            out.append(LineSubspace("B", np.eye(n, dtype=complex)[0],
-                                    SubspaceBasis(m, np.eye(m, dtype=complex)[:2], 0.0), 0.0))
-        return out
-
-    for vec, sub, res in subspace_search(wc, m, n, 2, _LINE_STARTS, _LINE_ITERS):
-        out.append(LineSubspace("A", vec, SubspaceBasis(n, sub, RESIDUAL_TOL), res))
-    wc_swapped = wc.transpose(0, 2, 1)
-    for vec, sub, res in subspace_search(wc_swapped, n, m, 2, _LINE_STARTS, _LINE_ITERS):
-        out.append(LineSubspace("B", vec, SubspaceBasis(m, sub, RESIDUAL_TOL), res))
+    for ls in planes:
+        if not any(p.side == ls.side and abs(np.vdot(ls.vector, p.vector)) > 1 - DEDUP_TOL
+                   for p in out):
+            out.append(ls)
     return out
 
 
-def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters):
-    """`_plane_search` for a unit a and a w_dim frame B from the first factors
-    of `starts` seeded pairs of `start_pairs`; returns up to eight distinct
-    (vec, subspace rows, residual |F(a) B|_F <= RESIDUAL_TOL) hits."""
-    if w_dim > dim_sub or w_dim < 1:
-        return []
-    a, _ = start_pairs(starts, dim_vec, dim_sub)
-    a, sub, h = _plane_search(stack, a, w_dim, iters)
-    hits = []
-    for idx in np.argsort(h):
-        if h[idx] > RESIDUAL_TOL:
-            break
-        vec = a[idx]
-        if any(abs(np.vdot(vec, prev[0])) > 1 - DEDUP_TOL for prev in hits):
-            continue
-        hits.append((vec, sub[idx], float(h[idx])))
-        if len(hits) >= 8:
-            break
-    return hits
+def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims) -> list:
+    """Search for product planes |a> (x) W and V (x) |b> inside K.
+
+    `_plane_rounds` with w = 2 from the first factors of _LINE_STARTS
+    seeded pairs per side.  Returns the distinct verified planes, side A
+    then side B, each side in start order; where K is the whole space every
+    start verifies in the first round.  A public helper: enumeration takes
+    its planes from verified homotopy endpoints and never calls it.
+    """
+    wc = complement_stack(k, dims).conj()
+    out = []
+    for side, stack in (("A", wc), ("B", wc.transpose(0, 2, 1))):
+        a, _ = start_pairs(_LINE_STARTS, stack.shape[1], stack.shape[2])
+        out += _plane_rounds(side, stack, a, 2).values()
+    return _distinct_planes(out)
 
 
 # ---------------------------------------------------------------------------
@@ -899,17 +854,20 @@ def subspace_search(stack, dim_vec, dim_sub, w_dim, starts, iters):
 def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> EnumerationResult:
     """Find the product vectors inside K; see the module docstring.
 
-    A dimension count settles a set as LIKELY_INFINITE.  Otherwise the
-    homotopy runs: delta roots of a square system settle the set as FINITE;
-    a plane of K verified at its endpoints settles it as LIKELY_INFINITE,
-    with the homotopy roots on K and no starts; delta roots of a
-    squared-down system count it as FINITE or EMPTY, and one multistart
-    round cross-checks the count.  Any other set, or a count overruled by a
-    point outside it, is decided by that round: more than delta points make
-    it LIKELY_INFINITE, fewer INCONCLUSIVE and none EMPTY.  The round has
-    max(400, 4 delta) starts.  The returned points are pairwise distinct
-    under the overlap metric and each satisfies
-    |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
+    K of dimension 0 is EMPTY, and a dimension count settles a set as
+    LIKELY_INFINITE; both return at once.  Otherwise the homotopy runs, and
+    its accepted roots become K's points by one rule: a square system's as
+    they stand, a squared-down system's where `_roots_on_subspace` keeps
+    them, with a count or without.  One multistart round of max(400,
+    4 delta) starts comes next, unless a plane of K verified at the
+    endpoints or delta roots of a square system settle the set: it
+    cross-checks a squared-down count, or searches a set that nothing
+    settled.  One classification follows: a plane makes the set
+    LIKELY_INFINITE; a count that no point of the round overruled makes it
+    FINITE, or EMPTY when K holds none of its roots; for the rest more than
+    delta points make it LIKELY_INFINITE, fewer INCONCLUSIVE and none
+    EMPTY.  The returned points are pairwise distinct under the overlap
+    metric and each satisfies |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
     """
     m, n = dims.m, dims.n
     dlt = delta(m, n)
@@ -933,79 +891,65 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
 
     points, residuals, paths, planes = _homotopy_roots(wc)
     evidence["paths"] = paths
-    counted = len(points) == dlt
-    if counted and wc.shape[0] == m + n - 2:
-        # a square system has at most delta isolated roots: finding delta
-        # of them proves the set finite and complete
-        evidence["route"] = "homotopy"
-        evidence["best_residual"] = min(residuals)
-        _point_evidence(wc, dims, points, evidence)
-        return EnumerationResult(points, residuals, Classification.FINITE, evidence)
-    if counted:
-        # delta roots of the squared-down system hold every root of K
-        pool, evidence["best_residual"] = _roots_on_subspace(wc, points)
-    else:
-        # no count: the homotopy's roots on K stand
+    square = wc.shape[0] == m + n - 2
+    if square:
+        # a square system's accepted roots are K's points as they stand
         pool = _PointPool()
-        for pv, res in zip(points, _membership_residuals(wc, points)):
-            if res <= RESIDUAL_TOL:
-                pool.add(pv, float(res))
-        evidence["best_residual"] = min([evidence["best_residual"]] + pool.residuals)
-    if planes:
-        # a verified plane of K makes the set infinite; when every path is
-        # accepted or on-plane the accepted roots are all the isolated ones
-        evidence["route"] = "homotopy"
-        evidence["line_subspaces"] = planes
-        evidence["best_residual"] = min([evidence["best_residual"]]
-                                        + [ls.residual for ls in planes])
-        _point_evidence(wc, dims, pool.points, evidence)
-        return EnumerationResult(pool.points, pool.residuals, Classification.LIKELY_INFINITE,
-                                 evidence)
-
-    # One multistart round: it cross-checks a count, or searches a set that
-    # neither a count nor a plane settled.
-    starts = max(_MIN_STARTS, 4 * dlt)
-    overruled = False
-    a_all, b_all = start_pairs(starts, m, n)
-    for lo in range(0, starts, _BATCH_CAP):
-        a, b = a_all[lo:lo + _BATCH_CAP], b_all[lo:lo + _BATCH_CAP]
-        a, b, alt = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
-        a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
-        # the polish can raise a residual the alternation reached
-        evidence["best_residual"] = min(evidence["best_residual"], float(alt.min()),
-                                        float(res.min()))
-        for idx in np.nonzero(res <= RESIDUAL_TOL)[0]:
-            overruled |= pool.add(ProductVector(a[idx], b[idx]), float(res[idx]))
-    evidence["starts_used"], evidence["rounds"] = starts, 1
-    # a point outside the counted set contradicts the count, and the round
-    # decides
-    counted = counted and not overruled
-    evidence["route"] = "homotopy" if counted else "multistart"
-    points, residuals = pool.points, pool.residuals
-    _point_evidence(wc, dims, points, evidence)
-    if counted:
-        cls = Classification.FINITE if points else Classification.EMPTY
-    elif len(points) > dlt:
+        pool.points, pool.residuals = points, residuals
+        best = min(residuals, default=float("inf"))
+    else:
+        pool, best = _roots_on_subspace(wc, points)
+    evidence["line_subspaces"] = planes
+    evidence["best_residual"] = min([best] + [ls.residual for ls in planes])
+    # delta roots of a square system prove the set finite and complete; delta
+    # roots of a squared-down one hold every point of K, and one round
+    # cross-checks them
+    counted = len(points) == dlt
+    if not planes and not (counted and square):
+        # One multistart round: it cross-checks a squared-down count, or
+        # searches a set that neither a count nor a plane settled.
+        starts = max(_MIN_STARTS, 4 * dlt)
+        a_all, b_all = start_pairs(starts, m, n)
+        for lo in range(0, starts, _BATCH_CAP):
+            a, b = a_all[lo:lo + _BATCH_CAP], b_all[lo:lo + _BATCH_CAP]
+            a, b, alt = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
+            a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
+            # the polish can raise a residual the alternation reached
+            evidence["best_residual"] = min(evidence["best_residual"], float(alt.min()),
+                                            float(res.min()))
+            for idx in np.nonzero(res <= RESIDUAL_TOL)[0]:
+                # a point outside the counted set overrules the count
+                counted &= not pool.add(ProductVector(a[idx], b[idx]), float(res[idx]))
+        evidence["starts_used"], evidence["rounds"] = starts, 1
+    evidence["route"] = "homotopy" if planes or counted else "multistart"
+    _point_evidence(wc, dims, pool.points, evidence)
+    if planes or (not counted and len(pool.points) > dlt):
+        # a verified plane of K makes the set infinite, and so do more than
+        # delta points; when every path is accepted or on-plane the
+        # accepted roots are all the isolated ones
         cls = Classification.LIKELY_INFINITE
-    elif not points:
+    elif not pool.points:
         cls = Classification.EMPTY
+    elif counted:
+        cls = Classification.FINITE
     else:
         # a search alone cannot prove that a set is finite
         cls = Classification.INCONCLUSIVE
-    return EnumerationResult(points, residuals, cls, evidence)
+    return EnumerationResult(pool.points, pool.residuals, cls, evidence)
 
 
 def _roots_on_subspace(wc: np.ndarray, points: list):
-    """The product vectors of K among delta roots of its squared-down system;
-    see the module docstring for why they are all of them.
+    """The product vectors of K among the roots of its squared-down system,
+    whether or not there are delta of them; with delta they are all of K's
+    points, see the module docstring.
 
     A root whose full residual is above sqrt(RESIDUAL_TOL) before any polish
     is off K: a polish on the full system would pull it onto a nearby true
     root.  Every other root is polished on the full system and kept when it
     reaches RESIDUAL_TOL at a point not kept already.  A root that fails
     its polish, or lands on a kept one, is off K as well: every product
-    vector of K is one of the delta distinct roots, and polishes onto
-    itself.  Returns (pool of the kept roots, best residual).
+    vector of K among the roots polishes onto itself.  Returns (pool of the
+    kept roots, best residual, inf where there is no root).
     """
     full = _membership_residuals(wc, points)
     near = [pv for pv, r in zip(points, full) if r <= math.sqrt(RESIDUAL_TOL)]
@@ -1015,7 +959,7 @@ def _roots_on_subspace(wc: np.ndarray, points: list):
                                   np.array([pv.b for pv in near]), _POLISH_ITERS)
         for i in np.nonzero(res <= RESIDUAL_TOL)[0]:
             pool.add(ProductVector(a[i], b[i]), float(res[i]))
-    return pool, min([float(full.min())] + pool.residuals)
+    return pool, min(full.tolist() + pool.residuals, default=float("inf"))
 
 
 def _point_evidence(wc, dims, points, evidence):
@@ -1035,10 +979,12 @@ def _point_evidence(wc, dims, points, evidence):
 def _jacobian_extremes(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
     """Per row of a and b, the least and the largest singular value of the
     gauge-fixed Jacobian at a (x) b, from one batched SVD; with R' >= m + n - 2
-    a zero least one marks a non-isolated root."""
+    a zero least one marks a non-isolated root.  Where m = n = 1 the Jacobian
+    has no column, and its extremes are those of an empty set, inf and 0: the
+    one point of P^0 x P^0 is nonsingular."""
     s, k = a.shape[0], a.shape[1] + b.shape[1] - 2
     if s == 0 or k == 0:
-        return np.full(s, np.inf), np.full(s, np.inf)
+        return np.full(s, np.inf), np.zeros(s)
     fa = np.einsum('si,rij->srj', a, wc)
     gb = np.einsum('rij,sj->sri', wc, b)
     jac = np.take_along_axis(np.concatenate([gb, fa], axis=2), _free_columns(a, b)[:, None, :],

@@ -26,7 +26,10 @@ quantity as a package function by the direct, slow construction:
 - `inverse_iteration_step` takes that step with F^H F formed from the
   membership matrices F themselves, not from the Gram tensor, and
   `alternate_by_inverse_iteration` alternates it over pairs without the
-  retire rule.
+  retire rule;
+- `pencil_roots_2xn` finds the product vectors of a subspace of
+  C^2 (x) C^n with a square membership system from the one determinant
+  condition, where `segre.enumerate_product_vectors` tracks homotopy paths.
 """
 
 from __future__ import annotations
@@ -46,7 +49,17 @@ from pptlab.qstate import (
     gamma_matrix,
     range_basis,
 )
-from pptlab.segre import _HOMOTOPY_ENDGAME, _HOMOTOPY_MIN_STEP, _PathTracker
+from pptlab.segre import (
+    RESIDUAL_TOL,
+    _HOMOTOPY_ENDGAME,
+    _HOMOTOPY_MIN_STEP,
+    _PathTracker,
+    _PointPool,
+    _det_samples_to_coeffs,
+    _polish_batch,
+    _poly_roots_companion,
+    complement_stack,
+)
 
 
 def _hermitian_basis(r: int) -> list:
@@ -249,3 +262,35 @@ def transversal_by_tangent_span(k: SubspaceBasis, pv: ProductVector,
     tangent = np.hstack([np.kron(pv.a[:, None], np.eye(n)), np.kron(np.eye(m), pv.b[:, None])])
     sv = np.linalg.svd(np.hstack([k.vectors.T, tangent]), compute_uv=False)
     return int(np.sum(sv > RANK_TOL * sv[0])) == dims.total
+
+
+def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims) -> list:
+    """Product vectors in a subspace of C^2 (x) C^n whose membership matrix
+    is square: the single determinant condition det F((1, t)) = 0.
+
+    Serves as an independent oracle for the enumerator: the polynomial is
+    interpolated exactly on roots of unity and solved with the companion
+    matrix, plus the chart point a = (0, 1).  Each root is
+    verified against the residual tolerance before being returned.
+    """
+    if dims.m != 2:
+        raise ValueError("pencil oracle requires m = 2")
+    wc = complement_stack(k, dims).conj()
+    if wc.shape[0] != dims.n:
+        raise ValueError(f"membership matrix is {wc.shape[0]}x{dims.n}, must be square")
+    a0 = np.einsum('i,rij->rj', np.array([1.0, 0.0]), wc)
+    a1 = np.einsum('i,rij->rj', np.array([0.0, 1.0]), wc)
+    k1 = dims.n + 1
+    ws = np.exp(2j * np.pi * np.arange(k1) / k1)
+    vals = np.array([np.linalg.det(a0 + s * a1) for s in ws])
+    cands = [np.array([1.0, s]) for s in _poly_roots_companion(_det_samples_to_coeffs(vals))]
+    cands.append(np.array([0.0, 1.0]))
+    pool = _PointPool()
+    for a in cands:
+        a = a / np.linalg.norm(a)
+        f = np.einsum('i,rij->rj', a, wc)
+        b = np.linalg.svd(f)[2][-1].conj()
+        aa, bb, res = _polish_batch(wc, a[None, :], b[None, :], 20)
+        if res[0] <= RESIDUAL_TOL:
+            pool.add(ProductVector(aa[0], bb[0]), float(res[0]))
+    return pool.points

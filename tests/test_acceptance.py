@@ -31,10 +31,10 @@ from pptlab.segre import (
     enumerate_product_vectors,
     general_position,
     partial_conjugate,
-    pencil_roots_2xn,
     transversal,
 )
 from conftest import random_full_rank_ppt, random_hermitian
+from oracles import pencil_roots_2xn
 from test_qstate import werner_2x2
 from test_segre import match_sets, subspace_from_vectors
 

@@ -490,7 +490,7 @@ def seeded_separable(m, n, terms, seed, slocc_seed=None):
 
 
 class TestEdgeFallback:
-    def test_steps_match_the_svd_steps(self):
+    def test_steps_match_the_inverse_iteration_steps(self):
         # both half-steps on the folded Gram tensor are the inverse-iteration
         # steps on the stacked membership matrices, up to phase
         state = zoo.bad_3x4(1.3, 0.7, -1.1, 0.9, 1.7, 0.4, -0.2)

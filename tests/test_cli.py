@@ -157,6 +157,21 @@ class TestAnalyze:
         assert rep["ppt"]["verdict"] is True
         assert rep["extremality"]["verdict"] == "extreme"
 
+    @pytest.mark.parametrize("m,n,rank", [(1, 3, 2), (3, 1, 2), (1, 4, 1), (1, 1, 1)])
+    def test_a_local_dimension_of_one(self, m, n, rank, tmp_path, capsys):
+        # the homotopy's start splits have m - 1 or n - 1 = 0 columns, and at
+        # 1 x 1 the range's system has no equation at all; every vector of
+        # C^m (x) C^n is a product vector, so no range is CES
+        rng = np.random.default_rng(10 * m + n)
+        v = rng.standard_normal((rank, m * n)) + 1j * rng.standard_normal((rank, m * n))
+        path = tmp_path / "s.json"
+        save_state(BipartiteState(HermitianOperator(BipartiteDims(m, n), v.T @ v.conj())), path)
+        code, stdout, err = run_cli(capsys, "analyze", str(path))
+        assert code == 0, err
+        rep = json.loads(stdout)
+        assert rep["rank_profile"]["rank"] == rank
+        assert rep["range_ces"]["verdict"] is False
+
     def test_tol_psd_reaches_every_ppt_test(self, tmp_path, capsys, recwarn):
         # good_3x4 plus 1e-7 of its top eigenvalue along the maximally
         # entangled vector of the 3x3 corner: NPT at the default tolerance,

@@ -35,14 +35,13 @@ from pptlab.segre import (
     general_position,
     minor_system_roots,
     partial_conjugate,
-    pencil_roots_2xn,
     separable_kernel_components,
     start_pairs,
     transversal,
 )
 from conftest import random_product_vector
 from oracles import (ReferenceTracker, _plane_alternation, alternate_by_inverse_iteration,
-                     transversal_by_tangent_span)
+                     pencil_roots_2xn, transversal_by_tangent_span)
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
@@ -345,6 +344,15 @@ def span_of_products(m, n, k, rng):
     return subspace_from_vectors([pv.vec() for pv in pvs], m * n), pvs
 
 
+def near_copy(wc, pv, rng):
+    """pv with its a moved along a random direction orthogonal to a, to a
+    full residual of about 4e-6."""
+    d = rng.standard_normal(pv.a.size) + 1j * rng.standard_normal(pv.a.size)
+    d -= np.vdot(pv.a, d) * pv.a
+    d *= 1e-6 / _membership_residuals(wc, [ProductVector(pv.a + 1e-6 * d, pv.b)])[0]
+    return ProductVector(pv.a + 4e-6 * d, pv.b)
+
+
 class TestSquareDown:
     @pytest.mark.parametrize("state_fn", [
         zoo.good_3x4,
@@ -402,14 +410,42 @@ class TestSquareDown:
         points, _, paths, _ = _homotopy_roots(wc)
         assert len(points) == paths["accepted"] == zoo.delta(3, 4)
         pv = next(p for p, r in zip(points, _membership_residuals(wc, points)) if r < 1e-12)
-        d = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-        d -= np.vdot(pv.a, d) * pv.a
-        d *= 1e-6 / _membership_residuals(wc, [ProductVector(pv.a + 1e-6 * d, pv.b)])[0]
-        moved = ProductVector(pv.a + 4e-6 * d, pv.b)
+        moved = near_copy(wc, pv, rng)
         assert 3e-6 < _membership_residuals(wc, [moved])[0] < 5e-6
         pool, best = _roots_on_subspace(wc, points + [moved])
         assert match_sets(pool.points, pvs)
         assert best <= 1e-10
+
+    def test_a_near_root_without_a_count_is_polished_onto_the_subspace(self, rng, monkeypatch):
+        # the homotopy loses a path to a root off K, which leaves no count,
+        # and returns a true root of K only 4e-6 off it: the near root is
+        # still polished onto K, and a round that accepts nothing leaves the
+        # four points
+        dims = BipartiteDims(3, 4)
+        sub, pvs = span_of_products(3, 4, 4, rng)
+        wc = complement_stack(sub, dims).conj()
+        points, residuals, paths, planes = _homotopy_roots(wc)
+        full = _membership_residuals(wc, points)
+        pv = next(p for p, r in zip(points, full) if r < 1e-12)
+        off = next(p for p, r in zip(points, full) if r > 1e-5)
+        moved = near_copy(wc, pv, rng)
+        assert 3e-6 < _membership_residuals(wc, [moved])[0] < 5e-6
+        lossy = [moved if p is pv else p for p in points if p is not off]
+        assert len(lossy) == zoo.delta(3, 4) - 1
+        original_polish = segre._polish_batch
+
+        def round_accepts_nothing(wc, a, b, iters):
+            a, b, res = original_polish(wc, a, b, iters)
+            return (a, b, np.ones_like(res)) if a.shape[0] == 400 else (a, b, res)
+
+        monkeypatch.setattr(segre, "_homotopy_roots",
+                            lambda wc: (lossy, residuals[:len(lossy)], paths, planes))
+        monkeypatch.setattr(segre, "_polish_batch", round_accepts_nothing)
+        res = enumerate_product_vectors(sub, dims)
+        assert match_sets(res.points, pvs)
+        assert max(res.residuals) <= 1e-10
+        assert (res.classification, res.evidence["route"]) == (Classification.INCONCLUSIVE,
+                                                                "multistart")
 
     def test_best_residual_counts_the_alternation(self, monkeypatch):
         # the polish can raise a start's residual; the round's best residual
@@ -541,7 +577,7 @@ class TestStartPairs:
 class TestAlternate:
     @pytest.mark.parametrize("case", ["good_3x4_range", "product_span_3x4",
                                       "bad_4x5_range", "kon_mnogo_range"])
-    def test_matches_the_svd_iteration(self, case, rng):
+    def test_matches_the_inverse_iteration_oracle(self, case, rng):
         # bad_4x5's range retires its starts the slowest, kon_mnogo's the fastest
         if case == "good_3x4_range":
             wc = good_3x4_range_stack()
@@ -1237,8 +1273,8 @@ class TestPlaneSearch:
             raise AssertionError("the plane search called np.linalg.svd")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        _, planes, h = segre._plane_search(wc, a, 2, segre._LINE_ITERS)
-        assert planes.shape == (segre._LINE_STARTS, 2, 5) and np.any(h <= segre.RESIDUAL_TOL)
+        hits = segre._plane_rounds("A", wc, a, 2)
+        assert hits and all(ls.subspace.vectors.shape == (2, 5) for ls in hits.values())
 
 
 def tracker_systems():

@@ -11,7 +11,8 @@ vector space V of such H always contains rho itself, so
 explicit real matrix: H is parametrized as P X P^dag over an orthonormal
 range basis P (X Hermitian, r^2 real coordinates) and the constraint is
 that the partial transpose of H has no component outside the range of
-rho^Gamma.  Rotated by the unitary [K | R] (kernel and range of rho^Gamma),
+rho^Gamma.  P and the kernel K and range R of rho^Gamma are eigenvectors the
+state keeps, split by the cut that decides its ranks.  Rotated by [K | R],
 that component is a Hermitian d x d block and a d x s block, written in
 d^2 + 2ds real coordinates; this isometric image keeps the map's singular
 values and null space.  The states the paper constructs are real
@@ -57,10 +58,7 @@ from .qstate import (
     null_space,
     range_basis,
     rank_profile,
-    _eig_split,
     _gamma,
-    _psd_verdict,
-    _split_eigh,
 )
 from . import segre
 from .segre import (
@@ -239,16 +237,13 @@ def extremality_nullity(state: BipartiteState, *, rank_tol: float = RANK_TOL,
     """
     m, n = state.dims.m, state.dims.n
     real = not np.any(state.matrix.imag)
-    rho = state.matrix.real if real else state.matrix
-    # one eigendecomposition of rho^Gamma gives the PPT verdict and its split
-    w, v = np.linalg.eigh(_gamma(rho, m, n))
-    ppt, min_eig = _psd_verdict(w, psd_tol)
+    ppt, min_eig = is_ppt(state, tol=psd_tol)
     if not ppt:
         warnings.warn(f"extremality criterion applied to an NPT state "
                       f"(min eigenvalue of the partial transpose {min_eig:.3e})")
-    p = _eig_split(rho, rank_tol)[1]                            # r x mn
+    p = state.split(rank_tol)[1]                                # r x mn
     r = p.shape[0]
-    kern, rng_gamma = _split_eigh(w, v, rank_tol)
+    kern, rng_gamma = state.split(rank_tol, gamma=True)
     d = kern.shape[0]
     n_sym, c_sym = r * (r + 1) // 2, d * (d + 1) // 2 + d * (m * n - d)
     # the map: a row per unit, the coordinates of Re Z and then of Im Z
@@ -342,8 +337,9 @@ def witness_decomposition(state: BipartiteState, cert: ExtremalityCert) -> tuple
     the Cholesky factor Q^H rho Q = L L^H; likewise for the partial
     transposes on the range of rho^Gamma.  So both signs of the step are
     feasible up to t_max = 1 / max|mu|, and eps = t_max / 2 keeps a
-    factor-two margin.  The four matrices rho +- eps*H and their partial
-    transposes are checked once for PSD.  Raises when that check fails or
+    factor-two margin.  The two states rho -+ eps*H are returned, and the
+    decompositions they keep of themselves and of their partial transposes
+    are checked once for PSD.  Raises when that check fails or
     when eps is below 1e-10 relative to the largest eigenvalue, which
     signals a numerically unusable witness rather than extremality.
     """
@@ -351,10 +347,10 @@ def witness_decomposition(state: BipartiteState, cert: ExtremalityCert) -> tuple
         raise ValueError("witness decomposition needs a certificate with nullity > 1")
     h, rho = cert.witness, state.matrix
     grho, gh = gamma_matrix(state), _gamma(h, state.dims.m, state.dims.n)
-    scale = np.linalg.eigvalsh(rho)[-1]
+    scale = state.eigh()[0][-1]
     mu = 0.0
-    for a, b in ((h, rho), (gh, grho)):
-        q = _eig_split(b, RANK_TOL)[1]
+    for gamma, a, b in ((False, h, rho), (True, gh, grho)):
+        q = state.split(RANK_TOL, gamma)[1]
         try:
             w = _pencil_eigvalsh(q.conj() @ a @ q.T, q.conj() @ b @ q.T)
         except np.linalg.LinAlgError:   # not positive definite on its range: NPT
@@ -363,12 +359,12 @@ def witness_decomposition(state: BipartiteState, cert: ExtremalityCert) -> tuple
     eps = 0.5 / mu
     if eps < 1e-10 * scale:
         raise ArithmeticError("no usable splitting step above 1.0e-10 relative")
-    for mat in (rho + eps * h, rho - eps * h, grho + eps * gh, grho - eps * gh):
-        if np.linalg.eigvalsh(mat)[0] < -1e-12 * scale:
-            raise ArithmeticError(f"the closed-form step {eps:.3e} leaves the PPT set")
-    rho1 = BipartiteState(HermitianOperator(state.dims, rho - eps * h), psd_tol=1e-9)
-    rho2 = BipartiteState(HermitianOperator(state.dims, rho + eps * h), psd_tol=1e-9)
-    return rho1, rho2
+    halves = tuple(BipartiteState(HermitianOperator(state.dims, rho + sign * eps * h),
+                                  psd_tol=np.inf) for sign in (-1.0, 1.0))   # checked here
+    if min(half.eigh(gamma)[0][0] for half in halves
+           for gamma in (False, True)) < -1e-12 * scale:
+        raise ArithmeticError(f"the closed-form step {eps:.3e} leaves the PPT set")
+    return halves
 
 
 def necessary_bound(rank: int, rank_gamma: int, m: int, n: int) -> bool:
@@ -407,7 +403,7 @@ def edge_check(state: BipartiteState, *,
     dims = state.dims
     m, n = dims.m, dims.n
     rng_rho = range_basis(state, tol_rel=tol_rel)
-    rng_gamma = SubspaceBasis(dims.total, _eig_split(gamma_matrix(state), tol_rel)[1], tol_rel)
+    rng_gamma = SubspaceBasis(dims.total, state.split(tol_rel, gamma=True)[1], tol_rel)
 
     enum_res = enumeration
     if enum_res is None:

@@ -6,9 +6,10 @@ deterministic block permutation.  States are positive semidefinite but not
 normalized; normalization is available as an explicit operation.
 
 Every rank, kernel and positivity answer is computed against an explicit
-tolerance and the borderline data (singular gaps, minimum eigenvalues) is
+tolerance and the borderline data (eigenvalue gaps, minimum eigenvalues) is
 reported alongside, so that exact-rank claims about particular states can be
-audited rather than trusted.
+audited rather than trusted.  Each answer reads the one eigendecomposition
+of rho or of rho^Gamma that a state keeps, cut at |w| <= tol * max|w|.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Default tolerances.  Rank cutoffs are relative to the largest singular
-# value; hermiticity and orthonormality checks are absolute on unit-scaled
+# Default tolerances.  Rank cutoffs are relative to the largest eigenvalue
+# modulus; hermiticity and orthonormality checks are absolute on unit-scaled
 # data.
 HERMITICITY_TOL = 1e-12
 RANK_TOL = 1e-9
@@ -97,14 +98,14 @@ class BipartiteState:
     trace: float = field(init=False)
 
     def __init__(self, op: HermitianOperator, psd_tol: float = PSD_TOL):
-        eigs = np.linalg.eigvalsh(op.entries)
-        top = max(eigs[-1], 0.0)
-        if eigs[0] < -psd_tol * max(top, 1e-300):
-            raise ValueError(f"matrix is not PSD: min eigenvalue {eigs[0]:.3e} vs max {top:.3e}")
+        self.op, self._eig = op, {}
+        w = self.eigh()[0]
+        if not _psd_verdict(w, psd_tol)[0]:
+            raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} "
+                             f"vs max {max(w[-1], 0.0):.3e}")
         tr = op.trace()
         if tr <= 0:
             raise ValueError(f"state must have positive trace, got {tr:.3e}")
-        self.op = op
         self.trace = tr
 
     @property
@@ -114,6 +115,24 @@ class BipartiteState:
     @property
     def matrix(self) -> np.ndarray:
         return self.op.entries
+
+    def eigh(self, gamma: bool = False) -> tuple:
+        """(ascending eigenvalues, eigenvector columns) of rho, or of
+        rho^Gamma when `gamma`, read-only: each is computed once per state,
+        by the real routine when the matrix has no imaginary part."""
+        if gamma not in self._eig:
+            x = gamma_matrix(self) if gamma else self.matrix
+            w, v = np.linalg.eigh(x if np.any(x.imag) else x.real)
+            w.flags.writeable = v.flags.writeable = False
+            self._eig[gamma] = w, v
+        return self._eig[gamma]
+
+    def split(self, tol_rel: float, gamma: bool = False) -> tuple:
+        """(kernel rows, range rows) of rho, or of rho^Gamma when `gamma`:
+        the eigenvectors at |w| <= tol_rel * max|w|, then the others."""
+        w, v = self.eigh(gamma)
+        small = _negligible(w, tol_rel)
+        return v[:, small].T, v[:, ~small].T
 
 
 @dataclass(eq=False)
@@ -182,8 +201,8 @@ class RankProfile:
     """Numerical ranks of rho, its partial transpose and reduced operators.
 
     `singular_gaps` holds, for each of the four matrices in that order, the
-    ratio of the first discarded to the last kept singular value (0.0 when
-    nothing was discarded), as an audit trail for the rank decisions.
+    largest discarded over the smallest kept |eigenvalue|, that is singular
+    value (0.0 when none or all were discarded), as an audit of the ranks.
     """
 
     rank: int
@@ -260,10 +279,13 @@ def factor_blocks(state: BipartiteState, r_rows: int) -> BlockFactor:
     """Factor rho = C^dag C with R = r_rows rows; inverse of :func:`from_blocks`.
 
     Raises ValueError when r_rows is below the numerical rank of the state,
-    cut at RANK_TOL relative to the largest eigenvalue.
+    cut at RANK_TOL relative to the largest eigenvalue modulus, or when an
+    eigenvalue the cut keeps is negative.
     """
-    w, v = np.linalg.eigh(state.matrix)
-    keep = w > RANK_TOL * w[-1]
+    w, v = state.eigh()
+    keep = ~_negligible(w, RANK_TOL)
+    if np.any(w[keep] < 0):
+        raise ValueError(f"eigenvalue {w[keep][0]:.3e} is kept by the rank cut but negative")
     rank = int(np.sum(keep))
     if r_rows < rank:
         raise ValueError(f"r_rows={r_rows} is below the numerical rank {rank}")
@@ -314,50 +336,33 @@ def reduced_operators(op: HermitianOperator) -> tuple:
 # ranks, positivity, kernels
 
 
-def _numerical_rank(matrix: np.ndarray, tol_rel: float) -> tuple:
-    """(rank, gap) with gap = first discarded / last kept singular value."""
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0, 0.0
-    rank = int(np.sum(sv > tol_rel * sv[0]))
-    if rank == sv.size:
-        return rank, 0.0
-    if rank == 0:
-        return 0, 0.0
-    return rank, float(sv[rank] / sv[rank - 1])
+def _negligible(w: np.ndarray, tol_rel: float) -> np.ndarray:
+    """The one rank cut: which eigenvalues have |w| <= tol_rel * max|w|."""
+    mod = np.abs(w)
+    return mod <= tol_rel * max(mod.max(initial=0.0), 1e-300)
 
 
 def rank_profile(state: BipartiteState, tol_rel: float = RANK_TOL) -> RankProfile:
-    """Ranks of rho, rho^Gamma, rho_A, rho_B at a relative singular cutoff."""
-    m, n = state.dims.m, state.dims.n
-    rho_a, rho_b = reduced_operators(state.op)
-    pairs = [_numerical_rank(x, tol_rel) for x in
-             (state.matrix, _gamma(state.matrix, m, n), rho_a, rho_b)]
-    return RankProfile(rank=pairs[0][0], rank_gamma=pairs[1][0],
-                       rank_a=pairs[2][0], rank_b=pairs[3][0],
-                       singular_gaps=tuple(p[1] for p in pairs))
+    """Ranks of rho, rho^Gamma, rho_A, rho_B at a relative eigenvalue cutoff."""
+    ranks, gaps = [], []
+    for w in (state.eigh()[0], state.eigh(gamma=True)[0],
+              *(np.linalg.eigvalsh(x) for x in reduced_operators(state.op))):
+        mod, small = np.abs(w), _negligible(w, tol_rel)
+        ranks.append(int(np.sum(~small)))
+        gaps.append(float(mod[small].max() / mod[~small].min()) if 0 < ranks[-1] < w.size
+                    else 0.0)
+    return RankProfile(*ranks, singular_gaps=tuple(gaps))
 
 
 def is_ppt(state: BipartiteState, tol: float = PSD_TOL) -> tuple:
     """Whether rho^Gamma is PSD at a relative tolerance; returns (verdict, min_eig)."""
-    return _psd_verdict(np.linalg.eigvalsh(gamma_matrix(state)), tol)
+    return _psd_verdict(state.eigh(gamma=True)[0], tol)
 
 
 def _psd_verdict(eigs: np.ndarray, tol: float) -> tuple:
     """(whether ascending eigenvalues `eigs` are PSD at relative `tol`, least one)."""
     top = max(eigs[-1], 0.0)
     return bool(eigs[0] >= -tol * max(top, 1e-300)), float(eigs[0])
-
-
-def _eig_split(matrix: np.ndarray, tol_rel: float) -> tuple:
-    return _split_eigh(*np.linalg.eigh(matrix), tol_rel)
-
-
-def _split_eigh(w: np.ndarray, v: np.ndarray, tol_rel: float) -> tuple:
-    """(kernel, range) rows from an eigendecomposition w, v of a Hermitian matrix."""
-    top = max(abs(w[0]), abs(w[-1]))
-    small = np.abs(w) <= tol_rel * max(top, 1e-300)
-    return v[:, small].T, v[:, ~small].T
 
 
 def null_space(a: np.ndarray) -> np.ndarray:
@@ -373,14 +378,12 @@ def null_space(a: np.ndarray) -> np.ndarray:
 
 def kernel_basis(state: BipartiteState, tol_rel: float = RANK_TOL) -> SubspaceBasis:
     """Orthonormal basis of ker rho (eigenvectors at negligible eigenvalue)."""
-    kern, _ = _eig_split(state.matrix, tol_rel)
-    return SubspaceBasis(state.dims.total, kern, tol_used=tol_rel)
+    return SubspaceBasis(state.dims.total, state.split(tol_rel)[0], tol_used=tol_rel)
 
 
 def range_basis(state: BipartiteState, tol_rel: float = RANK_TOL) -> SubspaceBasis:
     """Orthonormal basis of the range of rho; complements :func:`kernel_basis`."""
-    _, rng = _eig_split(state.matrix, tol_rel)
-    return SubspaceBasis(state.dims.total, rng, tol_used=tol_rel)
+    return SubspaceBasis(state.dims.total, state.split(tol_rel)[1], tol_used=tol_rel)
 
 
 def normalized(state: BipartiteState) -> BipartiteState:

@@ -44,7 +44,6 @@ from pptlab.qstate import (
     BipartiteState,
     ProductVector,
     SubspaceBasis,
-    _eig_split,
     _gamma,
     gamma_matrix,
     range_basis,
@@ -83,6 +82,13 @@ def _hermitian_basis(r: int) -> list:
     return out
 
 
+def kernel_columns(matrix: np.ndarray, rank_tol: float) -> np.ndarray:
+    """Eigenvectors of a Hermitian matrix at |w| <= rank_tol * max|w|, as
+    columns, from this module's own `np.linalg.eigh`."""
+    w, v = np.linalg.eigh(matrix)
+    return v[:, np.abs(w) <= rank_tol * max(np.abs(w).max(), 1e-300)]
+
+
 def nullity_unrestricted(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
                          rank_tol: float = 1e-9) -> int:
     """Same nullity through an independent parametrization (all Hermitian
@@ -91,7 +97,7 @@ def nullity_unrestricted(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
     d = m * n
     w, v = np.linalg.eigh(state.matrix)
     rperp = v[:, w <= rank_tol * w[-1]]
-    gperp = _eig_split(gamma_matrix(state), rank_tol)[0].T
+    gperp = kernel_columns(gamma_matrix(state), rank_tol)
     basis = _hermitian_basis(d)
     rows = []
     for e in basis:
@@ -112,7 +118,7 @@ def constraint_columns(state: BipartiteState, rank_tol: float = RANK_TOL) -> np.
     G an orthonormal basis of ker rho^Gamma and P one of R(rho)."""
     m, n = state.dims.m, state.dims.n
     p = range_basis(state, tol_rel=rank_tol).vectors.T
-    gperp = _eig_split(gamma_matrix(state), rank_tol)[0].T
+    gperp = kernel_columns(gamma_matrix(state), rank_tol)
     basis = _hermitian_basis(p.shape[1])
     cols = np.empty((2 * gperp.shape[1] * m * n, len(basis)))
     for idx, e in enumerate(basis):

@@ -133,6 +133,27 @@ class TestAnalyze:
         assert rep["edge"]["is_edge"] is True
         assert rep["range_ces"]["verdict"] is True
 
+    def test_one_decomposition_per_operator(self, tmp_path, capsys, monkeypatch):
+        # rho and rho^Gamma of the state and of its partial transpose: four
+        # mn x mn eigendecompositions decide every rank, kernel, range and
+        # PPT verdict of the report, and no SVD does
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        calls = []
+
+        def spy(kind, fn):
+            def counted(a, *args, **kwargs):
+                if np.shape(a)[-2:] == (12, 12):
+                    calls.append(kind)
+                return fn(a, *args, **kwargs)
+            return counted
+
+        for kind in ("svd", "eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, kind, spy(kind, getattr(np.linalg, kind)))
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 0, err
+        assert len(calls) <= 4 and "svd" not in calls, calls
+
     def test_kon_mnogo_report(self, tmp_path, capsys):
         path = tmp_path / "s.json"
         state, _ = zoo.kon_mnogo()

@@ -1,12 +1,15 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from pptlab import zoo
+from pptlab.certify import NULLITY_CUTOFF, extremality_nullity
 from pptlab.qstate import (
+    RANK_TOL,
     BipartiteDims,
     BipartiteState,
     BlockFactor,
@@ -135,6 +138,16 @@ class TestFactorBlocks:
         state = random_state(BipartiteDims(3, 3), rng, rank=4)
         with pytest.raises(ValueError, match="below the numerical rank"):
             factor_blocks(state, 3)
+
+    def test_negative_eigenvalue_kept_by_the_cut(self, rng):
+        # psd_tol 1e-6 admits -1e-7 of the top eigenvalue, which the rank
+        # cut at RANK_TOL keeps; it has no real square root
+        u = np.linalg.qr(rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9)))[0]
+        w = np.array([1.0, 0.5, 0.25, -1e-7, 0, 0, 0, 0, 0])
+        state = BipartiteState(HermitianOperator(BipartiteDims(3, 3), u @ np.diag(w) @ u.conj().T),
+                               psd_tol=1e-6)
+        with pytest.raises(ValueError, match=r"eigenvalue -1\.000e-07 is kept"):
+            factor_blocks(state, 9)
 
 
 class TestPartialTranspose:
@@ -295,6 +308,51 @@ class TestKernelRange:
                 block = np.einsum('i,injm,j->nm', a.conj(), t, a)
                 assert np.linalg.norm(block) > 1e-8
 
+
+def near_cut_state(seed: int) -> BipartiteState:
+    """A 3 x 4 state with k in [1, 10] eigenvalues in [0.5, 1] (the top one
+    1), one at RANK_TOL (1 + delta), |delta| <= 1e-6, and the rest zero,
+    drawn from default_rng(seed).  The eigenbasis is a random unitary for
+    even seeds and a random local unitary U_A (x) U_B for odd ones, which
+    makes rho^Gamma's spectrum rho's, so that both sit at the cut."""
+    rng = np.random.default_rng(seed)
+
+    def unitary(k):
+        return np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))[0]
+
+    k = int(rng.integers(1, 11))
+    w = np.zeros(12)
+    w[:k] = rng.uniform(0.5, 1.0, k)
+    w[0] = 1.0
+    w[k] = RANK_TOL * (1 + rng.uniform(-1e-6, 1e-6))
+    u = np.kron(unitary(3), unitary(4)) if seed % 2 else unitary(12)
+    return BipartiteState(HermitianOperator(BipartiteDims(3, 4), u @ np.diag(w) @ u.conj().T))
+
+
+class TestOneRankCut:
+    """Rank, kernel, range and the extremality map are decided by one cut,
+    so they agree even with an eigenvalue at the cut itself."""
+
+    def test_rank_kernel_and_range_agree_at_the_cut(self):
+        disagree, gamma_checked = [], 0
+        for seed in range(200):
+            state = near_cut_state(seed)
+            prof = rank_profile(state)
+            if not prof.rank == range_basis(state).dim == 12 - kernel_basis(state).dim:
+                disagree.append((seed, "rho"))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")      # most even draws are NPT
+                cert = extremality_nullity(state)
+            # the map has r^2 units: the nullity plus the kept singular values
+            if cert.nullity + int(np.sum(cert.singular_spectrum > NULLITY_CUTOFF)) != prof.rank ** 2:
+                disagree.append((seed, "extremality"))
+            if is_ppt(state)[0]:
+                gamma_checked += 1
+                gamma = BipartiteState(HermitianOperator(state.dims, gamma_matrix(state)))
+                if not prof.rank_gamma == range_basis(gamma).dim == 12 - kernel_basis(gamma).dim:
+                    disagree.append((seed, "rho^Gamma"))
+        assert gamma_checked >= 100
+        assert not disagree
 
 def zoo_states() -> dict:
     states = {"good_3x4": zoo.good_3x4(), "kon_mnogo": zoo.kon_mnogo()[0],

@@ -429,9 +429,9 @@ def edge_check(state: BipartiteState, *,
     b = b[:, :, None]
     for _ in range(420 // 60):      # rounds of 60 iterations until a pair is found
         a, b = segre._alternate(q, a, b, 60)
-        r1 = np.einsum('si,rij,sj->sr', a, kern_rho, b[:, :, 0])
-        r2 = np.einsum('si,rij,sj->sr', a.conj(), kern_gamma, b[:, :, 0])
-        joint = np.sqrt(np.linalg.norm(r1, axis=1) ** 2 + np.linalg.norm(r2, axis=1) ** 2)
+        r1 = segre._membership_residuals(kern_rho, a, b[:, :, 0])
+        r2 = segre._membership_residuals(kern_gamma, a.conj(), b[:, :, 0])
+        joint = np.sqrt(r1 ** 2 + r2 ** 2)
         if joint.min() < EDGE_PAIR_TOL:
             break
     starts += EDGE_FALLBACK_STARTS
@@ -537,7 +537,7 @@ def find_rank1_compression(state: BipartiteState) -> Optional[tuple]:
     """Search for a unit |a> with <a|rho|a> of rank one.
 
     Equivalent to a hyperplane H in the B space with |a> (x) H inside the
-    kernel, found by `segre._plane_rounds` with (n - 1)-frames from 96
+    kernel, found by `segre._plane_search` with (n - 1)-frames from 96
     seeded starts; returns (a, hyperplane basis) of the first verified hit,
     in start order, whose compression has rank one, or None.  Only the A
     side is examined; swap parties to ask the mirrored question.
@@ -548,7 +548,7 @@ def find_rank1_compression(state: BipartiteState) -> Optional[tuple]:
         return None
     kern = kernel_basis(state)
     stack = complement_stack(kern, dims).conj()       # range of rho as matrices
-    hits = segre._plane_rounds("A", stack, start_pairs(96, m, n)[0], n - 1)
+    hits = segre._plane_search("A", stack, start_pairs(96, m, n)[0], n - 1)
     rho_t = state.matrix.reshape(m, n, m, n)
     for hit in hits.values():
         compressed = np.einsum('i,injm,j->nm', hit.vector.conj(), rho_t, hit.vector)
@@ -569,7 +569,7 @@ def strongly_extreme_by_theorem(state: BipartiteState,
     independent search.  Ranks cut at `rank_tol` and the PPT test at
     `psd_tol`."""
     dims = state.dims
-    if rank_profile(state, tol_rel=rank_tol).rank != dims.m + dims.n - 2:
+    if len(state.split(rank_tol)[1]) != dims.m + dims.n - 2:
         return StrongExtremality.NOT_APPLICABLE
     if not is_ppt(state, tol=psd_tol)[0]:
         return StrongExtremality.NOT_APPLICABLE

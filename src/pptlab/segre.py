@@ -73,12 +73,15 @@ count and the points, in one place.  One alternation, `_alternate` on Gram
 matrices, serves the round (w = 1), the plane search (a w-frame, w = 2 or
 n - 1) and the edge fallback of `certify.edge_check` (two stacks in one
 Gram tensor); each half-step is one inverse-iteration step from the
-factor's current value.  `_plane_rounds` is the one driver of every plane
-search: the endpoint plane check, `find_line_subspaces` (from _LINE_STARTS
-seeded pairs, a public helper that no route calls) and
+factor's current value.  `_plane_search`, one `_alternate` call from
+frames drawn once and one verification, is every plane search: the
+endpoint plane check, `find_line_subspaces` (from _LINE_STARTS seeded
+pairs, a public helper that no route calls) and
 `certify.find_rank1_compression` (w = n - 1).  Its start pairs
-(`start_pairs`) and a plane search's starting frames are seeded, so every
-search is deterministic.
+(`start_pairs`) and starting frames are seeded, so every search is
+deterministic.  One rule, `_distinct`, dedups every set of points and
+planes: the homotopy's roots, the roots kept on K, the round's points on
+top of them, and each side's planes.
 
 Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
@@ -111,7 +114,6 @@ from .qstate import (
     SubspaceBasis,
     kernel_basis,
     null_space,
-    rank_profile,
     is_ppt,
 )
 from .zoo import delta
@@ -131,8 +133,6 @@ _SQUARE_DOWN_SEED = 2005
 _HOMOTOPY_MAX_STEPS = 2000
 _HOMOTOPY_MIN_STEP = 1e-12
 _HOMOTOPY_ENDGAME = 1.0 - 1e-6
-_PLANE_ITERS = 10
-_PLANE_ROUNDS = 6
 _LINE_STARTS = 64
 
 
@@ -293,19 +293,7 @@ def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     """The multistart round's `_alternate` (w = 1) from pairs (a, b), a slice
     of at most _BATCH_CAP starts; returns them with |F(a) b| itself."""
     a, b = _alternate(_gram(wc), a, b[:, :, None], iters)
-    f = np.einsum('si,rij->srj', a, wc)
-    return a, b[:, :, 0], np.linalg.norm(np.einsum('srj,sj->sr', f, b[:, :, 0]), axis=1)
-
-
-def _plane_search(stack: np.ndarray, a: np.ndarray, w_dim: int, iters: int):
-    """`_alternate` from the rows of a and w_dim frames B drawn from
-    _START_SEED; returns a, the frames as (starts, w_dim, dim_sub)
-    orthonormal rows and h = |F(a) B|_F."""
-    z = np.random.default_rng(_START_SEED).standard_normal((a.shape[0], stack.shape[2], 2 * w_dim))
-    b = np.linalg.qr(z[:, :, :w_dim] + 1j * z[:, :, w_dim:])[0]
-    a, b = _alternate(_gram(stack), a, b, iters)
-    h = np.linalg.norm(np.einsum('si,rij,sjw->srw', a, stack, b), axis=(1, 2))
-    return a, b.transpose(0, 2, 1), h
+    return a, b[:, :, 0], _membership_residuals(wc, a, b[:, :, 0])
 
 
 def _free_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -359,8 +347,7 @@ def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
         b = b + step[:, m:]
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
         b = b / np.linalg.norm(b, axis=1, keepdims=True)
-    g = np.einsum('si,rij,sj->sr', a, wc, b)
-    return a, b, np.linalg.norm(g, axis=1)
+    return a, b, _membership_residuals(wc, a, b)
 
 
 def start_pairs(count: int, m: int, n: int):
@@ -380,24 +367,36 @@ def start_pairs(count: int, m: int, n: int):
     return a, b
 
 
-class _PointPool:
-    """Accumulates verified points with scale-invariant deduplication."""
+def _distinct(a: np.ndarray, b: np.ndarray, res) -> np.ndarray:
+    """The one dedup rule, for points and planes alike, over the unit
+    candidate rows of a and b with residuals res, taken in order.  A row whose overlap
+    |<a, a'>| |<b, b'>| with the current representative of a kept class
+    exceeds 1 - DEDUP_TOL joins the first such class, and becomes its
+    representative if its residual is lower; any other row opens a class.
+    Each row meets the representatives in one batched product.  Returns the
+    representatives' row indices, in the order their classes opened."""
+    keep: list = []
+    conj_a, conj_b = np.empty_like(a), np.empty_like(b)    # representatives, conjugated
+    for i in range(a.shape[0]):
+        k = len(keep)
+        near = np.flatnonzero(np.abs(conj_a[:k] @ a[i]) * np.abs(conj_b[:k] @ b[i])
+                              > 1.0 - DEDUP_TOL)
+        j = int(near[0]) if near.size else k
+        if j == k:
+            keep.append(i)
+        elif res[i] < res[keep[j]]:
+            keep[j] = i
+        else:
+            continue
+        conj_a[j], conj_b[j] = a[i].conj(), b[i].conj()
+    return np.array(keep, dtype=int)
 
-    def __init__(self):
-        self.points: list = []
-        self.residuals: list = []
 
-    def add(self, pv: ProductVector, residual: float) -> bool:
-        """Adds a point unless it is one already held; True when it is new."""
-        for i, q in enumerate(self.points):
-            if pv.overlap(q) > 1.0 - DEDUP_TOL:
-                if residual < self.residuals[i]:
-                    self.points[i] = pv
-                    self.residuals[i] = residual
-                return False
-        self.points.append(pv)
-        self.residuals.append(residual)
-        return True
+def _distinct_points(points: list, res) -> tuple:
+    """`_distinct` over ProductVectors with residuals res: (the kept points,
+    their residuals)."""
+    keep = _distinct(np.array([pv.a for pv in points]), np.array([pv.b for pv in points]), res)
+    return [points[i] for i in keep], [float(res[i]) for i in keep]
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +533,8 @@ def _square_down(wc: np.ndarray, rows: int) -> np.ndarray:
     return np.einsum('rk,rij->kij', mix.conj(), wc)
 
 
-def _membership_residuals(wc: np.ndarray, points: list) -> np.ndarray:
-    """|<W_r, a (x) b>| over all R' equations at each unit pair."""
-    if not points:
-        return np.zeros(0)
-    a = np.array([pv.a for pv in points])
-    b = np.array([pv.b for pv in points])
+def _membership_residuals(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<W_r, a (x) b>| over all R' equations at each row pair (a, b): |F(a) b|."""
     return np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
 
 
@@ -728,8 +723,8 @@ def _homotopy_roots(wc: np.ndarray):
       tolerance of the tracked system with a nonsingular gauge-fixed
       Jacobian of that system;
     - on-plane: its endpoint has residual <= sqrt(RESIDUAL_TOL) on wc, and
-      `_plane_rounds`, run by `_endpoint_planes` from the endpoint's a
-      (side A) or b (side B), find a two-dimensional frame B
+      `_plane_search`, run by `_endpoint_planes` from the endpoint's a
+      (side A) or b (side B), finds a two-dimensional frame B
       with |F(a) B|_F or |G(b) B|_F <= RESIDUAL_TOL, a verified product
       plane through the endpoint;
     - diverged: it left for infinity in the patch;
@@ -744,10 +739,11 @@ def _homotopy_roots(wc: np.ndarray):
     has fewer than delta isolated roots.  The planes are verified on wc, so
     they are planes of K whichever system was tracked.
 
-    Returns (points, residuals, paths, planes): the deduplicated accepted
+    Returns (points, residuals, paths, planes): the `_distinct` accepted
     roots of the tracked system in path order, with their residuals on it,
     paths = {"tracked", "finished", "accepted", "on_plane"}, and the distinct
-    verified planes of K as `LineSubspace`s in path order.
+    verified planes of K as `LineSubspace`s, side A then side B, each in
+    path order.
     """
     m, n = wc.shape[1], wc.shape[2]
     wsq = _square_down(wc, m + n - 2)
@@ -758,8 +754,8 @@ def _homotopy_roots(wc: np.ndarray):
         tracker.advance()
 
     z, finished = tracker.z, tracker.finished
-    pool = _PointPool()
     accepted = np.zeros(z.shape[0], dtype=bool)
+    roots, res = [], []
     done = np.nonzero(finished)[0]
     if done.size:
         a, b = z[done, :m], z[done, m:]
@@ -767,84 +763,81 @@ def _homotopy_roots(wc: np.ndarray):
         b = b / np.linalg.norm(b, axis=1, keepdims=True)
         a, b, res = _polish_batch(wsq, a, b, _POLISH_ITERS)
         smin, smax = _jacobian_extremes(wsq, a, b)
-        for i in np.nonzero((res <= RESIDUAL_TOL) & (smin > RANK_TOL * smax))[0]:
-            accepted[done[i]] = True
-            pool.add(ProductVector(a[i], b[i]), float(res[i]))
+        ok = np.nonzero((res <= RESIDUAL_TOL) & (smin > RANK_TOL * smax))[0]
+        accepted[done[ok]] = True
+        roots, res = [ProductVector(a[i], b[i]) for i in ok], res[ok]
+    points, residuals = _distinct_points(roots, res)
     rest = np.nonzero(~accepted & ~tracker.diverged)[0]
     planes, on_plane = _endpoint_planes(wc, z[rest, :m], z[rest, m:])
     counts = {"tracked": z.shape[0], "finished": int(finished.sum()),
               "accepted": int(accepted.sum()), "on_plane": on_plane}
-    return pool.points, pool.residuals, counts, planes
+    return points, residuals, counts, planes
 
 
 def _endpoint_planes(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The verified product planes through path endpoints (patch coordinates
-    a, b); returns (distinct planes in endpoint order, endpoints on one).
+    a, b); returns (the distinct planes, side A then side B, each in
+    endpoint order; the number of endpoints on one).
 
     An endpoint qualifies when its full residual is <= sqrt(RESIDUAL_TOL)
-    and `_plane_rounds` from its a (side A, then from its b for side B)
-    verify a plane through it."""
+    and `_plane_search` from its a (side A, then from its b for side B)
+    verifies a plane through it."""
     a = a / np.linalg.norm(a, axis=1, keepdims=True)
     b = b / np.linalg.norm(b, axis=1, keepdims=True)
-    full = np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
-    todo = np.nonzero(full <= math.sqrt(RESIDUAL_TOL))[0]
-    found = {}
+    todo = np.nonzero(_membership_residuals(wc, a, b) <= math.sqrt(RESIDUAL_TOL))[0]
+    planes, on_plane = [], 0
     for side, stack, vecs in (("A", wc, a), ("B", wc.transpose(0, 2, 1), b)):
-        hits = _plane_rounds(side, stack, vecs[todo], 2)
-        found.update((todo[j], ls) for j, ls in hits.items())
+        hits = _plane_search(side, stack, vecs[todo], 2)
         todo = np.delete(todo, list(hits))
-    return _distinct_planes(found[i] for i in sorted(found)), len(found)
+        on_plane += len(hits)
+        planes += _distinct_lines(list(hits.values()))
+    return planes, on_plane
 
 
 # ---------------------------------------------------------------------------
 # product-line detection
 
 
-def _plane_rounds(side: str, stack: np.ndarray, a: np.ndarray, w_dim: int) -> dict:
-    """The one plane-search driver: rounds of `_plane_search` with w_dim
-    frames from the rows of a, _PLANE_ITERS iterations each and
-    _PLANE_ROUNDS at most.  A row leaves after the round that verifies its
-    frame B, |F(a) B|_F <= RESIDUAL_TOL, and the others go on from their a.
-    Returns {row: the verified `LineSubspace` on `side`}, in row order."""
-    found = {}
-    todo = np.arange(a.shape[0]) if w_dim <= stack.shape[2] else np.arange(0)
-    for _ in range(_PLANE_ROUNDS):
-        if todo.size == 0:
-            break
-        a, sub, h = _plane_search(stack, a, w_dim, _PLANE_ITERS)
-        hit = h <= RESIDUAL_TOL
-        for j in np.nonzero(hit)[0]:
-            found[todo[j]] = LineSubspace(side, a[j], SubspaceBasis(
-                stack.shape[2], sub[j], RESIDUAL_TOL), float(h[j]))
-        todo, a = todo[~hit], a[~hit]
-    return dict(sorted(found.items()))
+def _plane_search(side: str, stack: np.ndarray, a: np.ndarray, w_dim: int) -> dict:
+    """The one plane search: one `_alternate` of _ALTERNATE_ITERS iterations
+    from the rows of a and w_dim-frames B drawn once from _START_SEED, row i
+    from the i-th block of the stream, then one verification: a row whose
+    frame reaches |F(a) B|_F <= RESIDUAL_TOL gives a plane.  Returns {row:
+    the verified `LineSubspace` on `side`}, in row order."""
+    s, dim_sub = a.shape[0], stack.shape[2]
+    if w_dim > dim_sub:
+        return {}
+    z = np.random.default_rng(_START_SEED).standard_normal((s, dim_sub, 2 * w_dim))
+    b = np.linalg.qr(z[:, :, :w_dim] + 1j * z[:, :, w_dim:])[0]
+    a, b = _alternate(_gram(stack), a, b, _ALTERNATE_ITERS)
+    h = np.linalg.norm(np.einsum('si,rij,sjw->srw', a, stack, b), axis=(1, 2))
+    return {j: LineSubspace(side, a[j], SubspaceBasis(dim_sub, b[j].T, RESIDUAL_TOL), float(h[j]))
+            for j in np.flatnonzero(h <= RESIDUAL_TOL)}
 
 
-def _distinct_planes(planes) -> list:
-    """The planes whose vector no earlier plane of the same side shares."""
-    out = []
-    for ls in planes:
-        if not any(p.side == ls.side and abs(np.vdot(ls.vector, p.vector)) > 1 - DEDUP_TOL
-                   for p in out):
-            out.append(ls)
-    return out
+def _distinct_lines(planes: list) -> list:
+    """`_distinct` over planes of one side: the plane vector is a, b is
+    the constant 1, and each plane's own residual decides."""
+    keep = _distinct(np.array([ls.vector for ls in planes]), np.ones((len(planes), 1)),
+                     [ls.residual for ls in planes])
+    return [planes[i] for i in keep]
 
 
 def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims) -> list:
     """Search for product planes |a> (x) W and V (x) |b> inside K.
 
-    `_plane_rounds` with w = 2 from the first factors of _LINE_STARTS
+    `_plane_search` with w = 2 from the first factors of _LINE_STARTS
     seeded pairs per side.  Returns the distinct verified planes, side A
     then side B, each side in start order; where K is the whole space every
-    start verifies in the first round.  A public helper: enumeration takes
-    its planes from verified homotopy endpoints and never calls it.
+    start verifies.  A public helper: enumeration takes its planes from
+    verified homotopy endpoints and never calls it.
     """
     wc = complement_stack(k, dims).conj()
     out = []
     for side, stack in (("A", wc), ("B", wc.transpose(0, 2, 1))):
         a, _ = start_pairs(_LINE_STARTS, stack.shape[1], stack.shape[2])
-        out += _plane_rounds(side, stack, a, 2).values()
-    return _distinct_planes(out)
+        out += _distinct_lines(list(_plane_search(side, stack, a, 2).values()))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -892,24 +885,23 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     points, residuals, paths, planes = _homotopy_roots(wc)
     evidence["paths"] = paths
     square = wc.shape[0] == m + n - 2
+    counted = len(points) == dlt
     if square:
         # a square system's accepted roots are K's points as they stand
-        pool = _PointPool()
-        pool.points, pool.residuals = points, residuals
         best = min(residuals, default=float("inf"))
     else:
-        pool, best = _roots_on_subspace(wc, points)
+        points, residuals, best = _roots_on_subspace(wc, points)
     evidence["line_subspaces"] = planes
     evidence["best_residual"] = min([best] + [ls.residual for ls in planes])
     # delta roots of a square system prove the set finite and complete; delta
     # roots of a squared-down one hold every point of K, and one round
     # cross-checks them
-    counted = len(points) == dlt
     if not planes and not (counted and square):
         # One multistart round: it cross-checks a squared-down count, or
         # searches a set that neither a count nor a plane settled.
         starts = max(_MIN_STARTS, 4 * dlt)
         a_all, b_all = start_pairs(starts, m, n)
+        found, found_res = list(points), list(residuals)
         for lo in range(0, starts, _BATCH_CAP):
             a, b = a_all[lo:lo + _BATCH_CAP], b_all[lo:lo + _BATCH_CAP]
             a, b, alt = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
@@ -917,25 +909,29 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
             # the polish can raise a residual the alternation reached
             evidence["best_residual"] = min(evidence["best_residual"], float(alt.min()),
                                             float(res.min()))
-            for idx in np.nonzero(res <= RESIDUAL_TOL)[0]:
-                # a point outside the counted set overrules the count
-                counted &= not pool.add(ProductVector(a[idx], b[idx]), float(res[idx]))
+            ok = np.nonzero(res <= RESIDUAL_TOL)[0]
+            found += [ProductVector(a[i], b[i]) for i in ok]
+            found_res += res[ok].tolist()
+        held = len(points)
+        points, residuals = _distinct_points(found, found_res)
+        # a point outside the counted set overrules the count
+        counted &= len(points) == held
         evidence["starts_used"], evidence["rounds"] = starts, 1
     evidence["route"] = "homotopy" if planes or counted else "multistart"
-    _point_evidence(wc, dims, pool.points, evidence)
-    if planes or (not counted and len(pool.points) > dlt):
+    _point_evidence(wc, dims, points, evidence)
+    if planes or (not counted and len(points) > dlt):
         # a verified plane of K makes the set infinite, and so do more than
         # delta points; when every path is accepted or on-plane the
         # accepted roots are all the isolated ones
         cls = Classification.LIKELY_INFINITE
-    elif not pool.points:
+    elif not points:
         cls = Classification.EMPTY
     elif counted:
         cls = Classification.FINITE
     else:
         # a search alone cannot prove that a set is finite
         cls = Classification.INCONCLUSIVE
-    return EnumerationResult(pool.points, pool.residuals, cls, evidence)
+    return EnumerationResult(points, residuals, cls, evidence)
 
 
 def _roots_on_subspace(wc: np.ndarray, points: list):
@@ -948,18 +944,20 @@ def _roots_on_subspace(wc: np.ndarray, points: list):
     root.  Every other root is polished on the full system and kept when it
     reaches RESIDUAL_TOL at a point not kept already.  A root that fails
     its polish, or lands on a kept one, is off K as well: every product
-    vector of K among the roots polishes onto itself.  Returns (pool of the
-    kept roots, best residual, inf where there is no root).
+    vector of K among the roots polishes onto itself.  Returns (the kept
+    roots, their residuals, the best residual, inf where there is no root).
     """
-    full = _membership_residuals(wc, points)
-    near = [pv for pv, r in zip(points, full) if r <= math.sqrt(RESIDUAL_TOL)]
-    pool = _PointPool()
-    if near:
-        a, b, res = _polish_batch(wc, np.array([pv.a for pv in near]),
-                                  np.array([pv.b for pv in near]), _POLISH_ITERS)
-        for i in np.nonzero(res <= RESIDUAL_TOL)[0]:
-            pool.add(ProductVector(a[i], b[i]), float(res[i]))
-    return pool, min(full.tolist() + pool.residuals, default=float("inf"))
+    a = np.array([pv.a for pv in points]).reshape(len(points), wc.shape[1])
+    b = np.array([pv.b for pv in points]).reshape(len(points), wc.shape[2])
+    full = _membership_residuals(wc, a, b)
+    near = full <= math.sqrt(RESIDUAL_TOL)
+    polished, res = [], []
+    if near.any():
+        a, b, res = _polish_batch(wc, a[near], b[near], _POLISH_ITERS)
+        ok = np.nonzero(res <= RESIDUAL_TOL)[0]
+        polished, res = [ProductVector(a[i], b[i]) for i in ok], res[ok]
+    kept, kept_res = _distinct_points(polished, res)
+    return kept, kept_res, min(full.tolist() + kept_res, default=float("inf"))
 
 
 def _point_evidence(wc, dims, points, evidence):
@@ -1077,7 +1075,7 @@ def classify_goodness(state: BipartiteState, *,
     """
     dims = state.dims
     borderline = dims.m + dims.n - 2
-    rank = rank_profile(state, tol_rel=rank_tol).rank
+    rank = len(state.split(rank_tol)[1])
     if rank < borderline:
         return GoodnessVerdict(Goodness.INDETERMINATE, GoodnessReason.RANK_BELOW_BORDERLINE)
     enn = enumeration

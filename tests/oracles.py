@@ -29,7 +29,10 @@ quantity as a package function by the direct, slow construction:
   retire rule;
 - `pencil_roots_2xn` finds the product vectors of a subspace of
   C^2 (x) C^n with a square membership system from the one determinant
-  condition, where `segre.enumerate_product_vectors` tracks homotopy paths.
+  condition, where `segre.enumerate_product_vectors` tracks homotopy paths;
+- `_PointPool` dedups points one `ProductVector.overlap` call at a time,
+  where `segre._distinct` compares each row with every kept one in one
+  batched product.
 """
 
 from __future__ import annotations
@@ -49,11 +52,11 @@ from pptlab.qstate import (
     range_basis,
 )
 from pptlab.segre import (
+    DEDUP_TOL,
     RESIDUAL_TOL,
     _HOMOTOPY_ENDGAME,
     _HOMOTOPY_MIN_STEP,
     _PathTracker,
-    _PointPool,
     _det_samples_to_coeffs,
     _polish_batch,
     _poly_roots_companion,
@@ -268,6 +271,26 @@ def transversal_by_tangent_span(k: SubspaceBasis, pv: ProductVector,
     tangent = np.hstack([np.kron(pv.a[:, None], np.eye(n)), np.kron(np.eye(m), pv.b[:, None])])
     sv = np.linalg.svd(np.hstack([k.vectors.T, tangent]), compute_uv=False)
     return int(np.sum(sv > RANK_TOL * sv[0])) == dims.total
+
+
+class _PointPool:
+    """Accumulates verified points with scale-invariant deduplication."""
+
+    def __init__(self):
+        self.points: list = []
+        self.residuals: list = []
+
+    def add(self, pv: ProductVector, residual: float) -> bool:
+        """Adds a point unless it is one already held; True when it is new."""
+        for i, q in enumerate(self.points):
+            if pv.overlap(q) > 1.0 - DEDUP_TOL:
+                if residual < self.residuals[i]:
+                    self.points[i] = pv
+                    self.residuals[i] = residual
+                return False
+        self.points.append(pv)
+        self.residuals.append(residual)
+        return True
 
 
 def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims) -> list:

@@ -136,15 +136,18 @@ class TestAnalyze:
     def test_one_decomposition_per_operator(self, tmp_path, capsys, monkeypatch):
         # rho and rho^Gamma of the state and of its partial transpose: four
         # mn x mn eigendecompositions decide every rank, kernel, range and
-        # PPT verdict of the report, and no SVD does
+        # PPT verdict of the report, and no SVD does; rho_A and rho_B take
+        # one eigvalsh each, from the report's one rank profile
         path = tmp_path / "s.json"
         save_state(zoo.good_3x4(), path)
-        calls = []
+        calls, reduced = [], []
 
         def spy(kind, fn):
             def counted(a, *args, **kwargs):
                 if np.shape(a)[-2:] == (12, 12):
                     calls.append(kind)
+                elif kind == "eigvalsh":
+                    reduced.append(np.shape(a))
                 return fn(a, *args, **kwargs)
             return counted
 
@@ -153,6 +156,7 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 0, err
         assert len(calls) <= 4 and "svd" not in calls, calls
+        assert len(reduced) + calls.count("eigvalsh") <= 2, reduced
 
     def test_kon_mnogo_report(self, tmp_path, capsys):
         path = tmp_path / "s.json"

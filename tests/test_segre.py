@@ -15,11 +15,16 @@ from pptlab.qstate import (
     range_basis,
 )
 from pptlab.segre import (
+    DEDUP_TOL,
     POLISH_TARGET,
+    LineSubspace,
     Classification,
     Goodness,
     GoodnessReason,
     _alternate_batch,
+    _distinct,
+    _distinct_lines,
+    _distinct_points,
     _PathTracker,
     _homotopy_roots,
     _membership_residuals,
@@ -40,8 +45,9 @@ from pptlab.segre import (
     transversal,
 )
 from conftest import random_product_vector
-from oracles import (ReferenceTracker, _plane_alternation, alternate_by_inverse_iteration,
-                     pencil_roots_2xn, transversal_by_tangent_span)
+from oracles import (ReferenceTracker, _plane_alternation, _PointPool,
+                     alternate_by_inverse_iteration, pencil_roots_2xn,
+                     transversal_by_tangent_span)
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
@@ -338,6 +344,11 @@ class TestHomotopy:
         assert res.evidence["line_subspaces"] == []
 
 
+def factors(points):
+    """The a and the b factors of a list of ProductVectors, as row arrays."""
+    return np.array([pv.a for pv in points]), np.array([pv.b for pv in points])
+
+
 def span_of_products(m, n, k, rng):
     """The span of k generic product vectors, with those vectors."""
     pvs = [random_product_vector(BipartiteDims(m, n), rng) for _ in range(k)]
@@ -349,8 +360,90 @@ def near_copy(wc, pv, rng):
     full residual of about 4e-6."""
     d = rng.standard_normal(pv.a.size) + 1j * rng.standard_normal(pv.a.size)
     d -= np.vdot(pv.a, d) * pv.a
-    d *= 1e-6 / _membership_residuals(wc, [ProductVector(pv.a + 1e-6 * d, pv.b)])[0]
+    d *= 1e-6 / _membership_residuals(wc, (pv.a + 1e-6 * d)[None, :], pv.b[None, :])[0]
     return ProductVector(pv.a + 4e-6 * d, pv.b)
+
+
+def turned(v, d, overlap):
+    """The unit vector at |<v, .>| = overlap from unit v, toward the unit
+    direction d orthogonal to v."""
+    return overlap * v + np.sqrt(1 - overlap ** 2) * d
+
+
+def dedup_candidates(rng, dim_a, dim_b):
+    """Seeded candidate rows (a, b, residual) for a dedup: six classes with
+    exact copies, near copies at overlap 1 - DEDUP_TOL/2 (they join) and
+    1 - 2 DEDUP_TOL (they stay apart), later copies with a lower residual,
+    and a chain that joins a class only through its new representative."""
+    def unit(k):
+        v = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        return v / np.linalg.norm(v)
+
+    def orthogonal(v):
+        d = unit(v.size)
+        d -= np.vdot(v, d) * v
+        return d / np.linalg.norm(d)
+
+    rows = [(unit(dim_a), unit(dim_b), r) for r in rng.uniform(1e-13, 1e-11, 6)]
+    tail = []
+    for a, b, r in rows[:3]:
+        tail.append((a.copy(), b.copy(), r * 2))
+        tail.append((a * np.exp(1j * rng.uniform(0, 6)), b, r * 0.5))
+    for a, b, r in rows[3:]:
+        d = orthogonal(a)
+        tail.append((turned(a, d, 1 - DEDUP_TOL / 2), b, r * 3))
+        tail.append((turned(a, d, 1 - 2 * DEDUP_TOL), b, r))
+    a, b, r = rows[0]
+    d = orthogonal(a)
+    # one turn joins and takes over the class; two turns are 1 - 2 DEDUP_TOL
+    # from the first representative and join only through the second
+    tail.append((turned(a, d, 1 - DEDUP_TOL / 2), b, r / 100))
+    tail.append((turned(a, d, 2 * (1 - DEDUP_TOL / 2) ** 2 - 1), b, r))
+    order = rng.permutation(len(tail))
+    return rows + [tail[i] for i in order]
+
+
+def pool_order(cands, res):
+    """The kept candidates, in order, of the sequential reference pool."""
+    pool = _PointPool()
+    for pv, r in zip(cands, res):
+        pool.add(pv, r)
+    return pool.points, pool.residuals
+
+
+class TestDistinct:
+    """`_distinct` keeps the representatives of the sequential reference
+    pool, in its order, for points and for planes of either side."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_points_match_the_sequential_pool(self, seed):
+        rows = dedup_candidates(np.random.default_rng(seed), 3, 4)
+        cands = [ProductVector(a, b) for a, b, _ in rows]
+        res = [r for _, _, r in rows]
+        keep = _distinct(*factors(cands), res)
+        ref, ref_res = pool_order(cands, res)
+        assert 6 <= len(keep) < len(cands)
+        assert len(keep) == len(ref) and all(cands[i] is pv for i, pv in zip(keep, ref))
+        assert _distinct_points(cands, res) == ([cands[i] for i in keep], ref_res)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_planes_match_the_sequential_pool_per_side(self, seed):
+        rng = np.random.default_rng(seed)
+        for side, dim, dim_sub in (("A", 3, 4), ("B", 4, 3)):
+            rows = dedup_candidates(rng, dim, 1)
+            planes = [LineSubspace(side, a, SubspaceBasis(dim_sub, np.eye(dim_sub)[:2], 1e-10), r)
+                      for a, _, r in rows]
+            as_points = [ProductVector(ls.vector, [1.0]) for ls in planes]
+            ref, _ = pool_order(as_points, [ls.residual for ls in planes])
+            kept = _distinct_lines(planes)
+            assert 6 <= len(kept) < len(planes)
+            want = [planes[as_points.index(pv)] for pv in ref]
+            assert len(kept) == len(want) and all(x is y for x, y in zip(kept, want))
+
+    def test_no_rows(self):
+        assert _distinct(np.zeros((0, 3)), np.zeros((0, 4)), []).tolist() == []
+        assert _distinct_points([], []) == ([], [])
+        assert _distinct_lines([]) == []
 
 
 class TestSquareDown:
@@ -388,7 +481,7 @@ class TestSquareDown:
         assert wc.shape[0] > m + n - 2
         points, _, paths, _ = _homotopy_roots(wc)
         assert paths["tracked"] == zoo.delta(m, n)
-        full = _membership_residuals(wc, points)
+        full = _membership_residuals(wc, *factors(points))
         on_subspace = [pv for pv, r in zip(points, full) if r <= np.sqrt(1e-10)]
         assert match_sets(on_subspace, pvs)
         n0 = max(400, 4 * zoo.delta(m, n))
@@ -409,11 +502,11 @@ class TestSquareDown:
         wc = complement_stack(sub, dims).conj()
         points, _, paths, _ = _homotopy_roots(wc)
         assert len(points) == paths["accepted"] == zoo.delta(3, 4)
-        pv = next(p for p, r in zip(points, _membership_residuals(wc, points)) if r < 1e-12)
+        pv = next(p for p, r in zip(points, _membership_residuals(wc, *factors(points))) if r < 1e-12)
         moved = near_copy(wc, pv, rng)
-        assert 3e-6 < _membership_residuals(wc, [moved])[0] < 5e-6
-        pool, best = _roots_on_subspace(wc, points + [moved])
-        assert match_sets(pool.points, pvs)
+        assert 3e-6 < _membership_residuals(wc, *factors([moved]))[0] < 5e-6
+        kept, _, best = _roots_on_subspace(wc, points + [moved])
+        assert match_sets(kept, pvs)
         assert best <= 1e-10
 
     def test_a_near_root_without_a_count_is_polished_onto_the_subspace(self, rng, monkeypatch):
@@ -425,11 +518,11 @@ class TestSquareDown:
         sub, pvs = span_of_products(3, 4, 4, rng)
         wc = complement_stack(sub, dims).conj()
         points, residuals, paths, planes = _homotopy_roots(wc)
-        full = _membership_residuals(wc, points)
+        full = _membership_residuals(wc, *factors(points))
         pv = next(p for p, r in zip(points, full) if r < 1e-12)
         off = next(p for p, r in zip(points, full) if r > 1e-5)
         moved = near_copy(wc, pv, rng)
-        assert 3e-6 < _membership_residuals(wc, [moved])[0] < 5e-6
+        assert 3e-6 < _membership_residuals(wc, *factors([moved]))[0] < 5e-6
         lossy = [moved if p is pv else p for p in points if p is not off]
         assert len(lossy) == zoo.delta(3, 4) - 1
         original_polish = segre._polish_batch
@@ -476,7 +569,7 @@ class TestSquareDown:
         wsq = _square_down(wc, 5)
         assert wsq.shape == (5, 3, 4)
         pvs = [random_product_vector(BipartiteDims(3, 4), rng) for _ in range(8)]
-        assert np.all(_membership_residuals(wsq, pvs) <= _membership_residuals(wc, pvs) + 1e-14)
+        assert np.all(_membership_residuals(wsq, *factors(pvs)) <= _membership_residuals(wc, *factors(pvs)) + 1e-14)
 
     def test_cross_check_overrules_a_wrong_count(self, rng, monkeypatch):
         # pretend every endpoint is off the subspace: the multistart round
@@ -485,12 +578,13 @@ class TestSquareDown:
         dims = BipartiteDims(3, 4)
         sub, pvs = span_of_products(3, 4, 4, rng)
         claims = []
+        original = segre_mod._roots_on_subspace
 
         def off_subspace(wc, points):
             claims.append(len(points))
-            return np.ones(len(points))
+            return original(wc, [])
 
-        monkeypatch.setattr(segre_mod, "_membership_residuals", off_subspace)
+        monkeypatch.setattr(segre_mod, "_roots_on_subspace", off_subspace)
         res = enumerate_product_vectors(sub, dims)
         assert claims == [zoo.delta(3, 4)]
         assert res.classification != Classification.EMPTY
@@ -1209,8 +1303,9 @@ class TestPlaneSearch:
     def test_same_endpoints_as_the_svd_loop(self, label, monkeypatch):
         # from the endpoints the homotopy hands to _endpoint_planes, side A
         # and then side B on the rest, the Gram alternation reaches a plane
-        # from the same endpoints as the SVD loop it replaced; where the plane
-        # through an endpoint is unique (bad_3x4, bad_3x5) it is the same
+        # from the same endpoints as the SVD loop of as many iterations; where
+        # the plane through an endpoint is unique (bad_3x4, bad_3x5) it is
+        # the same
         state = PLANE_KERNELS[label]()
         kern = kernel_basis(state)
         wc = complement_stack(kern, state.dims).conj()
@@ -1227,16 +1322,16 @@ class TestPlaneSearch:
         for side, stack, vecs in (("A", wc, a), ("B", wc.transpose(0, 2, 1), b)):
             if todo.size == 0:
                 break
-            vec, planes, h = segre._plane_search(stack, vecs[todo], 2, segre._PLANE_ITERS)
-            ref, h_ref = _plane_alternation(stack, vecs[todo], 2, segre._PLANE_ITERS)
-            hit = h <= segre.RESIDUAL_TOL
-            assert np.array_equal(hit, h_ref <= segre.RESIDUAL_TOL)
-            todo = todo[~hit]
-            if label in ("bad_3x4", "bad_3x5"):
-                assert np.all(np.abs(np.einsum('si,si->s', vec[hit].conj(), ref[hit])) >= 1 - 1e-10)
-            for v, plane in zip(vec[hit], planes[hit]):
-                for w_vec in plane:
-                    prod = np.kron(v, w_vec) if side == "A" else np.kron(w_vec, v)
+            planes = segre._plane_search(side, stack, vecs[todo], 2)
+            ref, h_ref = _plane_alternation(stack, vecs[todo], 2, segre._ALTERNATE_ITERS)
+            assert list(planes) == list(np.flatnonzero(h_ref <= segre.RESIDUAL_TOL))
+            todo = np.delete(todo, list(planes))
+            for j, ls in planes.items():
+                assert ls.side == side
+                if label in ("bad_3x4", "bad_3x5"):
+                    assert abs(np.vdot(ls.vector, ref[j])) >= 1 - 1e-10
+                for w_vec in ls.subspace.vectors:
+                    prod = np.kron(ls.vector, w_vec) if side == "A" else np.kron(w_vec, ls.vector)
                     assert kern.project_residual(prod) <= segre.RESIDUAL_TOL
 
     @pytest.mark.parametrize("label", sorted(PLANE_KERNELS))
@@ -1257,12 +1352,40 @@ class TestPlaneSearch:
         state = zoo.bad_mxn(4, 5)
         wc = complement_stack(kernel_basis(state), state.dims).conj()
         a, _ = start_pairs(segre._LINE_STARTS, 4, 5)
-        first = segre._plane_search(wc, a, 2, segre._PLANE_ITERS)
-        again = segre._plane_search(wc, a, 2, segre._PLANE_ITERS)
-        head = segre._plane_search(wc, a[:16], 2, segre._PLANE_ITERS)
-        for x, y, h in zip(first, again, head):
-            assert np.array_equal(x, y)
-            assert np.allclose(x[:16], h, rtol=0, atol=1e-12)
+        first = segre._plane_search("A", wc, a, 2)
+        again = segre._plane_search("A", wc, a, 2)
+        head = segre._plane_search("A", wc, a[:16], 2)
+        assert first and list(first) == list(again)
+        assert list(head) == [j for j in first if j < 16]
+        for j, ls in first.items():
+            assert np.array_equal(ls.vector, again[j].vector)
+            assert np.array_equal(ls.subspace.vectors, again[j].subspace.vectors)
+            assert ls.residual == again[j].residual
+        for j, ls in head.items():
+            assert np.allclose(ls.vector, first[j].vector, rtol=0, atol=1e-12)
+            assert np.allclose(ls.subspace.vectors, first[j].subspace.vectors, rtol=0, atol=1e-12)
+
+    def test_one_alternation_from_frames_drawn_once(self, monkeypatch):
+        # the search is one _alternate of 60 iterations from its seeded
+        # frames, then one verification: no frame is redrawn on the way
+        state = zoo.bad_mxn(4, 5)
+        wc = complement_stack(kernel_basis(state), state.dims).conj()
+        a, _ = start_pairs(segre._LINE_STARTS, 4, 5)
+        original = segre._alternate
+        calls = []
+        monkeypatch.setattr(segre, "_alternate",
+                            lambda q, a, b, iters: calls.append(iters) or original(q, a, b, iters))
+        planes = segre._plane_search("A", wc, a, 2)
+        assert calls == [60]
+        z = np.random.default_rng(segre._START_SEED).standard_normal((a.shape[0], 5, 4))
+        frames = np.linalg.qr(z[:, :, :2] + 1j * z[:, :, 2:])[0]
+        ref_a, ref_b = original(segre._gram(wc), a, frames, 60)
+        h = np.linalg.norm(np.einsum('si,rij,sjw->srw', ref_a, wc, ref_b), axis=(1, 2))
+        assert planes and list(planes) == list(np.flatnonzero(h <= segre.RESIDUAL_TOL))
+        for j, ls in planes.items():
+            assert np.array_equal(ls.vector, ProductVector._canonical(ref_a[j]))
+            assert np.array_equal(ls.subspace.vectors, ref_b[j].T)
+            assert ls.residual == h[j]
 
     def test_calls_no_svd(self, monkeypatch):
         state = zoo.bad_mxn(4, 5)
@@ -1273,7 +1396,7 @@ class TestPlaneSearch:
             raise AssertionError("the plane search called np.linalg.svd")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        hits = segre._plane_rounds("A", wc, a, 2)
+        hits = segre._plane_search("A", wc, a, 2)
         assert hits and all(ls.subspace.vectors.shape == (2, 5) for ls in hits.values())
 
 

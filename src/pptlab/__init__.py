@@ -3,7 +3,8 @@
 The package is organized in four layers plus a command line front end:
 
 - :mod:`pptlab.qstate`  core operator algebra (partial transpose, reduced
-  operators, ranks, kernels) with explicit tolerances,
+  operators, ranks, kernels); a state carries the rank and PSD cuts that
+  every verdict on it reads,
 - :mod:`pptlab.zoo`     constructors for the named example states and
   unextendible product bases,
 - :mod:`pptlab.segre`   product vectors inside subspaces: enumeration,

@@ -45,8 +45,6 @@ from typing import Optional
 import numpy as np
 
 from .qstate import (
-    PSD_TOL,
-    RANK_TOL,
     BipartiteState,
     HermitianOperator,
     ProductVector,
@@ -218,32 +216,28 @@ def _coords(z: np.ndarray, symmetric: bool) -> np.ndarray:
     return out
 
 
-def extremality_nullity(state: BipartiteState, *, rank_tol: float = RANK_TOL,
-                        psd_tol: float = PSD_TOL) -> ExtremalityCert:
+def extremality_nullity(state: BipartiteState) -> ExtremalityCert:
     """Dimension of {Hermitian H : R(H) in R(rho), R(H^G) in R(rho^G)}.
 
-    When every imaginary part of rho is exactly zero, P, K and R are real
-    and, as Gamma commutes with transposition and complex conjugation, the
-    r(r+1)/2 symmetric units reach only real slabs and the r(r-1)/2
-    antisymmetric ones only imaginary slabs: the map is two real blocks,
-    each factored by its own QR and SVD.  Any other state's map is one block
-    of all r^2 units.  The spectrum is the sorted union of the blocks'.
+    The map is two real blocks when every imaginary part of rho is exactly
+    zero, as the module docstring derives, and one block of all r^2 units
+    otherwise; the spectrum is the sorted union of the blocks'.
 
     Verdicts: EXTREME for nullity one with a certified singular gap,
     NOT_EXTREME for larger nullity, BORDERLINE whenever the gap between
     kept and discarded singular values is too small to trust the integer.
     Singular values of the constraint map are cut at NULLITY_CUTOFF.  A
-    state that is NPT at `psd_tol` draws a warning.
+    state that is NPT at its `psd_tol` draws a warning.
     """
     m, n = state.dims.m, state.dims.n
     real = not np.any(state.matrix.imag)
-    ppt, min_eig = is_ppt(state, tol=psd_tol)
+    ppt, min_eig = is_ppt(state)
     if not ppt:
         warnings.warn(f"extremality criterion applied to an NPT state "
                       f"(min eigenvalue of the partial transpose {min_eig:.3e})")
-    p = state.split(rank_tol)[1]                                # r x mn
+    p = state.split()[1]                                        # r x mn
     r = p.shape[0]
-    kern, rng_gamma = state.split(rank_tol, gamma=True)
+    kern, rng_gamma = state.split(gamma=True)
     d = kern.shape[0]
     n_sym, c_sym = r * (r + 1) // 2, d * (d + 1) // 2 + d * (m * n - d)
     # the map: a row per unit, the coordinates of Re Z and then of Im Z
@@ -350,7 +344,7 @@ def witness_decomposition(state: BipartiteState, cert: ExtremalityCert) -> tuple
     scale = state.eigh()[0][-1]
     mu = 0.0
     for gamma, a, b in ((False, h, rho), (True, gh, grho)):
-        q = state.split(RANK_TOL, gamma)[1]
+        q = state.split(gamma)[1]
         try:
             w = _pencil_eigvalsh(q.conj() @ a @ q.T, q.conj() @ b @ q.T)
         except np.linalg.LinAlgError:   # not positive definite on its range: NPT
@@ -359,8 +353,9 @@ def witness_decomposition(state: BipartiteState, cert: ExtremalityCert) -> tuple
     eps = 0.5 / mu
     if eps < 1e-10 * scale:
         raise ArithmeticError("no usable splitting step above 1.0e-10 relative")
-    halves = tuple(BipartiteState(HermitianOperator(state.dims, rho + sign * eps * h),
-                                  psd_tol=np.inf) for sign in (-1.0, 1.0))   # checked here
+    # the halves carry the state's cuts; their PSD check is the one below
+    halves = tuple(state._derived(HermitianOperator(state.dims, rho + sign * eps * h), {})
+                   for sign in (-1.0, 1.0))
     if min(half.eigh(gamma)[0][0] for half in halves
            for gamma in (False, True)) < -1e-12 * scale:
         raise ArithmeticError(f"the closed-form step {eps:.3e} leaves the PPT set")
@@ -380,13 +375,12 @@ def necessary_bound(rank: int, rank_gamma: int, m: int, n: int) -> bool:
 
 
 def edge_check(state: BipartiteState, *,
-               enumeration: Optional[EnumerationResult] = None,
-               tol_rel: float = RANK_TOL, psd_tol: float = PSD_TOL) -> EdgeReport:
+               enumeration: Optional[EnumerationResult] = None) -> EdgeReport:
     """Look for a product vector in R(rho) whose partial conjugate lies in
     R(rho^Gamma); the state is an edge state iff none exists.
 
     Route one enumerates product vectors in the range (or takes
-    `enumeration`, a result for `range_basis(state, tol_rel)`) and tests
+    `enumeration`, a result for `range_basis(state)`) and tests
     each partner.  When that enumeration is finite or empty and complete by
     a homotopy count, the verdict follows from it.  Otherwise route two
     minimizes the joint projection residual from EDGE_FALLBACK_STARTS starts
@@ -395,19 +389,18 @@ def edge_check(state: BipartiteState, *,
     pair is found, 420 at most.  That verdict
     is a numerical certificate, reported with the start count and the best
     residual reached.  A pair counts when its residual is below
-    EDGE_PAIR_TOL.  A state that is NPT at `psd_tol` draws a warning.
+    EDGE_PAIR_TOL.  A state that is NPT at its `psd_tol` draws a warning.
     """
-    ppt, min_eig = is_ppt(state, tol=psd_tol)
+    ppt, min_eig = is_ppt(state)
     if not ppt:
         warnings.warn(f"edge check applied to an NPT state (min eig {min_eig:.3e})")
     dims = state.dims
     m, n = dims.m, dims.n
-    rng_rho = range_basis(state, tol_rel=tol_rel)
-    rng_gamma = SubspaceBasis(dims.total, state.split(tol_rel, gamma=True)[1], tol_rel)
+    rng_rho = range_basis(state)
+    rng_gamma = SubspaceBasis(dims.total, state.split(gamma=True)[1], state.rank_tol)
 
-    enum_res = enumeration
-    if enum_res is None:
-        enum_res = enumerate_product_vectors(rng_rho, dims)
+    enum_res = (enumerate_product_vectors(rng_rho, dims) if enumeration is None
+                else enumeration)
     starts = enum_res.evidence.get("starts_used", 0)
     best = enum_res.evidence.get("best_residual", float("inf"))
     route, paths = enum_res.evidence.get("route"), enum_res.evidence.get("paths")
@@ -499,13 +492,9 @@ def rank_n_separable_decomposition(state: BipartiteState) -> SeparableDecomposit
         c0inv = np.linalg.inv(c0)
         quots = [mixed[i] @ c0inv for i in range(1, m)]
         t = sum(rng.standard_normal() * q for q in quots) if quots else np.zeros((n, n))
-        eigs, z = _schur_basis(np.asarray(t, dtype=complex))
-        if len(eigs) > 1:
-            gaps = np.abs(eigs[:, None] - eigs[None, :])[np.triu_indices(n, 1)]
-            if quots and gaps.min() < 1e-8 * max(np.abs(eigs).max(), 1.0):
-                last_err = "eigenvalue collision"
-                # a collision can be structural; accept if the family still
-                # diagonalizes, otherwise retry with a fresh combination
+        # an eigenvalue collision can be structural: the combination is kept
+        # if the family still diagonalizes, else a fresh one is drawn
+        z = _schur_basis(np.asarray(t, dtype=complex))[1]
         lams = [z.conj().T @ q @ z for q in quots]
         off = 0.0
         for lam in lams:
@@ -560,25 +549,22 @@ def find_rank1_compression(state: BipartiteState) -> Optional[tuple]:
 
 def strongly_extreme_by_theorem(state: BipartiteState,
                                 goodness: Optional[GoodnessVerdict] = None,
-                                cert: Optional[ExtremalityCert] = None,
-                                rank_tol: float = RANK_TOL,
-                                psd_tol: float = PSD_TOL) -> StrongExtremality:
+                                cert: Optional[ExtremalityCert] = None) -> StrongExtremality:
     """Theorem-backed derivation: a good PPT state of rank m + n - 2 that is
     extreme shares its range with no other PPT state.  Anything that fails
     one of the three hypotheses returns NOT_APPLICABLE; this is not an
-    independent search.  Ranks cut at `rank_tol` and the PPT test at
-    `psd_tol`."""
+    independent search.  The rank and the PPT test read the state's cuts."""
     dims = state.dims
-    if len(state.split(rank_tol)[1]) != dims.m + dims.n - 2:
+    if len(state.split()[1]) != dims.m + dims.n - 2:
         return StrongExtremality.NOT_APPLICABLE
-    if not is_ppt(state, tol=psd_tol)[0]:
+    if not is_ppt(state)[0]:
         return StrongExtremality.NOT_APPLICABLE
     if goodness is None:
-        goodness = classify_goodness(state, rank_tol=rank_tol, psd_tol=psd_tol)
+        goodness = classify_goodness(state)
     if goodness.verdict != Goodness.GOOD:
         return StrongExtremality.NOT_APPLICABLE
     if cert is None:
-        cert = extremality_nullity(state, rank_tol=rank_tol, psd_tol=psd_tol)
+        cert = extremality_nullity(state)
     if cert.verdict != Extremality.EXTREME:
         return StrongExtremality.NOT_APPLICABLE
     return StrongExtremality.YES

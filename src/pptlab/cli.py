@@ -161,45 +161,41 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
                   tol_rank: float = qstate.RANK_TOL,
                   tol_psd: float = qstate.PSD_TOL,
                   fast: bool = False) -> AnalysisReport:
-    """Run the full pipeline; `fast` skips the range and edge searches."""
+    """Run the full pipeline at the cuts `tol_rank` and `tol_psd`, bound to the state once
+    with no new decomposition or PSD check; `fast` skips the range and edge searches."""
+    state = state._derived(cuts=(tol_rank, tol_psd))
     dims = state.dims
-    dlt = zoo.delta(dims.m, dims.n)
     tols = {"rank": tol_rank, "psd": tol_psd, "residual": segre.RESIDUAL_TOL}
     timings: dict = {}
     anomalies: list = []
 
     t0 = time.perf_counter()
-    profile = qstate.rank_profile(state, tol_rel=tol_rank)
-    ppt, min_eig = qstate.is_ppt(state, tol=tol_psd)
+    profile = qstate.rank_profile(state)
+    ppt, min_eig = qstate.is_ppt(state)
     timings["ranks"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    kernel = qstate.kernel_basis(state, tol_rel=tol_rank)
+    kernel = qstate.kernel_basis(state)
     enum_res = segre.enumerate_product_vectors(kernel, dims)
     gen_pos = None
     if enum_res.classification == segre.Classification.FINITE:
-        try:
+        with contextlib.suppress(ValueError):   # subset budget exceeded for large families
             gen_pos = segre.general_position(enum_res.points, dims)
-        except ValueError:   # subset budget exceeded for large families
-            gen_pos = None
     timings["kernel_enumeration"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    goodness = segre.classify_goodness(state, enumeration=enum_res,
-                                       rank_tol=tol_rank, psd_tol=tol_psd)
+    goodness = segre.classify_goodness(state, enumeration=enum_res)
     if goodness.anomaly:
         anomalies.append("kernel-count-below-delta-for-ppt-state")
-    borderline = dims.m + dims.n - 2
-    if (goodness.verdict == segre.Goodness.GOOD and profile.rank == borderline
-            and enum_res.count != dlt):
+    if (goodness.verdict == segre.Goodness.GOOD and profile.rank == dims.m + dims.n - 2
+            and enum_res.count != zoo.delta(dims.m, dims.n)):
         anomalies.append("good-at-borderline-rank-without-delta-points")
     timings["goodness"] = time.perf_counter() - t0
 
     range_ces = range_ev = None
     if not fast:
         t0 = time.perf_counter()
-        range_ces, range_res = segre.ces_certificate(
-            qstate.range_basis(state, tol_rel=tol_rank), dims)
+        range_ces, range_res = segre.ces_certificate(qstate.range_basis(state), dims)
         ev = range_res.to_json()["evidence"]    # an infinite best residual is None
         range_ev = {key: ev[key] for key in ("best_residual", "starts_used", "route", "paths")}
         plane = range_res.classification == segre.Classification.LIKELY_INFINITE
@@ -208,15 +204,10 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         timings["range_ces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cert = certify.extremality_nullity(state, rank_tol=tol_rank, psd_tol=tol_psd)
+    cert = certify.extremality_nullity(state)
     # the partial transpose verdict is reported alongside; no relation between
     # the two is assumed beyond what the good-case theorem gives
-    cert_gamma = None
-    if ppt:
-        gamma_state = qstate.BipartiteState(
-            qstate.HermitianOperator(dims, qstate.gamma_matrix(state)), psd_tol=tol_psd)
-        cert_gamma = certify.extremality_nullity(gamma_state, rank_tol=tol_rank,
-                                                 psd_tol=tol_psd)
+    cert_gamma = certify.extremality_nullity(state.gamma()) if ppt else None
     if any(c is not None and c.nullity == 0 for c in (cert, cert_gamma)):
         anomalies.append("extremality-nullity-zero")   # rho is always feasible
     timings["extremality"] = time.perf_counter() - t0
@@ -226,12 +217,10 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         t0 = time.perf_counter()
         # the range enumerated for the CES verdict is the one the edge check
         # needs
-        edge = certify.edge_check(state, tol_rel=tol_rank, psd_tol=tol_psd,
-                                  enumeration=range_res)
+        edge = certify.edge_check(state, enumeration=range_res)
         timings["edge"] = time.perf_counter() - t0
 
-    strong = certify.strongly_extreme_by_theorem(state, goodness=goodness, cert=cert,
-                                                 rank_tol=tol_rank, psd_tol=tol_psd)
+    strong = certify.strongly_extreme_by_theorem(state, goodness=goodness, cert=cert)
     return AnalysisReport(descriptor=descriptor, tolerances=tols, rank_profile=profile,
                           ppt=ppt, ppt_min_eig=min_eig, kernel=enum_res,
                           kernel_general_position=gen_pos,
@@ -304,9 +293,8 @@ def _sweep(args) -> int:
         idx, point = idx_point
         try:
             state = fam.build(point["m"], point["n"], point.get(fam.param))
-            rep = analyze_state(state, dict(point, seed=args.seed),
-                                tol_rank=args.tol_rank, tol_psd=args.tol_psd,
-                                fast=args.fast)
+            rep = analyze_state(state, dict(point, seed=args.seed), tol_rank=args.tol_rank,
+                                tol_psd=args.tol_psd, fast=args.fast)
             return idx, rep.to_json(include_timings=args.timings), rep
         except Exception as exc:   # recorded per-line, the sweep continues
             return idx, {"schema": SCHEMA, "input": point, "error": str(exc)}, None

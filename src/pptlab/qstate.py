@@ -5,11 +5,12 @@ product basis ordering |i>|j> -> row i*n + j, so the partial transpose is a
 deterministic block permutation.  States are positive semidefinite but not
 normalized; normalization is available as an explicit operation.
 
-Every rank, kernel and positivity answer is computed against an explicit
-tolerance and the borderline data (eigenvalue gaps, minimum eigenvalues) is
-reported alongside, so that exact-rank claims about particular states can be
-audited rather than trusted.  Each answer reads the one eigendecomposition
-of rho or of rho^Gamma that a state keeps, cut at |w| <= tol * max|w|.
+Every rank, kernel and positivity answer is computed against the two cuts
+that a state carries, `rank_tol` and `psd_tol`, and the borderline data
+(eigenvalue gaps, minimum eigenvalues) is reported alongside, so that
+exact-rank claims about particular states can be audited rather than
+trusted.  Each answer reads the one eigendecomposition of rho or of
+rho^Gamma that a state keeps, cut at |w| <= rank_tol * max|w|.
 """
 
 from __future__ import annotations
@@ -92,21 +93,34 @@ class HermitianOperator:
 
 @dataclass(eq=False)
 class BipartiteState:
-    """A positive semidefinite HermitianOperator with positive trace."""
+    """A positive semidefinite HermitianOperator with positive trace, and the two cuts
+    that every verdict on it reads: `rank_tol`, the relative eigenvalue cut of its ranks,
+    kernels and ranges, and `psd_tol`, the relative tolerance of its positivity checks.
+    Each cut is a finite 0 < t < 1; the constructor checks PSD at `psd_tol`."""
 
     op: HermitianOperator
+    rank_tol: float
+    psd_tol: float
     trace: float = field(init=False)
 
-    def __init__(self, op: HermitianOperator, psd_tol: float = PSD_TOL):
-        self.op, self._eig = op, {}
+    def __init__(self, op: HermitianOperator, *, rank_tol: float = RANK_TOL,
+                 psd_tol: float = PSD_TOL):
+        self._hold(op, {}, (rank_tol, psd_tol))
         w = self.eigh()[0]
         if not _psd_verdict(w, psd_tol)[0]:
             raise ValueError(f"matrix is not PSD: min eigenvalue {w[0]:.3e} "
                              f"vs max {max(w[-1], 0.0):.3e}")
-        tr = op.trace()
-        if tr <= 0:
-            raise ValueError(f"state must have positive trace, got {tr:.3e}")
-        self.trace = tr
+        if self.trace <= 0:
+            raise ValueError(f"state must have positive trace, got {self.trace:.3e}")
+
+    def _hold(self, op: HermitianOperator, eig: dict, cuts: tuple) -> None:
+        """Take `op`, its decompositions `eig` and `cuts` = (rank_tol, psd_tol), each a
+        finite 0 < t < 1: any other cut corrupts every rank or PPT verdict."""
+        for name, cut in zip(("rank_tol", "psd_tol"), cuts):
+            if not 0.0 < cut < 1.0:         # false for NaN
+                raise ValueError(f"{name} must be a tolerance 0 < t < 1, got {cut!r}")
+        self.op, self._eig, self.trace = op, eig, op.trace()
+        self.rank_tol, self.psd_tol = map(float, cuts)
 
     @property
     def dims(self) -> BipartiteDims:
@@ -127,12 +141,30 @@ class BipartiteState:
             self._eig[gamma] = w, v
         return self._eig[gamma]
 
-    def split(self, tol_rel: float, gamma: bool = False) -> tuple:
+    def split(self, gamma: bool = False) -> tuple:
         """(kernel rows, range rows) of rho, or of rho^Gamma when `gamma`:
-        the eigenvectors at |w| <= tol_rel * max|w|, then the others."""
+        the eigenvectors at |w| <= rank_tol * max|w|, then the others."""
         w, v = self.eigh(gamma)
-        small = _negligible(w, tol_rel)
+        small = _negligible(w, self.rank_tol)
         return v[:, small].T, v[:, ~small].T
+
+    def gamma(self) -> BipartiteState:
+        """rho^Gamma as a state with these cuts, holding this state's two
+        decompositions swapped; refuses a state that is NPT at `psd_tol`."""
+        ppt, min_eig = is_ppt(self)
+        if not ppt:
+            raise ValueError(f"the partial transpose is not PSD: min eigenvalue {min_eig:.3e}")
+        return self._derived(partial_transpose(self.op), {False: self.eigh(True),
+                                                          True: self.eigh()})
+
+    def _derived(self, op: HermitianOperator | None = None, eig: dict | None = None,
+                 cuts: tuple | None = None) -> BipartiteState:
+        """This state, or one on `op` holding the decompositions `eig`, at its cuts or
+        at `cuts`; no decomposition, PSD or trace check runs: the caller answers for them."""
+        out = BipartiteState.__new__(BipartiteState)
+        out._hold(self.op if op is None else op, self._eig if op is None else eig,
+                  cuts or (self.rank_tol, self.psd_tol))
+        return out
 
 
 @dataclass(eq=False)
@@ -279,11 +311,10 @@ def factor_blocks(state: BipartiteState, r_rows: int) -> BlockFactor:
     """Factor rho = C^dag C with R = r_rows rows; inverse of :func:`from_blocks`.
 
     Raises ValueError when r_rows is below the numerical rank of the state,
-    cut at RANK_TOL relative to the largest eigenvalue modulus, or when an
-    eigenvalue the cut keeps is negative.
+    cut at its `rank_tol`, or when an eigenvalue the cut keeps is negative.
     """
     w, v = state.eigh()
-    keep = ~_negligible(w, RANK_TOL)
+    keep = ~_negligible(w, state.rank_tol)
     if np.any(w[keep] < 0):
         raise ValueError(f"eigenvalue {w[keep][0]:.3e} is kept by the rank cut but negative")
     rank = int(np.sum(keep))
@@ -336,33 +367,32 @@ def reduced_operators(op: HermitianOperator) -> tuple:
 # ranks, positivity, kernels
 
 
-def _negligible(w: np.ndarray, tol_rel: float) -> np.ndarray:
-    """The one rank cut: which eigenvalues have |w| <= tol_rel * max|w|."""
+def _negligible(w: np.ndarray, cut: float) -> np.ndarray:
+    """The one rank cut: which eigenvalues have |w| <= cut * max|w|."""
     mod = np.abs(w)
-    return mod <= tol_rel * max(mod.max(initial=0.0), 1e-300)
+    return mod <= cut * max(mod.max(initial=0.0), 1e-300)
 
 
-def rank_profile(state: BipartiteState, tol_rel: float = RANK_TOL) -> RankProfile:
-    """Ranks of rho, rho^Gamma, rho_A, rho_B at a relative eigenvalue cutoff."""
+def rank_profile(state: BipartiteState) -> RankProfile:
+    """Ranks of rho, rho^Gamma, rho_A, rho_B at the state's `rank_tol`."""
     ranks, gaps = [], []
     for w in (state.eigh()[0], state.eigh(gamma=True)[0],
               *(np.linalg.eigvalsh(x) for x in reduced_operators(state.op))):
-        mod, small = np.abs(w), _negligible(w, tol_rel)
+        mod, small = np.abs(w), _negligible(w, state.rank_tol)
         ranks.append(int(np.sum(~small)))
         gaps.append(float(mod[small].max() / mod[~small].min()) if 0 < ranks[-1] < w.size
                     else 0.0)
     return RankProfile(*ranks, singular_gaps=tuple(gaps))
 
 
-def is_ppt(state: BipartiteState, tol: float = PSD_TOL) -> tuple:
-    """Whether rho^Gamma is PSD at a relative tolerance; returns (verdict, min_eig)."""
-    return _psd_verdict(state.eigh(gamma=True)[0], tol)
+def is_ppt(state: BipartiteState) -> tuple:
+    """Whether rho^Gamma is PSD at the state's `psd_tol`; returns (verdict, min_eig)."""
+    return _psd_verdict(state.eigh(gamma=True)[0], state.psd_tol)
 
 
 def _psd_verdict(eigs: np.ndarray, tol: float) -> tuple:
     """(whether ascending eigenvalues `eigs` are PSD at relative `tol`, least one)."""
-    top = max(eigs[-1], 0.0)
-    return bool(eigs[0] >= -tol * max(top, 1e-300)), float(eigs[0])
+    return bool(eigs[0] >= -tol * max(eigs[-1], 1e-300)), float(eigs[0])
 
 
 def null_space(a: np.ndarray) -> np.ndarray:
@@ -376,19 +406,19 @@ def null_space(a: np.ndarray) -> np.ndarray:
     return np.asfortranarray(vh)[int(np.sum(s > tol)):].T.conj()
 
 
-def kernel_basis(state: BipartiteState, tol_rel: float = RANK_TOL) -> SubspaceBasis:
+def kernel_basis(state: BipartiteState) -> SubspaceBasis:
     """Orthonormal basis of ker rho (eigenvectors at negligible eigenvalue)."""
-    return SubspaceBasis(state.dims.total, state.split(tol_rel)[0], tol_used=tol_rel)
+    return SubspaceBasis(state.dims.total, state.split()[0], tol_used=state.rank_tol)
 
 
-def range_basis(state: BipartiteState, tol_rel: float = RANK_TOL) -> SubspaceBasis:
+def range_basis(state: BipartiteState) -> SubspaceBasis:
     """Orthonormal basis of the range of rho; complements :func:`kernel_basis`."""
-    return SubspaceBasis(state.dims.total, state.split(tol_rel)[1], tol_used=tol_rel)
+    return SubspaceBasis(state.dims.total, state.split()[1], tol_used=state.rank_tol)
 
 
 def normalized(state: BipartiteState) -> BipartiteState:
-    """The trace-one scalar multiple of the state."""
-    return BipartiteState(HermitianOperator(state.dims, state.matrix / state.trace))
+    """The trace-one scalar multiple of the state, at its cuts."""
+    return state._derived(HermitianOperator(state.dims, state.matrix / state.trace), {})
 
 
 # ---------------------------------------------------------------------------

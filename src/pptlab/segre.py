@@ -106,7 +106,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .qstate import (
-    PSD_TOL,
     RANK_TOL,
     BipartiteDims,
     BipartiteState,
@@ -474,16 +473,14 @@ def minor_system_roots(k: SubspaceBasis, dims: BipartiteDims) -> list:
         return sum(c * amat for c, amat in zip(coeffs, amats))
 
     cands = []
+    k1 = n + 1
+    ws = np.exp(2j * np.pi * np.arange(k1) / k1)
     if m == 2:
-        k1 = n + 1
-        ws = np.exp(2j * np.pi * np.arange(k1) / k1)
         vals = np.array([np.linalg.det(u1 @ fmat([1.0, s])) for s in ws])
         for s in _poly_roots_companion(_det_samples_to_coeffs(vals)):
             cands.append(np.array([1.0, s]))
         cands.append(np.array([0.0, 1.0]))
     else:
-        k1 = n + 1
-        ws = np.exp(2j * np.pi * np.arange(k1) / k1)
         pgrid = np.array([[np.linalg.det(u1 @ fmat([1.0, s, t])) for t in ws] for s in ws])
         qgrid = np.array([[np.linalg.det(u2 @ fmat([1.0, s, t])) for t in ws] for s in ws])
         scale = max(np.abs(pgrid).max(), np.abs(qgrid).max(), 1e-300)
@@ -1057,30 +1054,29 @@ def general_position(pvs: Sequence[ProductVector], dims: BipartiteDims) -> bool:
 
 
 def classify_goodness(state: BipartiteState, *,
-                      enumeration: Optional[EnumerationResult] = None,
-                      rank_tol: float = RANK_TOL,
-                      psd_tol: float = PSD_TOL) -> GoodnessVerdict:
+                      enumeration: Optional[EnumerationResult] = None) -> GoodnessVerdict:
     """Good/bad verdict for a state from the product vectors in its kernel.
 
     Decision table, with r = rank and the borderline at m + n - 2:
     above the borderline the state is good iff the kernel holds no product
     vectors; at the borderline good means a finite count equal to
-    delta(m, n); below it the verdict is left to the separable route.
+    delta(m, n); below it the kernel does not decide, and the verdict is
+    INDETERMINATE (RANK_BELOW_BORDERLINE), as `analyze` reports it: only
+    `classify_separable_good` decides there, for a separable state whose
+    product decomposition the caller supplies.
     A finite count strictly below delta at the borderline contradicts what
     finite intersections can do for PPT states, so it is flagged as a
     numerical anomaly (likely missed roots) for PPT inputs rather than
     silently classified.  `enumeration` is a result for
-    `kernel_basis(state, rank_tol)`; ranks cut at `rank_tol` and the PPT
-    test at `psd_tol`.
+    `kernel_basis(state)`; ranks and the PPT test read the state's cuts.
     """
     dims = state.dims
     borderline = dims.m + dims.n - 2
-    rank = len(state.split(rank_tol)[1])
+    rank = len(state.split()[1])
     if rank < borderline:
         return GoodnessVerdict(Goodness.INDETERMINATE, GoodnessReason.RANK_BELOW_BORDERLINE)
-    enn = enumeration
-    if enn is None:
-        enn = enumerate_product_vectors(kernel_basis(state, tol_rel=rank_tol), dims)
+    enn = (enumerate_product_vectors(kernel_basis(state), dims) if enumeration is None
+           else enumeration)
     dlt = delta(dims.m, dims.n)
     if rank > borderline:
         if enn.classification == Classification.EMPTY:
@@ -1098,7 +1094,7 @@ def classify_goodness(state: BipartiteState, *,
     if enn.classification == Classification.FINITE and enn.count == dlt:
         return GoodnessVerdict(Goodness.GOOD, GoodnessReason.COUNT_EQUALS_DELTA, count=dlt)
     if enn.classification in (Classification.FINITE, Classification.EMPTY):
-        ppt = is_ppt(state, tol=psd_tol)[0]
+        ppt = is_ppt(state)[0]
         verdict = Goodness.BAD if ppt else Goodness.INDETERMINATE
         return GoodnessVerdict(verdict, GoodnessReason.COUNT_BELOW_DELTA_WITH_NONEMPTY_X,
                                count=enn.count, anomaly=ppt)

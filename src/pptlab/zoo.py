@@ -416,17 +416,14 @@ def bad_mxn(m: int, n: int, c: Optional[Sequence[float]] = None) -> BipartiteSta
     c = np.asarray([float(i) for i in range(3, m)] if c is None else c, dtype=complex)
     if c.size != m - 3:
         raise ValueError(f"bad {m}x{n} family needs {m - 3} parameters, got {c.size}")
-    if c.size:
-        if np.abs(c.imag).max() > 0:
-            raise ValueError("parameters c must be real")
-        c = c.real
-        if np.any(c == 0):
-            raise ValueError("parameters c must be nonzero")
-        diffs = np.abs(c[:, None] - c[None, :])[np.triu_indices(c.size, 1)]
-        if diffs.size and diffs.min() == 0:
-            raise ValueError("parameters c must be pairwise distinct")
-    else:
-        c = c.real
+    if np.any(c.imag != 0):
+        raise ValueError("parameters c must be real")
+    c = c.real
+    if np.any(c == 0):
+        raise ValueError("parameters c must be nonzero")
+    diffs = np.abs(c[:, None] - c[None, :])[np.triu_indices(c.size, 1)]
+    if diffs.size and diffs.min() == 0:
+        raise ValueError("parameters c must be pairwise distinct")
     base = _bad_3xn_blocks(n)
     p = np.zeros((n + 1, n))
     p[0, 1] = 1.0

@@ -8,7 +8,8 @@ quantity as a package function by the direct, slow construction:
   space and states both range constraints explicitly;
 - `constraint_columns` builds the extremality constraint matrix one
   Hermitian basis matrix at a time (r^2 partial transposes), in the column
-  order of `_hermitian_basis`, and `nullity_by_columns` cuts its singular
+  order of `_hermitian_basis`, from its own eigendecompositions of rho and
+  rho^Gamma, and `nullity_by_columns` cuts its singular
   values the way `certify.extremality_nullity` does;
 - `bisection_step` finds the witness splitting step by 60 bisection steps
   on the four PSD conditions;
@@ -49,7 +50,6 @@ from pptlab.qstate import (
     SubspaceBasis,
     _gamma,
     gamma_matrix,
-    range_basis,
 )
 from pptlab.segre import (
     DEDUP_TOL,
@@ -85,11 +85,13 @@ def _hermitian_basis(r: int) -> list:
     return out
 
 
-def kernel_columns(matrix: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Eigenvectors of a Hermitian matrix at |w| <= rank_tol * max|w|, as
-    columns, from this module's own `np.linalg.eigh`."""
+def eigen_columns(matrix: np.ndarray, rank_tol: float) -> tuple:
+    """(kernel, range) of a Hermitian matrix as eigenvector columns, the
+    kernel at |w| <= rank_tol * max|w|, from this module's own
+    `np.linalg.eigh`."""
     w, v = np.linalg.eigh(matrix)
-    return v[:, np.abs(w) <= rank_tol * max(np.abs(w).max(), 1e-300)]
+    small = np.abs(w) <= rank_tol * max(np.abs(w).max(), 1e-300)
+    return v[:, small], v[:, ~small]
 
 
 def nullity_unrestricted(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
@@ -100,7 +102,7 @@ def nullity_unrestricted(state: BipartiteState, cutoff: float = NULLITY_CUTOFF,
     d = m * n
     w, v = np.linalg.eigh(state.matrix)
     rperp = v[:, w <= rank_tol * w[-1]]
-    gperp = kernel_columns(gamma_matrix(state), rank_tol)
+    gperp = eigen_columns(gamma_matrix(state), rank_tol)[0]
     basis = _hermitian_basis(d)
     rows = []
     for e in basis:
@@ -120,8 +122,8 @@ def constraint_columns(state: BipartiteState, rank_tol: float = RANK_TOL) -> np.
     and imaginary parts of G^H Gamma(P E P^H) for each basis matrix E, with
     G an orthonormal basis of ker rho^Gamma and P one of R(rho)."""
     m, n = state.dims.m, state.dims.n
-    p = range_basis(state, tol_rel=rank_tol).vectors.T
-    gperp = kernel_columns(gamma_matrix(state), rank_tol)
+    p = eigen_columns(state.matrix, rank_tol)[1]
+    gperp = eigen_columns(gamma_matrix(state), rank_tol)[0]
     basis = _hermitian_basis(p.shape[1])
     cols = np.empty((2 * gperp.shape[1] * m * n, len(basis)))
     for idx, e in enumerate(basis):

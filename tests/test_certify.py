@@ -320,6 +320,15 @@ class TestWitnessDecomposition:
                 ref = np.linalg.norm(st.matrix - witness_decomposition(st, cert)[0].matrix)
             assert abs(eps - ref) <= 1e-12 * ref
 
+    def test_halves_carry_the_cuts(self):
+        # the halves' PPT test reads the state's finite psd_tol, not one that
+        # passes everything
+        state = BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.eye(4)),
+                               rank_tol=1e-8, psd_tol=1e-7)
+        for half in witness_decomposition(state, extremality_nullity(state)):
+            assert (half.rank_tol, half.psd_tol) == (1e-8, 1e-7)
+            assert is_ppt(half)[0]
+
     def test_npt_state_has_no_step(self):
         bell = np.zeros(4)
         bell[[0, 3]] = 1.0 / np.sqrt(2.0)

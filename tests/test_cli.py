@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from pptlab import certify, cli, segre, zoo
+from pptlab import certify, cli, qstate, segre, zoo
 from pptlab.cli import analyze_state, build_parser, main
 from pptlab.qstate import (BipartiteDims, BipartiteState, HermitianOperator, kernel_basis,
                            load_state, save_state)
@@ -134,10 +134,10 @@ class TestAnalyze:
         assert rep["range_ces"]["verdict"] is True
 
     def test_one_decomposition_per_operator(self, tmp_path, capsys, monkeypatch):
-        # rho and rho^Gamma of the state and of its partial transpose: four
-        # mn x mn eigendecompositions decide every rank, kernel, range and
-        # PPT verdict of the report, and no SVD does; rho_A and rho_B take
-        # one eigvalsh each, from the report's one rank profile
+        # rho and rho^Gamma: two mn x mn eigendecompositions decide every
+        # rank, kernel, range and PPT verdict of the report, the partial
+        # transpose's own extremality included, and no SVD does; rho_A and
+        # rho_B take one eigvalsh each, from the report's one rank profile
         path = tmp_path / "s.json"
         save_state(zoo.good_3x4(), path)
         calls, reduced = [], []
@@ -155,7 +155,7 @@ class TestAnalyze:
             monkeypatch.setattr(np.linalg, kind, spy(kind, getattr(np.linalg, kind)))
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 0, err
-        assert len(calls) <= 4 and "svd" not in calls, calls
+        assert len(calls) <= 2 and "svd" not in calls, calls
         assert len(reduced) + calls.count("eigvalsh") <= 2, reduced
 
     def test_kon_mnogo_report(self, tmp_path, capsys):
@@ -197,10 +197,10 @@ class TestAnalyze:
         assert rep["rank_profile"]["rank"] == rank
         assert rep["range_ces"]["verdict"] is False
 
-    def test_tol_psd_reaches_every_ppt_test(self, tmp_path, capsys, recwarn):
+    def test_tol_psd_reaches_every_ppt_test(self, tmp_path, capsys, recwarn, monkeypatch):
         # good_3x4 plus 1e-7 of its top eigenvalue along the maximally
         # entangled vector of the 3x3 corner: NPT at the default tolerance,
-        # PPT at --tol-psd 1e-6
+        # PPT at --tol-psd 1e-6, so rho^Gamma is analyzed too, at that cut
         state = zoo.good_3x4()
         psi = np.zeros(12)
         psi[[0, 5, 10]] = 1 / np.sqrt(3)
@@ -208,12 +208,34 @@ class TestAnalyze:
         path = tmp_path / "s.json"
         save_state(BipartiteState(HermitianOperator(
             state.dims, state.matrix + 1e-7 * top * np.outer(psi, psi))), path)
+        cuts = record_nullity_cuts(monkeypatch)
         out = tmp_path / "report.json"
         code, _, err = run_cli(capsys, "analyze", str(path), "--tol-psd", "1e-6",
                                "--out", str(out))
         assert code == 0, err
-        assert json.loads(out.read_text())["ppt"]["verdict"] is True
+        rep = json.loads(out.read_text())
+        assert rep["ppt"]["verdict"] is True
+        assert rep["extremality_of_partial_transpose"] is not None
+        assert cuts == [(1e-9, 1e-6)] * 2, cuts
         assert not [w for w in recwarn if "NPT" in str(w.message)]
+
+    def test_binding_the_cuts_runs_no_psd_check(self, rng):
+        # a state admitted at psd_tol 1e-6 with an eigenvalue of -1e-7 is
+        # analyzed at the default cuts: binding them to it checks nothing
+        u = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+        w = np.array([1.0, 0.5, 0.25, -1e-7, 0, 0, 0, 0, 0])
+        state = BipartiteState(HermitianOperator(BipartiteDims(3, 3), u @ np.diag(w) @ u.T),
+                               psd_tol=1e-6)
+        with pytest.warns(UserWarning, match="NPT"):
+            rep = analyze_state(state, {}, fast=True)
+        assert rep.tolerances["psd"] == 1e-9
+        assert rep.rank_profile.rank == 4
+
+    @pytest.mark.parametrize("cuts,named", [({"tol_rank": -1.0}, "rank_tol"),
+                                            ({"tol_psd": float("nan")}, "psd_tol")])
+    def test_a_cut_outside_0_1_is_refused(self, cuts, named):
+        with pytest.raises(ValueError, match=f"{named} must be a tolerance"):
+            analyze_state(zoo.good_3x4(), {}, **cuts)
 
     def test_nullity_zero_is_an_anomaly(self, tmp_path, capsys, monkeypatch):
         # rho is feasible for its own nullity problem, so zero cannot be right
@@ -395,6 +417,33 @@ def record_ces_certificates(monkeypatch):
 
     monkeypatch.setattr(segre, "ces_certificate", recorded)
     return seen
+
+
+def record_basis_cuts(monkeypatch):
+    """The `tol_used` of every SubspaceBasis built, wherever it is built."""
+    cuts = []
+    original = qstate.SubspaceBasis.__init__
+
+    def recorded(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        cuts.append(self.tol_used)
+
+    monkeypatch.setattr(qstate.SubspaceBasis, "__init__", recorded)
+    return cuts
+
+
+def record_nullity_cuts(monkeypatch):
+    """The (rank_tol, psd_tol) of every state whose extremality nullity is
+    taken."""
+    cuts = []
+    original = certify.extremality_nullity
+
+    def recorded(state):
+        cuts.append((state.rank_tol, state.psd_tol))
+        return original(state)
+
+    monkeypatch.setattr(certify, "extremality_nullity", recorded)
+    return cuts
 
 
 START_SEEDS = (1, 2, 3)
@@ -719,38 +768,26 @@ class TestRoutes:
         assert (edge["is_edge"], edge["route"]) == (True, "homotopy")
 
     def test_tol_rank_reaches_the_edge_check(self, monkeypatch):
-        seen = []
-        original = certify.edge_check
-
-        def spy(state, **kwargs):
-            seen.append(kwargs)
-            return original(state, **kwargs)
-
-        monkeypatch.setattr(certify, "edge_check", spy)
-        analyze_state(zoo.good_3x4(), {"case": "tol"}, tol_rank=1e-7)
-        assert seen[0]["tol_rel"] == 1e-7
-        assert seen[0]["enumeration"].evidence["route"] == "homotopy"
+        # every basis the analysis builds, the edge check's range of
+        # rho^Gamma included, is cut at --tol-rank, and the edge check
+        # reuses the range enumeration: two enumerations in all
+        cuts = record_basis_cuts(monkeypatch)
+        calls = count_enumerations(monkeypatch)
+        j = analyze_state(zoo.good_3x4(), {"case": "tol"}, tol_rank=1e-7).to_json()
+        # ker rho, R(rho) and R(rho^Gamma) at least
+        assert len(cuts) >= 3 and set(cuts) == {1e-7}, cuts
+        assert len(calls) == 2, calls
+        assert (j["edge"]["is_edge"], j["edge"]["route"]) == (True, "homotopy")
 
     def test_tol_rank_reaches_every_rank_cut(self, monkeypatch):
-        # the extremality nullity of rho and of rho^Gamma, and the range of
-        # rho^Gamma in the edge check, all cut at --tol-rank
-        nullity_tols, basis_tols = [], []
-        original_nullity, original_basis = certify.extremality_nullity, certify.SubspaceBasis
-
-        def nullity_spy(state, **kwargs):
-            nullity_tols.append(kwargs.get("rank_tol"))
-            return original_nullity(state, **kwargs)
-
-        def basis_spy(ambient_dim, vectors, tol_used):
-            basis_tols.append(tol_used)
-            return original_basis(ambient_dim, vectors, tol_used)
-
-        monkeypatch.setattr(certify, "extremality_nullity", nullity_spy)
-        monkeypatch.setattr(certify, "SubspaceBasis", basis_spy)
-        analyze_state(zoo.good_3x4(), {"case": "tol"}, tol_rank=1e-7)
-        assert nullity_tols == [1e-7, 1e-7]
-        assert basis_tols == [1e-7]
-
+        # the extremality nullity of rho and of rho^Gamma reads states cut
+        # at --tol-rank, and the ranks of the report are cut there too
+        cuts = record_nullity_cuts(monkeypatch)
+        j = analyze_state(zoo.good_3x4(), {"case": "tol"}, tol_rank=1e-7).to_json()
+        assert cuts == [(1e-7, 1e-9)] * 2, cuts
+        assert j["tolerances"]["rank"] == 1e-7
+        assert j["rank_profile"]["birank"] == [5, 5]
+        assert j["extremality_of_partial_transpose"]["verdict"] == "extreme"
 
     def test_tol_rank_reaches_goodness_and_strong_extremality(self):
         # good_3x4 plus 1e-8 of its top eigenvalue along a kernel product
@@ -767,6 +804,11 @@ class TestRoutes:
         assert j["extremality"]["verdict"] == "extreme"
         assert (j["goodness"]["verdict"], j["goodness"]["reason"]) == ("good", "count-equals-delta")
         assert j["strongly_extreme"] == "yes"
+        # at the default cut the lift is rank, and the theorem does not apply
+        j = analyze_state(lifted, {"case": "lifted"}).to_json()
+        assert j["rank_profile"]["birank"] == [6, 6]
+        assert j["extremality"]["verdict"] == "not-extreme"
+        assert j["strongly_extreme"] == "not-applicable"
 
 
 class TestSweep:

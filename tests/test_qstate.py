@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import warnings
@@ -81,6 +82,25 @@ class TestContainers:
     def test_state_rejects_indefinite(self):
         with pytest.raises(ValueError, match="not PSD"):
             BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.diag([1.0, -1.0, 0, 0])))
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, 1.0, 2.0, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["rank_tol", "psd_tol"])
+    def test_state_refuses_a_cut_outside_0_1(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a tolerance 0 < t < 1"):
+            BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.eye(4)), **{name: value})
+
+    def test_gamma_swaps_the_decompositions_and_keeps_the_cuts(self):
+        state = BipartiteState(zoo.good_3x4().op, rank_tol=1e-7, psd_tol=1e-6)
+        gamma = state.gamma()
+        assert np.array_equal(gamma.matrix, gamma_matrix(state))
+        assert gamma.eigh() is state.eigh(gamma=True) and gamma.eigh(gamma=True) is state.eigh()
+        assert (gamma.rank_tol, gamma.psd_tol, gamma.trace) == (1e-7, 1e-6, state.trace)
+
+    def test_gamma_refuses_an_npt_state(self):
+        bell = np.array([1.0, 0.0, 0.0, 1.0])
+        state = BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.outer(bell, bell)))
+        with pytest.raises(ValueError, match="partial transpose is not PSD"):
+            state.gamma()
 
     def test_block_factor_shape_checks(self):
         with pytest.raises(ValueError, match="disagree"):
@@ -309,12 +329,13 @@ class TestKernelRange:
                 assert np.linalg.norm(block) > 1e-8
 
 
-def near_cut_state(seed: int) -> BipartiteState:
-    """A 3 x 4 state with k in [1, 10] eigenvalues in [0.5, 1] (the top one
-    1), one at RANK_TOL (1 + delta), |delta| <= 1e-6, and the rest zero,
-    drawn from default_rng(seed).  The eigenbasis is a random unitary for
-    even seeds and a random local unitary U_A (x) U_B for odd ones, which
-    makes rho^Gamma's spectrum rho's, so that both sit at the cut."""
+def near_cut_state(seed: int, cut: float = RANK_TOL) -> BipartiteState:
+    """A 3 x 4 state with rank cut `cut`, k in [1, 10] eigenvalues in
+    [0.5, 1] (the top one 1), one at cut (1 + delta), |delta| <= 1e-6, and
+    the rest zero, drawn from default_rng(seed).  The eigenbasis is a
+    random unitary for even seeds and a random local unitary U_A (x) U_B
+    for odd ones, which makes rho^Gamma's spectrum rho's, so that both sit
+    at the cut."""
     rng = np.random.default_rng(seed)
 
     def unitary(k):
@@ -324,34 +345,37 @@ def near_cut_state(seed: int) -> BipartiteState:
     w = np.zeros(12)
     w[:k] = rng.uniform(0.5, 1.0, k)
     w[0] = 1.0
-    w[k] = RANK_TOL * (1 + rng.uniform(-1e-6, 1e-6))
+    w[k] = cut * (1 + rng.uniform(-1e-6, 1e-6))
     u = np.kron(unitary(3), unitary(4)) if seed % 2 else unitary(12)
-    return BipartiteState(HermitianOperator(BipartiteDims(3, 4), u @ np.diag(w) @ u.conj().T))
+    return BipartiteState(HermitianOperator(BipartiteDims(3, 4), u @ np.diag(w) @ u.conj().T),
+                          rank_tol=cut)
 
 
 class TestOneRankCut:
     """Rank, kernel, range and the extremality map are decided by one cut,
-    so they agree even with an eigenvalue at the cut itself."""
+    so they agree even with an eigenvalue at the cut itself, at the default
+    cut and at a state bound to 1e-7."""
 
     def test_rank_kernel_and_range_agree_at_the_cut(self):
-        disagree, gamma_checked = [], 0
-        for seed in range(200):
-            state = near_cut_state(seed)
+        disagree, gamma_checked = [], {}
+        for cut, seed in itertools.product((RANK_TOL, 1e-7), range(200)):
+            state = near_cut_state(seed, cut)
             prof = rank_profile(state)
             if not prof.rank == range_basis(state).dim == 12 - kernel_basis(state).dim:
-                disagree.append((seed, "rho"))
+                disagree.append((cut, seed, "rho"))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")      # most even draws are NPT
                 cert = extremality_nullity(state)
             # the map has r^2 units: the nullity plus the kept singular values
             if cert.nullity + int(np.sum(cert.singular_spectrum > NULLITY_CUTOFF)) != prof.rank ** 2:
-                disagree.append((seed, "extremality"))
+                disagree.append((cut, seed, "extremality"))
             if is_ppt(state)[0]:
-                gamma_checked += 1
-                gamma = BipartiteState(HermitianOperator(state.dims, gamma_matrix(state)))
+                gamma_checked[cut] = gamma_checked.get(cut, 0) + 1
+                gamma = BipartiteState(HermitianOperator(state.dims, gamma_matrix(state)),
+                                       rank_tol=cut)
                 if not prof.rank_gamma == range_basis(gamma).dim == 12 - kernel_basis(gamma).dim:
-                    disagree.append((seed, "rho^Gamma"))
-        assert gamma_checked >= 100
+                    disagree.append((cut, seed, "rho^Gamma"))
+        assert min(gamma_checked.values()) >= 100 and len(gamma_checked) == 2
         assert not disagree
 
 def zoo_states() -> dict:

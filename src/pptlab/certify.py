@@ -396,10 +396,9 @@ def edge_check(state: BipartiteState, *,
         warnings.warn(f"edge check applied to an NPT state (min eig {min_eig:.3e})")
     dims = state.dims
     m, n = dims.m, dims.n
-    rng_rho = range_basis(state)
     rng_gamma = SubspaceBasis(dims.total, state.split(gamma=True)[1], state.rank_tol)
 
-    enum_res = (enumerate_product_vectors(rng_rho, dims) if enumeration is None
+    enum_res = (enumerate_product_vectors(range_basis(state), dims) if enumeration is None
                 else enumeration)
     starts = enum_res.evidence.get("starts_used", 0)
     best = enum_res.evidence.get("best_residual", float("inf"))
@@ -415,7 +414,7 @@ def edge_check(state: BipartiteState, *,
         return EdgeReport(True, None, starts, best, route, paths)
 
     # joint minimization over (a, b) of the two projection residuals at once
-    kern_rho = complement_stack(rng_rho, dims).conj()            # basis of ker rho
+    kern_rho = complement_stack(range_basis(state), dims).conj()  # basis of ker rho
     kern_gamma = complement_stack(rng_gamma, dims).conj()
     q = _edge_gram(kern_rho, kern_gamma)
     a, b = start_pairs(EDGE_FALLBACK_STARTS, m, n)

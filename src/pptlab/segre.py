@@ -555,7 +555,7 @@ class _PathTracker:
     Each path has patch coordinates `z` (a, then b), a homotopy time `s`, a
     `step`, the tangent `tan` at z (NaN until the first step), and the
     flags `active`, `finished` (reached s = 1) and `diverged` (left for
-    infinity in the patch).
+    infinity in the patch).  Every step is dz = N du, N = `null`.
     """
 
     def __init__(self, wc: np.ndarray):
@@ -582,12 +582,18 @@ class _PathTracker:
         b0 = np.linalg.svd(self.y[on_b])[2][:, -1].conj()
         self.z = np.concatenate([a0 / (a0 @ self.patch_a)[:, None],
                                  b0 / (b0 @ self.patch_b)[:, None]], axis=1)
-        self.patch_rows = np.zeros((2, m + n), dtype=complex)
-        self.patch_rows[0, :m] = self.patch_a
-        self.patch_rows[1, m:] = self.patch_b
         self.rp, self.m, self.n = rp, m, n
         self.wa = wc.transpose(1, 0, 2).reshape(m, rp * n)
-        self.wb = wc.transpose(2, 0, 1).reshape(n, rp * m)
+        # N: the patches' directions, one orthonormal null basis per factor
+        self.null = np.zeros((m + n, m + n - 2), dtype=complex)
+        self.null[:m, :m - 1] = np.linalg.svd(self.patch_a[None])[2][1:].conj().T
+        self.null[m:, m - 1:] = np.linalg.svd(self.patch_b[None])[2][1:].conj().T
+        # rows l and m + n + l: the coefficients of dF1/dz N and dF0/dz N on z_l
+        t = np.zeros((2, m + n, rp, m + n), dtype=complex)
+        for k, w in enumerate((wc, self.x[:, :, None] * self.y[:, None, :])):
+            t[k, :m, :, m:] = w.transpose(1, 0, 2)
+            t[k, m:, :, :m] = w.transpose(2, 0, 1)
+        self.tn = (t @ self.null).reshape(2 * (m + n), rp * (m + n - 2))
 
         paths = self.z.shape[0]
         self.s = np.zeros(paths)
@@ -598,39 +604,26 @@ class _PathTracker:
         self.diverged = np.zeros(paths, dtype=bool)
 
     def jacobian(self, z, s):
-        """(dH/dz, F1, F0) at each row of z; s is per row."""
+        """(dH/dz N, F1, F0) at each row of z; s is per row."""
         rp, m, n = self.rp, self.m, self.n
         a, b = z[:, :m], z[:, m:]
+        w = np.concatenate([s[:, None] * z, (self.gamma * (1 - s))[:, None] * z], axis=1)
         fa = (a @ self.wa).reshape(z.shape[0], rp, n)
-        gb = (b @ self.wb).reshape(z.shape[0], rp, m)
-        xa, yb = a @ self.x.T, b @ self.y.T
-        w0 = (self.gamma * (1 - s))[:, None, None]
-        w1 = s[:, None, None]
-        jac = np.empty((z.shape[0], rp + 2, m + n), dtype=complex)
-        jac[:, :rp, :m] = w1 * gb + (w0 * yb[:, :, None]) * self.x
-        jac[:, :rp, m:] = w1 * fa + (w0 * xa[:, :, None]) * self.y
-        jac[:, rp:] = self.patch_rows
-        return jac, (fa @ b[:, :, None])[:, :, 0], xa * yb
+        return ((w @ self.tn).reshape(z.shape[0], rp, m + n - 2), (fa @ b[:, :, None])[:, :, 0],
+                (a @ self.x.T) * (b @ self.y.T))
 
     def tangent(self, z, s):
-        """dz/ds = -(dH/dz)^-1 dH/ds."""
-        jac, f1, f0 = self.jacobian(z, s)
-        hs = np.zeros((z.shape[0], self.rp + 2, 1), dtype=complex)
-        hs[:, :self.rp, 0] = f1 - self.gamma * f0
-        return -_solve_rows(jac, hs)[:, :, 0]
+        """dz/ds = -(dH/dz)^-1 dH/ds, in the patch."""
+        jn, f1, f0 = self.jacobian(z, s)
+        return -_solve_rows(jn, (f1 - self.gamma * f0)[:, :, None])[:, :, 0] @ self.null.T
 
     def newton(self, z, s):
-        """The Newton correction (dH/dz)^-1 H and the tangent at z, both from
-        one LU of dH/dz."""
-        rp, m = self.rp, self.m
-        jac, f1, f0 = self.jacobian(z, s)
-        rhs = np.zeros((z.shape[0], rp + 2, 2), dtype=complex)
-        rhs[:, :rp, 0] = (self.gamma * (1 - s))[:, None] * f0 + s[:, None] * f1
-        rhs[:, rp, 0] = z[:, :m] @ self.patch_a - 1
-        rhs[:, rp + 1, 0] = z[:, m:] @ self.patch_b - 1
-        rhs[:, :rp, 1] = f1 - self.gamma * f0
-        x = _solve_rows(jac, rhs)
-        return x[:, :, 0], -x[:, :, 1]
+        """The Newton correction (dH/dz)^-1 H and the tangent at z, both in
+        the patch and from one LU of dH/dz N."""
+        jn, f1, f0 = self.jacobian(z, s)
+        h = (self.gamma * (1 - s))[:, None] * f0 + s[:, None] * f1
+        x = _solve_rows(jn, np.stack([h, f1 - self.gamma * f0], axis=2))
+        return x[:, :, 0] @ self.null.T, -x[:, :, 1] @ self.null.T
 
     def advance(self):
         """One predictor-corrector step on every active path.
@@ -644,8 +637,8 @@ class _PathTracker:
         RK4's local error is O(h^5).  A rejected step keeps the point and
         its tangent, and halves that path's step alone.  A path whose step
         is rejected in the endgame zone s >= _HOMOTOPY_ENDGAME stops where
-        it stands: a path to a nonsingular root is not rejected that close
-        to s = 1, so its endpoint is left to the endpoint classification.
+        it stands; `_homotopy_roots` polishes its endpoint as it does a
+        finished path's.
         """
         idx = np.nonzero(self.active)[0]
         with np.errstate(all="ignore"):
@@ -705,20 +698,27 @@ def _homotopy_roots(wc: np.ndarray):
     Wampler 2005, ch. 2).  All random data come from a fixed seed, so the
     result is deterministic.
 
-    The stack is reshaped once per call into wa (m x R'n) and wb (n x R'm),
-    so F(a) = a wa and G(b) = b wb are one GEMM each over all paths, and
-    dH/dz is written into a single array with the patch rows.  A Newton
+    Every step stays in the patch: dz = N du, N an orthonormal basis of
+    {patch_a . da = 0} x {patch_b . db = 0}, so each tangent and Newton
+    solve is the square (m + n - 2) system dH/dz N du = rhs; in exact
+    arithmetic its steps are those of dH/dz bordered by the two patch rows
+    (the affine-patch formulation, Sommese & Wampler 2005, ch. 2-3).  H is
+    bilinear in (a, b), so dH/dz is linear in z; its coefficients times N
+    are formed once per tracker, and dH/dz N at every path is one GEMM.  F1
+    = (a wa) b, wa the stack reshaped to m x R'n, and F0 = (a x^T)(b y^T)
+    are evaluated directly.  A Newton
     solve takes dH/ds as a second right-hand side, so the last one of an
     accepted step also yields the tangent the next predictor starts from; a
     rejected step reuses the tangent it started from, and a step costs six
-    solves.  An exactly singular dH/dz fails its own path's step, not the
+    solves.  An exactly singular dH/dz N fails its own path's step, not the
     batch's.
 
     Each path ends in one of four classes:
 
-    - accepted: it reached s = 1, and its endpoint polishes to the residual
-      tolerance of the tracked system with a nonsingular gauge-fixed
-      Jacobian of that system;
+    - accepted: it reached s = 1, or stopped in the endgame zone s >=
+      _HOMOTOPY_ENDGAME without diverging, and its endpoint polishes to the
+      residual tolerance of the tracked system with a nonsingular
+      gauge-fixed Jacobian of that system;
     - on-plane: its endpoint has residual <= sqrt(RESIDUAL_TOL) on wc, and
       `_plane_search`, run by `_endpoint_planes` from the endpoint's a
       (side A) or b (side B), finds a two-dimensional frame B
@@ -750,10 +750,10 @@ def _homotopy_roots(wc: np.ndarray):
             break
         tracker.advance()
 
-    z, finished = tracker.z, tracker.finished
+    z = tracker.z
     accepted = np.zeros(z.shape[0], dtype=bool)
     roots, res = [], []
-    done = np.nonzero(finished)[0]
+    done = np.nonzero(~tracker.diverged & (tracker.s >= _HOMOTOPY_ENDGAME))[0]
     if done.size:
         a, b = z[done, :m], z[done, m:]
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
@@ -766,7 +766,7 @@ def _homotopy_roots(wc: np.ndarray):
     points, residuals = _distinct_points(roots, res)
     rest = np.nonzero(~accepted & ~tracker.diverged)[0]
     planes, on_plane = _endpoint_planes(wc, z[rest, :m], z[rest, m:])
-    counts = {"tracked": z.shape[0], "finished": int(finished.sum()),
+    counts = {"tracked": z.shape[0], "finished": int(tracker.finished.sum()),
               "accepted": int(accepted.sum()), "on_plane": on_plane}
     return points, residuals, counts, planes
 

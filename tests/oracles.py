@@ -13,7 +13,10 @@ quantity as a package function by the direct, slow construction:
   values the way `certify.extremality_nullity` does;
 - `bisection_step` finds the witness splitting step by 60 bisection steps
   on the four PSD conditions;
-- `ReferenceTracker` tracks homotopy paths with a fresh tangent at the top
+- `BorderedTracker` solves every tangent and Newton step with the
+  (m + n)-square Jacobian bordered by the two patch rows, where
+  `segre._PathTracker` solves in the patch's own m + n - 2 directions, and
+  `ReferenceTracker` tracks with that algebra, a fresh tangent at the top
   of every attempted step and a fixed x1.6 growth of an accepted step;
 - `scipy_pencil_eigvalsh` and `scipy_schur_basis` are the scipy routes
   (generalized `eigh`, complex `schur`) that `certify._pencil_eigvalsh` and
@@ -60,6 +63,7 @@ from pptlab.segre import (
     _det_samples_to_coeffs,
     _polish_batch,
     _poly_roots_companion,
+    _solve_rows,
     complement_stack,
 )
 
@@ -182,8 +186,59 @@ def bisection_step(state: BipartiteState, h: np.ndarray) -> float:
     return lo / 2.0
 
 
-class ReferenceTracker(_PathTracker):
-    """`segre._PathTracker` with the plain step: RK4 from the tangent
+class BorderedTracker(_PathTracker):
+    """`segre._PathTracker` with the bordered algebra: each tangent and Newton
+    solve factors the (m + n) x (m + n) Jacobian of dH/dz over the two patch
+    rows, whose Newton right-hand side holds the patch residuals, where the
+    package solves the (m + n - 2)-square system in the patch's directions.
+    The step rule is the package's."""
+
+    def __init__(self, wc: np.ndarray):
+        super().__init__(wc)
+        rp, m, n = wc.shape
+        self.patch_rows = np.zeros((2, m + n), dtype=complex)
+        self.patch_rows[0, :m] = self.patch_a
+        self.patch_rows[1, m:] = self.patch_b
+        self.wb = wc.transpose(2, 0, 1).reshape(n, rp * m)
+
+    def jacobian(self, z, s):
+        """(dH/dz, F1, F0) at each row of z; s is per row."""
+        rp, m, n = self.rp, self.m, self.n
+        a, b = z[:, :m], z[:, m:]
+        fa = (a @ self.wa).reshape(z.shape[0], rp, n)
+        gb = (b @ self.wb).reshape(z.shape[0], rp, m)
+        xa, yb = a @ self.x.T, b @ self.y.T
+        w0 = (self.gamma * (1 - s))[:, None, None]
+        w1 = s[:, None, None]
+        jac = np.empty((z.shape[0], rp + 2, m + n), dtype=complex)
+        jac[:, :rp, :m] = w1 * gb + (w0 * yb[:, :, None]) * self.x
+        jac[:, :rp, m:] = w1 * fa + (w0 * xa[:, :, None]) * self.y
+        jac[:, rp:] = self.patch_rows
+        return jac, (fa @ b[:, :, None])[:, :, 0], xa * yb
+
+    def tangent(self, z, s):
+        """dz/ds = -(dH/dz)^-1 dH/ds."""
+        jac, f1, f0 = self.jacobian(z, s)
+        hs = np.zeros((z.shape[0], self.rp + 2, 1), dtype=complex)
+        hs[:, :self.rp, 0] = f1 - self.gamma * f0
+        return -_solve_rows(jac, hs)[:, :, 0]
+
+    def newton(self, z, s):
+        """The Newton correction (dH/dz)^-1 H and the tangent at z, both from
+        one LU of dH/dz."""
+        rp, m = self.rp, self.m
+        jac, f1, f0 = self.jacobian(z, s)
+        rhs = np.zeros((z.shape[0], rp + 2, 2), dtype=complex)
+        rhs[:, :rp, 0] = (self.gamma * (1 - s))[:, None] * f0 + s[:, None] * f1
+        rhs[:, rp, 0] = z[:, :m] @ self.patch_a - 1
+        rhs[:, rp + 1, 0] = z[:, m:] @ self.patch_b - 1
+        rhs[:, :rp, 1] = f1 - self.gamma * f0
+        x = _solve_rows(jac, rhs)
+        return x[:, :, 0], -x[:, :, 1]
+
+
+class ReferenceTracker(BorderedTracker):
+    """`BorderedTracker` with the plain step: RK4 from the tangent
     recomputed at the path's point, and a step that grows by 1.6 on success
     and halves on rejection."""
 

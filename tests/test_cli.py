@@ -666,6 +666,14 @@ class TestRoutes:
         assert "- range is completely entangled: True (route homotopy" in md
         assert "- edge state: True (route homotopy" in md
 
+    def test_three_subspace_bases_per_analysis(self, monkeypatch):
+        # ker rho, R(rho) and R(rho^Gamma), each built once: the edge check
+        # takes the range enumeration the homotopy settled and builds no
+        # second R(rho)
+        cuts = record_basis_cuts(monkeypatch)
+        analyze_state(zoo.good_3x4(), {})
+        assert len(cuts) == 3
+
     def test_separable_range_settled_by_count(self, rng):
         # the range of two product terms holds them; the count finds both,
         # so the range is not CES and the edge check finds a pair

@@ -45,7 +45,7 @@ from pptlab.segre import (
     transversal,
 )
 from conftest import random_product_vector
-from oracles import (ReferenceTracker, _plane_alternation, _PointPool,
+from oracles import (BorderedTracker, ReferenceTracker, _plane_alternation, _PointPool,
                      alternate_by_inverse_iteration, pencil_roots_2xn,
                      transversal_by_tangent_span)
 from test_qstate import bad_separable_3x3, werner_2x2
@@ -1436,6 +1436,75 @@ class TestTrackerOracle:
             for w_vec in ls.subspace.vectors:
                 a, b = (ls.vector, w_vec) if ls.side == "A" else (w_vec, ls.vector)
                 assert np.linalg.norm(np.einsum('i,rij,j->r', a, wc, b)) < 1e-8
+
+
+def tracked(tracker):
+    """The tracker, advanced until no path is active, and its advance count."""
+    advances = 0
+    while tracker.active.any() and advances < segre._HOMOTOPY_MAX_STEPS:
+        tracker.advance()
+        advances += 1
+    return tracker, advances
+
+
+def random_square_system(m, n):
+    """A seeded random complex square membership system of an m x n space."""
+    rng = np.random.default_rng(5)
+    shape = (m + n - 2, m, n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# the tracker systems, and two where m or n is 1 and one patch has no direction
+REDUCED_SYSTEMS = {**TRACKER_SYSTEMS, "random_1x3": random_square_system(1, 3),
+                   "random_3x1": random_square_system(3, 1)}
+
+
+class TestReducedTracker:
+    # solving in the patch's own directions takes the same steps as the
+    # bordered Jacobian: every tangent and correction is the same in exact
+    # arithmetic, so the paths match advance for advance
+    @pytest.mark.parametrize("label", sorted(REDUCED_SYSTEMS))
+    def test_same_paths_as_the_bordered_tracker(self, label):
+        wc = REDUCED_SYSTEMS[label]
+        m = wc.shape[1]
+        red, red_advances = tracked(_PathTracker(wc))
+        ref, ref_advances = tracked(BorderedTracker(wc))
+        assert red_advances == ref_advances
+        for flag in ("finished", "diverged", "active"):
+            assert np.array_equal(getattr(red, flag), getattr(ref, flag))
+        assert np.abs(red.z - ref.z).max() <= 1e-10
+        assert np.abs(red.z[:, :m] @ red.patch_a - 1).max() <= 1e-12
+        assert np.abs(red.z[:, m:] @ red.patch_b - 1).max() <= 1e-12
+
+    def test_every_solve_is_square_in_the_patch(self, monkeypatch):
+        wc = TRACKER_SYSTEMS["bad_4x5_kernel"]
+        shapes = set()
+        original = segre._solve_rows
+        monkeypatch.setattr(segre, "_solve_rows",
+                            lambda jac, rhs: shapes.add(jac.shape[1:]) or original(jac, rhs))
+        tracked(_PathTracker(wc))
+        assert shapes == {(7, 7)}
+
+
+class TestEndgameStop:
+    # a path stopped in the endgame zone short of s = 1 is polished and
+    # accepted by the rule of a finished one
+    def test_good_3x6_stays_good_by_count_under_kappa_1000(self):
+        state = slocc_changed(zoo.good_3xn(6), 1000, 102)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
+        assert (res.classification, res.count) == (Classification.FINITE, 21)
+        assert (res.evidence["route"], res.evidence["starts_used"]) == ("homotopy", 0)
+        paths = res.evidence["paths"]
+        assert paths["accepted"] == 21 > paths["finished"]
+        verdict = classify_goodness(state, enumeration=res)
+        assert verdict.verdict == Goodness.GOOD
+        assert verdict.reason == GoodnessReason.COUNT_EQUALS_DELTA
+
+    def test_bad_4x5_keeps_its_count_under_kappa_1000(self):
+        state = slocc_changed(zoo.bad_mxn(4, 5), 1000, 101)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
+        assert (res.classification, res.count) == (Classification.LIKELY_INFINITE, 19)
+        assert res.evidence["route"] == "homotopy"
 
 
 class TestSeparable:

@@ -187,9 +187,6 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
     goodness = segre.classify_goodness(state, enumeration=enum_res)
     if goodness.anomaly:
         anomalies.append("kernel-count-below-delta-for-ppt-state")
-    if (goodness.verdict == segre.Goodness.GOOD and profile.rank == dims.m + dims.n - 2
-            and enum_res.count != zoo.delta(dims.m, dims.n)):
-        anomalies.append("good-at-borderline-rank-without-delta-points")
     timings["goodness"] = time.perf_counter() - t0
 
     range_ces = range_ev = None

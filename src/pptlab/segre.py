@@ -90,9 +90,11 @@ deliberately refuses to overclaim: Finite needs a complete homotopy count,
 and a search alone never reports it.
 
 `minor_system_roots`, the determinantal system, is an independent root
-finder kept as a test oracle beside those of the tests' own oracle module;
-enumeration does not call it, and it loads scipy (`scipy.linalg.eigvals`
-for its QZ pencils) only when it is called.
+finder that only the tests call; enumeration does not.  It needs scipy
+(`scipy.linalg.eigvals` for its QZ pencils), which only the `test` extra
+installs, and imports it when called.  It stays in this module, not in the
+tests' own oracle module, only because `perfbench/spans.WRAPPED` wraps it
+by name; its move waits for a change to the benchmark.
 """
 
 from __future__ import annotations
@@ -453,11 +455,15 @@ def minor_system_roots(k: SubspaceBasis, dims: BipartiteDims) -> list:
     compressions U_i; roots are found per projective chart with companion /
     QZ eigenvalue methods (hidden-variable Sylvester resultant when m = 3).
     Candidates are unverified; callers must polish and check residuals.
+
+    A test oracle: it needs scipy (the `test` extra), imported after m is
+    checked, and stays in `segre` only because `perfbench/spans.WRAPPED`
+    wraps it by name; its move waits for a change to the benchmark.
     """
-    import scipy.linalg     # test oracle only: the runtime never loads scipy
     m, n = dims.m, dims.n
     if m not in (2, 3):
         raise ValueError(f"determinantal route supports m = 2 or 3, got m={m}")
+    import scipy.linalg     # test oracle only: the runtime never loads scipy
     wc = complement_stack(k, dims).conj()
     rp = wc.shape[0]
     if rp < n:

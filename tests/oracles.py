@@ -37,12 +37,17 @@ quantity as a package function by the direct, slow construction:
 - `_PointPool` dedups points one `ProductVector.overlap` call at a time,
   where `segre._distinct` compares each row with every kept one in one
   batched product.
+
+scipy is a dependency of the tests only (the `test` extra), and only the
+two scipy routes use it.  Each imports `scipy.linalg` when called, so this
+module imports without scipy; a test that calls one of them, or
+`segre.minor_system_roots`, starts with `pytest.importorskip("scipy.linalg")`
+and skips where scipy is not installed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from pptlab.certify import GAP_AMBIGUOUS, GAP_CERTIFIED, NULLITY_CUTOFF, Extremality
 from pptlab.qstate import (
@@ -274,11 +279,13 @@ class ReferenceTracker(BorderedTracker):
 
 def scipy_pencil_eigvalsh(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """`certify._pencil_eigvalsh` by scipy's generalized `eigh`."""
+    import scipy.linalg
     return scipy.linalg.eigh(a, b, eigvals_only=True)
 
 
 def scipy_schur_basis(t: np.ndarray) -> tuple:
     """`certify._schur_basis` by scipy's complex Schur decomposition."""
+    import scipy.linalg
     tri, z = scipy.linalg.schur(t, output="complex")
     return np.diag(tri), z
 

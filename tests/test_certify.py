@@ -310,6 +310,7 @@ class TestWitnessDecomposition:
     def test_step_equals_the_scipy_pencil_route(self, label, monkeypatch):
         """The Cholesky-reduced pencil gives the step of scipy's generalized
         `eigh` on every separable grid state and its partial transpose."""
+        pytest.importorskip("scipy.linalg")
         state = GRID[label]
         gamma = BipartiteState(HermitianOperator(state.dims, gamma_matrix(state)))
         for st in (state, gamma):
@@ -570,6 +571,7 @@ class TestRankNDecomposition:
 
     @pytest.mark.parametrize("m, n", [(2, 2), (2, 3), (3, 3), (3, 4)])
     def test_terms_equal_the_schur_route(self, m, n, monkeypatch):
+        pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(10 * m + n)
         bmat = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
         rho = np.zeros((m * n, m * n), dtype=complex)

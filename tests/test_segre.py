@@ -223,6 +223,7 @@ class TestOracles:
             assert match_sets(roots, res.points, tol=1e-8)
 
     def test_minor_system_complete_for_good_3x5(self):
+        pytest.importorskip("scipy.linalg")
         state = zoo.good_3xn(5)
         kern = kernel_basis(state)
         wc = complement_stack(kern, state.dims).conj()
@@ -247,6 +248,7 @@ class TestOracles:
     ], ids=["good_3x4", "kon_mnogo", "bad_3x4"])
     def test_minor_system_agrees_ranges_are_empty(self, state_fn):
         # no determinantal candidate polishes onto a range the count proves empty
+        pytest.importorskip("scipy.linalg")
         state = state_fn()
         rng_sub = range_basis(state)
         wc = complement_stack(rng_sub, state.dims).conj()

@@ -286,36 +286,30 @@ def _sweep(args) -> int:
         shown = ", ".join(f"--{opt.replace('_', '-')} {val}" for opt, val in opts.items())
         raise ValueError(f"the {args.family} sweep grid is empty at {shown}")
 
-    def run(idx_point):
-        idx, point = idx_point
+    def run(point):
         try:
             state = fam.build(point["m"], point["n"], point.get(fam.param))
             rep = analyze_state(state, dict(point, seed=args.seed), tol_rank=args.tol_rank,
                                 tol_psd=args.tol_psd, fast=args.fast)
-            return idx, rep.to_json(include_timings=args.timings), rep
+            return rep.to_json(include_timings=args.timings), rep
         except Exception as exc:   # recorded per-line, the sweep continues
-            return idx, {"schema": SCHEMA, "input": point, "error": str(exc)}, None
+            return {"schema": SCHEMA, "input": point, "error": str(exc)}, None
 
     # an unwritable --out fails before the grid is analyzed
     out = open(args.out, "w") if args.out else sys.stdout
     tally: dict = {"points": len(points), "errors": 0, "extreme": 0, "good": 0,
                    "bad": 0, "ppt": 0}
     try:
-        if args.parallel > 1:
-            with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-                results = list(pool.map(run, enumerate(points)))
-        else:
-            results = [run(ip) for ip in enumerate(points)]
-        results.sort(key=lambda t: t[0])
-        for _, payload, rep in results:
-            out.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
-            if rep is None:
-                tally["errors"] += 1
-                continue
-            tally["ppt"] += int(rep.ppt)
-            tally["extreme"] += int(rep.extremality.verdict == certify.Extremality.EXTREME)
-            tally["good"] += int(rep.goodness.verdict == segre.Goodness.GOOD)
-            tally["bad"] += int(rep.goodness.verdict == segre.Goodness.BAD)
+        with ThreadPoolExecutor(max_workers=args.parallel) as pool:
+            for payload, rep in pool.map(run, points):
+                out.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+                if rep is None:
+                    tally["errors"] += 1
+                    continue
+                tally["ppt"] += int(rep.ppt)
+                tally["extreme"] += int(rep.extremality.verdict == certify.Extremality.EXTREME)
+                tally["good"] += int(rep.goodness.verdict == segre.Goodness.GOOD)
+                tally["bad"] += int(rep.goodness.verdict == segre.Goodness.BAD)
     finally:
         if args.out:
             out.close()

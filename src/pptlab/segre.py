@@ -1111,96 +1111,59 @@ def classify_goodness(state: BipartiteState, *,
 # separable states
 
 
-def separable_kernel_components(pvs: Sequence[ProductVector], dims: BipartiteDims) -> list:
-    """Inclusion-maximal product subspaces V_P (x) W_Q inside the kernel of
-    sum_i |a_i b_i><a_i b_i|, one per partition (P, Q) of the index set.
-
-    V_P is the orthocomplement of the A-factors indexed by P, W_Q of the
-    B-factors indexed by Q; the union of the product varieties of the
-    returned pairs is exactly the set of product vectors in the kernel.
-    """
-    npts = len(pvs)
-    if npts > 20:
-        raise ValueError(f"refusing 2^{npts} partitions; at most 20 terms supported")
-    amat = np.array([pv.a for pv in pvs])
-    bmat = np.array([pv.b for pv in pvs])
-    pairs = []
-    for mask in range(1 << npts):
-        p_idx = [i for i in range(npts) if mask >> i & 1]
-        q_idx = [i for i in range(npts) if not mask >> i & 1]
-        vp = _orthocomplement(amat[p_idx], dims.m)
-        wq = _orthocomplement(bmat[q_idx], dims.n)
-        if vp.dim == 0 or wq.dim == 0:
-            continue
-        pairs.append((vp, wq))
-    keep = []
-    for i, (v, w) in enumerate(pairs):
-        dominated = False
-        for j, (v2, w2) in enumerate(pairs):
-            if i == j:
-                continue
-            if _subspace_leq(v, v2) and _subspace_leq(w, w2):
-                if (v.dim, w.dim) != (v2.dim, w2.dim) or i > j:
-                    dominated = True
-                    break
-        if not dominated:
-            keep.append((v, w))
-    return keep
-
-
-def _orthocomplement(rows: np.ndarray, ambient: int) -> SubspaceBasis:
-    rows = np.asarray(rows, dtype=complex).reshape(-1, ambient)
-    if rows.shape[0] == 0:
-        return SubspaceBasis(ambient, np.eye(ambient, dtype=complex), RANK_TOL)
-    comp = null_space(rows.conj())
-    return SubspaceBasis(ambient, comp.T, RANK_TOL)
-
-
-def _subspace_leq(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    if a.dim > b.dim:
-        return False
-    return all(b.project_residual(v) <= 1e-9 for v in a.vectors)
-
-
 def classify_separable_good(pvs: Sequence[ProductVector], dims: BipartiteDims) -> GoodnessVerdict:
     """Good/bad verdict for a separable state given a pure product
     decomposition spanning its range.
 
     With r terms and r <= m + n - 2 the state is good iff the factors are in
-    general position; with more terms it is good iff for every partition
-    (P, Q) of the terms the A-factors of P span the A space or the
-    B-factors of Q span the B space.
+    general position.  With more terms, the product vectors in the kernel
+    of sum_i |a_i b_i><a_i b_i| are exactly the union of V_P (x) W_Q over
+    the partitions (P, Q) of the terms, V_P the orthocomplement of the
+    A-factors in P and W_Q that of the B-factors in Q.  So the ranks of the
+    factor sets decide, each at RANK_TOL relative to its largest singular
+    value: dim V_P = m - rank A_P and dim W_Q = n - rank B_Q.  The state is
+    good (empty intersection) iff no partition leaves both dimensions
+    nonzero; bad with an infinite component iff some partition leaves
+    dim V_P + dim W_Q > 2; otherwise bad with isolated product vectors only.
     """
+    m, n = dims.m, dims.n
     npts = len(pvs)
     if npts == 0:
         raise ValueError("need at least one product term")
+    for pv in pvs:
+        if (pv.a.size, pv.b.size) != (m, n):
+            raise ValueError(f"a product term has factors of lengths ({pv.a.size}, "
+                             f"{pv.b.size}), not ({m}, {n})")
     if npts > 20:
         raise ValueError(f"refusing 2^{npts} partitions; at most 20 terms supported")
-    borderline = dims.m + dims.n - 2
+    borderline = m + n - 2
     if npts <= borderline:
         if general_position(pvs, dims):
             reason = (GoodnessReason.COUNT_EQUALS_DELTA if npts == borderline else None)
-            count = delta(dims.m, dims.n) if npts == borderline else None
+            count = delta(m, n) if npts == borderline else None
             return GoodnessVerdict(Goodness.GOOD, reason, count=count)
         return GoodnessVerdict(Goodness.BAD, GoodnessReason.INFINITE_COMPONENT)
+
+    def dim_perp(rows, ambient):
+        if not len(rows):
+            return ambient
+        sv = np.linalg.svd(rows, compute_uv=False)
+        return ambient - int(np.sum(sv > RANK_TOL * sv[0]))
+
     amat = np.array([pv.a for pv in pvs])
     bmat = np.array([pv.b for pv in pvs])
-    for mask in range(1 << npts):
-        p_idx = [i for i in range(npts) if mask >> i & 1]
-        q_idx = [i for i in range(npts) if not mask >> i & 1]
-        if _spans(amat[p_idx], dims.m) or _spans(bmat[q_idx], dims.n):
+    points = False
+    for in_p in itertools.product((False, True), repeat=npts):
+        in_p = np.array(in_p)
+        dim_v = dim_perp(amat[in_p], m)
+        if dim_v == 0:
             continue
-        comps = separable_kernel_components(pvs, dims)
-        infinite = any(v.dim + w.dim > 2 for v, w in comps)
-        reason = (GoodnessReason.INFINITE_COMPONENT if infinite
-                  else GoodnessReason.COUNT_BELOW_DELTA_WITH_NONEMPTY_X)
-        return GoodnessVerdict(Goodness.BAD, reason)
+        dim_w = dim_perp(bmat[~in_p], n)
+        if dim_w == 0:
+            continue
+        if dim_v + dim_w > 2:
+            return GoodnessVerdict(Goodness.BAD, GoodnessReason.INFINITE_COMPONENT)
+        points = True
+    if points:
+        return GoodnessVerdict(Goodness.BAD, GoodnessReason.COUNT_BELOW_DELTA_WITH_NONEMPTY_X)
     return GoodnessVerdict(Goodness.GOOD, GoodnessReason.EMPTY_INTERSECTION, count=0)
-
-
-def _spans(rows: np.ndarray, ambient: int) -> bool:
-    rows = np.asarray(rows).reshape(-1, ambient)
-    if rows.shape[0] < ambient:
-        return False
-    sv = np.linalg.svd(rows, compute_uv=False)
-    return bool(sv[-1] > RANK_TOL * sv[0]) if sv.size else False

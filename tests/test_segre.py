@@ -40,7 +40,6 @@ from pptlab.segre import (
     general_position,
     minor_system_roots,
     partial_conjugate,
-    separable_kernel_components,
     start_pairs,
     transversal,
 )
@@ -1509,41 +1508,82 @@ class TestEndgameStop:
         assert res.evidence["route"] == "homotopy"
 
 
+def separable_terms(m, n, r, shared, seed):
+    """r complex Gaussian product terms, the first `shared` of them on one
+    A factor; with shared = 0, nonzero integer factors in {-1, 0, 1}^d."""
+    rng = np.random.default_rng(seed)
+
+    def draw(d):
+        if shared:
+            return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        while True:
+            v = rng.integers(-1, 2, size=d).astype(float)
+            if v.any():
+                return v
+
+    a0 = draw(m) if shared else None
+    return [ProductVector(a0 if i < shared else draw(m), draw(n)) for i in range(r)]
+
+
+GOOD_EMPTY = (Goodness.GOOD, GoodnessReason.EMPTY_INTERSECTION)
+BAD_POINTS = (Goodness.BAD, GoodnessReason.COUNT_BELOW_DELTA_WITH_NONEMPTY_X)
+BAD_INFINITE = (Goodness.BAD, GoodnessReason.INFINITE_COMPONENT)
+
+
 class TestSeparable:
-    def test_bad_separable_components(self):
-        pvs = [ProductVector(np.eye(3)[i], np.eye(3)[i]) for i in range(3)]
-        pvs.append(ProductVector([0, 1.0, 1.0], [0, 1.0, 1.0]))
-        comps = separable_kernel_components(pvs, BipartiteDims(3, 3))
-        dims_found = sorted((v.dim, w.dim) for v, w in comps)
-        assert dims_found == [(1, 2), (2, 1)]
-        # the components are |0> (x) |0>^perp and |0>^perp (x) |0>
-        for v, w in comps:
-            side = v if v.dim == 1 else w
-            e0 = np.zeros(3)
-            e0[0] = 1.0
-            assert side.project_residual(e0) < 1e-12
-
-    def test_two_product_terms_give_point_components(self):
-        pvs = [ProductVector([1.0, 0], [1.0, 0]), ProductVector([0, 1.0], [0, 1.0])]
-        comps = separable_kernel_components(pvs, BipartiteDims(2, 2))
-        assert sorted((v.dim, w.dim) for v, w in comps) == [(1, 1), (1, 1)]
-
-    def test_single_term_components_cover_hyperplane_kernel(self):
-        pvs = [ProductVector([1.0, 0], [1.0, 0])]
-        comps = separable_kernel_components(pvs, BipartiteDims(2, 2))
-        assert comps
-        assert all(v.dim + w.dim >= 3 for v, w in comps)
+    @pytest.mark.parametrize("m, n, r, shared, seed, expected", [
+        (2, 2, 3, 1, 26, GOOD_EMPTY), (2, 2, 3, 2, 27, BAD_POINTS),
+        (2, 3, 4, 1, 28, GOOD_EMPTY), (2, 3, 4, 2, 29, BAD_POINTS),
+        (2, 3, 4, 3, 30, BAD_INFINITE),
+        (2, 3, 5, 1, 29, GOOD_EMPTY), (2, 3, 5, 2, 30, GOOD_EMPTY),
+        (2, 3, 5, 3, 31, BAD_POINTS),
+        (3, 3, 5, 1, 39, GOOD_EMPTY), (3, 3, 5, 2, 40, BAD_POINTS),
+        (3, 3, 5, 3, 41, BAD_INFINITE),
+        (3, 3, 6, 1, 40, GOOD_EMPTY), (3, 3, 6, 2, 41, GOOD_EMPTY),
+        (3, 3, 6, 3, 42, BAD_POINTS),
+        (3, 4, 6, 1, 41, GOOD_EMPTY), (3, 4, 6, 2, 42, BAD_POINTS),
+        (3, 4, 6, 3, 43, BAD_INFINITE),
+        (3, 4, 7, 1, 42, GOOD_EMPTY), (3, 4, 7, 2, 43, GOOD_EMPTY),
+        (3, 4, 7, 3, 44, BAD_POINTS),
+        (4, 4, 7, 1, 52, GOOD_EMPTY), (4, 4, 7, 2, 53, BAD_POINTS),
+        (4, 4, 7, 3, 54, BAD_INFINITE),
+        (3, 3, 5, 0, 0, BAD_POINTS), (3, 3, 5, 0, 1, BAD_INFINITE),
+    ])
+    def test_partition_ranks_agree_with_the_kernel_route(self, m, n, r, shared, seed,
+                                                         expected):
+        # above the borderline rank, the kernel of sum_i |a_i b_i><a_i b_i|
+        # decides goodness on its own; the homotopy must reach the verdict
+        # and reason that the partition ranks give
+        dims = BipartiteDims(m, n)
+        pvs = separable_terms(m, n, r, shared, seed)
+        state = BipartiteState(HermitianOperator(
+            dims, sum(np.outer(pv.vec(), pv.vec().conj()) for pv in pvs)))
+        assert r > m + n - 2 and len(state.split()[1]) == r
+        by_ranks = classify_separable_good(pvs, dims)
+        by_kernel = classify_goodness(state)
+        assert (by_ranks.verdict, by_ranks.reason) == expected
+        assert (by_kernel.verdict, by_kernel.reason) == expected
 
     def test_partition_guard(self):
         pvs = [ProductVector([1.0, 0], [1.0, 0])] * 21
         with pytest.raises(ValueError, match="at most 20"):
-            separable_kernel_components(pvs, BipartiteDims(2, 2))
+            classify_separable_good(pvs, BipartiteDims(2, 2))
+
+    @pytest.mark.parametrize("a, b", [
+        ([1.0, 0], [1.0, 0, 0, 0]), ([1.0, 0, 0, 0], [1.0, 0]), ([1.0, 0], [1.0, 0, 0]),
+    ])
+    def test_refuses_factors_of_the_wrong_length(self, a, b):
+        pvs = [ProductVector(np.roll(a, k), np.roll(b, k)) for k in range(3)]
+        shapes = rf"\({len(a)}, {len(b)}\), not \(2, 2\)"
+        with pytest.raises(ValueError, match=shapes):
+            classify_separable_good(pvs, BipartiteDims(2, 2))
 
     def test_classify_bad_four_term(self):
         pvs = [ProductVector(np.eye(3)[i], np.eye(3)[i]) for i in range(3)]
         pvs.append(ProductVector([0, 1.0, 1.0], [0, 1.0, 1.0]))
+        # |0> (x) |0>^perp and |0>^perp (x) |0> lie in the kernel
         verdict = classify_separable_good(pvs, BipartiteDims(3, 3))
-        assert verdict.verdict == Goodness.BAD
+        assert (verdict.verdict, verdict.reason) == BAD_INFINITE
 
     def test_classify_bad_by_partition(self):
         # three terms in 2 x 2, above m + n - 2 = 2; the two sharing |0> on

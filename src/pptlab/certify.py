@@ -22,10 +22,11 @@ blocks: the r(r+1)/2 symmetric units of X reach only the real coordinates,
 the r(r-1)/2 antisymmetric ones only the imaginary coordinates.  Each block
 is factored by its own QR and an SVD of its triangular factor, about a
 quarter of the flops of the one-block QR that a complex state takes.  The
-answer is an auditable integer: the reported gap ratio and margin set the
-smallest kept singular value against the largest discarded one and against
-the cutoff, and the witness of a non-extreme state comes from the null
-vectors of the same SVDs.
+answer is an auditable integer, trusted only when no singular value lies
+within a factor MARGIN_FACTOR of the cutoff (`nullity_verdict`); the
+reported margin sets the smallest kept singular value against the cutoff,
+the gap ratio against the largest discarded one, and the witness of a
+non-extreme state comes from the null vectors of the same SVDs.
 
 The remaining certificates are self-contained: the quadratic necessary
 bound on biranks, an edge-state check (no product vector in the range whose
@@ -74,8 +75,7 @@ from .segre import (
 NULLITY_CUTOFF = 1e-8
 EDGE_PAIR_TOL = 1e-9
 EDGE_FALLBACK_STARTS = 256
-GAP_CERTIFIED = 1e4
-GAP_AMBIGUOUS = 1e2
+MARGIN_FACTOR = 10.0
 
 
 class Extremality(enum.Enum):
@@ -95,7 +95,9 @@ class ExtremalityCert:
     orthogonal to rho whenever the nullity exceeds one.  `margin` is the
     smallest kept singular value over NULLITY_CUTOFF: the map has scale one,
     so unlike `gap_ratio`, whose denominator is rounding noise on an extreme
-    state, it does not move with the rounding."""
+    state, it does not move with the rounding.  The verdict reads the margin
+    and its mirror on the discarded side, never `gap_ratio`; see
+    `nullity_verdict`."""
 
     nullity: int
     verdict: Extremality
@@ -216,6 +218,23 @@ def _coords(z: np.ndarray, symmetric: bool) -> np.ndarray:
     return out
 
 
+def nullity_verdict(sv: np.ndarray, units: int) -> tuple:
+    """(nullity, verdict) of a constraint map on `units` Hermitian units
+    with singular values `sv`, cut at NULLITY_CUTOFF.
+
+    The integer is trusted only when no singular value lies strictly inside
+    the window (NULLITY_CUTOFF / MARGIN_FACTOR, NULLITY_CUTOFF *
+    MARGIN_FACTOR): the margin is at least MARGIN_FACTOR, and the cutoff is
+    at least MARGIN_FACTOR times the largest discarded value.  Then nullity
+    one is EXTREME and any larger nullity NOT_EXTREME; otherwise, and at
+    nullity zero (impossible: rho itself is feasible), BORDERLINE."""
+    nullity = units - int(np.sum(sv > NULLITY_CUTOFF))
+    lo, hi = NULLITY_CUTOFF / MARGIN_FACTOR, NULLITY_CUTOFF * MARGIN_FACTOR
+    if nullity == 0 or np.any((sv > lo) & (sv < hi)):
+        return nullity, Extremality.BORDERLINE
+    return nullity, Extremality.EXTREME if nullity == 1 else Extremality.NOT_EXTREME
+
+
 def extremality_nullity(state: BipartiteState) -> ExtremalityCert:
     """Dimension of {Hermitian H : R(H) in R(rho), R(H^G) in R(rho^G)}.
 
@@ -223,11 +242,9 @@ def extremality_nullity(state: BipartiteState) -> ExtremalityCert:
     zero, as the module docstring derives, and one block of all r^2 units
     otherwise; the spectrum is the sorted union of the blocks'.
 
-    Verdicts: EXTREME for nullity one with a certified singular gap,
-    NOT_EXTREME for larger nullity, BORDERLINE whenever the gap between
-    kept and discarded singular values is too small to trust the integer.
-    Singular values of the constraint map are cut at NULLITY_CUTOFF.  A
-    state that is NPT at its `psd_tol` draws a warning.
+    The singular values of the constraint map give the nullity and the
+    verdict by `nullity_verdict`.  A state that is NPT at its `psd_tol`
+    draws a warning.
     """
     m, n = state.dims.m, state.dims.n
     real = not np.any(state.matrix.imag)
@@ -268,20 +285,14 @@ def extremality_nullity(state: BipartiteState) -> ExtremalityCert:
     bound = sum(f.shape[1] - np.sum(np.abs(np.diagonal(f)) > NULLITY_CUTOFF) for f in facs)
     svds = [np.linalg.svd(f, compute_uv=bound > 1) for f in facs]
     sv = np.sort(np.concatenate([s[1] if bound > 1 else s for s in svds]))[::-1]
-    rank = int(np.sum(sv > NULLITY_CUTOFF))
-    nullity = r * r - rank              # directions not killed by the constraints
+    nullity, verdict = nullity_verdict(sv, r * r)   # directions no constraint kills
+    rank = r * r - nullity
     margin = float(sv[rank - 1] / NULLITY_CUTOFF) if rank else np.inf
-    if nullity == 0:                    # impossible: rho itself is feasible
-        return ExtremalityCert(0, Extremality.BORDERLINE, 0.0, sv, None, margin)
+    if nullity == 0:
+        return ExtremalityCert(0, verdict, 0.0, sv, None, margin)
     kept, disc = sv[:rank], sv[rank:]
     gap = (float(kept[-1] / disc[0]) if (kept.size and disc.size and disc[0] > 0)
            else np.inf)
-    if gap < GAP_AMBIGUOUS:
-        verdict = Extremality.BORDERLINE
-    elif nullity == 1:
-        verdict = Extremality.EXTREME if gap > GAP_CERTIFIED else Extremality.BORDERLINE
-    else:
-        verdict = Extremality.NOT_EXTREME
     witness = None
     if nullity > 1:
         if bound <= 1:                  # the diagonal bound holds in exact arithmetic only

@@ -156,6 +156,7 @@ class GoodnessReason(enum.Enum):
     COUNT_BELOW_DELTA_WITH_NONEMPTY_X = "count-below-delta-with-nonempty-x"
     INFINITE_COMPONENT = "infinite-component"
     RANK_BELOW_BORDERLINE = "rank-below-borderline"
+    PURE_STATE = "pure-state"
 
 
 @dataclass(frozen=True)
@@ -623,11 +624,14 @@ class _PathTracker:
         jn, f1, f0 = self.jacobian(z, s)
         return -_solve_rows(jn, (f1 - self.gamma * f0)[:, :, None])[:, :, 0] @ self.null.T
 
-    def newton(self, z, s):
-        """The Newton correction (dH/dz)^-1 H and the tangent at z, both in
-        the patch and from one LU of dH/dz N."""
+    def newton(self, z, s, tangent=False):
+        """The Newton correction (dH/dz)^-1 H at z and, with `tangent`, the
+        tangent there (else None), both in the patch and from one LU of
+        dH/dz N."""
         jn, f1, f0 = self.jacobian(z, s)
         h = (self.gamma * (1 - s))[:, None] * f0 + s[:, None] * f1
+        if not tangent:
+            return _solve_rows(jn, h[:, :, None])[:, :, 0] @ self.null.T, None
         x = _solve_rows(jn, np.stack([h, f1 - self.gamma * f0], axis=2))
         return x[:, :, 0] @ self.null.T, -x[:, :, 1] @ self.null.T
 
@@ -659,7 +663,7 @@ class _PathTracker:
             sn = np.where(si + hi > 1.0 - 1e-14, 1.0, si + hi)
             sizes = []
             for it in range(3):
-                dz, tan = self.newton(zn, sn)
+                dz, tan = self.newton(zn, sn, tangent=it == 2)
                 zn = zn - dz
                 if it != 1:     # only the first and last sizes are read
                     sizes.append(np.linalg.norm(dz, axis=1) / (1 + np.linalg.norm(zn, axis=1)))
@@ -712,8 +716,8 @@ def _homotopy_roots(wc: np.ndarray):
     bilinear in (a, b), so dH/dz is linear in z; its coefficients times N
     are formed once per tracker, and dH/dz N at every path is one GEMM.  F1
     = (a wa) b, wa the stack reshaped to m x R'n, and F0 = (a x^T)(b y^T)
-    are evaluated directly.  A Newton
-    solve takes dH/ds as a second right-hand side, so the last one of an
+    are evaluated directly.  The last
+    Newton solve of a step takes dH/ds as a second right-hand side, so an
     accepted step also yields the tangent the next predictor starts from; a
     rejected step reuses the tangent it started from, and a step costs six
     solves.  An exactly singular dH/dz N fails its own path's step, not the
@@ -1066,8 +1070,10 @@ def classify_goodness(state: BipartiteState, *,
     Decision table, with r = rank and the borderline at m + n - 2:
     above the borderline the state is good iff the kernel holds no product
     vectors; at the borderline good means a finite count equal to
-    delta(m, n); below it the kernel does not decide, and the verdict is
-    INDETERMINATE (RANK_BELOW_BORDERLINE), as `analyze` reports it: only
+    delta(m, n); a pure state (r = 1) with m, n >= 2 is good (PURE_STATE),
+    PPT or not, by the paper's theorem; below the borderline otherwise the
+    kernel does not decide, and the verdict is INDETERMINATE
+    (RANK_BELOW_BORDERLINE), as `analyze` reports it: only
     `classify_separable_good` decides there, for a separable state whose
     product decomposition the caller supplies.
     A finite count strictly below delta at the borderline contradicts what
@@ -1079,6 +1085,8 @@ def classify_goodness(state: BipartiteState, *,
     dims = state.dims
     borderline = dims.m + dims.n - 2
     rank = len(state.split()[1])
+    if rank == 1 and min(dims.m, dims.n) >= 2:
+        return GoodnessVerdict(Goodness.GOOD, GoodnessReason.PURE_STATE)
     if rank < borderline:
         return GoodnessVerdict(Goodness.INDETERMINATE, GoodnessReason.RANK_BELOW_BORDERLINE)
     enn = (enumerate_product_vectors(kernel_basis(state), dims) if enumeration is None

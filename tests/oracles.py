@@ -9,8 +9,8 @@ quantity as a package function by the direct, slow construction:
 - `constraint_columns` builds the extremality constraint matrix one
   Hermitian basis matrix at a time (r^2 partial transposes), in the column
   order of `_hermitian_basis`, from its own eigendecompositions of rho and
-  rho^Gamma, and `nullity_by_columns` cuts its singular
-  values the way `certify.extremality_nullity` does;
+  rho^Gamma, and `nullity_by_columns` decides from its singular values by
+  `certify.nullity_verdict`, as `certify.extremality_nullity` does;
 - `bisection_step` finds the witness splitting step by 60 bisection steps
   on the four PSD conditions;
 - `BorderedTracker` solves every tangent and Newton step with the
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from pptlab.certify import GAP_AMBIGUOUS, GAP_CERTIFIED, NULLITY_CUTOFF, Extremality
+from pptlab.certify import NULLITY_CUTOFF, nullity_verdict
 from pptlab.qstate import (
     RANK_TOL,
     BipartiteDims,
@@ -142,24 +142,12 @@ def constraint_columns(state: BipartiteState, rank_tol: float = RANK_TOL) -> np.
 
 
 def nullity_by_columns(state: BipartiteState, rank_tol: float = RANK_TOL) -> tuple:
-    """(nullity, verdict, singular values) of `constraint_columns`, cut at
-    the absolute NULLITY_CUTOFF, with the verdict rule of
-    `certify.extremality_nullity`."""
+    """(nullity, verdict, singular values) of `constraint_columns`, decided
+    by `certify.nullity_verdict`, the rule `certify.extremality_nullity`
+    reads."""
     cols = constraint_columns(state, rank_tol)
-    r2 = cols.shape[1]
-    if cols.shape[0] == 0:
-        return r2, Extremality.NOT_EXTREME if r2 > 1 else Extremality.EXTREME, np.zeros(0)
     sv = np.linalg.svd(cols, compute_uv=False)
-    rank = int(np.sum(sv > NULLITY_CUTOFF))
-    kept, disc = sv[:rank], sv[rank:]
-    gap = kept[-1] / disc[0] if (kept.size and disc.size and disc[0] > 0) else np.inf
-    if gap < GAP_AMBIGUOUS or rank == r2:
-        verdict = Extremality.BORDERLINE
-    elif r2 - rank == 1:
-        verdict = Extremality.EXTREME if gap > GAP_CERTIFIED else Extremality.BORDERLINE
-    else:
-        verdict = Extremality.NOT_EXTREME
-    return r2 - rank, verdict, sv
+    return (*nullity_verdict(sv, cols.shape[1]), sv)
 
 
 def bisection_step(state: BipartiteState, h: np.ndarray) -> float:
@@ -228,15 +216,17 @@ class BorderedTracker(_PathTracker):
         hs[:, :self.rp, 0] = f1 - self.gamma * f0
         return -_solve_rows(jac, hs)[:, :, 0]
 
-    def newton(self, z, s):
-        """The Newton correction (dH/dz)^-1 H and the tangent at z, both from
-        one LU of dH/dz."""
+    def newton(self, z, s, tangent=False):
+        """The Newton correction (dH/dz)^-1 H at z and, with `tangent`, the
+        tangent there (else None), both from one LU of dH/dz."""
         rp, m = self.rp, self.m
         jac, f1, f0 = self.jacobian(z, s)
-        rhs = np.zeros((z.shape[0], rp + 2, 2), dtype=complex)
+        rhs = np.zeros((z.shape[0], rp + 2, 2 if tangent else 1), dtype=complex)
         rhs[:, :rp, 0] = (self.gamma * (1 - s))[:, None] * f0 + s[:, None] * f1
         rhs[:, rp, 0] = z[:, :m] @ self.patch_a - 1
         rhs[:, rp + 1, 0] = z[:, m:] @ self.patch_b - 1
+        if not tangent:
+            return _solve_rows(jac, rhs)[:, :, 0], None
         rhs[:, :rp, 1] = f1 - self.gamma * f0
         x = _solve_rows(jac, rhs)
         return x[:, :, 0], -x[:, :, 1]

@@ -8,6 +8,7 @@ from pptlab.certify import (
     edge_check,
     extremality_nullity,
     find_rank1_compression,
+    nullity_verdict,
     necessary_bound,
     rank_n_separable_decomposition,
     strongly_extreme_by_theorem,
@@ -29,6 +30,7 @@ from conftest import random_full_rank_ppt, random_product_vector
 from oracles import (bisection_step, inverse_iteration_step, nullity_by_columns,
                      nullity_unrestricted, scipy_pencil_eigvalsh, scipy_schur_basis)
 from test_qstate import werner_2x2
+from test_segre import slocc_changed
 
 
 def diag_two_products() -> BipartiteState:
@@ -198,6 +200,48 @@ class TestAgainstOracles:
             err = np.linalg.norm(rho1.matrix + rho2.matrix - 2 * st.matrix)
             assert err <= 1e-10 * np.linalg.norm(st.matrix)
             assert is_ppt(rho1)[0] and is_ppt(rho2)[0]
+
+
+class TestWindowRule:
+    """The integer nullity is trusted only when no singular value of the map
+    lies within a factor MARGIN_FACTOR of NULLITY_CUTOFF."""
+
+    LO = certify.NULLITY_CUTOFF / certify.MARGIN_FACTOR
+    HI = certify.NULLITY_CUTOFF * certify.MARGIN_FACTOR
+
+    @pytest.mark.parametrize("kappa", [1e5, 3e5, 1e6])
+    def test_strong_slocc_keeps_good_3x4_extreme(self, kappa):
+        # the kept values are 2.1e-7, 1.7e-6 and 5.2e-7, clear of the window,
+        # while discarded values of up to 2.5e-10 cut the singular gap to 7e3
+        cert = extremality_nullity(slocc_changed(zoo.good_3x4(), kappa, 100))
+        assert (cert.nullity, cert.verdict) == (1, Extremality.EXTREME)
+
+    def test_kept_value_inside_the_window_is_borderline(self):
+        # the smallest kept value is 3.0e-8, three times the cutoff, however
+        # wide the gap to the discarded ones (1e8)
+        cert = extremality_nullity(slocc_changed(zoo.good_3xn(6), 1e5, 100))
+        assert cert.nullity == 1 and cert.margin < certify.MARGIN_FACTOR
+        assert cert.gap_ratio > 1e4
+        assert cert.verdict == Extremality.BORDERLINE
+
+    @pytest.mark.parametrize("sv,trusted", [
+        ([1.0, HI], True), ([1.0, HI * (1 - 1e-12)], False),
+        ([1.0, 0.5, LO], True), ([1.0, 0.5, LO * (1 + 1e-12)], False),
+        ([1.0, 0.5, certify.NULLITY_CUTOFF], False)])
+    @pytest.mark.parametrize("units,nullity,verdict", [
+        (3, 1, Extremality.EXTREME), (5, 3, Extremality.NOT_EXTREME)])
+    def test_edges_of_the_window(self, sv, trusted, units, nullity, verdict):
+        # two values above the cutoff in every spectrum; the window is open
+        got = nullity_verdict(np.array(sv), units)
+        assert got == (nullity, verdict if trusted else Extremality.BORDERLINE)
+
+    @pytest.mark.parametrize("sv", [np.array([1.0, 0.3]), np.array([1.0, HI * 2])])
+    def test_nullity_zero_stays_borderline(self, sv):
+        assert nullity_verdict(sv, 2) == (0, Extremality.BORDERLINE)
+
+    def test_an_empty_map_gives_every_unit(self):
+        assert nullity_verdict(np.zeros(0), 1) == (1, Extremality.EXTREME)
+        assert nullity_verdict(np.zeros(0), 4) == (4, Extremality.NOT_EXTREME)
 
 
 class TestComplexInvariance:

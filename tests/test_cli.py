@@ -181,6 +181,7 @@ class TestAnalyze:
         assert rep["rank_profile"]["rank"] == 1
         assert rep["ppt"]["verdict"] is True
         assert rep["extremality"]["verdict"] == "extreme"
+        assert (rep["goodness"]["verdict"], rep["goodness"]["reason"]) == ("good", "pure-state")
 
     @pytest.mark.parametrize("m,n,rank", [(1, 3, 2), (3, 1, 2), (1, 4, 1), (1, 1, 1)])
     def test_a_local_dimension_of_one(self, m, n, rank, tmp_path, capsys):

@@ -11,6 +11,7 @@ from pptlab.qstate import (
     HermitianOperator,
     ProductVector,
     SubspaceBasis,
+    is_ppt,
     kernel_basis,
     range_basis,
 )
@@ -1032,12 +1033,46 @@ class TestGoodness:
         assert verdict.reason == GoodnessReason.EMPTY_INTERSECTION
 
     def test_low_rank_returns_indeterminate(self):
-        rho = np.zeros((9, 9))
-        rho[0, 0] = 1.0
+        # rank 2 (|00><00| + |11><11|), below the borderline 4 and not pure
+        rho = np.diag(np.eye(9)[0] + np.eye(9)[4])
         state = BipartiteState(HermitianOperator(BipartiteDims(3, 3), rho))
         verdict = classify_goodness(state)
         assert verdict.verdict == Goodness.INDETERMINATE
         assert verdict.reason == GoodnessReason.RANK_BELOW_BORDERLINE
+
+    @pytest.mark.parametrize("m,n", [(3, 3), (2, 4)])
+    @pytest.mark.parametrize("entangled", [False, True])
+    def test_pure_states_are_good(self, m, n, entangled):
+        # the paper's theorem, PPT (a product vector) or not; the verdict
+        # holds under a local unitary and under the party swap
+        rng = np.random.default_rng(10 * m + n)
+
+        def cplx(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        psi = cplx(m * n) if entangled else np.kron(cplx(m), cplx(n))
+        rho = np.outer(psi, psi.conj())
+        u = np.kron(np.linalg.qr(cplx(m, m))[0], np.linalg.qr(cplx(n, n))[0])
+        swapped = rho.reshape(m, n, m, n).transpose(1, 0, 3, 2).reshape(m * n, m * n)
+        for dims, mat in ((BipartiteDims(m, n), rho), (BipartiteDims(m, n), u @ rho @ u.conj().T),
+                          (BipartiteDims(n, m), swapped)):
+            state = BipartiteState(HermitianOperator(dims, mat))
+            assert is_ppt(state)[0] is not entangled
+            verdict = classify_goodness(state)
+            assert (verdict.verdict, verdict.reason) == (Goodness.GOOD, GoodnessReason.PURE_STATE)
+
+    @pytest.mark.parametrize("m,n,verdict,reason", [
+        (1, 1, Goodness.GOOD, GoodnessReason.EMPTY_INTERSECTION),
+        (1, 2, Goodness.GOOD, GoodnessReason.COUNT_EQUALS_DELTA),
+        (1, 3, Goodness.INDETERMINATE, GoodnessReason.RANK_BELOW_BORDERLINE),
+        (3, 1, Goodness.INDETERMINATE, GoodnessReason.RANK_BELOW_BORDERLINE)])
+    def test_rank_one_with_a_local_dimension_of_one(self, m, n, verdict, reason):
+        # the pure-state rule needs both local dimensions at least two
+        rng = np.random.default_rng(10 * m + n)
+        v = rng.standard_normal(m * n) + 1j * rng.standard_normal(m * n)
+        got = classify_goodness(BipartiteState(HermitianOperator(BipartiteDims(m, n),
+                                                                 np.outer(v, v.conj()))))
+        assert (got.verdict, got.reason) == (verdict, reason)
 
     def test_one_kernel_product_vector_above_borderline_is_bad(self, rng):
         # rank 5 > m + n - 2 = 4, and the kernel span(|00>, three random

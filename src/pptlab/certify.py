@@ -28,11 +28,11 @@ reported margin sets the smallest kept singular value against the cutoff,
 the gap ratio against the largest discarded one, and the witness of a
 non-extreme state comes from the null vectors of the same SVDs.
 
-The remaining certificates are self-contained: the quadratic necessary
-bound on biranks, an edge-state check (no product vector in the range whose
-partial conjugate sits in the range of rho^Gamma), a product decomposition
-for PPT states of rank equal to the B-local rank, and a search for local
-vectors that compress the state to rank one.
+The remaining certificates are the quadratic necessary bound on biranks,
+an edge-state check (no product vector in the range whose partial conjugate
+sits in the range of rho^Gamma), which keeps the verdict rule and leaves
+the pair search to `segre.edge_pair_search`, and a product decomposition
+for PPT states of rank equal to the B-local rank.
 """
 
 from __future__ import annotations
@@ -53,23 +53,20 @@ from .qstate import (
     factor_blocks,
     gamma_matrix,
     is_ppt,
-    kernel_basis,
     null_space,
     range_basis,
     rank_profile,
     _gamma,
 )
-from . import segre
 from .segre import (
     Classification,
     EnumerationResult,
     Goodness,
     GoodnessVerdict,
-    complement_stack,
+    edge_pair_search,
     enumerate_product_vectors,
     classify_goodness,
     partial_conjugate,
-    start_pairs,
 )
 
 NULLITY_CUTOFF = 1e-8
@@ -394,19 +391,16 @@ def edge_check(state: BipartiteState, *,
     `enumeration`, a result for `range_basis(state)`) and tests
     each partner.  When that enumeration is finite or empty and complete by
     a homotopy count, the verdict follows from it.  Otherwise route two
-    minimizes the joint projection residual from EDGE_FALLBACK_STARTS starts
-    by the searches' alternation, `segre._alternate` on `_edge_gram`, in
-    rounds of 60 iterations, each from the pairs the last one left, until a
-    pair is found, 420 at most.  That verdict
-    is a numerical certificate, reported with the start count and the best
-    residual reached.  A pair counts when its residual is below
-    EDGE_PAIR_TOL.  A state that is NPT at its `psd_tol` draws a warning.
+    takes the best pair of `segre.edge_pair_search` from EDGE_FALLBACK_STARTS
+    starts.  That verdict is a numerical certificate, reported with the
+    start count and the best residual reached.  A pair counts when its
+    residual is below EDGE_PAIR_TOL.  A state that is NPT at its `psd_tol`
+    draws a warning.
     """
     ppt, min_eig = is_ppt(state)
     if not ppt:
         warnings.warn(f"edge check applied to an NPT state (min eig {min_eig:.3e})")
     dims = state.dims
-    m, n = dims.m, dims.n
     rng_gamma = SubspaceBasis(dims.total, state.split(gamma=True)[1], state.rank_tol)
 
     enum_res = (enumerate_product_vectors(range_basis(state), dims) if enumeration is None
@@ -425,34 +419,11 @@ def edge_check(state: BipartiteState, *,
         return EdgeReport(True, None, starts, best, route, paths)
 
     # joint minimization over (a, b) of the two projection residuals at once
-    kern_rho = complement_stack(range_basis(state), dims).conj()  # basis of ker rho
-    kern_gamma = complement_stack(rng_gamma, dims).conj()
-    q = _edge_gram(kern_rho, kern_gamma)
-    a, b = start_pairs(EDGE_FALLBACK_STARTS, m, n)
-    b = b[:, :, None]
-    for _ in range(420 // 60):      # rounds of 60 iterations until a pair is found
-        a, b = segre._alternate(q, a, b, 60)
-        r1 = segre._membership_residuals(kern_rho, a, b[:, :, 0])
-        r2 = segre._membership_residuals(kern_gamma, a.conj(), b[:, :, 0])
-        joint = np.sqrt(r1 ** 2 + r2 ** 2)
-        if joint.min() < EDGE_PAIR_TOL:
-            break
+    pv, joint = edge_pair_search(state, EDGE_FALLBACK_STARTS, EDGE_PAIR_TOL)
     starts += EDGE_FALLBACK_STARTS
-    idx = int(np.argmin(joint))
-    if joint[idx] < EDGE_PAIR_TOL:
-        pv = ProductVector(a[idx], b[idx, :, 0])
-        return EdgeReport(False, (pv, partial_conjugate(pv)), starts, float(joint[idx]),
-                          "multistart", paths)
-    return EdgeReport(True, None, starts, min(best, float(joint[idx])), "multistart", paths)
-
-
-def _edge_gram(kern_rho: np.ndarray, kern_gamma: np.ndarray) -> np.ndarray:
-    """Q1 + S Q2, from the `segre._gram` of each stack, S swapping Q2's a indices:
-    |F1(a) b|^2 + |F2(conj a) b|^2 has b-Gram (conj(a) (x) a)(Q1 + S Q2) and
-    a-Gram G1^H G1 + conj(G2^H G2) = (conj(b) (x) b)(Q1 + S Q2)^T."""
-    m = kern_rho.shape[1]
-    swapped = segre._gram(kern_gamma).reshape(m, m, -1).transpose(1, 0, 2).reshape(m * m, -1)
-    return segre._gram(kern_rho) + swapped
+    if joint < EDGE_PAIR_TOL:
+        return EdgeReport(False, (pv, partial_conjugate(pv)), starts, joint, "multistart", paths)
+    return EdgeReport(True, None, starts, min(best, joint), "multistart", paths)
 
 
 # ---------------------------------------------------------------------------
@@ -530,31 +501,6 @@ def rank_n_separable_decomposition(state: BipartiteState) -> SeparableDecomposit
         last_err = f"reconstruction residual {resid:.2e}"
     raise ArithmeticError(f"simultaneous diagonalization failed: {last_err}; "
                           "this is inconsistent with a PPT state of this rank profile")
-
-
-def find_rank1_compression(state: BipartiteState) -> Optional[tuple]:
-    """Search for a unit |a> with <a|rho|a> of rank one.
-
-    Equivalent to a hyperplane H in the B space with |a> (x) H inside the
-    kernel, found by `segre._plane_search` with (n - 1)-frames from 96
-    seeded starts; returns (a, hyperplane basis) of the first verified hit,
-    in start order, whose compression has rank one, or None.  Only the A
-    side is examined; swap parties to ask the mirrored question.
-    """
-    dims = state.dims
-    m, n = dims.m, dims.n
-    if n < 2:
-        return None
-    kern = kernel_basis(state)
-    stack = complement_stack(kern, dims).conj()       # range of rho as matrices
-    hits = segre._plane_search("A", stack, start_pairs(96, m, n)[0], n - 1)
-    rho_t = state.matrix.reshape(m, n, m, n)
-    for hit in hits.values():
-        compressed = np.einsum('i,injm,j->nm', hit.vector.conj(), rho_t, hit.vector)
-        sv = np.linalg.svd(compressed, compute_uv=False)
-        if sv[0] > 0 and (sv.size < 2 or sv[1] <= 1e-8 * sv[0]):
-            return hit.vector, hit.subspace
-    return None
 
 
 def strongly_extreme_by_theorem(state: BipartiteState,

@@ -3,7 +3,7 @@
 Operators on C^m (x) C^n are dense (m*n) x (m*n) complex matrices in the
 product basis ordering |i>|j> -> row i*n + j, so the partial transpose is a
 deterministic block permutation.  States are positive semidefinite but not
-normalized; normalization is available as an explicit operation.
+normalized, and every cut below is relative, so no verdict reads their scale.
 
 Every rank, kernel and positivity answer is computed against the two cuts
 that a state carries, `rank_tol` and `psd_tol`, and the borderline data
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 # Default tolerances.  Rank cutoffs are relative to the largest eigenvalue
-# modulus; hermiticity and orthonormality checks are absolute on unit-scaled
-# data.
+# modulus, the hermiticity check to the largest entry modulus; the
+# orthonormality check is absolute on unit vectors.
 HERMITICITY_TOL = 1e-12
 RANK_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -61,8 +61,8 @@ class HermitianOperator:
 
     The constructor symmetrizes the input as (X + X^dag)/2 and records the
     asymmetry of what was passed in; inputs whose asymmetry exceeds
-    HERMITICITY_TOL (relative to the largest entry, at least one), and
-    inputs with NaN or infinite entries, are rejected.
+    HERMITICITY_TOL times the largest entry modulus, whatever the scale,
+    and inputs with NaN or infinite entries, are rejected.
     """
 
     dims: BipartiteDims
@@ -76,11 +76,11 @@ class HermitianOperator:
             raise ValueError(f"expected a {d}x{d} matrix for dims {dims}, got {entries.shape}")
         if not np.all(np.isfinite(entries)):
             raise ValueError("matrix has non-finite entries (NaN or Inf)")
-        scale = max(1.0, np.abs(entries).max()) if entries.size else 1.0
+        scale = float(np.abs(entries).max())
         asym = float(np.abs(entries - entries.conj().T).max())
         if asym > HERMITICITY_TOL * scale:
-            raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} "
-                             f"exceeds {HERMITICITY_TOL:.1e}")
+            raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds "
+                             f"{HERMITICITY_TOL:.1e} times the largest entry {scale:.3e}")
         if asym > 0.0:
             entries = (entries + entries.conj().T) / 2.0
         self.dims = dims
@@ -416,11 +416,6 @@ def range_basis(state: BipartiteState) -> SubspaceBasis:
     return SubspaceBasis(state.dims.total, state.split()[1], tol_used=state.rank_tol)
 
 
-def normalized(state: BipartiteState) -> BipartiteState:
-    """The trace-one scalar multiple of the state, at its cuts."""
-    return state._derived(HermitianOperator(state.dims, state.matrix / state.trace), {})
-
-
 # ---------------------------------------------------------------------------
 # file format
 #
@@ -460,13 +455,6 @@ def _decode_complex_matrix(rows, what: str = "matrix") -> np.ndarray:
 def save_state(state: BipartiteState, path) -> None:
     payload = {"m": state.dims.m, "n": state.dims.n,
                "matrix": _encode_complex_matrix(state.matrix)}
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def save_factor(factor: BlockFactor, path) -> None:
-    payload = {"m": factor.dims.m, "n": factor.dims.n, "r": factor.r_rows,
-               "blocks": [_encode_complex_matrix(b) for b in factor.blocks]}
     with open(path, "w") as fh:
         json.dump(payload, fh)
 

@@ -70,18 +70,17 @@ the holomorphic system, on top of the homotopy's points on K.  Every
 multistart round, that search or the cross-check of a count, has
 max(400, 4 delta) starts.  One classification then reads the plane, the
 count and the points, in one place.  One alternation, `_alternate` on Gram
-matrices, serves the round (w = 1), the plane search (a w-frame, w = 2 or
-n - 1) and the edge fallback of `certify.edge_check` (two stacks in one
-Gram tensor); each half-step is one inverse-iteration step from the
-factor's current value.  `_plane_search`, one `_alternate` call from
-frames drawn once and one verification, is every plane search: the
-endpoint plane check, `find_line_subspaces` (from _LINE_STARTS seeded
-pairs, a public helper that no route calls) and
-`certify.find_rank1_compression` (w = n - 1).  Its start pairs
-(`start_pairs`) and starting frames are seeded, so every search is
-deterministic.  One rule, `_distinct`, dedups every set of points and
-planes: the homotopy's roots, the roots kept on K, the round's points on
-top of them, and each side's planes.
+matrices, serves the round (w = 1), the plane search (a w-frame) and
+`edge_pair_search`, the edge check's joint search on the stacks of ker rho
+and ker rho^Gamma, which `_edge_gram` folds into one Gram tensor; each
+half-step is one inverse-iteration step from the factor's current value.
+`_plane_search`, one `_alternate` call from frames drawn once and one
+verification, is every plane search: the endpoint plane check and
+`find_line_subspaces` (from _LINE_STARTS seeded pairs, a public helper
+that no route calls).  Its start pairs (`start_pairs`) and starting frames
+are seeded, so every search is deterministic.  One rule, `_distinct`,
+dedups every set of points and planes: the homotopy's roots, the roots
+kept on K, the round's points on top of them, and each side's planes.
 
 Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
@@ -92,9 +91,10 @@ and a search alone never reports it.
 `minor_system_roots`, the determinantal system, is an independent root
 finder that only the tests call; enumeration does not.  It needs scipy
 (`scipy.linalg.eigvals` for its QZ pencils), which only the `test` extra
-installs, and imports it when called.  It stays in this module, not in the
-tests' own oracle module, only because `perfbench/spans.WRAPPED` wraps it
-by name; its move waits for a change to the benchmark.
+installs, and imports it when called.  It, its polynomial helpers,
+`find_line_subspaces` and `transversal` stay in this module, not in the
+tests' oracle module, only because `perfbench/spans.WRAPPED` wraps them
+by name; their move waits for a change to the benchmark.
 """
 
 from __future__ import annotations
@@ -845,6 +845,45 @@ def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims) -> list:
         a, _ = start_pairs(_LINE_STARTS, stack.shape[1], stack.shape[2])
         out += _distinct_lines(list(_plane_search(side, stack, a, 2).values()))
     return out
+
+
+# ---------------------------------------------------------------------------
+# edge pairs
+
+
+def _edge_gram(kern_rho: np.ndarray, kern_gamma: np.ndarray) -> np.ndarray:
+    """Q1 + S Q2, from the `_gram` of each stack, S swapping Q2's a indices:
+    |F1(a) b|^2 + |F2(conj a) b|^2 has b-Gram (conj(a) (x) a)(Q1 + S Q2) and
+    a-Gram G1^H G1 + conj(G2^H G2) = (conj(b) (x) b)(Q1 + S Q2)^T."""
+    m = kern_rho.shape[1]
+    swapped = _gram(kern_gamma).reshape(m, m, -1).transpose(1, 0, 2).reshape(m * m, -1)
+    return _gram(kern_rho) + swapped
+
+
+def edge_pair_search(state: BipartiteState, starts: int, tol: float) -> tuple:
+    """(ProductVector, joint residual) of the best of `starts` seeded
+    `start_pairs` for an edge-violating pair: a (x) b in R(rho) with
+    conj(a) (x) b in R(rho^Gamma).  The joint residual
+    sqrt(|F1(a) b|^2 + |F2(conj a) b|^2), F1 and F2 the membership maps of
+    the two ranges on stacks of the kernels the state keeps (no SVD), is
+    minimized by `_alternate` on `_edge_gram` in rounds of _ALTERNATE_ITERS
+    iterations, each from the pairs the last one left, until a start falls
+    below `tol`, 420 iterations at most."""
+    m, n = state.dims.m, state.dims.n
+    kern_rho, kern_gamma = (state.split(gamma)[0].conj().reshape(-1, m, n)
+                            for gamma in (False, True))
+    q = _edge_gram(kern_rho, kern_gamma)
+    a, b = start_pairs(starts, m, n)
+    b = b[:, :, None]
+    for _ in range(420 // _ALTERNATE_ITERS):
+        a, b = _alternate(q, a, b, _ALTERNATE_ITERS)
+        r1 = _membership_residuals(kern_rho, a, b[:, :, 0])
+        r2 = _membership_residuals(kern_gamma, a.conj(), b[:, :, 0])
+        joint = np.sqrt(r1 ** 2 + r2 ** 2)
+        if joint.min() < tol:
+            break
+    idx = int(np.argmin(joint))
+    return ProductVector(a[idx], b[idx, :, 0]), float(joint[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ The constructors fall in three groups:
 
 - counting helpers: :func:`delta` and the binomial degree identity,
 - unextendible product bases: the two-parameter tiles construction
-  :func:`gentiles2_upb` with its complement state, plus a fixed 3x3 basis
-  used in tests,
+  :func:`gentiles2_upb` with its complement state,
 - block-factored state families: a rigid good 3x4 state, a good 3xN family,
   a seven-parameter bad 3x4 family and its bad MxN extension, and a
   projector whose kernel holds exactly ten product vectors.
@@ -128,22 +127,6 @@ def gentiles2_upb(m: int, n: int) -> UpbFamily:
                                  np.ones(n, dtype=complex) / np.sqrt(n)))
     assert len(vectors) == m * n - 2 * m + 1
     return UpbFamily(BipartiteDims(m, n), vectors, family_name="gentiles2")
-
-
-def tiles_upb_3x3() -> UpbFamily:
-    """The classic five-vector 3x3 tiles basis (test fixture, not new here)."""
-    s = 1.0 / np.sqrt(2.0)
-    t = 1.0 / np.sqrt(3.0)
-    raw = [
-        ((1, 0, 0), (s, -s, 0)),
-        ((0, 0, 1), (0, s, -s)),
-        ((s, -s, 0), (0, 0, 1)),
-        ((0, s, -s), (1, 0, 0)),
-        ((t, t, t), (t, t, t)),
-    ]
-    vectors = [ProductVector(np.array(a, dtype=complex), np.array(b, dtype=complex))
-               for a, b in raw]
-    return UpbFamily(BipartiteDims(3, 3), vectors, family_name="tiles3x3")
 
 
 def upb_complement_state(upb: UpbFamily) -> BipartiteState:

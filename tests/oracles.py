@@ -38,6 +38,11 @@ quantity as a package function by the direct, slow construction:
   where `segre._distinct` compares each row with every kept one in one
   batched product.
 
+Two test-only helpers sit here too, with no package counterpart:
+`find_rank1_compression` searches for a local vector |a> that compresses a
+state to rank one, by `segre._plane_search` with (n - 1)-frames, and
+`tiles_upb_3x3` is the classic five-vector 3x3 tiles basis, a fixture.
+
 scipy is a dependency of the tests only (the `test` extra), and only the
 two scipy routes use it.  Each imports `scipy.linalg` when called, so this
 module imports without scipy; a test that calls one of them, or
@@ -47,8 +52,11 @@ and skips where scipy is not installed.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
+from pptlab import segre
 from pptlab.certify import NULLITY_CUTOFF, nullity_verdict
 from pptlab.qstate import (
     RANK_TOL,
@@ -58,6 +66,7 @@ from pptlab.qstate import (
     SubspaceBasis,
     _gamma,
     gamma_matrix,
+    kernel_basis,
 )
 from pptlab.segre import (
     DEDUP_TOL,
@@ -70,7 +79,9 @@ from pptlab.segre import (
     _poly_roots_companion,
     _solve_rows,
     complement_stack,
+    start_pairs,
 )
+from pptlab.zoo import UpbFamily
 
 
 def _hermitian_basis(r: int) -> list:
@@ -377,3 +388,44 @@ def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims) -> list:
         if res[0] <= RESIDUAL_TOL:
             pool.add(ProductVector(aa[0], bb[0]), float(res[0]))
     return pool.points
+
+
+def find_rank1_compression(state: BipartiteState) -> Optional[tuple]:
+    """Search for a unit |a> with <a|rho|a> of rank one.
+
+    Equivalent to a hyperplane H in the B space with |a> (x) H inside the
+    kernel, found by `segre._plane_search` with (n - 1)-frames from 96
+    seeded starts; returns (a, hyperplane basis) of the first verified hit,
+    in start order, whose compression has rank one, or None.  Only the A
+    side is examined; swap parties to ask the mirrored question.
+    """
+    dims = state.dims
+    m, n = dims.m, dims.n
+    if n < 2:
+        return None
+    kern = kernel_basis(state)
+    stack = complement_stack(kern, dims).conj()       # range of rho as matrices
+    hits = segre._plane_search("A", stack, start_pairs(96, m, n)[0], n - 1)
+    rho_t = state.matrix.reshape(m, n, m, n)
+    for hit in hits.values():
+        compressed = np.einsum('i,injm,j->nm', hit.vector.conj(), rho_t, hit.vector)
+        sv = np.linalg.svd(compressed, compute_uv=False)
+        if sv[0] > 0 and (sv.size < 2 or sv[1] <= 1e-8 * sv[0]):
+            return hit.vector, hit.subspace
+    return None
+
+
+def tiles_upb_3x3() -> UpbFamily:
+    """The classic five-vector 3x3 tiles basis (test fixture, not new here)."""
+    s = 1.0 / np.sqrt(2.0)
+    t = 1.0 / np.sqrt(3.0)
+    raw = [
+        ((1, 0, 0), (s, -s, 0)),
+        ((0, 0, 1), (0, s, -s)),
+        ((s, -s, 0), (0, 0, 1)),
+        ((0, s, -s), (1, 0, 0)),
+        ((t, t, t), (t, t, t)),
+    ]
+    vectors = [ProductVector(np.array(a, dtype=complex), np.array(b, dtype=complex))
+               for a, b in raw]
+    return UpbFamily(BipartiteDims(3, 3), vectors, family_name="tiles3x3")

@@ -34,7 +34,7 @@ from pptlab.segre import (
     transversal,
 )
 from conftest import random_full_rank_ppt, random_hermitian
-from oracles import pencil_roots_2xn
+from oracles import pencil_roots_2xn, tiles_upb_3x3
 from test_qstate import werner_2x2
 from test_segre import match_sets, subspace_from_vectors
 
@@ -286,7 +286,7 @@ def test_criterion_10_property_suites():
             zoo.kon_mnogo()[0],
             zoo.good_3x4(),
             zoo.good_3xn(5),
-            zoo.upb_complement_state(zoo.tiles_upb_3x3()),
+            zoo.upb_complement_state(tiles_upb_3x3()),
             zoo.bad_3xn(4),
             zoo.bad_mxn(4, 4),
             werner_2x2(),

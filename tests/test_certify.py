@@ -7,7 +7,6 @@ from pptlab.certify import (
     StrongExtremality,
     edge_check,
     extremality_nullity,
-    find_rank1_compression,
     nullity_verdict,
     necessary_bound,
     rank_n_separable_decomposition,
@@ -19,6 +18,7 @@ from pptlab.qstate import (
     BipartiteState,
     HermitianOperator,
     ProductVector,
+    SubspaceBasis,
     gamma_matrix,
     is_ppt,
     range_basis,
@@ -27,8 +27,9 @@ from pptlab.qstate import (
 from pptlab.segre import (Classification, EnumerationResult, complement_stack,
                           enumerate_product_vectors, start_pairs)
 from conftest import random_full_rank_ppt, random_product_vector
-from oracles import (bisection_step, inverse_iteration_step, nullity_by_columns,
-                     nullity_unrestricted, scipy_pencil_eigvalsh, scipy_schur_basis)
+from oracles import (bisection_step, find_rank1_compression, inverse_iteration_step,
+                     nullity_by_columns, nullity_unrestricted, scipy_pencil_eigvalsh,
+                     scipy_schur_basis)
 from test_qstate import werner_2x2
 from test_segre import slocc_changed
 
@@ -509,7 +510,7 @@ class TestEdgeAStep:
         kern_rho = complement_stack(range_basis(state), dims).conj()
         kern_gamma = complement_stack(range_basis(gamma_state), dims).conj()
         a0, b = start_pairs(64, dims.m, dims.n)
-        q = certify._edge_gram(kern_rho, kern_gamma)
+        q = segre._edge_gram(kern_rho, kern_gamma)
         a = segre._least_eigvecs(q.T, b[:, :, None], a0[:, :, None])[:, :, 0]
         oracle = real_embedded_a_step(kern_rho, kern_gamma, b, a0)
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
@@ -549,7 +550,7 @@ class TestEdgeFallback:
         # steps on the stacked membership matrices, up to phase
         state = zoo.bad_3x4(1.3, 0.7, -1.1, 0.9, 1.7, 0.4, -0.2)
         kern_rho, kern_gamma = edge_stacks(state)
-        q = certify._edge_gram(kern_rho, kern_gamma)
+        q = segre._edge_gram(kern_rho, kern_gamma)
         a, b = start_pairs(64, 3, 4)
         f = np.concatenate([np.einsum('si,rij->srj', a, kern_rho),
                             np.einsum('si,rij->srj', a.conj(), kern_gamma)], axis=1)
@@ -564,7 +565,7 @@ class TestEdgeFallback:
 
     def test_fallback_calls_no_svd(self, monkeypatch):
         kern_rho, kern_gamma = edge_stacks(zoo.good_3x4())
-        q = certify._edge_gram(kern_rho, kern_gamma)
+        q = segre._edge_gram(kern_rho, kern_gamma)
         a, b = start_pairs(certify.EDGE_FALLBACK_STARTS, 3, 4)
 
         def refuse(*args, **kwargs):
@@ -574,13 +575,36 @@ class TestEdgeFallback:
         a, b = segre._alternate(q, a, b[:, :, None], 60)
         assert b.shape == (certify.EDGE_FALLBACK_STARTS, 4, 1)
 
+    def test_search_builds_its_stacks_without_svd(self, monkeypatch):
+        # the stacks are the kernels the state keeps, not null spaces of its
+        # ranges, and the search on them finds a product term of the state
+        state = seeded_separable(3, 3, 6, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the edge pair search called np.linalg.svd")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        pv, joint = segre.edge_pair_search(state, certify.EDGE_FALLBACK_STARTS,
+                                           certify.EDGE_PAIR_TOL)
+        # the joint residual, measured on the two ranges themselves
+        rng_gamma = SubspaceBasis(9, state.split(gamma=True)[1], state.rank_tol)
+        direct = np.hypot(range_basis(state).project_residual(pv.vec()),
+                          rng_gamma.project_residual(segre.partial_conjugate(pv).vec()))
+        assert max(joint, direct) < certify.EDGE_PAIR_TOL
+
     @pytest.mark.parametrize("m, n, terms, seed, slocc", [
         (3, 3, 6, 3, None), (3, 3, 6, 2, 4), (3, 4, 8, 1, 4), (4, 4, 11, 2, 5),
+        # known defect: the alternation converges linearly, and 420
+        # iterations leave these at 1.2e-7 and 2.3e-7; a quadratic polish of
+        # the joint system would mend it
+        *(pytest.param(*case, marks=pytest.mark.xfail(
+            strict=True, reason="420 iterations stop above EDGE_PAIR_TOL"))
+          for case in ((2, 3, 4, 1, None), (2, 4, 6, 0, None))),
     ])
     def test_separable_state_is_not_edge(self, m, n, terms, seed, slocc):
         # its own product terms are a violating pair; the fallback's starts
         # converge linearly, and a fixed 60 iterations stopped above
-        # EDGE_PAIR_TOL (at 1.5e-8 to 1.6e-7 on these four)
+        # EDGE_PAIR_TOL (at 1.5e-8 to 1.6e-7 on the first four)
         report = edge_check(seeded_separable(m, n, terms, seed, slocc))
         assert not report.is_edge
         assert report.route == "multistart"

@@ -20,16 +20,24 @@ from pptlab.qstate import (
     is_ppt,
     kernel_basis,
     load_state,
-    normalized,
     null_space,
     partial_transpose,
     range_basis,
     rank_profile,
     reduced_operators,
-    save_factor,
     save_state,
+    _encode_complex_matrix,
 )
 from conftest import random_hermitian, random_state
+from oracles import tiles_upb_3x3
+
+
+def save_factor(factor: BlockFactor, path) -> None:
+    """Write `factor` as a factored state file, the form `load_state` reads."""
+    payload = {"m": factor.dims.m, "n": factor.dims.n, "r": factor.r_rows,
+               "blocks": [_encode_complex_matrix(b) for b in factor.blocks]}
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
 
 
 def werner_2x2() -> BipartiteState:
@@ -63,6 +71,23 @@ class TestContainers:
         x = rng.standard_normal((4, 4))
         with pytest.raises(ValueError, match="not Hermitian"):
             HermitianOperator(BipartiteDims(2, 2), x + np.triu(np.ones((4, 4)), 1))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-13])
+    def test_hermitian_bound_is_relative_to_the_largest_entry(self, scale):
+        # an asymmetry of half the largest entry is refused at any scale,
+        # and one of 1e-13 of it accepted
+        x = np.diag([2.0, 2.0, 2.0, 2.0])
+        x[0, 1] = 1.0
+        with pytest.raises(ValueError, match=r"exceeds 1\.0e-12 times the largest entry"):
+            HermitianOperator(BipartiteDims(2, 2), scale * x)
+        x[0, 1] = 2e-13
+        op = HermitianOperator(BipartiteDims(2, 2), scale * x)
+        assert op.asymmetry == pytest.approx(2e-13 * scale)
+        assert np.array_equal(op.entries, op.entries.conj().T)
+
+    def test_hermitian_accepts_the_zero_matrix(self):
+        op = HermitianOperator(BipartiteDims(2, 2), np.zeros((4, 4)))
+        assert op.asymmetry == 0.0
 
     def test_hermitian_symmetrizes_and_records(self):
         x = np.eye(4, dtype=complex)
@@ -379,7 +404,7 @@ class TestOneRankCut:
 
 def zoo_states() -> dict:
     states = {"good_3x4": zoo.good_3x4(), "kon_mnogo": zoo.kon_mnogo()[0],
-              "bad_3x4": zoo.bad_3x4(), "tiles_3x3": zoo.upb_complement_state(zoo.tiles_upb_3x3())}
+              "bad_3x4": zoo.bad_3x4(), "tiles_3x3": zoo.upb_complement_state(tiles_upb_3x3())}
     for m, n in [(3, 4), (3, 5), (4, 4), (4, 5), (5, 5)]:
         states[f"gentiles2_{m}x{n}"] = zoo.upb_complement_state(zoo.gentiles2_upb(m, n))
     for n in range(4, 9):
@@ -418,12 +443,6 @@ class TestNullSpace:
             got, ref = null_space(x), linalg.null_space(x)
             assert np.array_equal(got, ref) and got.strides == ref.strides
             assert np.abs(x @ got).max(initial=0.0) <= 1e-12 * np.abs(x).max() * max(r, c)
-
-
-class TestNormalization:
-    def test_normalized_trace_one(self):
-        state = normalized(zoo.good_3x4())
-        assert state.trace == pytest.approx(1.0)
 
 
 class TestFileFormat:

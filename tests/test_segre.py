@@ -46,7 +46,7 @@ from pptlab.segre import (
 )
 from conftest import random_product_vector
 from oracles import (BorderedTracker, ReferenceTracker, _plane_alternation, _PointPool,
-                     alternate_by_inverse_iteration, pencil_roots_2xn,
+                     alternate_by_inverse_iteration, pencil_roots_2xn, tiles_upb_3x3,
                      transversal_by_tangent_span)
 from test_qstate import bad_separable_3x3, werner_2x2
 
@@ -118,7 +118,7 @@ class TestProductVector:
 
 class TestEnumerate:
     def test_tiles_3x3_complement_has_six_points(self):
-        state = zoo.upb_complement_state(zoo.tiles_upb_3x3())
+        state = zoo.upb_complement_state(tiles_upb_3x3())
         res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert res.classification == Classification.FINITE
         assert res.count == 6
@@ -972,7 +972,7 @@ class TestTransversal:
     @pytest.mark.parametrize("state_fn", [
         zoo.good_3x4,
         lambda: zoo.kon_mnogo()[0],
-        lambda: zoo.upb_complement_state(zoo.tiles_upb_3x3()),
+        lambda: zoo.upb_complement_state(tiles_upb_3x3()),
         lambda: zoo.upb_complement_state(zoo.gentiles2_upb(3, 4)),
         lambda: zoo.good_3xn(5),
         zoo.bad_3x4,

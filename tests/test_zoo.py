@@ -11,6 +11,7 @@ from pptlab.qstate import (
     rank_profile,
     reduced_operators,
 )
+from oracles import tiles_upb_3x3
 
 
 class TestDelta:
@@ -71,7 +72,7 @@ class TestGenTiles2:
             zoo.UpbFamily(BipartiteDims(2, 2), [pv, pv], family_name="dup")
 
     def test_tiles_3x3_fixture(self):
-        upb = zoo.tiles_upb_3x3()
+        upb = tiles_upb_3x3()
         assert len(upb) == 5
         state = zoo.upb_complement_state(upb)
         assert rank_profile(state).rank == 4

@@ -31,8 +31,8 @@ non-extreme state comes from the null vectors of the same SVDs.
 The remaining certificates are the quadratic necessary bound on biranks,
 an edge-state check (no product vector in the range whose partial conjugate
 sits in the range of rho^Gamma), which keeps the verdict rule and leaves
-the pair search to `segre.edge_pair_search`, and a product decomposition
-for PPT states of rank equal to the B-local rank.
+the pair search, its starts and its tolerance to `segre.edge_pair_search`,
+and a product decomposition for PPT states of rank equal to the B-local rank.
 """
 
 from __future__ import annotations
@@ -59,6 +59,8 @@ from .qstate import (
     _gamma,
 )
 from .segre import (
+    EDGE_FALLBACK_STARTS,
+    EDGE_PAIR_TOL,
     Classification,
     EnumerationResult,
     Goodness,
@@ -70,8 +72,6 @@ from .segre import (
 )
 
 NULLITY_CUTOFF = 1e-8
-EDGE_PAIR_TOL = 1e-9
-EDGE_FALLBACK_STARTS = 256
 MARGIN_FACTOR = 10.0
 
 
@@ -150,8 +150,9 @@ def _hermitian_coords(x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.diagonal(x).real, np.stack([up.real, up.imag], 1).ravel()])
 
 
-def _hermitian_from_coords(c: np.ndarray, r: int) -> np.ndarray:
+def _hermitian_from_coords(c: np.ndarray) -> np.ndarray:
     """The inverse of `_hermitian_coords`."""
+    r = round(len(c) ** 0.5)
     x = np.zeros((r, r), dtype=complex)
     x[np.triu_indices(r, 1)] = (c[r::2] + 1j * c[r + 1::2]) / np.sqrt(2.0)
     return x + x.conj().T + np.diag(c[:r])
@@ -303,18 +304,18 @@ def extremality_nullity(state: BipartiteState) -> ExtremalityCert:
             rows[:, units[first:first + vh.shape[0]]] = vh
             null_rows.append(rows[int(np.sum(s > NULLITY_CUTOFF)):])
             first += vh.shape[0]
-        witness = _witness_from_nullspace(state, p.T, np.concatenate(null_rows))
+        witness = _witness_from_nullspace(state, np.concatenate(null_rows))
     return ExtremalityCert(nullity, verdict, gap, sv, witness, margin)
 
 
-def _witness_from_nullspace(state: BipartiteState, p: np.ndarray,
-                            null_rows: np.ndarray) -> Optional[np.ndarray]:
+def _witness_from_nullspace(state: BipartiteState, null_rows: np.ndarray) -> Optional[np.ndarray]:
     """A unit-Frobenius feasible Hermitian direction orthogonal to rho."""
+    p = state.split()[1].T
     coeff = null_rows @ _hermitian_coords(p.conj().T @ state.matrix @ p)
     perp = null_space(coeff[None, :])
     if perp.shape[1] == 0:
         return None
-    x = _hermitian_from_coords(perp[:, 0] @ null_rows, p.shape[1])
+    x = _hermitian_from_coords(perp[:, 0] @ null_rows)
     h = p @ x @ p.conj().T
     h = (h + h.conj().T) / 2.0
     nrm = np.linalg.norm(h)
@@ -419,7 +420,7 @@ def edge_check(state: BipartiteState, *,
         return EdgeReport(True, None, starts, best, route, paths)
 
     # joint minimization over (a, b) of the two projection residuals at once
-    pv, joint = edge_pair_search(state, EDGE_FALLBACK_STARTS, EDGE_PAIR_TOL)
+    pv, joint = edge_pair_search(state)
     starts += EDGE_FALLBACK_STARTS
     if joint < EDGE_PAIR_TOL:
         return EdgeReport(False, (pv, partial_conjugate(pv)), starts, joint, "multistart", paths)

@@ -158,14 +158,11 @@ class AnalysisReport:
 
 
 def analyze_state(state: qstate.BipartiteState, descriptor: dict,
-                  tol_rank: float = qstate.RANK_TOL,
-                  tol_psd: float = qstate.PSD_TOL,
                   fast: bool = False) -> AnalysisReport:
-    """Run the full pipeline at the cuts `tol_rank` and `tol_psd`, bound to the state once
-    with no new decomposition or PSD check; `fast` skips the range and edge searches."""
-    state = state._derived(cuts=(tol_rank, tol_psd))
+    """Run the full pipeline at the state's own cuts, `rank_tol` and `psd_tol`;
+    `fast` skips the range and edge searches."""
     dims = state.dims
-    tols = {"rank": tol_rank, "psd": tol_psd, "residual": segre.RESIDUAL_TOL}
+    tols = {"rank": state.rank_tol, "psd": state.psd_tol, "residual": segre.RESIDUAL_TOL}
     timings: dict = {}
     anomalies: list = []
 
@@ -277,6 +274,8 @@ def _construct(args) -> int:
 def _sweep(args) -> int:
     fam = zoo.FAMILIES[args.family]
     opts = _family_options(args)
+    if opts.get("n_range", (4,))[0] < 4:       # the families an n-range sweeps are 3xN, n > 3
+        raise ValueError("--n-range %d:%d: a 3xN family starts at n = 4" % args.n_range)
     points = []
     for m, n, params in fam.grid(np.random.default_rng(args.seed), **opts):
         points.append({"family": args.family, "m": m, "n": n})
@@ -289,8 +288,8 @@ def _sweep(args) -> int:
     def run(point):
         try:
             state = fam.build(point["m"], point["n"], point.get(fam.param))
-            rep = analyze_state(state, dict(point, seed=args.seed), tol_rank=args.tol_rank,
-                                tol_psd=args.tol_psd, fast=args.fast)
+            state = state._derived(cuts=(args.tol_rank, args.tol_psd))
+            rep = analyze_state(state, dict(point, seed=args.seed), fast=args.fast)
             return rep.to_json(include_timings=args.timings), rep
         except Exception as exc:   # recorded per-line, the sweep continues
             return {"schema": SCHEMA, "input": point, "error": str(exc)}, None
@@ -367,13 +366,11 @@ def _analyze(args) -> int:
     # an unwritable --out fails before the analysis; it may name the input file,
     # so it is opened after the load and emptied only once the report is ready
     with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        rep = analyze_state(state, {"path": args.path},
-                            tol_rank=args.tol_rank, tol_psd=args.tol_psd, fast=args.fast)
-        if args.md:
-            text = rep.to_markdown()
-        else:
-            text = json.dumps(rep.to_json(include_timings=args.timings),
-                              sort_keys=True, indent=2, allow_nan=False) + "\n"
+        rep = analyze_state(state._derived(cuts=(args.tol_rank, args.tol_psd)),
+                            {"path": args.path}, fast=args.fast)
+        text = rep.to_markdown() if args.md else json.dumps(
+            rep.to_json(include_timings=args.timings), sort_keys=True, indent=2,
+            allow_nan=False) + "\n"
         if args.out:
             out.truncate(0)
         out.write(text)
@@ -430,9 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pa = sub.add_parser("analyze", help="full certification report for a state file")
     pa.add_argument("path")
-    fmt = pa.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="JSON output (default)")
-    fmt.add_argument("--md", action="store_true", help="markdown output")
+    pa.add_argument("--md", action="store_true", help="markdown output (default JSON)")
     pa.add_argument("--out", type=str, default=None)
     _add_common(pa)
     pa.set_defaults(func=_analyze)

@@ -70,10 +70,12 @@ the holomorphic system, on top of the homotopy's points on K.  Every
 multistart round, that search or the cross-check of a count, has
 max(400, 4 delta) starts.  One classification then reads the plane, the
 count and the points, in one place.  One alternation, `_alternate` on Gram
-matrices, serves the round (w = 1), the plane search (a w-frame) and
-`edge_pair_search`, the edge check's joint search on the stacks of ker rho
-and ker rho^Gamma, which `_edge_gram` folds into one Gram tensor; each
-half-step is one inverse-iteration step from the factor's current value.
+matrices, _ALTERNATE_ITERS iterations a call, serves the round (w = 1), the
+plane search (a w-frame) and `edge_pair_search`, the edge check's joint
+search from EDGE_FALLBACK_STARTS starts down to EDGE_PAIR_TOL on the stacks
+of ker rho and ker rho^Gamma, which `_edge_gram` folds into one Gram
+tensor; each half-step is one inverse-iteration step from the factor's
+current value.
 `_plane_search`, one `_alternate` call from frames drawn once and one
 verification, is every plane search: the endpoint plane check and
 `find_line_subspaces` (from _LINE_STARTS seeded pairs, a public helper
@@ -122,6 +124,8 @@ from .zoo import delta
 RESIDUAL_TOL = 1e-10
 DEDUP_TOL = 1e-6
 POLISH_TARGET = 1e-13
+EDGE_PAIR_TOL = 1e-9
+EDGE_FALLBACK_STARTS = 256
 _ALTERNATE_ITERS = 60
 _SETTLED_STEP = 1e-14
 _POLISH_ITERS = 16
@@ -258,14 +262,15 @@ def _least_eigvecs(q: np.ndarray, x: np.ndarray, frame: np.ndarray) -> np.ndarra
     return y / np.linalg.norm(y, axis=1, keepdims=True) if y.shape[2] == 1 else np.linalg.qr(y)[0]
 
 
-def _alternate(q: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
-    """The one alternating minimization of the package, of |F(a) B|_F over a
-    unit a and an orthonormal n x w frame B, block by block (De Lathauwer,
-    De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000).  B takes
-    one `_least_eigvecs` step from itself toward the w least eigenvectors of
-    (conj(a) (x) a) Q = F(a)^H F(a), then a one step toward the least one
-    of (sum_w conj(b_w) (x) b_w) Q^T.  A frame is fixed exactly when it spans an
-    invariant subspace, and with w = 1 no step raises |F(a) b|, as
+def _alternate(q: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """The one alternating minimization of the package, _ALTERNATE_ITERS
+    iterations on |F(a) B|_F over a unit a and an orthonormal n x w frame B,
+    block by block (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal.
+    Appl. 21(4), 2000).  B takes one `_least_eigvecs` step from itself toward
+    the w least eigenvectors of (conj(a) (x) a) Q = F(a)^H F(a), then a one
+    step toward the least one of (sum_w conj(b_w) (x) b_w) Q^T.  A frame is
+    fixed exactly when it spans an invariant subspace, and with w = 1 no
+    step raises |F(a) b|, as
     v^H M^k v is log-convex in k.  The rows of a (starts, m) and b
     (starts, n, w) are the starts.  A start retires once both factors move
     by less than _SETTLED_STEP in one iteration, as |new - old old^H new|_F,
@@ -274,7 +279,7 @@ def _alternate(q: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
     residual below ~1e-8."""
     a, b = a[:, :, None].copy(), b.copy()
     live = np.arange(a.shape[0])
-    for _ in range(iters):
+    for _ in range(_ALTERNATE_ITERS):
         if live.size == 0:
             break
         al = a[live]
@@ -291,10 +296,10 @@ def _moved(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.linalg.norm(new - old @ (old.conj().transpose(0, 2, 1) @ new), axis=(1, 2))
 
 
-def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
+def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The multistart round's `_alternate` (w = 1) from pairs (a, b), a slice
     of at most _BATCH_CAP starts; returns them with |F(a) b| itself."""
-    a, b = _alternate(_gram(wc), a, b[:, :, None], iters)
+    a, b = _alternate(_gram(wc), a, b[:, :, None])
     return a, b[:, :, 0], _membership_residuals(wc, a, b[:, :, 0])
 
 
@@ -520,8 +525,8 @@ def minor_system_roots(k: SubspaceBasis, dims: BipartiteDims) -> list:
 # homotopy route (square and squared-down membership systems)
 
 
-def _square_down(wc: np.ndarray, rows: int) -> np.ndarray:
-    """`rows` fixed random combinations of the R' membership equations.
+def _square_down(wc: np.ndarray) -> np.ndarray:
+    """m + n - 2 fixed random combinations of the R' membership equations.
 
     Every root of the full system g is a root of the mixed one, L g.  The
     mixed system is square, so delta distinct nonsingular roots are all of
@@ -529,7 +534,7 @@ def _square_down(wc: np.ndarray, rows: int) -> np.ndarray:
     2005, ch. 13).  L has orthonormal rows, so |L g| <= |g|.  A system that
     is already square is returned unchanged.
     """
-    rp, m, n = wc.shape
+    rp, rows = wc.shape[0], wc.shape[1] + wc.shape[2] - 2
     if rp == rows:
         return wc
     rng = np.random.default_rng(_SQUARE_DOWN_SEED)
@@ -564,6 +569,8 @@ class _PathTracker:
     flags `active`, `finished` (reached s = 1) and `diverged` (left for
     infinity in the patch).  Every step is dz = N du, N = `null`.
     """
+
+    finished = property(lambda self: self.s >= 1.0)    # `advance` stops a path at s = 1.0 exactly
 
     def __init__(self, wc: np.ndarray):
         rp, m, n = wc.shape
@@ -607,7 +614,6 @@ class _PathTracker:
         self.step = np.full(paths, 0.02)
         self.tan = np.full((paths, m + n), np.nan, dtype=complex)
         self.active = np.ones(paths, dtype=bool)
-        self.finished = np.zeros(paths, dtype=bool)
         self.diverged = np.zeros(paths, dtype=bool)
 
     def jacobian(self, z, s):
@@ -673,9 +679,7 @@ class _PathTracker:
             factor = np.clip(0.9 * (1e-4 / sizes[0][ok]) ** 0.2, 1.05, 2.0)
         good, bad = idx[ok], idx[~ok]
         self.z[good], self.s[good], self.tan[good] = zn[ok], sn[ok], tan[ok]
-        done = good[self.s[good] >= 1.0]
-        self.finished[done] = True
-        self.active[done] = False
+        self.active[good[self.s[good] >= 1.0]] = False
         going = self.s[good] < 1.0
         grow = good[going]
         self.step[grow] = np.minimum(np.minimum(self.step[grow] * factor[going], 0.1),
@@ -753,7 +757,7 @@ def _homotopy_roots(wc: np.ndarray):
     path order.
     """
     m, n = wc.shape[1], wc.shape[2]
-    wsq = _square_down(wc, m + n - 2)
+    wsq = _square_down(wc)
     tracker = _PathTracker(wsq)
     for _ in range(_HOMOTOPY_MAX_STEPS):
         if not tracker.active.any():
@@ -816,7 +820,7 @@ def _plane_search(side: str, stack: np.ndarray, a: np.ndarray, w_dim: int) -> di
         return {}
     z = np.random.default_rng(_START_SEED).standard_normal((s, dim_sub, 2 * w_dim))
     b = np.linalg.qr(z[:, :, :w_dim] + 1j * z[:, :, w_dim:])[0]
-    a, b = _alternate(_gram(stack), a, b, _ALTERNATE_ITERS)
+    a, b = _alternate(_gram(stack), a, b)
     h = np.linalg.norm(np.einsum('si,rij,sjw->srw', a, stack, b), axis=(1, 2))
     return {j: LineSubspace(side, a[j], SubspaceBasis(dim_sub, b[j].T, RESIDUAL_TOL), float(h[j]))
             for j in np.flatnonzero(h <= RESIDUAL_TOL)}
@@ -860,27 +864,27 @@ def _edge_gram(kern_rho: np.ndarray, kern_gamma: np.ndarray) -> np.ndarray:
     return _gram(kern_rho) + swapped
 
 
-def edge_pair_search(state: BipartiteState, starts: int, tol: float) -> tuple:
-    """(ProductVector, joint residual) of the best of `starts` seeded
-    `start_pairs` for an edge-violating pair: a (x) b in R(rho) with
+def edge_pair_search(state: BipartiteState) -> tuple:
+    """(ProductVector, joint residual) of the best of EDGE_FALLBACK_STARTS
+    seeded `start_pairs` for an edge-violating pair: a (x) b in R(rho) with
     conj(a) (x) b in R(rho^Gamma).  The joint residual
     sqrt(|F1(a) b|^2 + |F2(conj a) b|^2), F1 and F2 the membership maps of
     the two ranges on stacks of the kernels the state keeps (no SVD), is
     minimized by `_alternate` on `_edge_gram` in rounds of _ALTERNATE_ITERS
     iterations, each from the pairs the last one left, until a start falls
-    below `tol`, 420 iterations at most."""
+    below EDGE_PAIR_TOL, 420 iterations at most."""
     m, n = state.dims.m, state.dims.n
     kern_rho, kern_gamma = (state.split(gamma)[0].conj().reshape(-1, m, n)
                             for gamma in (False, True))
     q = _edge_gram(kern_rho, kern_gamma)
-    a, b = start_pairs(starts, m, n)
+    a, b = start_pairs(EDGE_FALLBACK_STARTS, m, n)
     b = b[:, :, None]
     for _ in range(420 // _ALTERNATE_ITERS):
-        a, b = _alternate(q, a, b, _ALTERNATE_ITERS)
+        a, b = _alternate(q, a, b)
         r1 = _membership_residuals(kern_rho, a, b[:, :, 0])
         r2 = _membership_residuals(kern_gamma, a.conj(), b[:, :, 0])
         joint = np.sqrt(r1 ** 2 + r2 ** 2)
-        if joint.min() < tol:
+        if joint.min() < EDGE_PAIR_TOL:
             break
     idx = int(np.argmin(joint))
     return ProductVector(a[idx], b[idx, :, 0]), float(joint[idx])
@@ -950,7 +954,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
         found, found_res = list(points), list(residuals)
         for lo in range(0, starts, _BATCH_CAP):
             a, b = a_all[lo:lo + _BATCH_CAP], b_all[lo:lo + _BATCH_CAP]
-            a, b, alt = _alternate_batch(wc, a, b, _ALTERNATE_ITERS)
+            a, b, alt = _alternate_batch(wc, a, b)
             a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
             # the polish can raise a residual the alternation reached
             evidence["best_residual"] = min(evidence["best_residual"], float(alt.min()),

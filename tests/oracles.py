@@ -266,9 +266,7 @@ class ReferenceTracker(BorderedTracker):
             ok = (sizes[-1] < 1e-10) & (sizes[0] < 1e-2) & np.all(np.isfinite(zn), axis=1)
         good, bad = idx[ok], idx[~ok]
         self.z[good], self.s[good] = zn[ok], sn[ok]
-        done = good[self.s[good] >= 1.0]
-        self.finished[done] = True
-        self.active[done] = False
+        self.active[good[self.s[good] >= 1.0]] = False
         grow = good[self.s[good] < 1.0]
         self.step[grow] = np.minimum(np.minimum(self.step[grow] * 1.6, 0.1), 1.0 - self.s[grow])
         self.step[bad] /= 2

@@ -150,6 +150,26 @@ class TestExtremalityNullity:
         g = BipartiteState(HermitianOperator(state.dims, gamma_matrix(state)))
         assert extremality_nullity(state).nullity == extremality_nullity(g).nullity
 
+    # the zoo states themselves are fixed by Gamma; their complex SLOCC
+    # images and the complex separable states are not
+    GAMMA_STATES = {
+        **{f"{name}_k{kappa}_s{seed}": (lambda f=f, kappa=kappa, seed=seed:
+                                        slocc_changed(f(), kappa, seed))
+           for name, f in (("good_3x4", zoo.good_3x4), ("bad_3x4", zoo.bad_3x4))
+           for kappa in (10, 100) for seed in (100, 101)},
+        **{f"sep_{m}x{n}_t{terms}_s{seed}": (lambda m=m, n=n, terms=terms, seed=seed:
+                                             seeded_separable(m, n, terms, seed))
+           for m, n, terms in ((2, 3, 4), (3, 3, 6), (3, 4, 8), (2, 4, 6)) for seed in (0, 1)},
+    }
+
+    @pytest.mark.parametrize("label", list(GAMMA_STATES))
+    def test_partial_transpose_keeps_the_nullity(self, label):
+        # H -> H^Gamma maps the feasible set of rho one-to-one onto that of
+        # rho^Gamma, on states that Gamma does not fix
+        state = self.GAMMA_STATES[label]()
+        assert np.abs(gamma_matrix(state) - state.matrix).max() > 1e-3
+        assert extremality_nullity(state).nullity == extremality_nullity(state.gamma()).nullity
+
 
 def _grid_states() -> dict:
     """The states of the extremality-grid benchmark: the bad M x N grid,
@@ -572,7 +592,7 @@ class TestEdgeFallback:
             raise AssertionError("the edge fallback called np.linalg.svd")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        a, b = segre._alternate(q, a, b[:, :, None], 60)
+        a, b = segre._alternate(q, a, b[:, :, None])
         assert b.shape == (certify.EDGE_FALLBACK_STARTS, 4, 1)
 
     def test_search_builds_its_stacks_without_svd(self, monkeypatch):
@@ -584,8 +604,7 @@ class TestEdgeFallback:
             raise AssertionError("the edge pair search called np.linalg.svd")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        pv, joint = segre.edge_pair_search(state, certify.EDGE_FALLBACK_STARTS,
-                                           certify.EDGE_PAIR_TOL)
+        pv, joint = segre.edge_pair_search(state)
         # the joint residual, measured on the two ranges themselves
         rng_gamma = SubspaceBasis(9, state.split(gamma=True)[1], state.rank_tol)
         direct = np.hypot(range_basis(state).project_residual(pv.vec()),

@@ -27,6 +27,17 @@ def plane_range_state(rng):
     return BipartiteState(HermitianOperator(dims, sum(np.outer(v, v.conj()) for v in terms)))
 
 
+def entangled_lift() -> HermitianOperator:
+    """good_3x4 plus 1e-7 of its top eigenvalue along the maximally entangled
+    vector of the 3x3 corner: its partial transpose is PSD at psd_tol 1e-6,
+    not at the default 1e-9."""
+    state = zoo.good_3x4()
+    psi = np.zeros(12)
+    psi[[0, 5, 10]] = 1 / np.sqrt(3)
+    top = np.linalg.eigvalsh(state.matrix)[-1]
+    return HermitianOperator(state.dims, state.matrix + 1e-7 * top * np.outer(psi, psi))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -199,16 +210,10 @@ class TestAnalyze:
         assert rep["range_ces"]["verdict"] is False
 
     def test_tol_psd_reaches_every_ppt_test(self, tmp_path, capsys, recwarn, monkeypatch):
-        # good_3x4 plus 1e-7 of its top eigenvalue along the maximally
-        # entangled vector of the 3x3 corner: NPT at the default tolerance,
-        # PPT at --tol-psd 1e-6, so rho^Gamma is analyzed too, at that cut
-        state = zoo.good_3x4()
-        psi = np.zeros(12)
-        psi[[0, 5, 10]] = 1 / np.sqrt(3)
-        top = np.linalg.eigvalsh(state.matrix)[-1]
+        # NPT at the default tolerance, PPT at --tol-psd 1e-6, so rho^Gamma
+        # is analyzed too, at that cut
         path = tmp_path / "s.json"
-        save_state(BipartiteState(HermitianOperator(
-            state.dims, state.matrix + 1e-7 * top * np.outer(psi, psi))), path)
+        save_state(BipartiteState(entangled_lift()), path)
         cuts = record_nullity_cuts(monkeypatch)
         out = tmp_path / "report.json"
         code, _, err = run_cli(capsys, "analyze", str(path), "--tol-psd", "1e-6",
@@ -220,23 +225,36 @@ class TestAnalyze:
         assert cuts == [(1e-9, 1e-6)] * 2, cuts
         assert not [w for w in recwarn if "NPT" in str(w.message)]
 
-    def test_binding_the_cuts_runs_no_psd_check(self, rng):
-        # a state admitted at psd_tol 1e-6 with an eigenvalue of -1e-7 is
-        # analyzed at the default cuts: binding them to it checks nothing
-        u = np.linalg.qr(rng.standard_normal((9, 9)))[0]
-        w = np.array([1.0, 0.5, 0.25, -1e-7, 0, 0, 0, 0, 0])
-        state = BipartiteState(HermitianOperator(BipartiteDims(3, 3), u @ np.diag(w) @ u.T),
-                               psd_tol=1e-6)
-        with pytest.warns(UserWarning, match="NPT"):
-            rep = analyze_state(state, {}, fast=True)
-        assert rep.tolerances["psd"] == 1e-9
-        assert rep.rank_profile.rank == 4
+    def test_analysis_runs_at_the_states_cuts(self, recwarn, monkeypatch):
+        # the lift built at psd_tol 1e-6 is PPT at its own cut, so rho^Gamma
+        # is analyzed too, and every state the analysis reads keeps that cut
+        cuts = record_nullity_cuts(monkeypatch)
+        rep = analyze_state(BipartiteState(entangled_lift(), psd_tol=1e-6), {}, fast=True)
+        assert rep.tolerances == {"rank": 1e-9, "psd": 1e-6, "residual": segre.RESIDUAL_TOL}
+        assert rep.ppt and rep.extremality_gamma is not None
+        assert cuts == [(1e-9, 1e-6)] * 2, cuts
+        assert not [w for w in recwarn if "NPT" in str(w.message)]
 
-    @pytest.mark.parametrize("cuts,named", [({"tol_rank": -1.0}, "rank_tol"),
-                                            ({"tol_psd": float("nan")}, "psd_tol")])
-    def test_a_cut_outside_0_1_is_refused(self, cuts, named):
-        with pytest.raises(ValueError, match=f"{named} must be a tolerance"):
-            analyze_state(zoo.good_3x4(), {}, **cuts)
+    def test_binding_the_cuts_runs_no_psd_check(self, tmp_path, capsys):
+        # good_3x4 less 1e-10 of its top eigenvalue along a kernel product
+        # vector is PSD at the default cut, where the file is loaded, and not
+        # at --tol-psd 1e-11: binding that cut to the state checks nothing,
+        # and the PPT test reads it
+        state = zoo.good_3x4()
+        p = segre.enumerate_product_vectors(kernel_basis(state), state.dims).points[0].vec()
+        top = np.linalg.eigvalsh(state.matrix)[-1]
+        op = HermitianOperator(state.dims, state.matrix - 1e-10 * top * np.outer(p, p.conj()))
+        with pytest.raises(ValueError, match="not PSD"):
+            BipartiteState(op, psd_tol=1e-11)
+        path, out = tmp_path / "s.json", tmp_path / "r.json"
+        save_state(BipartiteState(op), path)
+        with pytest.warns(UserWarning, match="NPT"):
+            code, _, err = run_cli(capsys, "analyze", str(path), "--tol-psd", "1e-11", "--fast",
+                                   "--out", str(out))
+        assert code == 0, err
+        rep = json.loads(out.read_text())
+        assert rep["tolerances"]["psd"] == 1e-11
+        assert rep["ppt"]["verdict"] is False
 
     def test_nullity_zero_is_an_anomaly(self, tmp_path, capsys, monkeypatch):
         # rho is feasible for its own nullity problem, so zero cannot be right
@@ -806,11 +824,12 @@ class TestRoutes:
 
     def test_tol_rank_reaches_the_edge_check(self, monkeypatch):
         # every basis the analysis builds, the edge check's range of
-        # rho^Gamma included, is cut at --tol-rank, and the edge check
-        # reuses the range enumeration: two enumerations in all
+        # rho^Gamma included, is cut at the state's rank_tol, and the edge
+        # check reuses the range enumeration: two enumerations in all
         cuts = record_basis_cuts(monkeypatch)
         calls = count_enumerations(monkeypatch)
-        j = analyze_state(zoo.good_3x4(), {"case": "tol"}, tol_rank=1e-7).to_json()
+        state = BipartiteState(zoo.good_3x4().op, rank_tol=1e-7)
+        j = analyze_state(state, {"case": "tol"}).to_json()
         # ker rho, R(rho) and R(rho^Gamma) at least
         assert len(cuts) >= 3 and set(cuts) == {1e-7}, cuts
         assert len(calls) == 2, calls
@@ -818,9 +837,10 @@ class TestRoutes:
 
     def test_tol_rank_reaches_every_rank_cut(self, monkeypatch):
         # the extremality nullity of rho and of rho^Gamma reads states cut
-        # at --tol-rank, and the ranks of the report are cut there too
+        # at the state's rank_tol, and the ranks of the report are cut there too
         cuts = record_nullity_cuts(monkeypatch)
-        j = analyze_state(zoo.good_3x4(), {"case": "tol"}, tol_rank=1e-7).to_json()
+        state = BipartiteState(zoo.good_3x4().op, rank_tol=1e-7)
+        j = analyze_state(state, {"case": "tol"}).to_json()
         assert cuts == [(1e-7, 1e-9)] * 2, cuts
         assert j["tolerances"]["rank"] == 1e-7
         assert j["rank_profile"]["birank"] == [5, 5]
@@ -828,21 +848,21 @@ class TestRoutes:
 
     def test_tol_rank_reaches_goodness_and_strong_extremality(self):
         # good_3x4 plus 1e-8 of its top eigenvalue along a kernel product
-        # vector: rank 5 at --tol-rank 1e-7, so it is good at the borderline
-        # and the theorem applies
+        # vector: rank 5 at its own rank_tol 1e-7, so it is good at the
+        # borderline and the theorem applies
         state = zoo.good_3x4()
         p = segre.enumerate_product_vectors(kernel_basis(state), state.dims).points[0].vec()
         top = np.linalg.eigvalsh(state.matrix)[-1]
-        lifted = BipartiteState(HermitianOperator(
-            state.dims, state.matrix + 1e-8 * top * np.outer(p, p.conj())))
-        j = analyze_state(lifted, {"case": "lifted"}, tol_rank=1e-7).to_json()
+        op = HermitianOperator(state.dims, state.matrix + 1e-8 * top * np.outer(p, p.conj()))
+        j = analyze_state(BipartiteState(op, rank_tol=1e-7), {"case": "lifted"}).to_json()
+        assert j["tolerances"]["rank"] == 1e-7
         assert j["rank_profile"]["birank"] == [5, 5]
         assert (j["kernel"]["classification"], j["kernel"]["count"]) == ("finite", 10)
         assert j["extremality"]["verdict"] == "extreme"
         assert (j["goodness"]["verdict"], j["goodness"]["reason"]) == ("good", "count-equals-delta")
         assert j["strongly_extreme"] == "yes"
         # at the default cut the lift is rank, and the theorem does not apply
-        j = analyze_state(lifted, {"case": "lifted"}).to_json()
+        j = analyze_state(BipartiteState(op), {"case": "lifted"}).to_json()
         assert j["rank_profile"]["birank"] == [6, 6]
         assert j["extremality"]["verdict"] == "not-extreme"
         assert j["strongly_extreme"] == "not-applicable"
@@ -923,6 +943,26 @@ class TestSweep:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "argument --n-range: expected lo:hi with integers lo <= hi" in err
+
+    @pytest.mark.parametrize("family,text", [("good-3xN", "2:3"), ("good-3xN", "3:3"),
+                                             ("bad-3xN", "1:4")])
+    def test_n_range_below_the_family_exit_2(self, tmp_path, capsys, family, text):
+        # no 3xN family has a member below n = 4: the sweep writes no line
+        out = tmp_path / "s.jsonl"
+        code, stdout, err = run_cli(capsys, "sweep", family, "--n-range", text, "--fast",
+                                    "--out", str(out))
+        assert code == 2
+        assert stdout == ""
+        assert f"error: --n-range {text}: a 3xN family starts at n = 4" in err
+        assert not out.exists()
+
+    def test_cuts_reach_every_point(self, capsys):
+        code, stdout, _ = run_cli(capsys, "sweep", "bad-3x4", "--draws", "2", "--fast",
+                                  "--tol-rank", "1e-7", "--tol-psd", "1e-6")
+        assert code == 0
+        for line in stdout.splitlines():
+            tols = json.loads(line)["tolerances"]
+            assert (tols["rank"], tols["psd"]) == (1e-7, 1e-6)
 
     def test_unwritable_out_exits_before_the_grid(self, tmp_path, capsys, monkeypatch):
         analyzed = []

@@ -563,12 +563,12 @@ class TestSquareDown:
     def test_square_systems_are_not_mixed(self):
         state = zoo.good_3x4()
         wc = complement_stack(kernel_basis(state), state.dims).conj()
-        assert _square_down(wc, 5) is wc
+        assert _square_down(wc) is wc
 
     def test_mixing_never_raises_the_residual(self, rng):
         sub, _ = span_of_products(3, 4, 3, rng)
         wc = complement_stack(sub, BipartiteDims(3, 4)).conj()
-        wsq = _square_down(wc, 5)
+        wsq = _square_down(wc)
         assert wsq.shape == (5, 3, 4)
         pvs = [random_product_vector(BipartiteDims(3, 4), rng) for _ in range(8)]
         assert np.all(_membership_residuals(wsq, *factors(pvs)) <= _membership_residuals(wc, *factors(pvs)) + 1e-14)
@@ -652,9 +652,9 @@ class TestStartPairs:
         whole = enumerate_product_vectors(rng_basis, state.dims)
         chunks = []
 
-        def recording(wc, a, b, iters):
+        def recording(wc, a, b):
             chunks.append((a, b))
-            return _alternate_batch(wc, a, b, iters)
+            return _alternate_batch(wc, a, b)
 
         monkeypatch.setattr(segre, "_BATCH_CAP", 128)
         monkeypatch.setattr(segre, "_alternate_batch", recording)
@@ -687,7 +687,7 @@ class TestAlternate:
         # the same inverse-iteration steps, on F^H F formed from the stack
         # itself and with no start retired
         a_ref, b_ref, res_ref = alternate_by_inverse_iteration(wc, a0, b0, 60)
-        a, b, res = _alternate_batch(wc, a0, b0, 60)
+        a, b, res = _alternate_batch(wc, a0, b0)
         assert np.max(np.abs(res - res_ref)) <= 1e-12
         # the same vectors up to phase
         assert np.min(np.abs(np.einsum('si,si->s', a_ref.conj(), a))) >= 1 - 1e-12
@@ -706,7 +706,7 @@ class TestAlternate:
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        _, _, res = _alternate_batch(wc, a0, b0, 60)
+        _, _, res = _alternate_batch(wc, a0, b0)
         assert res.shape == (400,)
 
     def test_settled_starts_retire(self, monkeypatch):
@@ -715,14 +715,14 @@ class TestAlternate:
         wc = good_3x4_range_stack()
         a0, b0 = start_pairs(400, 3, 4)
         solve = SolveRecorder(monkeypatch)
-        a, b, _ = _alternate_batch(wc, a0, b0, 60)
+        a, b, _ = _alternate_batch(wc, a0, b0)
         assert sum(solve.rows) <= 0.6 * 2 * 400 * 60
         # the inputs are left as they were
         a1, b1 = start_pairs(400, 3, 4)
         assert np.array_equal(a0, a1) and np.array_equal(b0, b1)
         # restarted at its own output, every start retires after one iteration
         solve.rows.clear()
-        _alternate_batch(wc, a, b, 60)
+        _alternate_batch(wc, a, b)
         assert solve.rows == [400, 400]
 
     def test_the_svd_iterations_least_pairs_retire(self, monkeypatch):
@@ -731,7 +731,7 @@ class TestAlternate:
         wc = good_3x4_range_stack()
         a, b, _ = alternate_by_svd(wc, *start_pairs(400, 3, 4), 60)
         solve = SolveRecorder(monkeypatch)
-        _alternate_batch(wc, a, b, 60)
+        _alternate_batch(wc, a, b)
         assert solve.rows == [400, 400]
 
     @pytest.mark.parametrize("name", ["good_3x4", "kon_mnogo", "gentiles2_3x4", "bad_3x4",
@@ -774,14 +774,14 @@ class TestDegenerateGram:
         e0 = np.eye(3, dtype=complex)[0]
         assert np.array_equal((np.kron(e0, e0) @ q).reshape(3, 3)[0], np.zeros(3))
         solve = SolveRecorder(monkeypatch)
-        a, b = segre._alternate(q, e0[None, :], e0[None, :, None], 60)
+        a, b = segre._alternate(q, e0[None, :], e0[None, :, None])
         assert solve.rows == [1, 1]
         assert np.allclose(np.abs(a[0]), np.abs(e0), rtol=0, atol=1e-15)
         assert np.allclose(np.abs(b[0, :, 0]), np.abs(e0), rtol=0, atol=1e-15)
         # in a batch with generic starts: every start stays finite
         a, b = start_pairs(8, 3, 3)
         a[5], b[5] = e0, e0
-        a, b = segre._alternate(q, a, b[:, :, None], 60)
+        a, b = segre._alternate(q, a, b[:, :, None])
         assert np.isfinite(a).all() and np.isfinite(b).all()
         assert abs(a[5, 0]) > 1 - 1e-15 and abs(b[5, 0, 0]) > 1 - 1e-15
 
@@ -791,7 +791,7 @@ class TestDegenerateGram:
         q = segre._gram(np.zeros((0, 3, 4), dtype=complex))
         a0, b0 = start_pairs(64, 3, 4)
         solve = SolveRecorder(monkeypatch)
-        a, b = segre._alternate(q, a0, b0[:, :, None], 60)
+        a, b = segre._alternate(q, a0, b0[:, :, None])
         assert solve.rows == [64, 64]
         assert np.abs(np.einsum('si,si->s', a0.conj(), a)).min() > 1 - 1e-15
         assert np.abs(np.einsum('si,si->s', b0.conj(), b[:, :, 0])).min() > 1 - 1e-15
@@ -863,7 +863,7 @@ class TestPolish:
         state = RANGE_STATES[name]()
         m, n = state.dims.m, state.dims.n
         wc = complement_stack(range_basis(state), state.dims).conj()
-        a, b, _ = _alternate_batch(wc, *start_pairs(400, m, n), 60)
+        a, b, _ = _alternate_batch(wc, *start_pairs(400, m, n))
         assert_same_polish(_polish_batch(wc, a, b, iters), polish_by_pinv(wc, a, b, iters))
 
     def test_rank_deficient_row_takes_the_pinv_step(self, monkeypatch):
@@ -1402,20 +1402,20 @@ class TestPlaneSearch:
             assert np.allclose(ls.subspace.vectors, first[j].subspace.vectors, rtol=0, atol=1e-12)
 
     def test_one_alternation_from_frames_drawn_once(self, monkeypatch):
-        # the search is one _alternate of 60 iterations from its seeded
-        # frames, then one verification: no frame is redrawn on the way
+        # the search is one _alternate from its seeded frames, then one
+        # verification: no frame is redrawn on the way
         state = zoo.bad_mxn(4, 5)
         wc = complement_stack(kernel_basis(state), state.dims).conj()
         a, _ = start_pairs(segre._LINE_STARTS, 4, 5)
         original = segre._alternate
         calls = []
         monkeypatch.setattr(segre, "_alternate",
-                            lambda q, a, b, iters: calls.append(iters) or original(q, a, b, iters))
+                            lambda q, a, b: calls.append(b.shape) or original(q, a, b))
         planes = segre._plane_search("A", wc, a, 2)
-        assert calls == [60]
+        assert calls == [(a.shape[0], 5, 2)]
         z = np.random.default_rng(segre._START_SEED).standard_normal((a.shape[0], 5, 4))
         frames = np.linalg.qr(z[:, :, :2] + 1j * z[:, :, 2:])[0]
-        ref_a, ref_b = original(segre._gram(wc), a, frames, 60)
+        ref_a, ref_b = original(segre._gram(wc), a, frames)
         h = np.linalg.norm(np.einsum('si,rij,sjw->srw', ref_a, wc, ref_b), axis=(1, 2))
         assert planes and list(planes) == list(np.flatnonzero(h <= segre.RESIDUAL_TOL))
         for j, ls in planes.items():
@@ -1445,7 +1445,7 @@ def tracker_systems():
            for label, st in kernels.items()}
     for label, st in (("good_3x4", zoo.good_3x4()), ("bad_4x5", zoo.bad_mxn(4, 5))):
         wc = complement_stack(range_basis(st), st.dims).conj()
-        out[f"{label}_range"] = _square_down(wc, st.dims.m + st.dims.n - 2)
+        out[f"{label}_range"] = _square_down(wc)
     return out
 
 

@@ -10,6 +10,9 @@ Four subcommands:
   one JSONL report line per point,
 - ``verify-identities``  exact combinatorial self-checks.
 
+`analyze` and `sweep` admit each state at --tol-rank and --tol-psd.  Options
+are parsed and checked by argparse; `main` makes an OSError or ValueError exit 2.
+
 Exit codes: 0 success, 2 malformed input, invalid parameters or an
 unwritable --out, 3 when the analysis flagged a numerical anomaly.  Reports
 follow the versioned schema "pptlab-report/1" and are byte-deterministic
@@ -51,7 +54,9 @@ _ROUTE_NOTES = {
 
 @dataclass(eq=False)
 class AnalysisReport:
-    """Machine-readable verdicts for one state."""
+    """Machine-readable verdicts for one state.  `range_enumeration` is the
+    range's enumeration, which the range CES and edge blocks both read; it and
+    `range_ces` are None when the range was not searched."""
 
     descriptor: dict
     tolerances: dict
@@ -61,7 +66,7 @@ class AnalysisReport:
     kernel: segre.EnumerationResult
     kernel_general_position: Optional[bool]
     range_ces: Optional[bool]
-    range_evidence: Optional[dict]
+    range_enumeration: Optional[segre.EnumerationResult]
     goodness: segre.GoodnessVerdict
     extremality: certify.ExtremalityCert
     extremality_gamma: Optional[certify.ExtremalityCert]
@@ -85,14 +90,7 @@ class AnalysisReport:
             "ppt": {"verdict": self.ppt, "min_eigenvalue": self.ppt_min_eig},
             "kernel": dict(self.kernel.to_json(),
                            general_position=self.kernel_general_position),
-            "range_ces": None if self.range_ces is None else {
-                "verdict": self.range_ces,
-                "best_residual": self.range_evidence.get("best_residual"),
-                "starts_used": self.range_evidence.get("starts_used"),
-                "route": self.range_evidence.get("route"),
-                "paths": self.range_evidence.get("paths"),
-                "note": self.range_evidence["note"],
-            },
+            "range_ces": None if self.range_ces is None else self._range_json(),
             "goodness": {
                 "verdict": self.goodness.verdict.value,
                 "reason": self.goodness.reason.value if self.goodness.reason else None,
@@ -110,16 +108,25 @@ class AnalysisReport:
                 "best_residual": self.edge.best_residual,
                 "route": self.edge.route,
                 "paths": self.edge.paths,
-                # a route shared with the range enumeration makes its claim
-                "note": (self.range_evidence["note"]
-                         if self.edge.route == self.range_evidence["route"]
-                         else _ROUTE_NOTES[self.edge.route]),
+                "note": self._route_note(self.edge.route),
             },
             "anomalies": self.anomalies,
         }
         if include_timings:
             out["timings"] = self.timings
         return out
+
+    def _range_json(self) -> dict:
+        ev = self.range_enumeration.to_json()["evidence"]   # an infinite best residual is None
+        return {"verdict": self.range_ces,
+                **{key: ev[key] for key in ("best_residual", "starts_used", "route", "paths")},
+                "note": self._route_note(ev["route"])}
+
+    def _route_note(self, route: str) -> str:
+        """What `route` can claim in the range or edge block: a homotopy that
+        found a product plane in the range proves that it holds product vectors."""
+        plane = self.range_enumeration.classification == segre.Classification.LIKELY_INFINITE
+        return _ROUTE_NOTES["homotopy-plane" if plane and route == "homotopy" else route]
 
     def to_markdown(self) -> str:
         j = self.to_json()
@@ -186,15 +193,10 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         anomalies.append("kernel-count-below-delta-for-ppt-state")
     timings["goodness"] = time.perf_counter() - t0
 
-    range_ces = range_ev = None
+    range_ces = range_res = None
     if not fast:
         t0 = time.perf_counter()
         range_ces, range_res = segre.ces_certificate(qstate.range_basis(state), dims)
-        ev = range_res.to_json()["evidence"]    # an infinite best residual is None
-        range_ev = {key: ev[key] for key in ("best_residual", "starts_used", "route", "paths")}
-        plane = range_res.classification == segre.Classification.LIKELY_INFINITE
-        range_ev["note"] = _ROUTE_NOTES["homotopy-plane" if plane and ev["route"] == "homotopy"
-                                        else ev["route"]]
         timings["range_ces"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -218,7 +220,7 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
     return AnalysisReport(descriptor=descriptor, tolerances=tols, rank_profile=profile,
                           ppt=ppt, ppt_min_eig=min_eig, kernel=enum_res,
                           kernel_general_position=gen_pos,
-                          range_ces=range_ces, range_evidence=range_ev,
+                          range_ces=range_ces, range_enumeration=range_res,
                           goodness=goodness, extremality=cert, extremality_gamma=cert_gamma,
                           strongly_extreme=strong,
                           edge=edge, anomalies=anomalies, timings=timings)
@@ -253,12 +255,11 @@ def _family_options(args) -> dict:
 
 def _construct(args) -> int:
     fam = zoo.FAMILIES[args.family]
-    text = _family_options(args).get(fam.param)
     m, n = args.m, args.n
-    built = fam.build(m, n, [float(x) for x in text.split(",") if x.strip()] if text else None)
+    built = fam.build(m, n, _family_options(args).get(fam.param))
     if isinstance(built, zoo.UpbFamily):
         payload = {"m": m, "n": n, "family": built.family_name,
-                   "vectors": [{"a": segre._c2pairs(pv.a), "b": segre._c2pairs(pv.b)}
+                   "vectors": [{"a": qstate.complex_pairs(pv.a), "b": qstate.complex_pairs(pv.b)}
                                for pv in built.vectors]}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
@@ -287,8 +288,8 @@ def _sweep(args) -> int:
 
     def run(point):
         try:
-            state = fam.build(point["m"], point["n"], point.get(fam.param))
-            state = state._derived(cuts=(args.tol_rank, args.tol_psd))
+            built = fam.build(point["m"], point["n"], point.get(fam.param))
+            state = qstate.BipartiteState(built.op, rank_tol=args.tol_rank, psd_tol=args.tol_psd)
             rep = analyze_state(state, dict(point, seed=args.seed), fast=args.fast)
             return rep.to_json(include_timings=args.timings), rep
         except Exception as exc:   # recorded per-line, the sweep continues
@@ -358,16 +359,11 @@ def _verify_identities(args) -> int:
 
 
 def _analyze(args) -> int:
-    try:
-        state = qstate.load_state(args.path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    state = qstate.load_state(args.path, rank_tol=args.tol_rank, psd_tol=args.tol_psd)
     # an unwritable --out fails before the analysis; it may name the input file,
     # so it is opened after the load and emptied only once the report is ready
     with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as out:
-        rep = analyze_state(state._derived(cuts=(args.tol_rank, args.tol_psd)),
-                            {"path": args.path}, fast=args.fast)
+        rep = analyze_state(state, {"path": args.path}, fast=args.fast)
         text = rep.to_markdown() if args.md else json.dumps(
             rep.to_json(include_timings=args.timings), sort_keys=True, indent=2,
             allow_nan=False) + "\n"
@@ -405,6 +401,8 @@ def _checked(parse, ok, expected: str):
 _n_range = _checked(lambda t: tuple(map(int, t.split(":"))),
                     lambda v: len(v) == 2 and v[0] <= v[1], "lo:hi with integers lo <= hi")
 _positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_numbers = _checked(lambda t: [float(x) for x in t.split(",")], lambda v: all(np.isfinite(v)),
+                    "a comma list of finite numbers")
 # a zero, negative, nan or inf cut corrupts every rank or PPT verdict
 _tolerance = _checked(float, lambda v: 0.0 < v < 1.0, "a tolerance 0 < t < 1")
 
@@ -420,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--n", type=int, default=4)
     for name, fam in zoo.FAMILIES.items():
         if fam.param:
-            pc.add_argument(f"--{fam.param}", type=str, default=None,
+            pc.add_argument(f"--{fam.param}", type=_numbers, default=None,
                             help=f"comma list of parameters for {name}")
     pc.add_argument("--out", type=str, required=True)
     pc.set_defaults(func=_construct)
@@ -453,7 +451,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:   # OSError: an unwritable --out
+    except (OSError, ValueError) as exc:   # an unreadable file or --out, a refused input
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

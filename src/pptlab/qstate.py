@@ -157,13 +157,11 @@ class BipartiteState:
         return self._derived(partial_transpose(self.op), {False: self.eigh(True),
                                                           True: self.eigh()})
 
-    def _derived(self, op: HermitianOperator | None = None, eig: dict | None = None,
-                 cuts: tuple | None = None) -> BipartiteState:
-        """This state, or one on `op` holding the decompositions `eig`, at its cuts or
-        at `cuts`; no decomposition, PSD or trace check runs: the caller answers for them."""
+    def _derived(self, op: HermitianOperator, eig: dict) -> BipartiteState:
+        """A state on `op` holding the decompositions `eig`, at this state's cuts (only the
+        constructor sets cuts); no check runs: the caller answers for PSD and trace."""
         out = BipartiteState.__new__(BipartiteState)
-        out._hold(self.op if op is None else op, self._eig if op is None else eig,
-                  cuts or (self.rank_tol, self.psd_tol))
+        out._hold(op, eig, (self.rank_tol, self.psd_tol))
         return out
 
 
@@ -293,8 +291,9 @@ class ProductVector:
 # construction and factorization
 
 
-def from_blocks(factor: BlockFactor) -> BipartiteState:
-    """Assemble the state with blocks (i, j) = C_i^dag C_j.
+def from_blocks(factor: BlockFactor, **cuts) -> BipartiteState:
+    """Assemble the state with blocks (i, j) = C_i^dag C_j, at the constructor's
+    `cuts` (`rank_tol`, `psd_tol`; its defaults where not given).
 
     The result is Hermitian PSD by construction and its rank equals the rank
     of the stacked matrix [C_0 ... C_{m-1}].
@@ -304,7 +303,7 @@ def from_blocks(factor: BlockFactor) -> BipartiteState:
     rho = (rho + rho.conj().T) / 2.0
     if np.abs(rho).max() == 0.0:
         raise ValueError("blocks are all zero; the result is not a state")
-    return BipartiteState(HermitianOperator(factor.dims, rho))
+    return BipartiteState(HermitianOperator(factor.dims, rho), **cuts)
 
 
 def factor_blocks(state: BipartiteState, r_rows: int) -> BlockFactor:
@@ -426,8 +425,10 @@ def range_basis(state: BipartiteState) -> SubspaceBasis:
 # with complex entries serialized as [re, im] pairs of IEEE-754 doubles.
 
 
-def _encode_complex_matrix(matrix: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+def complex_pairs(a) -> list:
+    """Complex array `a` as nested lists, each entry an [re, im] pair of floats:
+    the one encoding of complex numbers in state files, basis files and reports."""
+    return np.stack((np.real(a), np.imag(a)), axis=-1).tolist()
 
 
 def _decode_complex_matrix(rows, what: str = "matrix") -> np.ndarray:
@@ -454,13 +455,14 @@ def _decode_complex_matrix(rows, what: str = "matrix") -> np.ndarray:
 
 def save_state(state: BipartiteState, path) -> None:
     payload = {"m": state.dims.m, "n": state.dims.n,
-               "matrix": _encode_complex_matrix(state.matrix)}
+               "matrix": complex_pairs(state.matrix)}
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
 
-def load_state(path) -> BipartiteState:
-    """Read a state file in either dense or factored form."""
+def load_state(path, *, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> BipartiteState:
+    """Read a state file in either dense or factored form and admit it at the cuts given,
+    as the constructor does: one eigendecomposition, a PSD check at `psd_tol`."""
     with open(path) as fh:
         payload = json.load(fh)
     try:
@@ -470,7 +472,8 @@ def load_state(path) -> BipartiteState:
                                  f"got {json.dumps(payload[key])}")
         dims = BipartiteDims(payload["m"], payload["n"])
         if "matrix" in payload:
-            return BipartiteState(HermitianOperator(dims, _decode_complex_matrix(payload["matrix"])))
+            rho = _decode_complex_matrix(payload["matrix"])
+            return BipartiteState(HermitianOperator(dims, rho), rank_tol=rank_tol, psd_tol=psd_tol)
         if "blocks" in payload:
             factor = BlockFactor(dims, [_decode_complex_matrix(b, f"block {i}")
                                         for i, b in enumerate(payload["blocks"])])
@@ -479,7 +482,7 @@ def load_state(path) -> BipartiteState:
             if type(r) is not int or r != factor.r_rows:
                 raise ValueError(f"state file {path}: field 'r' must be the integer "
                                  f"{factor.r_rows}, the blocks' row count, got {json.dumps(r)}")
-            return from_blocks(factor)
+            return from_blocks(factor, rank_tol=rank_tol, psd_tol=psd_tol)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     raise ValueError(f"state file {path} has neither 'matrix' nor 'blocks'")

@@ -115,6 +115,7 @@ from .qstate import (
     BipartiteState,
     ProductVector,
     SubspaceBasis,
+    complex_pairs,
     kernel_basis,
     null_space,
     is_ppt,
@@ -191,7 +192,7 @@ class EnumerationResult:
     def to_json(self) -> dict:
         ev = dict(self.evidence)
         ev["line_subspaces"] = [
-            {"side": ls.side, "vector": _c2pairs(ls.vector),
+            {"side": ls.side, "vector": complex_pairs(ls.vector),
              "subspace_dim": ls.subspace.dim, "residual": ls.residual}
             for ls in ev.get("line_subspaces", [])
         ]
@@ -204,7 +205,7 @@ class EnumerationResult:
         return {
             "classification": self.classification.value,
             "count": self.count,
-            "points": [{"a": _c2pairs(p.a), "b": _c2pairs(p.b)} for p in self.points],
+            "points": [{"a": complex_pairs(p.a), "b": complex_pairs(p.b)} for p in self.points],
             "residuals": list(map(float, self.residuals)),
             "evidence": ev,
         }
@@ -216,10 +217,6 @@ class GoodnessVerdict:
     reason: Optional[GoodnessReason]
     count: Optional[int] = None
     anomaly: bool = False
-
-
-def _c2pairs(v: np.ndarray) -> list:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v).ravel()]
 
 
 # ---------------------------------------------------------------------------

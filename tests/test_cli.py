@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -36,6 +37,15 @@ def entangled_lift() -> HermitianOperator:
     psi[[0, 5, 10]] = 1 / np.sqrt(3)
     top = np.linalg.eigvalsh(state.matrix)[-1]
     return HermitianOperator(state.dims, state.matrix + 1e-7 * top * np.outer(psi, psi))
+
+
+def kernel_dip(scale: float) -> HermitianOperator:
+    """good_3x4 less `scale` times its top eigenvalue along a kernel product
+    vector: its least eigenvalue is about -scale relative to the top one."""
+    state = zoo.good_3x4()
+    p = segre.enumerate_product_vectors(kernel_basis(state), state.dims).points[0].vec()
+    top = np.linalg.eigvalsh(state.matrix)[-1]
+    return HermitianOperator(state.dims, state.matrix - scale * top * np.outer(p, p.conj()))
 
 
 def run_cli(capsys, *argv):
@@ -104,6 +114,23 @@ class TestConstruct:
         code, _, err = run_cli(capsys, "construct", family, *argv, "--out", str(out))
         assert code == 2
         assert named in err and family in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family,option,text", [
+        ("good-3xN", "--b", "1.5,abc"),
+        ("good-3xN", "--b", "2,,3"),
+        ("good-3xN", "--b", ""),
+        ("bad-3x4", "--params", "1,1,1,x,1,0,0"),
+        ("bad-MxN", "--c", "nan"),
+    ])
+    def test_malformed_parameter_list_exit_2(self, tmp_path, capsys, family, option, text):
+        # an empty item is not skipped: the list is read whole or refused
+        out = tmp_path / "s.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", family, "--out", str(out), f"{option}={text}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {option}: expected a comma list of finite numbers, got '{text}'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("family", ["good-3x4", "gentiles2"])
@@ -235,26 +262,31 @@ class TestAnalyze:
         assert cuts == [(1e-9, 1e-6)] * 2, cuts
         assert not [w for w in recwarn if "NPT" in str(w.message)]
 
-    def test_binding_the_cuts_runs_no_psd_check(self, tmp_path, capsys):
-        # good_3x4 less 1e-10 of its top eigenvalue along a kernel product
-        # vector is PSD at the default cut, where the file is loaded, and not
-        # at --tol-psd 1e-11: binding that cut to the state checks nothing,
-        # and the PPT test reads it
-        state = zoo.good_3x4()
-        p = segre.enumerate_product_vectors(kernel_basis(state), state.dims).points[0].vec()
-        top = np.linalg.eigvalsh(state.matrix)[-1]
-        op = HermitianOperator(state.dims, state.matrix - 1e-10 * top * np.outer(p, p.conj()))
-        with pytest.raises(ValueError, match="not PSD"):
+    def test_a_file_not_psd_at_tol_psd_exit_2(self, tmp_path, capsys):
+        # a dip of 1e-10 is PSD at the default cut and not at --tol-psd 1e-11:
+        # the file is admitted at the cut it is analysed at, so it is refused
+        # as the constructor refuses it, and no report is written
+        op = kernel_dip(1e-10)
+        with pytest.raises(ValueError, match="not PSD") as refused:
             BipartiteState(op, psd_tol=1e-11)
         path, out = tmp_path / "s.json", tmp_path / "r.json"
         save_state(BipartiteState(op), path)
-        with pytest.warns(UserWarning, match="NPT"):
-            code, _, err = run_cli(capsys, "analyze", str(path), "--tol-psd", "1e-11", "--fast",
-                                   "--out", str(out))
+        code, stdout, err = run_cli(capsys, "analyze", str(path), "--tol-psd", "1e-11", "--fast",
+                                    "--out", str(out))
+        assert code == 2
+        assert stdout == "" and err == f"error: {refused.value}\n"
+        assert not out.exists()
+
+    def test_a_file_psd_at_tol_psd_is_admitted(self, tmp_path, capsys):
+        # a dip of 1e-7 is refused at the default cut and admitted at 1e-6
+        op = kernel_dip(1e-7)
+        with pytest.raises(ValueError, match="not PSD"):
+            BipartiteState(op)
+        path = tmp_path / "s.json"
+        save_state(BipartiteState(op, psd_tol=1e-6), path)
+        code, stdout, err = run_cli(capsys, "analyze", str(path), "--tol-psd", "1e-6")
         assert code == 0, err
-        rep = json.loads(out.read_text())
-        assert rep["tolerances"]["psd"] == 1e-11
-        assert rep["ppt"]["verdict"] is False
+        assert json.loads(stdout)["tolerances"]["psd"] == 1e-6
 
     def test_nullity_zero_is_an_anomaly(self, tmp_path, capsys, monkeypatch):
         # rho is feasible for its own nullity problem, so zero cannot be right
@@ -408,11 +440,15 @@ class TestAnalyze:
         assert json.loads(path.read_text())["rank_profile"]["rank"] == 5
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
+        # a file without a matrix, a missing path and a file that is not JSON
         path = tmp_path / "nonsense.json"
         path.write_text("{\"m\": 2}")
-        code, _, err = run_cli(capsys, "analyze", str(path))
-        assert code == 2
-        assert "error" in err
+        text = tmp_path / "text.json"
+        text.write_text("m = 2\n")
+        for name in (path, tmp_path / "missing.json", text):
+            code, stdout, err = run_cli(capsys, "analyze", str(name))
+            assert code == 2
+            assert stdout == "" and err.startswith("error: ")
 
     def test_ragged_state_exit_2(self, tmp_path, capsys):
         rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
@@ -964,6 +1000,17 @@ class TestSweep:
             tols = json.loads(line)["tolerances"]
             assert (tols["rank"], tols["psd"]) == (1e-7, 1e-6)
 
+    def test_points_refused_at_the_cut_are_error_lines(self, capsys):
+        # each point is admitted at --tol-psd, where rounding in C^dag C is
+        # already not PSD: every line is an error, and the sweep goes on
+        code, stdout, err = run_cli(capsys, "sweep", "bad-3x4", "--draws", "2", "--fast",
+                                    "--tol-psd", "1e-300")
+        assert code == 0
+        lines = [json.loads(line) for line in stdout.splitlines()]
+        assert len(lines) == 2
+        assert all(line["error"].startswith("matrix is not PSD") for line in lines), lines
+        assert '"errors": 2' in err
+
     def test_unwritable_out_exits_before_the_grid(self, tmp_path, capsys, monkeypatch):
         analyzed = []
         monkeypatch.setattr(cli, "analyze_state", lambda *args, **kw: analyzed.append(args))
@@ -1028,6 +1075,28 @@ class TestRegistryDrift:
         assert len(printed) == len(said) == 5
         for out, comment in zip(printed, said):
             assert "~" in comment or out == comment
+
+
+def test_console_script_runs(tmp_path):
+    # the installed `pptlab` script, or the module on `src` where none is
+    # installed, runs each subcommand in a fresh process
+    script = shutil.which("pptlab")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    cmd = [script] if script else [sys.executable, "-m", "pptlab.cli"]
+    env = os.environ if script else dict(os.environ, PYTHONPATH=str(src))
+
+    def run(*argv) -> str:
+        done = subprocess.run([*cmd, *argv], cwd=tmp_path, env=env, capture_output=True,
+                              text=True)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    run("construct", "good-3x4", "--out", "g.json")
+    run("analyze", "g.json", "--fast")
+    run("verify-identities")
+    run("sweep", "bad-3xN", "--n-range", "4:4", "--fast", "--out", "s.jsonl")
+    rep = json.loads(run("analyze", "g.json", "--tol-rank", "1e-7", "--tol-psd", "1e-6"))
+    assert (rep["tolerances"]["rank"], rep["tolerances"]["psd"]) == (1e-7, 1e-6)
 
 
 class TestVerifyIdentities:

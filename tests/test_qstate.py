@@ -9,11 +9,13 @@ import pytest
 from pptlab import zoo
 from pptlab.certify import NULLITY_CUTOFF, extremality_nullity
 from pptlab.qstate import (
+    PSD_TOL,
     RANK_TOL,
     BipartiteDims,
     BipartiteState,
     BlockFactor,
     HermitianOperator,
+    complex_pairs,
     from_blocks,
     factor_blocks,
     gamma_matrix,
@@ -26,7 +28,6 @@ from pptlab.qstate import (
     rank_profile,
     reduced_operators,
     save_state,
-    _encode_complex_matrix,
 )
 from conftest import random_hermitian, random_state
 from oracles import tiles_upb_3x3
@@ -35,7 +36,7 @@ from oracles import tiles_upb_3x3
 def save_factor(factor: BlockFactor, path) -> None:
     """Write `factor` as a factored state file, the form `load_state` reads."""
     payload = {"m": factor.dims.m, "n": factor.dims.n, "r": factor.r_rows,
-               "blocks": [_encode_complex_matrix(b) for b in factor.blocks]}
+               "blocks": [complex_pairs(b) for b in factor.blocks]}
     with open(path, "w") as fh:
         json.dump(payload, fh)
 
@@ -460,6 +461,18 @@ class TestFileFormat:
         save_factor(factor_blocks(state, 5), path)
         again = load_state(path)
         assert np.abs(again.matrix - state.matrix).max() < 1e-10
+
+    def test_factored_file_keeps_its_cuts(self, tmp_path, monkeypatch):
+        # the file is admitted at the cuts given, from one eigendecomposition
+        path = tmp_path / "factor.json"
+        save_factor(factor_blocks(zoo.good_3x4(), 6), path)
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        state = load_state(path, rank_tol=1e-7)
+        assert calls == [(12, 12)]
+        assert (state.rank_tol, state.psd_tol) == (1e-7, PSD_TOL)
+        assert rank_profile(state).rank == 5
 
     def test_malformed_files(self, tmp_path):
         p = tmp_path / "bad.json"

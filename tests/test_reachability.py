@@ -5,13 +5,13 @@ module-level statement that is not a definition; a reached definition
 reaches every top-level function or class, in any module, whose name it
 mentions as a name or an attribute.  Strings (`__all__`, dict keys) and
 imports reach nothing.  The set left over is pinned, each entry to the
-ROADMAP direction that will wire or move it: 4 wires the separable route,
-6 the witness and the bound, and 3, the benchmark change, unpins the
+ROADMAP direction that will wire or move it: 5 wires the separable route,
+7 the witness and the bound, and 4, the benchmark change, unpins the
 oracles that `perfbench/spans.WRAPPED` wraps by name, so that they can
 move into the tests.  New dead code fails this test, and so does a
 definition that gets wired or moved without leaving the list.
 
-A second test keeps the edge check's search behind `segre`'s public names.
+A second test keeps `certify` and `cli` to `segre`'s public names.
 """
 
 import ast
@@ -20,21 +20,21 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "pptlab"
 
 UNREACHED = {
-    "certify.SeparableDecomposition": 4,
-    "certify._schur_basis": 4,
-    "certify.rank_n_separable_decomposition": 4,
-    "qstate.factor_blocks": 4,
-    "segre.classify_separable_good": 4,
-    "certify._pencil_eigvalsh": 6,
-    "certify.necessary_bound": 6,
-    "certify.witness_decomposition": 6,
+    "certify.SeparableDecomposition": 5,
+    "certify._schur_basis": 5,
+    "certify.rank_n_separable_decomposition": 5,
+    "qstate.factor_blocks": 5,
+    "segre.classify_separable_good": 5,
+    "certify._pencil_eigvalsh": 7,
+    "certify.necessary_bound": 7,
+    "certify.witness_decomposition": 7,
     # pinned in src by perfbench/spans.WRAPPED, which wraps them by name
-    "segre._det_samples_to_coeffs": 3,
-    "segre._poly_roots_companion": 3,
-    "segre._polyeig": 3,
-    "segre.find_line_subspaces": 3,
-    "segre.minor_system_roots": 3,
-    "segre.transversal": 3,
+    "segre._det_samples_to_coeffs": 4,
+    "segre._poly_roots_companion": 4,
+    "segre._polyeig": 4,
+    "segre.find_line_subspaces": 4,
+    "segre.minor_system_roots": 4,
+    "segre.transversal": 4,
 }
 
 
@@ -63,12 +63,14 @@ def test_unreached_definitions_are_the_pinned_ones():
 
 
 def test_certify_uses_no_private_segre_name():
-    tree = ast.parse((SRC / "certify.py").read_text())
-    imported = [alias.name for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("segre")
-                for alias in node.names]
-    read = [node.attr for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-            and node.value.id == "segre"]
-    assert imported, "certify imports nothing from segre: the check reads the wrong node"
-    assert not [name for name in imported + read if name.startswith("_")]
+    # cli too: it reads segre as a module, certify imports names from it
+    for module in ("certify", "cli"):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        imported = [alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("segre")
+                    for alias in node.names]
+        read = [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "segre"]
+        assert imported + read, f"{module} uses nothing from segre: the check reads the wrong node"
+        assert not [name for name in imported + read if name.startswith("_")], module

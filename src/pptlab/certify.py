@@ -131,6 +131,9 @@ class EdgeReport:
     range are complete by count (a proof), "multistart" when a search
     decided (a numerical certificate).  `paths` are the homotopy path counts
     of the range enumeration, None when the tracker did not run.
+    `best_residual` is the joint residual of the reported pair when one was
+    found, the hypot of a (x) b's residual in R(rho) and its partner's in
+    R(rho^Gamma); otherwise the least residual the searches reached.
     """
 
     is_edge: bool
@@ -144,17 +147,19 @@ class EdgeReport:
 def _hermitian_coords(x: np.ndarray) -> np.ndarray:
     """Coordinates of a Hermitian r x r matrix in the orthonormal basis of
     diagonal units, then per pair i < j the symmetric (|i><j| + |j><i|)/sqrt2
-    and antisymmetric i(|i><j| - |j><i|)/sqrt2 units, interleaved."""
+    units, then the antisymmetric i(|i><j| - |j><i|)/sqrt2 ones: the order of
+    the extremality map's rows."""
     r = x.shape[0]
     up = np.sqrt(2.0) * x[np.triu_indices(r, 1)]
-    return np.concatenate([np.diagonal(x).real, np.stack([up.real, up.imag], 1).ravel()])
+    return np.concatenate([np.diagonal(x).real, up.real, up.imag])
 
 
 def _hermitian_from_coords(c: np.ndarray) -> np.ndarray:
     """The inverse of `_hermitian_coords`."""
     r = round(len(c) ** 0.5)
+    pairs = r * (r - 1) // 2
     x = np.zeros((r, r), dtype=complex)
-    x[np.triu_indices(r, 1)] = (c[r::2] + 1j * c[r + 1::2]) / np.sqrt(2.0)
+    x[np.triu_indices(r, 1)] = (c[r:r + pairs] + 1j * c[r + pairs:]) / np.sqrt(2.0)
     return x + x.conj().T + np.diag(c[:r])
 
 
@@ -295,13 +300,12 @@ def extremality_nullity(state: BipartiteState) -> ExtremalityCert:
     if nullity > 1:
         if bound <= 1:                  # the diagonal bound holds in exact arithmetic only
             svds = [np.linalg.svd(f) for f in facs]
-        # each block's null rows, put back in the layout of `_hermitian_coords`:
-        # the symmetric units are the diagonal ones and the even pair positions
-        units = np.concatenate([np.arange(r), np.arange(r, r * r, 2), np.arange(r + 1, r * r, 2)])
+        # each block's null rows, put back at its units' rows of the map,
+        # the layout of `_hermitian_coords`
         null_rows, first = [], 0
         for _, s, vh in svds:
             rows = np.zeros((vh.shape[0], r * r))
-            rows[:, units[first:first + vh.shape[0]]] = vh
+            rows[:, first:first + vh.shape[0]] = vh
             null_rows.append(rows[int(np.sum(s > NULLITY_CUTOFF)):])
             first += vh.shape[0]
         witness = _witness_from_nullspace(state, np.concatenate(null_rows))
@@ -409,11 +413,12 @@ def edge_check(state: BipartiteState, *,
     starts = enum_res.evidence.get("starts_used", 0)
     best = enum_res.evidence.get("best_residual", float("inf"))
     route, paths = enum_res.evidence.get("route"), enum_res.evidence.get("paths")
-    for pv in enum_res.points:
+    for pv, point_res in zip(enum_res.points, enum_res.residuals):
         partner = partial_conjugate(pv)
         resid = rng_gamma.project_residual(partner.vec())
         if resid < EDGE_PAIR_TOL:
-            return EdgeReport(False, (pv, partner), starts, 0.0, route, paths)
+            return EdgeReport(False, (pv, partner), starts, float(np.hypot(point_res, resid)),
+                              route, paths)
     if route == "homotopy" and enum_res.classification in (Classification.FINITE,
                                                            Classification.EMPTY):
         # every product vector of the range was tested: no pair exists

@@ -16,7 +16,9 @@ are parsed and checked by argparse; `main` makes an OSError or ValueError exit 2
 Exit codes: 0 success, 2 malformed input, invalid parameters or an
 unwritable --out, 3 when the analysis flagged a numerical anomaly.  Reports
 follow the versioned schema "pptlab-report/1" and are byte-deterministic
-for a fixed input and seed; wall-clock timings are only included on request
+for a fixed input and seed.  `analyze_state` writes the report body block
+by block, and that body is its one model: the JSON, the markdown and the
+sweep tally all read it.  Wall-clock timings are only added on request
 (--timings) since they would break that reproducibility.
 """
 
@@ -29,7 +31,6 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -52,89 +53,45 @@ _ROUTE_NOTES = {
 # analysis pipeline
 
 
+def _route_note(route: str, range_res: segre.EnumerationResult) -> str:
+    """What `route` can claim in the range or edge block: a homotopy that
+    found a product plane in the range proves that it holds product vectors."""
+    plane = range_res.classification == segre.Classification.LIKELY_INFINITE
+    return _ROUTE_NOTES["homotopy-plane" if plane and route == "homotopy" else route]
+
+
+@contextlib.contextmanager
+def _timed(timings: dict, stage: str):
+    """Records the wall-clock seconds of the block as `timings[stage]`."""
+    t0 = time.perf_counter()
+    yield
+    timings[stage] = time.perf_counter() - t0
+
+
 @dataclass(eq=False)
 class AnalysisReport:
-    """Machine-readable verdicts for one state.  `range_enumeration` is the
-    range's enumeration, which the range CES and edge blocks both read; it and
-    `range_ces` are None when the range was not searched."""
+    """The verdicts for one state.  `body` is the pptlab-report/1 report,
+    block by block, and the one model of it: the JSON, the markdown and the
+    sweep tally all read it.  `timings` holds the seconds of each stage, which
+    `to_json` adds only on request, as they break byte determinism."""
 
-    descriptor: dict
-    tolerances: dict
-    rank_profile: qstate.RankProfile
-    ppt: bool
-    ppt_min_eig: float
-    kernel: segre.EnumerationResult
-    kernel_general_position: Optional[bool]
-    range_ces: Optional[bool]
-    range_enumeration: Optional[segre.EnumerationResult]
-    goodness: segre.GoodnessVerdict
-    extremality: certify.ExtremalityCert
-    extremality_gamma: Optional[certify.ExtremalityCert]
-    strongly_extreme: certify.StrongExtremality
-    edge: Optional[certify.EdgeReport]
-    anomalies: list
+    body: dict
     timings: dict = field(default_factory=dict)
 
+    @property
+    def anomalies(self) -> list:
+        return self.body["anomalies"]
+
     def to_json(self, include_timings: bool = False) -> dict:
-        rp = self.rank_profile
-        out = {
-            "schema": SCHEMA,
-            "input": self.descriptor,
-            "tolerances": self.tolerances,
-            "rank_profile": {
-                "rank": rp.rank, "rank_gamma": rp.rank_gamma,
-                "rank_a": rp.rank_a, "rank_b": rp.rank_b,
-                "birank": [rp.rank, rp.rank_gamma],
-                "singular_gaps": [float(g) for g in rp.singular_gaps],
-            },
-            "ppt": {"verdict": self.ppt, "min_eigenvalue": self.ppt_min_eig},
-            "kernel": dict(self.kernel.to_json(),
-                           general_position=self.kernel_general_position),
-            "range_ces": None if self.range_ces is None else self._range_json(),
-            "goodness": {
-                "verdict": self.goodness.verdict.value,
-                "reason": self.goodness.reason.value if self.goodness.reason else None,
-                "count": self.goodness.count,
-                "anomaly": self.goodness.anomaly,
-            },
-            "extremality": self.extremality.to_json(),
-            "extremality_of_partial_transpose": (
-                None if self.extremality_gamma is None else self.extremality_gamma.to_json()),
-            "strongly_extreme": self.strongly_extreme.value,
-            "edge": None if self.edge is None else {
-                "is_edge": self.edge.is_edge,
-                "pair_found": self.edge.violating_pair is not None,
-                "starts_used": self.edge.starts_used,
-                "best_residual": self.edge.best_residual,
-                "route": self.edge.route,
-                "paths": self.edge.paths,
-                "note": self._route_note(self.edge.route),
-            },
-            "anomalies": self.anomalies,
-        }
-        if include_timings:
-            out["timings"] = self.timings
-        return out
-
-    def _range_json(self) -> dict:
-        ev = self.range_enumeration.to_json()["evidence"]   # an infinite best residual is None
-        return {"verdict": self.range_ces,
-                **{key: ev[key] for key in ("best_residual", "starts_used", "route", "paths")},
-                "note": self._route_note(ev["route"])}
-
-    def _route_note(self, route: str) -> str:
-        """What `route` can claim in the range or edge block: a homotopy that
-        found a product plane in the range proves that it holds product vectors."""
-        plane = self.range_enumeration.classification == segre.Classification.LIKELY_INFINITE
-        return _ROUTE_NOTES["homotopy-plane" if plane and route == "homotopy" else route]
+        return dict(self.body, timings=self.timings) if include_timings else dict(self.body)
 
     def to_markdown(self) -> str:
-        j = self.to_json()
+        j = self.body
         rp = j["rank_profile"]
         lines = [
             f"# State report ({SCHEMA})",
             "",
-            f"- input: `{json.dumps(self.descriptor, sort_keys=True)}`",
+            f"- input: `{json.dumps(j['input'], sort_keys=True)}`",
             f"- birank: ({rp['rank']}, {rp['rank_gamma']}), "
             f"local ranks: ({rp['rank_a']}, {rp['rank_b']})",
             f"- PPT: {j['ppt']['verdict']} (min eigenvalue of partial transpose: "
@@ -166,64 +123,72 @@ class AnalysisReport:
 
 def analyze_state(state: qstate.BipartiteState, descriptor: dict,
                   fast: bool = False) -> AnalysisReport:
-    """Run the full pipeline at the state's own cuts, `rank_tol` and `psd_tol`;
-    `fast` skips the range and edge searches."""
+    """Run the full pipeline at the state's own cuts, `rank_tol` and `psd_tol`,
+    writing each block of the report as its verdict is decided; `fast` skips
+    the range and edge searches, whose blocks are then None."""
     dims = state.dims
-    tols = {"rank": state.rank_tol, "psd": state.psd_tol, "residual": segre.RESIDUAL_TOL}
-    timings: dict = {}
-    anomalies: list = []
+    body = {"schema": SCHEMA, "input": descriptor,
+            "tolerances": {"rank": state.rank_tol, "psd": state.psd_tol,
+                           "residual": segre.RESIDUAL_TOL},
+            "range_ces": None, "edge": None, "anomalies": []}
+    rep = AnalysisReport(body)
 
-    t0 = time.perf_counter()
-    profile = qstate.rank_profile(state)
-    ppt, min_eig = qstate.is_ppt(state)
-    timings["ranks"] = time.perf_counter() - t0
+    with _timed(rep.timings, "ranks"):
+        rp = qstate.rank_profile(state)
+        ppt, min_eig = qstate.is_ppt(state)
+    body["rank_profile"] = {"rank": rp.rank, "rank_gamma": rp.rank_gamma, "rank_a": rp.rank_a,
+                            "rank_b": rp.rank_b, "birank": [rp.rank, rp.rank_gamma],
+                            "singular_gaps": [float(g) for g in rp.singular_gaps]}
+    body["ppt"] = {"verdict": ppt, "min_eigenvalue": min_eig}
 
-    t0 = time.perf_counter()
-    kernel = qstate.kernel_basis(state)
-    enum_res = segre.enumerate_product_vectors(kernel, dims)
-    gen_pos = None
-    if enum_res.classification == segre.Classification.FINITE:
-        with contextlib.suppress(ValueError):   # subset budget exceeded for large families
-            gen_pos = segre.general_position(enum_res.points, dims)
-    timings["kernel_enumeration"] = time.perf_counter() - t0
+    with _timed(rep.timings, "kernel_enumeration"):
+        enum_res = segre.enumerate_product_vectors(qstate.kernel_basis(state), dims)
+        gen_pos = None
+        if enum_res.classification == segre.Classification.FINITE:
+            with contextlib.suppress(ValueError):   # subset budget exceeded for large families
+                gen_pos = segre.general_position(enum_res.points, dims)
+    body["kernel"] = dict(enum_res.to_json(), general_position=gen_pos)
 
-    t0 = time.perf_counter()
-    goodness = segre.classify_goodness(state, enumeration=enum_res)
+    with _timed(rep.timings, "goodness"):
+        goodness = segre.classify_goodness(state, enumeration=enum_res)
+    body["goodness"] = {"verdict": goodness.verdict.value,
+                        "reason": goodness.reason.value if goodness.reason else None,
+                        "count": goodness.count, "anomaly": goodness.anomaly}
     if goodness.anomaly:
-        anomalies.append("kernel-count-below-delta-for-ppt-state")
-    timings["goodness"] = time.perf_counter() - t0
+        rep.anomalies.append("kernel-count-below-delta-for-ppt-state")
 
-    range_ces = range_res = None
+    range_res = None
     if not fast:
-        t0 = time.perf_counter()
-        range_ces, range_res = segre.ces_certificate(qstate.range_basis(state), dims)
-        timings["range_ces"] = time.perf_counter() - t0
+        with _timed(rep.timings, "range_ces"):
+            range_ces, range_res = segre.ces_certificate(qstate.range_basis(state), dims)
+        ev = range_res.to_json()["evidence"]   # an infinite best residual is None
+        body["range_ces"] = {"verdict": range_ces,
+                             **{key: ev[key] for key in ("best_residual", "starts_used",
+                                                         "route", "paths")},
+                             "note": _route_note(ev["route"], range_res)}
 
-    t0 = time.perf_counter()
-    cert = certify.extremality_nullity(state)
-    # the partial transpose verdict is reported alongside; no relation between
-    # the two is assumed beyond what the good-case theorem gives
-    cert_gamma = certify.extremality_nullity(state.gamma()) if ppt else None
+    with _timed(rep.timings, "extremality"):
+        cert = certify.extremality_nullity(state)
+        # the partial transpose verdict is reported alongside; no relation between
+        # the two is assumed beyond what the good-case theorem gives
+        cert_gamma = certify.extremality_nullity(state.gamma()) if ppt else None
+    body["extremality"] = cert.to_json()
+    body["extremality_of_partial_transpose"] = None if cert_gamma is None else cert_gamma.to_json()
     if any(c is not None and c.nullity == 0 for c in (cert, cert_gamma)):
-        anomalies.append("extremality-nullity-zero")   # rho is always feasible
-    timings["extremality"] = time.perf_counter() - t0
+        rep.anomalies.append("extremality-nullity-zero")   # rho is always feasible
 
-    edge = None
     if not fast:
-        t0 = time.perf_counter()
-        # the range enumerated for the CES verdict is the one the edge check
-        # needs
-        edge = certify.edge_check(state, enumeration=range_res)
-        timings["edge"] = time.perf_counter() - t0
+        with _timed(rep.timings, "edge"):
+            # the edge check reads the range enumerated for the CES verdict
+            edge = certify.edge_check(state, enumeration=range_res)
+        body["edge"] = {"is_edge": edge.is_edge, "pair_found": edge.violating_pair is not None,
+                        "starts_used": edge.starts_used, "best_residual": edge.best_residual,
+                        "route": edge.route, "paths": edge.paths,
+                        "note": _route_note(edge.route, range_res)}
 
-    strong = certify.strongly_extreme_by_theorem(state, goodness=goodness, cert=cert)
-    return AnalysisReport(descriptor=descriptor, tolerances=tols, rank_profile=profile,
-                          ppt=ppt, ppt_min_eig=min_eig, kernel=enum_res,
-                          kernel_general_position=gen_pos,
-                          range_ces=range_ces, range_enumeration=range_res,
-                          goodness=goodness, extremality=cert, extremality_gamma=cert_gamma,
-                          strongly_extreme=strong,
-                          edge=edge, anomalies=anomalies, timings=timings)
+    body["strongly_extreme"] = certify.strongly_extreme_by_theorem(
+        state, goodness=goodness, cert=cert).value
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +255,10 @@ def _sweep(args) -> int:
         try:
             built = fam.build(point["m"], point["n"], point.get(fam.param))
             state = qstate.BipartiteState(built.op, rank_tol=args.tol_rank, psd_tol=args.tol_psd)
-            rep = analyze_state(state, dict(point, seed=args.seed), fast=args.fast)
-            return rep.to_json(include_timings=args.timings), rep
+            return analyze_state(state, dict(point, seed=args.seed),
+                                 fast=args.fast).to_json(include_timings=args.timings)
         except Exception as exc:   # recorded per-line, the sweep continues
-            return {"schema": SCHEMA, "input": point, "error": str(exc)}, None
+            return {"schema": SCHEMA, "input": point, "error": str(exc)}
 
     # an unwritable --out fails before the grid is analyzed
     out = open(args.out, "w") if args.out else sys.stdout
@@ -301,15 +266,17 @@ def _sweep(args) -> int:
                    "bad": 0, "ppt": 0}
     try:
         with ThreadPoolExecutor(max_workers=args.parallel) as pool:
-            for payload, rep in pool.map(run, points):
+            for payload in pool.map(run, points):
                 out.write(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
-                if rep is None:
+                if "error" in payload:
                     tally["errors"] += 1
                     continue
-                tally["ppt"] += int(rep.ppt)
-                tally["extreme"] += int(rep.extremality.verdict == certify.Extremality.EXTREME)
-                tally["good"] += int(rep.goodness.verdict == segre.Goodness.GOOD)
-                tally["bad"] += int(rep.goodness.verdict == segre.Goodness.BAD)
+                verdict = payload["goodness"]["verdict"]
+                tally["ppt"] += int(payload["ppt"]["verdict"])
+                tally["extreme"] += int(payload["extremality"]["verdict"]
+                                        == certify.Extremality.EXTREME.value)
+                tally["good"] += int(verdict == segre.Goodness.GOOD.value)
+                tally["bad"] += int(verdict == segre.Goodness.BAD.value)
     finally:
         if args.out:
             out.close()

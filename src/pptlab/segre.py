@@ -128,6 +128,7 @@ POLISH_TARGET = 1e-13
 EDGE_PAIR_TOL = 1e-9
 EDGE_FALLBACK_STARTS = 256
 _ALTERNATE_ITERS = 60
+_EDGE_ITERS = 420
 _SETTLED_STEP = 1e-14
 _POLISH_ITERS = 16
 _BATCH_CAP = 8192
@@ -242,7 +243,7 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     return np.einsum('rij,rkl->ikjl', stack.conj(), stack).reshape(m * m, n * n)
 
 
-def _least_eigvecs(q: np.ndarray, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
+def _inverse_iteration_step(q: np.ndarray, x: np.ndarray, frame: np.ndarray) -> np.ndarray:
     """One block inverse-iteration step (Ipsen, SIAM Review 39(2), 1997)
     from `frame` (starts, side, w) toward the w least eigenvectors of
     M = (sum_c conj(x_c) (x) x_c) q per start, x being (starts, k, c): Y from
@@ -263,12 +264,11 @@ def _alternate(q: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The one alternating minimization of the package, _ALTERNATE_ITERS
     iterations on |F(a) B|_F over a unit a and an orthonormal n x w frame B,
     block by block (De Lathauwer, De Moor & Vandewalle, SIAM J. Matrix Anal.
-    Appl. 21(4), 2000).  B takes one `_least_eigvecs` step from itself toward
-    the w least eigenvectors of (conj(a) (x) a) Q = F(a)^H F(a), then a one
-    step toward the least one of (sum_w conj(b_w) (x) b_w) Q^T.  A frame is
-    fixed exactly when it spans an invariant subspace, and with w = 1 no
-    step raises |F(a) b|, as
-    v^H M^k v is log-convex in k.  The rows of a (starts, m) and b
+    Appl. 21(4), 2000).  B takes one `_inverse_iteration_step` from itself
+    toward the w least eigenvectors of (conj(a) (x) a) Q = F(a)^H F(a), then
+    A takes one toward the least one of (sum_w conj(b_w) (x) b_w) Q^T.  A
+    frame is fixed exactly when it spans an invariant subspace, and with
+    w = 1 no step raises |F(a) b|, as v^H M^k v is log-convex in k.  The rows of a (starts, m) and b
     (starts, n, w) are the starts.  A start retires once both factors move
     by less than _SETTLED_STEP in one iteration, as |new - old old^H new|_F,
     blind to phase and basis; the solves run on live starts only.  Callers
@@ -280,8 +280,8 @@ def _alternate(q: np.ndarray, a: np.ndarray, b: np.ndarray):
         if live.size == 0:
             break
         al = a[live]
-        bn = _least_eigvecs(q, al, b[live])
-        an = _least_eigvecs(q.T, bn, al)
+        bn = _inverse_iteration_step(q, al, b[live])
+        an = _inverse_iteration_step(q.T, bn, al)
         moved = np.maximum(_moved(al, an), _moved(b[live], bn))
         a[live], b[live] = an, bn
         live = live[moved >= _SETTLED_STEP]
@@ -869,14 +869,14 @@ def edge_pair_search(state: BipartiteState) -> tuple:
     the two ranges on stacks of the kernels the state keeps (no SVD), is
     minimized by `_alternate` on `_edge_gram` in rounds of _ALTERNATE_ITERS
     iterations, each from the pairs the last one left, until a start falls
-    below EDGE_PAIR_TOL, 420 iterations at most."""
+    below EDGE_PAIR_TOL, _EDGE_ITERS iterations at most."""
     m, n = state.dims.m, state.dims.n
     kern_rho, kern_gamma = (state.split(gamma)[0].conj().reshape(-1, m, n)
                             for gamma in (False, True))
     q = _edge_gram(kern_rho, kern_gamma)
     a, b = start_pairs(EDGE_FALLBACK_STARTS, m, n)
     b = b[:, :, None]
-    for _ in range(420 // _ALTERNATE_ITERS):
+    for _ in range(_EDGE_ITERS // _ALTERNATE_ITERS):
         a, b = _alternate(q, a, b)
         r1 = _membership_residuals(kern_rho, a, b[:, :, 0])
         r2 = _membership_residuals(kern_gamma, a.conj(), b[:, :, 0])

@@ -484,6 +484,20 @@ class TestEdgeCheck:
         assert not report.is_edge
         assert report.route == "homotopy"
 
+    def test_pair_from_the_range_reports_its_joint_residual(self):
+        # a pair taken from the range's points reports its own joint
+        # residual: its point's enumeration residual with its partner's
+        state = seeded_separable(2, 3, 3, 0)
+        enum = enumerate_product_vectors(range_basis(state), state.dims)
+        report = edge_check(state, enumeration=enum)
+        assert not report.is_edge and report.route == "homotopy"
+        pv, partner = report.violating_pair
+        at = next(i for i, point in enumerate(enum.points) if point is pv)
+        rng_gamma = SubspaceBasis(6, state.split(gamma=True)[1], state.rank_tol)
+        joint = np.hypot(enum.residuals[at], rng_gamma.project_residual(partner.vec()))
+        assert 0 < report.best_residual < certify.EDGE_PAIR_TOL
+        assert report.best_residual == joint
+
     @pytest.mark.parametrize("state_fn", [diag_two_products, zoo.good_3x4,
                                           lambda: zoo.bad_mxn(4, 5)],
                              ids=["diag_two_products", "good_3x4", "bad_4x5"])
@@ -531,7 +545,7 @@ class TestEdgeAStep:
         kern_gamma = complement_stack(range_basis(gamma_state), dims).conj()
         a0, b = start_pairs(64, dims.m, dims.n)
         q = segre._edge_gram(kern_rho, kern_gamma)
-        a = segre._least_eigvecs(q.T, b[:, :, None], a0[:, :, None])[:, :, 0]
+        a = segre._inverse_iteration_step(q.T, b[:, :, None], a0[:, :, None])[:, :, 0]
         oracle = real_embedded_a_step(kern_rho, kern_gamma, b, a0)
         assert np.allclose(np.linalg.norm(a, axis=1), 1.0, atol=1e-12)
         # the same unit vector up to a phase
@@ -577,8 +591,8 @@ class TestEdgeFallback:
         # |G1(b) a|^2 + |G2(b) conj(a)|^2 = |[G1(b); conj(G2(b))] a|^2
         g = np.concatenate([np.einsum('rij,sj->sri', kern_rho, b),
                             np.einsum('rij,sj->sri', kern_gamma, b).conj()], axis=1)
-        b_new = segre._least_eigvecs(q, a[:, :, None], b[:, :, None])[:, :, 0]
-        a_new = segre._least_eigvecs(q.T, b[:, :, None], a[:, :, None])[:, :, 0]
+        b_new = segre._inverse_iteration_step(q, a[:, :, None], b[:, :, None])[:, :, 0]
+        a_new = segre._inverse_iteration_step(q.T, b[:, :, None], a[:, :, None])[:, :, 0]
         for new, ref in ((b_new, inverse_iteration_step(f, b[:, :, None])[:, :, 0]),
                          (a_new, inverse_iteration_step(g, a[:, :, None])[:, :, 0])):
             assert np.abs(np.sum(new.conj() * ref, axis=1)).min() > 1 - 1e-10

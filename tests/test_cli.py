@@ -257,8 +257,9 @@ class TestAnalyze:
         # is analyzed too, and every state the analysis reads keeps that cut
         cuts = record_nullity_cuts(monkeypatch)
         rep = analyze_state(BipartiteState(entangled_lift(), psd_tol=1e-6), {}, fast=True)
-        assert rep.tolerances == {"rank": 1e-9, "psd": 1e-6, "residual": segre.RESIDUAL_TOL}
-        assert rep.ppt and rep.extremality_gamma is not None
+        j = rep.to_json()
+        assert j["tolerances"] == {"rank": 1e-9, "psd": 1e-6, "residual": segre.RESIDUAL_TOL}
+        assert j["ppt"]["verdict"] and j["extremality_of_partial_transpose"] is not None
         assert cuts == [(1e-9, 1e-6)] * 2, cuts
         assert not [w for w in recwarn if "NPT" in str(w.message)]
 
@@ -910,13 +911,19 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "bad-3x4", "--draws", "2",
                                "--seed", "7", "--fast", "--out", str(out))
         assert code == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            rep = json.loads(line)
+        reps = [json.loads(line) for line in out.read_text().strip().splitlines()]
+        assert len(reps) == 2
+        for rep in reps:
             assert rep["extremality"]["verdict"] == "extreme"
             assert rep["goodness"]["verdict"] == "bad"
-        assert "sweep summary" in err
+        # the summary tallies the lines it wrote
+        summary = json.loads(err.split("sweep summary: ", 1)[1])
+        assert summary == {
+            "points": len(reps), "errors": sum("error" in rep for rep in reps),
+            "ppt": sum(rep["ppt"]["verdict"] for rep in reps),
+            "extreme": sum(rep["extremality"]["verdict"] == "extreme" for rep in reps),
+            "good": sum(rep["goodness"]["verdict"] == "good" for rep in reps),
+            "bad": sum(rep["goodness"]["verdict"] == "bad" for rep in reps)}
 
     def test_seed_determinism(self, tmp_path, capsys):
         out1 = tmp_path / "a.jsonl"

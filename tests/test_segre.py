@@ -750,9 +750,9 @@ class TestAlternate:
 
         res = residual(a, b)
         for _ in range(10):
-            b = segre._least_eigvecs(q, a[:, :, None], b[:, :, None])[:, :, 0]
+            b = segre._inverse_iteration_step(q, a[:, :, None], b[:, :, None])[:, :, 0]
             after_b = residual(a, b)
-            a = segre._least_eigvecs(q.T, b[:, :, None], a[:, :, None])[:, :, 0]
+            a = segre._inverse_iteration_step(q.T, b[:, :, None], a[:, :, None])[:, :, 0]
             after_a = residual(a, b)
             assert np.all(after_b <= res * (1 + 1e-12) + 1e-15)
             assert np.all(after_a <= after_b * (1 + 1e-12) + 1e-15)

@@ -68,9 +68,15 @@ overruled, is decided by a search: one round of multistart alternating
 minimization over unit pairs, followed by a batched Gauss-Newton polish of
 the holomorphic system, on top of the homotopy's points on K.  Every
 multistart round, that search or the cross-check of a count, has
-max(400, 4 delta) starts.  One classification then reads the plane, the
-count and the points, in one place.  One alternation, `_alternate` on Gram
-matrices, _ALTERNATE_ITERS iterations a call, serves the round (w = 1), the
+max(400, 4 delta) starts.  The polish takes only the starts that the
+alternation left unsettled or near K (|F(a) b| <= sqrt(RESIDUAL_TOL)).  A
+settled start is a fixed point of the alternation, so a stationary point of
+|F(a) b| on the two unit spheres, where the Gauss-Newton step in their
+tangent space is zero (Absil, Mahony & Sepulchre 2008, ch. 8); one settled
+above sqrt(RESIDUAL_TOL) is off K and keeps its alternation pair and
+residual.  One classification then reads the plane, the count and the
+points, in one place.  One alternation, `_alternate` on Gram matrices,
+_ALTERNATE_ITERS iterations a call, serves the round (w = 1), the
 plane search (a w-frame) and `edge_pair_search`, the edge check's joint
 search from EDGE_FALLBACK_STARTS starts down to EDGE_PAIR_TOL on the stacks
 of ker rho and ker rho^Gamma, which `_edge_gram` folds into one Gram
@@ -271,9 +277,11 @@ def _alternate(q: np.ndarray, a: np.ndarray, b: np.ndarray):
     w = 1 no step raises |F(a) b|, as v^H M^k v is log-convex in k.  The rows of a (starts, m) and b
     (starts, n, w) are the starts.  A start retires once both factors move
     by less than _SETTLED_STEP in one iteration, as |new - old old^H new|_F,
-    blind to phase and basis; the solves run on live starts only.  Callers
-    take residuals from their stacks: a quadratic form in Q loses any
-    residual below ~1e-8."""
+    blind to phase and basis; the solves run on live starts only.  Returns
+    (a, b, settled), settled flagging the starts that retired: each sits at
+    a fixed point of the alternation, a stationary point of |F(a) B|_F on
+    the spheres.  Callers take residuals from their stacks: a quadratic
+    form in Q loses any residual below ~1e-8."""
     a, b = a[:, :, None].copy(), b.copy()
     live = np.arange(a.shape[0])
     for _ in range(_ALTERNATE_ITERS):
@@ -285,7 +293,9 @@ def _alternate(q: np.ndarray, a: np.ndarray, b: np.ndarray):
         moved = np.maximum(_moved(al, an), _moved(b[live], bn))
         a[live], b[live] = an, bn
         live = live[moved >= _SETTLED_STEP]
-    return a[:, :, 0], b
+    settled = np.ones(a.shape[0], dtype=bool)
+    settled[live] = False
+    return a[:, :, 0], b, settled
 
 
 def _moved(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -295,9 +305,10 @@ def _moved(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 def _alternate_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray):
     """The multistart round's `_alternate` (w = 1) from pairs (a, b), a slice
-    of at most _BATCH_CAP starts; returns them with |F(a) b| itself."""
-    a, b = _alternate(_gram(wc), a, b[:, :, None])
-    return a, b[:, :, 0], _membership_residuals(wc, a, b[:, :, 0])
+    of at most _BATCH_CAP starts; returns them with their settled flags and
+    |F(a) b| itself."""
+    a, b, settled = _alternate(_gram(wc), a, b[:, :, None])
+    return a, b[:, :, 0], settled, _membership_residuals(wc, a, b[:, :, 0])
 
 
 def _free_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -817,7 +828,7 @@ def _plane_search(side: str, stack: np.ndarray, a: np.ndarray, w_dim: int) -> di
         return {}
     z = np.random.default_rng(_START_SEED).standard_normal((s, dim_sub, 2 * w_dim))
     b = np.linalg.qr(z[:, :, :w_dim] + 1j * z[:, :, w_dim:])[0]
-    a, b = _alternate(_gram(stack), a, b)
+    a, b, _ = _alternate(_gram(stack), a, b)
     h = np.linalg.norm(np.einsum('si,rij,sjw->srw', a, stack, b), axis=(1, 2))
     return {j: LineSubspace(side, a[j], SubspaceBasis(dim_sub, b[j].T, RESIDUAL_TOL), float(h[j]))
             for j in np.flatnonzero(h <= RESIDUAL_TOL)}
@@ -877,7 +888,7 @@ def edge_pair_search(state: BipartiteState) -> tuple:
     a, b = start_pairs(EDGE_FALLBACK_STARTS, m, n)
     b = b[:, :, None]
     for _ in range(_EDGE_ITERS // _ALTERNATE_ITERS):
-        a, b = _alternate(q, a, b)
+        a, b, _ = _alternate(q, a, b)
         r1 = _membership_residuals(kern_rho, a, b[:, :, 0])
         r2 = _membership_residuals(kern_gamma, a.conj(), b[:, :, 0])
         joint = np.sqrt(r1 ** 2 + r2 ** 2)
@@ -902,11 +913,13 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     4 delta) starts comes next, unless a plane of K verified at the
     endpoints or delta roots of a square system settle the set: it
     cross-checks a squared-down count, or searches a set that nothing
-    settled.  One classification follows: a plane makes the set
-    LIKELY_INFINITE; a count that no point of the round overruled makes it
-    FINITE, or EMPTY when K holds none of its roots; for the rest more than
-    delta points make it LIKELY_INFINITE, fewer INCONCLUSIVE and none
-    EMPTY.  The returned points are pairwise distinct under the overlap
+    settled.  It polishes the starts that its alternation left unsettled
+    or near K; a start settled above sqrt(RESIDUAL_TOL) is a stationary
+    point off K and keeps its alternation pair.  One classification
+    follows: a plane makes the set LIKELY_INFINITE; a count that no point
+    of the round overruled makes it FINITE, or EMPTY when K holds none of
+    its roots; for the rest more than delta points make it
+    LIKELY_INFINITE, fewer INCONCLUSIVE and none EMPTY.  The returned points are pairwise distinct under the overlap
     metric and each satisfies |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
     """
     m, n = dims.m, dims.n
@@ -951,8 +964,14 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
         found, found_res = list(points), list(residuals)
         for lo in range(0, starts, _BATCH_CAP):
             a, b = a_all[lo:lo + _BATCH_CAP], b_all[lo:lo + _BATCH_CAP]
-            a, b, alt = _alternate_batch(wc, a, b)
-            a, b, res = _polish_batch(wc, a, b, _POLISH_ITERS)
+            a, b, settled, alt = _alternate_batch(wc, a, b)
+            # a settled start is a stationary point of |F(a) b| on the
+            # spheres, where a Gauss-Newton step is zero: one above
+            # sqrt(RESIDUAL_TOL) is off K and keeps its alternation pair
+            res = alt.copy()
+            todo = np.flatnonzero(~settled | (alt <= math.sqrt(RESIDUAL_TOL)))
+            if todo.size:
+                a[todo], b[todo], res[todo] = _polish_batch(wc, a[todo], b[todo], _POLISH_ITERS)
             # the polish can raise a residual the alternation reached
             evidence["best_residual"] = min(evidence["best_residual"], float(alt.min()),
                                             float(res.min()))

@@ -606,7 +606,7 @@ class TestEdgeFallback:
             raise AssertionError("the edge fallback called np.linalg.svd")
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
-        a, b = segre._alternate(q, a, b[:, :, None])
+        a, b, _ = segre._alternate(q, a, b[:, :, None])
         assert b.shape == (certify.EDGE_FALLBACK_STARTS, 4, 1)
 
     def test_search_builds_its_stacks_without_svd(self, monkeypatch):

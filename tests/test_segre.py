@@ -550,9 +550,9 @@ class TestSquareDown:
         reached = []
 
         def recording(*args):
-            a, b, res = original(*args)
+            a, b, settled, res = original(*args)
             reached.append(float(res.min()))
-            return a, b, res
+            return a, b, settled, res
 
         monkeypatch.setattr(segre_mod, "_alternate_batch", recording)
         state = zoo.good_3x4()
@@ -687,7 +687,7 @@ class TestAlternate:
         # the same inverse-iteration steps, on F^H F formed from the stack
         # itself and with no start retired
         a_ref, b_ref, res_ref = alternate_by_inverse_iteration(wc, a0, b0, 60)
-        a, b, res = _alternate_batch(wc, a0, b0)
+        a, b, _, res = _alternate_batch(wc, a0, b0)
         assert np.max(np.abs(res - res_ref)) <= 1e-12
         # the same vectors up to phase
         assert np.min(np.abs(np.einsum('si,si->s', a_ref.conj(), a))) >= 1 - 1e-12
@@ -706,7 +706,7 @@ class TestAlternate:
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
-        _, _, res = _alternate_batch(wc, a0, b0)
+        _, _, _, res = _alternate_batch(wc, a0, b0)
         assert res.shape == (400,)
 
     def test_settled_starts_retire(self, monkeypatch):
@@ -715,7 +715,7 @@ class TestAlternate:
         wc = good_3x4_range_stack()
         a0, b0 = start_pairs(400, 3, 4)
         solve = SolveRecorder(monkeypatch)
-        a, b, _ = _alternate_batch(wc, a0, b0)
+        a, b, _, _ = _alternate_batch(wc, a0, b0)
         assert sum(solve.rows) <= 0.6 * 2 * 400 * 60
         # the inputs are left as they were
         a1, b1 = start_pairs(400, 3, 4)
@@ -774,14 +774,14 @@ class TestDegenerateGram:
         e0 = np.eye(3, dtype=complex)[0]
         assert np.array_equal((np.kron(e0, e0) @ q).reshape(3, 3)[0], np.zeros(3))
         solve = SolveRecorder(monkeypatch)
-        a, b = segre._alternate(q, e0[None, :], e0[None, :, None])
+        a, b, _ = segre._alternate(q, e0[None, :], e0[None, :, None])
         assert solve.rows == [1, 1]
         assert np.allclose(np.abs(a[0]), np.abs(e0), rtol=0, atol=1e-15)
         assert np.allclose(np.abs(b[0, :, 0]), np.abs(e0), rtol=0, atol=1e-15)
         # in a batch with generic starts: every start stays finite
         a, b = start_pairs(8, 3, 3)
         a[5], b[5] = e0, e0
-        a, b = segre._alternate(q, a, b[:, :, None])
+        a, b, _ = segre._alternate(q, a, b[:, :, None])
         assert np.isfinite(a).all() and np.isfinite(b).all()
         assert abs(a[5, 0]) > 1 - 1e-15 and abs(b[5, 0, 0]) > 1 - 1e-15
 
@@ -791,10 +791,53 @@ class TestDegenerateGram:
         q = segre._gram(np.zeros((0, 3, 4), dtype=complex))
         a0, b0 = start_pairs(64, 3, 4)
         solve = SolveRecorder(monkeypatch)
-        a, b = segre._alternate(q, a0, b0[:, :, None])
+        a, b, _ = segre._alternate(q, a0, b0[:, :, None])
         assert solve.rows == [64, 64]
         assert np.abs(np.einsum('si,si->s', a0.conj(), a)).min() > 1 - 1e-15
         assert np.abs(np.einsum('si,si->s', b0.conj(), b[:, :, 0])).min() > 1 - 1e-15
+
+
+def alternate_start_by_start(q, a, b):
+    """`_alternate`'s settled flags from a plain loop, one start at a time:
+    a start settles at the first iteration that moves it by less than
+    _SETTLED_STEP."""
+    settled = []
+    for j in range(a.shape[0]):
+        aj, bj = a[j:j + 1, :, None], b[j:j + 1, :, None]
+        for _ in range(segre._ALTERNATE_ITERS):
+            bn = segre._inverse_iteration_step(q, aj, bj)
+            an = segre._inverse_iteration_step(q.T, bn, aj)
+            moved = max(segre._moved(aj, an)[0], segre._moved(bj, bn)[0])
+            aj, bj = an, bn
+            if moved < segre._SETTLED_STEP:
+                break
+        settled.append(moved < segre._SETTLED_STEP)
+    return np.array(settled)
+
+
+class TestSettledFlag:
+    def test_one_iteration_settles_only_a_product_vector(self, monkeypatch):
+        # after one iteration a start on a product vector of K has not
+        # moved, while every seeded random start has
+        monkeypatch.setattr(segre, "_ALTERNATE_ITERS", 1)
+        q = segre._gram(TestDegenerateGram.STACK)
+        e0 = np.eye(3, dtype=complex)[0]
+        a, b = start_pairs(8, 3, 3)
+        a[5], b[5] = e0, e0
+        _, _, settled = segre._alternate(q, a, b[:, :, None])
+        assert settled.tolist() == [j == 5 for j in range(8)]
+        _, _, settled, _ = _alternate_batch(good_3x4_range_stack(), *start_pairs(400, 3, 4))
+        assert not settled.any()
+
+    @pytest.mark.parametrize("name", ["bad_3x4", "bad_4x5"])
+    def test_matches_a_plain_loop(self, name):
+        # the first 48 starts of the round on these ranges settle in part
+        state = RANGE_STATES[name]()
+        wc = complement_stack(range_basis(state), state.dims).conj()
+        a, b = start_pairs(48, state.dims.m, state.dims.n)
+        _, _, settled, _ = _alternate_batch(wc, a, b)
+        assert 0 < settled.sum() < 48
+        assert np.array_equal(settled, alternate_start_by_start(segre._gram(wc), a, b))
 
 
 def polish_by_pinv(wc, a, b, iters):
@@ -863,7 +906,7 @@ class TestPolish:
         state = RANGE_STATES[name]()
         m, n = state.dims.m, state.dims.n
         wc = complement_stack(range_basis(state), state.dims).conj()
-        a, b, _ = _alternate_batch(wc, *start_pairs(400, m, n))
+        a, b, _, _ = _alternate_batch(wc, *start_pairs(400, m, n))
         assert_same_polish(_polish_batch(wc, a, b, iters), polish_by_pinv(wc, a, b, iters))
 
     def test_rank_deficient_row_takes_the_pinv_step(self, monkeypatch):
@@ -886,25 +929,71 @@ class TestPolish:
         assert got[2][7] < 1e-14
 
     def test_range_cross_check_polish_calls_no_svd(self, monkeypatch):
+        # the round polishes only the starts its alternation left unsettled
+        # or near K: every start settles off K on good_3x4's range, so only
+        # the homotopy's 10 endpoints reach the polish; on bad_4x5's range
+        # the round's batch is exactly the 231 unsettled starts
         import pptlab.segre as segre_mod
 
         svd = SvdRecorder(monkeypatch)
-        svd.active, batches = False, []
+        svd.active, batches, unsettled = False, [], []
+
+        def recording_alternation(wc, a, b):
+            a, b, settled, res = _alternate_batch(wc, a, b)
+            unsettled.append(a[~settled])
+            return a, b, settled, res
 
         def recording(wc, a, b, iters):
-            batches.append(a.shape[0])
+            batches.append(a.copy())
             svd.active = True
             try:
                 return _polish_batch(wc, a, b, iters)
             finally:
                 svd.active = False
 
+        monkeypatch.setattr(segre_mod, "_alternate_batch", recording_alternation)
         monkeypatch.setattr(segre_mod, "_polish_batch", recording)
         state = zoo.good_3x4()
         res = enumerate_product_vectors(range_basis(state), state.dims)
         assert res.classification == Classification.EMPTY
-        assert 400 in batches
+        assert [x.shape[0] for x in batches] == [10]
+        assert [x.shape[0] for x in unsettled] == [0]
+        batches.clear(), unsettled.clear()
+        state = zoo.bad_mxn(4, 5)
+        res = enumerate_product_vectors(range_basis(state), state.dims)
+        assert res.classification == Classification.EMPTY
+        assert len(batches) == 2 and [x.shape[0] for x in unsettled] == [231]
+        assert np.array_equal(batches[1], unsettled[0])
         assert svd.shapes == []
+
+    def test_skipped_starts_would_not_reach_K(self):
+        # the premise of the skip: a start the alternation settled above
+        # sqrt(RESIDUAL_TOL) is a stationary point of |F(a) b| off K, and a
+        # full polish takes none of them to K or below the round's best; on
+        # a kernel no start settles off K at all
+        rounds = [(fn(), range_basis) for fn, _ in RANGE_BEST_RESIDUALS.values()]
+        rounds += [(state, kernel_basis) for state in (
+            zoo.good_3x4(), zoo.kon_mnogo()[0], zoo.good_3xn(6), zoo.bad_3x4(),
+            zoo.bad_mxn(4, 5), slocc_changed(zoo.good_3xn(6), 1000, 100),
+            slocc_changed(zoo.bad_3x4(), 1000, 100))]
+        for state, basis in rounds:
+            m, n = state.dims.m, state.dims.n
+            wc = complement_stack(basis(state), state.dims).conj()
+            starts = start_pairs(max(segre._MIN_STARTS, 4 * zoo.delta(m, n)), m, n)
+            a, b, settled, alt = _alternate_batch(wc, *starts)
+            skipped = settled & (alt > np.sqrt(segre.RESIDUAL_TOL))
+            if basis is kernel_basis:
+                assert not skipped.any()
+                continue
+            # every range skips some starts, so the guard checks something
+            assert skipped.any()
+            best = alt.min()
+            if not skipped.all():
+                kept = _polish_batch(wc, a[~skipped], b[~skipped], segre._POLISH_ITERS)[2]
+                best = min(best, kept.min())
+            full = _polish_batch(wc, a[skipped], b[skipped], segre._POLISH_ITERS)[2]
+            assert full.min() > segre.RESIDUAL_TOL
+            assert full.min() >= best
 
 
 # The cross-check round's best residual on zoo ranges that hold no product
@@ -1415,7 +1504,7 @@ class TestPlaneSearch:
         assert calls == [(a.shape[0], 5, 2)]
         z = np.random.default_rng(segre._START_SEED).standard_normal((a.shape[0], 5, 4))
         frames = np.linalg.qr(z[:, :, :2] + 1j * z[:, :, 2:])[0]
-        ref_a, ref_b = original(segre._gram(wc), a, frames)
+        ref_a, ref_b, _ = original(segre._gram(wc), a, frames)
         h = np.linalg.norm(np.einsum('si,rij,sjw->srw', ref_a, wc, ref_b), axis=(1, 2))
         assert planes and list(planes) == list(np.flatnonzero(h <= segre.RESIDUAL_TOL))
         for j, ls in planes.items():

@@ -33,6 +33,7 @@ an edge-state check (no product vector in the range whose partial conjugate
 sits in the range of rho^Gamma), which keeps the verdict rule and leaves
 the pair search, its starts and its tolerance to `segre.edge_pair_search`,
 and a product decomposition for PPT states of rank equal to the B-local rank.
+Each certificate is an object: `cli` alone writes it into pptlab-report/1.
 """
 
 from __future__ import annotations
@@ -102,17 +103,6 @@ class ExtremalityCert:
     singular_spectrum: np.ndarray
     witness: Optional[np.ndarray] = None
     margin: float = np.nan
-
-    def to_json(self) -> dict:
-        gap, margin = float(self.gap_ratio), float(self.margin)
-        return {
-            "nullity": self.nullity,
-            "verdict": self.verdict.value,
-            "gap_ratio": gap if np.isfinite(gap) else None,
-            "singular_spectrum": [float(s) for s in self.singular_spectrum],
-            "has_witness": self.witness is not None,
-            "margin": margin if np.isfinite(margin) else None,
-        }
 
 
 @dataclass(eq=False)

@@ -16,10 +16,12 @@ are parsed and checked by argparse; `main` makes an OSError or ValueError exit 2
 Exit codes: 0 success, 2 malformed input, invalid parameters or an
 unwritable --out, 3 when the analysis flagged a numerical anomaly.  Reports
 follow the versioned schema "pptlab-report/1" and are byte-deterministic
-for a fixed input and seed.  `analyze_state` writes the report body block
-by block, and that body is its one model: the JSON, the markdown and the
-sweep tally all read it.  Wall-clock timings are only added on request
-(--timings) since they would break that reproducibility.
+for a fixed input and seed.  Only this module writes that format:
+`analyze_state` turns the results of `segre` and `certify` into the report
+body block by block, every non-finite float as null, and that body is its
+one model: the JSON, the markdown and the sweep tally all read it.
+Wall-clock timings are only added on request (--timings) since they would
+break that reproducibility.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,6 +63,27 @@ def _route_note(route: str, range_res: segre.EnumerationResult) -> str:
     return _ROUTE_NOTES["homotopy-plane" if plane and route == "homotopy" else route]
 
 
+def _point(pv: qstate.ProductVector) -> dict:
+    """A product vector as reports and product-basis files write it."""
+    return {"a": qstate.complex_pairs(pv.a), "b": qstate.complex_pairs(pv.b)}
+
+
+def _extremality(cert: certify.ExtremalityCert) -> dict:
+    return {"nullity": cert.nullity, "verdict": cert.verdict.value,
+            "gap_ratio": float(cert.gap_ratio), "margin": float(cert.margin),
+            "singular_spectrum": [float(s) for s in cert.singular_spectrum],
+            "has_witness": cert.witness is not None}
+
+
+def _strict(value):
+    """`value` with every non-finite float as None: strict JSON, whatever the keys."""
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_strict(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 @contextlib.contextmanager
 def _timed(timings: dict, stage: str):
     """Records the wall-clock seconds of the block as `timings[stage]`."""
@@ -70,13 +94,12 @@ def _timed(timings: dict, stage: str):
 
 @dataclass(eq=False)
 class AnalysisReport:
-    """The verdicts for one state.  `body` is the pptlab-report/1 report,
-    block by block, and the one model of it: the JSON, the markdown and the
-    sweep tally all read it.  `timings` holds the seconds of each stage, which
-    `to_json` adds only on request, as they break byte determinism."""
+    """The verdicts for one state: `body`, the pptlab-report/1 report and its
+    one model, and `timings`, the seconds of each stage, which `to_json` adds
+    only on request, as they break byte determinism."""
 
     body: dict
-    timings: dict = field(default_factory=dict)
+    timings: dict
 
     @property
     def anomalies(self) -> list:
@@ -127,13 +150,13 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
     writing each block of the report as its verdict is decided; `fast` skips
     the range and edge searches, whose blocks are then None."""
     dims = state.dims
+    anomalies, timings = [], {}
     body = {"schema": SCHEMA, "input": descriptor,
             "tolerances": {"rank": state.rank_tol, "psd": state.psd_tol,
                            "residual": segre.RESIDUAL_TOL},
-            "range_ces": None, "edge": None, "anomalies": []}
-    rep = AnalysisReport(body)
+            "range_ces": None, "edge": None, "anomalies": anomalies}
 
-    with _timed(rep.timings, "ranks"):
+    with _timed(timings, "ranks"):
         rp = qstate.rank_profile(state)
         ppt, min_eig = qstate.is_ppt(state)
     body["rank_profile"] = {"rank": rp.rank, "rank_gamma": rp.rank_gamma, "rank_a": rp.rank_a,
@@ -141,44 +164,51 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
                             "singular_gaps": [float(g) for g in rp.singular_gaps]}
     body["ppt"] = {"verdict": ppt, "min_eigenvalue": min_eig}
 
-    with _timed(rep.timings, "kernel_enumeration"):
+    with _timed(timings, "kernel_enumeration"):
         enum_res = segre.enumerate_product_vectors(qstate.kernel_basis(state), dims)
         gen_pos = None
         if enum_res.classification == segre.Classification.FINITE:
             with contextlib.suppress(ValueError):   # subset budget exceeded for large families
                 gen_pos = segre.general_position(enum_res.points, dims)
-    body["kernel"] = dict(enum_res.to_json(), general_position=gen_pos)
+    planes = [{"side": ls.side, "vector": qstate.complex_pairs(ls.vector),
+               "subspace_dim": ls.subspace.dim, "residual": ls.residual}
+              for ls in enum_res.evidence["line_subspaces"]]
+    body["kernel"] = {"classification": enum_res.classification.value, "count": enum_res.count,
+                      "points": [_point(p) for p in enum_res.points],
+                      "residuals": [float(r) for r in enum_res.residuals],
+                      "evidence": dict(enum_res.evidence, line_subspaces=planes),
+                      "general_position": gen_pos}
 
-    with _timed(rep.timings, "goodness"):
+    with _timed(timings, "goodness"):
         goodness = segre.classify_goodness(state, enumeration=enum_res)
     body["goodness"] = {"verdict": goodness.verdict.value,
                         "reason": goodness.reason.value if goodness.reason else None,
                         "count": goodness.count, "anomaly": goodness.anomaly}
     if goodness.anomaly:
-        rep.anomalies.append("kernel-count-below-delta-for-ppt-state")
+        anomalies.append("kernel-count-below-delta-for-ppt-state")
 
     range_res = None
     if not fast:
-        with _timed(rep.timings, "range_ces"):
+        with _timed(timings, "range_ces"):
             range_ces, range_res = segre.ces_certificate(qstate.range_basis(state), dims)
-        ev = range_res.to_json()["evidence"]   # an infinite best residual is None
-        body["range_ces"] = {"verdict": range_ces,
-                             **{key: ev[key] for key in ("best_residual", "starts_used",
-                                                         "route", "paths")},
-                             "note": _route_note(ev["route"], range_res)}
+        ev = range_res.evidence
+        body["range_ces"] = {"verdict": range_ces, "best_residual": ev["best_residual"],
+                             "starts_used": ev["starts_used"], "route": ev["route"],
+                             "paths": ev["paths"], "note": _route_note(ev["route"], range_res)}
 
-    with _timed(rep.timings, "extremality"):
+    with _timed(timings, "extremality"):
         cert = certify.extremality_nullity(state)
         # the partial transpose verdict is reported alongside; no relation between
         # the two is assumed beyond what the good-case theorem gives
         cert_gamma = certify.extremality_nullity(state.gamma()) if ppt else None
-    body["extremality"] = cert.to_json()
-    body["extremality_of_partial_transpose"] = None if cert_gamma is None else cert_gamma.to_json()
+    body["extremality"] = _extremality(cert)
+    body["extremality_of_partial_transpose"] = (None if cert_gamma is None
+                                                else _extremality(cert_gamma))
     if any(c is not None and c.nullity == 0 for c in (cert, cert_gamma)):
-        rep.anomalies.append("extremality-nullity-zero")   # rho is always feasible
+        anomalies.append("extremality-nullity-zero")   # rho is always feasible
 
     if not fast:
-        with _timed(rep.timings, "edge"):
+        with _timed(timings, "edge"):
             # the edge check reads the range enumerated for the CES verdict
             edge = certify.edge_check(state, enumeration=range_res)
         body["edge"] = {"is_edge": edge.is_edge, "pair_found": edge.violating_pair is not None,
@@ -188,7 +218,7 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
 
     body["strongly_extreme"] = certify.strongly_extreme_by_theorem(
         state, goodness=goodness, cert=cert).value
-    return rep
+    return AnalysisReport(_strict(body), timings)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +254,7 @@ def _construct(args) -> int:
     built = fam.build(m, n, _family_options(args).get(fam.param))
     if isinstance(built, zoo.UpbFamily):
         payload = {"m": m, "n": n, "family": built.family_name,
-                   "vectors": [{"a": qstate.complex_pairs(pv.a), "b": qstate.complex_pairs(pv.b)}
-                               for pv in built.vectors]}
+                   "vectors": [_point(pv) for pv in built.vectors]}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, sort_keys=True)
         print(f"wrote product basis: dims ({m}, {n}), {len(built)} vectors -> {args.out}")
@@ -252,13 +281,14 @@ def _sweep(args) -> int:
         raise ValueError(f"the {args.family} sweep grid is empty at {shown}")
 
     def run(point):
+        descriptor = dict(point, seed=args.seed)
         try:
             built = fam.build(point["m"], point["n"], point.get(fam.param))
             state = qstate.BipartiteState(built.op, rank_tol=args.tol_rank, psd_tol=args.tol_psd)
-            return analyze_state(state, dict(point, seed=args.seed),
+            return analyze_state(state, descriptor,
                                  fast=args.fast).to_json(include_timings=args.timings)
         except Exception as exc:   # recorded per-line, the sweep continues
-            return {"schema": SCHEMA, "input": point, "error": str(exc)}
+            return {"schema": SCHEMA, "input": descriptor, "error": str(exc)}
 
     # an unwritable --out fails before the grid is analyzed
     out = open(args.out, "w") if args.out else sys.stdout

@@ -463,9 +463,9 @@ def save_state(state: BipartiteState, path) -> None:
 def load_state(path, *, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) -> BipartiteState:
     """Read a state file in either dense or factored form and admit it at the cuts given,
     as the constructor does: one eigendecomposition, a PSD check at `psd_tol`."""
-    with open(path) as fh:
-        payload = json.load(fh)
     try:
+        with open(path) as fh:
+            payload = json.load(fh)
         for key in ("m", "n"):
             if type(payload[key]) is not int:      # refuses 3.9, true and "3"
                 raise ValueError(f"state file {path}: field {key!r} must be an integer, "
@@ -483,6 +483,7 @@ def load_state(path, *, rank_tol: float = RANK_TOL, psd_tol: float = PSD_TOL) ->
                 raise ValueError(f"state file {path}: field 'r' must be the integer "
                                  f"{factor.r_rows}, the blocks' row count, got {json.dumps(r)}")
             return from_blocks(factor, rank_tol=rank_tol, psd_tol=psd_tol)
-    except (KeyError, TypeError) as exc:
+    # nesting too deep to parse, an integer too large for a float
+    except (KeyError, TypeError, RecursionError, OverflowError) as exc:
         raise ValueError(f"malformed state file {path}: {exc}") from exc
     raise ValueError(f"state file {path} has neither 'matrix' nor 'blocks'")

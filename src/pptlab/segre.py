@@ -94,7 +94,8 @@ Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
 Empty / Finite / LikelyInfinite / Inconclusive is evidence-based and
 deliberately refuses to overclaim: Finite needs a complete homotopy count,
-and a search alone never reports it.
+and a search alone never reports it.  The results are objects: `cli`
+alone writes them into pptlab-report/1.
 
 `minor_system_roots`, the determinantal system, is an independent root
 finder that only the tests call; enumeration does not.  It needs scipy
@@ -121,7 +122,6 @@ from .qstate import (
     BipartiteState,
     ProductVector,
     SubspaceBasis,
-    complex_pairs,
     kernel_basis,
     null_space,
     is_ppt,
@@ -195,27 +195,6 @@ class EnumerationResult:
     @property
     def count(self) -> int:
         return len(self.points)
-
-    def to_json(self) -> dict:
-        ev = dict(self.evidence)
-        ev["line_subspaces"] = [
-            {"side": ls.side, "vector": complex_pairs(ls.vector),
-             "subspace_dim": ls.subspace.dim, "residual": ls.residual}
-            for ls in ev.get("line_subspaces", [])
-        ]
-        if not np.isfinite(ev.get("best_residual", 0.0)):
-            ev["best_residual"] = None
-        for key in ("jacobian_sigma_min", "jacobian_cond"):
-            vals = ev.get(key, [])
-            if any(not np.isfinite(x) for x in vals):
-                ev[key] = [x if np.isfinite(x) else None for x in vals]
-        return {
-            "classification": self.classification.value,
-            "count": self.count,
-            "points": [{"a": complex_pairs(p.a), "b": complex_pairs(p.b)} for p in self.points],
-            "residuals": list(map(float, self.residuals)),
-            "evidence": ev,
-        }
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -441,12 +442,17 @@ class TestAnalyze:
         assert json.loads(path.read_text())["rank_profile"]["rank"] == 5
 
     def test_malformed_file_exit_2(self, tmp_path, capsys):
-        # a file without a matrix, a missing path and a file that is not JSON
+        # a file without a matrix, a missing path, a file that is not JSON,
+        # one nested too deeply to parse and an entry too large for a float
         path = tmp_path / "nonsense.json"
         path.write_text("{\"m\": 2}")
         text = tmp_path / "text.json"
         text.write_text("m = 2\n")
-        for name in (path, tmp_path / "missing.json", text):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"m": 1, "n": 1, "matrix": [[[10 ** 400, 0]]]}))
+        for name in (path, tmp_path / "missing.json", text, deep, huge):
             code, stdout, err = run_cli(capsys, "analyze", str(name))
             assert code == 2
             assert stdout == "" and err.startswith("error: ")
@@ -470,6 +476,53 @@ class TestAnalyze:
         assert code == 2
         assert stdout == ""
         assert "error: matrix has non-finite entries (NaN or Inf)" in err
+
+
+class TestReportBlocks:
+    """Each block of pptlab-report/1 as `analyze_state` writes it from the
+    result objects of `segre` and `certify`."""
+
+    def test_non_finite_values_are_null(self, tmp_path, capsys, monkeypatch):
+        # a block no route fills with a non-finite value: the report is
+        # still strict JSON, with null in its place
+        profile = qstate.rank_profile
+
+        def infinite_gap(state):
+            rp = profile(state)
+            return dataclasses.replace(rp, singular_gaps=(np.inf, *rp.singular_gaps[1:]))
+
+        monkeypatch.setattr(qstate, "rank_profile", infinite_gap)
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        code, stdout, err = run_cli(capsys, "analyze", str(path), "--fast")
+        assert code == 0, err
+        gaps = json.loads(stdout)["rank_profile"]["singular_gaps"]
+        assert gaps[0] is None and gaps[1:] == list(profile(zoo.good_3x4()).singular_gaps[1:])
+
+    def test_markdown_reads_the_nulls(self):
+        # a full-rank state: nothing is kept, so the gap ratio and the margin
+        # are infinite; the body holds null, which the markdown prints as n/a
+        state = BipartiteState(HermitianOperator(BipartiteDims(2, 2), np.eye(4)))
+        rep = analyze_state(state, {}, fast=True)
+        assert (rep.body["extremality"]["gap_ratio"], rep.body["extremality"]["margin"]) == (
+            None, None)
+        assert "(nullity 16, gap n/a)" in rep.to_markdown()
+
+    def test_kernel_block_serializes(self):
+        kernel = analyze_state(zoo.good_3x4(), {}, fast=True).body["kernel"]
+        payload = json.dumps(kernel, allow_nan=False)
+        assert "classification" in payload
+        assert kernel["count"] == len(kernel["points"]) == 10
+
+    def test_kernel_block_is_deterministic(self):
+        state = zoo.kon_mnogo()[0]
+        first, second = (analyze_state(state, {}, fast=True).body["kernel"] for _ in range(2))
+        assert json.dumps(first) == json.dumps(second)
+
+    def test_extremality_block_keeps_the_margin(self):
+        state = zoo.good_3x4()
+        block = analyze_state(state, {}, fast=True).body["extremality"]
+        assert block["margin"] == certify.extremality_nullity(state).margin
 
 
 def count_enumerations(monkeypatch):
@@ -1011,12 +1064,19 @@ class TestSweep:
         # each point is admitted at --tol-psd, where rounding in C^dag C is
         # already not PSD: every line is an error, and the sweep goes on
         code, stdout, err = run_cli(capsys, "sweep", "bad-3x4", "--draws", "2", "--fast",
-                                    "--tol-psd", "1e-300")
+                                    "--seed", "1", "--tol-psd", "1e-300")
         assert code == 0
         lines = [json.loads(line) for line in stdout.splitlines()]
         assert len(lines) == 2
         assert all(line["error"].startswith("matrix is not PSD") for line in lines), lines
         assert '"errors": 2' in err
+        # an error line names its point as the report of that point does
+        code, stdout, _ = run_cli(capsys, "sweep", "bad-3x4", "--draws", "2", "--fast",
+                                  "--seed", "1")
+        assert code == 0
+        assert [line["input"] for line in lines] == [
+            json.loads(line)["input"] for line in stdout.splitlines()]
+        assert all(line["input"]["seed"] == 1 for line in lines)
 
     def test_unwritable_out_exits_before_the_grid(self, tmp_path, capsys, monkeypatch):
         analyzed = []

@@ -11,7 +11,10 @@ oracles that `perfbench/spans.WRAPPED` wraps by name, so that they can
 move into the tests.  New dead code fails this test, and so does a
 definition that gets wired or moved without leaving the list.
 
-A second test keeps `certify` and `cli` to `segre`'s public names.
+A second test keeps `certify` and `cli` to `segre`'s public names, and a
+third keeps the report format in `cli`: `segre` and `certify` return
+result objects, and only `cli` (reports) and `qstate` (state files) encode
+complex numbers.
 """
 
 import ast
@@ -74,3 +77,18 @@ def test_certify_uses_no_private_segre_name():
                 and node.value.id == "segre"]
         assert imported + read, f"{module} uses nothing from segre: the check reads the wrong node"
         assert not [name for name in imported + read if name.startswith("_")], module
+
+
+def test_only_cli_writes_reports():
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if path.stem in ("segre", "certify"):
+            assert not [node.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                        for node in cls.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "to_json"], path.stem
+        if any(isinstance(node, ast.Call) and "complex_pairs" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None))
+               for node in ast.walk(tree)):
+            callers.add(path.stem)
+    assert callers == {"cli", "qstate"}

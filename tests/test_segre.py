@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -199,13 +198,6 @@ class TestEnumerate:
         assert res.evidence["route"] == "multistart"
         assert (res.evidence["starts_used"], res.evidence["rounds"]) == (400, 1)
 
-    def test_json_serializes(self):
-        state = zoo.good_3x4()
-        res = enumerate_product_vectors(kernel_basis(state), state.dims)
-        import json
-        payload = json.dumps(res.to_json())
-        assert "classification" in payload
-
 
 class TestOracles:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -284,12 +276,6 @@ class TestHomotopy:
                                          "on_plane": 0}
         assert res.evidence["starts_used"] == 0
         assert all(res.evidence["transversal"])
-
-    def test_reports_are_deterministic(self):
-        state = zoo.kon_mnogo()[0]
-        first = enumerate_product_vectors(kernel_basis(state), state.dims).to_json()
-        second = enumerate_product_vectors(kernel_basis(state), state.dims).to_json()
-        assert json.dumps(first) == json.dumps(second)
 
     def test_points_follow_the_paths(self):
         # the report keeps the homotopy's path order, not an order of

@@ -30,10 +30,11 @@ non-extreme state comes from the null vectors of the same SVDs.
 
 The remaining certificates are the quadratic necessary bound on biranks,
 an edge-state check (no product vector in the range whose partial conjugate
-sits in the range of rho^Gamma), which keeps the verdict rule and leaves
-the pair search, its starts and its tolerance to `segre.edge_pair_search`,
-and a product decomposition for PPT states of rank equal to the B-local rank.
-Each certificate is an object: `cli` alone writes it into pptlab-report/1.
+sits in the range of rho^Gamma) and a product decomposition for PPT states
+of rank equal to the B-local rank.  No verdict here runs a search: the edge
+check and the theorem route are rules over the range enumeration, goodness
+and certificate they are given, and every search is in `segre`.  Each
+certificate is an object: `cli` alone writes it into pptlab-report/1.
 """
 
 from __future__ import annotations
@@ -50,12 +51,10 @@ from .qstate import (
     BipartiteState,
     HermitianOperator,
     ProductVector,
-    SubspaceBasis,
     factor_blocks,
     gamma_matrix,
     is_ppt,
     null_space,
-    range_basis,
     rank_profile,
     _gamma,
 )
@@ -67,8 +66,7 @@ from .segre import (
     Goodness,
     GoodnessVerdict,
     edge_pair_search,
-    enumerate_product_vectors,
-    classify_goodness,
+    edge_residuals,
     partial_conjugate,
 )
 
@@ -119,19 +117,16 @@ class EdgeReport:
 
     `route` says what decided it: "homotopy" when the product vectors of the
     range are complete by count (a proof), "multistart" when a search
-    decided (a numerical certificate).  `paths` are the homotopy path counts
-    of the range enumeration, None when the tracker did not run.
-    `best_residual` is the joint residual of the reported pair when one was
-    found, the hypot of a (x) b's residual in R(rho) and its partner's in
-    R(rho^Gamma); otherwise the least residual the searches reached.
+    decided (a numerical certificate).  `best_residual` is the
+    `segre.edge_residuals` of the reported pair when one was found;
+    otherwise the least residual the searches reached.
     """
 
     is_edge: bool
     violating_pair: Optional[tuple]
     starts_used: int
     best_residual: float
-    route: str = "multistart"
-    paths: Optional[dict] = None
+    route: str
 
 
 def _hermitian_coords(x: np.ndarray) -> np.ndarray:
@@ -377,49 +372,42 @@ def necessary_bound(rank: int, rank_gamma: int, m: int, n: int) -> bool:
 # edge states
 
 
-def edge_check(state: BipartiteState, *,
-               enumeration: Optional[EnumerationResult] = None) -> EdgeReport:
+def edge_check(state: BipartiteState, enumeration: EnumerationResult) -> EdgeReport:
     """Look for a product vector in R(rho) whose partial conjugate lies in
     R(rho^Gamma); the state is an edge state iff none exists.
 
-    Route one enumerates product vectors in the range (or takes
-    `enumeration`, a result for `range_basis(state)`) and tests
-    each partner.  When that enumeration is finite or empty and complete by
-    a homotopy count, the verdict follows from it.  Otherwise route two
-    takes the best pair of `segre.edge_pair_search` from EDGE_FALLBACK_STARTS
-    starts.  That verdict is a numerical certificate, reported with the
-    start count and the best residual reached.  A pair counts when its
-    residual is below EDGE_PAIR_TOL.  A state that is NPT at its `psd_tol`
-    draws a warning.
+    Route one takes the first point of `enumeration`, the product vectors of
+    `range_basis(state)`, whose `segre.edge_residuals` is below EDGE_PAIR_TOL;
+    with none, an enumeration finite or empty and complete by a homotopy
+    count proves the state edge.  Otherwise route two takes the best pair of
+    `segre.edge_pair_search`, judged by the same residual: a numerical
+    certificate, with the start count and the best residual reached.  A
+    state that is NPT at its `psd_tol` draws a warning.
     """
     ppt, min_eig = is_ppt(state)
     if not ppt:
         warnings.warn(f"edge check applied to an NPT state (min eig {min_eig:.3e})")
-    dims = state.dims
-    rng_gamma = SubspaceBasis(dims.total, state.split(gamma=True)[1], state.rank_tol)
-
-    enum_res = (enumerate_product_vectors(range_basis(state), dims) if enumeration is None
-                else enumeration)
-    starts = enum_res.evidence.get("starts_used", 0)
-    best = enum_res.evidence.get("best_residual", float("inf"))
-    route, paths = enum_res.evidence.get("route"), enum_res.evidence.get("paths")
-    for pv, point_res in zip(enum_res.points, enum_res.residuals):
-        partner = partial_conjugate(pv)
-        resid = rng_gamma.project_residual(partner.vec())
-        if resid < EDGE_PAIR_TOL:
-            return EdgeReport(False, (pv, partner), starts, float(np.hypot(point_res, resid)),
-                              route, paths)
-    if route == "homotopy" and enum_res.classification in (Classification.FINITE,
-                                                           Classification.EMPTY):
+    ev = enumeration.evidence
+    starts, best, route = ev["starts_used"], ev["best_residual"], ev["route"]
+    if enumeration.points:
+        joint = edge_residuals(state, np.array([pv.a for pv in enumeration.points]),
+                               np.array([pv.b for pv in enumeration.points]))
+        hits = np.flatnonzero(joint < EDGE_PAIR_TOL)
+        if hits.size:
+            pv = enumeration.points[hits[0]]
+            return EdgeReport(False, (pv, partial_conjugate(pv)), starts, float(joint[hits[0]]),
+                              route)
+    if route == "homotopy" and enumeration.classification in (Classification.FINITE,
+                                                              Classification.EMPTY):
         # every product vector of the range was tested: no pair exists
-        return EdgeReport(True, None, starts, best, route, paths)
+        return EdgeReport(True, None, starts, best, route)
 
-    # joint minimization over (a, b) of the two projection residuals at once
+    # joint minimization over (a, b) of the two membership residuals at once
     pv, joint = edge_pair_search(state)
     starts += EDGE_FALLBACK_STARTS
     if joint < EDGE_PAIR_TOL:
-        return EdgeReport(False, (pv, partial_conjugate(pv)), starts, joint, "multistart", paths)
-    return EdgeReport(True, None, starts, min(best, joint), "multistart", paths)
+        return EdgeReport(False, (pv, partial_conjugate(pv)), starts, joint, "multistart")
+    return EdgeReport(True, None, starts, min(best, joint), "multistart")
 
 
 # ---------------------------------------------------------------------------
@@ -499,24 +487,14 @@ def rank_n_separable_decomposition(state: BipartiteState) -> SeparableDecomposit
                           "this is inconsistent with a PPT state of this rank profile")
 
 
-def strongly_extreme_by_theorem(state: BipartiteState,
-                                goodness: Optional[GoodnessVerdict] = None,
-                                cert: Optional[ExtremalityCert] = None) -> StrongExtremality:
+def strongly_extreme_by_theorem(state: BipartiteState, goodness: GoodnessVerdict,
+                                cert: ExtremalityCert) -> StrongExtremality:
     """Theorem-backed derivation: a good PPT state of rank m + n - 2 that is
     extreme shares its range with no other PPT state.  Anything that fails
-    one of the three hypotheses returns NOT_APPLICABLE; this is not an
-    independent search.  The rank and the PPT test read the state's cuts."""
-    dims = state.dims
-    if len(state.split()[1]) != dims.m + dims.n - 2:
-        return StrongExtremality.NOT_APPLICABLE
-    if not is_ppt(state)[0]:
-        return StrongExtremality.NOT_APPLICABLE
-    if goodness is None:
-        goodness = classify_goodness(state)
-    if goodness.verdict != Goodness.GOOD:
-        return StrongExtremality.NOT_APPLICABLE
-    if cert is None:
-        cert = extremality_nullity(state)
-    if cert.verdict != Extremality.EXTREME:
+    one of the three hypotheses returns NOT_APPLICABLE: a rule over the
+    state's `goodness` and extremality `cert`, not a search.  The rank and
+    the PPT test read the state's cuts."""
+    if (len(state.split()[1]) != state.dims.m + state.dims.n - 2 or not is_ppt(state)[0]
+            or goodness.verdict != Goodness.GOOD or cert.verdict != Extremality.EXTREME):
         return StrongExtremality.NOT_APPLICABLE
     return StrongExtremality.YES

@@ -108,7 +108,7 @@ class AnalysisReport:
     def to_json(self, include_timings: bool = False) -> dict:
         return dict(self.body, timings=self.timings) if include_timings else dict(self.body)
 
-    def to_markdown(self) -> str:
+    def to_markdown(self, include_timings: bool = False) -> str:
         j = self.body
         rp = j["rank_profile"]
         lines = [
@@ -141,6 +141,9 @@ class AnalysisReport:
                          f"(route {edge['route']}; {edge['note']})")
         if self.anomalies:
             lines.append(f"- anomalies: {', '.join(self.anomalies)}")
+        if include_timings:
+            lines.append("- timings: " + ", ".join(f"{stage} {sec:.3f} s"
+                                                   for stage, sec in self.timings.items()))
         return "\n".join(lines) + "\n"
 
 
@@ -166,10 +169,12 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
 
     with _timed(timings, "kernel_enumeration"):
         enum_res = segre.enumerate_product_vectors(qstate.kernel_basis(state), dims)
-        gen_pos = None
+        gen_pos, refused = None, {}
         if enum_res.classification == segre.Classification.FINITE:
-            with contextlib.suppress(ValueError):   # subset budget exceeded for large families
+            try:
                 gen_pos = segre.general_position(enum_res.points, dims)
+            except ValueError as exc:   # subset budget exceeded for large families
+                refused = {"general_position_reason": str(exc)}
     planes = [{"side": ls.side, "vector": qstate.complex_pairs(ls.vector),
                "subspace_dim": ls.subspace.dim, "residual": ls.residual}
               for ls in enum_res.evidence["line_subspaces"]]
@@ -177,7 +182,7 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
                       "points": [_point(p) for p in enum_res.points],
                       "residuals": [float(r) for r in enum_res.residuals],
                       "evidence": dict(enum_res.evidence, line_subspaces=planes),
-                      "general_position": gen_pos}
+                      "general_position": gen_pos, **refused}
 
     with _timed(timings, "goodness"):
         goodness = segre.classify_goodness(state, enumeration=enum_res)
@@ -210,14 +215,13 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
     if not fast:
         with _timed(timings, "edge"):
             # the edge check reads the range enumerated for the CES verdict
-            edge = certify.edge_check(state, enumeration=range_res)
+            edge = certify.edge_check(state, range_res)
         body["edge"] = {"is_edge": edge.is_edge, "pair_found": edge.violating_pair is not None,
                         "starts_used": edge.starts_used, "best_residual": edge.best_residual,
-                        "route": edge.route, "paths": edge.paths,
+                        "route": edge.route, "paths": range_res.evidence["paths"],
                         "note": _route_note(edge.route, range_res)}
 
-    body["strongly_extreme"] = certify.strongly_extreme_by_theorem(
-        state, goodness=goodness, cert=cert).value
+    body["strongly_extreme"] = certify.strongly_extreme_by_theorem(state, goodness, cert).value
     return AnalysisReport(_strict(body), timings)
 
 
@@ -361,7 +365,7 @@ def _analyze(args) -> int:
     # so it is opened after the load and emptied only once the report is ready
     with open(args.out, "a") if args.out else contextlib.nullcontext(sys.stdout) as out:
         rep = analyze_state(state, {"path": args.path}, fast=args.fast)
-        text = rep.to_markdown() if args.md else json.dumps(
+        text = rep.to_markdown(include_timings=args.timings) if args.md else json.dumps(
             rep.to_json(include_timings=args.timings), sort_keys=True, indent=2,
             allow_nan=False) + "\n"
         if args.out:

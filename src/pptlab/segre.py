@@ -81,7 +81,8 @@ plane search (a w-frame) and `edge_pair_search`, the edge check's joint
 search from EDGE_FALLBACK_STARTS starts down to EDGE_PAIR_TOL on the stacks
 of ker rho and ker rho^Gamma, which `_edge_gram` folds into one Gram
 tensor; each half-step is one inverse-iteration step from the factor's
-current value.
+current value; it minimizes `edge_residuals`, the joint residual on those
+stacks, by which `certify` judges every edge pair.
 `_plane_search`, one `_alternate` call from frames drawn once and one
 verification, is every plane search: the endpoint plane check and
 `find_line_subspaces` (from _LINE_STARTS seeded pairs, a public helper
@@ -851,26 +852,35 @@ def _edge_gram(kern_rho: np.ndarray, kern_gamma: np.ndarray) -> np.ndarray:
     return _gram(kern_rho) + swapped
 
 
+def _edge_stacks(state: BipartiteState) -> tuple:
+    """The stacks of ker rho and ker rho^Gamma that the state keeps (no SVD)."""
+    return tuple(state.split(gamma)[0].conj().reshape(-1, state.dims.m, state.dims.n)
+                 for gamma in (False, True))
+
+
+def edge_residuals(state: BipartiteState, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The joint residual sqrt(|F1(a) b|^2 + |F2(conj a) b|^2) at each row
+    pair (a, b), F1 and F2 the membership maps of R(rho) and R(rho^Gamma) on
+    `_edge_stacks`; every edge pair is judged by it against EDGE_PAIR_TOL."""
+    kern_rho, kern_gamma = _edge_stacks(state)
+    r1 = _membership_residuals(kern_rho, a, b)
+    r2 = _membership_residuals(kern_gamma, a.conj(), b)
+    return np.sqrt(r1 ** 2 + r2 ** 2)
+
+
 def edge_pair_search(state: BipartiteState) -> tuple:
     """(ProductVector, joint residual) of the best of EDGE_FALLBACK_STARTS
     seeded `start_pairs` for an edge-violating pair: a (x) b in R(rho) with
-    conj(a) (x) b in R(rho^Gamma).  The joint residual
-    sqrt(|F1(a) b|^2 + |F2(conj a) b|^2), F1 and F2 the membership maps of
-    the two ranges on stacks of the kernels the state keeps (no SVD), is
-    minimized by `_alternate` on `_edge_gram` in rounds of _ALTERNATE_ITERS
-    iterations, each from the pairs the last one left, until a start falls
-    below EDGE_PAIR_TOL, _EDGE_ITERS iterations at most."""
-    m, n = state.dims.m, state.dims.n
-    kern_rho, kern_gamma = (state.split(gamma)[0].conj().reshape(-1, m, n)
-                            for gamma in (False, True))
-    q = _edge_gram(kern_rho, kern_gamma)
-    a, b = start_pairs(EDGE_FALLBACK_STARTS, m, n)
+    conj(a) (x) b in R(rho^Gamma).  The joint residual, `edge_residuals`,
+    is minimized by `_alternate` on `_edge_gram` in rounds of
+    _ALTERNATE_ITERS iterations, each from the pairs the last one left,
+    until a start falls below EDGE_PAIR_TOL, _EDGE_ITERS iterations at most."""
+    q = _edge_gram(*_edge_stacks(state))
+    a, b = start_pairs(EDGE_FALLBACK_STARTS, state.dims.m, state.dims.n)
     b = b[:, :, None]
     for _ in range(_EDGE_ITERS // _ALTERNATE_ITERS):
         a, b, _ = _alternate(q, a, b)
-        r1 = _membership_residuals(kern_rho, a, b[:, :, 0])
-        r2 = _membership_residuals(kern_gamma, a.conj(), b[:, :, 0])
-        joint = np.sqrt(r1 ** 2 + r2 ** 2)
+        joint = edge_residuals(state, a, b[:, :, 0])
         if joint.min() < EDGE_PAIR_TOL:
             break
     idx = int(np.argmin(joint))

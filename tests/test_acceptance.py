@@ -101,7 +101,8 @@ def test_criterion_03_good_3x4():
         cert = certify.extremality_nullity(state)
         assert cert.nullity == 1
         assert cert.gap_ratio > 1e4
-        strong = certify.strongly_extreme_by_theorem(state)
+        strong = certify.strongly_extreme_by_theorem(
+            state, classify_goodness(state, enumeration=res), cert)
         assert strong == StrongExtremality.YES
 
     _check(3, "rigid good 3x4 state", 30.0, body)

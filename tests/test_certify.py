@@ -24,8 +24,8 @@ from pptlab.qstate import (
     range_basis,
     rank_profile,
 )
-from pptlab.segre import (Classification, EnumerationResult, complement_stack,
-                          enumerate_product_vectors, start_pairs)
+from pptlab.segre import (Classification, EnumerationResult, classify_goodness,
+                          complement_stack, enumerate_product_vectors, start_pairs)
 from conftest import random_full_rank_ppt, random_product_vector
 from oracles import (bisection_step, find_rank1_compression, inverse_iteration_step,
                      nullity_by_columns, nullity_unrestricted, scipy_pencil_eigvalsh,
@@ -439,29 +439,51 @@ def continuum_by_homotopy() -> EnumerationResult:
                               "best_residual": 1.0})
 
 
+def range_edge_check(state) -> certify.EdgeReport:
+    """The edge check on the range enumeration that `analyze` passes it."""
+    return edge_check(state, enumerate_product_vectors(range_basis(state), state.dims))
+
+
+def record_edge_residuals(monkeypatch) -> list:
+    """(state, a, b, joint) of every `segre.edge_residuals` call, wherever it
+    is made."""
+    calls = []
+    original = segre.edge_residuals
+
+    def recorded(state, a, b):
+        calls.append((state, a, b, original(state, a, b)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(segre, "edge_residuals", recorded)
+    monkeypatch.setattr(certify, "edge_residuals", recorded)
+    return calls
+
+
 class TestEdgeCheck:
     def test_separable_diagonal_not_edge(self):
-        report = edge_check(diag_two_products())
+        report = range_edge_check(diag_two_products())
         assert not report.is_edge
         pv, partner = report.violating_pair
         basis = [ProductVector([1.0, 0], [1.0, 0]), ProductVector([0, 1.0], [0, 1.0])]
         assert any(pv.overlap(q) > 1 - 1e-6 for q in basis)
 
     def test_good_3x4_is_edge(self):
-        report = edge_check(zoo.good_3x4())
+        report = range_edge_check(zoo.good_3x4())
         assert report.is_edge
         assert report.best_residual > 1e-4
 
     def test_gentiles2_complement_is_edge(self):
         state = zoo.upb_complement_state(zoo.gentiles2_upb(3, 4))
-        report = edge_check(state)
+        report = range_edge_check(state)
         assert report.is_edge
 
-    def test_good_3x4_edge_by_count_skips_fallback(self):
-        report = edge_check(zoo.good_3x4())
+    def test_good_3x4_edge_by_count_skips_fallback(self, monkeypatch):
+        calls = record_edge_residuals(monkeypatch)
+        report = range_edge_check(zoo.good_3x4())
         assert report.route == "homotopy"
-        assert report.paths == {"tracked": 10, "finished": 10, "accepted": 10, "on_plane": 0}
-        # one cross-check round of the range search, no joint minimization
+        # the range holds no point, so the rule measures no pair; one
+        # cross-check round of the range search, no joint minimization
+        assert calls == []
         assert report.starts_used == 400
 
     def test_homotopy_route_with_a_continuum_runs_the_fallback(self):
@@ -471,7 +493,6 @@ class TestEdgeCheck:
         report = edge_check(zoo.good_3x4(), enumeration=enum)
         assert report.starts_used == certify.EDGE_FALLBACK_STARTS
         assert report.route == "multistart"
-        assert report.paths == enum.evidence["paths"]
 
     def test_separable_pair_found_by_count(self, rng):
         # the homotopy count finds both product terms of the range, and the
@@ -479,35 +500,41 @@ class TestEdgeCheck:
         dims = BipartiteDims(2, 3)
         rho = sum(np.outer(v, v.conj()) for v in
                   (random_product_vector(dims, rng).vec() for _ in range(2)))
-        report = edge_check(BipartiteState(HermitianOperator(dims, rho)))
+        report = range_edge_check(BipartiteState(HermitianOperator(dims, rho)))
         assert not report.is_edge
         assert report.route == "homotopy"
 
-    def test_pair_from_the_range_reports_its_joint_residual(self):
-        # a pair taken from the range's points reports its own joint
-        # residual: its point's enumeration residual with its partner's
+    def test_pair_from_the_range_reports_its_joint_residual(self, monkeypatch):
+        # route one measures every point of the range in one batched call of
+        # segre.edge_residuals, takes the first below EDGE_PAIR_TOL and
+        # reports that residual as it is
         state = seeded_separable(2, 3, 3, 0)
         enum = enumerate_product_vectors(range_basis(state), state.dims)
-        report = edge_check(state, enumeration=enum)
+        calls = record_edge_residuals(monkeypatch)
+        report = edge_check(state, enum)
         assert not report.is_edge and report.route == "homotopy"
-        pv, partner = report.violating_pair
-        at = next(i for i, point in enumerate(enum.points) if point is pv)
-        rng_gamma = SubspaceBasis(6, state.split(gamma=True)[1], state.rank_tol)
-        joint = np.hypot(enum.residuals[at], rng_gamma.project_residual(partner.vec()))
+        [(_, a, b, joint)] = calls
+        assert len(joint) == enum.count == 3
+        at = int(np.argmax(joint < certify.EDGE_PAIR_TOL))
+        pv = report.violating_pair[0]
+        assert pv is enum.points[at]
         assert 0 < report.best_residual < certify.EDGE_PAIR_TOL
-        assert report.best_residual == joint
+        assert report.best_residual == joint[at]
+        assert report.best_residual == segre.edge_residuals(state, pv.a[None], pv.b[None])[0]
 
-    @pytest.mark.parametrize("state_fn", [diag_two_products, zoo.good_3x4,
-                                          lambda: zoo.bad_mxn(4, 5)],
-                             ids=["diag_two_products", "good_3x4", "bad_4x5"])
-    def test_same_verdict_with_passed_enumeration(self, state_fn):
-        state = state_fn()
-        dims = state.dims
-        enum = enumerate_product_vectors(range_basis(state), dims)
-        own = edge_check(state)
-        passed = edge_check(state, enumeration=enum)
-        assert (passed.is_edge, passed.route, passed.starts_used, passed.best_residual) == \
-            (own.is_edge, own.route, own.starts_used, own.best_residual)
+    def test_pair_from_the_search_reports_its_joint_residual(self, monkeypatch):
+        # route two reports the least segre.edge_residuals of the search's
+        # last round, at the pair it returns
+        state = seeded_separable(3, 3, 6, 3)
+        enum = enumerate_product_vectors(range_basis(state), state.dims)
+        calls = record_edge_residuals(monkeypatch)
+        report = edge_check(state, enum)
+        assert not report.is_edge and report.route == "multistart"
+        _, a, b, joint = calls[-1]
+        at = int(np.argmin(joint))
+        assert report.best_residual == joint[at] < certify.EDGE_PAIR_TOL
+        pv = report.violating_pair[0]
+        assert pv.overlap(ProductVector(a[at], b[at])) > 1 - 1e-12
 
 
 def real_embedded_a_step(kern_rho, kern_gamma, b, a):
@@ -630,17 +657,18 @@ class TestEdgeFallback:
         # iterations leave these at 1.2e-7 and 2.3e-7; a quadratic polish of
         # the joint system would mend it
         *(pytest.param(*case, marks=pytest.mark.xfail(
-            strict=True, reason="420 iterations stop above EDGE_PAIR_TOL"))
+            strict=True, raises=AssertionError,
+            reason="420 iterations stop above EDGE_PAIR_TOL"))
           for case in ((2, 3, 4, 1, None), (2, 4, 6, 0, None))),
     ])
     def test_separable_state_is_not_edge(self, m, n, terms, seed, slocc):
         # its own product terms are a violating pair; the fallback's starts
         # converge linearly, and a fixed 60 iterations stopped above
         # EDGE_PAIR_TOL (at 1.5e-8 to 1.6e-7 on the first four)
-        report = edge_check(seeded_separable(m, n, terms, seed, slocc))
+        report = range_edge_check(seeded_separable(m, n, terms, seed, slocc))
+        assert report.best_residual < certify.EDGE_PAIR_TOL
         assert not report.is_edge
         assert report.route == "multistart"
-        assert report.best_residual < certify.EDGE_PAIR_TOL
 
 
 class TestRankNDecomposition:
@@ -750,14 +778,18 @@ class TestRankOneCompression:
         assert find_rank1_compression(state) is None
 
 
+def strongly_extreme(state) -> StrongExtremality:
+    """The theorem route on the goodness and certificate `analyze` passes it."""
+    return strongly_extreme_by_theorem(state, classify_goodness(state),
+                                       extremality_nullity(state))
+
+
 class TestStronglyExtreme:
     def test_good_3x4_yes(self):
-        assert strongly_extreme_by_theorem(zoo.good_3x4()) == StrongExtremality.YES
+        assert strongly_extreme(zoo.good_3x4()) == StrongExtremality.YES
 
     def test_bad_mxn_not_applicable(self):
-        assert (strongly_extreme_by_theorem(zoo.bad_mxn(4, 4))
-                == StrongExtremality.NOT_APPLICABLE)
+        assert strongly_extreme(zoo.bad_mxn(4, 4)) == StrongExtremality.NOT_APPLICABLE
 
     def test_separable_diag_not_applicable(self):
-        assert (strongly_extreme_by_theorem(diag_two_products())
-                == StrongExtremality.NOT_APPLICABLE)
+        assert strongly_extreme(diag_two_products()) == StrongExtremality.NOT_APPLICABLE

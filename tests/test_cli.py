@@ -16,7 +16,7 @@ from pptlab.cli import analyze_state, build_parser, main
 from pptlab.qstate import (BipartiteDims, BipartiteState, HermitianOperator, kernel_basis,
                            load_state, save_state)
 from conftest import random_product_vector
-from test_certify import continuum_by_homotopy
+from test_certify import continuum_by_homotopy, record_edge_residuals, seeded_separable
 from test_segre import conic_subspace, refuse_plane_search, slocc_changed
 
 
@@ -323,6 +323,32 @@ class TestAnalyze:
         code, stdout, _ = run_cli(capsys, "analyze", str(path), *flags)
         assert "timings" not in json.loads(stdout)
 
+    def test_markdown_timings_on_request(self, tmp_path, capsys):
+        # --md takes one timings line, stages in the order they ran, exactly
+        # when --timings is given
+        path = tmp_path / "s.json"
+        save_state(zoo.good_3x4(), path)
+        code, stdout, _ = run_cli(capsys, "analyze", str(path), "--md", "--timings")
+        assert code == 0
+        [line] = [ln for ln in stdout.splitlines() if ln.startswith("- timings")]
+        stages = [item.split()[0] for item in line[len("- timings: "):].split(", ")]
+        assert stages == ["ranks", "kernel_enumeration", "goodness", "range_ces",
+                          "extremality", "edge"]
+        _, stdout, _ = run_cli(capsys, "analyze", str(path), "--md")
+        assert "- timings" not in stdout
+
+    def test_refused_general_position_says_why(self):
+        # good_3xn(7) has 28 kernel points: the check would take C(28, 7)
+        # B-subsets, above the budget, so the report gives null and the reason
+        kern = analyze_state(zoo.good_3xn(7), {}, fast=True).to_json()["kernel"]
+        assert (kern["classification"], kern["count"]) == ("finite", 28)
+        assert kern["general_position"] is None
+        assert kern["general_position_reason"].startswith(
+            "general position check needs 1184040 subsets")
+        # a check that ran carries no reason
+        kern = analyze_state(zoo.good_3x4(), {}, fast=True).to_json()["kernel"]
+        assert kern["general_position"] is True and "general_position_reason" not in kern
+
     def test_byte_determinism(self, tmp_path, capsys):
         # cuts away from the defaults are bound to the state once: the
         # report is byte-deterministic, names them and keeps every verdict
@@ -526,7 +552,8 @@ class TestReportBlocks:
 
 
 def count_enumerations(monkeypatch):
-    """Count every product-vector enumeration, wherever it is called from."""
+    """The dimension of every subspace whose product vectors are enumerated:
+    every enumeration is segre's, and `certify` calls none."""
     calls = []
     original = segre.enumerate_product_vectors
 
@@ -534,8 +561,7 @@ def count_enumerations(monkeypatch):
         calls.append(args[0].dim)
         return original(*args, **kwargs)
 
-    for mod in (segre, certify):
-        monkeypatch.setattr(mod, "enumerate_product_vectors", counted)
+    monkeypatch.setattr(segre, "enumerate_product_vectors", counted)
     return calls
 
 
@@ -803,13 +829,15 @@ class TestRoutes:
         assert "- range is completely entangled: True (route homotopy" in md
         assert "- edge state: True (route homotopy" in md
 
-    def test_three_subspace_bases_per_analysis(self, monkeypatch):
-        # ker rho, R(rho) and R(rho^Gamma), each built once: the edge check
-        # takes the range enumeration the homotopy settled and builds no
-        # second R(rho)
+    def test_one_range_enumeration_per_analysis(self, monkeypatch):
+        # ker rho and R(rho), each built and enumerated once: the edge check
+        # reads the range enumeration of the CES verdict and the kernels the
+        # state keeps, and builds no basis of its own
         cuts = record_basis_cuts(monkeypatch)
+        calls = count_enumerations(monkeypatch)
         analyze_state(zoo.good_3x4(), {})
-        assert len(cuts) == 3
+        assert len(cuts) == 2
+        assert calls == [7, 5]
 
     def test_separable_range_settled_by_count(self, rng):
         # the range of two product terms holds them; the count finds both,
@@ -913,17 +941,20 @@ class TestRoutes:
         assert (edge["is_edge"], edge["route"]) == (True, "homotopy")
 
     def test_tol_rank_reaches_the_edge_check(self, monkeypatch):
-        # every basis the analysis builds, the edge check's range of
-        # rho^Gamma included, is cut at the state's rank_tol, and the edge
-        # check reuses the range enumeration: two enumerations in all
+        # every basis the analysis builds is cut at the state's rank_tol, the
+        # edge check reuses the range enumeration (two enumerations in all),
+        # and the ker rho^Gamma that its rule reads is cut there too: three
+        # product terms in 2 x 3, whose range points are a violating pair
         cuts = record_basis_cuts(monkeypatch)
         calls = count_enumerations(monkeypatch)
-        state = BipartiteState(zoo.good_3x4().op, rank_tol=1e-7)
+        measured = record_edge_residuals(monkeypatch)
+        state = BipartiteState(seeded_separable(2, 3, 3, 0).op, rank_tol=1e-7)
         j = analyze_state(state, {"case": "tol"}).to_json()
-        # ker rho, R(rho) and R(rho^Gamma) at least
-        assert len(cuts) >= 3 and set(cuts) == {1e-7}, cuts
+        assert len(cuts) == 2 and set(cuts) == {1e-7}, cuts
         assert len(calls) == 2, calls
-        assert (j["edge"]["is_edge"], j["edge"]["route"]) == (True, "homotopy")
+        assert [(st.rank_tol, len(st.split(gamma=True)[0])) for st, *_ in measured] == \
+            [(1e-7, 6 - j["rank_profile"]["rank_gamma"])]
+        assert (j["edge"]["is_edge"], j["edge"]["route"]) == (False, "homotopy")
 
     def test_tol_rank_reaches_every_rank_cut(self, monkeypatch):
         # the extremality nullity of rho and of rho^Gamma reads states cut

@@ -11,10 +11,11 @@ oracles that `perfbench/spans.WRAPPED` wraps by name, so that they can
 move into the tests.  New dead code fails this test, and so does a
 definition that gets wired or moved without leaving the list.
 
-A second test keeps `certify` and `cli` to `segre`'s public names, and a
+A second test keeps `certify` and `cli` to `segre`'s public names, a
 third keeps the report format in `cli`: `segre` and `certify` return
 result objects, and only `cli` (reports) and `qstate` (state files) encode
-complex numbers.
+complex numbers.  A fourth keeps every search in `segre`: `certify`
+decides from the results it is given.
 """
 
 import ast
@@ -77,6 +78,16 @@ def test_certify_uses_no_private_segre_name():
                 and node.value.id == "segre"]
         assert imported + read, f"{module} uses nothing from segre: the check reads the wrong node"
         assert not [name for name in imported + read if name.startswith("_")], module
+
+
+def test_certify_runs_no_search():
+    # each of these runs a product-vector enumeration; certify names none
+    tree = ast.parse((SRC / "certify.py").read_text())
+    named = {node.id if isinstance(node, ast.Name) else
+             node.attr if isinstance(node, ast.Attribute) else node.name
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert "edge_pair_search" in named, "the check reads the wrong nodes"
+    assert not named & {"enumerate_product_vectors", "ces_certificate", "classify_goodness"}
 
 
 def test_only_cli_writes_reports():

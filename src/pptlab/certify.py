@@ -48,6 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .qstate import (
+    MARGIN_FACTOR,
     BipartiteState,
     HermitianOperator,
     ProductVector,
@@ -71,7 +72,6 @@ from .segre import (
 )
 
 NULLITY_CUTOFF = 1e-8
-MARGIN_FACTOR = 10.0
 
 
 class Extremality(enum.Enum):

@@ -22,11 +22,13 @@ import numpy as np
 
 # Default tolerances.  Rank cutoffs are relative to the largest eigenvalue
 # modulus, the hermiticity check to the largest entry modulus; the
-# orthonormality check is absolute on unit vectors.
+# orthonormality check is absolute on unit vectors.  A quantity read
+# against a cut or an error is trusted only MARGIN_FACTOR away from it.
 HERMITICITY_TOL = 1e-12
 RANK_TOL = 1e-9
 PSD_TOL = 1e-9
 ORTHO_TOL = 1e-10
+MARGIN_FACTOR = 10.0
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:

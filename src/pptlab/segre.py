@@ -34,9 +34,13 @@ exceeds sqrt(RESIDUAL_TOL) is off K; every other root is polished on the
 full system and kept when it reaches K at a point not kept already, else
 it is off K too.  The set is then settled by one of three facts:
 
-- a square count: delta distinct, nonsingular endpoints prove the root set
-  FINITE and complete; a nonsingular Jacobian of a square system is what
-  makes a point transversal;
+- a square count: delta transversal points, each pair certified distinct
+  (a separation sqrt(1 - |<a, a'>|^2 |<b, b'>|^2) above MARGIN_FACTOR times
+  the sum of their forward errors, residual over the Jacobian's least
+  singular value), prove the set FINITE and complete, whichever search
+  found them; a nonsingular Jacobian of a square system is what makes a
+  point transversal.  A square set is never EMPTY: m + n - 2 hyperplanes
+  meet the Segre variety;
 - a plane: an endpoint on a verified plane of K makes the set
   LIKELY_INFINITE, with no plane search and no starts, for square and
   squared-down systems alike.  If every path is accepted or on-plane, the
@@ -62,11 +66,12 @@ one isolated) are every zero, with no component of positive dimension
 beside them.  For a squared-down system this holds for the mixed zero set,
 which contains the full one.
 
-Only a set that none of these settled (say, a component that is not a
-plane, which leaves paths unaccounted), or a count that its cross-check
-overruled, is decided by a search: one round of multistart alternating
-minimization over unit pairs, followed by a batched Gauss-Newton polish of
-the holomorphic system, on top of the homotopy's points on K.  Every
+A set that neither a plane nor the homotopy's own points settled (say, a
+component that is not a plane, which leaves paths unaccounted, or two
+paths that end on one root), and a squared-down count, get one round of
+multistart alternating minimization over unit pairs, followed by a batched
+Gauss-Newton polish of the holomorphic system, on top of the homotopy's
+points on K; the same rule then reads the final points.  Every
 multistart round, that search or the cross-check of a count, has
 max(400, 4 delta) starts.  The polish takes only the starts that the
 alternation left unsettled or near K (|F(a) b| <= sqrt(RESIDUAL_TOL)).  A
@@ -74,10 +79,11 @@ settled start is a fixed point of the alternation, so a stationary point of
 |F(a) b| on the two unit spheres, where the Gauss-Newton step in their
 tangent space is zero (Absil, Mahony & Sepulchre 2008, ch. 8); one settled
 above sqrt(RESIDUAL_TOL) is off K and keeps its alternation pair and
-residual.  One classification then reads the plane, the count and the
-points, in one place.  One alternation, `_alternate` on Gram matrices,
-_ALTERNATE_ITERS iterations a call, serves the round (w = 1), the
-plane search (a w-frame) and `edge_pair_search`, the edge check's joint
+residual.  `_classify`, the one settling rule, reads the planes, the count
+and the points, before the round and after it.  One alternation,
+`_alternate` on Gram matrices, _ALTERNATE_ITERS iterations a call, serves
+the round (w = 1), the plane search (a w-frame) and `edge_pair_search`,
+the edge check's joint
 search from EDGE_FALLBACK_STARTS starts down to EDGE_PAIR_TOL on the stacks
 of ker rho and ker rho^Gamma, which `_edge_gram` folds into one Gram
 tensor; each half-step is one inverse-iteration step from the factor's
@@ -94,9 +100,9 @@ kept on K, the round's points on top of them, and each side's planes.
 Every candidate is polished and verified against the residual tolerance
 before it counts; the evidence names the route taken.  Classification into
 Empty / Finite / LikelyInfinite / Inconclusive is evidence-based and
-deliberately refuses to overclaim: Finite needs a complete homotopy count,
-and a search alone never reports it.  The results are objects: `cli`
-alone writes them into pptlab-report/1.
+deliberately refuses to overclaim: Finite needs a complete count, and
+the evidence says which search found the points (`points_from`).  The
+results are objects: `cli` alone writes them into pptlab-report/1.
 
 `minor_system_roots`, the determinantal system, is an independent root
 finder that only the tests call; enumeration does not.  It needs scipy
@@ -118,6 +124,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .qstate import (
+    MARGIN_FACTOR,
     RANK_TOL,
     BipartiteDims,
     BipartiteState,
@@ -874,7 +881,9 @@ def edge_pair_search(state: BipartiteState) -> tuple:
     conj(a) (x) b in R(rho^Gamma).  The joint residual, `edge_residuals`,
     is minimized by `_alternate` on `_edge_gram` in rounds of
     _ALTERNATE_ITERS iterations, each from the pairs the last one left,
-    until a start falls below EDGE_PAIR_TOL, _EDGE_ITERS iterations at most."""
+    until a start falls below EDGE_PAIR_TOL, _EDGE_ITERS iterations at most.
+    The residual returned is that of the returned pair, as `ProductVector`
+    makes it, so the report can be re-checked from its pair."""
     q = _edge_gram(*_edge_stacks(state))
     a, b = start_pairs(EDGE_FALLBACK_STARTS, state.dims.m, state.dims.n)
     b = b[:, :, None]
@@ -884,7 +893,8 @@ def edge_pair_search(state: BipartiteState) -> tuple:
         if joint.min() < EDGE_PAIR_TOL:
             break
     idx = int(np.argmin(joint))
-    return ProductVector(a[idx], b[idx, :, 0]), float(joint[idx])
+    pv = ProductVector(a[idx], b[idx, :, 0])
+    return pv, float(edge_residuals(state, pv.a[None], pv.b[None])[0])
 
 
 # ---------------------------------------------------------------------------
@@ -898,18 +908,18 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     LIKELY_INFINITE; both return at once.  Otherwise the homotopy runs, and
     its accepted roots become K's points by one rule: a square system's as
     they stand, a squared-down system's where `_roots_on_subspace` keeps
-    them, with a count or without.  One multistart round of max(400,
-    4 delta) starts comes next, unless a plane of K verified at the
-    endpoints or delta roots of a square system settle the set: it
-    cross-checks a squared-down count, or searches a set that nothing
-    settled.  It polishes the starts that its alternation left unsettled
-    or near K; a start settled above sqrt(RESIDUAL_TOL) is a stationary
-    point off K and keeps its alternation pair.  One classification
-    follows: a plane makes the set LIKELY_INFINITE; a count that no point
-    of the round overruled makes it FINITE, or EMPTY when K holds none of
-    its roots; for the rest more than delta points make it
-    LIKELY_INFINITE, fewer INCONCLUSIVE and none EMPTY.  The returned points are pairwise distinct under the overlap
-    metric and each satisfies |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
+    them, with a count or without.  One settling rule, `_classify`, reads
+    the points whichever search found them: delta transversal points of a
+    square system, each pair certified distinct, make the set FINITE.  One
+    multistart round of max(400, 4 delta) starts runs first, unless a
+    plane or the homotopy's own points settle the set: it cross-checks a
+    squared-down count, or searches a set that nothing settled.  It
+    polishes the starts that its alternation left unsettled or near K; a
+    start settled above sqrt(RESIDUAL_TOL) is a stationary point off K and
+    keeps its alternation pair.  `route` is `homotopy` when a plane or the
+    homotopy's points settle the set alone.  The returned points are
+    pairwise distinct under the overlap metric and each satisfies
+    |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
     """
     m, n = dims.m, dims.n
     dlt = delta(m, n)
@@ -919,7 +929,8 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
                       "starts_used": 0, "rounds": 0,
                       "best_residual": float("inf"), "line_subspaces": [],
                       "minor_system": None, "near_duplicate_chain": 0,
-                      "transversal": [], "jacobian_sigma_min": []}
+                      "transversal": [], "jacobian_sigma_min": [],
+                      "points_from": None, "min_separation_ratio": None}
     if k.dim == 0:
         return EnumerationResult([], [], Classification.EMPTY, evidence)
     wc = complement_stack(k, dims).conj()
@@ -934,20 +945,23 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     points, residuals, paths, planes = _homotopy_roots(wc)
     evidence["paths"] = paths
     square = wc.shape[0] == m + n - 2
-    counted = len(points) == dlt
+    # delta roots of a squared-down system hold every point of K
+    counted = not square and len(points) == dlt
     if square:
         # a square system's accepted roots are K's points as they stand
         best = min(residuals, default=float("inf"))
     else:
         points, residuals, best = _roots_on_subspace(wc, points)
+    held = len(points)
     evidence["line_subspaces"] = planes
     evidence["best_residual"] = min([best] + [ls.residual for ls in planes])
-    # delta roots of a square system prove the set finite and complete; delta
-    # roots of a squared-down one hold every point of K, and one round
-    # cross-checks them
-    if not planes and not (counted and square):
+    # a plane or the homotopy's own points can settle the set; a squared-down
+    # count waits for the round's cross-check
+    cls = (_classify(wc, dims, points, residuals, planes, counted, evidence)
+           if planes or square else None)
+    if cls in (None, Classification.INCONCLUSIVE):
         # One multistart round: it cross-checks a squared-down count, or
-        # searches a set that neither a count nor a plane settled.
+        # searches a set that neither a plane nor the homotopy's points settled.
         starts = max(_MIN_STARTS, 4 * dlt)
         a_all, b_all = start_pairs(starts, m, n)
         found, found_res = list(points), list(residuals)
@@ -967,26 +981,38 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
             ok = np.nonzero(res <= RESIDUAL_TOL)[0]
             found += [ProductVector(a[i], b[i]) for i in ok]
             found_res += res[ok].tolist()
-        held = len(points)
         points, residuals = _distinct_points(found, found_res)
         # a point outside the counted set overrules the count
         counted &= len(points) == held
         evidence["starts_used"], evidence["rounds"] = starts, 1
-    evidence["route"] = "homotopy" if planes or counted else "multistart"
-    _point_evidence(wc, dims, points, evidence)
-    if planes or (not counted and len(points) > dlt):
-        # a verified plane of K makes the set infinite, and so do more than
-        # delta points; when every path is accepted or on-plane the
-        # accepted roots are all the isolated ones
-        cls = Classification.LIKELY_INFINITE
-    elif not points:
-        cls = Classification.EMPTY
-    elif counted:
-        cls = Classification.FINITE
-    else:
-        # a search alone cannot prove that a set is finite
-        cls = Classification.INCONCLUSIVE
+        cls = _classify(wc, dims, points, residuals, planes, counted, evidence)
+    # no round ran, or the round left a squared-down count standing
+    evidence["route"] = "homotopy" if counted or not evidence["rounds"] else "multistart"
+    evidence["points_from"] = {"homotopy": held, "multistart": len(points) - held}
     return EnumerationResult(points, residuals, cls, evidence)
+
+
+def _classify(wc, dims, points, residuals, planes, counted, evidence) -> Classification:
+    """The one settling rule: K's classification from its points and planes,
+    whichever search found the points, after `_point_evidence` records them.
+    A plane makes the set LIKELY_INFINITE.  A square set is FINITE when it
+    holds delta transversal points whose `min_separation_ratio` exceeds
+    MARGIN_FACTOR; a squared-down one when `counted`, a count that the round
+    did not overrule.  Otherwise more than delta points make the set
+    LIKELY_INFINITE, a squared-down set with none is EMPTY, and the rest is
+    INCONCLUSIVE."""
+    _point_evidence(wc, dims, points, residuals, evidence)
+    dlt = evidence["delta"]
+    square = wc.shape[0] == dims.m + dims.n - 2
+    if square:
+        ratio = evidence["min_separation_ratio"]
+        counted = (len(points) == dlt and all(evidence["transversal"])
+                   and (ratio is None or ratio > MARGIN_FACTOR))
+    if planes or (not counted and len(points) > dlt):
+        return Classification.LIKELY_INFINITE
+    if not points:
+        return Classification.INCONCLUSIVE if square else Classification.EMPTY
+    return Classification.FINITE if counted else Classification.INCONCLUSIVE
 
 
 def _roots_on_subspace(wc: np.ndarray, points: list):
@@ -1015,18 +1041,28 @@ def _roots_on_subspace(wc: np.ndarray, points: list):
     return kept, kept_res, min(full.tolist() + kept_res, default=float("inf"))
 
 
-def _point_evidence(wc, dims, points, evidence):
+def _point_evidence(wc, dims, points, residuals, evidence):
     """Record the isolation and transversality of each point in the
     evidence, in the points' own order (homotopy paths first, then
     multistart starts), by the rank test of `transversal` on one batched
-    SVD."""
-    smin, smax = _jacobian_extremes(wc, np.array([pv.a for pv in points]).reshape(-1, dims.m),
-                                    np.array([pv.b for pv in points]).reshape(-1, dims.n))
+    SVD.  Also record the least separation ratio over pairs of points, None
+    below two: their separation sqrt(1 - |<a, a'>|^2 |<b, b'>|^2) over the
+    sum of their first-order forward errors, residual over the Jacobian's
+    least singular value."""
+    a = np.array([pv.a for pv in points]).reshape(-1, dims.m)
+    b = np.array([pv.b for pv in points]).reshape(-1, dims.n)
+    smin, smax = _jacobian_extremes(wc, a, b)
     square = wc.shape[0] == dims.m + dims.n - 2
     evidence["transversal"] = [bool(square and lo > RANK_TOL * hi) for lo, hi in zip(smin, smax)]
     evidence["jacobian_sigma_min"] = [float(lo) for lo in smin]
     evidence["jacobian_cond"] = [float(hi / lo) if lo > 0 else float("inf")
                                  for lo, hi in zip(smin, smax)]
+    overlap = np.abs(a.conj() @ a.T) * np.abs(b.conj() @ b.T)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error = np.asarray(residuals, dtype=float) / smin
+        ratio = np.sqrt(np.clip(1.0 - overlap ** 2, 0.0, None)) / (error[:, None] + error)
+    pairs = np.triu_indices(len(points), 1)
+    evidence["min_separation_ratio"] = float(ratio[pairs].min()) if len(points) > 1 else None
 
 
 def _jacobian_extremes(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:

@@ -523,18 +523,19 @@ class TestEdgeCheck:
         assert report.best_residual == segre.edge_residuals(state, pv.a[None], pv.b[None])[0]
 
     def test_pair_from_the_search_reports_its_joint_residual(self, monkeypatch):
-        # route two reports the least segre.edge_residuals of the search's
-        # last round, at the pair it returns
+        # route two returns the best pair of the search's last round, and
+        # reports segre.edge_residuals at that returned pair, exactly
         state = seeded_separable(3, 3, 6, 3)
         enum = enumerate_product_vectors(range_basis(state), state.dims)
         calls = record_edge_residuals(monkeypatch)
         report = edge_check(state, enum)
         assert not report.is_edge and report.route == "multistart"
-        _, a, b, joint = calls[-1]
+        _, a, b, joint = calls[-2]
         at = int(np.argmin(joint))
-        assert report.best_residual == joint[at] < certify.EDGE_PAIR_TOL
         pv = report.violating_pair[0]
         assert pv.overlap(ProductVector(a[at], b[at])) > 1 - 1e-12
+        assert report.best_residual == segre.edge_residuals(state, pv.a[None], pv.b[None])[0]
+        assert report.best_residual < certify.EDGE_PAIR_TOL
 
 
 def real_embedded_a_step(kern_rho, kern_gamma, b, a):

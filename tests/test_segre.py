@@ -5,6 +5,8 @@ import pytest
 
 from pptlab import segre, zoo
 from pptlab.qstate import (
+    MARGIN_FACTOR,
+    RANK_TOL,
     BipartiteDims,
     BipartiteState,
     HermitianOperator,
@@ -1320,9 +1322,9 @@ class TestPlaneRoute:
         if case == "conic":
             assert res.classification == Classification.LIKELY_INFINITE
         else:
-            # the round finds all ten points, but a search alone never
-            # proves a set finite
-            assert (res.classification, res.count) == (Classification.INCONCLUSIVE, 10)
+            # the round finds the tenth point, and delta certified distinct
+            # nonsingular points settle a square set whichever search found them
+            assert (res.classification, res.count) == (Classification.FINITE, 10)
 
     def test_singular_row_halves_only_its_own_step(self):
         # a zero row has an exactly singular Jacobian: its step fails and
@@ -1616,6 +1618,112 @@ class TestEndgameStop:
         res = enumerate_product_vectors(kernel_basis(state), state.dims)
         assert (res.classification, res.count) == (Classification.LIKELY_INFINITE, 19)
         assert res.evidence["route"] == "homotopy"
+
+
+def in_class_of(pv, a, b):
+    """Which rows of (a, b) the dedup rule puts in the class of pv."""
+    return np.abs(a @ pv.a.conj()) * np.abs(b @ pv.b.conj()) > 1 - DEDUP_TOL
+
+
+class TestOneSettlingRule:
+    """delta certified distinct nonsingular points settle a square set,
+    whichever search found them."""
+
+    @staticmethod
+    def enumerate_draw(seed):
+        state = slocc_changed(zoo.good_3xn(6), 1000, seed)
+        return state, enumerate_product_vectors(kernel_basis(state), state.dims)
+
+    @pytest.mark.parametrize("seed", [100, 101])
+    def test_the_round_completes_the_count(self, seed):
+        # the homotopy holds 19 distinct points and the round finds the
+        # other 2: the 21 settle the set, by the route that found them
+        state, res = self.enumerate_draw(seed)
+        ev = res.evidence
+        assert (res.classification, res.count) == (Classification.FINITE, 21)
+        assert ev["points_from"] == {"homotopy": 19, "multistart": 2}
+        assert (ev["route"], ev["starts_used"], ev["rounds"]) == ("multistart", 400, 1)
+        assert all(ev["transversal"]) and ev["min_separation_ratio"] > MARGIN_FACTOR
+        verdict = classify_goodness(state, enumeration=res)
+        assert (verdict.verdict, verdict.reason, verdict.count) == (
+            Goodness.GOOD, GoodnessReason.COUNT_EQUALS_DELTA, 21)
+
+    def test_the_homotopy_alone_keeps_its_route(self):
+        _, res = self.enumerate_draw(102)
+        assert (res.classification, res.count) == (Classification.FINITE, 21)
+        assert res.evidence["points_from"] == {"homotopy": 21, "multistart": 0}
+        assert (res.evidence["route"], res.evidence["rounds"]) == ("homotopy", 0)
+
+    def test_a_withheld_round_point_leaves_the_set_inconclusive(self, monkeypatch):
+        # the round's classes open after the homotopy's: withholding the
+        # last one from every polish leaves 20 points and no count
+        state, full = self.enumerate_draw(100)
+        withheld = full.points[-1]
+        original = segre._polish_batch
+
+        def never_reaches(wc, a, b, iters):
+            a, b, res = original(wc, a, b, iters)
+            return a, b, np.where(in_class_of(withheld, a, b), 1.0, res)
+
+        monkeypatch.setattr(segre, "_polish_batch", never_reaches)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
+        assert (res.classification, res.count) == (Classification.INCONCLUSIVE, 20)
+        assert res.evidence["points_from"] == {"homotopy": 19, "multistart": 1}
+        assert res.evidence["route"] == "multistart"
+
+    @pytest.mark.parametrize("ratio,expected", [(MARGIN_FACTOR / 2, Classification.INCONCLUSIVE),
+                                                (MARGIN_FACTOR * 2, Classification.FINITE)])
+    def test_points_nearer_than_their_error_margin_do_not_count(self, ratio, expected,
+                                                                monkeypatch):
+        # scaling both Jacobian extremes keeps every rank test and scales
+        # every forward error by the inverse: the closest pair then sits at
+        # `ratio` times the sum of its forward errors
+        state, full = self.enumerate_draw(100)
+        scale = ratio / full.evidence["min_separation_ratio"]
+        original = segre._jacobian_extremes
+        monkeypatch.setattr(segre, "_jacobian_extremes",
+                            lambda wc, a, b: tuple(scale * v for v in original(wc, a, b)))
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
+        assert res.evidence["min_separation_ratio"] == pytest.approx(ratio, rel=1e-9)
+        assert all(res.evidence["transversal"])
+        assert (res.classification, res.count) == (expected, 21)
+
+    def test_a_singular_round_point_does_not_count(self, monkeypatch):
+        # a round point whose Jacobian reads singular at RANK_TOL is not
+        # transversal, so the 21 points do not settle the set, though its
+        # forward error still leaves every pair certified distinct
+        state, full = self.enumerate_draw(100)
+        singular = full.points[-1]
+        original = segre._jacobian_extremes
+
+        def flattened(wc, a, b):
+            smin, smax = original(wc, a, b)
+            return np.where(in_class_of(singular, a, b), RANK_TOL / 2 * smax, smin), smax
+
+        monkeypatch.setattr(segre, "_jacobian_extremes", flattened)
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
+        assert res.evidence["transversal"].count(False) == 1
+        assert res.evidence["min_separation_ratio"] > MARGIN_FACTOR
+        assert (res.classification, res.count) == (Classification.INCONCLUSIVE, 21)
+
+    def test_a_square_set_with_no_point_is_not_empty(self, monkeypatch):
+        # m + n - 2 hyperplanes always meet the Segre variety: a square set
+        # whose searches found nothing is inconclusive, never empty
+        original = segre._polish_batch
+
+        def round_accepts_nothing(wc, a, b, iters):
+            a, b, res = original(wc, a, b, iters)
+            return a, b, np.ones_like(res)
+
+        monkeypatch.setattr(segre, "_homotopy_roots",
+                            lambda wc: ([], [], {"tracked": 10, "finished": 0, "accepted": 0,
+                                                 "on_plane": 0}, []))
+        monkeypatch.setattr(segre, "_polish_batch", round_accepts_nothing)
+        state = zoo.good_3x4()
+        res = enumerate_product_vectors(kernel_basis(state), state.dims)
+        assert (res.classification, res.count) == (Classification.INCONCLUSIVE, 0)
+        assert res.evidence["points_from"] == {"homotopy": 0, "multistart": 0}
+        assert res.evidence["min_separation_ratio"] is None
 
 
 def separable_terms(m, n, r, shared, seed):

@@ -116,8 +116,9 @@ class EdgeReport:
     """Outcome of the edge check.
 
     `route` says what decided it: "homotopy" when the product vectors of the
-    range are complete by count (a proof), "multistart" when a search
-    decided (a numerical certificate).  `best_residual` is the
+    range are complete by count (a proof), "hilbert" when the range's
+    bigraded Hilbert function proves it empty (a proof), "multistart" when
+    a search decided (a numerical certificate).  `best_residual` is the
     `segre.edge_residuals` of the reported pair when one was found;
     otherwise the least residual the searches reached.
     """
@@ -379,7 +380,8 @@ def edge_check(state: BipartiteState, enumeration: EnumerationResult) -> EdgeRep
     Route one takes the first point of `enumeration`, the product vectors of
     `range_basis(state)`, whose `segre.edge_residuals` is below EDGE_PAIR_TOL;
     with none, an enumeration finite or empty and complete by a homotopy
-    count proves the state edge.  Otherwise route two takes the best pair of
+    count, or empty by its Hilbert certificate (route `hilbert`), proves the
+    state edge with no search.  Otherwise route two takes the best pair of
     `segre.edge_pair_search`, judged by the same residual: a numerical
     certificate, with the start count and the best residual reached.  A
     state that is NPT at its `psd_tol` draws a warning.
@@ -397,8 +399,8 @@ def edge_check(state: BipartiteState, enumeration: EnumerationResult) -> EdgeRep
             pv = enumeration.points[hits[0]]
             return EdgeReport(False, (pv, partial_conjugate(pv)), starts, float(joint[hits[0]]),
                               route)
-    if route == "homotopy" and enumeration.classification in (Classification.FINITE,
-                                                              Classification.EMPTY):
+    if route in ("homotopy", "hilbert") and enumeration.classification in (
+            Classification.FINITE, Classification.EMPTY):
         # every product vector of the range was tested: no pair exists
         return EdgeReport(True, None, starts, best, route)
 

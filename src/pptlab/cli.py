@@ -46,6 +46,8 @@ SCHEMA = "pptlab-report/1"
 _ROUTE_NOTES = {
     "homotopy": "complete by count: the homotopy found every product vector of the range",
     "homotopy-plane": "proof: a product plane verified at homotopy endpoints lies in the range",
+    "hilbert": "proof: the Hilbert function of the range's equations is 0 at bidegree (1, 3), "
+               "so the range holds no product vector",
     "multistart": "numerical certificate: multistart search cannot prove emptiness",
     "dimension-count": "theorem: a subspace of dimension above (m-1)(n-1) "
                        "contains product vectors",
@@ -199,7 +201,8 @@ def analyze_state(state: qstate.BipartiteState, descriptor: dict,
         ev = range_res.evidence
         body["range_ces"] = {"verdict": range_ces, "best_residual": ev["best_residual"],
                              "starts_used": ev["starts_used"], "route": ev["route"],
-                             "paths": ev["paths"], "note": _route_note(ev["route"], range_res)}
+                             "paths": ev["paths"], "hilbert": ev["hilbert"],
+                             "note": _route_note(ev["route"], range_res)}
 
     with _timed(timings, "extremality"):
         cert = certify.extremality_nullity(state)

@@ -15,6 +15,29 @@ below m + n - 2, the dimension of the Segre variety, the product set is
 positive-dimensional (projective dimension theorem; R' = 0 included) and is
 reported as such, with route `dimension-count` and no search.
 
+A set with more equations, R' > m + n - 2 (every range of a state at the
+borderline rank), first gets the Hilbert certificate.  The Macaulay matrix
+of K's equations at bidegree (1, 3), linear in the smaller factor and cubic
+in the larger, multiplies each equation by every quadratic monomial of the
+larger factor, and its nullity is the bigraded Hilbert function H(1, 3) of
+their ideal (Faugere, Safey El Din & Spaenlehauer, J. Symb. Comput. 46(4),
+2011).  H(1, 3) = 0 puts every form of that bidegree in the ideal, while
+evaluation at a common zero a (x) b is a nonzero functional on those forms
+that vanishes on the ideal: so K holds no product vector, and the set is
+EMPTY, complete, with route `hilbert` and no path tracked.  (1, 3) is the
+least such bidegree at which the empty ranges of the zoo read 0, at 60
+columns for 3 x 4 and 140 for 4 x 5: (1, 2) reads min(m, n) on them, and
+the reading linear in the larger factor reads 1 to 3 at degree 3.  The
+value is read in a local normal frame, K' = (A (x) B) K with both marginals
+of its projector proportional to I (Verstraete, Dehaene & De Moor, PRA 68,
+012103, 2003).  K' holds exactly the product vectors (A a) (x) (B b), so it
+has K's value, but its Gram's margin does not fall with the conditioning
+of A and B as the input's does under a strong SLOCC change.  The value
+counts the Gram's eigenvalues at most 1e-10 of its largest, and proves only
+when it is 0 with the least eigenvalue more than MARGIN_FACTOR above that
+cut; any other reading, or a frame that declines, leaves the set to the
+homotopy.
+
 Every other set is settled on K itself where it can be, by the homotopy:
 delta(m, n) paths tracked from a linear-product start system.  A square
 system (R' = m + n - 2, every kernel of a state at the borderline rank) is
@@ -32,7 +55,7 @@ system are K's points as they stand.  Of a squared-down system, a root
 whose full residual, measured before any polish on the full system,
 exceeds sqrt(RESIDUAL_TOL) is off K; every other root is polished on the
 full system and kept when it reaches K at a point not kept already, else
-it is off K too.  The set is then settled by one of three facts:
+it is off K too.  The set is then settled by one of four facts:
 
 - a square count: delta transversal points, each pair certified distinct
   (a separation sqrt(1 - |<a, a'>|^2 |<b, b'>|^2) above MARGIN_FACTOR times
@@ -53,7 +76,10 @@ it is off K too.  The set is then settled by one of three facts:
   K and the tangent space share a (x) b and cannot span the whole space
   when R' > m + n - 2.  The set is FINITE, or EMPTY, complete by count, and
   one multistart round cross-checks it; a point found there outside the
-  counted set overrules the count.
+  counted set overrules the count;
+- a Hilbert proof (above): the set is EMPTY with no root to track or
+  count; the same round cross-checks it, and a point found there
+  overrules it.
 
 "Complete by count" rests on refined Bezout (Fulton, Intersection Theory,
 Ex. 8.4.6).  The zero set of a square system is the Segre variety
@@ -68,12 +94,12 @@ which contains the full one.
 
 A set that neither a plane nor the homotopy's own points settled (say, a
 component that is not a plane, which leaves paths unaccounted, or two
-paths that end on one root), and a squared-down count, get one round of
-multistart alternating minimization over unit pairs, followed by a batched
-Gauss-Newton polish of the holomorphic system, on top of the homotopy's
-points on K; the same rule then reads the final points.  Every
-multistart round, that search or the cross-check of a count, has
-max(400, 4 delta) starts.  The polish takes only the starts that the
+paths that end on one root), a squared-down count and a Hilbert proof get
+one round of multistart alternating minimization over unit pairs, followed
+by a batched Gauss-Newton polish of the holomorphic system, on top of the
+homotopy's points on K; the same rule then reads the final points.  Every
+multistart round, that search or the cross-check of a count or a proof,
+has max(400, 4 delta) starts.  The polish takes only the starts that the
 alternation left unsettled or near K (|F(a) b| <= sqrt(RESIDUAL_TOL)).  A
 settled start is a fixed point of the alternation, so a stationary point of
 |F(a) b| on the two unit spheres, where the Gauss-Newton step in their
@@ -116,6 +142,7 @@ by name; their move waits for a change to the benchmark.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -155,6 +182,9 @@ _HOMOTOPY_MAX_STEPS = 2000
 _HOMOTOPY_MIN_STEP = 1e-12
 _HOMOTOPY_ENDGAME = 1.0 - 1e-6
 _LINE_STARTS = 64
+_FRAME_SWEEPS = 20
+_FRAME_FLOOR = 1e-12
+_HILBERT_CUT = 1e-10
 
 
 class Classification(enum.Enum):
@@ -898,6 +928,83 @@ def edge_pair_search(state: BipartiteState) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# Hilbert certificate
+
+
+def _normal_frame(vectors: np.ndarray, m: int, n: int) -> Optional[np.ndarray]:
+    """Orthonormal rows of K' = (A (x) B) K, from the orthonormal rows
+    `vectors` of K, whose projector has both marginals proportional to I, or
+    None.  _FRAME_SWEEPS operator-Sinkhorn sweeps (Gurvits, J. Comput. Syst.
+    Sci. 69(3), 2004): each half-sweep scales one factor by the inverse
+    square root of that marginal of the projector, then orthonormalises the
+    rows again by QR.  A marginal whose least eigenvalue is at most
+    _FRAME_FLOOR of its largest declines (None), as a short local rank
+    does.  The rows stay real where K's are."""
+    x = (vectors if np.any(vectors.imag) else vectors.real).reshape(-1, m, n)
+    for _ in range(_FRAME_SWEEPS):
+        for side in (1, 2):
+            y = np.moveaxis(x, side, 0).reshape(x.shape[side], -1)
+            w, v = np.linalg.eigh(y @ y.conj().T)
+            if w[0] <= _FRAME_FLOOR * w[-1]:
+                return None
+            scale = (v / np.sqrt(w)) @ v.conj().T
+            x = scale @ x if side == 1 else x @ scale.T
+            x = np.linalg.qr(x.reshape(x.shape[0], -1).T)[0].T.reshape(x.shape)
+    return x.reshape(x.shape[0], -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _cubic_scatter(q: int) -> tuple:
+    """The index scatter of a Macaulay Gram at bidegree (1, 3), cubic in a
+    factor of dimension q, built on first use: per triple (beta, j, j'),
+    beta a quadratic monomial, the flat index gamma c + gamma' of the Gram
+    block it adds to, gamma = beta + e_j and gamma' = beta + e_j' among the
+    c cubic monomials, and the flat index j q + j' of the block of P it
+    adds, both read-only as every caller shares them; then c."""
+    cubic = {g: i for i, g in enumerate(itertools.combinations_with_replacement(range(q), 3))}
+    cols = np.array([[cubic[tuple(sorted(beta + (j,)))] for j in range(q)]
+                     for beta in itertools.combinations_with_replacement(range(q), 2)])
+    c = len(cubic)
+    target = (cols[:, :, None] * c + cols[:, None, :]).ravel()
+    source = np.tile(np.arange(q * q), cols.shape[0])
+    target.flags.writeable = source.flags.writeable = False
+    return target, source, c
+
+
+def _hilbert_certificate(k: SubspaceBasis, dims: BipartiteDims) -> Optional[dict]:
+    """The bigraded Hilbert function of K's equations at bidegree (1, 3),
+    linear in the smaller factor, read in K's `_normal_frame`: {"bidegree",
+    "value", "margin"}, or None where the frame declines.
+
+    The Macaulay matrix multiplies each equation a^T W_r b by every
+    quadratic monomial of the cubic factor; its Gram, indexed by (i, gamma)
+    with gamma a cubic monomial, adds the block P[(i, j), (i', j')] of P =
+    W^H W, the projector onto K'^perp, at (gamma, gamma') = (beta + e_j,
+    beta + e_j') for every quadratic beta, by `_cubic_scatter`.  The value
+    is the number of the Gram's eigenvalues at most _HILBERT_CUT times the
+    largest, the margin the least of the least eigenvalue above the cut over
+    the cut and the cut over the largest one at most at it.  Value 0 puts
+    every (1, 3)-form in the ideal, so K holds no product vector."""
+    x = _normal_frame(k.vectors, dims.m, dims.n)
+    if x is None:
+        return None
+    lin, cub = sorted((dims.m, dims.n))
+    p = (np.eye(dims.total) - x.T @ x.conj()).reshape(dims.m, dims.n, dims.m, dims.n)
+    if dims.m > dims.n:
+        p = p.transpose(1, 0, 3, 2)
+    target, source, c = _cubic_scatter(cub)
+    gram = np.zeros((c * c, lin, lin), dtype=p.dtype)
+    np.add.at(gram, target, p.transpose(1, 3, 0, 2).reshape(cub * cub, lin, lin)[source])
+    w = np.linalg.eigvalsh(gram.reshape(c, c, lin, lin).transpose(2, 0, 3, 1)
+                           .reshape(lin * c, lin * c))
+    cut = _HILBERT_CUT * w[-1]
+    value = int(np.sum(w <= cut))
+    kept = w[value] / cut if value < w.size else np.inf
+    dropped = cut / np.abs(w[:value]).max() if value and np.any(w[:value]) else np.inf
+    return {"bidegree": [1, 3], "value": value, "margin": float(min(kept, dropped))}
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 
 
@@ -905,20 +1012,25 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     """Find the product vectors inside K; see the module docstring.
 
     K of dimension 0 is EMPTY, and a dimension count settles a set as
-    LIKELY_INFINITE; both return at once.  Otherwise the homotopy runs, and
-    its accepted roots become K's points by one rule: a square system's as
-    they stand, a squared-down system's where `_roots_on_subspace` keeps
-    them, with a count or without.  One settling rule, `_classify`, reads
-    the points whichever search found them: delta transversal points of a
-    square system, each pair certified distinct, make the set FINITE.  One
-    multistart round of max(400, 4 delta) starts runs first, unless a
-    plane or the homotopy's own points settle the set: it cross-checks a
-    squared-down count, or searches a set that nothing settled.  It
-    polishes the starts that its alternation left unsettled or near K; a
-    start settled above sqrt(RESIDUAL_TOL) is a stationary point off K and
-    keeps its alternation pair.  `route` is `homotopy` when a plane or the
-    homotopy's points settle the set alone.  The returned points are
-    pairwise distinct under the overlap metric and each satisfies
+    LIKELY_INFINITE; both return at once.  A set with R' > m + n - 2 gets
+    `_hilbert_certificate` first: value 0 with a margin above MARGIN_FACTOR
+    proves it EMPTY, and no path is tracked; the evidence keeps the reading
+    as `hilbert`, None where it did not run or the frame declined.
+    Otherwise the homotopy runs, and its accepted roots become K's points by
+    one rule: a square system's as they stand, a squared-down system's where
+    `_roots_on_subspace` keeps them, with a count or without.  One settling
+    rule, `_classify`, reads the points whichever search found them: delta
+    transversal points of a square system, each pair certified distinct,
+    make the set FINITE.  One multistart round of max(400, 4 delta) starts
+    runs first, unless a plane or the homotopy's own points settle the set:
+    it cross-checks a squared-down count or a Hilbert proof, or searches a
+    set that nothing settled.  It polishes the starts that its alternation
+    left unsettled or near K; a start settled above sqrt(RESIDUAL_TOL) is a
+    stationary point off K and keeps its alternation pair.  `route` is
+    `hilbert` when a Hilbert proof stands after the round, `homotopy` when
+    a count stands or a plane or the homotopy's points settle the set
+    alone.  The returned points are pairwise distinct under the overlap
+    metric and each satisfies
     |proj_{K^perp}(a (x) b)| <= RESIDUAL_TOL.
     """
     m, n = dims.m, dims.n
@@ -930,7 +1042,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
                       "best_residual": float("inf"), "line_subspaces": [],
                       "minor_system": None, "near_duplicate_chain": 0,
                       "transversal": [], "jacobian_sigma_min": [],
-                      "points_from": None, "min_separation_ratio": None}
+                      "points_from": None, "min_separation_ratio": None, "hilbert": None}
     if k.dim == 0:
         return EnumerationResult([], [], Classification.EMPTY, evidence)
     wc = complement_stack(k, dims).conj()
@@ -942,11 +1054,14 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
         evidence["dimension_forces_positive_dimension"] = True
         return EnumerationResult([], [], Classification.LIKELY_INFINITE, evidence)
 
-    points, residuals, paths, planes = _homotopy_roots(wc)
-    evidence["paths"] = paths
     square = wc.shape[0] == m + n - 2
+    hilbert = evidence["hilbert"] = None if square else _hilbert_certificate(k, dims)
+    # every (1, 3)-form in the ideal proves K free of product vectors: no path is tracked
+    proven = bool(hilbert) and hilbert["value"] == 0 and hilbert["margin"] > MARGIN_FACTOR
+    points, residuals, evidence["paths"], planes = (
+        ([], [], None, []) if proven else _homotopy_roots(wc))
     # delta roots of a squared-down system hold every point of K
-    counted = not square and len(points) == dlt
+    counted = proven or (not square and len(points) == dlt)
     if square:
         # a square system's accepted roots are K's points as they stand
         best = min(residuals, default=float("inf"))
@@ -956,7 +1071,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
     evidence["line_subspaces"] = planes
     evidence["best_residual"] = min([best] + [ls.residual for ls in planes])
     # a plane or the homotopy's own points can settle the set; a squared-down
-    # count waits for the round's cross-check
+    # count and a Hilbert proof wait for the round's cross-check
     cls = (_classify(wc, dims, points, residuals, planes, counted, evidence)
            if planes or square else None)
     if cls in (None, Classification.INCONCLUSIVE):
@@ -986,8 +1101,9 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
         counted &= len(points) == held
         evidence["starts_used"], evidence["rounds"] = starts, 1
         cls = _classify(wc, dims, points, residuals, planes, counted, evidence)
-    # no round ran, or the round left a squared-down count standing
-    evidence["route"] = "homotopy" if counted or not evidence["rounds"] else "multistart"
+    # no round ran, or the round left a squared-down count or a Hilbert proof standing
+    evidence["route"] = ("hilbert" if proven and counted else
+                         "homotopy" if counted or not evidence["rounds"] else "multistart")
     evidence["points_from"] = {"homotopy": held, "multistart": len(points) - held}
     return EnumerationResult(points, residuals, cls, evidence)
 
@@ -1088,9 +1204,10 @@ def _jacobian_extremes(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
 
 def ces_certificate(subspace: SubspaceBasis, dims: BipartiteDims):
     """(verdict, enumeration): whether the subspace contains no product
-    vectors, a numerical certificate, and the enumeration it rests on.  A
-    subspace of dimension above (m-1)(n-1) always contains one, so its
-    verdict is False whatever the enumeration found."""
+    vectors, and the enumeration it rests on: a proof where its route is
+    `hilbert` or `homotopy`, else a numerical certificate.  A subspace of
+    dimension above (m-1)(n-1) always contains one, so its verdict is False
+    whatever the enumeration found."""
     result = enumerate_product_vectors(subspace, dims)
     ces = (subspace.dim <= (dims.m - 1) * (dims.n - 1)
            and result.classification == Classification.EMPTY)

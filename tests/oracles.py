@@ -36,7 +36,11 @@ quantity as a package function by the direct, slow construction:
   condition, where `segre.enumerate_product_vectors` tracks homotopy paths;
 - `_PointPool` dedups points one `ProductVector.overlap` call at a time,
   where `segre._distinct` compares each row with every kept one in one
-  batched product.
+  batched product;
+- `macaulay_gram` builds the Macaulay matrix at bidegree (1, 3) one row
+  per equation and quadratic monomial and returns M^H M, where
+  `segre._hilbert_certificate` scatters its Gram from the complement's
+  projector.
 
 Two test-only helpers sit here too, with no package counterpart:
 `find_rank1_compression` searches for a local vector |a> that compresses a
@@ -52,6 +56,7 @@ and skips where scipy is not installed.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional
 
 import numpy as np
@@ -354,6 +359,23 @@ class _PointPool:
         self.points.append(pv)
         self.residuals.append(residual)
         return True
+
+
+def macaulay_gram(wc: np.ndarray) -> np.ndarray:
+    """M^H M, M the Macaulay matrix at bidegree (1, 3) of the equations
+    a^T wc_r b, linear in a and cubic in b: a row per equation and quadratic
+    monomial of b, a column per coordinate of a and cubic monomial of b."""
+    _, lin, cub = wc.shape
+    cubic = {g: i for i, g in enumerate(itertools.combinations_with_replacement(range(cub), 3))}
+    rows = []
+    for w in wc:
+        for beta in itertools.combinations_with_replacement(range(cub), 2):
+            row = np.zeros((lin, len(cubic)), dtype=complex)
+            for j in range(cub):
+                row[:, cubic[tuple(sorted(beta + (j,)))]] += w[:, j]
+            rows.append(row.ravel())
+    mac = np.array(rows)
+    return mac.conj().T @ mac
 
 
 def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims) -> list:

@@ -480,7 +480,8 @@ class TestEdgeCheck:
     def test_good_3x4_edge_by_count_skips_fallback(self, monkeypatch):
         calls = record_edge_residuals(monkeypatch)
         report = range_edge_check(zoo.good_3x4())
-        assert report.route == "homotopy"
+        # the range's Hilbert certificate proves it empty, as a count would
+        assert report.route == "hilbert"
         # the range holds no point, so the rule measures no pair; one
         # cross-check round of the range search, no joint minimization
         assert calls == []

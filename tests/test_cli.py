@@ -17,7 +17,7 @@ from pptlab.qstate import (BipartiteDims, BipartiteState, HermitianOperator, ker
                            load_state, save_state)
 from conftest import random_product_vector
 from test_certify import continuum_by_homotopy, record_edge_residuals, seeded_separable
-from test_segre import conic_subspace, refuse_plane_search, slocc_changed
+from test_segre import conic_subspace, decline_hilbert, refuse_plane_search, slocc_changed
 
 
 def plane_range_state(rng):
@@ -195,7 +195,9 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 0, err
         assert len(calls) <= 2 and "svd" not in calls, calls
-        assert len(reduced) + calls.count("eigvalsh") <= 2, reduced
+        # and the range's Hilbert certificate one eigvalsh of its 60 x 60 Gram
+        assert reduced.count((60, 60)) == 1, reduced
+        assert len(reduced) - 1 + calls.count("eigvalsh") <= 2, reduced
 
     def test_kon_mnogo_report(self, tmp_path, capsys):
         path = tmp_path / "s.json"
@@ -817,17 +819,22 @@ class TestTolerances:
 
 class TestRoutes:
     def test_good_3x4_range_proven_empty(self):
+        # the range's Hilbert certificate proves it empty: no path is tracked
         rep = analyze_state(zoo.good_3x4(), {"case": "good_3x4"})
         j = rep.to_json()
         for block in (j["range_ces"], j["edge"]):
-            assert block["route"] == "homotopy"
-            assert block["paths"] == {"tracked": 10, "finished": 10, "accepted": 10, "on_plane": 0}
-            assert block["note"].startswith("complete by count")
+            assert block["route"] == "hilbert"
+            assert block["paths"] is None
+            assert block["note"].startswith("proof: the Hilbert function")
+        hilbert = j["range_ces"]["hilbert"]
+        assert (hilbert["bidegree"], hilbert["value"]) == ([1, 3], 0)
+        assert hilbert["margin"] > qstate.MARGIN_FACTOR
+        assert j["kernel"]["evidence"]["hilbert"] is None
         assert j["range_ces"]["verdict"] is True and j["edge"]["is_edge"] is True
         assert j["range_ces"]["starts_used"] == 400
         md = rep.to_markdown()
-        assert "- range is completely entangled: True (route homotopy" in md
-        assert "- edge state: True (route homotopy" in md
+        assert "- range is completely entangled: True (route hilbert" in md
+        assert "- edge state: True (route hilbert" in md
 
     def test_one_range_enumeration_per_analysis(self, monkeypatch):
         # ker rho and R(rho), each built and enumerated once: the edge check
@@ -855,8 +862,10 @@ class TestRoutes:
         assert "(route homotopy" in rep.to_markdown()
 
     def test_search_route_reported(self, monkeypatch):
-        # a homotopy that loses a path settles nothing: the range is searched
-        # by one multistart round, and the edge check runs its fallback
+        # a homotopy that loses a path settles nothing: the range, whose
+        # Hilbert certificate declines, is searched by one multistart round,
+        # and the edge check runs its fallback
+        decline_hilbert(monkeypatch)
         original = segre._homotopy_roots
 
         def lossy(wc):
@@ -875,7 +884,7 @@ class TestRoutes:
         assert "(route multistart" in rep.to_markdown()
 
     @pytest.mark.parametrize("state_fn,range_route", [
-        (zoo.good_3x4, "homotopy"),
+        (zoo.good_3x4, "hilbert"),
         # full rank: the range enumeration settles it by dimension count,
         # and the edge check reuses it
         (lambda: BipartiteState(HermitianOperator(
@@ -931,7 +940,8 @@ class TestRoutes:
     def test_good_3x4_range_count_survives_strong_slocc(self, seed, monkeypatch):
         # kappa = 1000 per factor leaves near roots of the squared-down range
         # system that polish off the range; they are dropped, and the count
-        # still proves the range empty
+        # still proves the range empty where the Hilbert certificate declines
+        decline_hilbert(monkeypatch)
         seen = record_ces_certificates(monkeypatch)
         j = analyze_state(slocc_changed(zoo.good_3x4(), 1000, seed), {}).to_json()
         assert [res.classification for _, res in seen] == [segre.Classification.EMPTY]

@@ -14,6 +14,7 @@ from pptlab.qstate import (
     SubspaceBasis,
     is_ppt,
     kernel_basis,
+    null_space,
     range_basis,
 )
 from pptlab.segre import (
@@ -47,8 +48,8 @@ from pptlab.segre import (
 )
 from conftest import random_product_vector
 from oracles import (BorderedTracker, ReferenceTracker, _plane_alternation, _PointPool,
-                     alternate_by_inverse_iteration, pencil_roots_2xn, tiles_upb_3x3,
-                     transversal_by_tangent_span)
+                     alternate_by_inverse_iteration, macaulay_gram, pencil_roots_2xn,
+                     tiles_upb_3x3, transversal_by_tangent_span)
 from test_qstate import bad_separable_3x3, werner_2x2
 
 
@@ -75,6 +76,12 @@ def refuse_plane_search(monkeypatch):
         raise AssertionError("find_line_subspaces called")
 
     monkeypatch.setattr(segre, "find_line_subspaces", no_search)
+
+
+def decline_hilbert(monkeypatch):
+    """Every Hilbert certificate declines, so a squared-down system takes
+    the homotopy, as a subspace whose frame declines does."""
+    monkeypatch.setattr(segre, "_hilbert_certificate", lambda k, dims: None)
 
 
 def match_sets(points_a, points_b, tol=1e-6):
@@ -240,9 +247,10 @@ class TestOracles:
         lambda: zoo.kon_mnogo()[0],
         zoo.bad_3x4,
     ], ids=["good_3x4", "kon_mnogo", "bad_3x4"])
-    def test_minor_system_agrees_ranges_are_empty(self, state_fn):
+    def test_minor_system_agrees_ranges_are_empty(self, state_fn, monkeypatch):
         # no determinantal candidate polishes onto a range the count proves empty
         pytest.importorskip("scipy.linalg")
+        decline_hilbert(monkeypatch)
         state = state_fn()
         rng_sub = range_basis(state)
         wc = complement_stack(rng_sub, state.dims).conj()
@@ -444,7 +452,9 @@ class TestSquareDown:
         zoo.bad_3x4,
         lambda: zoo.bad_mxn(4, 5),
     ], ids=["good_3x4", "kon_mnogo", "gentiles2_3x4", "bad_3x4", "bad_4x5"])
-    def test_zoo_ranges_empty_by_count(self, state_fn):
+    def test_zoo_ranges_empty_by_count(self, state_fn, monkeypatch):
+        # the squared-down homotopy's own count, with the Hilbert proof declined
+        decline_hilbert(monkeypatch)
         state = state_fn()
         dims = state.dims
         dlt = zoo.delta(dims.m, dims.n)
@@ -923,6 +933,7 @@ class TestPolish:
         # the round's batch is exactly the 231 unsettled starts
         import pptlab.segre as segre_mod
 
+        decline_hilbert(monkeypatch)
         svd = SvdRecorder(monkeypatch)
         svd.active, batches, unsettled = False, [], []
 
@@ -999,7 +1010,8 @@ RANGE_BEST_RESIDUALS = {
 
 class TestRangeCrossCheck:
     @pytest.mark.parametrize("name", list(RANGE_BEST_RESIDUALS))
-    def test_best_residual_is_the_recorded_minimum(self, name):
+    def test_best_residual_is_the_recorded_minimum(self, name, monkeypatch):
+        decline_hilbert(monkeypatch)
         state_fn, recorded = RANGE_BEST_RESIDUALS[name]
         state = state_fn()
         res = enumerate_product_vectors(range_basis(state), state.dims)
@@ -1008,6 +1020,153 @@ class TestRangeCrossCheck:
         assert (ev["route"], ev["starts_used"]) == ("homotopy", 400)
         assert ev["paths"] == {"tracked": dlt, "finished": dlt, "accepted": dlt, "on_plane": 0}
         assert ev["best_residual"] == pytest.approx(recorded, rel=1e-9, abs=0)
+
+
+# Zoo ranges that hold no product vector and whose Hilbert certificate
+# proves it, with the frame's margin measured far above MARGIN_FACTOR.
+HILBERT_EMPTY_RANGES = dict(
+    {name: RANGE_BEST_RESIDUALS[name][0] for name in RANGE_BEST_RESIDUALS},
+    **{f"good_3x{n}": (lambda n=n: zoo.good_3xn(n)) for n in range(5, 9)})
+
+# The five states of the SLOCC table.
+SLOCC_STATES = {"good_3x4": zoo.good_3x4, "kon_mnogo": lambda: zoo.kon_mnogo()[0],
+                "good_3x6": lambda: zoo.good_3xn(6), "bad_3x4": zoo.bad_3x4,
+                "bad_4x5": lambda: zoo.bad_mxn(4, 5)}
+
+
+def locally_changed(k, dims, change):
+    """K with its parties swapped (on C^n (x) C^m), or under local unitaries
+    drawn from default_rng(6)."""
+    m, n = dims.m, dims.n
+    if change == "swap":
+        vecs = k.vectors.reshape(-1, m, n).transpose(0, 2, 1).reshape(-1, m * n)
+        return SubspaceBasis(m * n, vecs, 1e-12), BipartiteDims(n, m)
+    rng = np.random.default_rng(6)
+    u = [np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+         for d in (m, n)]
+    return SubspaceBasis(m * n, k.vectors @ np.kron(*u).T, 1e-12), dims
+
+
+class TestHilbertCertificate:
+    @pytest.mark.parametrize("name", list(HILBERT_EMPTY_RANGES))
+    def test_zoo_ranges_proven_empty(self, name, monkeypatch):
+        # value 0 outside the window: EMPTY with no path tracked, the round
+        # still cross-checks, and the declined homotopy agrees
+        state = HILBERT_EMPTY_RANGES[name]()
+        dims = state.dims
+        sub = range_basis(state)
+        res = enumerate_product_vectors(sub, dims)
+        hilbert = res.evidence["hilbert"]
+        assert (hilbert["bidegree"], hilbert["value"]) == ([1, 3], 0)
+        assert hilbert["margin"] > MARGIN_FACTOR
+        assert (res.classification, res.evidence["route"], res.evidence["paths"]) == \
+            (Classification.EMPTY, "hilbert", None)
+        assert res.evidence["starts_used"] == max(400, 4 * zoo.delta(dims.m, dims.n))
+        decline_hilbert(monkeypatch)
+        res = enumerate_product_vectors(sub, dims)
+        assert (res.classification, res.evidence["route"]) == (Classification.EMPTY, "homotopy")
+
+    def test_bad_5x5_range_reads_one_and_keeps_the_homotopy(self):
+        state = zoo.bad_mxn(5, 5)
+        res = enumerate_product_vectors(range_basis(state), state.dims)
+        assert res.evidence["hilbert"]["value"] == 1
+        assert (res.classification, res.evidence["route"]) == (Classification.EMPTY, "homotopy")
+        assert res.evidence["paths"]["tracked"] == zoo.delta(5, 5)
+
+    def test_separable_range_reads_its_points_and_keeps_the_homotopy(self, rng):
+        # four product terms in 3 x 4: the range holds them, reads value 4,
+        # and the homotopy's count settles it as before
+        dims = BipartiteDims(3, 4)
+        terms = [random_product_vector(dims, rng) for _ in range(4)]
+        rho = sum(np.outer(pv.vec(), pv.vec().conj()) for pv in terms)
+        ces, res = ces_certificate(range_basis(BipartiteState(HermitianOperator(dims, rho))), dims)
+        assert res.evidence["hilbert"]["value"] > 0
+        assert not ces
+        assert (res.classification, res.evidence["route"], res.count) == \
+            (Classification.FINITE, "homotopy", 4)
+        assert match_sets(terms, res.points)
+
+    def test_a_reading_inside_the_window_proves_nothing(self, monkeypatch):
+        # value 0 with its least eigenvalue within MARGIN_FACTOR of the cut
+        # leaves good_3x4's range to the homotopy's count
+        reading = {"bidegree": [1, 3], "value": 0, "margin": MARGIN_FACTOR / 2}
+        monkeypatch.setattr(segre, "_hilbert_certificate", lambda k, dims: reading)
+        state = zoo.good_3x4()
+        res = enumerate_product_vectors(range_basis(state), state.dims)
+        assert (res.classification, res.evidence["route"]) == (Classification.EMPTY, "homotopy")
+        assert res.evidence["hilbert"] == reading
+
+    def test_the_round_overrules_a_proof(self, rng, monkeypatch):
+        # a proof claimed on a range that holds four product terms: the
+        # cross-check round finds them, and the set is not EMPTY
+        reading = {"bidegree": [1, 3], "value": 0, "margin": 1e6}
+        monkeypatch.setattr(segre, "_hilbert_certificate", lambda k, dims: reading)
+        sub, terms = span_of_products(3, 4, 4, rng)
+        res = enumerate_product_vectors(sub, BipartiteDims(3, 4))
+        assert res.evidence["paths"] is None
+        assert res.evidence["route"] == "multistart"
+        assert res.classification != Classification.EMPTY
+        assert match_sets(terms, res.points)
+
+    def test_short_local_rank_declines(self, rng):
+        # three vectors of span(e0, e1) (x) C^4 in 3 x 4: the A marginal is singular
+        vecs = np.zeros((3, 3, 4), dtype=complex)
+        vecs[:, :2] = rng.standard_normal((3, 2, 4)) + 1j * rng.standard_normal((3, 2, 4))
+        sub, dims = subspace_from_vectors(vecs.reshape(3, 12), 12), BipartiteDims(3, 4)
+        assert segre._hilbert_certificate(sub, dims) is None
+        res = enumerate_product_vectors(sub, dims)
+        assert res.evidence["hilbert"] is None
+        assert res.evidence["route"] != "hilbert"
+
+    @pytest.mark.parametrize("change", ["swap", "local_unitary"])
+    @pytest.mark.parametrize("state_fn", [zoo.good_3x4, lambda: zoo.bad_mxn(4, 5),
+                                          lambda: zoo.bad_mxn(5, 5)],
+                             ids=["good_3x4", "bad_4x5", "bad_5x5"])
+    def test_value_ignores_swap_and_local_unitary(self, state_fn, change):
+        state = state_fn()
+        sub = range_basis(state)
+        ref = segre._hilbert_certificate(sub, state.dims)
+        got = segre._hilbert_certificate(*locally_changed(sub, state.dims, change))
+        assert got["value"] == ref["value"]
+        assert got["margin"] > MARGIN_FACTOR
+
+    @pytest.mark.parametrize("state_fn", [zoo.good_3x4, lambda: zoo.bad_mxn(5, 5)],
+                             ids=["good_3x4", "bad_5x5"])
+    @pytest.mark.parametrize("change", [None, "swap"])
+    def test_gram_is_the_macaulay_gram(self, state_fn, change):
+        # the scatter from the projector against the Macaulay matrix built
+        # row by row, in the same frame, linear in the smaller factor
+        state = state_fn()
+        sub, dims = range_basis(state), state.dims
+        if change:
+            sub, dims = locally_changed(sub, dims, change)
+        x = segre._normal_frame(sub.vectors, dims.m, dims.n)
+        wc = null_space(x.conj()).T.reshape(-1, dims.m, dims.n).conj()
+        w = np.linalg.eigvalsh(macaulay_gram(wc if dims.m <= dims.n else wc.transpose(0, 2, 1)))
+        cut = segre._HILBERT_CUT * w[-1]
+        value = int(np.sum(w <= cut))
+        margin = min([w[value] / cut] + ([cut / np.abs(w[:value]).max()] if value else []))
+        got = segre._hilbert_certificate(sub, dims)
+        assert got["value"] == value
+        assert got["margin"] == pytest.approx(margin, rel=1e-6)
+
+    @pytest.mark.parametrize("kappa", [100, 1000])
+    @pytest.mark.parametrize("name", list(SLOCC_STATES))
+    def test_slocc_slice_proven_in_the_frame(self, name, kappa):
+        state = slocc_changed(SLOCC_STATES[name](), kappa, 100)
+        res = enumerate_product_vectors(range_basis(state), state.dims)
+        assert res.evidence["route"] == "hilbert"
+        assert res.evidence["hilbert"]["margin"] > MARGIN_FACTOR
+
+    def test_raw_frame_declines_a_slocc_draw(self, monkeypatch):
+        # the frame is load-bearing: without its sweeps the margin falls into
+        # the window under strong SLOCC changes
+        monkeypatch.setattr(segre, "_FRAME_SWEEPS", 0)
+        readings = [segre._hilbert_certificate(range_basis(st), st.dims)
+                    for st in (slocc_changed(fn(), kappa, 100) for fn in SLOCC_STATES.values()
+                               for kappa in (100, 1000))]
+        assert not all(h is not None and h["value"] == 0 and h["margin"] > MARGIN_FACTOR
+                       for h in readings)
 
 
 class TestCes:

@@ -130,10 +130,10 @@ deliberately refuses to overclaim: Finite needs a complete count, and
 the evidence says which search found the points (`points_from`).  The
 results are objects: `cli` alone writes them into pptlab-report/1.
 
-`minor_system_roots`, the determinantal system, is an independent root
-finder that only the tests call; enumeration does not.  It needs scipy
-(`scipy.linalg.eigvals` for its QZ pencils), which only the `test` extra
-installs, and imports it when called.  It, its polynomial helpers,
+`minor_system_roots` is an independent root finder that only the tests
+call; enumeration does not.  For m = 2 or 3 it reads the A-factors of K's
+product vectors from the null space of K's Macaulay matrix at bidegree
+(2, 2), with numpy alone, as every module here does.  It,
 `find_line_subspaces` and `transversal` stay in this module, not in the
 tests' oracle module, only because `perfbench/spans.WRAPPED` wraps them
 by name; their move waits for a change to the benchmark.
@@ -432,118 +432,52 @@ def _distinct_points(points: list, res) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# determinantal oracle
-
-
-def _polyeig(smats: Sequence[np.ndarray]) -> np.ndarray:
-    """Finite eigenvalues of the matrix polynomial sum_j smats[j] s^j.
-
-    First companion linearization; the generalized eigenvalues of the pencil
-    are the roots of det S(s).  Infinite eigenvalues are dropped.
-    """
-    deg = len(smats) - 1
-    while deg > 0 and np.abs(smats[deg]).max() < 1e-14:
-        deg -= 1
-    if deg == 0:
-        return np.empty(0, dtype=complex)
-    d = smats[0].shape[0]
-    big_a = np.zeros((d * deg, d * deg), dtype=complex)
-    big_b = np.zeros((d * deg, d * deg), dtype=complex)
-    for r in range(deg - 1):
-        big_a[r * d:(r + 1) * d, (r + 1) * d:(r + 2) * d] = np.eye(d)
-        big_b[r * d:(r + 1) * d, r * d:(r + 1) * d] = np.eye(d)
-    for j in range(deg):
-        big_a[(deg - 1) * d:, j * d:(j + 1) * d] = -smats[j]
-    big_b[(deg - 1) * d:, (deg - 1) * d:] = smats[deg]
-    import scipy.linalg     # test oracle only: the runtime never loads scipy
-    w = scipy.linalg.eigvals(big_a, big_b)
-    return w[np.isfinite(w)]
-
-
-def _poly_roots_companion(coeffs_ascending: np.ndarray) -> np.ndarray:
-    """Roots via the companion matrix, with negligible leading coeffs removed."""
-    c = np.asarray(coeffs_ascending, dtype=complex)[::-1]
-    top = np.abs(c).max()
-    if top == 0:
-        return np.empty(0, dtype=complex)
-    nz = np.nonzero(np.abs(c) > 1e-12 * top)[0]
-    c = c[nz[0]:]
-    if c.size <= 1:
-        return np.empty(0, dtype=complex)
-    return np.roots(c)
-
-
-def _det_samples_to_coeffs(vals: np.ndarray) -> np.ndarray:
-    """Coefficients of a polynomial sampled on the roots of unity (exact FFT)."""
-    return np.fft.fft(vals) / vals.size
+# Macaulay oracle
 
 
 def minor_system_roots(k: SubspaceBasis, dims: BipartiteDims) -> list:
-    """Candidate A-factors of product vectors in K via the determinantal system.
+    """Candidate A-factors of product vectors in K, read from the null space
+    of K's Macaulay matrix at bidegree (2, 2).
 
-    For m = 2 or 3 only.  Rank deficiency of the (R' x n) membership matrix
-    F(a) is certified by det(U_i F(a)) = 0 for two fixed random row
-    compressions U_i; roots are found per projective chart with companion /
-    QZ eigenvalue methods (hidden-variable Sylvester resultant when m = 3).
-    Candidates are unverified; callers must polish and check residuals.
-
-    A test oracle: it needs scipy (the `test` extra), imported after m is
-    checked, and stays in `segre` only because `perfbench/spans.WRAPPED`
-    wraps it by name; its move waits for a change to the benchmark.
+    For m = 2 or 3 only: at m = 4 that null space undercounts the roots.
+    More than m + n - 2 equations are first squared down to m + n - 2
+    fixed random combinations, whose roots hold K's.  The Macaulay matrix
+    has a row per equation and monomial a_i b_j and a column per (2, 2)
+    monomial; its null space N is spanned by the roots' evaluations, so
+    with h and g two fixed random linear forms in a applied to the (1, 2)
+    monomials, the eigenvalues of (hN)^+ (gN) are g(a)/h(a) at the roots
+    and hN times an eigenvector is a root's (1, 2) evaluation a (x) b^2,
+    whose leading left singular vector is a (Telen, Mourrain & Van Barel,
+    SIAM J. Matrix Anal. Appl. 39(3), 2018).  Candidates are unverified;
+    callers must polish and check residuals.
     """
     m, n = dims.m, dims.n
     if m not in (2, 3):
-        raise ValueError(f"determinantal route supports m = 2 or 3, got m={m}")
-    import scipy.linalg     # test oracle only: the runtime never loads scipy
+        raise ValueError(f"the (2, 2) Macaulay reading supports m = 2 or 3, got m={m}")
     wc = complement_stack(k, dims).conj()
-    rp = wc.shape[0]
-    if rp < n:
-        raise ValueError("orthocomplement too small: F(a) is rank deficient for every a")
+    rows = m + n - 2
+    if wc.shape[0] < rows:
+        raise ValueError("orthocomplement too small: K holds a continuum of product vectors")
     rng = np.random.default_rng(_MINOR_SEED)
-    u1 = rng.standard_normal((n, rp)) + 1j * rng.standard_normal((n, rp))
-    u2 = rng.standard_normal((n, rp)) + 1j * rng.standard_normal((n, rp))
-    # random unitary chart rotation: avoids roots parked at chart infinity
-    rot = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
-    amats = [np.einsum('i,rij->rj', rot[:, i], wc) for i in range(m)]
+    if wc.shape[0] > rows:
+        mix = rng.standard_normal((rows, wc.shape[0])) + 1j * rng.standard_normal((rows, wc.shape[0]))
+        wc = np.einsum('kr,rij->kij', mix, wc)
 
-    def fmat(coeffs):
-        return sum(c * amat for c, amat in zip(coeffs, amats))
+    def quadratic(q):
+        # the (q, q, q(q + 1)/2) 0/1 tensor sending x_i x_j to its monomial's column
+        pairs = list(itertools.combinations_with_replacement(range(q), 2))
+        out = np.zeros((q, q, len(pairs)))
+        for c, (i, j) in enumerate(pairs):
+            out[i, j, c] = out[j, i, c] = 1.0
+        return out
 
-    cands = []
-    k1 = n + 1
-    ws = np.exp(2j * np.pi * np.arange(k1) / k1)
-    if m == 2:
-        vals = np.array([np.linalg.det(u1 @ fmat([1.0, s])) for s in ws])
-        for s in _poly_roots_companion(_det_samples_to_coeffs(vals)):
-            cands.append(np.array([1.0, s]))
-        cands.append(np.array([0.0, 1.0]))
-    else:
-        pgrid = np.array([[np.linalg.det(u1 @ fmat([1.0, s, t])) for t in ws] for s in ws])
-        qgrid = np.array([[np.linalg.det(u2 @ fmat([1.0, s, t])) for t in ws] for s in ws])
-        scale = max(np.abs(pgrid).max(), np.abs(qgrid).max(), 1e-300)
-        pcoef = np.fft.fft2(pgrid / scale) / k1 ** 2      # [i, j] -> s^i t^j
-        qcoef = np.fft.fft2(qgrid / scale) / k1 ** 2
-        # Sylvester matrix in t, entries polynomial in s of degree <= n
-        smats = [np.zeros((2 * n, 2 * n), dtype=complex) for _ in range(k1)]
-        for i in range(k1):
-            for r in range(n):
-                for c in range(n + 1):
-                    smats[i][r, r + c] = pcoef[i, n - c]
-                    smats[i][n + r, r + c] = qcoef[i, n - c]
-        for s in _polyeig(smats):
-            t_pencil = scipy.linalg.eigvals(u1 @ fmat([1.0, s, 0.0]), -u1 @ amats[2])
-            for t in t_pencil[np.isfinite(t_pencil)]:
-                cands.append(np.array([1.0, s, t]))
-        t_inf = scipy.linalg.eigvals(u1 @ amats[1], -u1 @ amats[2])
-        for t in t_inf[np.isfinite(t_inf)]:
-            cands.append(np.array([0.0, 1.0, t]))
-        cands.append(np.array([0.0, 0.0, 1.0]))
-    out = []
-    for c in cands:
-        nrm = np.linalg.norm(c)
-        if np.isfinite(nrm) and nrm > 1e-12:
-            out.append(rot @ (c / nrm))
-    return out
+    qa, qb = quadratic(m), quadratic(n)
+    mac = np.einsum('rkl,ikc,jld->rijcd', wc, qa, qb).reshape(rows * m * n, -1)
+    null = null_space(mac).reshape(qa.shape[2], qb.shape[2], -1)
+    hn, gn = (np.einsum('k,ikc,cdx->idx', form, qa, null).reshape(m * qb.shape[2], -1)
+              for form in rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m)))
+    vecs = np.linalg.eig(np.linalg.pinv(hn) @ gn)[1]
+    return list(np.linalg.svd((hn @ vecs).T.reshape(-1, m, qb.shape[2]))[0][:, :, 0])
 
 
 # ---------------------------------------------------------------------------

@@ -48,10 +48,11 @@ state to rank one, by `segre._plane_search` with (n - 1)-frames, and
 `tiles_upb_3x3` is the classic five-vector 3x3 tiles basis, a fixture.
 
 scipy is a dependency of the tests only (the `test` extra), and only the
-two scipy routes use it.  Each imports `scipy.linalg` when called, so this
-module imports without scipy; a test that calls one of them, or
-`segre.minor_system_roots`, starts with `pytest.importorskip("scipy.linalg")`
-and skips where scipy is not installed.
+two scipy routes here use it; every other oracle, `segre.minor_system_roots`
+included, is numpy alone.  Each scipy route imports `scipy.linalg` when
+called, so this module imports without scipy; a test that calls one of
+them starts with `pytest.importorskip("scipy.linalg")` and skips where
+scipy is not installed.
 """
 
 from __future__ import annotations
@@ -79,9 +80,7 @@ from pptlab.segre import (
     _HOMOTOPY_ENDGAME,
     _HOMOTOPY_MIN_STEP,
     _PathTracker,
-    _det_samples_to_coeffs,
     _polish_batch,
-    _poly_roots_companion,
     _solve_rows,
     complement_stack,
     start_pairs,
@@ -376,6 +375,24 @@ def macaulay_gram(wc: np.ndarray) -> np.ndarray:
             rows.append(row.ravel())
     mac = np.array(rows)
     return mac.conj().T @ mac
+
+
+def _poly_roots_companion(coeffs_ascending: np.ndarray) -> np.ndarray:
+    """Roots via the companion matrix, with negligible leading coeffs removed."""
+    c = np.asarray(coeffs_ascending, dtype=complex)[::-1]
+    top = np.abs(c).max()
+    if top == 0:
+        return np.empty(0, dtype=complex)
+    nz = np.nonzero(np.abs(c) > 1e-12 * top)[0]
+    c = c[nz[0]:]
+    if c.size <= 1:
+        return np.empty(0, dtype=complex)
+    return np.roots(c)
+
+
+def _det_samples_to_coeffs(vals: np.ndarray) -> np.ndarray:
+    """Coefficients of a polynomial sampled on the roots of unity (exact FFT)."""
+    return np.fft.fft(vals) / vals.size
 
 
 def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims) -> list:

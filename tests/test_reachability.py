@@ -15,7 +15,8 @@ A second test keeps `certify` and `cli` to `segre`'s public names, a
 third keeps the report format in `cli`: `segre` and `certify` return
 result objects, and only `cli` (reports) and `qstate` (state files) encode
 complex numbers.  A fourth keeps every search in `segre`: `certify`
-decides from the results it is given.
+decides from the results it is given.  A fifth keeps the package numpy
+only: no module imports scipy.
 """
 
 import ast
@@ -33,9 +34,6 @@ UNREACHED = {
     "certify.necessary_bound": 7,
     "certify.witness_decomposition": 7,
     # pinned in src by perfbench/spans.WRAPPED, which wraps them by name
-    "segre._det_samples_to_coeffs": 4,
-    "segre._poly_roots_companion": 4,
-    "segre._polyeig": 4,
     "segre.find_line_subspaces": 4,
     "segre.minor_system_roots": 4,
     "segre.transversal": 4,
@@ -103,3 +101,13 @@ def test_only_cli_writes_reports():
                for node in ast.walk(tree)):
             callers.add(path.stem)
     assert callers == {"cli", "qstate"}
+
+
+def test_no_module_imports_scipy():
+    # a docstring or comment may name scipy; an import node may not
+    imported = [(path.stem, name) for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                for name in ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                             else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])]
+    assert ("segre", "numpy") in imported, "the check reads the wrong nodes"
+    assert [pair for pair in imported if pair[1].split(".")[0] == "scipy"] == []

@@ -208,6 +208,21 @@ class TestEnumerate:
         assert (res.evidence["starts_used"], res.evidence["rounds"]) == (400, 1)
 
 
+def oracle_points(kern, dims):
+    """The distinct points of `minor_system_roots`' candidates a whose F(a)
+    has a singular value below 1e-6, each with b its least right singular
+    vector."""
+    wc = complement_stack(kern, dims).conj()
+    pool = []
+    for a in minor_system_roots(kern, dims):
+        _, sv, vh = np.linalg.svd(np.einsum('i,rij->rj', a, wc))
+        if sv[-1] < 1e-6:
+            pv = ProductVector(a, vh[-1].conj())
+            if not any(pv.overlap(q) > 1 - 1e-6 for q in pool):
+                pool.append(pv)
+    return pool
+
+
 class TestOracles:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_pencil_oracle_matches_enumerator(self, n, rng):
@@ -222,25 +237,25 @@ class TestOracles:
             assert res.classification == Classification.FINITE
             assert res.evidence["route"] == "homotopy"
             assert match_sets(roots, res.points, tol=1e-8)
+            assert match_sets(oracle_points(kern, dims), roots)
 
     def test_minor_system_complete_for_good_3x5(self):
-        pytest.importorskip("scipy.linalg")
         state = zoo.good_3xn(5)
         kern = kernel_basis(state)
-        wc = complement_stack(kern, state.dims).conj()
-        pool = []
-        for a in minor_system_roots(kern, state.dims):
-            f = np.einsum('i,rij->rj', a, wc)
-            sv = np.linalg.svd(f, compute_uv=False)
-            if sv[-1] < 1e-6:
-                b = np.linalg.svd(f)[2][-1].conj()
-                pv = ProductVector(a, b)
-                if not any(pv.overlap(q) > 1 - 1e-6 for q in pool):
-                    pool.append(pv)
+        pool = oracle_points(kern, state.dims)
         assert len(pool) >= 15
         res = enumerate_product_vectors(kern, state.dims)
         assert res.evidence["route"] == "homotopy"
         assert match_sets(pool, res.points)
+
+    @pytest.mark.parametrize("kappa,seed", [(100, 100), (1000, 100), (1000, 101), (1000, 102)])
+    def test_minor_system_complete_under_slocc(self, kappa, seed):
+        # a strong SLOCC change of good_3x6 keeps all delta(3, 6) = 21 roots
+        state = slocc_changed(zoo.good_3xn(6), kappa, seed)
+        kern = kernel_basis(state)
+        res = enumerate_product_vectors(kern, state.dims)
+        assert len(res.points) == zoo.delta(3, 6) == 21
+        assert match_sets(oracle_points(kern, state.dims), res.points)
 
     @pytest.mark.parametrize("state_fn", [
         zoo.good_3x4,
@@ -248,8 +263,7 @@ class TestOracles:
         zoo.bad_3x4,
     ], ids=["good_3x4", "kon_mnogo", "bad_3x4"])
     def test_minor_system_agrees_ranges_are_empty(self, state_fn, monkeypatch):
-        # no determinantal candidate polishes onto a range the count proves empty
-        pytest.importorskip("scipy.linalg")
+        # no Macaulay candidate polishes onto a range the count proves empty
         decline_hilbert(monkeypatch)
         state = state_fn()
         rng_sub = range_basis(state)

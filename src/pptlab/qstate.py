@@ -401,7 +401,7 @@ def null_space(a: np.ndarray) -> np.ndarray:
     singular vectors past every singular value above eps * max(a.shape) *
     s_max, the cut of `scipy.linalg.null_space`, in scipy's memory layout
     (from a Fortran-ordered vh, as LAPACK returns it).  No report depends on
-    that layout: `segre.complement_stack` copies into one C-ordered stack."""
+    that layout: `segre.membership_stack` copies into one C-ordered stack."""
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     tol = np.amax(s, initial=0.0) * np.finfo(s.dtype).eps * max(a.shape)
     return np.asfortranarray(vh)[int(np.sum(s > tol)):].T.conj()

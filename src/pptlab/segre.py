@@ -1,14 +1,14 @@
 """Product vectors inside subspaces of a bipartite space.
 
 The central object is the set of product vectors a (x) b lying in a given
-subspace K of C^m (x) C^n.  Membership is measured through an orthonormal
-basis {W_r} of the orthocomplement, each W_r viewed as an m x n matrix:
+subspace K of C^m (x) C^n.  Every search reads K through its membership
+stack wc, `membership_stack`: R' slices W_r, m x n matrices conjugate to an
+orthonormal basis of K^perp, so that g_r(a, b) = a^T W_r b and
 
-    a (x) b in K   <=>   F(a) b = 0,   F(a) = [a^T conj(W_r)]_r,
+    a (x) b in K   <=>   F(a) b = 0,   F(a) = [a^T W_r]_r,
 
-and symmetrically G(b) a = 0 with G(b) = [(conj(W_r) b)^T]_r.  The residual
-of a unit pair, |F(a) b|, equals the norm of the projection of a (x) b onto
-the orthocomplement.
+and symmetrically G(b) a = 0 with G(b) = [(W_r b)^T]_r.  The residual of a
+unit pair, |F(a) b|, is the norm of the projection of a (x) b onto K^perp.
 
 Enumeration first decides what it can from dimensions: with R' = dim K^perp
 below m + n - 2, the dimension of the Segre variety, the product set is
@@ -247,16 +247,15 @@ class GoodnessVerdict:
 # membership machinery
 
 
-def complement_stack(k: SubspaceBasis, dims: BipartiteDims) -> np.ndarray:
-    """Orthonormal basis of the orthocomplement of K, as an (R', m, n) stack,
-    C-ordered whatever layout `null_space` gives: the searches round by it."""
+def membership_stack(k: SubspaceBasis, dims: BipartiteDims) -> np.ndarray:
+    """K's membership stack: the null space of K's basis rows as an (R', m, n)
+    stack, C-ordered whatever layout `null_space` gives (the searches round by it)."""
     if k.ambient_dim != dims.total:
         raise ValueError(f"subspace lives in dim {k.ambient_dim}, expected {dims.total}")
     if k.dim == 0:
         eye = np.eye(dims.total, dtype=complex)
         return eye.reshape(dims.total, dims.m, dims.n)
-    comp = null_space(k.vectors.conj())
-    return np.ascontiguousarray(comp.T).reshape(-1, dims.m, dims.n)
+    return np.ascontiguousarray(null_space(k.vectors).T).reshape(-1, dims.m, dims.n)
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
@@ -339,7 +338,7 @@ def _free_columns(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _polish_batch(wc: np.ndarray, a: np.ndarray, b: np.ndarray, iters: int):
-    """Gauss-Newton on the holomorphic system g_r(a, b) = <W_r, a(x)b>.
+    """Gauss-Newton on the holomorphic system g_r(a, b) = a^T W_r b.
 
     One coordinate of each factor (the largest in modulus) is frozen as the
     gauge, which leaves the reduced Jacobian J_r of the m + n - 2 other
@@ -454,7 +453,7 @@ def minor_system_roots(k: SubspaceBasis, dims: BipartiteDims) -> list:
     m, n = dims.m, dims.n
     if m not in (2, 3):
         raise ValueError(f"the (2, 2) Macaulay reading supports m = 2 or 3, got m={m}")
-    wc = complement_stack(k, dims).conj()
+    wc = membership_stack(k, dims)
     rows = m + n - 2
     if wc.shape[0] < rows:
         raise ValueError("orthocomplement too small: K holds a continuum of product vectors")
@@ -502,7 +501,7 @@ def _square_down(wc: np.ndarray) -> np.ndarray:
 
 
 def _membership_residuals(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|<W_r, a (x) b>| over all R' equations at each row pair (a, b): |F(a) b|."""
+    """|a^T W_r b| over all R' equations at each row pair (a, b): |F(a) b|."""
     return np.linalg.norm(np.einsum('si,rij,sj->sr', a, wc, b), axis=1)
 
 
@@ -802,7 +801,7 @@ def find_line_subspaces(k: SubspaceBasis, dims: BipartiteDims) -> list:
     start verifies.  A public helper: enumeration takes its planes from
     verified homotopy endpoints and never calls it.
     """
-    wc = complement_stack(k, dims).conj()
+    wc = membership_stack(k, dims)
     out = []
     for side, stack in (("A", wc), ("B", wc.transpose(0, 2, 1))):
         a, _ = start_pairs(_LINE_STARTS, stack.shape[1], stack.shape[2])
@@ -824,7 +823,7 @@ def _edge_gram(kern_rho: np.ndarray, kern_gamma: np.ndarray) -> np.ndarray:
 
 
 def _edge_stacks(state: BipartiteState) -> tuple:
-    """The stacks of ker rho and ker rho^Gamma that the state keeps (no SVD)."""
+    """Membership stacks of R(rho) and R(rho^Gamma): the kept kernel rows, conjugated."""
     return tuple(state.split(gamma)[0].conj().reshape(-1, state.dims.m, state.dims.n)
                  for gamma in (False, True))
 
@@ -979,7 +978,7 @@ def enumerate_product_vectors(k: SubspaceBasis, dims: BipartiteDims) -> Enumerat
                       "points_from": None, "min_separation_ratio": None, "hilbert": None}
     if k.dim == 0:
         return EnumerationResult([], [], Classification.EMPTY, evidence)
-    wc = complement_stack(k, dims).conj()
+    wc = membership_stack(k, dims)
 
     if wc.shape[0] < m + n - 2:
         # fewer equations than the dimension of the Segre variety: every
@@ -1139,13 +1138,10 @@ def _jacobian_extremes(wc: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
 def ces_certificate(subspace: SubspaceBasis, dims: BipartiteDims):
     """(verdict, enumeration): whether the subspace contains no product
     vectors, and the enumeration it rests on: a proof where its route is
-    `hilbert` or `homotopy`, else a numerical certificate.  A subspace of
-    dimension above (m-1)(n-1) always contains one, so its verdict is False
-    whatever the enumeration found."""
+    `hilbert` or `homotopy`, else a numerical certificate.  Above dimension
+    (m-1)(n-1) the enumeration, a dimension count or a square set, is never EMPTY."""
     result = enumerate_product_vectors(subspace, dims)
-    ces = (subspace.dim <= (dims.m - 1) * (dims.n - 1)
-           and result.classification == Classification.EMPTY)
-    return ces, result
+    return result.classification == Classification.EMPTY, result
 
 
 def transversal(k: SubspaceBasis, pv: ProductVector, dims: BipartiteDims) -> bool:
@@ -1158,7 +1154,7 @@ def transversal(k: SubspaceBasis, pv: ProductVector, dims: BipartiteDims) -> boo
     resid = k.project_residual(pv.vec())
     if resid > 1e-8:
         raise ValueError(f"product vector is not in the subspace: residual {resid:.3e}")
-    wc = complement_stack(k, dims).conj()
+    wc = membership_stack(k, dims)
     if wc.shape[0] == 0:
         return True
     smin, smax = _jacobian_extremes(wc, pv.a[None, :], pv.b[None, :])

@@ -82,7 +82,7 @@ from pptlab.segre import (
     _PathTracker,
     _polish_batch,
     _solve_rows,
-    complement_stack,
+    membership_stack,
     start_pairs,
 )
 from pptlab.zoo import UpbFamily
@@ -406,7 +406,7 @@ def pencil_roots_2xn(k: SubspaceBasis, dims: BipartiteDims) -> list:
     """
     if dims.m != 2:
         raise ValueError("pencil oracle requires m = 2")
-    wc = complement_stack(k, dims).conj()
+    wc = membership_stack(k, dims)
     if wc.shape[0] != dims.n:
         raise ValueError(f"membership matrix is {wc.shape[0]}x{dims.n}, must be square")
     a0 = np.einsum('i,rij->rj', np.array([1.0, 0.0]), wc)
@@ -441,7 +441,7 @@ def find_rank1_compression(state: BipartiteState) -> Optional[tuple]:
     if n < 2:
         return None
     kern = kernel_basis(state)
-    stack = complement_stack(kern, dims).conj()       # range of rho as matrices
+    stack = membership_stack(kern, dims)   # range of rho as matrices
     hits = segre._plane_search("A", stack, start_pairs(96, m, n)[0], n - 1)
     rho_t = state.matrix.reshape(m, n, m, n)
     for hit in hits.values():

@@ -25,7 +25,7 @@ from pptlab.qstate import (
     rank_profile,
 )
 from pptlab.segre import (Classification, EnumerationResult, classify_goodness,
-                          complement_stack, enumerate_product_vectors, start_pairs)
+                          enumerate_product_vectors, membership_stack, start_pairs)
 from conftest import random_full_rank_ppt, random_product_vector
 from oracles import (bisection_step, find_rank1_compression, inverse_iteration_step,
                      nullity_by_columns, nullity_unrestricted, scipy_pencil_eigvalsh,
@@ -569,8 +569,8 @@ class TestEdgeAStep:
         state = state_fn()
         dims = state.dims
         gamma_state = BipartiteState(HermitianOperator(dims, gamma_matrix(state)))
-        kern_rho = complement_stack(range_basis(state), dims).conj()
-        kern_gamma = complement_stack(range_basis(gamma_state), dims).conj()
+        kern_rho = membership_stack(range_basis(state), dims)
+        kern_gamma = membership_stack(range_basis(gamma_state), dims)
         a0, b = start_pairs(64, dims.m, dims.n)
         q = segre._edge_gram(kern_rho, kern_gamma)
         a = segre._inverse_iteration_step(q.T, b[:, :, None], a0[:, :, None])[:, :, 0]
@@ -581,9 +581,9 @@ class TestEdgeAStep:
 
 
 def edge_stacks(state):
-    """The stacks of ker rho and ker rho^Gamma that the edge fallback reads."""
+    """The membership stacks of R(rho) and R(rho^Gamma) that the edge fallback reads."""
     gamma_state = BipartiteState(HermitianOperator(state.dims, gamma_matrix(state)))
-    return tuple(complement_stack(range_basis(st), state.dims).conj()
+    return tuple(membership_stack(range_basis(st), state.dims)
                  for st in (state, gamma_state))
 
 

@@ -780,8 +780,8 @@ class TestReportInvariance:
         assert invariant_fields(analyze_state(state, {}).to_json()) == base_fields(label)
 
     def test_report_ignores_the_null_space_layout(self, monkeypatch):
-        # the searches read the complement stack in the layout
-        # complement_stack gives it, whatever layout the null space has
+        # the searches read the membership stack in the layout
+        # membership_stack gives it, whatever layout the null space has
         ref = json.dumps(analyze_state(zoo.good_3x4(), {}).to_json())
         original = segre.null_space
         for layout in (np.asfortranarray, np.ascontiguousarray):

@@ -37,10 +37,10 @@ from pptlab.segre import (
     ces_certificate,
     classify_goodness,
     classify_separable_good,
-    complement_stack,
     enumerate_product_vectors,
     find_line_subspaces,
     general_position,
+    membership_stack,
     minor_system_roots,
     partial_conjugate,
     start_pairs,
@@ -122,6 +122,20 @@ class TestProductVector:
         pc = partial_conjugate(pv)
         assert np.allclose(pc.a, np.array([1.0, -1j]) / np.sqrt(2))
         assert np.allclose(pc.b, [1.0, 0.0])
+
+
+class TestMembershipStack:
+    def test_complex_subspace_reads_a_transpose_w_b(self, rng):
+        # a (x) b in K reads a^T W_r b = 0 on the stack's own slices, with
+        # no conjugate taken; conj(a) (x) b, outside K, does not
+        dims = BipartiteDims(3, 4)
+        pvs = [random_product_vector(dims, rng) for _ in range(4)]
+        extra = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        wc = membership_stack(subspace_from_vectors([pv.vec() for pv in pvs] + [extra], 12), dims)
+        assert wc.shape == (7, 3, 4) and wc.flags.c_contiguous
+        for pv in pvs:
+            assert np.abs(np.einsum('i,rij,j->r', pv.a, wc, pv.b)).max() <= 1e-12
+            assert np.abs(np.einsum('i,rij,j->r', pv.a.conj(), wc, pv.b)).max() > 1e-3
 
 
 class TestEnumerate:
@@ -212,7 +226,7 @@ def oracle_points(kern, dims):
     """The distinct points of `minor_system_roots`' candidates a whose F(a)
     has a singular value below 1e-6, each with b its least right singular
     vector."""
-    wc = complement_stack(kern, dims).conj()
+    wc = membership_stack(kern, dims)
     pool = []
     for a in minor_system_roots(kern, dims):
         _, sv, vh = np.linalg.svd(np.einsum('i,rij->rj', a, wc))
@@ -267,7 +281,7 @@ class TestOracles:
         decline_hilbert(monkeypatch)
         state = state_fn()
         rng_sub = range_basis(state)
-        wc = complement_stack(rng_sub, state.dims).conj()
+        wc = membership_stack(rng_sub, state.dims)
         a = np.array(minor_system_roots(rng_sub, state.dims))
         assert a.shape[0] > 0
         b = np.linalg.svd(np.einsum('si,rij->srj', a, wc))[2][:, -1, :].conj()
@@ -306,7 +320,7 @@ class TestHomotopy:
         # residuals that are all rounding noise
         state = zoo.good_3x4()
         kern = kernel_basis(state)
-        roots, _, _, _ = _homotopy_roots(complement_stack(kern, state.dims).conj())
+        roots, _, _, _ = _homotopy_roots(membership_stack(kern, state.dims))
         res = enumerate_product_vectors(kern, state.dims)
         assert res.classification == Classification.FINITE
         assert np.array_equal([pv.vec() for pv in res.points], [pv.vec() for pv in roots])
@@ -329,7 +343,7 @@ class TestHomotopy:
     def test_bad_3x5_kernel_not_certified(self):
         state = zoo.bad_3xn(5)
         kern = kernel_basis(state)
-        wc = complement_stack(kern, state.dims).conj()
+        wc = membership_stack(kern, state.dims)
         assert wc.shape[0] == 3 + 5 - 2
         points, _, paths, _ = _homotopy_roots(wc)
         assert paths["tracked"] == zoo.delta(3, 5)
@@ -347,7 +361,7 @@ class TestHomotopy:
         refuse_plane_search(monkeypatch)
         state = zoo.upb_complement_state(zoo.gentiles2_upb(3, 5))
         kern = kernel_basis(state)
-        assert complement_stack(kern, state.dims).shape[0] == 5
+        assert membership_stack(kern, state.dims).shape[0] == 5
         res = enumerate_product_vectors(kern, state.dims)
         assert res.classification == Classification.LIKELY_INFINITE
         assert res.evidence["dimension_forces_positive_dimension"] is True
@@ -491,7 +505,7 @@ class TestSquareDown:
         # system would also pull off-subspace endpoints onto them
         dims = BipartiteDims(m, n)
         sub, pvs = span_of_products(m, n, k, rng)
-        wc = complement_stack(sub, dims).conj()
+        wc = membership_stack(sub, dims)
         assert wc.shape[0] > m + n - 2
         points, _, paths, _ = _homotopy_roots(wc)
         assert paths["tracked"] == zoo.delta(m, n)
@@ -513,7 +527,7 @@ class TestSquareDown:
         # count of the true product vectors stands
         dims = BipartiteDims(3, 4)
         sub, pvs = span_of_products(3, 4, 4, rng)
-        wc = complement_stack(sub, dims).conj()
+        wc = membership_stack(sub, dims)
         points, _, paths, _ = _homotopy_roots(wc)
         assert len(points) == paths["accepted"] == zoo.delta(3, 4)
         pv = next(p for p, r in zip(points, _membership_residuals(wc, *factors(points))) if r < 1e-12)
@@ -530,7 +544,7 @@ class TestSquareDown:
         # four points
         dims = BipartiteDims(3, 4)
         sub, pvs = span_of_products(3, 4, 4, rng)
-        wc = complement_stack(sub, dims).conj()
+        wc = membership_stack(sub, dims)
         points, residuals, paths, planes = _homotopy_roots(wc)
         full = _membership_residuals(wc, *factors(points))
         pv = next(p for p, r in zip(points, full) if r < 1e-12)
@@ -574,12 +588,12 @@ class TestSquareDown:
 
     def test_square_systems_are_not_mixed(self):
         state = zoo.good_3x4()
-        wc = complement_stack(kernel_basis(state), state.dims).conj()
+        wc = membership_stack(kernel_basis(state), state.dims)
         assert _square_down(wc) is wc
 
     def test_mixing_never_raises_the_residual(self, rng):
         sub, _ = span_of_products(3, 4, 3, rng)
-        wc = complement_stack(sub, BipartiteDims(3, 4)).conj()
+        wc = membership_stack(sub, BipartiteDims(3, 4))
         wsq = _square_down(wc)
         assert wsq.shape == (5, 3, 4)
         pvs = [random_product_vector(BipartiteDims(3, 4), rng) for _ in range(8)]
@@ -621,7 +635,7 @@ def alternate_by_svd(wc, a, b, iters):
 
 def good_3x4_range_stack():
     state = zoo.good_3x4()
-    return complement_stack(range_basis(state), state.dims).conj()
+    return membership_stack(range_basis(state), state.dims)
 
 
 class SolveRecorder:
@@ -691,10 +705,10 @@ class TestAlternate:
             wc = good_3x4_range_stack()
         elif case == "product_span_3x4":
             sub, _ = span_of_products(3, 4, 4, rng)
-            wc = complement_stack(sub, BipartiteDims(3, 4)).conj()
+            wc = membership_stack(sub, BipartiteDims(3, 4))
         else:
             state = zoo.bad_mxn(4, 5) if case == "bad_4x5_range" else zoo.kon_mnogo()[0]
-            wc = complement_stack(range_basis(state), state.dims).conj()
+            wc = membership_stack(range_basis(state), state.dims)
         a0, b0 = start_pairs(400, wc.shape[1], wc.shape[2])
         # the same inverse-iteration steps, on F^H F formed from the stack
         # itself and with no start retired
@@ -753,7 +767,7 @@ class TestAlternate:
         # (M + shift)^-1 v is at most the one at v: with w = 1 each half-step
         # lowers |F(a) b| or keeps it
         state = RANGE_BEST_RESIDUALS[name][0]()
-        wc = complement_stack(range_basis(state), state.dims).conj()
+        wc = membership_stack(range_basis(state), state.dims)
         q = segre._gram(wc)
         a, b = start_pairs(400, state.dims.m, state.dims.n)
 
@@ -845,7 +859,7 @@ class TestSettledFlag:
     def test_matches_a_plain_loop(self, name):
         # the first 48 starts of the round on these ranges settle in part
         state = RANGE_STATES[name]()
-        wc = complement_stack(range_basis(state), state.dims).conj()
+        wc = membership_stack(range_basis(state), state.dims)
         a, b = start_pairs(48, state.dims.m, state.dims.n)
         _, _, settled, _ = _alternate_batch(wc, a, b)
         assert 0 < settled.sum() < 48
@@ -917,7 +931,7 @@ class TestPolish:
         # the cross-check round's own input: alternated seeded starts
         state = RANGE_STATES[name]()
         m, n = state.dims.m, state.dims.n
-        wc = complement_stack(range_basis(state), state.dims).conj()
+        wc = membership_stack(range_basis(state), state.dims)
         a, b, _, _ = _alternate_batch(wc, *start_pairs(400, m, n))
         assert_same_polish(_polish_batch(wc, a, b, iters), polish_by_pinv(wc, a, b, iters))
 
@@ -926,7 +940,7 @@ class TestPolish:
         # has two zero columns and J_r is rank-deficient at a = e0 for any
         # b: that row alone takes the pseudoinverse step
         state = zoo.bad_3x4()
-        wc = complement_stack(kernel_basis(state), state.dims).conj()
+        wc = membership_stack(kernel_basis(state), state.dims)
         a, b = start_pairs(400, 3, 4)
         a[7] = np.eye(3)[0]
         assert np.max(np.abs(wc[:, 0, 2:])) < 1e-14
@@ -991,7 +1005,7 @@ class TestPolish:
             slocc_changed(zoo.bad_3x4(), 1000, 100))]
         for state, basis in rounds:
             m, n = state.dims.m, state.dims.n
-            wc = complement_stack(basis(state), state.dims).conj()
+            wc = membership_stack(basis(state), state.dims)
             starts = start_pairs(max(segre._MIN_STARTS, 4 * zoo.delta(m, n)), m, n)
             a, b, settled, alt = _alternate_batch(wc, *starts)
             skipped = settled & (alt > np.sqrt(segre.RESIDUAL_TOL))
@@ -1189,9 +1203,14 @@ class TestCes:
         assert ces_certificate(range_basis(state), state.dims)[0]
 
     def test_dimension_forces_product_vector(self, rng):
-        dims = BipartiteDims(3, 3)
-        vecs = rng.standard_normal((5, 9)) + 1j * rng.standard_normal((5, 9))
-        assert not ces_certificate(subspace_from_vectors(vecs, 9), dims)[0]
+        # above dimension (m-1)(n-1) the enumeration itself never reads
+        # EMPTY: a square set (R' = m + n - 2) or a dimension count
+        for (m, n), dim in (((3, 3), 5), ((3, 4), 7), ((3, 4), 8), ((1, 4), 1)):
+            dims = BipartiteDims(m, n)
+            vecs = rng.standard_normal((dim, m * n)) + 1j * rng.standard_normal((dim, m * n))
+            ces, res = ces_certificate(subspace_from_vectors(vecs, m * n), dims)
+            assert not ces and res.classification != Classification.EMPTY
+            assert (res.evidence["route"] == "dimension-count") == (m * n - dim < m + n - 2)
 
     def test_span_of_product_vector_is_not_ces(self):
         v = np.zeros(4)
@@ -1453,7 +1472,7 @@ class TestPlaneRoute:
                 assert kern.project_residual(vec) < 1e-8
         assert np.isfinite(ev["best_residual"])
         assert ev["best_residual"] == min([ls.residual for ls in planes] + res.residuals)
-        roots, _, _, _ = _homotopy_roots(complement_stack(kern, state.dims).conj())
+        roots, _, _, _ = _homotopy_roots(membership_stack(kern, state.dims))
         assert match_sets(res.points, roots)
         verdict = classify_goodness(state, enumeration=res)
         assert (verdict.verdict, verdict.reason) == (Goodness.BAD,
@@ -1463,7 +1482,7 @@ class TestPlaneRoute:
         # paths that end on the conic are unaccounted, so the set keeps the
         # search route
         sub, dims = conic_subspace()
-        assert complement_stack(sub, dims).shape[0] == 3 + 3 - 2
+        assert membership_stack(sub, dims).shape[0] == 3 + 3 - 2
         res = enumerate_product_vectors(sub, dims)
         paths = res.evidence["paths"]
         assert paths["on_plane"] == 0
@@ -1503,7 +1522,7 @@ class TestPlaneRoute:
         # a zero row has an exactly singular Jacobian: its step fails and
         # halves, and every other path takes its step and grows it
         state = zoo.good_3x4()
-        tracker = _PathTracker(complement_stack(kernel_basis(state), state.dims).conj())
+        tracker = _PathTracker(membership_stack(kernel_basis(state), state.dims))
         tracker.z[1] = 0.0
         before = tracker.step.copy()
         tracker.advance()
@@ -1594,7 +1613,7 @@ class TestPlaneSearch:
         # the same
         state = PLANE_KERNELS[label]()
         kern = kernel_basis(state)
-        wc = complement_stack(kern, state.dims).conj()
+        wc = membership_stack(kern, state.dims)
         calls = []
         original = segre._endpoint_planes
         monkeypatch.setattr(segre, "_endpoint_planes",
@@ -1636,7 +1655,7 @@ class TestPlaneSearch:
         # so a search repeats exactly, and the first rows of a search are
         # those of a search over just those rows
         state = zoo.bad_mxn(4, 5)
-        wc = complement_stack(kernel_basis(state), state.dims).conj()
+        wc = membership_stack(kernel_basis(state), state.dims)
         a, _ = start_pairs(segre._LINE_STARTS, 4, 5)
         first = segre._plane_search("A", wc, a, 2)
         again = segre._plane_search("A", wc, a, 2)
@@ -1655,7 +1674,7 @@ class TestPlaneSearch:
         # the search is one _alternate from its seeded frames, then one
         # verification: no frame is redrawn on the way
         state = zoo.bad_mxn(4, 5)
-        wc = complement_stack(kernel_basis(state), state.dims).conj()
+        wc = membership_stack(kernel_basis(state), state.dims)
         a, _ = start_pairs(segre._LINE_STARTS, 4, 5)
         original = segre._alternate
         calls = []
@@ -1675,7 +1694,7 @@ class TestPlaneSearch:
 
     def test_calls_no_svd(self, monkeypatch):
         state = zoo.bad_mxn(4, 5)
-        wc = complement_stack(kernel_basis(state), state.dims).conj()
+        wc = membership_stack(kernel_basis(state), state.dims)
         a, _ = start_pairs(segre._LINE_STARTS, 4, 5)
 
         def refuse(*args, **kwargs):
@@ -1691,10 +1710,10 @@ def tracker_systems():
     systems of two zoo ranges, by label."""
     kernels = {f"good_3x{n}": zoo.good_3xn(n) for n in range(4, 9)}
     kernels.update(bad_3x5=zoo.bad_3xn(5), bad_4x5=zoo.bad_mxn(4, 5), bad_5x5=zoo.bad_mxn(5, 5))
-    out = {f"{label}_kernel": complement_stack(kernel_basis(st), st.dims).conj()
+    out = {f"{label}_kernel": membership_stack(kernel_basis(st), st.dims)
            for label, st in kernels.items()}
     for label, st in (("good_3x4", zoo.good_3x4()), ("bad_4x5", zoo.bad_mxn(4, 5))):
-        wc = complement_stack(range_basis(st), st.dims).conj()
+        wc = membership_stack(range_basis(st), st.dims)
         out[f"{label}_range"] = _square_down(wc)
     return out
 
